@@ -8,11 +8,10 @@
 //! MBRs.
 
 use crate::{finish_topk, EngineResult, SimilarityEngine};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 use trass_geo::Mbr;
 use trass_index::rtree::RTree;
+use trass_rng::Rng;
 use trass_traj::{Measure, Trajectory, TrajectoryId};
 
 /// The DFT-like engine.
@@ -74,7 +73,7 @@ impl SimilarityEngine for DftEngine {
         if self.data.is_empty() || k == 0 {
             return Some(EngineResult::default());
         }
-        let mut rng = StdRng::seed_from_u64(self.seed ^ query.id);
+        let mut rng = Rng::new(self.seed ^ query.id);
         // Step 1: sample c·k trajectories from partitions intersecting the
         // query MBR (fall back to the whole dataset when too few).
         let mut pool = self.intersecting(&query.mbr());
@@ -85,7 +84,7 @@ impl SimilarityEngine for DftEngine {
         let mut sample_best: Vec<(TrajectoryId, f64)> = Vec::new();
         let sample_n = (self.sample_c * k).min(pool.len());
         for _ in 0..sample_n {
-            let i = pool[rng.gen_range(0..pool.len())];
+            let i = pool[rng.usize_in(0, pool.len() - 1)];
             let t = &self.data[i];
             let d = measure.distance(query.points(), t.points());
             sample_best.push((t.id, d));

@@ -13,10 +13,9 @@
 //! degrades on wide-extent datasets (§VI-B's Lorry discussion).
 
 use crate::{EngineResult, SimilarityEngine};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 use trass_geo::Point;
+use trass_rng::Rng;
 use trass_traj::{Measure, Trajectory, TrajectoryId};
 
 /// Number of reference points.
@@ -37,7 +36,7 @@ impl ReposeEngine {
     /// Builds the reference table over the dataset.
     pub fn build(data: Vec<Trajectory>, seed: u64) -> Self {
         let t0 = Instant::now();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         // Reference points drawn from the data's own endpoints (REPOSE
         // selects pivots from the data distribution).
         let refs: Vec<Point> = if data.is_empty() {
@@ -45,8 +44,8 @@ impl ReposeEngine {
         } else {
             (0..N_REFS)
                 .map(|_| {
-                    let t = &data[rng.gen_range(0..data.len())];
-                    if rng.gen_bool(0.5) {
+                    let t = &data[rng.usize_in(0, data.len() - 1)];
+                    if rng.bool(0.5) {
                         t.start()
                     } else {
                         t.end()

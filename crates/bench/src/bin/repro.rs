@@ -19,16 +19,15 @@
 //!   profile continuous-profiling demo: flight recorder folded into
 //!           collapsed-stack format under wall / alloc / cpu weights
 //!   workload per-fingerprint workload summary for the demo query mix
-//!   bench   CI perf-regression gate (flags: --quick --update-baseline)
-//!   loadtest concurrent-client load harness against a live trass-server
-//!           (flags: --quick --clients N --requests N); merges report-only
-//!           server_* keys into BENCH_ci.json
 //!   all     everything, in order
 //! ```
 //!
 //! Environment: `TRASS_REPRO_SCALE` scales dataset sizes (default 1.0 ≈
 //! 5 000 trajectories per dataset), `TRASS_REPRO_QUERIES` sets the query
 //! batch (default 40). Results append to `results/<exp>.jsonl`.
+//!
+//! Performance is measured by the repository benchmark (`benchmark/`,
+//! `BENCHMARK.json`), not here.
 
 use trass_bench::experiments;
 
@@ -41,58 +40,10 @@ static ALLOC: trass_obs::CountingAlloc = trass_obs::CountingAlloc::system();
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| {
-        eprintln!("usage: repro <fig9|fig10|fig11|fig12|fig13|fig14|fig17|fig18|fig19|fig20|io|ablation|obs|explain|profile|workload|bench|loadtest|all>");
+        eprintln!("usage: repro <fig9|fig10|fig11|fig12|fig13|fig14|fig17|fig18|fig19|fig20|io|ablation|obs|explain|profile|workload|all>");
         std::process::exit(2);
     });
     match arg.as_str() {
-        "bench" => {
-            let flags: Vec<String> = std::env::args().skip(2).collect();
-            for f in &flags {
-                if f != "--quick" && f != "--update-baseline" {
-                    eprintln!("usage: repro bench [--quick] [--update-baseline]");
-                    std::process::exit(2);
-                }
-            }
-            let quick = flags.iter().any(|f| f == "--quick");
-            let update = flags.iter().any(|f| f == "--update-baseline");
-            experiments::bench_gate::run(quick, update)
-        }
-        "loadtest" => {
-            let args: Vec<String> = std::env::args().skip(2).collect();
-            let mut quick = false;
-            let mut clients = 8usize;
-            let mut requests: Option<usize> = None;
-            let mut i = 0;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--quick" => {
-                        quick = true;
-                        i += 1;
-                    }
-                    "--clients" | "--requests" => {
-                        let value = args.get(i + 1).and_then(|v| v.parse::<usize>().ok());
-                        let Some(v) = value.filter(|&v| v > 0) else {
-                            eprintln!(
-                                "usage: repro loadtest [--quick] [--clients N] [--requests N]"
-                            );
-                            std::process::exit(2);
-                        };
-                        if args[i] == "--clients" {
-                            clients = v;
-                        } else {
-                            requests = Some(v);
-                        }
-                        i += 2;
-                    }
-                    _ => {
-                        eprintln!("usage: repro loadtest [--quick] [--clients N] [--requests N]");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            let requests = requests.unwrap_or(if quick { 25 } else { 200 });
-            experiments::loadtest::run(quick, clients, requests)
-        }
         "fig9" => experiments::fig09_threshold::run(),
         "fig10" => experiments::fig10_topk::run(),
         "fig11" => experiments::fig11_pruning::run(),

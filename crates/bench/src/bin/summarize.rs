@@ -5,9 +5,9 @@
 //! summarize [results_dir]
 //! ```
 
-use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use trass_obs::json::{self, Value};
 
 fn main() {
     let dir = std::env::args().nth(1).map(PathBuf::from).unwrap_or_else(|| "results".into());
@@ -23,20 +23,17 @@ fn main() {
     files.sort();
     for file in files {
         let Ok(text) = std::fs::read_to_string(&file) else { continue };
-        let rows: Vec<Value> = text.lines().filter_map(|l| serde_json::from_str(l).ok()).collect();
+        let rows: Vec<Value> = text.lines().filter_map(|l| json::parse(l).ok()).collect();
         if rows.is_empty() {
             continue;
         }
-        let experiment = rows[0]["experiment"].as_str().unwrap_or("?").to_string();
-        println!("\n### {experiment}\n");
+        println!("\n### {}\n", text_of(&rows[0], "experiment"));
         // Collect the metric columns in first-seen order.
         let mut metrics: Vec<String> = Vec::new();
         for r in &rows {
-            if let Some(map) = r["metrics"].as_object() {
-                for k in map.keys() {
-                    if !metrics.contains(k) {
-                        metrics.push(k.clone());
-                    }
+            for (k, _) in r.get("metrics").and_then(Value::as_object).unwrap_or_default() {
+                if !metrics.contains(k) {
+                    metrics.push(k.clone());
                 }
             }
         }
@@ -54,25 +51,19 @@ fn main() {
         // (dataset, solution, param, value).
         let mut dedup: BTreeMap<String, &Value> = BTreeMap::new();
         for r in &rows {
-            let key = format!(
-                "{}|{}|{}|{}",
-                r["dataset"].as_str().unwrap_or(""),
-                r["solution"].as_str().unwrap_or(""),
-                r["param"].as_str().unwrap_or(""),
-                r["param_value"]
-            );
-            dedup.insert(key, r);
-        }
-        for r in dedup.values() {
-            print!(
+            let cells = format!(
                 "| {} | {} | {} | {} |",
-                r["dataset"].as_str().unwrap_or(""),
-                r["solution"].as_str().unwrap_or(""),
-                r["param"].as_str().unwrap_or(""),
-                r["param_value"]
+                text_of(r, "dataset"),
+                text_of(r, "solution"),
+                text_of(r, "param"),
+                r.get("param_value").and_then(Value::as_f64).map_or("null".into(), json::number)
             );
+            dedup.insert(cells, r);
+        }
+        for (cells, r) in &dedup {
+            print!("{cells}");
             for m in &metrics {
-                match r["metrics"].get(m).and_then(|v| v.as_f64()) {
+                match r.get("metrics").and_then(|ms| ms.get(m)).and_then(Value::as_f64) {
                     Some(v) if v.abs() >= 100.0 => print!(" {v:.0} |"),
                     Some(v) => print!(" {v:.3} |"),
                     None => print!(" – |"),
@@ -81,4 +72,9 @@ fn main() {
             println!();
         }
     }
+}
+
+/// String member `key` of a row (empty when absent).
+fn text_of<'a>(row: &'a Value, key: &str) -> &'a str {
+    row.get(key).and_then(Value::as_str).unwrap_or("")
 }

@@ -2,7 +2,6 @@
 //! and appends JSONL rows under `results/`.
 
 pub mod ablation;
-pub mod bench_gate;
 pub mod explain_demo;
 pub mod fig09_threshold;
 pub mod fig10_topk;
@@ -15,7 +14,6 @@ pub mod fig18_tail_latency;
 pub mod fig19_shards;
 pub mod fig20_measures;
 pub mod io_reduction;
-pub mod loadtest;
 pub mod obs_demo;
 
 /// Runs every experiment in figure order.

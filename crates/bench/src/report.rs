@@ -1,13 +1,14 @@
 //! Result reporting: aligned console tables plus JSONL files under
 //! `results/`.
 
-use serde::Serialize;
+use std::fmt::Write as _;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::PathBuf;
+use trass_obs::json;
 
 /// One machine-readable result row.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Row {
     /// Experiment id, e.g. "fig9".
     pub experiment: String,
@@ -19,8 +20,33 @@ pub struct Row {
     pub param: String,
     /// Swept parameter value.
     pub param_value: f64,
-    /// Metric values keyed by name.
-    pub metrics: serde_json::Map<String, serde_json::Value>,
+    /// Metric values by name, in the order the experiment reported them.
+    pub metrics: Vec<(String, f64)>,
+}
+
+impl Row {
+    /// The row as one JSON object (a `results/*.jsonl` line); non-finite
+    /// metric values are written as `null`.
+    pub fn to_json(&self) -> String {
+        let mut out = format!(
+            "{{\"experiment\":{},\"dataset\":{},\"solution\":{},\"param\":{},\"param_value\":{},\"metrics\":{{",
+            json::string(&self.experiment),
+            json::string(&self.dataset),
+            json::string(&self.solution),
+            json::string(&self.param),
+            json::number(self.param_value),
+        );
+        for (i, (name, value)) in self.metrics.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{sep}{}:{}", json::string(name), json::number(*value));
+        }
+        out.push_str("}}");
+        out
+    }
+
+    fn metric(&self, name: &str) -> Option<f64> {
+        self.metrics.iter().find(|(k, _)| k == name).map(|(_, v)| *v).filter(|v| v.is_finite())
+    }
 }
 
 /// Collects and emits one experiment's rows.
@@ -44,22 +70,13 @@ impl Reporter {
         param_value: f64,
         metrics: &[(&str, f64)],
     ) {
-        let mut map = serde_json::Map::new();
-        for (k, v) in metrics {
-            map.insert(
-                k.to_string(),
-                serde_json::Number::from_f64(*v)
-                    .map(serde_json::Value::Number)
-                    .unwrap_or(serde_json::Value::Null),
-            );
-        }
         self.rows.push(Row {
             experiment: self.experiment.clone(),
             dataset: dataset.to_string(),
             solution: solution.to_string(),
             param: param.to_string(),
             param_value,
-            metrics: map,
+            metrics: metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
         });
     }
 
@@ -70,7 +87,7 @@ impl Reporter {
         let metric_names: Vec<String> = {
             let mut names: Vec<String> = Vec::new();
             for r in &self.rows {
-                for k in r.metrics.keys() {
+                for (k, _) in &r.metrics {
                     if !names.contains(k) {
                         names.push(k.clone());
                     }
@@ -87,7 +104,7 @@ impl Reporter {
         for r in &self.rows {
             print!("{:<10} {:<12} {:>6} {:>10.4}", r.dataset, r.solution, r.param, r.param_value);
             for m in &metric_names {
-                match r.metrics.get(m).and_then(|v| v.as_f64()) {
+                match r.metric(m) {
                     Some(v) => print!(" {v:>16.4}"),
                     None => print!(" {:>16}", "-"),
                 }
@@ -102,8 +119,7 @@ impl Reporter {
         let mut file =
             OpenOptions::new().create(true).append(true).open(&path).expect("open results file");
         for r in &self.rows {
-            let line = serde_json::to_string(r).expect("serialize row");
-            writeln!(file, "{line}").expect("write row");
+            writeln!(file, "{}", r.to_json()).expect("write row");
         }
         path
     }
@@ -114,12 +130,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rows_serialize() {
+    fn rows_serialize_to_the_documented_fields() {
         let mut rep = Reporter::new("test-exp");
-        rep.row("ds", "TraSS", "eps", 0.01, &[("time_ms", 1.5), ("candidates", 10.0)]);
+        rep.row("ds", "TraSS", "eps", 0.01, &[("time_ms", 1.5), ("skipped", f64::NAN)]);
         assert_eq!(rep.rows.len(), 1);
-        let json = serde_json::to_string(&rep.rows[0]).unwrap();
-        assert!(json.contains("\"experiment\":\"test-exp\""));
-        assert!(json.contains("time_ms"));
+        let line = rep.rows[0].to_json();
+        let row = json::parse(&line).expect("a row is one JSON object");
+        assert_eq!(row.get("experiment").and_then(json::Value::as_str), Some("test-exp"));
+        assert_eq!(row.get("dataset").and_then(json::Value::as_str), Some("ds"));
+        assert_eq!(row.get("solution").and_then(json::Value::as_str), Some("TraSS"));
+        assert_eq!(row.get("param").and_then(json::Value::as_str), Some("eps"));
+        assert_eq!(row.get("param_value").and_then(json::Value::as_f64), Some(0.01));
+        let metrics = row.get("metrics").expect("metrics");
+        assert_eq!(metrics.get("time_ms").and_then(json::Value::as_f64), Some(1.5));
+        assert_eq!(metrics.get("skipped"), Some(&json::Value::Null));
     }
 }

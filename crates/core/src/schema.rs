@@ -11,9 +11,9 @@
 //! quadrant sequence and position code as text; [`string_rowkey`] exists to
 //! reproduce that storage-overhead comparison.
 
-use bytes::Bytes;
 use trass_geo::Point;
 use trass_index::xzstar::IndexSpace;
+use trass_kv::Bytes;
 use trass_kv::KeyRange;
 use trass_traj::codec::{self, CodecError};
 use trass_traj::{DpFeatures, TrajectoryId};

@@ -520,11 +520,11 @@ fn render_slowlog(log: &SlowLog<SlowQueryRecord>, json: bool) -> String {
                 .and_then(|t| t.root.label("trace_id").map(str::to_string))
                 .unwrap_or_else(|| "null".to_string());
             out.push_str(&format!(
-                "{{\"rank\":{},\"total_ms\":{:.3},\"kind\":\"{}\",\"detail\":\"{}\",\"trace_id\":{}}}",
+                "{{\"rank\":{},\"total_ms\":{:.3},\"kind\":\"{}\",\"detail\":{},\"trace_id\":{}}}",
                 i + 1,
                 *nanos as f64 / 1e6,
                 rec.kind,
-                escape_json(&rec.detail),
+                trass_obs::json::string(&rec.detail),
                 trace_id,
             ));
         }
@@ -544,23 +544,6 @@ fn render_slowlog(log: &SlowLog<SlowQueryRecord>, json: bool) -> String {
             rec.detail,
             if rec.trace.is_some() { "  [traced]" } else { "" },
         ));
-    }
-    out
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }

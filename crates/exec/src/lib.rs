@@ -25,8 +25,9 @@
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+use trass_obs::sync::Mutex;
 use trass_obs::{Counter, Gauge, Registry};
 
 /// Resolves a configured thread count: `0` means "use all available
@@ -212,11 +213,11 @@ impl ScopedPool {
                             }
                             // The ticket counter hands each index to exactly
                             // one worker: trass-lint: allow(unwrap)
-                            let item = lock(&slots[i]).take().expect("task claimed twice");
+                            let item = slots[i].lock().take().expect("task claimed twice");
                             let r = f(i, item);
-                            *lock(&results[i]) = Some(r);
+                            *results[i].lock() = Some(r);
                         }
-                        *lock(&busy[w]) = t0.elapsed();
+                        *busy[w].lock() = t0.elapsed();
                     })
                 })
                 .collect();
@@ -232,16 +233,12 @@ impl ScopedPool {
                 .into_iter()
                 .map(|slot| {
                     slot.into_inner()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
                         // scope join guarantees every claimed slot was
                         // filled: trass-lint: allow(unwrap)
                         .expect("worker completed every claimed task")
                 })
                 .collect(),
-            worker_busy: busy
-                .into_iter()
-                .map(|d| d.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner))
-                .collect(),
+            worker_busy: busy.into_iter().map(Mutex::into_inner).collect(),
         }
     }
 }
@@ -253,10 +250,6 @@ impl std::fmt::Debug for ScopedPool {
             .field("instrumented", &self.obs.is_some())
             .finish()
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// `f64` ordered by `total_cmp` for use in a [`BinaryHeap`].
@@ -334,7 +327,7 @@ impl TopKBound {
         if self.k == 0 || distance.is_nan() || distance >= self.current() {
             return;
         }
-        let mut heap = lock(&self.heap);
+        let mut heap = self.heap.lock();
         heap.push(OrdF64(distance));
         if heap.len() > self.k {
             heap.pop();
@@ -358,7 +351,6 @@ static TEST_ALLOC: trass_obs::CountingAlloc = trass_obs::CountingAlloc::system()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -586,19 +578,17 @@ mod tests {
         assert_eq!(b.current(), sorted[9]);
     }
 
-    proptest! {
-        /// Pool output equals a plain sequential map for any input and
-        /// thread count.
-        #[test]
-        fn pool_matches_sequential_map(
-            items in proptest::collection::vec(any::<u32>(), 0..200),
-            threads in 1usize..9,
-        ) {
-            let pool = ScopedPool::new(threads);
+    /// Pool output equals a plain sequential map for any input and
+    /// thread count.
+    #[test]
+    fn pool_matches_sequential_map() {
+        trass_rng::check(256, |rng| {
+            let items: Vec<u32> = (0..rng.len(0, 199)).map(|_| rng.u64() as u32).collect();
+            let pool = ScopedPool::new(rng.usize_in(1, 8));
             let expected: Vec<u64> =
                 items.iter().enumerate().map(|(i, &x)| (x as u64) * 3 + i as u64).collect();
             let got = pool.run(items, |i, x| (x as u64) * 3 + i as u64);
-            prop_assert_eq!(got, expected);
-        }
+            assert_eq!(got, expected);
+        });
     }
 }

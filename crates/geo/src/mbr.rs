@@ -1,14 +1,13 @@
 //! Axis-aligned minimum bounding rectangles.
 
 use crate::{Point, Segment};
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned rectangle `[min_x, max_x] × [min_y, max_y]`.
 ///
 /// `Mbr` is closed on all sides. Degenerate rectangles (zero width and/or
 /// height) are valid and arise naturally from single-point or axis-parallel
 /// trajectories.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mbr {
     /// Smallest x coordinate.
     pub min_x: f64,

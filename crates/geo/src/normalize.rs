@@ -6,10 +6,9 @@
 //! mapping and lets tests use smaller synthetic extents.
 
 use crate::{Mbr, Point};
-use serde::{Deserialize, Serialize};
 
 /// An affine mapping from a world-coordinate rectangle to the unit square.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalizedSpace {
     /// World-coordinate extent mapped onto `[0,1]²`.
     pub extent: Mbr,

@@ -8,11 +8,10 @@
 //! needs (Lemmas 13–14).
 
 use crate::{Mbr, Point, Segment};
-use serde::{Deserialize, Serialize};
 
 /// A rectangle with arbitrary orientation, stored as a center, a unit axis
 /// direction `u`, and half-extents along `u` and its perpendicular `v`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrientedBox {
     /// Center of the box.
     pub center: Point,

@@ -1,6 +1,5 @@
 //! 2-D points and point-level distance primitives.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -9,7 +8,7 @@ use std::ops::{Add, Mul, Sub};
 /// In the TraSS workspace `x` is longitude and `y` is latitude, but nothing
 /// in this crate assumes that. The type is `Copy` and 16 bytes; trajectories
 /// store points in contiguous `Vec<Point>` buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// Horizontal coordinate (longitude).
     pub x: f64,

@@ -1,10 +1,9 @@
 //! Line segments and segment-level distance predicates.
 
 use crate::Point;
-use serde::{Deserialize, Serialize};
 
 /// A line segment between two points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Start point.
     pub a: Point,

@@ -13,7 +13,6 @@
 //! grid coordinates; the quadrant sequence of the cell is the digit string
 //! read off its coordinate bits from the top level down.
 
-use serde::{Deserialize, Serialize};
 use trass_geo::Mbr;
 
 /// The largest supported resolution. Bounded so that XZ\* index values fit
@@ -22,7 +21,7 @@ pub const MAX_RESOLUTION: u8 = 30;
 
 /// A quad-tree cell: the sub-square `[x·w, (x+1)·w) × [y·w, (y+1)·w)` of the
 /// unit square, where `w = 2^-level`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cell {
     /// Grid x coordinate, `0 .. 2^level`.
     pub x: u32,

@@ -10,11 +10,10 @@
 
 use crate::quad::{sequence_length, Cell, MAX_RESOLUTION};
 use crate::ranges::{coalesce, ValueRange};
-use serde::{Deserialize, Serialize};
 use trass_geo::Mbr;
 
 /// The XZ-Ordering index over the unit square.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Xz2 {
     max_resolution: u8,
 }

@@ -17,11 +17,10 @@ pub use pruning::{GlobalPruning, PruneStats, PruningConfig, QueryContext};
 pub use topk::{BestFirst, SpaceCandidate};
 
 use crate::quad::{Cell, MAX_RESOLUTION};
-use serde::{Deserialize, Serialize};
 use trass_geo::{Mbr, Point};
 
 /// One XZ\* index space: an enlarged element plus a position code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IndexSpace {
     /// The element's cell (its quadrant sequence).
     pub cell: Cell,
@@ -30,7 +29,7 @@ pub struct IndexSpace {
 }
 
 /// The XZ\* index over the unit square.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XzStar {
     max_resolution: u8,
 }

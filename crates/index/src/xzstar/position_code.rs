@@ -33,10 +33,8 @@
 //! average-I/O-reduction figure (83.6 %) is reproduced exactly by a test
 //! below, validating the assignment.
 
-use serde::{Deserialize, Serialize};
-
 /// A set of sub-quads, as a 4-bit mask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuadSet(pub u8);
 
 impl QuadSet {
@@ -99,7 +97,7 @@ impl QuadSet {
 }
 
 /// A position code, 1–10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PositionCode(pub u8);
 
 /// `CODE_SETS[code - 1]` is the quad set of that position code.

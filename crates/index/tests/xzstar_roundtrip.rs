@@ -1,9 +1,7 @@
 //! Property-style round-trip tests for the XZ\* encoding.
 //!
-//! Deliberately dependency-free (a splitmix64 generator instead of
-//! proptest) so the suite exercises thousands of random index spaces even
-//! in minimal build environments. Covers the two invariants the encoding
-//! must never lose:
+//! Thousands of random index spaces from the workspace's seeded generator.
+//! Covers the two invariants the encoding must never lose:
 //!
 //! 1. **Bijectivity** — `decode(encode(s)) == s` for every valid space,
 //!    including the root block and position code 10 at max resolution.
@@ -14,34 +12,17 @@
 
 use trass_index::quad::{Cell, MAX_RESOLUTION};
 use trass_index::xzstar::{IndexSpace, PositionCode, XzStar};
-
-/// splitmix64: deterministic, no dependencies, good enough dispersion.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use trass_rng::{check, Rng};
 
 /// A uniformly random valid index space for an index of resolution
 /// `max_r`: random quadrant sequence of random length (0 = the root
 /// block), random position code (10 allowed only at max resolution).
 fn random_space(rng: &mut Rng, max_r: u8) -> IndexSpace {
-    let level = rng.below(u64::from(max_r) + 1) as u8;
-    let seq: Vec<u8> = (0..level).map(|_| (rng.next() & 3) as u8).collect();
+    let level = rng.u64_in(0, u64::from(max_r)) as u8;
+    let seq: Vec<u8> = (0..level).map(|_| (rng.u64() & 3) as u8).collect();
     let cell = Cell::from_sequence(&seq);
     let max_code = if level == max_r { 10 } else { 9 };
-    let code = PositionCode::new(rng.below(max_code) as u8 + 1).expect("code in 1..=10");
+    let code = PositionCode::new(rng.u64_in(1, max_code) as u8).expect("code in 1..=10");
     IndexSpace { cell, code }
 }
 
@@ -49,9 +30,8 @@ fn random_space(rng: &mut Rng, max_r: u8) -> IndexSpace {
 fn encode_decode_roundtrip_random_spaces() {
     for max_r in [1, 4, 16, MAX_RESOLUTION] {
         let index = XzStar::new(max_r);
-        let mut rng = Rng(0xA11C_E5ED ^ u64::from(max_r));
-        for _ in 0..2000 {
-            let space = random_space(&mut rng, max_r);
+        check(2000, |rng| {
+            let space = random_space(rng, max_r);
             let value = index.encode(&space);
             assert!(value < index.total_values(), "value {value} out of range (max_r={max_r})");
             assert_eq!(
@@ -59,7 +39,7 @@ fn encode_decode_roundtrip_random_spaces() {
                 Some(space),
                 "round trip failed for {space:?} at max_r={max_r}"
             );
-        }
+        });
     }
 }
 
@@ -67,7 +47,7 @@ fn encode_decode_roundtrip_random_spaces() {
 fn encoded_values_are_distinct() {
     // Bijectivity also means injectivity: distinct spaces never collide.
     let index = XzStar::new(8);
-    let mut rng = Rng(0xD157_1AC7);
+    let mut rng = Rng::new(0xD157_1AC7);
     let mut seen = std::collections::HashMap::new();
     for _ in 0..4000 {
         let space = random_space(&mut rng, 8);
@@ -83,48 +63,45 @@ fn value_order_matches_rowkey_byte_order() {
     // The schema stores values as big-endian bytes inside the rowkey; the
     // contiguous-scan property requires numeric order == byte order.
     let index = XzStar::new(16);
-    let mut rng = Rng(0x0B5E_55ED);
-    for _ in 0..2000 {
-        let a = index.encode(&random_space(&mut rng, 16));
-        let b = index.encode(&random_space(&mut rng, 16));
+    check(2000, |rng| {
+        let a = index.encode(&random_space(rng, 16));
+        let b = index.encode(&random_space(rng, 16));
         assert_eq!(a.cmp(&b), a.to_be_bytes().cmp(&b.to_be_bytes()), "{a} vs {b}");
-    }
+    });
 }
 
 #[test]
 fn subtree_ranges_cover_descendant_spaces() {
     let max_r = 12;
     let index = XzStar::new(max_r);
-    let mut rng = Rng(0x5077_BEEF);
-    for _ in 0..500 {
+    check(500, |rng| {
         // A random ancestor cell, strictly above max resolution.
-        let anc_level = rng.below(u64::from(max_r)) as u8;
-        let seq: Vec<u8> = (0..anc_level).map(|_| (rng.next() & 3) as u8).collect();
+        let anc_level = rng.u64_in(0, u64::from(max_r) - 1) as u8;
+        let seq: Vec<u8> = (0..anc_level).map(|_| (rng.u64() & 3) as u8).collect();
         let ancestor = Cell::from_sequence(&seq);
         let (start, end) = index.subtree_range(&ancestor);
         assert!(start <= end, "empty subtree range for {ancestor:?}");
         // Extend the sequence to a random descendant and check containment.
-        let extra = rng.below(u64::from(max_r - anc_level) + 1) as u8;
+        let extra = rng.u64_in(0, u64::from(max_r - anc_level)) as u8;
         let mut desc_seq = seq.clone();
-        desc_seq.extend((0..extra).map(|_| (rng.next() & 3) as u8));
+        desc_seq.extend((0..extra).map(|_| (rng.u64() & 3) as u8));
         let descendant = Cell::from_sequence(&desc_seq);
         let max_code = if descendant.level == max_r { 10 } else { 9 };
-        let code = PositionCode::new(rng.below(max_code) as u8 + 1).expect("valid code");
+        let code = PositionCode::new(rng.u64_in(1, max_code) as u8).expect("valid code");
         let value = index.encode(&IndexSpace { cell: descendant, code });
         assert!(
             (start..=end).contains(&value),
             "descendant {descendant:?} value {value} outside [{start}, {end}] of {ancestor:?}"
         );
-    }
+    });
 }
 
 #[test]
 fn sibling_subtree_ranges_are_disjoint_and_ordered() {
     let index = XzStar::new(10);
-    let mut rng = Rng(0xD157_0147);
-    for _ in 0..200 {
-        let level = rng.below(10) as u8;
-        let seq: Vec<u8> = (0..level).map(|_| (rng.next() & 3) as u8).collect();
+    check(200, |rng| {
+        let level = rng.u64_in(0, 9) as u8;
+        let seq: Vec<u8> = (0..level).map(|_| (rng.u64() & 3) as u8).collect();
         let parent = Cell::from_sequence(&seq);
         let mut prev_end: Option<u64> = None;
         for child in parent.children() {
@@ -134,7 +111,7 @@ fn sibling_subtree_ranges_are_disjoint_and_ordered() {
             }
             prev_end = Some(end);
         }
-    }
+    });
 }
 
 // --- max-resolution boundary cases (the cast-safety hot spots) ---

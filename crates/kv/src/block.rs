@@ -13,7 +13,7 @@
 
 use crate::crc::crc32c;
 use crate::error::{KvError, Result};
-use bytes::Bytes;
+use crate::types::Bytes;
 
 const FLAG_PUT: u8 = 0;
 const FLAG_TOMBSTONE: u8 = 1;

@@ -6,10 +6,10 @@
 //! capacity is accounted in approximate decoded bytes.
 
 use crate::block::Block;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use trass_obs::sync::Mutex;
 
 /// Key of a cached block.
 pub type BlockKey = (u64, u32);
@@ -196,19 +196,18 @@ mod tests {
     fn concurrent_access_is_safe() {
         let (b, sz) = block(1);
         let cache = BlockCache::new(sz * 8);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4 {
                 let cache = &cache;
                 let b = Arc::clone(&b);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..500u32 {
                         cache.insert((t, i % 4), Arc::clone(&b), sz);
                         let _ = cache.get((t, i % 4));
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert!(cache.hits() > 0);
     }
 }

@@ -13,8 +13,8 @@ use crate::error::{KvError, Result};
 use crate::filter::{KeepAll, ScanFilter};
 use crate::metrics::MetricsSnapshot;
 use crate::store::{LsmStore, StoreOptions};
+use crate::types::Bytes;
 use crate::types::{Entry, KeyRange};
-use bytes::Bytes;
 use std::sync::Arc;
 use std::time::Instant;
 use trass_exec::ScopedPool;

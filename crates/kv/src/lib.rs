@@ -45,4 +45,4 @@ pub use error::{KvError, Result};
 pub use filter::{FilterDecision, ScanFilter};
 pub use metrics::{IoMetrics, MetricsSnapshot};
 pub use store::{LsmStore, StoreOptions};
-pub use types::{Entry, KeyRange};
+pub use types::{Bytes, Entry, KeyRange};

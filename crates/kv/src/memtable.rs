@@ -5,8 +5,8 @@
 //! consulted first by reads: it holds the newest version of every key it
 //! contains.
 
+use crate::types::Bytes;
 use crate::types::KeyRange;
-use bytes::Bytes;
 use std::collections::BTreeMap;
 
 /// Sorted in-memory buffer of recent writes.

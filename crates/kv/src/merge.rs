@@ -7,7 +7,7 @@
 //! them, compaction keeps them until a full merge).
 
 use crate::error::Result;
-use bytes::Bytes;
+use crate::types::Bytes;
 
 /// A versioned key-value item flowing through the merge: `None` value is a
 /// tombstone.
@@ -187,7 +187,7 @@ mod tests {
     fn error_propagates_and_stops() {
         let err_src: Box<dyn Iterator<Item = Result<MergeItem>>> = Box::new(
             vec![
-                Ok((Bytes::from_static(b"a"), Some(Bytes::from_static(b"1")))),
+                Ok((Bytes::from(&b"a"[..]), Some(Bytes::from(&b"1"[..])))),
                 Err(crate::error::KvError::corruption("boom")),
             ]
             .into_iter(),

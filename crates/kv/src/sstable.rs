@@ -22,14 +22,14 @@ use crate::cache::BlockCache;
 use crate::crc::crc32c;
 use crate::error::{KvError, Result};
 use crate::metrics::IoMetrics;
+use crate::types::Bytes;
 use crate::types::KeyRange;
-use bytes::Bytes;
-use parking_lot::Mutex;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use trass_obs::sync::Mutex;
 
 /// Process-wide table id source, used as the block-cache key namespace.
 static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(0);

@@ -7,13 +7,13 @@ use crate::memtable::Memtable;
 use crate::merge::{MergeItem, MergeIter};
 use crate::metrics::IoMetrics;
 use crate::sstable::{SsTable, SsTableBuilder};
+use crate::types::Bytes;
 use crate::types::{Entry, KeyRange};
 use crate::wal::Wal;
-use bytes::Bytes;
-use parking_lot::RwLock;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
+use trass_obs::sync::RwLock;
 use trass_obs::{Counter, Histogram, Registry};
 
 /// Tuning knobs for an [`LsmStore`].

@@ -1,7 +1,73 @@
 //! Core key/value types.
 
-use bytes::Bytes;
-use std::ops::Bound;
+use std::ops::{Bound, Deref};
+use std::sync::Arc;
+
+/// An immutable byte buffer shared by reference count: the type of every
+/// key and value the store holds or hands out.
+///
+/// `From<Vec<u8>>` takes ownership of the vector's allocation and `clone`
+/// bumps a count, so a row is copied once when it is encoded or read and
+/// never again on its way through memtable, scan and caller. It orders,
+/// hashes and compares as the `[u8]` it dereferences to, which lets maps
+/// keyed by `Bytes` be probed with a plain slice.
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Bytes(Arc<Vec<u8>>);
+
+impl Bytes {
+    /// An empty buffer.
+    pub fn new() -> Bytes {
+        Bytes::default()
+    }
+
+    /// A buffer holding a copy of `data`.
+    pub fn copy_from_slice(data: &[u8]) -> Bytes {
+        Bytes::from(data.to_vec())
+    }
+}
+
+impl From<Vec<u8>> for Bytes {
+    fn from(v: Vec<u8>) -> Bytes {
+        Bytes(Arc::new(v))
+    }
+}
+
+impl From<&[u8]> for Bytes {
+    fn from(data: &[u8]) -> Bytes {
+        Bytes::copy_from_slice(data)
+    }
+}
+
+impl From<&str> for Bytes {
+    fn from(s: &str) -> Bytes {
+        Bytes::copy_from_slice(s.as_bytes())
+    }
+}
+
+impl From<String> for Bytes {
+    fn from(s: String) -> Bytes {
+        Bytes::from(s.into_bytes())
+    }
+}
+
+impl Deref for Bytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl AsRef<[u8]> for Bytes {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl std::borrow::Borrow<[u8]> for Bytes {
+    fn borrow(&self) -> &[u8] {
+        &self.0
+    }
+}
 
 /// One row returned from a scan: key plus value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,6 +192,19 @@ pub(crate) fn prefix_upper_bound(prefix: &[u8]) -> Option<Bytes> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bytes_share_the_vector_they_were_made_from() {
+        // The two properties the write path's cost rests on: no copy on
+        // `from(Vec)`, none on `clone`.
+        let v = vec![7u8; 64];
+        let heap = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), heap);
+        assert_eq!(b.clone().as_ptr(), heap);
+        assert_eq!(Bytes::new().len(), 0);
+        assert!(Bytes::from("ab") < Bytes::from(String::from("b")));
+    }
 
     #[test]
     fn contains_half_open_semantics() {

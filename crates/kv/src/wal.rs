@@ -14,7 +14,7 @@
 
 use crate::crc::crc32c;
 use crate::error::{KvError, Result};
-use bytes::Bytes;
+use crate::types::Bytes;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -172,9 +172,9 @@ mod tests {
         }
         let ops = Wal::replay(&path).unwrap();
         assert_eq!(ops.len(), 3);
-        assert_eq!(ops[0], (Bytes::from_static(b"k1"), Some(Bytes::from_static(b"v1"))));
-        assert_eq!(ops[1], (Bytes::from_static(b"k2"), None));
-        assert_eq!(ops[2], (Bytes::from_static(b"k3"), Some(Bytes::new())));
+        assert_eq!(ops[0], (Bytes::from(&b"k1"[..]), Some(Bytes::from(&b"v1"[..]))));
+        assert_eq!(ops[1], (Bytes::from(&b"k2"[..]), None));
+        assert_eq!(ops[2], (Bytes::from(&b"k3"[..]), Some(Bytes::new())));
         std::fs::remove_file(&path).ok();
     }
 

@@ -17,18 +17,17 @@ fn small_store() -> LsmStore {
 #[test]
 fn concurrent_writers_disjoint_keyspaces() {
     let store = small_store();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4u32 {
             let store = &store;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..2_000u32 {
                     let key = format!("w{t}-{i:06}");
                     store.put(key, format!("v{t}-{i}")).expect("put");
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(store.scan(KeyRange::all()).unwrap().len(), 8_000);
     for t in 0..4u32 {
         let n = store.scan(KeyRange::prefix(format!("w{t}-").into_bytes())).unwrap().len();
@@ -40,9 +39,9 @@ fn concurrent_writers_disjoint_keyspaces() {
 fn readers_race_writers_without_tearing() {
     let store = small_store();
     let stop = AtomicBool::new(false);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // Writer: monotone versions under contended keys.
-        s.spawn(|_| {
+        s.spawn(|| {
             for round in 0..200u32 {
                 for k in 0..50u32 {
                     store.put(format!("key-{k:03}"), format!("{round:06}")).expect("put");
@@ -56,7 +55,7 @@ fn readers_race_writers_without_tearing() {
         // Readers: every observed value must be a valid version, and scans
         // must never return torn or duplicate keys.
         for _ in 0..3 {
-            s.spawn(|_| {
+            s.spawn(|| {
                 while !stop.load(Ordering::SeqCst) {
                     let entries = store.scan(KeyRange::all()).expect("scan");
                     let mut last: Option<Vec<u8>> = None;
@@ -72,8 +71,7 @@ fn readers_race_writers_without_tearing() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let final_entries = store.scan(KeyRange::all()).unwrap();
     assert_eq!(final_entries.len(), 50);
     assert!(final_entries.iter().all(|e| e.value.as_ref() == b"000199"));
@@ -87,10 +85,10 @@ fn cluster_parallel_scans_under_write_load() {
         ..ClusterOptions::default()
     })
     .unwrap();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for shard in 0..4u8 {
             let cluster = &cluster;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..1_000u32 {
                     let mut key = vec![shard];
                     key.extend_from_slice(format!("k{i:05}").as_bytes());
@@ -100,13 +98,12 @@ fn cluster_parallel_scans_under_write_load() {
         }
         // Concurrent cross-shard scans.
         let cluster = &cluster;
-        s.spawn(move |_| {
+        s.spawn(move || {
             for _ in 0..20 {
                 let _ = cluster.scan(KeyRange::all()).expect("scan");
             }
         });
-    })
-    .unwrap();
+    });
     assert_eq!(cluster.scan(KeyRange::all()).unwrap().len(), 4_000);
     let counts = cluster.region_entry_counts();
     assert!(counts.iter().all(|&c| c >= 1_000), "counts {counts:?}");

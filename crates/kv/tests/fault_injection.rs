@@ -1,8 +1,8 @@
 //! Fault-injection tests: corrupt on-disk state must surface as clean
 //! `KvError`s — never panics, never silently wrong data.
 
-use proptest::prelude::*;
 use trass_kv::{KeyRange, LsmStore, StoreOptions};
+use trass_rng::check;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("trass-fault-{}-{tag}", std::process::id()));
@@ -38,17 +38,16 @@ fn sst_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Flipping any byte of any SSTable either fails at open or fails at
-    /// read/scan — but never panics and never yields wrong values for keys
-    /// whose blocks are intact.
-    #[test]
-    fn random_sst_corruption_is_detected(offset_seed in any::<u64>(), bit in 0u8..8) {
+/// Flipping any byte of any SSTable either fails at open or fails at
+/// read/scan — but never panics and never yields wrong values for keys
+/// whose blocks are intact.
+#[test]
+fn random_sst_corruption_is_detected() {
+    check(24, |rng| {
+        let (offset_seed, bit) = (rng.u64(), rng.usize_in(0, 7));
         let dir = build_disk_store(&format!("sst-{offset_seed}-{bit}"));
         let files = sst_files(&dir);
-        prop_assume!(!files.is_empty());
+        assert!(!files.is_empty(), "500 flushed rows leave at least one table");
         let victim = &files[(offset_seed as usize) % files.len()];
         let mut bytes = std::fs::read(victim).expect("read sst");
         let pos = (offset_seed as usize) % bytes.len();
@@ -66,7 +65,7 @@ proptest! {
                     match store.get(key.as_bytes()) {
                         Ok(Some(v)) => {
                             let expected = format!("value-{i:06}");
-                            prop_assert_eq!(
+                            assert_eq!(
                                 v.as_ref(),
                                 expected.as_bytes(),
                                 "corruption returned wrong data"
@@ -78,35 +77,34 @@ proptest! {
                             // are CRC-protected, so a missing key means the
                             // block errored somewhere else first. Verify a
                             // scan reports the corruption.
-                            let scan: Result<Vec<_>, _> =
-                                store.scan(KeyRange::all());
-                            prop_assert!(
-                                scan.is_err(),
-                                "key silently missing without any error"
-                            );
+                            let scan: Result<Vec<_>, _> = store.scan(KeyRange::all());
+                            assert!(scan.is_err(), "key silently missing without any error");
                         }
                         Err(_) => {} // detected
                     }
                 }
                 // Full scans either succeed completely or error.
                 if let Ok(entries) = store.scan(KeyRange::all()) {
-                    prop_assert_eq!(entries.len(), 500);
+                    assert_eq!(entries.len(), 500);
                     for e in entries {
                         let k = String::from_utf8(e.key.to_vec()).expect("utf8");
                         let i: u32 = k.trim_start_matches("key-").parse().expect("id");
                         let expected = format!("value-{i:06}");
-                        prop_assert_eq!(e.value.as_ref(), expected.as_bytes());
+                        assert_eq!(e.value.as_ref(), expected.as_bytes());
                     }
                 }
             }
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
+    });
+}
 
-    /// Truncating the WAL at any point loses only the tail; everything
-    /// recovered must be a prefix-consistent state.
-    #[test]
-    fn wal_truncation_recovers_prefix(cut_fraction in 0.0f64..1.0) {
+/// Truncating the WAL at any point loses only the tail; everything
+/// recovered must be a prefix-consistent state.
+#[test]
+fn wal_truncation_recovers_prefix() {
+    check(24, |rng| {
+        let cut_fraction = rng.f64();
         let dir = temp_dir(&format!("wal-{}", (cut_fraction * 1e9) as u64));
         {
             let store = LsmStore::open(StoreOptions::at_dir(&dir)).expect("open");
@@ -126,13 +124,9 @@ proptest! {
         // sequential, so recovery is a prefix).
         for (i, e) in entries.iter().enumerate() {
             let expected = format!("key-{i:06}");
-            prop_assert_eq!(
-                e.key.as_ref(),
-                expected.as_bytes(),
-                "recovery produced a non-prefix state"
-            );
+            assert_eq!(e.key.as_ref(), expected.as_bytes(), "recovery produced a non-prefix state");
         }
-        prop_assert!(entries.len() <= 200);
+        assert!(entries.len() <= 200);
         std::fs::remove_dir_all(&dir).ok();
-    }
+    });
 }

@@ -3,8 +3,8 @@
 //! exact byte sequence the sequential cluster produces. The query layer's
 //! determinism guarantee stands on this.
 
-use proptest::prelude::*;
 use trass_kv::{Cluster, ClusterOptions, Entry, FilterDecision, KeyRange, StoreOptions};
+use trass_rng::{check, Rng};
 
 fn key(shard: u8, body: u16) -> Vec<u8> {
     let mut k = vec![shard];
@@ -41,38 +41,31 @@ fn bytes_of(entries: &[Entry]) -> Vec<(Vec<u8>, Vec<u8>)> {
     entries.iter().map(|e| (e.key.to_vec(), e.value.to_vec())).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Parallel and sequential scans agree byte-for-byte, in order, for
-    /// random shard counts, row sets, and (possibly overlapping,
-    /// possibly empty, possibly cross-shard) range sets.
-    #[test]
-    fn parallel_scan_matches_sequential_bytes(
-        shards in 1u8..=8,
-        rows in proptest::collection::vec((0u8..8, any::<u16>()), 0..200),
-        ranges in proptest::collection::vec((0u8..8, any::<u16>(), any::<u16>()), 0..12),
-        threads in 2usize..=8,
-    ) {
+/// Parallel and sequential scans agree byte-for-byte, in order, for
+/// random shard counts, row sets, and (possibly overlapping,
+/// possibly empty, possibly cross-shard) range sets.
+#[test]
+fn parallel_scan_matches_sequential_bytes() {
+    check(32, |rng| {
+        let shards = rng.usize_in(1, 8) as u8;
+        let shard = |rng: &mut Rng| rng.usize_in(0, usize::from(shards) - 1) as u8;
         let rows: Vec<(u8, u16)> =
-            rows.into_iter().map(|(s, b)| (s % shards, b)).collect();
-        let sequential = cluster(shards, 1);
-        let parallel = cluster(shards, threads);
-        load(&[&sequential, &parallel], &rows);
-
-        let key_ranges: Vec<KeyRange> = ranges
-            .iter()
-            .map(|&(s, a, b)| {
-                let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                KeyRange::new(key(s % shards, lo), key(s % shards, hi))
+            (0..rng.len(0, 199)).map(|_| (shard(rng), rng.u64() as u16)).collect();
+        let key_ranges: Vec<KeyRange> = (0..rng.len(0, 11))
+            .map(|_| {
+                let (s, a, b) = (shard(rng), rng.u64() as u16, rng.u64() as u16);
+                KeyRange::new(key(s, a.min(b)), key(s, a.max(b)))
             })
             .chain(std::iter::once(KeyRange::all()))
             .collect();
+        let sequential = cluster(shards, 1);
+        let parallel = cluster(shards, rng.usize_in(2, 8));
+        load(&[&sequential, &parallel], &rows);
 
         let want = sequential.scan_ranges(&key_ranges, &keep_all).expect("sequential scan");
         let got = parallel.scan_ranges(&key_ranges, &keep_all).expect("parallel scan");
-        prop_assert_eq!(bytes_of(&want), bytes_of(&got));
-    }
+        assert_eq!(bytes_of(&want), bytes_of(&got));
+    });
 }
 
 /// Stress test for the sanitizer job: many queries race over one parallel

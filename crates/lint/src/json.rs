@@ -1,11 +1,10 @@
-//! Minimal dependency-free JSON, in the same spirit as the hand-rolled
-//! flat parser in `trass-bench`: the lint crate must stay std-only, and
-//! the two formats it speaks (`--format json` output, `lint-baseline.json`
-//! input) are small and fully under our control. Unlike the bench gate's
-//! flat `"key": number` scanner, findings nest one level (an array of
-//! objects), so this is a real — if deliberately small — recursive-descent
-//! parser. Numbers are `f64`; that is exact for every line number a source
-//! file can plausibly have.
+//! Minimal JSON for the two formats the lint speaks (`--format json`
+//! output, `lint-baseline.json` input): a small recursive-descent parser,
+//! findings nesting one level (an array of objects). Numbers are `f64`;
+//! that is exact for every line number a source file can plausibly have.
+//!
+//! Kept apart from `trass_obs::json` only because the analyser must stay
+//! outside the workspace graph it analyses (no `trass-*` dependency).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -29,11 +29,11 @@
 // counters; it never touches the returned memory.
 #![allow(unsafe_code)]
 
+use crate::sync::Mutex;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
 
 use crate::registry::Registry;
 
@@ -179,7 +179,7 @@ pub fn allocator_installed() -> bool {
 /// Interns `name` and returns its stage id. Ids are stable for the
 /// process lifetime; when the table is full, returns 0 (`other`).
 pub fn stage_id(name: &str) -> usize {
-    let mut names = STAGE_NAMES.lock().unwrap_or_else(|e| e.into_inner());
+    let mut names = STAGE_NAMES.lock();
     if names.is_empty() {
         names.push("other".to_string());
     }
@@ -195,7 +195,7 @@ pub fn stage_id(name: &str) -> usize {
 
 /// The interned name for `id` (`other` for unknown ids).
 pub fn stage_name(id: usize) -> String {
-    let names = STAGE_NAMES.lock().unwrap_or_else(|e| e.into_inner());
+    let names = STAGE_NAMES.lock();
     names.get(id).cloned().unwrap_or_else(|| "other".to_string())
 }
 
@@ -413,7 +413,7 @@ pub fn stage_totals(id: usize) -> StageTotals {
 /// Stages with no activity are skipped, so scrape output stays compact.
 pub fn publish(registry: &Registry) {
     let names: Vec<String> = {
-        let names = STAGE_NAMES.lock().unwrap_or_else(|e| e.into_inner());
+        let names = STAGE_NAMES.lock();
         names.clone()
     };
     for (id, name) in names.iter().enumerate() {

@@ -16,11 +16,13 @@
 
 use crate::export::{self, MetricValue};
 use crate::health::SloEvaluator;
+use crate::json;
 use crate::registry::Registry;
+use crate::sync::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -143,7 +145,7 @@ impl Collector {
             refresh();
         }
         {
-            let mut series = self.series.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut series = self.series.lock();
             for snap in self.registry.snapshot() {
                 let key = format!("{}{}", snap.name, export::label_block(&snap.labels, None));
                 match snap.value {
@@ -185,7 +187,7 @@ impl Collector {
     /// zero across resets) — the rate series dashboards want; gauges carry
     /// raw `values` only.
     pub fn render_history(&self) -> String {
-        let series = self.series.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let series = self.series.lock();
         let mut out = String::new();
         let _ = write!(
             out,
@@ -202,7 +204,7 @@ impl Collector {
             let _ = write!(
                 out,
                 "{{\"name\":{},\"kind\":\"{}\",\"total\":{},\"wrapped\":{},\"values\":[{}]",
-                export::json_string(name),
+                json::string(name),
                 s.kind,
                 s.ring.total,
                 s.ring.wrapped(),
@@ -228,15 +230,14 @@ impl Collector {
         let handle =
             std::thread::Builder::new().name("trass-collector".into()).spawn(move || {
                 let (stop_flag, cv) = &*thread_signal;
-                let mut stopped =
-                    stop_flag.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut stopped = stop_flag.lock();
                 loop {
                     if *stopped {
                         return;
                     }
                     drop(stopped);
                     collector.collect_once();
-                    stopped = stop_flag.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                    stopped = stop_flag.lock();
                     // Interruptible sleep: a stop() mid-interval wakes us.
                     let interval = collector.interval;
                     let (guard, _) = cv
@@ -260,7 +261,7 @@ fn push(
 }
 
 fn join_f64(values: &[f64]) -> String {
-    values.iter().map(|&v| export::json_f64(v)).collect::<Vec<_>>().join(",")
+    values.iter().map(|&v| json::number(v)).collect::<Vec<_>>().join(",")
 }
 
 impl std::fmt::Debug for Collector {
@@ -285,7 +286,7 @@ impl CollectorHandle {
     pub fn stop(&mut self) {
         {
             let (stop_flag, cv) = &*self.signal;
-            *stop_flag.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+            *stop_flag.lock() = true;
             cv.notify_all();
         }
         if let Some(handle) = self.handle.take() {

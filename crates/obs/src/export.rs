@@ -5,11 +5,12 @@
 //! tests and diffs are stable.
 
 use crate::histogram::Histogram;
+use crate::json;
 use crate::registry::{Metric, Registry};
 use std::fmt::Write as _;
 
 /// A plain-data snapshot of one metric, for programmatic consumers (the
-/// benchmark harness converts these into `serde_json` values).
+/// experiment harness reads these instead of parsing the rendered text).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSnapshot {
     /// Metric family name.
@@ -113,21 +114,21 @@ impl Registry {
     /// Renders every metric as a JSON document:
     /// `{"counters": [...], "gauges": [...], "histograms": [...]}`.
     ///
-    /// Implemented by hand so the crate stays dependency-free; the output
-    /// is plain JSON and round-trips through `serde_json`.
+    /// Literals come from [`crate::json`], whose parser reads the document
+    /// back.
     pub fn render_json(&self) -> String {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
         for snap in self.snapshot() {
             let mut obj = String::new();
-            let _ = write!(obj, "{{\"name\":{}", json_string(&snap.name));
+            let _ = write!(obj, "{{\"name\":{}", json::string(&snap.name));
             let _ = write!(obj, ",\"labels\":{{");
             for (i, (k, v)) in snap.labels.iter().enumerate() {
                 if i > 0 {
                     obj.push(',');
                 }
-                let _ = write!(obj, "{}:{}", json_string(k), json_string(v));
+                let _ = write!(obj, "{}:{}", json::string(k), json::string(v));
             }
             obj.push('}');
             match snap.value {
@@ -144,13 +145,13 @@ impl Registry {
                         obj,
                         ",\"count\":{count},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{},\
                          \"p999\":{},\"min\":{},\"max\":{}}}",
-                        json_f64(sum),
-                        json_f64(p50),
-                        json_f64(p90),
-                        json_f64(p99),
-                        json_f64(p999),
-                        json_f64(min),
-                        json_f64(max),
+                        json::number(sum),
+                        json::number(p50),
+                        json::number(p90),
+                        json::number(p99),
+                        json::number(p999),
+                        json::number(min),
+                        json::number(max),
                     );
                     histograms.push(obj);
                 }
@@ -220,36 +221,6 @@ pub(crate) fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// A JSON number literal (`null` for non-finite values).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        fmt_f64(v)
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A JSON string literal with all required escapes.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -334,26 +305,26 @@ mod tests {
             let line = text.lines().find(|l| l.starts_with(series)).expect(series);
             assert!(line.contains(escaped), "unescaped label in {line}");
         }
-        // JSON exporter escapes the same values in its own syntax.
-        let json = r.render_json();
-        assert!(json.contains(r#""q":"a\"b\\c\nd""#), "{json}");
     }
 
     #[test]
-    fn json_round_trips_structure() {
+    fn json_parses_back_to_the_registry_contents() {
         let r = Registry::new();
-        r.counter("c", &[("a", "x\"y")]).inc();
+        r.counter("c", &[("a", "x\"y\\z\n")]).inc();
         r.gauge("g", &[]).set(-2);
         r.timer("t_seconds", &[]).record(500);
-        let json = r.render_json();
-        assert!(json.starts_with("{\"counters\":["));
-        assert!(json.contains("\"name\":\"c\""));
-        assert!(json.contains("\"a\":\"x\\\"y\""));
-        assert!(json.contains("\"value\":-2"));
-        assert!(json.contains("\"count\":1"));
-        // Balanced braces/brackets (cheap well-formedness check).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = json::parse(&r.render_json()).expect("exporter emits valid JSON");
+        let first = |family: &str| match doc.get(family) {
+            Some(json::Value::Array(items)) => items[0].clone(),
+            other => panic!("{family}: {other:?}"),
+        };
+        let counter = first("counters");
+        assert_eq!(counter.get("name").and_then(json::Value::as_str), Some("c"));
+        let label = counter.get("labels").and_then(|l| l.get("a"));
+        assert_eq!(label.and_then(json::Value::as_str), Some("x\"y\\z\n"));
+        assert_eq!(counter.get("value").and_then(json::Value::as_f64), Some(1.0));
+        assert_eq!(first("gauges").get("value").and_then(json::Value::as_f64), Some(-2.0));
+        assert_eq!(first("histograms").get("count").and_then(json::Value::as_f64), Some(1.0));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! shapes dominate this workload, and what do they cost?" — the
 //! aggregate view REPOSE-style load balancing decisions need.
 
-use std::sync::Mutex;
+use crate::sync::Mutex;
 use std::time::Duration;
 
 use crate::histogram::Histogram;
@@ -227,7 +227,7 @@ impl WorkloadSummary {
     /// Records one query's cost sample under its fingerprint.
     pub fn record(&self, fp: &QueryFingerprint, stats: &WorkloadStats) {
         let key = fp.key();
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let mut entries = self.entries.lock();
         let at = match entries.iter().position(|e| e.key == key) {
             Some(i) => i,
             None if entries.len() < self.capacity => {
@@ -247,7 +247,7 @@ impl WorkloadSummary {
 
     /// Number of distinct fingerprint entries (including overflow).
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.entries.lock().len()
     }
 
     /// True when nothing has been recorded.
@@ -257,20 +257,15 @@ impl WorkloadSummary {
 
     /// The tracked fingerprint keys, busiest first.
     pub fn fingerprints(&self) -> Vec<String> {
-        let mut entries: Vec<(String, u64)> = self
-            .entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|e| (e.key.clone(), e.count))
-            .collect();
+        let mut entries: Vec<(String, u64)> =
+            self.entries.lock().iter().map(|e| (e.key.clone(), e.count)).collect();
         entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         entries.into_iter().map(|(k, _)| k).collect()
     }
 
     /// Deterministic attribution totals across all fingerprints.
     pub fn totals(&self) -> WorkloadTotals {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let entries = self.entries.lock();
         let mut t = WorkloadTotals::default();
         for e in entries.iter() {
             t.count += e.count;
@@ -284,7 +279,7 @@ impl WorkloadSummary {
 
     /// Human-readable table, busiest fingerprint first.
     pub fn render_text(&self) -> String {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let entries = self.entries.lock();
         let mut order: Vec<usize> = (0..entries.len()).collect();
         order.sort_by(|&a, &b| {
             entries[b]
@@ -318,7 +313,7 @@ impl WorkloadSummary {
 
     /// JSON rendering (same content as [`WorkloadSummary::render_text`]).
     pub fn render_json(&self) -> String {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let entries = self.entries.lock();
         let mut order: Vec<usize> = (0..entries.len()).collect();
         order.sort_by(|&a, &b| {
             entries[b]
@@ -334,10 +329,10 @@ impl WorkloadSummary {
                 s.push(',');
             }
             s.push_str(&format!(
-                "{{\"fingerprint\":\"{}\",\"count\":{},\"p50_ms\":{:.3},\"p99_ms\":{:.3},\
+                "{{\"fingerprint\":{},\"count\":{},\"p50_ms\":{:.3},\"p99_ms\":{:.3},\
                  \"bytes_scanned\":{},\"retrieved\":{},\"candidates\":{},\"results\":{},\
                  \"prune_ratio\":{:.4},\"refine_pruned\":{},\"alloc_bytes\":{}}}",
-                e.key,
+                crate::json::string(&e.key),
                 e.count,
                 p.p50 as f64 / 1e6,
                 p.p99 as f64 / 1e6,

@@ -21,8 +21,9 @@
 
 use crate::histogram::Histogram;
 use crate::registry::{Counter, Gauge, Registry};
+use crate::sync::Mutex;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A registered probe's outcome: its name and `Ok(())` or the failure
 /// reason.
@@ -65,15 +66,12 @@ impl HealthRegistry {
         name: &str,
         probe: impl Fn() -> Result<(), String> + Send + Sync + 'static,
     ) {
-        self.probes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push((name.to_string(), Box::new(probe)));
+        self.probes.lock().push((name.to_string(), Box::new(probe)));
     }
 
     /// Runs every probe, in registration order.
     pub fn check(&self) -> Vec<ProbeReport> {
-        let probes = self.probes.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let probes = self.probes.lock();
         probes.iter().map(|(name, p)| ProbeReport { name: name.clone(), result: p() }).collect()
     }
 
@@ -84,7 +82,7 @@ impl HealthRegistry {
 
     /// Number of registered probes.
     pub fn len(&self) -> usize {
-        self.probes.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.probes.lock().len()
     }
 
     /// True when no probe is registered.
@@ -311,8 +309,7 @@ impl SloEvaluator {
     /// Takes one cumulative sample per objective, recomputes both window
     /// burn rates, publishes the gauges, and returns the fresh verdicts.
     pub fn tick(&self) -> Vec<SloStatus> {
-        let mut objectives =
-            self.objectives.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut objectives = self.objectives.lock();
         objectives
             .iter_mut()
             .map(|(reader, state)| {
@@ -340,12 +337,7 @@ impl SloEvaluator {
     /// The verdicts from the most recent tick (all-healthy before the
     /// first).
     pub fn statuses(&self) -> Vec<SloStatus> {
-        self.objectives
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(|(_, s)| s.status.clone())
-            .collect()
+        self.objectives.lock().iter().map(|(_, s)| s.status.clone()).collect()
     }
 
     /// True when any objective is currently breached.
@@ -355,7 +347,7 @@ impl SloEvaluator {
 
     /// Number of configured objectives.
     pub fn len(&self) -> usize {
-        self.objectives.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.objectives.lock().len()
     }
 
     /// True when no objective is configured.

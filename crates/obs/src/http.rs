@@ -24,8 +24,8 @@
 //! | `/readyz`       | probes only; 503 on failure                          |
 
 use crate::collector::{Collector, CollectorHandle, CollectorOptions};
-use crate::export::json_string;
 use crate::health::{HealthRegistry, SloEvaluator, SloObjective, SloStatus};
+use crate::json;
 use crate::registry::Registry;
 use crate::trace::FlightRecorder;
 use std::io::{Read as _, Write as _};
@@ -472,7 +472,7 @@ fn render_slo_line(s: &SloStatus) -> String {
         "{} slo {} fast_burn={:.2} slow_burn={:.2}\n",
         if s.breached { "FAIL" } else { "ok  " },
         // The name is operator-provided free text; keep the line greppable.
-        json_string(&s.name),
+        json::string(&s.name),
         s.fast_burn,
         s.slow_burn
     )

@@ -19,6 +19,10 @@
 //!   pipeline and the KV store's maintenance paths.
 //! * Exporters — Prometheus text format ([`Registry::render_prometheus`])
 //!   and JSON ([`Registry::render_json`] / [`Registry::snapshot`]).
+//! * [`json`] — the workspace's one JSON writer and parser, behind every
+//!   JSON surface here and the experiment rows under `results/`.
+//! * [`sync`] — poison-tolerant `Mutex`/`RwLock`, the locking policy of
+//!   obs, exec, kv and the server stated once.
 //! * [`SlowLog`] — a fixed-capacity top-N-by-latency query log.
 //! * [`trace`] — sampled per-query span trees ([`TraceCtx`] /
 //!   [`QueryTrace`]) with `EXPLAIN ANALYZE` and JSON renderers, plus a
@@ -63,10 +67,12 @@ pub mod fingerprint;
 pub mod health;
 pub mod histogram;
 pub mod http;
+pub mod json;
 pub mod profile;
 pub mod registry;
 pub mod slowlog;
 pub mod span;
+pub mod sync;
 pub mod trace;
 
 pub use alloc::{AllocSnapshot, CountingAlloc, StageGuard};

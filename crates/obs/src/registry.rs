@@ -7,9 +7,10 @@
 //! their handles once and record through them.
 
 use crate::histogram::Histogram;
+use crate::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -105,7 +106,7 @@ impl Registry {
     /// Gets or creates a counter.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let key = key_of(name, labels);
-        let mut metrics = self.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut metrics = self.metrics.lock();
         match metrics.entry(key).or_insert_with(|| Metric::Counter(Arc::new(Counter::default()))) {
             Metric::Counter(c) => Arc::clone(c),
             other => panic!("metric {name} already registered as {}", kind_name(other)),
@@ -115,7 +116,7 @@ impl Registry {
     /// Gets or creates a gauge.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         let key = key_of(name, labels);
-        let mut metrics = self.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut metrics = self.metrics.lock();
         match metrics.entry(key).or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default()))) {
             Metric::Gauge(g) => Arc::clone(g),
             other => panic!("metric {name} already registered as {}", kind_name(other)),
@@ -136,7 +137,7 @@ impl Registry {
 
     fn histogram_scaled(&self, name: &str, labels: &[(&str, &str)], scale: f64) -> Arc<Histogram> {
         let key = key_of(name, labels);
-        let mut metrics = self.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut metrics = self.metrics.lock();
         match metrics
             .entry(key)
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::with_scale(scale))))
@@ -148,7 +149,7 @@ impl Registry {
 
     /// Number of registered metrics (all kinds).
     pub fn len(&self) -> usize {
-        self.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.metrics.lock().len()
     }
 
     /// True when nothing is registered.
@@ -158,7 +159,7 @@ impl Registry {
 
     /// A sorted copy of the current metrics, for exporters.
     pub(crate) fn sorted_entries(&self) -> Vec<(MetricKey, Metric)> {
-        let metrics = self.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let metrics = self.metrics.lock();
         let mut entries: Vec<(MetricKey, Metric)> =
             metrics.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));

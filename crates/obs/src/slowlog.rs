@@ -7,8 +7,8 @@
 //! cached minimum key, without taking the mutex; only genuine insertions
 //! pay the O(capacity) min rescan.
 
+use crate::sync::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// A bounded keep-the-worst log.
 pub struct SlowLog<T> {
@@ -42,7 +42,7 @@ impl<T: Clone> SlowLog<T> {
         if self.full.load(Ordering::Acquire) && key <= self.min_key.load(Ordering::Acquire) {
             return;
         }
-        let mut entries = self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut entries = self.entries.lock();
         if entries.len() < self.capacity {
             entries.push((key, item));
             if entries.len() == self.capacity {
@@ -68,15 +68,14 @@ impl<T: Clone> SlowLog<T> {
 
     /// The retained items, slowest first.
     pub fn snapshot(&self) -> Vec<(u64, T)> {
-        let mut out =
-            self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
+        let mut out = self.entries.lock().clone();
         out.sort_by_key(|e| std::cmp::Reverse(e.0));
         out
     }
 
     /// Number of retained items.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.entries.lock().len()
     }
 
     /// True when nothing has been recorded.
@@ -91,7 +90,7 @@ impl<T: Clone> SlowLog<T> {
 
     /// Clears the log.
     pub fn clear(&self) {
-        let mut entries = self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut entries = self.entries.lock();
         entries.clear();
         self.full.store(false, Ordering::Release);
         self.min_key.store(0, Ordering::Release);
@@ -101,10 +100,7 @@ impl<T: Clone> SlowLog<T> {
 impl<T> std::fmt::Debug for SlowLog<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SlowLog")
-            .field(
-                "len",
-                &self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len(),
-            )
+            .field("len", &self.entries.lock().len())
             .field("capacity", &self.capacity)
             .finish()
     }

@@ -19,10 +19,11 @@
 //! buffer of the last N traces, so "what just happened?" is answerable
 //! after the fact without external collectors.
 
+use crate::sync::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A typed value attached to a span.
@@ -210,9 +211,7 @@ impl TraceCtx {
     /// for a disabled context or when no root span was recorded.
     pub fn finish(self) -> Option<QueryTrace> {
         let inner = self.0?;
-        let flats = std::mem::take(
-            &mut *inner.spans.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
+        let flats = std::mem::take(&mut *inner.spans.lock());
         assemble(flats).map(|root| QueryTrace { root })
     }
 }
@@ -405,7 +404,7 @@ fn record_state(s: SpanState) -> Duration {
         start_ns: s.start_ns,
         duration_ns: recorded.as_nanos() as u64,
     };
-    s.ctx.spans.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(flat);
+    s.ctx.spans.lock().push(flat);
     elapsed
 }
 
@@ -548,7 +547,7 @@ impl FlightRecorder {
 
     /// Appends a trace, evicting the oldest past capacity.
     pub fn push(&self, trace: Arc<QueryTrace>) {
-        let mut traces = self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut traces = self.traces.lock();
         if traces.len() == self.capacity {
             traces.pop_front();
         }
@@ -557,17 +556,12 @@ impl FlightRecorder {
 
     /// The retained traces, oldest first.
     pub fn snapshot(&self) -> Vec<Arc<QueryTrace>> {
-        self.traces
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
+        self.traces.lock().iter().cloned().collect()
     }
 
     /// Number of retained traces.
     pub fn len(&self) -> usize {
-        self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.traces.lock().len()
     }
 
     /// True when no trace has been recorded.
@@ -582,7 +576,7 @@ impl FlightRecorder {
 
     /// Drops every retained trace.
     pub fn clear(&self) {
-        self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+        self.traces.lock().clear();
     }
 }
 
@@ -595,11 +589,11 @@ impl fmt::Debug for FlightRecorder {
     }
 }
 
-/// Hand-rolled JSON emit/parse for the trace schema, so the crate stays
-/// dependency-free. The parser accepts exactly the grammar the writer
-/// emits (objects, arrays, strings, unsigned integers, floats, booleans).
+/// The trace schema over [`crate::json`]: one object per span, children
+/// nested.
 mod json {
     use super::{FieldValue, SpanRecord};
+    use crate::json::{string, Value};
     use std::fmt::Write as _;
 
     pub(super) fn write_span(out: &mut String, s: &SpanRecord) {
@@ -647,215 +641,61 @@ mod json {
         out.push_str("]}");
     }
 
-    fn string(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
+    pub(super) fn parse_span(s: &str) -> Result<SpanRecord, String> {
+        span(crate::json::parse(s)?)
     }
 
-    pub(super) fn parse_span(s: &str) -> Result<SpanRecord, String> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-        let span = p.span()?;
-        p.ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
+    fn members(v: Value, what: &str) -> Result<Vec<(String, Value)>, String> {
+        match v {
+            Value::Object(members) => Ok(members),
+            _ => Err(format!("{what} must be an object")),
+        }
+    }
+
+    fn nanos(v: Value, what: &str) -> Result<u64, String> {
+        match v {
+            Value::U64(n) => Ok(n),
+            _ => Err(format!("{what} must be an integer")),
+        }
+    }
+
+    fn span(v: Value) -> Result<SpanRecord, String> {
+        let mut span = SpanRecord::default();
+        for (key, v) in members(v, "a span")? {
+            match (key.as_str(), v) {
+                ("name", Value::Str(name)) => span.name = name,
+                ("labels", v) => {
+                    for (k, v) in members(v, "labels")? {
+                        let Value::Str(v) = v else {
+                            return Err(format!("label {k:?} not a string"));
+                        };
+                        span.labels.push((k, v));
+                    }
+                }
+                ("fields", v) => {
+                    for (k, v) in members(v, "fields")? {
+                        let field = match v {
+                            Value::U64(n) => FieldValue::U64(n),
+                            Value::F64(x) => FieldValue::F64(x),
+                            Value::Str(t) => FieldValue::Str(t),
+                            Value::Bool(b) => FieldValue::Bool(b),
+                            // The writer's spelling of a non-finite float.
+                            Value::Null => FieldValue::F64(f64::NAN),
+                            _ => return Err(format!("field {k:?} is not a scalar")),
+                        };
+                        span.fields.push((k, field));
+                    }
+                }
+                ("start_ns", v) => span.start_ns = nanos(v, "start_ns")?,
+                ("duration_ns", v) => span.duration_ns = nanos(v, "duration_ns")?,
+                ("children", Value::Array(children)) => {
+                    span.children =
+                        children.into_iter().map(self::span).collect::<Result<_, _>>()?;
+                }
+                (other, _) => return Err(format!("unknown or mistyped key {other:?}")),
+            }
         }
         Ok(span)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn ws(&mut self) {
-            while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.ws();
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn eat(&mut self, b: u8) -> bool {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                true
-            } else {
-                false
-            }
-        }
-
-        fn keyword(&mut self, word: &str) -> bool {
-            self.ws();
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                true
-            } else {
-                false
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos).copied() {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.bytes.get(self.pos).copied() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                                self.pos += 4;
-                            }
-                            _ => return Err("bad escape".into()),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Multi-byte UTF-8 sequences pass through intact.
-                        let start = self.pos;
-                        let s =
-                            std::str::from_utf8(&self.bytes[start..]).map_err(|e| e.to_string())?;
-                        let c = s.chars().next().ok_or("unterminated string")?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<FieldValue, String> {
-            self.ws();
-            let start = self.pos;
-            while self.bytes.get(self.pos).is_some_and(|b| {
-                b.is_ascii_digit() || matches!(b, b'.' | b'-' | b'+' | b'e' | b'E')
-            }) {
-                self.pos += 1;
-            }
-            let text =
-                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-            if text.contains(['.', 'e', 'E']) {
-                text.parse::<f64>().map(FieldValue::F64).map_err(|e| e.to_string())
-            } else {
-                text.parse::<u64>().map(FieldValue::U64).map_err(|e| e.to_string())
-            }
-        }
-
-        fn value(&mut self) -> Result<FieldValue, String> {
-            match self.peek() {
-                Some(b'"') => self.string().map(FieldValue::Str),
-                Some(b't') if self.keyword("true") => Ok(FieldValue::Bool(true)),
-                Some(b'f') if self.keyword("false") => Ok(FieldValue::Bool(false)),
-                Some(b'n') if self.keyword("null") => Ok(FieldValue::F64(f64::NAN)),
-                _ => self.number(),
-            }
-        }
-
-        /// `{"k": <v>, ...}` with `parse` handling each value.
-        fn object<T>(
-            &mut self,
-            mut parse: impl FnMut(&mut Self, String) -> Result<T, String>,
-        ) -> Result<Vec<T>, String> {
-            self.expect(b'{')?;
-            let mut out = Vec::new();
-            if self.eat(b'}') {
-                return Ok(out);
-            }
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                out.push(parse(self, key)?);
-                if !self.eat(b',') {
-                    break;
-                }
-            }
-            self.expect(b'}')?;
-            Ok(out)
-        }
-
-        fn span(&mut self) -> Result<SpanRecord, String> {
-            let mut span = SpanRecord::default();
-            self.object(|p, key| {
-                match key.as_str() {
-                    "name" => span.name = p.string()?,
-                    "labels" => {
-                        span.labels = p.object(|p, k| Ok((k, p.string()?)))?;
-                    }
-                    "fields" => {
-                        span.fields = p.object(|p, k| Ok((k, p.value()?)))?;
-                    }
-                    "start_ns" => match p.number()? {
-                        FieldValue::U64(n) => span.start_ns = n,
-                        _ => return Err("start_ns must be an integer".into()),
-                    },
-                    "duration_ns" => match p.number()? {
-                        FieldValue::U64(n) => span.duration_ns = n,
-                        _ => return Err("duration_ns must be an integer".into()),
-                    },
-                    "children" => {
-                        p.expect(b'[')?;
-                        if !p.eat(b']') {
-                            loop {
-                                span.children.push(p.span()?);
-                                if !p.eat(b',') {
-                                    break;
-                                }
-                            }
-                            p.expect(b']')?;
-                        }
-                    }
-                    other => return Err(format!("unknown key {other:?}")),
-                }
-                Ok(())
-            })?;
-            Ok(span)
-        }
     }
 }
 

@@ -40,11 +40,12 @@ use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trass_core::query;
 use trass_core::store::{ExplainQuery, TrajectoryStore};
+use trass_obs::sync::Mutex;
 use trass_obs::{Counter, Gauge, Histogram, Span};
 use trass_traj::Trajectory;
 
@@ -123,7 +124,7 @@ impl Shared {
     /// unblocks the accept loop. Idempotent.
     fn request_shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut done = self.done.lock();
         *done = true;
         drop(done);
         self.done_cv.notify_all();
@@ -210,7 +211,7 @@ impl TrassServer {
     /// Blocks until shutdown is requested — by a wire `shutdown` op or by
     /// [`TrassServer::shutdown`] from another thread.
     pub fn wait(&self) {
-        let done = self.shared.done.lock().unwrap_or_else(PoisonError::into_inner);
+        let done = self.shared.done.lock();
         let result = self.shared.done_cv.wait_while(done, |d| !*d);
         drop(result.unwrap_or_else(PoisonError::into_inner));
     }

@@ -1,136 +1,110 @@
 //! Property tests for the wire protocol: randomized byte-level
-//! round-trips plus directed malformed-input coverage. No external
-//! property-testing crate — a seeded xorshift64* generator drives the
-//! randomized cases, so every failure is reproducible from the seed.
+//! round-trips plus directed malformed-input coverage. The workspace's
+//! seeded generator drives the randomized cases, so every failure is
+//! reproducible from the seed the runner reports.
 
 use trass_geo::Point;
+use trass_rng::{check, Rng};
 use trass_server::protocol::{
     self, decode_request, decode_response, encode_request, encode_response, ErrorCode, FrameHeader,
     Op, QueryRef, Request, Response, ALL_OPS, HEADER_LEN, PROTOCOL_VERSION, STATUS_OK,
 };
 use trass_traj::{Measure, Trajectory};
 
-const ITERS: usize = 250;
+const ITERS: u32 = 250;
 
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
+/// A finite-or-infinite distance value, biased toward edge cases
+/// whose bit patterns must survive the wire exactly.
+fn distance(rng: &mut Rng) -> f64 {
+    match rng.u64() % 8 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::INFINITY,
+        3 => f64::MIN_POSITIVE,
+        _ => rng.f64_in(-1e6, 1e6),
     }
+}
 
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+fn trajectory(rng: &mut Rng) -> Trajectory {
+    let id = rng.u64();
+    let n = rng.len(1, 6);
+    let points: Vec<Point> =
+        (0..n).map(|_| Point::new(rng.f64_in(-180.0, 180.0), rng.f64_in(-90.0, 90.0))).collect();
+    Trajectory::try_new(id, points).expect("generated trajectory is valid")
+}
+
+fn query_ref(rng: &mut Rng) -> QueryRef {
+    if rng.u64() % 2 == 0 {
+        QueryRef::Stored(rng.u64())
+    } else {
+        QueryRef::Inline(trajectory(rng))
     }
+}
 
-    fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() as usize) % (hi - lo + 1)
+fn measure(rng: &mut Rng) -> Measure {
+    match rng.u64() % 3 {
+        0 => Measure::Frechet,
+        1 => Measure::Hausdorff,
+        _ => Measure::Dtw,
     }
+}
 
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        let unit = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
-        lo + unit * (hi - lo)
-    }
-
-    /// A finite-or-infinite distance value, biased toward edge cases
-    /// whose bit patterns must survive the wire exactly.
-    fn distance(&mut self) -> f64 {
-        match self.next() % 8 {
-            0 => 0.0,
-            1 => -0.0,
-            2 => f64::INFINITY,
-            3 => f64::MIN_POSITIVE,
-            _ => self.f64_in(-1e6, 1e6),
+fn inner_request(rng: &mut Rng) -> Request {
+    match rng.u64() % 3 {
+        0 => Request::Threshold {
+            query: query_ref(rng),
+            eps: rng.f64_in(0.0, 10.0),
+            measure: measure(rng),
+        },
+        1 => Request::TopK {
+            query: query_ref(rng),
+            k: (rng.u64() % 100) as u32,
+            measure: measure(rng),
+        },
+        _ => {
+            let x0 = rng.f64_in(-180.0, 180.0);
+            let y0 = rng.f64_in(-90.0, 90.0);
+            Request::Range { window: [x0, y0, x0 + 1.0, y0 + 1.0] }
         }
     }
+}
 
-    fn trajectory(&mut self) -> Trajectory {
-        let id = self.next();
-        let n = self.usize_in(1, 6);
-        let points: Vec<Point> = (0..n)
-            .map(|_| Point::new(self.f64_in(-180.0, 180.0), self.f64_in(-90.0, 90.0)))
-            .collect();
-        Trajectory::try_new(id, points).expect("generated trajectory is valid")
-    }
-
-    fn query_ref(&mut self) -> QueryRef {
-        if self.next() % 2 == 0 {
-            QueryRef::Stored(self.next())
-        } else {
-            QueryRef::Inline(self.trajectory())
+fn request(rng: &mut Rng) -> Request {
+    match rng.u64() % 8 {
+        0..=2 => inner_request(rng),
+        3 => {
+            Request::Ingest { trajectories: (0..rng.len(0, 4)).map(|_| trajectory(rng)).collect() }
         }
+        4 => Request::Explain { inner: Box::new(inner_request(rng)) },
+        5 => Request::Health,
+        6 => Request::Stats,
+        _ => Request::Shutdown,
     }
+}
 
-    fn measure(&mut self) -> Measure {
-        match self.next() % 3 {
-            0 => Measure::Frechet,
-            1 => Measure::Hausdorff,
-            _ => Measure::Dtw,
-        }
+fn results(rng: &mut Rng) -> Vec<(u64, f64)> {
+    (0..rng.len(0, 8)).map(|_| (rng.u64(), distance(rng))).collect()
+}
+
+fn string(rng: &mut Rng) -> String {
+    let n = rng.len(0, 12);
+    (0..n).map(|_| char::from(b'a' + (rng.u64() % 26) as u8)).collect()
+}
+
+/// A response whose payload shape matches `request_op`.
+fn response_for(rng: &mut Rng, request_op: Op) -> Response {
+    if rng.u64() % 5 == 0 {
+        let code =
+            ErrorCode::from_code((rng.u64() % 7 + 1) as u8).expect("codes 1..=7 are all defined");
+        return Response::Error { code, message: string(rng) };
     }
-
-    fn inner_request(&mut self) -> Request {
-        match self.next() % 3 {
-            0 => Request::Threshold {
-                query: self.query_ref(),
-                eps: self.f64_in(0.0, 10.0),
-                measure: self.measure(),
-            },
-            1 => Request::TopK {
-                query: self.query_ref(),
-                k: (self.next() % 100) as u32,
-                measure: self.measure(),
-            },
-            _ => {
-                let x0 = self.f64_in(-180.0, 180.0);
-                let y0 = self.f64_in(-90.0, 90.0);
-                Request::Range { window: [x0, y0, x0 + 1.0, y0 + 1.0] }
-            }
-        }
-    }
-
-    fn request(&mut self) -> Request {
-        match self.next() % 8 {
-            0..=2 => self.inner_request(),
-            3 => Request::Ingest {
-                trajectories: (0..self.usize_in(0, 4)).map(|_| self.trajectory()).collect(),
-            },
-            4 => Request::Explain { inner: Box::new(self.inner_request()) },
-            5 => Request::Health,
-            6 => Request::Stats,
-            _ => Request::Shutdown,
-        }
-    }
-
-    fn results(&mut self) -> Vec<(u64, f64)> {
-        (0..self.usize_in(0, 8)).map(|_| (self.next(), self.distance())).collect()
-    }
-
-    fn string(&mut self) -> String {
-        let n = self.usize_in(0, 12);
-        (0..n).map(|_| char::from(b'a' + (self.next() % 26) as u8)).collect()
-    }
-
-    /// A response whose payload shape matches `request_op`.
-    fn response_for(&mut self, request_op: Op) -> Response {
-        if self.next() % 5 == 0 {
-            let code = ErrorCode::from_code((self.next() % 7 + 1) as u8)
-                .expect("codes 1..=7 are all defined");
-            return Response::Error { code, message: self.string() };
-        }
-        match request_op {
-            Op::Threshold | Op::TopK | Op::Range => Response::Results(self.results()),
-            Op::Ingest => Response::Ingested((self.next() % 1_000) as u32),
-            Op::Explain => Response::Explained { results: self.results(), trace: self.string() },
-            Op::Health => Response::Health(self.string()),
-            Op::Stats => Response::Stats(self.string()),
-            Op::Shutdown => Response::ShuttingDown,
-        }
+    match request_op {
+        Op::Threshold | Op::TopK | Op::Range => Response::Results(results(rng)),
+        Op::Ingest => Response::Ingested((rng.u64() % 1_000) as u32),
+        Op::Explain => Response::Explained { results: results(rng), trace: string(rng) },
+        Op::Health => Response::Health(string(rng)),
+        Op::Stats => Response::Stats(string(rng)),
+        Op::Shutdown => Response::ShuttingDown,
     }
 }
 
@@ -148,32 +122,30 @@ fn split_frame(bytes: &[u8]) -> (FrameHeader, &[u8]) {
 
 #[test]
 fn request_roundtrip_is_byte_identical() {
-    let mut rng = Rng::new(0x7a55_0001);
-    for i in 0..ITERS {
-        let req = rng.request();
+    check(ITERS, |rng| {
+        let req = request(rng);
         let bytes = encode_request(&req).expect("encode");
         let (header, payload) = split_frame(&bytes);
         let decoded = decode_request(header.op, payload)
-            .unwrap_or_else(|e| panic!("iter {i}: decode failed for {req:?}: {e}"));
-        assert_eq!(decoded, req, "iter {i}: structural round-trip");
+            .unwrap_or_else(|e| panic!("decode failed for {req:?}: {e}"));
+        assert_eq!(decoded, req, "structural round-trip");
         let re = encode_request(&decoded).expect("re-encode");
-        assert_eq!(re, bytes, "iter {i}: byte-level round-trip");
-    }
+        assert_eq!(re, bytes, "byte-level round-trip");
+    });
 }
 
 #[test]
 fn response_roundtrip_is_byte_identical() {
-    let mut rng = Rng::new(0x7a55_0002);
-    for i in 0..ITERS {
+    check(ITERS, |rng| {
         let op = ALL_OPS[rng.usize_in(0, ALL_OPS.len() - 1)];
-        let resp = rng.response_for(op);
+        let resp = response_for(rng, op);
         let bytes = encode_response(&resp).expect("encode");
         let (header, payload) = split_frame(&bytes);
         let decoded = decode_response(op, header.op, payload)
-            .unwrap_or_else(|e| panic!("iter {i}: decode failed for {resp:?}: {e}"));
+            .unwrap_or_else(|e| panic!("decode failed for {resp:?}: {e}"));
         let re = encode_response(&decoded).expect("re-encode");
-        assert_eq!(re, bytes, "iter {i}: byte-level round-trip for {resp:?}");
-    }
+        assert_eq!(re, bytes, "byte-level round-trip for {resp:?}");
+    });
 }
 
 #[test]
@@ -198,15 +170,14 @@ fn distance_bits_survive_the_wire() {
 
 #[test]
 fn frame_header_roundtrip() {
-    let mut rng = Rng::new(0x7a55_0003);
-    for _ in 0..ITERS {
+    check(ITERS, |rng| {
         let header = FrameHeader {
-            payload_len: rng.next() as u32,
-            version: rng.next() as u8,
-            op: rng.next() as u8,
+            payload_len: rng.u64() as u32,
+            version: rng.u64() as u8,
+            op: rng.u64() as u8,
         };
         assert_eq!(FrameHeader::parse(&header.encode()), Some(header));
-    }
+    });
     for short in 0..HEADER_LEN {
         assert_eq!(FrameHeader::parse(&vec![0u8; short]), None, "short header of {short} bytes");
     }
@@ -218,31 +189,29 @@ fn frame_header_roundtrip() {
 
 #[test]
 fn every_truncation_of_every_request_is_rejected() {
-    let mut rng = Rng::new(0x7a55_0004);
-    for i in 0..ITERS {
-        let req = rng.request();
+    check(ITERS, |rng| {
+        let req = request(rng);
         let bytes = encode_request(&req).expect("encode");
         let (header, payload) = split_frame(&bytes);
         for cut in 0..payload.len() {
             let err = decode_request(header.op, &payload[..cut]).expect_err("truncated decodes");
             assert!(
                 matches!(err.code, ErrorCode::Malformed | ErrorCode::BadRequest),
-                "iter {i} cut {cut}: unexpected code {:?} for {req:?}",
+                "cut {cut}: unexpected code {:?} for {req:?}",
                 err.code
             );
         }
-    }
+    });
 }
 
 #[test]
 fn trailing_garbage_is_rejected() {
-    let mut rng = Rng::new(0x7a55_0005);
-    for _ in 0..ITERS {
-        let req = rng.request();
+    check(ITERS, |rng| {
+        let req = request(rng);
         let bytes = encode_request(&req).expect("encode");
         let (header, payload) = split_frame(&bytes);
         let mut extended = payload.to_vec();
-        extended.push(rng.next() as u8);
+        extended.push(rng.u64() as u8);
         let err = decode_request(header.op, &extended).expect_err("trailing byte decodes");
         // Usually Malformed ("trailing bytes"); an extended ingest payload
         // may instead fail while parsing the extra byte as data.
@@ -251,7 +220,7 @@ fn trailing_garbage_is_rejected() {
             "unexpected code {:?}",
             err.code
         );
-    }
+    });
 }
 
 #[test]
@@ -268,16 +237,15 @@ fn unknown_opcodes_are_rejected_without_panic() {
 
 #[test]
 fn random_bytes_never_panic_the_decoder() {
-    let mut rng = Rng::new(0x7a55_0006);
-    for _ in 0..2_000 {
-        let op = rng.next() as u8;
+    check(2_000, |rng| {
+        let op = rng.u64() as u8;
         let len = rng.usize_in(0, 64);
-        let payload: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        let payload: Vec<u8> = (0..len).map(|_| rng.u64() as u8).collect();
         // Any outcome is fine — the property is "returns, never panics".
         let _ = decode_request(op, &payload);
-        let status = rng.next() as u8;
+        let status = rng.u64() as u8;
         let _ = decode_response(ALL_OPS[rng.usize_in(0, ALL_OPS.len() - 1)], status, &payload);
-    }
+    });
 }
 
 #[test]

@@ -8,7 +8,6 @@
 //! basis of local filtering (Lemmas 13–14).
 
 use crate::Trajectory;
-use serde::{Deserialize, Serialize};
 use trass_geo::{Mbr, OrientedBox, Point, Segment};
 
 /// Representative points and covering boxes of one trajectory.
@@ -17,7 +16,7 @@ use trass_geo::{Mbr, OrientedBox, Point, Segment};
 /// * `rep_indices` is strictly increasing, starts at 0, ends at `n-1`;
 /// * `boxes.len() == rep_indices.len() - 1`;
 /// * box `i` covers every raw point in `rep_indices[i] ..= rep_indices[i+1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpFeatures {
     /// Indices of the representative points within the raw point sequence
     /// (the `dp-points` column of Table I).

@@ -22,10 +22,8 @@ mod walk;
 pub use walk::{random_walk, stay_trajectory};
 
 use crate::Trajectory;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, LogNormal};
 use trass_geo::{Mbr, Point};
+use trass_rng::Rng;
 
 /// Bounding box of urban Beijing, the T-Drive extent.
 pub const BEIJING: Mbr = Mbr { min_x: 116.0, min_y: 39.6, max_x: 116.8, max_y: 40.2 };
@@ -65,19 +63,18 @@ pub fn tdrive_like(seed: u64, n: usize) -> Vec<Trajectory> {
 
 /// Generates `n` taxi trajectories under an explicit configuration.
 pub fn taxi_dataset(seed: u64, n: usize, cfg: &TaxiConfig) -> Vec<Trajectory> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let span_dist = LogNormal::new(cfg.span_lognormal.0, cfg.span_lognormal.1)
-        .expect("valid log-normal parameters");
+    let mut rng = Rng::new(seed);
+    let (span_mu, span_sigma) = cfg.span_lognormal;
     let max_span = (cfg.extent.width().min(cfg.extent.height())) * 0.9;
     (0..n as u64)
         .map(|id| {
-            if rng.gen_bool(cfg.stay_fraction) {
+            if rng.bool(cfg.stay_fraction) {
                 let origin = random_point_in(&mut rng, &cfg.extent);
-                let len = rng.gen_range(5..=60);
+                let len = rng.usize_in(5, 60);
                 stay_trajectory(&mut rng, id, origin, len, 1e-6)
             } else {
-                let span = span_dist.sample(&mut rng).clamp(0.002, max_span);
-                let len = rng.gen_range(cfg.points_range.0..=cfg.points_range.1);
+                let span = rng.lognormal(span_mu, span_sigma).clamp(0.002, max_span);
+                let len = rng.usize_in(cfg.points_range.0, cfg.points_range.1);
                 let origin = random_point_in_margin(&mut rng, &cfg.extent, span);
                 random_walk(&mut rng, id, origin, span, len, &cfg.extent)
             }
@@ -111,18 +108,18 @@ pub fn lorry_like(seed: u64, n: usize) -> Vec<Trajectory> {
 
 /// Generates `n` lorry trajectories under an explicit configuration.
 pub fn lorry_dataset(seed: u64, n: usize, cfg: &LorryConfig) -> Vec<Trajectory> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     // Fixed hub locations drawn once from the extent.
     let hubs: Vec<Point> = (0..cfg.hubs).map(|_| random_point_in(&mut rng, &cfg.extent)).collect();
     (0..n as u64)
         .map(|id| {
-            let a = hubs[rng.gen_range(0..hubs.len())];
-            let mut b = hubs[rng.gen_range(0..hubs.len())];
+            let a = hubs[rng.usize_in(0, hubs.len() - 1)];
+            let mut b = hubs[rng.usize_in(0, hubs.len() - 1)];
             // Short intra-city hops exist but most routes are inter-hub.
             if a == b {
-                b = Point::new(a.x + rng.gen_range(-0.3..0.3), a.y + rng.gen_range(-0.3..0.3));
+                b = Point::new(a.x + rng.f64_in(-0.3, 0.3), a.y + rng.f64_in(-0.3, 0.3));
             }
-            let len = rng.gen_range(cfg.points_range.0..=cfg.points_range.1);
+            let len = rng.usize_in(cfg.points_range.0, cfg.points_range.1);
             route_trajectory(&mut rng, id, a, b, len, cfg.jitter, &cfg.extent)
         })
         .collect()
@@ -131,7 +128,7 @@ pub fn lorry_dataset(seed: u64, n: usize, cfg: &LorryConfig) -> Vec<Trajectory> 
 /// A noisy route between two endpoints: linear interpolation plus a smooth
 /// random detour and per-point GPS jitter, clamped to the extent.
 fn route_trajectory(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     id: u64,
     a: Point,
     b: Point,
@@ -141,15 +138,13 @@ fn route_trajectory(
 ) -> Trajectory {
     let len = len.max(2);
     // Smooth detour: one mid-route control offset, blended by a parabola.
-    let detour =
-        Point::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)) * (a.distance(&b) * 0.08);
+    let detour = Point::new(rng.f64_in(-1.0, 1.0), rng.f64_in(-1.0, 1.0)) * (a.distance(&b) * 0.08);
     let points = (0..len)
         .map(|i| {
             let t = i as f64 / (len - 1) as f64;
             let base = a.lerp(&b, t);
             let bend = detour * (4.0 * t * (1.0 - t));
-            let noise =
-                Point::new(rng.gen_range(-jitter..=jitter), rng.gen_range(-jitter..=jitter));
+            let noise = Point::new(rng.f64_in(-jitter, jitter), rng.f64_in(-jitter, jitter));
             clamp_to(base + bend + noise, extent)
         })
         .collect();
@@ -193,22 +188,20 @@ pub fn gaussian_like(seed: u64, n: usize) -> Vec<Trajectory> {
 /// Generates `n` Gaussian-clustered trajectories under an explicit
 /// configuration.
 pub fn gaussian_dataset(seed: u64, n: usize, cfg: &GaussianConfig) -> Vec<Trajectory> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let span_dist = LogNormal::new(cfg.span_lognormal.0, cfg.span_lognormal.1)
-        .expect("valid log-normal parameters");
+    let mut rng = Rng::new(seed);
+    let (span_mu, span_sigma) = cfg.span_lognormal;
     let cx = (cfg.extent.min_x + cfg.extent.max_x) * 0.5;
     let cy = (cfg.extent.min_y + cfg.extent.max_y) * 0.5;
     let sigma = cfg.extent.width().min(cfg.extent.height()) * cfg.sigma_fraction;
-    let origin_dist = rand_distr::Normal::new(0.0, sigma).expect("positive sigma");
     let max_span = (cfg.extent.width().min(cfg.extent.height())) * 0.9;
     (0..n as u64)
         .map(|id| {
             let origin = clamp_to(
-                Point::new(cx + origin_dist.sample(&mut rng), cy + origin_dist.sample(&mut rng)),
+                Point::new(cx + rng.normal(0.0, sigma), cy + rng.normal(0.0, sigma)),
                 &cfg.extent,
             );
-            let span = span_dist.sample(&mut rng).clamp(0.002, max_span);
-            let len = rng.gen_range(cfg.points_range.0..=cfg.points_range.1);
+            let span = rng.lognormal(span_mu, span_sigma).clamp(0.002, max_span);
+            let len = rng.usize_in(cfg.points_range.0, cfg.points_range.1);
             random_walk(&mut rng, id, origin, span, len, &cfg.extent)
         })
         .collect()
@@ -218,7 +211,7 @@ pub fn gaussian_dataset(seed: u64, n: usize, cfg: &GaussianConfig) -> Vec<Trajec
 /// paper's synthetic scalability datasets ("copying t times of the Lorry
 /// dataset").
 pub fn scale_dataset(base: &[Trajectory], t: usize, seed: u64, extent: &Mbr) -> Vec<Trajectory> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut out = Vec::with_capacity(base.len() * t);
     let mut next_id: u64 = 0;
     for copy in 0..t {
@@ -228,8 +221,8 @@ pub fn scale_dataset(base: &[Trajectory], t: usize, seed: u64, extent: &Mbr) -> 
             } else {
                 // Shift the whole trajectory slightly so copies are not
                 // byte-identical (real replication has measurement noise).
-                let dx = rng.gen_range(-0.01..0.01);
-                let dy = rng.gen_range(-0.01..0.01);
+                let dx = rng.f64_in(-0.01, 0.01);
+                let dy = rng.f64_in(-0.01, 0.01);
                 let points = traj
                     .points()
                     .iter()
@@ -246,23 +239,20 @@ pub fn scale_dataset(base: &[Trajectory], t: usize, seed: u64, extent: &Mbr) -> 
 /// Samples `k` query trajectories from a dataset (the paper randomly picks
 /// 400 query trajectories per dataset).
 pub fn sample_queries(dataset: &[Trajectory], k: usize, seed: u64) -> Vec<Trajectory> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..k).map(|_| dataset[rng.gen_range(0..dataset.len())].clone()).collect()
+    let mut rng = Rng::new(seed);
+    (0..k).map(|_| dataset[rng.usize_in(0, dataset.len() - 1)].clone()).collect()
 }
 
-fn random_point_in(rng: &mut StdRng, extent: &Mbr) -> Point {
-    Point::new(
-        rng.gen_range(extent.min_x..=extent.max_x),
-        rng.gen_range(extent.min_y..=extent.max_y),
-    )
+fn random_point_in(rng: &mut Rng, extent: &Mbr) -> Point {
+    Point::new(rng.f64_in(extent.min_x, extent.max_x), rng.f64_in(extent.min_y, extent.max_y))
 }
 
 /// A random origin leaving `span` of room toward the upper-right so walks
 /// are less likely to pile up against the extent boundary.
-fn random_point_in_margin(rng: &mut StdRng, extent: &Mbr, span: f64) -> Point {
+fn random_point_in_margin(rng: &mut Rng, extent: &Mbr, span: f64) -> Point {
     let max_x = (extent.max_x - span).max(extent.min_x);
     let max_y = (extent.max_y - span).max(extent.min_y);
-    Point::new(rng.gen_range(extent.min_x..=max_x), rng.gen_range(extent.min_y..=max_y))
+    Point::new(rng.f64_in(extent.min_x, max_x), rng.f64_in(extent.min_y, max_y))
 }
 
 pub(crate) fn clamp_to(p: Point, extent: &Mbr) -> Point {
@@ -280,6 +270,43 @@ mod tests {
         assert_eq!(a, b);
         let c = tdrive_like(43, 50);
         assert_ne!(a, c);
+    }
+
+    /// FNV-1a over every id, length and coordinate bit pattern.
+    fn dataset_hash(data: &[Trajectory]) -> u64 {
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut eat = |word: u64| {
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for t in data {
+            eat(t.id);
+            eat(t.len() as u64);
+            for p in t.points() {
+                eat(p.x.to_bits());
+                eat(p.y.to_bits());
+            }
+        }
+        h
+    }
+
+    /// The streams are part of what EXPERIMENTS.md's numbers were recorded
+    /// on. If this fails the generators now produce different datasets:
+    /// either undo that, or re-record `results/` and update these hashes in
+    /// the same change.
+    #[test]
+    fn dataset_streams_are_pinned() {
+        assert_eq!(dataset_hash(&tdrive_like(42, 64)), 0x6AEC5FF7795ADC52, "tdrive_like");
+        assert_eq!(dataset_hash(&lorry_like(42, 64)), 0xC29B008381358046, "lorry_like");
+        assert_eq!(dataset_hash(&gaussian_like(42, 64)), 0x8001FAAD8A005A8C, "gaussian_like");
+        let scaled = scale_dataset(&lorry_like(42, 8), 3, 42, &CHINA);
+        assert_eq!(dataset_hash(&scaled), 0xDED230D2945144ED, "scale_dataset");
+        assert_eq!(
+            dataset_hash(&sample_queries(&scaled, 8, 42)),
+            0x48734D2F0E74AA3C,
+            "sample_queries"
+        );
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! and stationary traces.
 
 use crate::Trajectory;
-use rand::rngs::StdRng;
-use rand::Rng;
 use trass_geo::{Mbr, Point};
+use trass_rng::Rng;
 
 /// A heading-persistent random walk starting at `origin`, scaled so the
 /// resulting trajectory's extent is approximately `span` degrees, clamped to
@@ -15,7 +14,7 @@ use trass_geo::{Mbr, Point};
 /// a small chance of a turn, which reproduces that texture well enough for
 /// index-behaviour experiments.
 pub fn random_walk(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     id: u64,
     origin: Point,
     span: f64,
@@ -25,18 +24,18 @@ pub fn random_walk(
     let len = len.max(2);
     // Step length chosen so a straight-ish walk of `len` steps covers ~span.
     let step = span / (len as f64).sqrt().max(2.0);
-    let mut heading: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+    let mut heading: f64 = rng.f64_in(0.0, std::f64::consts::TAU);
     let mut p = origin;
     let mut points = Vec::with_capacity(len);
     points.push(p);
     // Track the walk's bounding box to keep the extent near `span`.
     let mut bbox = Mbr::from_point(p);
     for _ in 1..len {
-        if rng.gen_bool(0.05) {
+        if rng.bool(0.05) {
             // Occasional sharp turn (intersection).
-            heading = rng.gen_range(0.0..std::f64::consts::TAU);
+            heading = rng.f64_in(0.0, std::f64::consts::TAU);
         } else {
-            heading += rng.gen_range(-0.35..0.35);
+            heading += rng.f64_in(-0.35, 0.35);
         }
         let mut next = Point::new(p.x + step * heading.cos(), p.y + step * heading.sin());
         // Reflect off the span budget: if the walk would exceed the target
@@ -44,7 +43,7 @@ pub fn random_walk(
         let mut grown = bbox;
         grown.extend(next);
         if grown.width() > span || grown.height() > span {
-            heading = (origin.y - p.y).atan2(origin.x - p.x) + rng.gen_range(-0.5..0.5);
+            heading = (origin.y - p.y).atan2(origin.x - p.x) + rng.f64_in(-0.5, 0.5);
             next = Point::new(p.x + step * heading.cos(), p.y + step * heading.sin());
         }
         next = super::clamp_to(next, extent);
@@ -59,7 +58,7 @@ pub fn random_walk(
 /// magnitude `noise` (degrees). These are the paper's "taxis waiting at
 /// interest places" whose trajectories index at the maximum resolution.
 pub fn stay_trajectory(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     id: u64,
     origin: Point,
     len: usize,
@@ -68,10 +67,7 @@ pub fn stay_trajectory(
     let len = len.max(1);
     let points = (0..len)
         .map(|_| {
-            Point::new(
-                origin.x + rng.gen_range(-noise..=noise),
-                origin.y + rng.gen_range(-noise..=noise),
-            )
+            Point::new(origin.x + rng.f64_in(-noise, noise), origin.y + rng.f64_in(-noise, noise))
         })
         .collect();
     Trajectory::new(id, points)
@@ -80,11 +76,10 @@ pub fn stay_trajectory(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn walk_extent_respects_span_budget() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let extent = Mbr::new(0.0, 0.0, 10.0, 10.0);
         for span in [0.1, 0.5, 2.0] {
             let t = random_walk(&mut rng, 0, Point::new(5.0, 5.0), span, 200, &extent);
@@ -98,7 +93,7 @@ mod tests {
 
     #[test]
     fn walk_is_clamped_to_extent() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::new(2);
         let extent = Mbr::new(0.0, 0.0, 1.0, 1.0);
         let t = random_walk(&mut rng, 0, Point::new(0.99, 0.99), 0.5, 500, &extent);
         assert!(extent.contains(&t.mbr()));
@@ -106,7 +101,7 @@ mod tests {
 
     #[test]
     fn walk_moves() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         let extent = Mbr::new(0.0, 0.0, 10.0, 10.0);
         let t = random_walk(&mut rng, 0, Point::new(5.0, 5.0), 1.0, 100, &extent);
         assert!(t.path_length() > 0.5);
@@ -114,7 +109,7 @@ mod tests {
 
     #[test]
     fn stay_trajectory_is_tiny() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::new(4);
         let t = stay_trajectory(&mut rng, 0, Point::new(1.0, 1.0), 30, 1e-6);
         assert_eq!(t.len(), 30);
         assert!(t.mbr().width() <= 2e-6);

@@ -19,13 +19,12 @@ pub mod erp;
 pub mod frechet;
 pub mod hausdorff;
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use trass_geo::Point;
 
 /// The similarity measure used by a query (§II + §VII).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Measure {
     /// Discrete Fréchet distance (default).
     #[default]

@@ -1,6 +1,5 @@
 //! The trajectory type (§II, Definition 1).
 
-use serde::{Deserialize, Serialize};
 use trass_geo::{Mbr, Point, Segment};
 
 /// Identifier of a trajectory (`tid` in the paper's rowkey schema).
@@ -10,7 +9,7 @@ pub type TrajectoryId = u64;
 ///
 /// Points are `(x = longitude, y = latitude)` in world coordinates. A valid
 /// trajectory has at least one finite point; constructors enforce this.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     /// Unique identifier.
     pub id: TrajectoryId,

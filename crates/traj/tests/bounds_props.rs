@@ -3,100 +3,69 @@
 //! exactness contract; `tests/refine_exactness.rs` covers the query
 //! pipeline half).
 //!
-//! These are hand-rolled property loops rather than `proptest!` blocks so
-//! each property provably runs its full case budget (≥ 256 randomized
-//! cases) regardless of the proptest runner's configuration, with a fixed
-//! seed for reproducibility.
+//! Each property runs ≥ 256 seeded cases per measure through the
+//! workspace's property runner, which reports the failing case's seed.
 
+use std::cell::Cell;
 use trass_geo::{Mbr, Point};
+use trass_rng::{check, Rng};
 use trass_traj::bounds::{BoundKind, QueryEnvelope, PRUNE_SLACK};
 use trass_traj::Measure;
 
-const CASES: usize = 300; // ≥ 256 per property, per measure
+const CASES: u32 = 300; // ≥ 256 per property, per measure
 
 const MEASURES: [Measure; 3] = [Measure::Frechet, Measure::Hausdorff, Measure::Dtw];
 
-/// xorshift64* — deterministic, dependency-free case generator.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform f64 in `[lo, hi)`.
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        let unit = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
-        lo + unit * (hi - lo)
-    }
-
-    /// Uniform usize in `[lo, hi]`.
-    fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() as usize) % (hi - lo + 1)
-    }
-
-    /// A random trajectory of 1..=15 points in [-10, 10]² — the same
-    /// envelope the measure property tests use — with occasional
-    /// duplicated points (stuttering GPS fixes).
-    fn traj(&mut self) -> Vec<Point> {
-        let n = self.usize_in(1, 15);
-        let mut pts = Vec::with_capacity(n);
-        for _ in 0..n {
-            if !pts.is_empty() && self.next() % 8 == 0 {
-                pts.push(*pts.last().unwrap()); // duplicate point
-            } else {
-                pts.push(Point::new(self.f64_in(-10.0, 10.0), self.f64_in(-10.0, 10.0)));
-            }
+/// A random trajectory of 1..=15 points in [-10, 10]² — the same
+/// envelope the measure property tests use — with occasional
+/// duplicated points (stuttering GPS fixes).
+fn traj(rng: &mut Rng) -> Vec<Point> {
+    let n = rng.len(1, 15);
+    let mut pts: Vec<Point> = Vec::with_capacity(n);
+    for _ in 0..n {
+        match pts.last() {
+            Some(&last) if rng.bool(0.125) => pts.push(last), // duplicate point
+            _ => pts.push(Point::new(rng.f64_in(-10.0, 10.0), rng.f64_in(-10.0, 10.0))),
         }
-        pts
     }
+    pts
+}
 
-    /// A trajectory pair: mostly independent, sometimes near-duplicates or
-    /// coincident so the "similar" side of every threshold is exercised.
-    fn pair(&mut self) -> (Vec<Point>, Vec<Point>) {
-        let a = self.traj();
-        let b = match self.next() % 4 {
-            0 => a.clone(), // coincident
-            1 => {
-                // Jittered copy: distances near zero but not exactly.
-                let dx = self.f64_in(-0.01, 0.01);
-                let dy = self.f64_in(-0.01, 0.01);
-                a.iter().map(|p| Point::new(p.x + dx, p.y + dy)).collect()
-            }
-            _ => self.traj(),
-        };
-        (a, b)
-    }
+/// A trajectory pair: mostly independent, sometimes near-duplicates or
+/// coincident so the "similar" side of every threshold is exercised.
+fn pair(rng: &mut Rng) -> (Vec<Point>, Vec<Point>) {
+    let a = traj(rng);
+    let b = match rng.usize_in(0, 3) {
+        0 => a.clone(), // coincident
+        1 => {
+            // Jittered copy: distances near zero but not exactly.
+            let dx = rng.f64_in(-0.01, 0.01);
+            let dy = rng.f64_in(-0.01, 0.01);
+            a.iter().map(|p| Point::new(p.x + dx, p.y + dy)).collect()
+        }
+        _ => traj(rng),
+    };
+    (a, b)
 }
 
 #[test]
 fn every_lower_bound_is_at_most_the_exact_distance() {
-    let mut rng = Rng::new(0xB0D5);
-    for case in 0..CASES {
-        let (q, t) = rng.pair();
+    check(CASES, |rng| {
+        let (q, t) = pair(rng);
         let env = QueryEnvelope::new(&q).expect("non-empty query");
         let tmbr = Mbr::from_points(t.iter()).expect("non-empty candidate");
         for m in MEASURES {
             let d = m.distance(&q, &t);
             if m.supports_endpoint_lemma() {
                 let eb = env.endpoint_bound(&t);
-                assert!(eb <= d + PRUNE_SLACK, "case {case} {m}: endpoint {eb} > distance {d}");
+                assert!(eb <= d + PRUNE_SLACK, "{m}: endpoint {eb} > distance {d}");
             }
             let mb = env.mbr_bound(&tmbr);
-            assert!(mb <= d + PRUNE_SLACK, "case {case} {m}: mbr-gap {mb} > distance {d}");
+            assert!(mb <= d + PRUNE_SLACK, "{m}: mbr-gap {mb} > distance {d}");
             let rb = env.ref_bound(&t);
-            assert!(rb <= d + PRUNE_SLACK, "case {case} {m}: ref-gap {rb} > distance {d}");
+            assert!(rb <= d + PRUNE_SLACK, "{m}: ref-gap {rb} > distance {d}");
         }
-    }
+    });
 }
 
 #[test]
@@ -104,9 +73,8 @@ fn prune_never_fires_at_or_above_the_exact_distance() {
     // The composite check at threshold = distance (and looser) must never
     // prune: pruning a true hit is exactly the bug class this PR's
     // differential harness exists to rule out.
-    let mut rng = Rng::new(0x50F7);
-    for case in 0..CASES {
-        let (q, t) = rng.pair();
+    check(CASES, |rng| {
+        let (q, t) = pair(rng);
         let env = QueryEnvelope::new(&q).expect("non-empty query");
         let tmbr = Mbr::from_points(t.iter()).expect("non-empty candidate");
         for m in MEASURES {
@@ -115,57 +83,56 @@ fn prune_never_fires_at_or_above_the_exact_distance() {
                 assert_eq!(
                     env.prunes(&t, Some(&tmbr), m, threshold),
                     None,
-                    "case {case} {m}: pruned a candidate at distance {d} ≤ threshold {threshold}"
+                    "{m}: pruned a candidate at distance {d} ≤ threshold {threshold}"
                 );
             }
         }
-    }
+    });
 }
 
 #[test]
 fn prune_verdicts_are_correct_when_they_fire() {
     // Whenever a bound does fire, the exact distance really exceeds the
     // threshold — over random (mostly dissimilar) pairs and thresholds.
-    let mut rng = Rng::new(0xF14E);
-    let mut fired = 0u64;
-    for case in 0..CASES {
-        let (q, t) = rng.pair();
+    let fired = Cell::new(0u64);
+    check(CASES, |rng| {
+        let (q, t) = pair(rng);
         let env = QueryEnvelope::new(&q).expect("non-empty query");
         for m in MEASURES {
             let threshold = rng.f64_in(0.0, 5.0);
             if let Some(kind) = env.prunes(&t, None, m, threshold) {
-                fired += 1;
+                fired.set(fired.get() + 1);
                 let d = m.distance(&q, &t);
                 assert!(
                     d > threshold,
-                    "case {case} {m}: {kind} pruned at threshold {threshold} but distance is {d}"
+                    "{m}: {kind} pruned at threshold {threshold} but distance is {d}"
                 );
             }
         }
-    }
+    });
+    let fired = fired.get();
     assert!(fired > 100, "prune fired only {fired} times — the property is vacuous");
 }
 
 #[test]
 fn within_agrees_with_exact_distance_comparison() {
-    let mut rng = Rng::new(0x417B);
-    for case in 0..CASES {
-        let (a, b) = rng.pair();
+    check(CASES, |rng| {
+        let (a, b) = pair(rng);
         for m in MEASURES {
             let d = m.distance(&a, &b);
             // Exactly at the boundary the squared-space decision and the
             // sqrt-space comparison can legitimately differ by one ulp;
             // the seed's measure tests use the same relative margin.
-            assert!(m.within(&a, &b, d + 1e-9), "case {case} {m}: within false at d+");
+            assert!(m.within(&a, &b, d + 1e-9), "{m}: within false at d+");
             if d > 1e-9 {
-                assert!(!m.within(&a, &b, d - 1e-9), "case {case} {m}: within true at d-");
+                assert!(!m.within(&a, &b, d - 1e-9), "{m}: within true at d-");
             }
             let eps = rng.f64_in(0.0, 15.0);
             if (d - eps).abs() > 1e-9 {
-                assert_eq!(m.within(&a, &b, eps), d <= eps, "case {case} {m} eps {eps} d {d}");
+                assert_eq!(m.within(&a, &b, eps), d <= eps, "{m} eps {eps} d {d}");
             }
         }
-    }
+    });
 }
 
 #[test]
@@ -174,9 +141,8 @@ fn distance_within_is_exactly_the_two_pass_composition() {
     // float tolerance: both decide in the same squared/summed space) and
     // return the bit-identical exact value on every hit. This is the
     // kernel-level statement of the differential-exactness contract.
-    let mut rng = Rng::new(0xD1FF);
-    for case in 0..CASES {
-        let (a, b) = rng.pair();
+    check(CASES, |rng| {
+        let (a, b) = pair(rng);
         for m in MEASURES {
             let d = m.distance(&a, &b);
             for eps in [0.0, d * 0.5, d, d + 1e-12, d * 2.0, rng.f64_in(0.0, 30.0)] {
@@ -184,18 +150,18 @@ fn distance_within_is_exactly_the_two_pass_composition() {
                 assert_eq!(
                     fused.is_some(),
                     m.within(&a, &b, eps),
-                    "case {case} {m} eps {eps}: fused verdict diverged from within"
+                    "{m} eps {eps}: fused verdict diverged from within"
                 );
                 if let Some(got) = fused {
                     assert_eq!(
                         got.to_bits(),
                         d.to_bits(),
-                        "case {case} {m} eps {eps}: fused value {got} != distance {d}"
+                        "{m} eps {eps}: fused value {got} != distance {d}"
                     );
                 }
             }
         }
-    }
+    });
 }
 
 #[test]

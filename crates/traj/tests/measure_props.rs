@@ -1,120 +1,173 @@
 //! Property-based tests of the similarity-measure kernels: the metric and
 //! lower-bound facts the pruning lemmas are built on.
 
-use proptest::prelude::*;
 use trass_geo::Point;
+use trass_rng::{check, Rng};
 use trass_traj::measures::{dtw, edr, erp, frechet, hausdorff};
 use trass_traj::Measure;
 
-fn seq() -> impl Strategy<Value = Vec<Point>> {
-    prop::collection::vec((-10.0f64..10.0, -10.0f64..10.0), 1..15)
-        .prop_map(|v| v.into_iter().map(|(x, y)| Point::new(x, y)).collect())
+const CASES: u32 = 128;
+
+/// 1..=14 points in [-10, 10)².
+fn seq(rng: &mut Rng) -> Vec<Point> {
+    (0..rng.len(1, 14))
+        .map(|_| Point::new(rng.f64_in(-10.0, 10.0), rng.f64_in(-10.0, 10.0)))
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn frechet_dominates_hausdorff(a in seq(), b in seq()) {
+#[test]
+fn frechet_dominates_hausdorff() {
+    check(CASES, |rng| {
+        let a = seq(rng);
+        let b = seq(rng);
         // Hausdorff relaxes Fréchet's monotone coupling to free matching.
-        prop_assert!(hausdorff::distance(&a, &b) <= frechet::distance(&a, &b) + 1e-9);
-    }
+        assert!(hausdorff::distance(&a, &b) <= frechet::distance(&a, &b) + 1e-9);
+    });
+}
 
-    #[test]
-    fn frechet_symmetric_and_identity(a in seq(), b in seq()) {
-        prop_assert!((frechet::distance(&a, &b) - frechet::distance(&b, &a)).abs() < 1e-9);
-        prop_assert_eq!(frechet::distance(&a, &a), 0.0);
-    }
+#[test]
+fn frechet_symmetric_and_identity() {
+    check(CASES, |rng| {
+        let a = seq(rng);
+        let b = seq(rng);
+        assert!((frechet::distance(&a, &b) - frechet::distance(&b, &a)).abs() < 1e-9);
+        assert_eq!(frechet::distance(&a, &a), 0.0);
+    });
+}
 
-    #[test]
-    fn frechet_triangle_inequality(a in seq(), b in seq(), c in seq()) {
+#[test]
+fn frechet_triangle_inequality() {
+    check(CASES, |rng| {
+        let a = seq(rng);
+        let b = seq(rng);
+        let c = seq(rng);
         let ab = frechet::distance(&a, &b);
         let bc = frechet::distance(&b, &c);
         let ac = frechet::distance(&a, &c);
-        prop_assert!(ac <= ab + bc + 1e-9, "{ac} > {ab} + {bc}");
-    }
+        assert!(ac <= ab + bc + 1e-9, "{ac} > {ab} + {bc}");
+    });
+}
 
-    #[test]
-    fn hausdorff_triangle_inequality(a in seq(), b in seq(), c in seq()) {
+#[test]
+fn hausdorff_triangle_inequality() {
+    check(CASES, |rng| {
+        let a = seq(rng);
+        let b = seq(rng);
+        let c = seq(rng);
         let ab = hausdorff::distance(&a, &b);
         let bc = hausdorff::distance(&b, &c);
         let ac = hausdorff::distance(&a, &c);
-        prop_assert!(ac <= ab + bc + 1e-9);
-    }
+        assert!(ac <= ab + bc + 1e-9);
+    });
+}
 
-    #[test]
-    fn lemma5_any_point_lower_bound(a in seq(), b in seq()) {
+#[test]
+fn lemma5_any_point_lower_bound() {
+    check(CASES, |rng| {
+        let a = seq(rng);
+        let b = seq(rng);
         // Lemma 5 (§V-B) for every pruning-safe measure: for every point p
         // of A, min-dist(p, B) lower-bounds the measure.
         for measure in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
             let d = measure.distance(&a, &b);
             for p in &a {
                 let min_d = b.iter().map(|q| p.distance(q)).fold(f64::INFINITY, f64::min);
-                prop_assert!(d >= min_d - 1e-9, "{measure} violated Lemma 5");
+                assert!(d >= min_d - 1e-9, "{measure} violated Lemma 5");
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn lemma12_endpoint_lower_bound(a in seq(), b in seq()) {
+#[test]
+fn lemma12_endpoint_lower_bound() {
+    check(CASES, |rng| {
+        let a = seq(rng);
+        let b = seq(rng);
         // Lemma 12 for Fréchet and DTW: endpoints must couple.
         for measure in [Measure::Frechet, Measure::Dtw] {
             let d = measure.distance(&a, &b);
-            prop_assert!(d >= a[0].distance(&b[0]) - 1e-9);
-            prop_assert!(d >= a[a.len() - 1].distance(&b[b.len() - 1]) - 1e-9);
+            assert!(d >= a[0].distance(&b[0]) - 1e-9);
+            assert!(d >= a[a.len() - 1].distance(&b[b.len() - 1]) - 1e-9);
         }
-    }
+    });
+}
 
-    #[test]
-    fn within_agrees_with_distance(a in seq(), b in seq(), eps in 0.0f64..30.0) {
+#[test]
+fn within_agrees_with_distance() {
+    check(CASES, |rng| {
+        let a = seq(rng);
+        let b = seq(rng);
+        let eps = rng.f64_in(0.0, 30.0);
         for measure in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
             let d = measure.distance(&a, &b);
             // Avoid asserting exactly at the boundary (floating point).
             if (d - eps).abs() > 1e-6 {
-                prop_assert_eq!(
+                assert_eq!(
                     measure.within(&a, &b, eps),
                     d <= eps,
-                    "{} at d = {}, eps = {}", measure, d, eps
+                    "{} at d = {}, eps = {}",
+                    measure,
+                    d,
+                    eps
                 );
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn dtw_dominates_frechet_scaled(a in seq(), b in seq()) {
+#[test]
+fn dtw_dominates_frechet_scaled() {
+    check(CASES, |rng| {
+        let a = seq(rng);
+        let b = seq(rng);
         // DTW sums ≥ max coupled pair ≥ ... it always dominates the best
         // single coupling step, hence ≥ max(d(start), d(end)) but also the
         // whole path cost is ≥ Fréchet only when lengths are 1; instead
         // check the sound general fact: DTW ≥ Hausdorff directed from the
         // shorter... keep to the provable one: DTW ≥ max endpoint pair.
         let d = dtw::distance(&a, &b);
-        prop_assert!(d >= a[0].distance(&b[0]) - 1e-9);
-    }
+        assert!(d >= a[0].distance(&b[0]) - 1e-9);
+    });
+}
 
-    #[test]
-    fn erp_is_a_metric_on_samples(a in seq(), b in seq(), c in seq()) {
+#[test]
+fn erp_is_a_metric_on_samples() {
+    check(CASES, |rng| {
+        let a = seq(rng);
+        let b = seq(rng);
+        let c = seq(rng);
         let g = Point::ORIGIN;
         let ab = erp::distance(&a, &b, g);
         let ba = erp::distance(&b, &a, g);
-        prop_assert!((ab - ba).abs() < 1e-9, "ERP asymmetric");
+        assert!((ab - ba).abs() < 1e-9, "ERP asymmetric");
         let bc = erp::distance(&b, &c, g);
         let ac = erp::distance(&a, &c, g);
-        prop_assert!(ac <= ab + bc + 1e-9, "ERP triangle violated");
-        prop_assert_eq!(erp::distance(&a, &a, g), 0.0);
-    }
+        assert!(ac <= ab + bc + 1e-9, "ERP triangle violated");
+        assert_eq!(erp::distance(&a, &a, g), 0.0);
+    });
+}
 
-    #[test]
-    fn edr_bounds_and_symmetry(a in seq(), b in seq(), tau in 0.0f64..5.0) {
+#[test]
+fn edr_bounds_and_symmetry() {
+    check(CASES, |rng| {
+        let a = seq(rng);
+        let b = seq(rng);
+        let tau = rng.f64_in(0.0, 5.0);
         let d = edr::distance(&a, &b, tau);
-        prop_assert!(d <= a.len().max(b.len()));
-        prop_assert!(d >= a.len().abs_diff(b.len()));
-        prop_assert_eq!(d, edr::distance(&b, &a, tau));
+        assert!(d <= a.len().max(b.len()));
+        assert!(d >= a.len().abs_diff(b.len()));
+        assert_eq!(d, edr::distance(&b, &a, tau));
         let s = edr::similarity(&a, &b, tau);
-        prop_assert!((0.0..=1.0).contains(&s));
-    }
+        assert!((0.0..=1.0).contains(&s));
+    });
+}
 
-    #[test]
-    fn larger_tau_never_increases_edr(a in seq(), b in seq(), tau in 0.0f64..5.0) {
-        prop_assert!(edr::distance(&a, &b, tau * 2.0) <= edr::distance(&a, &b, tau));
-    }
+#[test]
+fn larger_tau_never_increases_edr() {
+    check(CASES, |rng| {
+        let a = seq(rng);
+        let b = seq(rng);
+        let tau = rng.f64_in(0.0, 5.0);
+        assert!(edr::distance(&a, &b, tau * 2.0) <= edr::distance(&a, &b, tau));
+    });
 }

@@ -106,8 +106,22 @@ fn refine_attribution_accounts_for_every_candidate() {
     // stream. (With the local filter on, threshold candidates already
     // survived per-lemma checks at the same ε, so the refine bounds only
     // fire against top-k's tightening live bound.)
-    let data = generator::tdrive_like(23, 200);
-    let queries = generator::sample_queries(&data, 3, 31);
+    let eps = 0.005;
+    let mut data = generator::tdrive_like(23, 200);
+    let mut queries = generator::sample_queries(&data, 3, 31);
+    // Whether the generated data holds a candidate a bound prunes depends
+    // on the generator's stream, so one is constructed: the trajectory
+    // with the widest start-to-end gap, run backwards. The same point set
+    // gives it the index space of the original — which global pruning
+    // keeps, the original being at distance 0 from itself — so with the
+    // local filter off it reaches refinement; but its first point is the
+    // original's last, so the endpoint bound equals that gap, above ε.
+    let gap = |t: &Trajectory| t.start().distance(&t.end());
+    let widest = data.iter().max_by(|a, b| gap(a).total_cmp(&gap(b))).expect("data").clone();
+    assert!(gap(&widest) > 2.0 * eps, "no trajectory with endpoints {eps}° apart");
+    let backwards = data.len() as u64;
+    data.push(Trajectory::new(backwards, widest.points().iter().rev().copied().collect()));
+    queries.push(widest.clone());
     let extent = Mbr::new(116.0, 39.6, 116.8, 40.2);
     let cfg = TrassConfig {
         refine_bounds: true,
@@ -118,10 +132,9 @@ fn refine_attribution_accounts_for_every_candidate() {
     let store = TrajectoryStore::open(cfg).expect("open");
     store.insert_all(&data).expect("insert");
     store.flush().expect("flush");
-    let mut pruned_anywhere = 0u64;
     for measure in MEASURES {
         for q in &queries {
-            let r = query::threshold_search(&store, q, 0.005, measure).expect("search");
+            let r = query::threshold_search(&store, q, eps, measure).expect("search");
             let s = &r.stats.refine_prune;
             assert_eq!(
                 s.pruned_total() + s.abandoned + s.computed + s.corrupt,
@@ -130,14 +143,19 @@ fn refine_attribution_accounts_for_every_candidate() {
                 q.id
             );
             assert_eq!(s.computed, r.stats.results, "every computed distance is a hit");
-            pruned_anywhere += s.pruned_total();
+            if q.id == widest.id {
+                // Hausdorff ignores order: there the reversal is a hit.
+                let by_endpoint = measure.supports_endpoint_lemma();
+                assert_eq!(s.endpoint >= 1, by_endpoint, "{measure}: {s:?}");
+                let hit = r.results.iter().any(|&(tid, _)| tid == backwards);
+                assert_eq!(hit, !by_endpoint, "{measure}: the reversal's verdict");
+            }
         }
     }
-    assert!(pruned_anywhere > 0, "bounds never fired — the differential tests are vacuous");
 
     // With bounds off nothing is ever attributed to a bound.
     let legacy = open_store(&data, false, 1);
-    let r = query::threshold_search(&legacy, &queries[0], 0.005, Measure::Frechet).expect("legacy");
+    let r = query::threshold_search(&legacy, &widest, eps, Measure::Frechet).expect("legacy");
     assert_eq!(r.stats.refine_prune.pruned_total(), 0);
 }
 
