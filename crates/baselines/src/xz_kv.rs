@@ -9,10 +9,10 @@
 use crate::{finish_topk, EngineResult, SimilarityEngine};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use trass_core::schema::{parse_rowkey, rowkey, rowkey_range, shard_of, RowValue};
+use trass_core::schema::{parse_rowkey, rowkey, shard_key_ranges, shard_of, RowValue};
 use trass_geo::{Mbr, NormalizedSpace};
 use trass_index::xz2::Xz2;
-use trass_kv::{Cluster, ClusterOptions, FilterDecision, KeyRange, ScanFilter, StoreOptions};
+use trass_kv::{Cluster, ClusterOptions, FilterDecision, ScanFilter, StoreOptions};
 use trass_traj::{DpFeatures, Measure, Trajectory};
 
 /// Configuration of the XZ-KV baseline.
@@ -82,13 +82,7 @@ impl XzKvEngine {
         let ext = q_mbr.extended(eps);
         let unit_window = self.config.space.mbr_to_unit(&ext);
         let value_ranges = self.index.query_ranges(&unit_window, 0);
-        let mut key_ranges: Vec<KeyRange> =
-            Vec::with_capacity(value_ranges.len() * self.config.shards as usize);
-        for shard in 0..self.config.shards {
-            for vr in &value_ranges {
-                key_ranges.push(rowkey_range(shard, vr.start, vr.end));
-            }
-        }
+        let key_ranges = shard_key_ranges(self.config.shards, &value_ranges);
 
         let io_before = self.cluster.metrics_snapshot();
         // JUST-style local filter: MBR containment in the extended window

@@ -1,6 +1,12 @@
-//! Query processing (§V): threshold and top-k similarity search.
+//! Query processing (§V): threshold and top-k similarity search, and
+//! spatial range queries.
 //!
-//! Both searches share the same two-stage pruning pipeline:
+//! There is one query path, `pipeline`'s staged pass through Fig. 8
+//! (pruning → scan with the filter pushed down → refine), instrumented
+//! once per stage. `threshold`, each round of `topk`, and `range` are
+//! short callers of it that supply only their value ranges, their filter,
+//! and their refine verdicts. The similarity searches share the same
+//! two-stage pruning:
 //!
 //! 1. **Global pruning** (§V-C) turns the query into a small set of index
 //!    value ranges — resolution banding (Lemmas 6–7), element distance
@@ -12,6 +18,7 @@
 //! Only the survivors pay the exact similarity computation.
 
 mod local_filter;
+pub(crate) mod pipeline;
 pub(crate) mod range;
 pub(crate) mod refine;
 pub(crate) mod threshold;

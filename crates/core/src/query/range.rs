@@ -7,153 +7,85 @@
 //! window, and a trajectory qualifies only if one of its points falls
 //! inside.
 
-use crate::query::timed_filter::TimedFilter;
-use crate::schema::{parse_rowkey, rowkey_range, RowValue};
-use crate::stats::{QueryStats, SearchResult};
+use crate::query::pipeline::{QueryKind, Refined, StagedQuery};
+use crate::schema::{parse_rowkey, RowValue};
+use crate::stats::SearchResult;
 use crate::store::TrajectoryStore;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 use trass_geo::Mbr;
 use trass_index::quad::Cell;
-use trass_index::ranges::coalesce;
+use trass_index::ranges::{coalesce, merge_overlapping};
 use trass_index::xzstar::{IndexSpace, PositionCode, XzStar};
-use trass_kv::{FilterDecision, KeyRange, KvError};
-use trass_obs::{QueryTrace, Span, TraceCtx, STAGE_HISTOGRAM};
+use trass_kv::{FilterDecision, KvError};
+use trass_obs::{QueryFingerprint, QueryTrace, TraceCtx};
 
 /// Finds every trajectory with at least one point inside `window` (world
 /// coordinates). The returned "distance" field carries 0.0 — range queries
 /// have no similarity value.
 pub fn range_search(store: &TrajectoryStore, window: &Mbr) -> Result<SearchResult, KvError> {
-    let ctx = store.begin_trace();
-    let (result, _) = range_search_traced(store, window, ctx)?;
-    Ok(result)
+    Ok(range_search_traced(store, window, store.begin_trace())?.0)
 }
 
-/// [`range_search`] under an explicit trace context.
+/// [`range_search`] under an explicit trace context. Supplies the staged
+/// path with the window's value ranges, the point-in-window filter, and a
+/// refine step that only has tids left to read.
 pub(crate) fn range_search_traced(
     store: &TrajectoryStore,
     window: &Mbr,
     ctx: TraceCtx,
 ) -> Result<(SearchResult, Option<Arc<QueryTrace>>), KvError> {
-    let alloc_mark = trass_obs::alloc::thread_alloc_snapshot();
-    let mut root = ctx.root("range");
-    if root.is_enabled() {
-        root.set_label("trace_id", &store.next_trace_id().to_string());
-    }
-    let t_all = Instant::now();
-    let mut stats = QueryStats::default();
-    let config = store.config();
-    let index = store.index();
+    store.run_query(QueryKind::Range, ctx, |root| {
+        let config = store.config();
+        let mut pass = StagedQuery::begin(store, None, root);
 
-    let mut tspan = root.child("pruning");
-    let span = Span::enter(store.registry(), "pruning");
-    let unit_window = config.space.mbr_to_unit(window);
-    let (values, mut value_ranges) = window_values(index, &unit_window);
-    value_ranges.extend(coalesce(values, config.range_gap));
-    // Merge overlapping/adjacent ranges so no rowkey is scanned twice.
-    value_ranges.sort_by_key(|r| r.start);
-    let mut merged: Vec<trass_index::ranges::ValueRange> = Vec::new();
-    for r in value_ranges {
-        match merged.last_mut() {
-            Some(last) if r.start <= last.end.saturating_add(1) => {
-                last.end = last.end.max(r.end);
-            }
-            _ => merged.push(r),
-        }
-    }
-    let value_ranges = merged;
-    let mut key_ranges: Vec<KeyRange> =
-        Vec::with_capacity(value_ranges.len() * config.shards as usize);
-    for shard in 0..config.shards {
-        for vr in &value_ranges {
-            key_ranges.push(rowkey_range(shard, vr.start, vr.end));
-        }
-    }
-    stats.pruning_time = span.finish();
-    stats.n_ranges = key_ranges.len();
-    if tspan.is_enabled() {
-        tspan.set_field("value_ranges", value_ranges.len());
-        tspan.set_field("key_ranges", key_ranges.len());
-        tspan.set_duration(stats.pruning_time);
-    }
-    tspan.finish();
+        let key_ranges = pass.prune(|_| {
+            let unit_window = config.space.mbr_to_unit(window);
+            let (values, mut value_ranges) = window_values(store.index(), &unit_window);
+            value_ranges.extend(coalesce(values, config.range_gap));
+            // Subtree ranges and coalesced singletons may overlap; no
+            // rowkey is scanned twice.
+            merge_overlapping(value_ranges, 0)
+        });
 
-    // Push the point-in-window test into the scan.
-    let window_copy = *window;
-    let filter = move |_key: &[u8], value: &[u8]| {
-        let Ok(row) = RowValue::decode(value) else { return FilterDecision::Skip };
-        if row.points.iter().any(|p| window_copy.contains_point(p)) {
-            FilterDecision::Keep
-        } else {
-            FilterDecision::Skip
-        }
-    };
-    let timed = TimedFilter::new(&filter);
-    let io_before = store.cluster().metrics_snapshot();
-    let mut tspan = root.child("scan");
-    let span = Span::enter(store.registry(), "scan");
-    let rows = match store.cluster().scan_ranges_traced(&key_ranges, &timed, &tspan) {
-        Ok(rows) => rows,
-        Err(e) => {
-            store.record_query_error("range");
-            return Err(e);
-        }
-    };
-    stats.scan_time = span.finish();
-    if tspan.is_enabled() {
-        tspan.set_field("rows_returned", rows.len());
-        tspan.set_duration(stats.scan_time);
-    }
-    tspan.finish();
-    store
-        .registry()
-        .timer(STAGE_HISTOGRAM, &[("stage", "local-filter")])
-        .record_duration(timed.elapsed());
-    stats.io = store.cluster().metrics_snapshot().since(&io_before);
-    stats.retrieved = stats.io.entries_scanned;
-    stats.candidates = stats.io.entries_returned;
+        let window = *window;
+        let rows = pass.scan(
+            &key_ranges,
+            || {
+                move |_key: &[u8], value: &[u8]| match RowValue::decode(value) {
+                    Ok(row) if row.points.iter().any(|p| window.contains_point(p)) => {
+                        FilterDecision::Keep
+                    }
+                    _ => FilterDecision::Skip,
+                }
+            },
+            |_filter, io, _span| io.entries_returned,
+        )?;
 
-    let mut tspan = root.child("refine");
-    let span = Span::enter(store.registry(), "refine");
-    let mut results = Vec::with_capacity(rows.len());
-    for row in rows {
-        if let Some((_, _, tid)) = parse_rowkey(&row.key) {
-            results.push((tid, 0.0));
-        }
-    }
-    results.sort_by_key(|&(tid, _)| tid);
-    stats.refine_time = span.finish();
-    if tspan.is_enabled() {
-        tspan.set_field("results", results.len());
-        tspan.set_duration(stats.refine_time);
-    }
-    tspan.finish();
-    stats.results = results.len() as u64;
-    stats.total_time = t_all.elapsed();
-    let detail = format!(
-        "window=[{},{}]x[{},{}] results={}",
-        window.min_x,
-        window.max_x,
-        window.min_y,
-        window.max_y,
-        results.len()
-    );
-    if root.is_enabled() {
+        let results = pass.refine(|span| {
+            let hits: Vec<_> = rows
+                .iter()
+                .filter_map(|row| parse_rowkey(&row.key))
+                .map(|(_, _, tid)| (tid, 0.0))
+                .collect();
+            span.set_field("results", hits.len());
+            Refined { hits, ..Refined::default() }
+        });
+        let stats = pass.finish();
+
         root.set_field("retrieved", stats.retrieved);
         root.set_field("results", results.len());
-    }
-    root.finish();
-    let trace = store.finish_trace(ctx);
-    store.record_query(
-        "range",
-        detail,
-        &stats,
-        trace.clone(),
-        trass_obs::QueryFingerprint::range(stats.n_ranges),
-        trass_obs::alloc::thread_alloc_snapshot().since(&alloc_mark).bytes,
-    );
-    Ok((SearchResult { results, stats }, trace))
+        let detail = format!(
+            "window=[{},{}]x[{},{}] results={}",
+            window.min_x,
+            window.max_x,
+            window.min_y,
+            window.max_y,
+            results.len()
+        );
+        let fingerprint = QueryFingerprint::range(stats.n_ranges);
+        Ok((SearchResult { results, stats }, Some((detail, fingerprint))))
+    })
 }
 
 /// Index values (and whole-subtree ranges) whose space intersects the

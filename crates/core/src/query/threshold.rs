@@ -1,17 +1,16 @@
 //! Threshold similarity search (§V-E, Algorithm 3).
 
 use crate::query::local_filter::{LocalFilter, QuerySide};
+use crate::query::pipeline::{QueryKind, Refined, StagedQuery};
 use crate::query::refine::{RefineContext, RefineOutcome};
-use crate::query::timed_filter::TimedFilter;
-use crate::schema::{parse_rowkey, rowkey_range, RowValue};
-use crate::stats::{QueryStats, SearchResult};
+use crate::schema::{parse_rowkey, RowValue};
+use crate::stats::SearchResult;
 use crate::store::TrajectoryStore;
 use std::sync::Arc;
-use std::time::Instant;
 use trass_exec::TopKBound;
 use trass_index::xzstar::{GlobalPruning, PruningConfig, QueryContext};
-use trass_kv::{KeyRange, KvError};
-use trass_obs::{QueryTrace, Span, TraceCtx, TraceSpan, STAGE_HISTOGRAM};
+use trass_kv::KvError;
+use trass_obs::{QueryFingerprint, QueryTrace, TraceCtx, TraceSpan};
 use trass_traj::{Measure, Trajectory};
 
 /// At most this many per-candidate refine verdicts are recorded into a
@@ -31,9 +30,7 @@ pub fn threshold_search(
     eps: f64,
     measure: Measure,
 ) -> Result<SearchResult, KvError> {
-    let ctx = store.begin_trace();
-    let (result, _) = threshold_search_traced(store, query, eps, measure, ctx)?;
-    Ok(result)
+    Ok(threshold_search_traced(store, query, eps, measure, store.begin_trace())?.0)
 }
 
 /// [`threshold_search`] under an explicit trace context: the driver for
@@ -46,40 +43,22 @@ pub(crate) fn threshold_search_traced(
     measure: Measure,
     ctx: TraceCtx,
 ) -> Result<(SearchResult, Option<Arc<QueryTrace>>), KvError> {
-    // Driver-thread allocation delta over the whole query; feeds the
-    // per-fingerprint workload summary.
-    let alloc_mark = trass_obs::alloc::thread_alloc_snapshot();
-    let mut root = ctx.root("threshold");
-    root.set_label("measure", &measure.to_string());
-    root.set_field("eps", eps);
-    if root.is_enabled() {
-        root.set_label("trace_id", &store.next_trace_id().to_string());
-    }
-    let result = match threshold_search_impl(store, query, eps, measure, None, &root) {
-        Ok(result) => result,
-        Err(e) => {
-            store.record_query_error("threshold");
-            return Err(e);
-        }
-    };
-    root.set_field("results", result.results.len());
-    root.finish();
-    let trace = store.finish_trace(ctx);
-    store.record_query(
-        "threshold",
-        format!("eps={eps} measure={measure} results={}", result.results.len()),
-        &result.stats,
-        trace.clone(),
-        trass_obs::QueryFingerprint::threshold(&measure.to_string(), eps, query.points().len()),
-        trass_obs::alloc::thread_alloc_snapshot().since(&alloc_mark).bytes,
-    );
-    Ok((result, trace))
+    store.run_query(QueryKind::Threshold, ctx, |root| {
+        root.set_label("measure", measure.name());
+        root.set_field("eps", eps);
+        let result = similarity_pass(store, query, eps, measure, None, root)?;
+        root.set_field("results", result.results.len());
+        let detail = format!("eps={eps} measure={measure} results={}", result.results.len());
+        let fingerprint = QueryFingerprint::threshold(measure.name(), eps, query.points().len());
+        Ok((result, Some((detail, fingerprint))))
+    })
 }
 
-/// The search body, shared with top-k's deepening rounds (which record one
-/// aggregate "topk" query instead of one entry per round). Stage spans
-/// (`pruning` / `scan` / `local-filter` / `refine`) become children of
-/// `parent`; a disabled parent reduces every trace operation to a branch.
+/// One pass of Fig. 8 at threshold `eps`: the whole of a threshold search,
+/// and one deepening round of top-k (which records one aggregate "topk"
+/// query instead of one entry per round). Supplies the staged path with
+/// what is specific to similarity search — Algorithm 1's value ranges,
+/// the Lemma 12–14 filter, and the exact-measure verdict per candidate.
 ///
 /// `bound` is top-k's early-exit protocol: refine workers shrink their
 /// effective threshold to `min(eps, bound.current())` and offer every hit's
@@ -88,7 +67,7 @@ pub(crate) fn threshold_search_traced(
 /// final top-k; which *non-top-k* hits get skipped depends on worker
 /// timing, so per-round hit counts may vary across runs while the ranked
 /// top-k (and plain threshold results, `bound = None`) never do.
-pub(crate) fn threshold_search_impl(
+pub(crate) fn similarity_pass(
     store: &TrajectoryStore,
     query: &Trajectory,
     eps: f64,
@@ -99,168 +78,112 @@ pub(crate) fn threshold_search_impl(
     if eps.is_nan() || eps < 0.0 {
         return Err(KvError::InvalidUsage { message: format!("invalid threshold {eps}") });
     }
-    let t_all = Instant::now();
-    let measure_name = measure.to_string();
-    let labels: [(&str, &str); 1] = [("measure", &measure_name)];
-    let mut stats = QueryStats::default();
     let config = store.config();
+    let mut pass = StagedQuery::begin(store, Some(measure), parent);
 
-    // Global pruning (G-Pruning in Fig. 8).
-    let span = Span::enter_with(store.registry(), "pruning", &labels);
-    let mut tspan = parent.child("pruning");
-    let unit_points = store.to_unit(query.points());
-    let eps_unit = config.space.distance_to_unit(eps);
-    let ctx = QueryContext::new(store.index(), unit_points, eps_unit);
-    let pruner = GlobalPruning::new(
-        store.index(),
-        PruningConfig {
-            range_gap: config.range_gap,
-            use_position_codes: config.use_position_codes,
-            use_min_dist: config.use_min_dist,
-            ..PruningConfig::default()
+    let key_ranges = pass.prune(|span| {
+        let unit_points = store.to_unit(query.points());
+        let eps_unit = config.space.distance_to_unit(eps);
+        let ctx = QueryContext::new(store.index(), unit_points, eps_unit);
+        let pruner = GlobalPruning::new(
+            store.index(),
+            PruningConfig {
+                range_gap: config.range_gap,
+                use_position_codes: config.use_position_codes,
+                use_min_dist: config.use_min_dist,
+                ..PruningConfig::default()
+            },
+        );
+        let (value_ranges, prune_stats) = pruner.query_ranges_stats(&ctx);
+        span.set_field("visited", prune_stats.visited);
+        span.set_field("lemma8_pruned", prune_stats.lemma8_pruned);
+        span.set_field("lemma9_pruned", prune_stats.lemma9_pruned);
+        span.set_field("lemma10_codes_pruned", prune_stats.lemma10_codes_pruned);
+        span.set_field("lemma11_codes_pruned", prune_stats.lemma11_codes_pruned);
+        span.set_field("codes_emitted", prune_stats.codes_emitted);
+        span.set_field("spilled_subtrees", prune_stats.spilled_subtrees);
+        span.set_field("traversal_seconds", prune_stats.elapsed.as_secs_f64());
+        value_ranges
+    });
+
+    let rows = pass.scan(
+        &key_ranges,
+        || {
+            // Ablation: an infinite threshold disables every local-filter
+            // lemma while keeping the scan path identical.
+            let filter_eps = if config.use_local_filter { eps } else { f64::INFINITY };
+            LocalFilter::new(QuerySide::new(query, config.dp_theta, measure), filter_eps)
         },
-    );
-    let (value_ranges, prune_stats) = pruner.query_ranges_stats(&ctx);
-    let mut key_ranges: Vec<KeyRange> =
-        Vec::with_capacity(value_ranges.len() * config.shards as usize);
-    for shard in 0..config.shards {
-        for vr in &value_ranges {
-            key_ranges.push(rowkey_range(shard, vr.start, vr.end));
-        }
-    }
-    stats.pruning_time = span.finish();
-    stats.n_ranges = key_ranges.len();
-    if tspan.is_enabled() {
-        tspan.set_field("visited", prune_stats.visited);
-        tspan.set_field("lemma8_pruned", prune_stats.lemma8_pruned);
-        tspan.set_field("lemma9_pruned", prune_stats.lemma9_pruned);
-        tspan.set_field("lemma10_codes_pruned", prune_stats.lemma10_codes_pruned);
-        tspan.set_field("lemma11_codes_pruned", prune_stats.lemma11_codes_pruned);
-        tspan.set_field("codes_emitted", prune_stats.codes_emitted);
-        tspan.set_field("spilled_subtrees", prune_stats.spilled_subtrees);
-        tspan.set_field("traversal_seconds", prune_stats.elapsed.as_secs_f64());
-        tspan.set_field("value_ranges", value_ranges.len());
-        tspan.set_field("key_ranges", key_ranges.len());
-        tspan.set_duration(stats.pruning_time);
-    }
-    tspan.finish();
+        |filter, _io, span| {
+            let rejects = filter.reject_counts();
+            span.set_field("kept", filter.kept());
+            span.set_field("rejected", filter.rejected());
+            span.set_field("lemma12_rejects", rejects.lemma12);
+            span.set_field("lemma13_rejects", rejects.lemma13);
+            span.set_field("lemma14_rejects", rejects.lemma14);
+            span.set_field("corrupt_rejects", rejects.corrupt);
+            filter.kept()
+        },
+    )?;
 
-    // Scan with local filtering pushed down (L-Filtering in Fig. 8).
-    let io_before = store.cluster().metrics_snapshot();
-    let side = QuerySide::new(query, config.dp_theta, measure);
-    // Ablation: an infinite threshold disables every local-filter lemma
-    // while keeping the scan path identical.
-    let filter_eps = if config.use_local_filter { eps } else { f64::INFINITY };
-    let filter = LocalFilter::new(side, filter_eps);
-    let timed = TimedFilter::new(&filter);
-    let span = Span::enter_with(store.registry(), "scan", &labels);
-    let mut tspan = parent.child("scan");
-    let rows = store.cluster().scan_ranges_traced(&key_ranges, &timed, &tspan)?;
-    stats.scan_time = span.finish();
-    // The filter ran inside the scan; attribute its share separately.
-    store
-        .registry()
-        .timer(STAGE_HISTOGRAM, &[("stage", "local-filter"), ("measure", &measure_name)])
-        .record_duration(timed.elapsed());
-    stats.io = store.cluster().metrics_snapshot().since(&io_before);
-    stats.retrieved = stats.io.entries_scanned;
-    stats.candidates = filter.kept();
-    if tspan.is_enabled() {
-        tspan.set_field("rows_returned", rows.len());
-        tspan.set_duration(stats.scan_time);
-        // The local filter ran inside the scan threads; record its share
-        // (and per-lemma kills) as a sibling span with the accumulated
-        // filter time rather than wall time.
-        let mut fspan = parent.child("local-filter");
-        let rejects = filter.reject_counts();
-        fspan.set_field("kept", filter.kept());
-        fspan.set_field("rejected", filter.rejected());
-        fspan.set_field("lemma12_rejects", rejects.lemma12);
-        fspan.set_field("lemma13_rejects", rejects.lemma13);
-        fspan.set_field("lemma14_rejects", rejects.lemma14);
-        fspan.set_field("corrupt_rejects", rejects.corrupt);
-        fspan.set_duration(timed.elapsed());
-        fspan.finish();
-    }
-    tspan.finish();
-
-    // Refinement: exact similarity on the candidates, fanned out across
-    // the store's refine pool. Lower bounds (endpoint / MBR gap / ref gap)
-    // run before each exact kernel when `refine_bounds` is on; the kernel
-    // itself abandons at the effective threshold. Either way the surviving
-    // hits carry the bit-identical exact distance. Verdicts come back
-    // indexed by candidate, so the merge below observes them in scan order
-    // — the same order the sequential loop produced — and the trace stays
+    // Exact similarity on the candidates, fanned out across the store's
+    // refine pool. Lower bounds (endpoint / MBR gap / ref gap) run before
+    // each exact kernel when `refine_bounds` is on; the kernel itself
+    // abandons at the effective threshold. Either way the surviving hits
+    // carry the bit-identical exact distance. Verdicts come back indexed
+    // by candidate, so the merge below observes them in scan order — the
+    // same order a sequential loop produces — and the trace stays
     // deterministic.
-    let rctx = RefineContext::new(query.points(), config.refine_bounds);
-    let span = Span::enter_with(store.registry(), "refine", &labels);
-    let mut tspan = parent.child("refine");
-    let run = store.refine_pool().run_timed(rows, |_, row| {
-        let (_, _, tid) = parse_rowkey(&row.key)?;
-        let value = RowValue::decode(&row.value).ok()?;
-        // The row's cached DP-feature MBR covers the trajectory (covering
-        // boxes), which is all the gap bound needs.
-        let mbr = (!value.features.is_empty()).then(|| value.features.mbr());
-        // Early exit: a bound tighter than eps means enough closer hits
-        // are already recorded to disqualify anything past it.
-        let eff = bound.map_or(eps, |b| b.effective(eps));
-        let outcome = rctx.assess(query.points(), &value.points, mbr.as_ref(), measure, eff);
-        if let RefineOutcome::Hit(d) = outcome {
-            if let Some(b) = bound {
-                b.offer(d);
+    let candidates = pass.stats().candidates;
+    let results = pass.refine(|span| {
+        let rctx = RefineContext::new(query.points(), config.refine_bounds);
+        let run = store.refine_pool().run_timed(rows, |_, row| {
+            let (_, _, tid) = parse_rowkey(&row.key)?;
+            let value = RowValue::decode(&row.value).ok()?;
+            // The row's cached DP-feature MBR covers the trajectory
+            // (covering boxes), which is all the gap bound needs.
+            let mbr = (!value.features.is_empty()).then(|| value.features.mbr());
+            // Early exit: a bound tighter than eps means enough closer
+            // hits are already recorded to disqualify anything past it.
+            let eff = bound.map_or(eps, |b| b.effective(eps));
+            let outcome = rctx.assess(query.points(), &value.points, mbr.as_ref(), measure, eff);
+            if let RefineOutcome::Hit(d) = outcome {
+                if let Some(b) = bound {
+                    b.offer(d);
+                }
+            }
+            Some((tid, outcome))
+        });
+        let mut hits = Vec::new();
+        let mut verdicts = 0usize;
+        for (tid, outcome) in run.results.into_iter().flatten() {
+            if let RefineOutcome::Hit(d) = outcome {
+                hits.push((tid, d));
+            }
+            if span.is_enabled() && verdicts < REFINE_VERDICT_CAP {
+                verdicts += 1;
+                span.set_field("verdict", format!("tid={tid} {}", outcome.label()));
             }
         }
-        Some((tid, outcome))
+        let prune = rctx.snapshot();
+        span.set_field("candidates", candidates);
+        span.set_field("hits", hits.len());
+        span.set_field("workers", run.worker_busy.len());
+        span.set_field("bounds_enabled", rctx.bounds_enabled());
+        span.set_field("pruned_endpoint", prune.endpoint);
+        span.set_field("pruned_mbr_gap", prune.mbr_gap);
+        span.set_field("pruned_ref_gap", prune.ref_gap);
+        span.set_field("abandoned", prune.abandoned);
+        span.set_field("exact_computed", prune.computed);
+        if prune.corrupt > 0 {
+            span.set_field("corrupt_rejects", prune.corrupt);
+        }
+        if candidates as usize > REFINE_VERDICT_CAP {
+            span.set_field("verdicts_capped", true);
+        }
+        Refined { hits, worker_busy: run.worker_busy, prune }
     });
-    let mut results = Vec::new();
-    let mut verdicts = 0usize;
-    for (tid, outcome) in run.results.into_iter().flatten() {
-        if let RefineOutcome::Hit(d) = outcome {
-            results.push((tid, d));
-        }
-        if tspan.is_enabled() && verdicts < REFINE_VERDICT_CAP {
-            verdicts += 1;
-            tspan.set_field("verdict", format!("tid={tid} {}", outcome.label()));
-        }
-    }
-    results.sort_by_key(|&(tid, _)| tid);
-    stats.refine_time = span.finish();
-    stats.refine_worker_busy = run.worker_busy;
-    stats.refine_prune = rctx.snapshot();
-    stats.results = results.len() as u64;
-    for (outcome, n) in [
-        ("pruned-endpoint", stats.refine_prune.endpoint),
-        ("pruned-mbr-gap", stats.refine_prune.mbr_gap),
-        ("pruned-ref-gap", stats.refine_prune.ref_gap),
-        ("abandoned", stats.refine_prune.abandoned),
-        ("computed", stats.refine_prune.computed),
-        ("corrupt", stats.refine_prune.corrupt),
-    ] {
-        if n > 0 {
-            store.registry().counter("trass_refine_outcomes", &[("outcome", outcome)]).add(n);
-        }
-    }
-    if tspan.is_enabled() {
-        tspan.set_field("candidates", stats.candidates);
-        tspan.set_field("hits", results.len());
-        tspan.set_field("workers", stats.refine_workers());
-        tspan.set_field("bounds_enabled", rctx.bounds_enabled());
-        tspan.set_field("pruned_endpoint", stats.refine_prune.endpoint);
-        tspan.set_field("pruned_mbr_gap", stats.refine_prune.mbr_gap);
-        tspan.set_field("pruned_ref_gap", stats.refine_prune.ref_gap);
-        tspan.set_field("abandoned", stats.refine_prune.abandoned);
-        tspan.set_field("exact_computed", stats.refine_prune.computed);
-        if stats.refine_prune.corrupt > 0 {
-            tspan.set_field("corrupt_rejects", stats.refine_prune.corrupt);
-        }
-        if stats.candidates as usize > REFINE_VERDICT_CAP {
-            tspan.set_field("verdicts_capped", true);
-        }
-        tspan.set_duration(stats.refine_time);
-    }
-    tspan.finish();
-    stats.total_time = t_all.elapsed();
-    Ok(SearchResult { results, stats })
+    Ok(SearchResult { results, stats: pass.finish() })
 }
 
 #[cfg(test)]

@@ -21,14 +21,15 @@
 //! the geometric growth bounds total work at a constant factor of the
 //! final round.
 
-use crate::query::threshold::threshold_search_impl;
+use crate::query::pipeline::QueryKind;
+use crate::query::threshold::similarity_pass;
 use crate::stats::{QueryStats, SearchResult};
 use crate::store::TrajectoryStore;
 use std::sync::Arc;
 use std::time::Instant;
 use trass_exec::TopKBound;
 use trass_kv::KvError;
-use trass_obs::{QueryTrace, TraceCtx};
+use trass_obs::{QueryFingerprint, QueryTrace, TraceCtx};
 use trass_traj::{Measure, Trajectory};
 
 /// Growth factor between deepening rounds.
@@ -44,9 +45,7 @@ pub fn top_k_search(
     k: usize,
     measure: Measure,
 ) -> Result<SearchResult, KvError> {
-    let ctx = store.begin_trace();
-    let (result, _) = top_k_search_traced(store, query, k, measure, ctx)?;
-    Ok(result)
+    Ok(top_k_search_traced(store, query, k, measure, store.begin_trace())?.0)
 }
 
 /// [`top_k_search`] under an explicit trace context. Each deepening round
@@ -59,108 +58,74 @@ pub(crate) fn top_k_search_traced(
     measure: Measure,
     ctx: TraceCtx,
 ) -> Result<(SearchResult, Option<Arc<QueryTrace>>), KvError> {
-    let alloc_mark = trass_obs::alloc::thread_alloc_snapshot();
-    let mut root = ctx.root("topk");
-    root.set_label("measure", &measure.to_string());
-    root.set_field("k", k);
-    if root.is_enabled() {
-        root.set_label("trace_id", &store.next_trace_id().to_string());
-    }
-    if k == 0 {
-        root.finish();
-        let trace = store.finish_trace(ctx);
-        return Ok((SearchResult { results: Vec::new(), stats: QueryStats::default() }, trace));
-    }
-    let t_all = Instant::now();
-    let space = &store.config().space;
-    // Initial radius: a fraction of the query's own extent, floored at a
-    // few cells of the finest resolution so point queries start sane.
-    let cell_world = space.distance_to_world(0.5f64.powi(store.config().max_resolution as i32));
-    let mbr = query.mbr();
-    let mut eps = (mbr.width().max(mbr.height()) * 0.25).max(cell_world * 4.0);
-    // ε covering the entire space ⇒ the search has become a full scan and
-    // must terminate.
-    let whole_space = space.distance_to_world(2.0);
-
-    let mut stats = QueryStats::default();
-    // Per-round summaries for the slow-log entry: the aggregate totals
-    // alone hide which round did the damage.
-    let mut rounds = Vec::new();
-    loop {
-        // Rounds go through the unrecorded body: the deepening loop logs
-        // one aggregate "topk" query, not one entry per round.
-        let round_no = rounds.len();
-        let mut rspan = root.child("round");
-        rspan.set_label("round", &round_no.to_string());
-        rspan.set_field("eps", eps);
-        // Early-exit bound for this round's refine stage. Fresh per round:
-        // rounds rescan the inner ranges, and re-offering a duplicate hit
-        // into a carried-over bound would shrink it below the true k-th
-        // best. Within one round every row is offered at most once, so the
-        // bound stays an upper bound on the k-th best and skipped
-        // candidates are provably outside the top-k. The bound also cannot
-        // change the termination test below: it only turns finite after k
-        // hits are recorded, so `results.len() >= k` already holds
-        // whenever anything was skipped.
-        let round_bound = TopKBound::new(k);
-        let round =
-            match threshold_search_impl(store, query, eps, measure, Some(&round_bound), &rspan) {
-                Ok(round) => round,
-                Err(e) => {
-                    store.record_query_error("topk");
-                    return Err(e);
-                }
-            };
-        rspan.set_field("candidates", round.stats.candidates);
-        rspan.set_field("results", round.results.len());
-        rspan.finish();
-        rounds.push(format!(
-            "r{round_no}(eps={eps:.6} candidates={} results={})",
-            round.stats.candidates,
-            round.results.len()
-        ));
-        stats.pruning_time += round.stats.pruning_time;
-        stats.scan_time += round.stats.scan_time;
-        stats.refine_time += round.stats.refine_time;
-        stats.n_ranges += round.stats.n_ranges;
-        stats.retrieved += round.stats.retrieved;
-        stats.candidates += round.stats.candidates;
-        stats.io = stats.io.plus(&round.stats.io);
-        stats.refine_prune = stats.refine_prune.plus(&round.stats.refine_prune);
-        // Per-worker busy time, summed position-wise across rounds (rounds
-        // may use different worker counts when candidate sets are tiny).
-        for (i, d) in round.stats.refine_worker_busy.iter().enumerate() {
-            match stats.refine_worker_busy.get_mut(i) {
-                Some(total) => *total += *d,
-                None => stats.refine_worker_busy.push(*d),
-            }
+    store.run_query(QueryKind::TopK, ctx, |root| {
+        root.set_label("measure", measure.name());
+        root.set_field("k", k);
+        if k == 0 {
+            let result = SearchResult { results: Vec::new(), stats: QueryStats::default() };
+            return Ok((result, None));
         }
-        if round.results.len() >= k || eps >= whole_space {
-            let mut results = round.results;
-            results.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            results.truncate(k);
-            stats.results = results.len() as u64;
-            stats.total_time = t_all.elapsed();
-            root.set_field("rounds", rounds.len());
-            root.set_field("results", results.len());
-            root.finish();
-            let trace = store.finish_trace(ctx);
-            store.record_query(
-                "topk",
-                format!(
+        let t_all = Instant::now();
+        let space = &store.config().space;
+        // Initial radius: a fraction of the query's own extent, floored at
+        // a few cells of the finest resolution so point queries start sane.
+        let cell_world = space.distance_to_world(0.5f64.powi(store.config().max_resolution as i32));
+        let mbr = query.mbr();
+        let mut eps = (mbr.width().max(mbr.height()) * 0.25).max(cell_world * 4.0);
+        // ε covering the entire space ⇒ the search has become a full scan
+        // and must terminate.
+        let whole_space = space.distance_to_world(2.0);
+
+        let mut stats = QueryStats::default();
+        // Per-round summaries for the slow-log entry: the aggregate totals
+        // alone hide which round did the damage.
+        let mut rounds = Vec::new();
+        loop {
+            let round_no = rounds.len();
+            let mut rspan = root.child("round");
+            rspan.set_label("round", &round_no.to_string());
+            rspan.set_field("eps", eps);
+            // Early-exit bound for this round's refine stage. Fresh per
+            // round: rounds rescan the inner ranges, and re-offering a
+            // duplicate hit into a carried-over bound would shrink it
+            // below the true k-th best. Within one round every row is
+            // offered at most once, so the bound stays an upper bound on
+            // the k-th best and skipped candidates are provably outside
+            // the top-k. The bound also cannot change the termination test
+            // below: it only turns finite after k hits are recorded, so
+            // `results.len() >= k` already holds whenever anything was
+            // skipped.
+            let round_bound = TopKBound::new(k);
+            let round = similarity_pass(store, query, eps, measure, Some(&round_bound), &rspan)?;
+            rspan.set_field("candidates", round.stats.candidates);
+            rspan.set_field("results", round.results.len());
+            rspan.finish();
+            rounds.push(format!(
+                "r{round_no}(eps={eps:.6} candidates={} results={})",
+                round.stats.candidates,
+                round.results.len()
+            ));
+            stats.absorb_round(&round.stats);
+            if round.results.len() >= k || eps >= whole_space {
+                let mut results = round.results;
+                results.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                results.truncate(k);
+                stats.results = results.len() as u64;
+                stats.total_time = t_all.elapsed();
+                root.set_field("rounds", rounds.len());
+                root.set_field("results", results.len());
+                let detail = format!(
                     "k={k} measure={measure} eps_final={eps} results={} rounds=[{}]",
                     results.len(),
                     rounds.join(" ")
-                ),
-                &stats,
-                trace.clone(),
-                trass_obs::QueryFingerprint::topk(&measure.to_string(), k, query.points().len()),
-                trass_obs::alloc::thread_alloc_snapshot().since(&alloc_mark).bytes,
-            );
-            return Ok((SearchResult { results, stats }, trace));
+                );
+                let fingerprint = QueryFingerprint::topk(measure.name(), k, query.points().len());
+                let result = SearchResult { results, stats };
+                return Ok((result, Some((detail, fingerprint))));
+            }
+            eps = (eps * GROWTH).min(whole_space);
         }
-        eps = (eps * GROWTH).min(whole_space);
-    }
+    })
 }
 
 #[cfg(test)]

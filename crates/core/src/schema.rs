@@ -12,6 +12,7 @@
 //! reproduce that storage-overhead comparison.
 
 use trass_geo::Point;
+use trass_index::ranges::ValueRange;
 use trass_index::xzstar::IndexSpace;
 use trass_kv::Bytes;
 use trass_kv::KeyRange;
@@ -69,6 +70,19 @@ pub fn rowkey_range(shard: u8, lo: u64, hi: u64) -> KeyRange {
         }
     };
     KeyRange::new(start, end)
+}
+
+/// Fans index-value ranges out over every shard: one rowkey range per
+/// `(shard, value range)` pair, shard-major — the scan plan of any query
+/// over a `shard + index value + tid` table.
+pub fn shard_key_ranges(shards: u8, value_ranges: &[ValueRange]) -> Vec<KeyRange> {
+    let mut key_ranges = Vec::with_capacity(value_ranges.len() * usize::from(shards));
+    for shard in 0..shards {
+        for vr in value_ranges {
+            key_ranges.push(rowkey_range(shard, vr.start, vr.end));
+        }
+    }
+    key_ranges
 }
 
 /// The string rowkey of the `TraSS-S` ablation (Fig. 13(c)): the quadrant
@@ -160,6 +174,15 @@ mod tests {
         assert!(!r.contains(&rowkey(2, 13, 0)));
         assert!(!r.contains(&rowkey(2, 9, u64::MAX)));
         assert!(!r.contains(&rowkey(1, 11, 0)), "other shard excluded");
+    }
+
+    #[test]
+    fn shard_key_ranges_are_shard_major() {
+        let vrs = [ValueRange { start: 10, end: 12 }, ValueRange::single(40)];
+        let expected: Vec<KeyRange> = [(0, 10, 12), (0, 40, 40), (1, 10, 12), (1, 40, 40)]
+            .map(|(s, a, b)| rowkey_range(s, a, b))
+            .into();
+        assert_eq!(shard_key_ranges(2, &vrs), expected);
     }
 
     #[test]

@@ -72,6 +72,18 @@ impl RefinePrune {
         self.endpoint + self.mbr_gap + self.ref_gap
     }
 
+    /// Every tally under its `trass_refine_outcomes{outcome}` label.
+    pub(crate) fn outcomes(&self) -> [(&'static str, u64); 6] {
+        [
+            ("pruned-endpoint", self.endpoint),
+            ("pruned-mbr-gap", self.mbr_gap),
+            ("pruned-ref-gap", self.ref_gap),
+            ("abandoned", self.abandoned),
+            ("computed", self.computed),
+            ("corrupt", self.corrupt),
+        ]
+    }
+
     /// Element-wise sum (top-k round aggregation).
     pub fn plus(&self, other: &RefinePrune) -> RefinePrune {
         RefinePrune {
@@ -97,9 +109,10 @@ impl QueryStats {
     }
 
     /// Total wall-clock time of the query: the measured end-to-end time
-    /// when the driver recorded one, otherwise the sum of the phase timers.
-    /// The measured time also covers work *between* the phases (range
-    /// grouping, stats assembly), so it can exceed the phase sum.
+    /// when the driver recorded one, otherwise the sum of the stage timers.
+    /// The stage intervals nest inside the measured one, so it is never
+    /// below their sum; what it adds is the glue between stages (stats
+    /// assembly, top-k's round bookkeeping).
     pub fn total_time(&self) -> Duration {
         if self.total_time != Duration::ZERO {
             self.total_time
@@ -108,10 +121,26 @@ impl QueryStats {
         }
     }
 
-    /// Number of workers that participated in the refine stage (0 when no
-    /// refine ran).
-    pub fn refine_workers(&self) -> usize {
-        self.refine_worker_busy.len()
+    /// Folds one top-k deepening round into the query's running totals:
+    /// stage times, scan volume, I/O and refine attribution add up;
+    /// per-worker busy time adds position-wise (rounds with tiny candidate
+    /// sets may use fewer workers). `results` and `total_time` belong to
+    /// the whole query and are left to the driver.
+    pub fn absorb_round(&mut self, round: &QueryStats) {
+        self.pruning_time += round.pruning_time;
+        self.scan_time += round.scan_time;
+        self.refine_time += round.refine_time;
+        self.n_ranges += round.n_ranges;
+        self.retrieved += round.retrieved;
+        self.candidates += round.candidates;
+        self.io = self.io.plus(&round.io);
+        self.refine_prune = self.refine_prune.plus(&round.refine_prune);
+        for (i, busy) in round.refine_worker_busy.iter().enumerate() {
+            match self.refine_worker_busy.get_mut(i) {
+                Some(total) => *total += *busy,
+                None => self.refine_worker_busy.push(*busy),
+            }
+        }
     }
 
     /// Summed busy time across refine workers — CPU-style time, which
@@ -152,6 +181,29 @@ mod tests {
             ..QueryStats::default()
         };
         assert_eq!(s.total_time(), Duration::from_millis(6));
+    }
+
+    #[test]
+    fn absorbing_rounds_sums_everything_but_results_and_total() {
+        let ms = Duration::from_millis;
+        let round = |busy: &[u64]| QueryStats {
+            scan_time: ms(2),
+            candidates: 6,
+            results: 7,
+            total_time: ms(8),
+            refine_worker_busy: busy.iter().map(|&b| ms(b)).collect(),
+            refine_prune: RefinePrune { endpoint: 1, ..RefinePrune::default() },
+            ..QueryStats::default()
+        };
+        let mut total = QueryStats::default();
+        total.absorb_round(&round(&[10]));
+        total.absorb_round(&round(&[1, 2]));
+        assert_eq!(
+            (total.scan_time, total.candidates, total.refine_prune.endpoint),
+            (ms(4), 12, 2)
+        );
+        assert_eq!(total.refine_worker_busy, vec![ms(11), ms(2)]);
+        assert_eq!((total.results, total.total_time), (0, Duration::ZERO));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The trajectory store: indexing and writing (§IV-E, Fig. 8's write path).
 
 use crate::config::TrassConfig;
+use crate::query::pipeline::{Answer, QueryKind, STAGE_SERIES};
 use crate::schema::{rowkey, shard_of, RowValue};
-use crate::stats::{QueryStats, SearchResult};
+use crate::stats::{QueryStats, RefinePrune, SearchResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -13,7 +14,7 @@ use trass_kv::{Cluster, ClusterOptions, KvError};
 use trass_obs::{
     Counter, FlightRecorder, HealthRegistry, Histogram, QueryFingerprint, QueryTrace, Registry,
     SloObjective, SlowLog, Telemetry, TelemetryOptions, TelemetrySources, TraceCtx, TraceSampler,
-    WorkloadStats, WorkloadSummary,
+    TraceSpan, WorkloadStats, WorkloadSummary, STAGE_HISTOGRAM,
 };
 use trass_traj::{DpFeatures, Measure, Trajectory, TrajectoryId};
 
@@ -114,16 +115,77 @@ pub struct TrajectoryStore {
     query_obs: QueryObs,
 }
 
-/// Pre-resolved handles for the query pipeline's cumulative (unlabelled)
-/// series. The SLO evaluator reads exactly these series, so they are
-/// created at open rather than lazily on the first query.
-struct QueryObs {
-    /// Every finished query, successful or not.
+/// Every handle the query path records through, resolved at open and never
+/// per query (a registry lookup allocates its key and takes the registry
+/// mutex), as kv's `StoreObs` does for the store's own series.
+pub(crate) struct QueryObs {
+    /// Every finished query, successful or not (read by the SLO evaluator).
     queries_total: Arc<Counter>,
-    /// End-to-end latency of successful queries.
+    /// End-to-end latency of successful queries (read by the SLO evaluator).
     query_seconds: Arc<Histogram>,
-    /// Queries that returned an error.
+    /// Queries that returned an error (read by the SLO evaluator).
     errors_total: Arc<Counter>,
+    /// `trass_queries{kind}` and `trass_query_errors{kind}`, by [`QueryKind`].
+    by_kind: [(Arc<Counter>, Arc<Counter>); 3],
+    /// `trass_query_stage_seconds`: one row per label family
+    /// ([`stage_family`]), one column per [`STAGE_SERIES`] entry.
+    stage_seconds: [[Arc<Histogram>; 4]; 4],
+    /// Interned alloc/CPU attribution tags of the three scoped stages.
+    pub(crate) stage_tags: [usize; 3],
+    /// `trass_refine_outcomes{outcome}`, in [`RefinePrune::outcomes`] order.
+    refine_outcomes: [Arc<Counter>; 6],
+}
+
+/// The row of a stage-series label family in [`QueryObs::stage_seconds`]:
+/// `{stage, measure}` per similarity measure, then `{stage}` alone for
+/// range queries. Exhaustive, so a new measure cannot silently share a row.
+const fn stage_family(measure: Option<Measure>) -> usize {
+    match measure {
+        Some(Measure::Frechet) => 0,
+        Some(Measure::Hausdorff) => 1,
+        Some(Measure::Dtw) => 2,
+        None => 3,
+    }
+}
+
+impl QueryObs {
+    fn new(registry: &Registry) -> Self {
+        let families = [Some(Measure::Frechet), Some(Measure::Hausdorff), Some(Measure::Dtw), None];
+        debug_assert!(families.iter().enumerate().all(|(row, m)| stage_family(*m) == row));
+        let stage_seconds = |measure: Option<Measure>, stage: &str| match measure {
+            Some(m) => registry.timer(STAGE_HISTOGRAM, &[("stage", stage), ("measure", m.name())]),
+            None => registry.timer(STAGE_HISTOGRAM, &[("stage", stage)]),
+        };
+        QueryObs {
+            queries_total: registry.counter("trass_queries_total", &[]),
+            query_seconds: registry.timer("trass_query_seconds", &[]),
+            errors_total: registry.counter("trass_query_errors_total", &[]),
+            by_kind: QueryKind::ALL.map(|kind| {
+                let labels = [("kind", kind.name())];
+                (
+                    registry.counter("trass_queries", &labels),
+                    registry.counter("trass_query_errors", &labels),
+                )
+            }),
+            stage_seconds: families.map(|m| STAGE_SERIES.map(|stage| stage_seconds(m, stage))),
+            stage_tags: [0, 1, 2].map(|stage| trass_obs::alloc::stage_id(STAGE_SERIES[stage])),
+            refine_outcomes: RefinePrune::default().outcomes().map(|(outcome, _)| {
+                registry.counter("trass_refine_outcomes", &[("outcome", outcome)])
+            }),
+        }
+    }
+
+    /// The [`STAGE_SERIES`]`[series]` histogram of `measure`'s label family.
+    pub(crate) fn stage_seconds(&self, measure: Option<Measure>, series: usize) -> &Histogram {
+        &self.stage_seconds[stage_family(measure)][series]
+    }
+
+    /// Adds one refine stage's attribution to `trass_refine_outcomes`.
+    pub(crate) fn count_refine_outcomes(&self, prune: &RefinePrune) {
+        for (counter, (_, n)) in self.refine_outcomes.iter().zip(prune.outcomes()) {
+            counter.add(n);
+        }
+    }
 }
 
 impl TrajectoryStore {
@@ -169,11 +231,7 @@ impl TrajectoryStore {
                 ],
             )
             .set(1);
-        let query_obs = QueryObs {
-            queries_total: registry.counter("trass_queries_total", &[]),
-            query_seconds: registry.timer("trass_query_seconds", &[]),
-            errors_total: registry.counter("trass_query_errors_total", &[]),
-        };
+        let query_obs = QueryObs::new(&registry);
         Ok(TrajectoryStore {
             tracer: TraceSampler::every(config.trace_sample_every),
             flight: Arc::new(FlightRecorder::new(FLIGHT_RECORDER_CAPACITY)),
@@ -326,39 +384,79 @@ impl TrajectoryStore {
         &self.refine_pool
     }
 
-    /// Completes a trace context: assembles the span tree and retains it
-    /// in the flight recorder. `None` for untraced queries.
-    pub(crate) fn finish_trace(&self, ctx: TraceCtx) -> Option<Arc<QueryTrace>> {
-        let trace = Arc::new(ctx.finish()?);
-        self.flight.push(Arc::clone(&trace));
-        Some(trace)
+    /// The query path's pre-resolved metric handles.
+    pub(crate) fn query_obs(&self) -> &QueryObs {
+        &self.query_obs
     }
 
-    /// The next trace id. Assigned to sampled/explained queries only, so
-    /// ids stay dense across the traces that actually exist.
-    pub(crate) fn next_trace_id(&self) -> u64 {
-        self.trace_seq.fetch_add(1, Ordering::Relaxed) + 1
+    /// Runs one query of `kind` under `ctx`: the prologue and epilogue
+    /// every driver shares. `body` gets the open root span (for its own
+    /// labels and fields, and to parent its stages) and returns the
+    /// [`Answer`]. An error is counted under `kind` and returned; otherwise
+    /// a traced query gets the next trace id as its root's `trace_id`
+    /// label (ids stay dense across the traces that actually exist, and
+    /// slow-log entries can name their trace), its span tree is retained
+    /// in the flight recorder, and the query is counted, folded into the
+    /// workload summary and offered to the slow log.
+    pub(crate) fn run_query(
+        &self,
+        kind: QueryKind,
+        ctx: TraceCtx,
+        body: impl FnOnce(&mut TraceSpan) -> Result<Answer, KvError>,
+    ) -> Result<(SearchResult, Option<Arc<QueryTrace>>), KvError> {
+        // Driver-thread allocation delta over the whole query; feeds the
+        // per-fingerprint workload summary (0 when the counting allocator
+        // is not installed).
+        let alloc_mark = trass_obs::alloc::thread_alloc_snapshot();
+        let mut root = ctx.root(kind.name());
+        let (result, record) = match body(&mut root) {
+            Ok(answer) => answer,
+            Err(e) => {
+                self.record_query_error(kind);
+                return Err(e);
+            }
+        };
+        if root.is_enabled() {
+            let id = self.trace_seq.fetch_add(1, Ordering::Relaxed) + 1;
+            root.set_label("trace_id", &id.to_string());
+        }
+        root.finish();
+        let trace = ctx.finish().map(Arc::new);
+        if let Some(trace) = &trace {
+            self.flight.push(Arc::clone(trace));
+        }
+        if let Some((detail, fingerprint)) = record {
+            let alloc_bytes = trass_obs::alloc::thread_alloc_snapshot().since(&alloc_mark).bytes;
+            self.record_query(
+                kind,
+                detail,
+                &result.stats,
+                trace.clone(),
+                &fingerprint,
+                alloc_bytes,
+            );
+        }
+        Ok((result, trace))
     }
 
     /// Counts a finished query, folds it into the per-fingerprint workload
     /// summary, and offers it to the slow-query log (with its trace
-    /// attached when one was recorded). Called by the query drivers.
-    /// `alloc_bytes` is the driver-thread allocation delta over the whole
-    /// query (0 when the counting allocator is not installed).
-    pub(crate) fn record_query(
+    /// attached when one was recorded).
+    fn record_query(
         &self,
-        kind: &'static str,
+        kind: QueryKind,
         detail: String,
         stats: &QueryStats,
         trace: Option<Arc<QueryTrace>>,
-        fingerprint: QueryFingerprint,
+        fingerprint: &QueryFingerprint,
         alloc_bytes: u64,
     ) {
-        self.registry.counter("trass_queries", &[("kind", kind)]).inc();
-        self.query_obs.queries_total.inc();
-        self.query_obs.query_seconds.record_duration(stats.total_time());
+        let obs = &self.query_obs;
+        obs.by_kind[kind as usize].0.inc();
+        obs.queries_total.inc();
+        obs.query_seconds.record_duration(stats.total_time());
         self.workload.record(
-            &fingerprint,
+            fingerprint,
             &WorkloadStats {
                 latency: stats.total_time(),
                 bytes_scanned: stats.io.bytes_read,
@@ -371,17 +469,18 @@ impl TrajectoryStore {
         );
         self.slow_queries.record(
             stats.total_time().as_nanos() as u64,
-            SlowQueryRecord { kind, detail, stats: stats.clone(), trace },
+            SlowQueryRecord { kind: kind.name(), detail, stats: stats.clone(), trace },
         );
     }
 
     /// Counts a query that failed with an error. The error also counts in
     /// `trass_queries_total` so the SLO error ratio's denominator covers
     /// every attempt, not just the successful ones.
-    pub(crate) fn record_query_error(&self, kind: &'static str) {
-        self.registry.counter("trass_query_errors", &[("kind", kind)]).inc();
-        self.query_obs.errors_total.inc();
-        self.query_obs.queries_total.inc();
+    fn record_query_error(&self, kind: QueryKind) {
+        let obs = &self.query_obs;
+        obs.by_kind[kind as usize].1.inc();
+        obs.errors_total.inc();
+        obs.queries_total.inc();
     }
 
     /// Renders every metric in the Prometheus text exposition format,

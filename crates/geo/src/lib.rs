@@ -15,6 +15,9 @@
 //! * [`NormalizedSpace`] — mapping between world coordinates (degrees over
 //!   the whole earth) and the unit square the space-filling indexes operate
 //!   on.
+//! * [`douglas_peucker`] — Douglas-Peucker index selection, shared by the
+//!   stored DP features (`trass-traj`) and the query-side covering boxes
+//!   (`trass-index`).
 //!
 //! All distances are Euclidean in the coordinate space of the inputs, as in
 //! the paper (which measures similarity thresholds in degrees).
@@ -22,12 +25,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod dp;
 mod mbr;
 mod normalize;
 mod obb;
 mod point;
 mod segment;
 
+pub use dp::douglas_peucker;
 pub use mbr::Mbr;
 pub use normalize::{NormalizedSpace, WORLD, WORLD_SQUARE};
 pub use obb::OrientedBox;

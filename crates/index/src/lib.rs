@@ -32,7 +32,6 @@ macro_rules! debug_invariant {
     };
 }
 
-pub(crate) mod dp_lite;
 pub mod quad;
 pub mod ranges;
 pub mod rtree;

@@ -63,9 +63,37 @@ pub fn coalesce(mut values: Vec<u64>, max_gap: u64) -> Vec<ValueRange> {
     out
 }
 
+/// Sorts `ranges` by start and merges every pair that overlaps or lies
+/// within `max_gap` values of each other, so no index value is scanned
+/// twice. Planners that emit whole-subtree ranges next to coalesced
+/// singletons (XZ2 windows, XZ\* range queries) finish with this.
+pub fn merge_overlapping(mut ranges: Vec<ValueRange>, max_gap: u64) -> Vec<ValueRange> {
+    ranges.sort_by_key(|r| r.start);
+    let mut out: Vec<ValueRange> = Vec::with_capacity(ranges.len());
+    for r in ranges {
+        match out.last_mut() {
+            Some(last) if r.start <= last.end.saturating_add(max_gap.saturating_add(1)) => {
+                last.end = last.end.max(r.end);
+            }
+            _ => out.push(r),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overlapping_adjacent_and_nested_ranges_merge() {
+        let r = |start, end| ValueRange { start, end };
+        let merged = merge_overlapping(vec![r(10, 12), r(1, 3), r(4, 5), r(2, 8), r(20, 20)], 0);
+        assert_eq!(merged, vec![r(1, 8), r(10, 12), r(20, 20)]);
+        assert_eq!(merge_overlapping(vec![r(1, 3), r(6, 7)], 2), vec![r(1, 7)]);
+        assert_eq!(merge_overlapping(vec![r(0, u64::MAX), r(5, 6)], 0), vec![r(0, u64::MAX)]);
+        assert!(merge_overlapping(Vec::new(), 0).is_empty());
+    }
 
     #[test]
     fn empty_input() {

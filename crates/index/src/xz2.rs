@@ -9,7 +9,7 @@
 //! children), so every subtree is one contiguous code range.
 
 use crate::quad::{sequence_length, Cell, MAX_RESOLUTION};
-use crate::ranges::{coalesce, ValueRange};
+use crate::ranges::{coalesce, merge_overlapping, ValueRange};
 use trass_geo::Mbr;
 
 /// The XZ-Ordering index over the unit square.
@@ -98,17 +98,7 @@ impl Xz2 {
         self.collect(&Cell::ROOT, window, &mut values, &mut ranges);
         ranges.extend(coalesce(values, gap));
         // Merge singleton-derived ranges with whole-subtree ranges.
-        ranges.sort_by_key(|r| r.start);
-        let mut out: Vec<ValueRange> = Vec::new();
-        for r in ranges {
-            match out.last_mut() {
-                Some(last) if r.start <= last.end.saturating_add(gap + 1) => {
-                    last.end = last.end.max(r.end);
-                }
-                _ => out.push(r),
-            }
-        }
-        out
+        merge_overlapping(ranges, gap)
     }
 
     fn collect(

@@ -116,7 +116,7 @@ pub(crate) fn cover_boxes(points: &[Point], theta: f64) -> Vec<OrientedBox> {
     if points.len() < 2 {
         return Vec::new();
     }
-    let rep = crate::dp_lite::douglas_peucker(points, theta.max(1e-12));
+    let rep = trass_geo::douglas_peucker(points, theta.max(1e-12));
     let mut boxes = Vec::with_capacity(rep.len().saturating_sub(1));
     for w in rep.windows(2) {
         let (s, e) = (w[0] as usize, w[1] as usize); // trass-lint: allow(cast) u32 → usize widening

@@ -1,7 +1,8 @@
 //! Stage-tagged allocation and CPU accounting.
 //!
-//! The pipeline's stage spans ([`crate::Span`]) tell us *when* each stage
-//! ran; this module tells us what each stage *cost* in resources:
+//! The query path's stage timers (`trass_query_stage_seconds`) tell us
+//! *when* each stage ran; this module tells us what each stage *cost* in
+//! resources:
 //!
 //! * [`CountingAlloc`] — a dependency-free [`GlobalAlloc`] wrapper around
 //!   the system allocator that counts bytes and allocation events into
@@ -11,8 +12,8 @@
 //!   and the rest of the crate degrades gracefully.
 //! * Stage tags — a small interned table of stage names plus a
 //!   thread-local "current stage" index. [`StageGuard`] enters a stage
-//!   RAII-style (created by `Span::enter`, propagated into
-//!   `trass-exec` pool workers at claim time) and flushes per-thread
+//!   RAII-style (entered by `trass-core`'s staged query path, propagated
+//!   into `trass-exec` pool workers at claim time) and flushes per-thread
 //!   CPU-time deltas to the stage that accrued them on every transition.
 //! * CPU time — per-thread cumulative CPU nanoseconds read from
 //!   `/proc/thread-self/schedstat` (falling back to `stat` utime+stime),
@@ -322,8 +323,8 @@ fn flush_cpu(stage: usize) {
 
 /// RAII stage tag: allocation and CPU accounting between `enter` and drop
 /// is attributed to the entered stage. Nests (the previous stage is
-/// restored on drop) and is created by `Span::enter` for pipeline stages
-/// and by `trass-exec` pool workers when they claim tasks.
+/// restored on drop) and is entered by the staged query path for pipeline
+/// stages and by `trass-exec` pool workers when they claim tasks.
 #[derive(Debug)]
 pub struct StageGuard {
     prev: usize,
@@ -340,11 +341,6 @@ impl StageGuard {
         flush_cpu(prev);
         let _ = CUR_STAGE.try_with(|c| c.set(id.min(MAX_STAGES - 1)));
         StageGuard { prev, _not_send: PhantomData }
-    }
-
-    /// Convenience: intern `name` and enter it.
-    pub fn enter_named(name: &str) -> StageGuard {
-        StageGuard::enter(stage_id(name))
     }
 }
 

@@ -1,7 +1,7 @@
 //! An embedded, dependency-free telemetry HTTP endpoint.
 //!
-//! [`HttpServer`] is a deliberately minimal HTTP/1.1 server over
-//! [`std::net::TcpListener`]: GET-only, one request per connection,
+//! [`HttpServer`] is a deliberately minimal HTTP/1.1 server over the
+//! shared [`Listener`]: GET-only, one request per connection,
 //! thread-per-connection with a graceful-shutdown handle that joins every
 //! thread it ever spawned. It exists to put the observability surface on a
 //! wire for `curl` and Prometheus — it is not a general web server and
@@ -26,13 +26,12 @@
 use crate::collector::{Collector, CollectorHandle, CollectorOptions};
 use crate::health::{HealthRegistry, SloEvaluator, SloObjective, SloStatus};
 use crate::json;
+use crate::listener::Listener;
 use crate::registry::Registry;
 use crate::trace::FlightRecorder;
 use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Largest request head (request line + headers) the server reads.
@@ -95,77 +94,32 @@ impl Response {
 /// The request handler a server routes every request through.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// A minimal threaded HTTP/1.1 server with graceful shutdown.
+/// A minimal threaded HTTP/1.1 server with graceful shutdown: a
+/// [`Listener`] whose connection handler speaks one-shot HTTP.
+#[derive(Debug)]
 pub struct HttpServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl HttpServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts accepting; every request is answered by `handler`.
     pub fn serve(addr: &str, handler: Handler) -> std::io::Result<HttpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread =
-            std::thread::Builder::new().name("trass-telemetry".into()).spawn(move || {
-                let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    // Reap finished handlers so the vec stays bounded by
-                    // the number of concurrent connections.
-                    conns.retain(|h| !h.is_finished());
-                    let handler = Arc::clone(&handler);
-                    let spawned = std::thread::Builder::new()
-                        .name("trass-telemetry-conn".into())
-                        .spawn(move || handle_connection(stream, &handler));
-                    match spawned {
-                        Ok(h) => conns.push(h),
-                        Err(_) => continue, // connection dropped; client retries
-                    }
-                }
-                for h in conns {
-                    let _ = h.join();
-                }
-            })?;
-        Ok(HttpServer { addr: local, stop, accept_thread: Some(accept_thread) })
+        let listener = Listener::serve(addr, "trass-telemetry", move |stream, _| {
+            handle_connection(stream, &handler)
+        })?;
+        Ok(HttpServer { listener })
     }
 
     /// The bound address (with the real port when bound to port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Stops accepting, waits for in-flight requests, joins every thread.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // The accept loop blocks in accept(); a throwaway connection
-        // unblocks it so it can observe the flag.
-        if let Ok(s) = TcpStream::connect_timeout(&self.addr, SOCKET_TIMEOUT) {
-            drop(s);
-        }
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for HttpServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl std::fmt::Debug for HttpServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HttpServer").field("addr", &self.addr).finish()
+        self.listener.shutdown();
     }
 }
 
@@ -481,6 +435,7 @@ fn render_slo_line(s: &SloStatus) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     /// A raw one-shot HTTP client: sends `GET path` and returns
     /// `(status, body)`.

@@ -1,4 +1,4 @@
-//! Observability for TraSS: metrics, latency histograms, stage spans, and
+//! Observability for TraSS: metrics, latency histograms, query traces, and
 //! exporters — with zero external dependencies.
 //!
 //! The paper's headline claims are I/O reduction and latency (Figs. 9–11,
@@ -14,9 +14,11 @@
 //!   two can never disagree.
 //! * [`Registry`] — named counters, gauges, and histograms with label
 //!   support (`shard`, `stage`, `measure`, …).
-//! * [`Span`] — an RAII timer feeding per-stage histograms
-//!   (`trass_query_stage_seconds{stage="scan"}`), wired through the query
-//!   pipeline and the KV store's maintenance paths.
+//! * [`STAGE_HISTOGRAM`] — the per-stage wall-time family
+//!   (`trass_query_stage_seconds{stage="scan"}`). Its one writer is
+//!   `trass-core`'s staged query path, whose single call per stage feeds
+//!   the histogram, the stage's [`TraceSpan`] and the per-query stats
+//!   from one measured duration, under a [`StageGuard`] stage tag.
 //! * Exporters — Prometheus text format ([`Registry::render_prometheus`])
 //!   and JSON ([`Registry::render_json`] / [`Registry::snapshot`]).
 //! * [`json`] — the workspace's one JSON writer and parser, behind every
@@ -31,6 +33,8 @@
 //!   ([`Telemetry`] / [`HttpServer`]) serving `/metrics`, `/traces`,
 //!   `/slowlog`, `/vars/history`, `/healthz`, and `/readyz` over
 //!   `std::net`.
+//! * [`listener`] — the one thread-per-connection accept/join loop
+//!   ([`Listener`]) under both the telemetry endpoint and `trass-server`.
 //! * [`collector`] — a background thread ([`Collector`]) that samples the
 //!   registry on an interval into fixed-size per-series ring buffers, so
 //!   the endpoint can serve short-horizon rate/delta time series without
@@ -39,10 +43,10 @@
 //!   multi-window SLO burn-rate evaluation ([`SloEvaluator`]) whose
 //!   verdicts drive `/healthz` status codes and `trass_slo_*` gauges.
 //! * [`alloc`] — stage-tagged resource accounting: a counting
-//!   [`CountingAlloc`](alloc::CountingAlloc) global-allocator wrapper,
-//!   thread-local stage tags ([`StageGuard`](alloc::StageGuard)) entered
-//!   by stage spans and propagated to pool workers, and per-thread CPU
-//!   time, published as `trass_stage_*` metrics.
+//!   [`CountingAlloc`] global-allocator wrapper, thread-local stage tags
+//!   ([`StageGuard`]) entered by the query path's stage calls and
+//!   propagated to pool workers, and per-thread CPU time, published as
+//!   `trass_stage_*` metrics.
 //! * [`profile`] — folds the flight recorder's span trees into
 //!   collapsed-stack (flame-graph) lines weighted by wall time, alloc
 //!   bytes, or CPU time, served at `/profile`.
@@ -68,10 +72,10 @@ pub mod health;
 pub mod histogram;
 pub mod http;
 pub mod json;
+pub mod listener;
 pub mod profile;
 pub mod registry;
 pub mod slowlog;
-pub mod span;
 pub mod sync;
 pub mod trace;
 
@@ -82,13 +86,17 @@ pub use fingerprint::{QueryFingerprint, WorkloadStats, WorkloadSummary, Workload
 pub use health::{HealthRegistry, ProbeReport, SloEvaluator, SloObjective, SloSignal, SloStatus};
 pub use histogram::{Histogram, Percentiles};
 pub use http::{HttpServer, Request, Response, Telemetry, TelemetryOptions, TelemetrySources};
+pub use listener::{Listener, StopSignal};
 pub use profile::ProfileWeight;
 pub use registry::{Counter, Gauge, Registry};
 pub use slowlog::SlowLog;
-pub use span::{Span, STAGE_HISTOGRAM};
 pub use trace::{
     FieldValue, FlightRecorder, QueryTrace, SpanRecord, TraceCtx, TraceSampler, TraceSpan,
 };
+
+/// The histogram family of per-stage query wall time, labelled `stage`
+/// (and `measure` for similarity queries).
+pub const STAGE_HISTOGRAM: &str = "trass_query_stage_seconds";
 
 // The unit-test binary installs the counting allocator so alloc-exactness
 // tests (alloc.rs, trace.rs) see real readings.

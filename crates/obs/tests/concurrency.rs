@@ -4,7 +4,7 @@
 //! snapshot, the pattern the parallel query pipeline produces.
 
 use std::sync::Arc;
-use trass_obs::{FlightRecorder, Histogram, Registry, SlowLog, Span, TraceCtx};
+use trass_obs::{FlightRecorder, Histogram, Registry, SlowLog, TraceCtx};
 
 const THREADS: usize = 8;
 const PER_THREAD: u64 = 20_000;
@@ -214,13 +214,14 @@ fn flight_recorder_concurrent_pushes_and_snapshots() {
 #[test]
 fn spans_record_under_contention() {
     let r = Arc::new(Registry::new());
+    let scan = r.timer(trass_obs::STAGE_HISTOGRAM, &[("stage", "scan")]);
     std::thread::scope(|s| {
         for _ in 0..THREADS {
-            let r = Arc::clone(&r);
+            let scan = Arc::clone(&scan);
             s.spawn(move || {
                 for _ in 0..500 {
-                    let span = Span::enter(&r, "scan");
-                    span.finish();
+                    let started = std::time::Instant::now();
+                    scan.record_duration(started.elapsed());
                 }
             });
         }

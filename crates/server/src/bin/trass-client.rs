@@ -72,9 +72,7 @@ fn addr(flags: &HashMap<String, String>) -> Result<String, String> {
     if let Some(a) = flags.get("addr") {
         return Ok(a.clone());
     }
-    std::env::var("TRASS_SERVE_ADDR")
-        .ok()
-        .filter(|v| !v.is_empty())
+    trass_server::server::env_serve_addr()
         .ok_or_else(|| "--addr <host:port> is required (or set TRASS_SERVE_ADDR)".to_string())
 }
 

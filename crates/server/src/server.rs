@@ -9,11 +9,12 @@
 //! connections), exactly as the paper's HBase deployment shares region
 //! servers across clients.
 //!
-//! Shutdown mirrors `trass_obs::http::HttpServer`'s join discipline: a
-//! stop flag, a wake-connect to unblock `accept()`, and a join of every
-//! thread ever spawned — idempotent, also on drop. Connections poll the
-//! stop flag between reads (short read timeout), so shutdown latency is
-//! bounded by [`POLL_INTERVAL`] plus any in-flight query.
+//! The accept loop and its shutdown are [`trass_obs::Listener`]'s, shared
+//! with the telemetry endpoint: a stop flag, a wake-connect to unblock
+//! `accept()`, and a join of every thread ever spawned — idempotent, also
+//! on drop. Connections poll the stop flag between reads (a 200 ms read
+//! timeout), so shutdown latency is bounded by that poll interval plus
+//! any in-flight query.
 //!
 //! Error handling is the protocol's: malformed payloads and unknown
 //! opcodes produce error responses and the connection survives (framing
@@ -38,15 +39,14 @@ use crate::protocol::{
 };
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trass_core::query;
 use trass_core::store::{ExplainQuery, TrajectoryStore};
 use trass_obs::sync::Mutex;
-use trass_obs::{Counter, Gauge, Histogram, Span};
+use trass_obs::{Counter, Gauge, Histogram, Listener, StopSignal};
 use trass_traj::Trajectory;
 
 /// How often an idle connection checks the stop flag (its read timeout).
@@ -74,13 +74,16 @@ impl Default for ServerOptions {
     }
 }
 
-/// The `addr` default: `TRASS_SERVE_ADDR` when set and non-empty,
-/// otherwise loopback on an ephemeral port.
+/// `TRASS_SERVE_ADDR` when set and non-empty: where the server binds by
+/// default and where `trass-client` connects without `--addr`.
+pub fn env_serve_addr() -> Option<String> {
+    std::env::var("TRASS_SERVE_ADDR").ok().filter(|v| !v.is_empty())
+}
+
+/// The `addr` default: [`env_serve_addr`], otherwise loopback on an
+/// ephemeral port.
 pub fn default_serve_addr() -> String {
-    std::env::var("TRASS_SERVE_ADDR")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| "127.0.0.1:0".to_string())
+    env_serve_addr().unwrap_or_else(|| "127.0.0.1:0".to_string())
 }
 
 /// The `max_frame_bytes` default: `TRASS_SERVE_MAX_FRAME` when set to a
@@ -104,8 +107,6 @@ struct OpMetrics {
 /// [`TrassServer`] handle.
 struct Shared {
     store: Arc<TrajectoryStore>,
-    addr: SocketAddr,
-    stop: AtomicBool,
     max_frame: u32,
     started: Instant,
     connections_total: Arc<Counter>,
@@ -120,33 +121,25 @@ struct Shared {
 }
 
 impl Shared {
-    /// Flips the stop flag, wakes [`TrassServer::wait`] callers, and
-    /// unblocks the accept loop. Idempotent.
-    fn request_shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+    /// Wakes [`TrassServer::wait`] callers: shutdown has been requested.
+    /// Idempotent.
+    fn mark_done(&self) {
         let mut done = self.done.lock();
         *done = true;
         drop(done);
         self.done_cv.notify_all();
-        // The accept loop blocks in accept(); a throwaway connection
-        // unblocks it so it can observe the flag.
-        if let Ok(s) = TcpStream::connect_timeout(&self.addr, WRITE_TIMEOUT) {
-            drop(s);
-        }
     }
 }
 
 /// A running server; dropping it shuts it down and joins every thread.
 pub struct TrassServer {
     shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl TrassServer {
     /// Binds `opts.addr` and starts serving `store`.
     pub fn serve(store: Arc<TrajectoryStore>, opts: ServerOptions) -> std::io::Result<TrassServer> {
-        let listener = TcpListener::bind(opts.addr.as_str())?;
-        let addr = listener.local_addr()?;
         let registry = Arc::clone(store.registry());
         let mut per_op = HashMap::new();
         // Pre-register every op's series so the metric surface is visible
@@ -163,8 +156,6 @@ impl TrassServer {
         }
         let shared = Arc::new(Shared {
             store,
-            addr,
-            stop: AtomicBool::new(false),
             max_frame: opts.max_frame_bytes,
             started: Instant::now(),
             connections_total: registry.counter("trass_server_connections_total", &[]),
@@ -175,37 +166,16 @@ impl TrassServer {
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread =
-            std::thread::Builder::new().name("trass-server".into()).spawn(move || {
-                let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                for stream in listener.incoming() {
-                    if accept_shared.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    // Reap finished handlers so the vec stays bounded by
-                    // the number of concurrent connections.
-                    conns.retain(|h| !h.is_finished());
-                    let conn_shared = Arc::clone(&accept_shared);
-                    let spawned = std::thread::Builder::new()
-                        .name("trass-server-conn".into())
-                        .spawn(move || handle_connection(stream, &conn_shared));
-                    match spawned {
-                        Ok(h) => conns.push(h),
-                        Err(_) => continue, // connection dropped; client retries
-                    }
-                }
-                for h in conns {
-                    let _ = h.join();
-                }
-            })?;
-        Ok(TrassServer { shared, accept_thread: Some(accept_thread) })
+        let conn_shared = Arc::clone(&shared);
+        let listener = Listener::serve(&opts.addr, "trass-server", move |stream, stop| {
+            handle_connection(stream, &conn_shared, stop)
+        })?;
+        Ok(TrassServer { shared, listener })
     }
 
     /// The bound address (with the real port when bound to port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.listener.local_addr()
     }
 
     /// Blocks until shutdown is requested — by a wire `shutdown` op or by
@@ -219,10 +189,8 @@ impl TrassServer {
     /// Stops accepting, waits for in-flight requests, joins every thread.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shared.request_shutdown();
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.shared.mark_done();
+        self.listener.shutdown();
     }
 }
 
@@ -234,7 +202,7 @@ impl Drop for TrassServer {
 
 impl std::fmt::Debug for TrassServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrassServer").field("addr", &self.shared.addr).finish()
+        f.debug_struct("TrassServer").field("addr", &self.local_addr()).finish()
     }
 }
 
@@ -283,14 +251,14 @@ fn scan_frame(buf: &[u8], max_frame: u32) -> FrameScan {
     FrameScan::Frame { op: header.op, payload: payload.to_vec(), consumed: total }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, stop: &StopSignal) {
     shared.connections_total.inc();
     shared.active_connections.add(1);
-    serve_connection(&mut stream, shared);
+    serve_connection(&mut stream, shared, stop);
     shared.active_connections.add(-1);
 }
 
-fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
+fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>, stop: &StopSignal) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
@@ -308,14 +276,14 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
                 }
                 FrameScan::Frame { op, payload, consumed } => {
                     buf.drain(..consumed);
-                    match handle_frame(stream, shared, op, &payload) {
+                    match handle_frame(stream, shared, stop, op, &payload) {
                         Disposition::KeepOpen => {}
                         Disposition::Close => return,
                     }
                 }
             }
         }
-        if shared.stop.load(Ordering::Acquire) {
+        if stop.is_set() {
             return;
         }
         match stream.read(&mut chunk) {
@@ -340,6 +308,7 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
 fn handle_frame(
     stream: &mut TcpStream,
     shared: &Arc<Shared>,
+    stop: &StopSignal,
     op: u8,
     payload: &[u8],
 ) -> Disposition {
@@ -350,10 +319,10 @@ fn handle_frame(
             if let Some(m) = metrics {
                 m.requests.inc();
             }
-            let span = metrics.map(|m| Span::on(Arc::clone(&m.seconds)));
+            let started = Instant::now();
             let response = execute(shared, request);
-            if let Some(s) = span {
-                s.finish();
+            if let Some(m) = metrics {
+                m.seconds.record_duration(started.elapsed());
             }
             response
         }
@@ -365,7 +334,8 @@ fn handle_frame(
     let shutting_down = matches!(response, Response::ShuttingDown);
     let written = write_response(stream, &response);
     if shutting_down {
-        shared.request_shutdown();
+        shared.mark_done();
+        stop.request();
         return Disposition::Close;
     }
     match written {

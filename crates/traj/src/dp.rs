@@ -8,6 +8,7 @@
 //! basis of local filtering (Lemmas 13–14).
 
 use crate::Trajectory;
+pub use trass_geo::douglas_peucker;
 use trass_geo::{Mbr, OrientedBox, Point, Segment};
 
 /// Representative points and covering boxes of one trajectory.
@@ -116,48 +117,6 @@ impl DpFeatures {
         }
         mbr
     }
-}
-
-/// Runs Douglas-Peucker on `points` with tolerance `theta`, returning the
-/// kept indices (always including the first and last point).
-///
-/// Iterative (explicit stack) to avoid recursion depth limits on long GPS
-/// traces.
-pub fn douglas_peucker(points: &[Point], theta: f64) -> Vec<u32> {
-    assert!(!points.is_empty(), "Douglas-Peucker on empty point set");
-    assert!(theta >= 0.0, "negative DP tolerance");
-    let n = points.len();
-    if n == 1 {
-        return vec![0];
-    }
-    if n == 2 {
-        return vec![0, 1];
-    }
-    let mut keep = vec![false; n];
-    keep[0] = true;
-    keep[n - 1] = true;
-    let mut stack = vec![(0usize, n - 1)];
-    while let Some((lo, hi)) = stack.pop() {
-        if hi <= lo + 1 {
-            continue;
-        }
-        let chord = Segment::new(points[lo], points[hi]);
-        let mut best = 0.0f64;
-        let mut best_idx = lo;
-        for (i, p) in points.iter().enumerate().take(hi).skip(lo + 1) {
-            let d = chord.line_distance_to_point(p);
-            if d > best {
-                best = d;
-                best_idx = i;
-            }
-        }
-        if best > theta {
-            keep[best_idx] = true;
-            stack.push((lo, best_idx));
-            stack.push((best_idx, hi));
-        }
-    }
-    keep.iter().enumerate().filter_map(|(i, &k)| k.then_some(i as u32)).collect()
 }
 
 #[cfg(test)]

@@ -14,8 +14,6 @@
 //! storage without copying.
 
 pub mod dtw;
-pub mod edr;
-pub mod erp;
 pub mod frechet;
 pub mod hausdorff;
 
@@ -105,14 +103,21 @@ impl Measure {
     }
 }
 
-impl fmt::Display for Measure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Measure {
+    /// The measure's canonical lowercase name — what [`fmt::Display`]
+    /// prints, [`FromStr`] parses, and metric labels carry.
+    pub const fn name(&self) -> &'static str {
+        match self {
             Measure::Frechet => "frechet",
             Measure::Hausdorff => "hausdorff",
             Measure::Dtw => "dtw",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Measure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

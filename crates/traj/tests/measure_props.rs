@@ -3,7 +3,7 @@
 
 use trass_geo::Point;
 use trass_rng::{check, Rng};
-use trass_traj::measures::{dtw, edr, erp, frechet, hausdorff};
+use trass_traj::measures::{dtw, frechet, hausdorff};
 use trass_traj::Measure;
 
 const CASES: u32 = 128;
@@ -127,47 +127,5 @@ fn dtw_dominates_frechet_scaled() {
         // shorter... keep to the provable one: DTW ≥ max endpoint pair.
         let d = dtw::distance(&a, &b);
         assert!(d >= a[0].distance(&b[0]) - 1e-9);
-    });
-}
-
-#[test]
-fn erp_is_a_metric_on_samples() {
-    check(CASES, |rng| {
-        let a = seq(rng);
-        let b = seq(rng);
-        let c = seq(rng);
-        let g = Point::ORIGIN;
-        let ab = erp::distance(&a, &b, g);
-        let ba = erp::distance(&b, &a, g);
-        assert!((ab - ba).abs() < 1e-9, "ERP asymmetric");
-        let bc = erp::distance(&b, &c, g);
-        let ac = erp::distance(&a, &c, g);
-        assert!(ac <= ab + bc + 1e-9, "ERP triangle violated");
-        assert_eq!(erp::distance(&a, &a, g), 0.0);
-    });
-}
-
-#[test]
-fn edr_bounds_and_symmetry() {
-    check(CASES, |rng| {
-        let a = seq(rng);
-        let b = seq(rng);
-        let tau = rng.f64_in(0.0, 5.0);
-        let d = edr::distance(&a, &b, tau);
-        assert!(d <= a.len().max(b.len()));
-        assert!(d >= a.len().abs_diff(b.len()));
-        assert_eq!(d, edr::distance(&b, &a, tau));
-        let s = edr::similarity(&a, &b, tau);
-        assert!((0.0..=1.0).contains(&s));
-    });
-}
-
-#[test]
-fn larger_tau_never_increases_edr() {
-    check(CASES, |rng| {
-        let a = seq(rng);
-        let b = seq(rng);
-        let tau = rng.f64_in(0.0, 5.0);
-        assert!(edr::distance(&a, &b, tau * 2.0) <= edr::distance(&a, &b, tau));
     });
 }
