@@ -13,12 +13,6 @@
 //!   fig19   shard sweep
 //!   fig20   Hausdorff and DTW measures
 //!   io      theoretical 83.6 % + measured I/O reduction vs XZ-Ordering
-//!   obs     observability demo: Prometheus + JSON dump, slow-query log
-//!           (--serve keeps it up behind the HTTP telemetry endpoint)
-//!   explain EXPLAIN ANALYZE demo: per-query trace trees, text + JSON
-//!   profile continuous-profiling demo: flight recorder folded into
-//!           collapsed-stack format under wall / alloc / cpu weights
-//!   workload per-fingerprint workload summary for the demo query mix
 //!   all     everything, in order
 //! ```
 //!
@@ -31,16 +25,9 @@
 
 use trass_bench::experiments;
 
-// Count every allocation by stage: the stage-tagged accounting behind
-// `repro profile`, `/profile?weight=alloc`, and the per-span alloc fields
-// in `repro explain` only engages when the counting allocator is the
-// process allocator.
-#[global_allocator]
-static ALLOC: trass_obs::CountingAlloc = trass_obs::CountingAlloc::system();
-
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| {
-        eprintln!("usage: repro <fig9|fig10|fig11|fig12|fig13|fig14|fig17|fig18|fig19|fig20|io|ablation|obs|explain|profile|workload|all>");
+        eprintln!("usage: repro <fig9|fig10|fig11|fig12|fig13|fig14|fig17|fig18|fig19|fig20|io|ablation|all>");
         std::process::exit(2);
     });
     match arg.as_str() {
@@ -56,22 +43,6 @@ fn main() {
         "fig20" => experiments::fig20_measures::run(),
         "io" => experiments::io_reduction::run(),
         "ablation" => experiments::ablation::run(),
-        "obs" => {
-            let flags: Vec<String> = std::env::args().skip(2).collect();
-            for f in &flags {
-                if f != "--serve" {
-                    eprintln!("usage: repro obs [--serve]");
-                    std::process::exit(2);
-                }
-            }
-            if flags.iter().any(|f| f == "--serve") {
-                return experiments::obs_demo::serve();
-            }
-            experiments::obs_demo::run()
-        }
-        "explain" => experiments::explain_demo::run(),
-        "profile" => experiments::obs_demo::profile(),
-        "workload" => experiments::obs_demo::workload(),
         "all" => experiments::run_all(),
         other => {
             eprintln!("unknown experiment: {other}");

@@ -47,14 +47,6 @@ pub fn lorry() -> Dataset {
     Dataset { name: "Lorry", data: generator::lorry_like(43, scaled(5_000)), extent: CHINA }
 }
 
-/// The Gaussian-clustered hotspot workload (default 2 000 trajectories).
-/// Not part of the paper's evaluation — the observability demo uses it
-/// because the skewed density gives per-shard and per-stage metrics real
-/// variance.
-pub fn gaussian() -> Dataset {
-    Dataset { name: "Gaussian", data: generator::gaussian_like(44, scaled(2_000)), extent: BEIJING }
-}
-
 /// The ×t synthetic scalability datasets (§VI datasets (3)).
 pub fn synthetic(t: usize) -> Dataset {
     let base = generator::lorry_like(43, scaled(2_000));

@@ -2,7 +2,6 @@
 //! and appends JSONL rows under `results/`.
 
 pub mod ablation;
-pub mod explain_demo;
 pub mod fig09_threshold;
 pub mod fig10_topk;
 pub mod fig11_pruning;
@@ -14,7 +13,6 @@ pub mod fig18_tail_latency;
 pub mod fig19_shards;
 pub mod fig20_measures;
 pub mod io_reduction;
-pub mod obs_demo;
 
 /// Runs every experiment in figure order.
 pub fn run_all() {
@@ -30,6 +28,4 @@ pub fn run_all() {
     fig20_measures::run();
     io_reduction::run();
     ablation::run();
-    obs_demo::run();
-    explain_demo::run();
 }

@@ -47,11 +47,6 @@ pub struct TrassConfig {
     /// … record full span trees into the flight recorder). `0` disables
     /// sampling entirely; `explain` always traces regardless.
     pub trace_sample_every: u64,
-    /// Capacity of the per-fingerprint workload summary: how many distinct
-    /// query shapes are tracked individually before new shapes fold into
-    /// the overflow bucket. Memory is O(capacity); the default comfortably
-    /// covers a hand-written workload while bounding a pathological one.
-    pub workload_fingerprints: usize,
     /// Bind address for the embedded telemetry endpoint
     /// ([`TrajectoryStore::serve_telemetry`](crate::TrajectoryStore::serve_telemetry)),
     /// e.g. `"127.0.0.1:9090"`; port `0` picks an ephemeral port. `None`
@@ -77,7 +72,6 @@ impl Default for TrassConfig {
             use_local_filter: true,
             refine_bounds: default_refine_bounds(),
             trace_sample_every: 64,
-            workload_fingerprints: 32,
             telemetry_addr: default_telemetry_addr(),
         }
     }
@@ -126,9 +120,6 @@ impl TrassConfig {
         if self.dp_theta.is_nan() || self.dp_theta < 0.0 {
             return Err("dp_theta must be non-negative".into());
         }
-        if self.workload_fingerprints == 0 {
-            return Err("workload_fingerprints must be >= 1".into());
-        }
         Ok(())
     }
 }
@@ -156,8 +147,6 @@ mod tests {
         let c = TrassConfig { space: trass_geo::WORLD, ..TrassConfig::default() }; // not square
         assert!(c.validate().is_err());
         let c = TrassConfig { dp_theta: f64::NAN, ..TrassConfig::default() };
-        assert!(c.validate().is_err());
-        let c = TrassConfig { workload_fingerprints: 0, ..TrassConfig::default() };
         assert!(c.validate().is_err());
     }
 

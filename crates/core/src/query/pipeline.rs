@@ -21,7 +21,7 @@ use crate::store::TrajectoryStore;
 use std::time::{Duration, Instant};
 use trass_index::ranges::ValueRange;
 use trass_kv::{Entry, KeyRange, KvError, MetricsSnapshot, ScanFilter};
-use trass_obs::{QueryFingerprint, StageGuard, TraceSpan};
+use trass_obs::{StageGuard, TraceSpan};
 use trass_traj::{Measure, TrajectoryId};
 
 /// The query entry points, as metrics, traces and the slow log name them.
@@ -56,10 +56,10 @@ enum Stage {
 }
 
 /// What a driver hands [`TrajectoryStore::run_query`]: the answer, plus the
-/// slow-log detail and workload fingerprint to record it under — `None`
-/// for a query answered without touching the store (top-k with `k = 0`),
-/// which is traced but not counted.
-pub(crate) type Answer = (SearchResult, Option<(String, QueryFingerprint)>);
+/// slow-log detail to record it under — `None` for a query answered
+/// without touching the store (top-k with `k = 0`), which is traced but
+/// not counted.
+pub(crate) type Answer = (SearchResult, Option<String>);
 
 /// What a refine body produced; [`StagedQuery::refine`] sorts the hits and
 /// folds the rest into the stats.

@@ -18,7 +18,7 @@ use trass_index::quad::Cell;
 use trass_index::ranges::{coalesce, merge_overlapping};
 use trass_index::xzstar::{IndexSpace, PositionCode, XzStar};
 use trass_kv::{FilterDecision, KvError};
-use trass_obs::{QueryFingerprint, QueryTrace, TraceCtx};
+use trass_obs::{QueryTrace, TraceCtx};
 
 /// Finds every trajectory with at least one point inside `window` (world
 /// coordinates). The returned "distance" field carries 0.0 — range queries
@@ -83,8 +83,7 @@ pub(crate) fn range_search_traced(
             window.max_y,
             results.len()
         );
-        let fingerprint = QueryFingerprint::range(stats.n_ranges);
-        Ok((SearchResult { results, stats }, Some((detail, fingerprint))))
+        Ok((SearchResult { results, stats }, Some(detail)))
     })
 }
 

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use trass_exec::TopKBound;
 use trass_index::xzstar::{GlobalPruning, PruningConfig, QueryContext};
 use trass_kv::KvError;
-use trass_obs::{QueryFingerprint, QueryTrace, TraceCtx, TraceSpan};
+use trass_obs::{QueryTrace, TraceCtx, TraceSpan};
 use trass_traj::{Measure, Trajectory};
 
 /// At most this many per-candidate refine verdicts are recorded into a
@@ -49,8 +49,7 @@ pub(crate) fn threshold_search_traced(
         let result = similarity_pass(store, query, eps, measure, None, root)?;
         root.set_field("results", result.results.len());
         let detail = format!("eps={eps} measure={measure} results={}", result.results.len());
-        let fingerprint = QueryFingerprint::threshold(measure.name(), eps, query.points().len());
-        Ok((result, Some((detail, fingerprint))))
+        Ok((result, Some(detail)))
     })
 }
 

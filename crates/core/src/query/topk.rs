@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use trass_exec::TopKBound;
 use trass_kv::KvError;
-use trass_obs::{QueryFingerprint, QueryTrace, TraceCtx};
+use trass_obs::{QueryTrace, TraceCtx};
 use trass_traj::{Measure, Trajectory};
 
 /// Growth factor between deepening rounds.
@@ -119,9 +119,7 @@ pub(crate) fn top_k_search_traced(
                     results.len(),
                     rounds.join(" ")
                 );
-                let fingerprint = QueryFingerprint::topk(measure.name(), k, query.points().len());
-                let result = SearchResult { results, stats };
-                return Ok((result, Some((detail, fingerprint))));
+                return Ok((SearchResult { results, stats }, Some(detail)));
             }
             eps = (eps * GROWTH).min(whole_space);
         }

@@ -12,9 +12,8 @@ use trass_geo::{Mbr, Point};
 use trass_index::xzstar::{IndexSpace, XzStar};
 use trass_kv::{Cluster, ClusterOptions, KvError};
 use trass_obs::{
-    Counter, FlightRecorder, HealthRegistry, Histogram, QueryFingerprint, QueryTrace, Registry,
-    SloObjective, SlowLog, Telemetry, TelemetryOptions, TelemetrySources, TraceCtx, TraceSampler,
-    TraceSpan, WorkloadStats, WorkloadSummary, STAGE_HISTOGRAM,
+    Counter, FlightRecorder, HealthRegistry, Histogram, QueryTrace, Registry, SlowLog, Telemetry,
+    TelemetrySources, TraceCtx, TraceSampler, TraceSpan, STAGE_HISTOGRAM,
 };
 use trass_traj::{DpFeatures, Measure, Trajectory, TrajectoryId};
 
@@ -104,9 +103,13 @@ pub struct TrajectoryStore {
     /// Worker pool for candidate refinement (`config.query_threads`
     /// workers; `1` refines inline on the query thread).
     refine_pool: ScopedPool,
-    /// Per-fingerprint workload aggregation (shared with the telemetry
-    /// endpoint's `/workload` route).
-    workload: Arc<WorkloadSummary>,
+    /// The probe set of the kv cluster and the worker pools (shared with
+    /// the telemetry endpoint's `/healthz` and `/readyz` routes).
+    health: Arc<HealthRegistry>,
+    /// Mirrors counters kept outside the registry — the cluster's I/O
+    /// counters, the stage-tagged alloc/CPU accounting — into it (shared
+    /// with the telemetry endpoint's scrape routes).
+    refresh: Arc<dyn Fn() + Send + Sync>,
     /// Monotonic id handed to traced queries; the root span carries it as
     /// the `trace_id` label so slow-log entries can name their trace.
     trace_seq: AtomicU64,
@@ -119,12 +122,8 @@ pub struct TrajectoryStore {
 /// per query (a registry lookup allocates its key and takes the registry
 /// mutex), as kv's `StoreObs` does for the store's own series.
 pub(crate) struct QueryObs {
-    /// Every finished query, successful or not (read by the SLO evaluator).
-    queries_total: Arc<Counter>,
-    /// End-to-end latency of successful queries (read by the SLO evaluator).
+    /// End-to-end latency of successful queries.
     query_seconds: Arc<Histogram>,
-    /// Queries that returned an error (read by the SLO evaluator).
-    errors_total: Arc<Counter>,
     /// `trass_queries{kind}` and `trass_query_errors{kind}`, by [`QueryKind`].
     by_kind: [(Arc<Counter>, Arc<Counter>); 3],
     /// `trass_query_stage_seconds`: one row per label family
@@ -157,9 +156,7 @@ impl QueryObs {
             None => registry.timer(STAGE_HISTOGRAM, &[("stage", stage)]),
         };
         QueryObs {
-            queries_total: registry.counter("trass_queries_total", &[]),
             query_seconds: registry.timer("trass_query_seconds", &[]),
-            errors_total: registry.counter("trass_query_errors_total", &[]),
             by_kind: QueryKind::ALL.map(|kind| {
                 let labels = [("kind", kind.name())];
                 (
@@ -232,11 +229,21 @@ impl TrajectoryStore {
             )
             .set(1);
         let query_obs = QueryObs::new(&registry);
+        let refine_pool = ScopedPool::with_registry(config.query_threads, &registry, "refine");
+        let health = HealthRegistry::new_shared();
+        cluster.register_health_probes(&health);
+        refine_pool.register_health_probe(&health, "refine-pool", 256);
+        let publish_cluster = cluster.metrics_publisher();
+        let mirrored = Arc::clone(&registry);
         Ok(TrajectoryStore {
             tracer: TraceSampler::every(config.trace_sample_every),
             flight: Arc::new(FlightRecorder::new(FLIGHT_RECORDER_CAPACITY)),
-            refine_pool: ScopedPool::with_registry(config.query_threads, &registry, "refine"),
-            workload: Arc::new(WorkloadSummary::new(config.workload_fingerprints)),
+            refine_pool,
+            health,
+            refresh: Arc::new(move || {
+                publish_cluster();
+                trass_obs::alloc::publish(&mirrored);
+            }),
             trace_seq: AtomicU64::new(0),
             config,
             index,
@@ -282,67 +289,28 @@ impl TrajectoryStore {
         &self.flight
     }
 
-    /// Per-fingerprint workload summary: every finished query is
-    /// normalised into a shape fingerprint and aggregated here.
-    pub fn workload(&self) -> &WorkloadSummary {
-        &self.workload
+    /// The probes of the kv cluster (`kv-regions`, `kv-scan-pool`) and the
+    /// refine pool (`refine-pool`), registered once at open.
+    pub fn health(&self) -> &HealthRegistry {
+        &self.health
     }
 
-    /// Starts the embedded telemetry endpoint with default options: bound
-    /// to [`TrassConfig::telemetry_addr`] (or an ephemeral localhost port
-    /// when unset), 1 s collection interval, 2 min of history, and the
-    /// default SLOs — query p99 latency under 500 ms at 99%, and query
-    /// error rate under 0.1%.
-    ///
-    /// The returned [`Telemetry`] owns the server and collector threads;
-    /// dropping it (or calling [`Telemetry::shutdown`]) stops both.
+    /// Starts the embedded telemetry endpoint on
+    /// [`TrassConfig::telemetry_addr`] (an ephemeral localhost port when
+    /// unset). The returned [`Telemetry`] owns the listener; dropping it
+    /// (or calling [`Telemetry::shutdown`]) stops it.
     pub fn serve_telemetry(&self) -> std::io::Result<Telemetry> {
-        let addr = self.config.telemetry_addr.clone().unwrap_or_else(|| "127.0.0.1:0".to_string());
-        self.serve_telemetry_with(TelemetryOptions {
-            addr,
-            objectives: Self::default_slo_objectives(),
-            ..TelemetryOptions::default()
-        })
-    }
-
-    /// [`TrajectoryStore::serve_telemetry`] with explicit options (bind
-    /// address, collection interval, history depth, SLO objectives).
-    pub fn serve_telemetry_with(&self, opts: TelemetryOptions) -> std::io::Result<Telemetry> {
-        let health = HealthRegistry::new_shared();
-        self.cluster.register_health_probes(&health);
-        self.refine_pool.register_health_probe(&health, "refine-pool", 256);
         let slow = Arc::clone(&self.slow_queries);
-        // Each scrape refreshes the cluster's I/O counters and the
-        // stage-tagged allocation/CPU accounting in the same pass.
-        let publish_cluster = self.cluster.metrics_publisher();
-        let registry = Arc::clone(&self.registry);
         Telemetry::serve(
-            opts,
+            self.config.telemetry_addr.as_deref().unwrap_or("127.0.0.1:0"),
             TelemetrySources {
                 registry: Arc::clone(&self.registry),
-                refresh: Some(Arc::new(move || {
-                    publish_cluster();
-                    trass_obs::alloc::publish(&registry);
-                })),
-                flight: Some(Arc::clone(&self.flight)),
-                slowlog: Some(Arc::new(move |json| render_slowlog(&slow, json))),
-                workload: Some(Arc::clone(&self.workload)),
-                health,
+                refresh: Arc::clone(&self.refresh),
+                flight: Arc::clone(&self.flight),
+                slowlog: Arc::new(move |json| render_slowlog(&slow, json)),
+                health: Arc::clone(&self.health),
             },
         )
-    }
-
-    /// The default SLO objectives evaluated by the telemetry endpoint.
-    pub fn default_slo_objectives() -> Vec<SloObjective> {
-        vec![
-            SloObjective::latency_under("query-latency-p99", "trass_query_seconds", 0.5, 0.99),
-            SloObjective::error_ratio(
-                "query-error-rate",
-                "trass_query_errors_total",
-                "trass_queries_total",
-                0.999,
-            ),
-        ]
     }
 
     /// Runs a query with tracing forced on and returns its result together
@@ -396,23 +364,19 @@ impl TrajectoryStore {
     /// a traced query gets the next trace id as its root's `trace_id`
     /// label (ids stay dense across the traces that actually exist, and
     /// slow-log entries can name their trace), its span tree is retained
-    /// in the flight recorder, and the query is counted, folded into the
-    /// workload summary and offered to the slow log.
+    /// in the flight recorder, and the query is counted and offered to the
+    /// slow log.
     pub(crate) fn run_query(
         &self,
         kind: QueryKind,
         ctx: TraceCtx,
         body: impl FnOnce(&mut TraceSpan) -> Result<Answer, KvError>,
     ) -> Result<(SearchResult, Option<Arc<QueryTrace>>), KvError> {
-        // Driver-thread allocation delta over the whole query; feeds the
-        // per-fingerprint workload summary (0 when the counting allocator
-        // is not installed).
-        let alloc_mark = trass_obs::alloc::thread_alloc_snapshot();
         let mut root = ctx.root(kind.name());
-        let (result, record) = match body(&mut root) {
+        let (result, detail) = match body(&mut root) {
             Ok(answer) => answer,
             Err(e) => {
-                self.record_query_error(kind);
+                self.query_obs.by_kind[kind as usize].1.inc();
                 return Err(e);
             }
         };
@@ -425,78 +389,42 @@ impl TrajectoryStore {
         if let Some(trace) = &trace {
             self.flight.push(Arc::clone(trace));
         }
-        if let Some((detail, fingerprint)) = record {
-            let alloc_bytes = trass_obs::alloc::thread_alloc_snapshot().since(&alloc_mark).bytes;
-            self.record_query(
-                kind,
-                detail,
-                &result.stats,
-                trace.clone(),
-                &fingerprint,
-                alloc_bytes,
-            );
+        if let Some(detail) = detail {
+            self.record_query(kind, detail, &result.stats, trace.clone());
         }
         Ok((result, trace))
     }
 
-    /// Counts a finished query, folds it into the per-fingerprint workload
-    /// summary, and offers it to the slow-query log (with its trace
-    /// attached when one was recorded).
+    /// Counts a finished query, records its latency, and offers it to the
+    /// slow-query log (with its trace attached when one was recorded).
     fn record_query(
         &self,
         kind: QueryKind,
         detail: String,
         stats: &QueryStats,
         trace: Option<Arc<QueryTrace>>,
-        fingerprint: &QueryFingerprint,
-        alloc_bytes: u64,
     ) {
         let obs = &self.query_obs;
         obs.by_kind[kind as usize].0.inc();
-        obs.queries_total.inc();
         obs.query_seconds.record_duration(stats.total_time());
-        self.workload.record(
-            fingerprint,
-            &WorkloadStats {
-                latency: stats.total_time(),
-                bytes_scanned: stats.io.bytes_read,
-                retrieved: stats.retrieved,
-                candidates: stats.candidates,
-                results: stats.results,
-                refine_pruned: stats.refine_prune.pruned_total(),
-                alloc_bytes,
-            },
-        );
         self.slow_queries.record(
             stats.total_time().as_nanos() as u64,
             SlowQueryRecord { kind: kind.name(), detail, stats: stats.clone(), trace },
         );
     }
 
-    /// Counts a query that failed with an error. The error also counts in
-    /// `trass_queries_total` so the SLO error ratio's denominator covers
-    /// every attempt, not just the successful ones.
-    fn record_query_error(&self, kind: QueryKind) {
-        let obs = &self.query_obs;
-        obs.by_kind[kind as usize].1.inc();
-        obs.errors_total.inc();
-        obs.queries_total.inc();
-    }
-
     /// Renders every metric in the Prometheus text exposition format,
-    /// after mirroring the cluster's cumulative I/O counters into the
-    /// registry (so the scrape sees fresh per-shard values).
+    /// after mirroring the counters kept outside the registry into it (so
+    /// the scrape sees fresh per-shard values).
     pub fn render_prometheus(&self) -> String {
-        self.cluster.publish_metrics();
-        trass_obs::alloc::publish(&self.registry);
+        (self.refresh)();
         self.registry.render_prometheus()
     }
 
     /// Renders every metric as a JSON document (same refresh semantics as
     /// [`TrajectoryStore::render_prometheus`]).
     pub fn render_json(&self) -> String {
-        self.cluster.publish_metrics();
-        trass_obs::alloc::publish(&self.registry);
+        (self.refresh)();
         self.registry.render_json()
     }
 

@@ -84,6 +84,7 @@ fn explain_renderers_round_trip() {
         .unwrap();
     let text = explained.trace.render_text();
     assert!(text.contains("threshold"), "text rendering misses root:\n{text}");
+    assert!(text.starts_with("threshold"), "root is not the first line:\n{text}");
     assert!(text.contains("region-scan"));
     assert!(text.contains('%'), "no percent-of-parent annotations:\n{text}");
 
@@ -116,6 +117,9 @@ fn explain_topk_records_deepening_rounds() {
     let last = rounds.last().unwrap();
     assert!(last.field_u64("results").unwrap() >= 5);
     assert_eq!(explained.result.results.len(), 5);
+    let text = explained.trace.render_text();
+    assert!(text.starts_with("topk"), "root is not the first line:\n{text}");
+    assert!(text.contains("region-scan"), "{text}");
 }
 
 #[test]

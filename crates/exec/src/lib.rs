@@ -116,7 +116,7 @@ impl ScopedPool {
     /// Registers a readiness probe named `name` on `health` that fails
     /// when the pool's queue depth exceeds `max_queue` — a saturated pool
     /// means queries are arriving faster than workers drain them, which an
-    /// orchestrator should see on `/readyz` before latency SLOs burn.
+    /// orchestrator should see on `/readyz` before latency degrades.
     ///
     /// No-op for uninstrumented pools (no registry attached): with no
     /// gauge to read there is nothing to probe.

@@ -286,7 +286,8 @@ impl Cluster {
     }
 
     /// Registers this cluster's health probes on `health` (served by the
-    /// telemetry endpoint's `/healthz` and `/readyz`):
+    /// telemetry endpoint's `/healthz` and `/readyz` and the wire `Health`
+    /// op):
     ///
     /// * `kv-regions` — every region's [`LsmStore::health`] (data dir
     ///   present and writable, WAL alive, compaction keeping up). The

@@ -212,17 +212,6 @@ impl Histogram {
         }
     }
 
-    /// Number of recorded samples `≤ value`, up to bucket resolution: the
-    /// whole bucket containing `value` is counted, so the result can
-    /// overcount by at most the samples sharing that bucket (≤ 1/32
-    /// relative error on the value axis). Monotone in `value`. This is the
-    /// "good events" reader for latency SLOs (`count_at_most(threshold)` /
-    /// `count()`).
-    pub fn count_at_most(&self, value: u64) -> u64 {
-        let idx = Self::index_of(value);
-        self.buckets.iter().take(idx + 1).map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
     /// Non-empty buckets as `(inclusive_upper_bound, count)` pairs in
     /// increasing bound order — the exporter's raw material.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
@@ -416,24 +405,6 @@ mod tests {
         assert_eq!(h.value_at_quantile(f64::INFINITY), h.max());
         // NaN is treated as q = 0, not propagated.
         assert_eq!(h.value_at_quantile(f64::NAN), h.value_at_quantile(0.0));
-    }
-
-    #[test]
-    fn count_at_most_is_monotone_and_bounded() {
-        let h = Histogram::new();
-        for v in [0u64, 1, 10, 31, 32, 1000, 1 << 20] {
-            h.record(v);
-        }
-        assert_eq!(h.count_at_most(0), 1);
-        assert_eq!(h.count_at_most(31), 4, "exact region counts exactly");
-        assert_eq!(h.count_at_most(u64::MAX), h.count());
-        let mut last = 0;
-        for v in [0u64, 5, 31, 32, 999, 1000, 1 << 20, u64::MAX] {
-            let c = h.count_at_most(v);
-            assert!(c >= last, "count_at_most regressed at {v}");
-            last = c;
-        }
-        assert_eq!(Histogram::new().count_at_most(u64::MAX), 0);
     }
 
     #[test]

@@ -7,25 +7,20 @@
 //! wire for `curl` and Prometheus — it is not a general web server and
 //! never parses bodies.
 //!
-//! [`Telemetry`] composes the server with a running
-//! [`Collector`](crate::collector) and wires the standard routes:
+//! [`Telemetry`] is that server behind the standard route table:
 //!
-//! | route           | content                                              |
-//! |-----------------|------------------------------------------------------|
-//! | `/metrics`      | Prometheus text exposition                           |
-//! | `/metrics.json` | JSON snapshot of the registry                        |
-//! | `/traces`       | flight-recorder dump (`?format=json` for JSON)       |
-//! | `/slowlog`      | the slow-query log (`?format=json` for JSON)         |
-//! | `/profile`      | collapsed-stack flame-graph lines folded from the    |
-//! |                 | flight recorder (`?weight=wall\|alloc\|cpu`)         |
-//! | `/workload`     | per-fingerprint workload summary (`?format=json`)    |
-//! | `/vars/history` | collector ring buffers as rate/delta time series     |
-//! | `/healthz`      | probes + SLO verdicts; 503 on failure or burn breach |
-//! | `/readyz`       | probes only; 503 on failure                          |
+//! | route           | content                                        |
+//! |-----------------|------------------------------------------------|
+//! | `/metrics`      | Prometheus text exposition                     |
+//! | `/metrics.json` | JSON snapshot of the registry                  |
+//! | `/traces`       | flight-recorder dump (`?format=json` for JSON) |
+//! | `/slowlog`      | the slow-query log (`?format=json` for JSON)   |
+//! | `/healthz`      | probe report; 503 when any probe fails         |
+//! | `/readyz`       | the same report under the readiness path       |
+//!
+//! `/` lists the routes.
 
-use crate::collector::{Collector, CollectorHandle, CollectorOptions};
-use crate::health::{HealthRegistry, SloEvaluator, SloObjective, SloStatus};
-use crate::json;
+use crate::health::HealthRegistry;
 use crate::listener::Listener;
 use crate::registry::Registry;
 use crate::trace::FlightRecorder;
@@ -195,88 +190,48 @@ fn write_response(stream: &mut TcpStream, r: &Response) -> std::io::Result<()> {
     stream.flush()
 }
 
-/// Telemetry endpoint tuning.
-#[derive(Debug, Clone)]
-pub struct TelemetryOptions {
-    /// Bind address; `"127.0.0.1:0"` picks an ephemeral port.
-    pub addr: String,
-    /// Collector sampling interval.
-    pub interval: Duration,
-    /// Collector ring capacity (samples per series).
-    pub history: usize,
-    /// SLO objectives evaluated each collector tick.
-    pub objectives: Vec<SloObjective>,
-}
-
-impl Default for TelemetryOptions {
-    fn default() -> Self {
-        TelemetryOptions {
-            addr: "127.0.0.1:0".to_string(),
-            interval: Duration::from_secs(1),
-            history: 120,
-            objectives: Vec::new(),
-        }
-    }
-}
-
-/// What the endpoint serves. Only `registry` and `health` are mandatory;
-/// routes whose source is absent answer 404.
-#[derive(Clone)]
+/// What the endpoint serves.
 pub struct TelemetrySources {
-    /// The metric registry behind `/metrics`, `/metrics.json`, and the
-    /// collector.
+    /// The metric registry behind `/metrics` and `/metrics.json`.
     pub registry: Arc<Registry>,
-    /// Runs before every scrape and collector sample (mirror external
-    /// counters into the registry here).
-    pub refresh: Option<Arc<dyn Fn() + Send + Sync>>,
-    /// Flight recorder behind `/traces` and `/profile`.
-    pub flight: Option<Arc<FlightRecorder>>,
+    /// Runs before every scrape (mirror external counters into the
+    /// registry here).
+    pub refresh: Arc<dyn Fn() + Send + Sync>,
+    /// Flight recorder behind `/traces`.
+    pub flight: Arc<FlightRecorder>,
     /// Renders the slow-query log for `/slowlog`; the argument selects
     /// JSON (`true`, for `?format=json`) or text rendering.
-    pub slowlog: Option<Arc<dyn Fn(bool) -> String + Send + Sync>>,
-    /// Workload summary behind `/workload`.
-    pub workload: Option<Arc<crate::fingerprint::WorkloadSummary>>,
+    pub slowlog: Arc<dyn Fn(bool) -> String + Send + Sync>,
     /// Probes behind `/healthz` and `/readyz`.
     pub health: Arc<HealthRegistry>,
 }
 
 impl std::fmt::Debug for TelemetrySources {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TelemetrySources")
-            .field("flight", &self.flight.is_some())
-            .field("slowlog", &self.slowlog.is_some())
-            .field("workload", &self.workload.is_some())
-            .field("probes", &self.health.len())
-            .finish()
+        f.debug_struct("TelemetrySources").field("probes", &self.health.len()).finish()
     }
 }
 
-/// A running telemetry endpoint: the HTTP server plus its background
-/// collector. Shuts down cleanly on [`Telemetry::shutdown`] or drop.
+/// A running telemetry endpoint: an [`HttpServer`] behind the route table.
+/// Shuts down cleanly on [`Telemetry::shutdown`] or drop.
 #[derive(Debug)]
 pub struct Telemetry {
     server: HttpServer,
-    collector: Arc<Collector>,
-    collector_handle: CollectorHandle,
-    slo: Arc<SloEvaluator>,
-    health: Arc<HealthRegistry>,
 }
 
 impl Telemetry {
-    /// Binds the endpoint, starts the collector thread, and wires every
-    /// route described in the module docs.
-    pub fn serve(opts: TelemetryOptions, sources: TelemetrySources) -> std::io::Result<Telemetry> {
-        let slo = Arc::new(SloEvaluator::new(&sources.registry, opts.objectives.clone()));
-        let collector = Arc::new(Collector::new(
-            Arc::clone(&sources.registry),
-            sources.refresh.clone(),
-            Some(Arc::clone(&slo)),
-            CollectorOptions { interval: opts.interval, capacity: opts.history },
-        ));
-        let collector_handle = collector.start()?;
-        let handler = router(sources.clone(), Arc::clone(&collector), Arc::clone(&slo));
-        let server = HttpServer::serve(&opts.addr, handler)?;
-        Ok(Telemetry { server, collector, collector_handle, slo, health: sources.health })
+    /// Binds `addr` and serves every route described in the module docs.
+    pub fn serve(addr: &str, sources: TelemetrySources) -> std::io::Result<Telemetry> {
+        let handler: Handler = Arc::new(move |req: &Request| {
+            if req.path == "/" {
+                return Response::text(index());
+            }
+            match ROUTES.iter().find(|(path, _)| *path == req.path) {
+                Some((_, route)) => route(&sources, req),
+                None => Response::status(404, "not found\n"),
+            }
+        });
+        Ok(Telemetry { server: HttpServer::serve(addr, handler)? })
     }
 
     /// The bound address.
@@ -284,152 +239,74 @@ impl Telemetry {
         self.server.local_addr()
     }
 
-    /// The background collector (exposed so tests and deterministic
-    /// drivers can step it with `collect_once`).
-    pub fn collector(&self) -> &Arc<Collector> {
-        &self.collector
-    }
-
-    /// The SLO evaluator driving `/healthz`.
-    pub fn slo(&self) -> &Arc<SloEvaluator> {
-        &self.slo
-    }
-
-    /// The probe set behind `/healthz` and `/readyz`.
-    pub fn health(&self) -> &Arc<HealthRegistry> {
-        &self.health
-    }
-
-    /// Stops the collector and the server, joining every thread.
+    /// Stops the server, joining every thread.
     pub fn shutdown(mut self) {
-        self.collector_handle.stop();
         self.server.shutdown();
     }
 }
 
-/// Builds the route table.
-fn router(sources: TelemetrySources, collector: Arc<Collector>, slo: Arc<SloEvaluator>) -> Handler {
-    Arc::new(move |req: &Request| {
-        match req.path.as_str() {
-            "/" => Response::text(
-                "trass telemetry\n\n/metrics\n/metrics.json\n/traces\n/slowlog\n/profile\n/workload\n/vars/history\n/healthz\n/readyz\n",
-            ),
-            "/metrics" => {
-                if let Some(refresh) = &sources.refresh {
-                    refresh();
-                }
-                Response {
-                    content_type: "text/plain; version=0.0.4; charset=utf-8",
-                    ..Response::text(sources.registry.render_prometheus())
-                }
-            }
-            "/metrics.json" => {
-                if let Some(refresh) = &sources.refresh {
-                    refresh();
-                }
-                Response::json(sources.registry.render_json())
-            }
-            "/traces" => match &sources.flight {
-                None => Response::status(404, "no flight recorder attached\n"),
-                Some(flight) => {
-                    let traces = flight.snapshot();
-                    if req.query_has("format", "json") {
-                        let docs: Vec<String> =
-                            traces.iter().map(|t| t.render_json()).collect();
-                        Response::json(format!("[{}]", docs.join(",")))
-                    } else {
-                        let mut out = format!("{} retained trace(s)\n\n", traces.len());
-                        for t in &traces {
-                            out.push_str(&t.render_text());
-                            out.push('\n');
-                        }
-                        Response::text(out)
-                    }
-                }
-            },
-            "/slowlog" => match &sources.slowlog {
-                None => Response::status(404, "no slow-query log attached\n"),
-                Some(render) => {
-                    if req.query_has("format", "json") {
-                        Response::json(render(true))
-                    } else {
-                        Response::text(render(false))
-                    }
-                }
-            },
-            "/profile" => match &sources.flight {
-                None => Response::status(404, "no flight recorder attached\n"),
-                Some(flight) => {
-                    let weight = req
-                        .query
-                        .split('&')
-                        .find_map(|kv| kv.strip_prefix("weight="))
-                        .unwrap_or("wall");
-                    match crate::profile::ProfileWeight::parse(weight) {
-                        None => Response::status(
-                            400,
-                            "unknown weight; use weight=wall|alloc|cpu\n",
-                        ),
-                        Some(w) => Response::text(crate::profile::render_flight(flight, w)),
-                    }
-                }
-            },
-            "/workload" => match &sources.workload {
-                None => Response::status(404, "no workload summary attached\n"),
-                Some(workload) => {
-                    if req.query_has("format", "json") {
-                        Response::json(workload.render_json())
-                    } else {
-                        Response::text(workload.render_text())
-                    }
-                }
-            },
-            "/vars/history" => Response::json(collector.render_history()),
-            "/healthz" => render_health(&sources.health, Some(&slo)),
-            "/readyz" => render_health(&sources.health, None),
-            _ => Response::status(404, "not found\n"),
-        }
-    })
+type Route = fn(&TelemetrySources, &Request) -> Response;
+
+/// The route table: every path the endpoint serves besides the `/` index,
+/// which lists exactly these.
+const ROUTES: [(&str, Route); 6] = [
+    ("/metrics", metrics),
+    ("/metrics.json", metrics_json),
+    ("/traces", traces),
+    ("/slowlog", slowlog),
+    ("/healthz", health),
+    ("/readyz", health),
+];
+
+fn index() -> String {
+    let mut out = String::from("trass telemetry\n\n");
+    for (path, _) in ROUTES {
+        out.push_str(path);
+        out.push('\n');
+    }
+    out
 }
 
-/// Renders probe results (and, for `/healthz`, SLO verdicts) as a
-/// plain-text report with a 200/503 status.
-fn render_health(health: &HealthRegistry, slo: Option<&Arc<SloEvaluator>>) -> Response {
-    let mut ok = true;
-    let mut body = String::new();
-    for report in health.check() {
-        match &report.result {
-            Ok(()) => body.push_str(&format!("ok   probe {}\n", report.name)),
-            Err(reason) => {
-                ok = false;
-                body.push_str(&format!("FAIL probe {}: {}\n", report.name, reason));
-            }
+fn metrics(sources: &TelemetrySources, _: &Request) -> Response {
+    (sources.refresh)();
+    Response {
+        content_type: "text/plain; version=0.0.4; charset=utf-8",
+        ..Response::text(sources.registry.render_prometheus())
+    }
+}
+
+fn metrics_json(sources: &TelemetrySources, _: &Request) -> Response {
+    (sources.refresh)();
+    Response::json(sources.registry.render_json())
+}
+
+fn traces(sources: &TelemetrySources, req: &Request) -> Response {
+    let traces = sources.flight.snapshot();
+    if req.query_has("format", "json") {
+        let docs: Vec<String> = traces.iter().map(|t| t.render_json()).collect();
+        Response::json(format!("[{}]", docs.join(",")))
+    } else {
+        let mut out = format!("{} retained trace(s)\n\n", traces.len());
+        for t in &traces {
+            out.push_str(&t.render_text());
+            out.push('\n');
         }
+        Response::text(out)
     }
-    if let Some(slo) = slo {
-        for status in slo.statuses() {
-            body.push_str(&render_slo_line(&status));
-            if status.breached {
-                ok = false;
-            }
-        }
+}
+
+fn slowlog(sources: &TelemetrySources, req: &Request) -> Response {
+    if req.query_has("format", "json") {
+        Response::json((sources.slowlog)(true))
+    } else {
+        Response::text((sources.slowlog)(false))
     }
-    if body.is_empty() {
-        body.push_str("no probes registered\n");
-    }
-    body.insert_str(0, if ok { "status: ok\n" } else { "status: unhealthy\n" });
+}
+
+/// `/healthz` and `/readyz`: the probe report, 503 when any probe fails.
+fn health(sources: &TelemetrySources, _: &Request) -> Response {
+    let (ok, body) = sources.health.render();
     Response::status(if ok { 200 } else { 503 }, body)
-}
-
-fn render_slo_line(s: &SloStatus) -> String {
-    format!(
-        "{} slo {} fast_burn={:.2} slow_burn={:.2}\n",
-        if s.breached { "FAIL" } else { "ok  " },
-        // The name is operator-provided free text; keep the line greppable.
-        json::string(&s.name),
-        s.fast_burn,
-        s.slow_burn
-    )
 }
 
 #[cfg(test)]
@@ -523,130 +400,13 @@ mod tests {
         }
     }
 
-    fn telemetry_fixture(objectives: Vec<SloObjective>) -> (Arc<Registry>, Telemetry) {
+    /// A telemetry endpoint over populated sources: two metric series,
+    /// one recorded trace, a two-format slowlog stub and `health`'s probes.
+    fn fixture(health: Arc<HealthRegistry>) -> Telemetry {
+        use crate::trace::TraceCtx;
         let registry = Registry::new_shared();
         registry.counter("demo_total", &[]).add(5);
         registry.timer("demo_seconds", &[]).record(1_000_000);
-        let health = HealthRegistry::new_shared();
-        health.register("self", || Ok(()));
-        let telemetry = Telemetry::serve(
-            TelemetryOptions {
-                interval: Duration::from_millis(3_600_000), // effectively manual
-                history: 4,
-                objectives,
-                ..TelemetryOptions::default()
-            },
-            TelemetrySources {
-                registry: Arc::clone(&registry),
-                refresh: None,
-                flight: None,
-                slowlog: None,
-                workload: None,
-                health,
-            },
-        )
-        .expect("serve telemetry");
-        (registry, telemetry)
-    }
-
-    #[test]
-    fn telemetry_serves_every_route() {
-        let (_registry, telemetry) = telemetry_fixture(Vec::new());
-        let addr = telemetry.local_addr();
-        let (status, metrics) = http_get(addr, "/metrics");
-        assert_eq!(status, 200);
-        assert!(metrics.contains("# TYPE demo_total counter"), "{metrics}");
-        assert!(metrics.contains("demo_seconds_bucket"), "{metrics}");
-        let (status, json) = http_get(addr, "/metrics.json");
-        assert_eq!(status, 200);
-        assert!(json.contains("\"demo_total\""), "{json}");
-        assert_eq!(http_get(addr, "/").0, 200);
-        assert_eq!(http_get(addr, "/traces").0, 404, "no flight recorder attached");
-        assert_eq!(http_get(addr, "/slowlog").0, 404);
-        assert_eq!(http_get(addr, "/profile").0, 404, "no flight recorder attached");
-        assert_eq!(http_get(addr, "/workload").0, 404, "no workload summary attached");
-        let (status, health) = http_get(addr, "/healthz");
-        assert_eq!(status, 200);
-        assert!(health.contains("ok   probe self"), "{health}");
-        assert_eq!(http_get(addr, "/readyz").0, 200);
-        telemetry.collector().collect_once();
-        let (status, history) = http_get(addr, "/vars/history");
-        assert_eq!(status, 200);
-        assert!(history.contains("\"demo_total\""), "{history}");
-        telemetry.shutdown();
-    }
-
-    #[test]
-    fn healthz_fails_on_probe_failure() {
-        let registry = Registry::new_shared();
-        let health = HealthRegistry::new_shared();
-        health.register("disk", || Err("disk full".to_string()));
-        let telemetry = Telemetry::serve(
-            TelemetryOptions::default(),
-            TelemetrySources {
-                registry,
-                refresh: None,
-                flight: None,
-                slowlog: None,
-                workload: None,
-                health,
-            },
-        )
-        .expect("serve");
-        let (status, body) = http_get(telemetry.local_addr(), "/healthz");
-        assert_eq!(status, 503);
-        assert!(body.contains("FAIL probe disk: disk full"), "{body}");
-        let (status, _) = http_get(telemetry.local_addr(), "/readyz");
-        assert_eq!(status, 503);
-        telemetry.shutdown();
-    }
-
-    #[test]
-    fn healthz_flips_on_slo_breach_and_recovery_is_possible() {
-        let mut objective = SloObjective::latency_under("lat", "demo_seconds", 0.5, 0.99);
-        objective.fast_window = 2;
-        objective.slow_window = 4;
-        let (registry, telemetry) = telemetry_fixture(vec![objective]);
-        let addr = telemetry.local_addr();
-        assert_eq!(http_get(addr, "/healthz").0, 200);
-        // Injected latency spike: every sample blows the 500 ms threshold.
-        let t = registry.timer("demo_seconds", &[]);
-        for _ in 0..5 {
-            for _ in 0..10 {
-                t.record(2_000_000_000);
-            }
-            telemetry.collector().collect_once();
-        }
-        let (status, body) = http_get(addr, "/healthz");
-        assert_eq!(status, 503, "{body}");
-        assert!(body.contains("FAIL slo \"lat\""), "{body}");
-        // /readyz ignores SLOs: the process is still able to serve.
-        assert_eq!(http_get(addr, "/readyz").0, 200);
-        // The verdict is also a scrapeable gauge.
-        let (_, metrics) = http_get(addr, "/metrics");
-        assert!(metrics.contains("trass_slo_ok{objective=\"lat\"} 0"), "{metrics}");
-        telemetry.shutdown();
-    }
-
-    #[test]
-    fn telemetry_shutdown_is_clean() {
-        // The acceptance criterion: shutdown returns (joining the accept
-        // thread, every connection thread, and the collector), and the
-        // port is released.
-        let (_registry, telemetry) = telemetry_fixture(Vec::new());
-        let addr = telemetry.local_addr();
-        assert_eq!(http_get(addr, "/metrics").0, 200);
-        telemetry.shutdown();
-        assert!(TcpListener::bind(addr).is_ok(), "port still held after shutdown");
-    }
-
-    /// A telemetry endpoint with every optional source attached: one
-    /// recorded trace, a two-format slowlog stub, and a workload summary
-    /// with one fingerprint.
-    fn full_fixture() -> Telemetry {
-        use crate::fingerprint::{QueryFingerprint, WorkloadStats, WorkloadSummary};
-        use crate::trace::TraceCtx;
-        let registry = Registry::new_shared();
         let flight = Arc::new(FlightRecorder::new(4));
         let ctx = TraceCtx::enabled();
         let mut root = ctx.root("threshold");
@@ -659,42 +419,88 @@ mod tests {
         root.set_duration(Duration::from_millis(3));
         root.finish();
         flight.push(Arc::new(ctx.finish().expect("trace")));
-        let workload = Arc::new(WorkloadSummary::new(8));
-        workload.record(
-            &QueryFingerprint::threshold("frechet", 0.01, 100),
-            &WorkloadStats {
-                latency: Duration::from_millis(3),
-                bytes_scanned: 64,
-                retrieved: 10,
-                candidates: 4,
-                results: 2,
-                refine_pruned: 0,
-                alloc_bytes: 512,
-            },
-        );
         Telemetry::serve(
-            TelemetryOptions::default(),
+            "127.0.0.1:0",
             TelemetrySources {
                 registry,
-                refresh: None,
-                flight: Some(flight),
-                slowlog: Some(Arc::new(|json| {
+                refresh: Arc::new(|| {}),
+                flight,
+                slowlog: Arc::new(|json| {
                     if json {
                         "[{\"rank\":1}]".to_string()
                     } else {
                         "slow queries: none\n".to_string()
                     }
-                })),
-                workload: Some(workload),
-                health: HealthRegistry::new_shared(),
+                }),
+                health,
             },
         )
-        .expect("serve")
+        .expect("serve telemetry")
+    }
+
+    fn healthy_fixture() -> Telemetry {
+        let health = HealthRegistry::new_shared();
+        health.register("self", || Ok(()));
+        fixture(health)
+    }
+
+    #[test]
+    fn route_table_is_exactly_what_is_served() {
+        let telemetry = healthy_fixture();
+        let addr = telemetry.local_addr();
+        let (status, index) = http_get(addr, "/");
+        assert_eq!(status, 200);
+        let listed: Vec<&str> = index.lines().filter(|l| l.starts_with('/')).collect();
+        assert_eq!(
+            listed,
+            ["/metrics", "/metrics.json", "/traces", "/slowlog", "/healthz", "/readyz"],
+            "{index}"
+        );
+        for path in listed {
+            assert_eq!(http_get(addr, path).0, 200, "{path}");
+        }
+        for cut in ["/vars/history", "/profile", "/profile?weight=wall", "/workload"] {
+            assert_eq!(http_get(addr, cut).0, 404, "{cut}");
+        }
+        let (_, metrics) = http_get(addr, "/metrics");
+        assert!(metrics.contains("# TYPE demo_total counter"), "{metrics}");
+        assert!(metrics.contains("demo_seconds_bucket"), "{metrics}");
+        let (_, json) = http_get(addr, "/metrics.json");
+        assert!(json.contains("\"demo_total\""), "{json}");
+        let (_, health) = http_get(addr, "/healthz");
+        assert_eq!(health, "status: ok\nok   probe self\n");
+        assert_eq!(http_get(addr, "/readyz").1, health);
+        telemetry.shutdown();
+    }
+
+    #[test]
+    fn healthz_fails_on_probe_failure() {
+        let health = HealthRegistry::new_shared();
+        health.register("disk", || Err("disk full".to_string()));
+        let telemetry = fixture(health);
+        let (status, body) = http_get(telemetry.local_addr(), "/healthz");
+        assert_eq!(status, 503);
+        assert!(body.starts_with("status: unhealthy\n"), "{body}");
+        assert!(body.contains("FAIL probe disk: disk full"), "{body}");
+        let (status, _) = http_get(telemetry.local_addr(), "/readyz");
+        assert_eq!(status, 503);
+        telemetry.shutdown();
+    }
+
+    #[test]
+    fn telemetry_shutdown_is_clean() {
+        // The acceptance criterion: shutdown returns (joining the accept
+        // thread and every connection thread), and the port is released.
+        let telemetry = healthy_fixture();
+        let addr = telemetry.local_addr();
+        assert_eq!(http_get(addr, "/metrics").0, 200);
+        telemetry.shutdown();
+        assert!(TcpListener::bind(addr).is_ok(), "port still held after shutdown");
     }
 
     #[test]
     fn traces_routes_render_both_formats() {
-        let telemetry = full_fixture();
+        let telemetry = healthy_fixture();
         let addr = telemetry.local_addr();
         let (status, text) = http_get(addr, "/traces");
         assert_eq!(status, 200);
@@ -709,7 +515,7 @@ mod tests {
 
     #[test]
     fn slowlog_route_renders_both_formats() {
-        let telemetry = full_fixture();
+        let telemetry = healthy_fixture();
         let addr = telemetry.local_addr();
         let (status, slow) = http_get(addr, "/slowlog");
         assert_eq!(status, 200);
@@ -717,38 +523,6 @@ mod tests {
         let (status, json) = http_get(addr, "/slowlog?format=json");
         assert_eq!(status, 200);
         assert!(json.contains("\"rank\":1"), "{json}");
-        telemetry.shutdown();
-    }
-
-    #[test]
-    fn profile_route_folds_the_flight_recorder() {
-        let telemetry = full_fixture();
-        let addr = telemetry.local_addr();
-        for path in ["/profile", "/profile?weight=wall"] {
-            let (status, folded) = http_get(addr, path);
-            assert_eq!(status, 200);
-            assert!(folded.contains("threshold;scan "), "{folded}");
-            assert!(folded.lines().all(|l| l.rsplit(' ').next().is_some()), "{folded}");
-        }
-        // alloc/cpu weights are valid even when span fields are absent —
-        // they just fold to empty output.
-        assert_eq!(http_get(addr, "/profile?weight=alloc").0, 200);
-        assert_eq!(http_get(addr, "/profile?weight=cpu").0, 200);
-        assert_eq!(http_get(addr, "/profile?weight=bogus").0, 400);
-        telemetry.shutdown();
-    }
-
-    #[test]
-    fn workload_route_renders_both_formats() {
-        let telemetry = full_fixture();
-        let addr = telemetry.local_addr();
-        let (status, text) = http_get(addr, "/workload");
-        assert_eq!(status, 200);
-        assert!(text.contains("threshold|frechet"), "{text}");
-        let (status, json) = http_get(addr, "/workload?format=json");
-        assert_eq!(status, 200);
-        assert!(json.contains("\"fingerprint\":\"threshold|frechet"), "{json}");
-        assert!(json.contains("\"count\":1"), "{json}");
         telemetry.shutdown();
     }
 }

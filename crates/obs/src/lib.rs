@@ -30,29 +30,19 @@
 //!   [`QueryTrace`]) with `EXPLAIN ANALYZE` and JSON renderers, plus a
 //!   [`FlightRecorder`] ring buffer of the last N completed traces.
 //! * [`http`] — an embedded, dependency-free telemetry endpoint
-//!   ([`Telemetry`] / [`HttpServer`]) serving `/metrics`, `/traces`,
-//!   `/slowlog`, `/vars/history`, `/healthz`, and `/readyz` over
-//!   `std::net`.
+//!   ([`Telemetry`] / [`HttpServer`]) serving `/metrics`,
+//!   `/metrics.json`, `/traces`, `/slowlog`, `/healthz`, and `/readyz`
+//!   over `std::net`.
 //! * [`listener`] — the one thread-per-connection accept/join loop
 //!   ([`Listener`]) under both the telemetry endpoint and `trass-server`.
-//! * [`collector`] — a background thread ([`Collector`]) that samples the
-//!   registry on an interval into fixed-size per-series ring buffers, so
-//!   the endpoint can serve short-horizon rate/delta time series without
-//!   an external TSDB.
-//! * [`health`] — liveness/readiness probes ([`HealthRegistry`]) and
-//!   multi-window SLO burn-rate evaluation ([`SloEvaluator`]) whose
-//!   verdicts drive `/healthz` status codes and `trass_slo_*` gauges.
+//! * [`health`] — liveness/readiness probes ([`HealthRegistry`]) and the
+//!   one text rendering of their verdicts, behind `/healthz`, `/readyz`
+//!   and the wire protocol's `Health` op.
 //! * [`alloc`] — stage-tagged resource accounting: a counting
 //!   [`CountingAlloc`] global-allocator wrapper, thread-local stage tags
 //!   ([`StageGuard`]) entered by the query path's stage calls and
 //!   propagated to pool workers, and per-thread CPU time, published as
 //!   `trass_stage_*` metrics.
-//! * [`profile`] — folds the flight recorder's span trees into
-//!   collapsed-stack (flame-graph) lines weighted by wall time, alloc
-//!   bytes, or CPU time, served at `/profile`.
-//! * [`fingerprint`] — query-shape fingerprints and the fixed-capacity
-//!   [`WorkloadSummary`] aggregating per-shape cost statistics, served at
-//!   `/workload`.
 //!
 //! Metric name conventions: `trass_query_*` (query pipeline),
 //! `trass_kv_*` (store internals), `trass_ingest_*` (write path);
@@ -65,29 +55,23 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod collector;
 pub mod export;
-pub mod fingerprint;
 pub mod health;
 pub mod histogram;
 pub mod http;
 pub mod json;
 pub mod listener;
-pub mod profile;
 pub mod registry;
 pub mod slowlog;
 pub mod sync;
 pub mod trace;
 
 pub use alloc::{AllocSnapshot, CountingAlloc, StageGuard};
-pub use collector::{Collector, CollectorHandle, CollectorOptions};
 pub use export::{MetricSnapshot, MetricValue};
-pub use fingerprint::{QueryFingerprint, WorkloadStats, WorkloadSummary, WorkloadTotals};
-pub use health::{HealthRegistry, ProbeReport, SloEvaluator, SloObjective, SloSignal, SloStatus};
+pub use health::{HealthRegistry, ProbeReport};
 pub use histogram::{Histogram, Percentiles};
-pub use http::{HttpServer, Request, Response, Telemetry, TelemetryOptions, TelemetrySources};
+pub use http::{HttpServer, Request, Response, Telemetry, TelemetrySources};
 pub use listener::{Listener, StopSignal};
-pub use profile::ProfileWeight;
 pub use registry::{Counter, Gauge, Registry};
 pub use slowlog::SlowLog;
 pub use trace::{

@@ -13,19 +13,18 @@
 //! ```
 //!
 //! `--addr` falls back to `TRASS_SERVE_ADDR`. Query commands print
-//! result lines in exactly the embedded CLI's format (`  <tid>\t<dist>`
-//! for similarity, `  <tid>` for range) so CI can diff wire output
-//! against `trass sim` / `trass topk` / `trass range`; summaries go to
-//! stderr. `badframe` ships a suite of malformed frames and verifies the
+//! result lines through the embedded CLI's own formatters
+//! ([`trass_server::cli`]) so CI can diff wire output against
+//! `trass sim` / `trass topk` / `trass range`; summaries go to stderr. `badframe` ships a suite of malformed frames and verifies the
 //! server answers each with a clean protocol error and stays up.
 
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::process::ExitCode;
+use trass_server::cli::{parse, parse_measure, range_lines, similarity_lines};
 use trass_server::protocol::{self, ErrorCode, Op, QueryRef, Request};
 use trass_server::{ClientError, TrassClient};
 use trass_traj::io as traj_io;
-use trass_traj::Measure;
 
 const USAGE: &str = "\
 usage:
@@ -55,19 +54,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse(args: &[String]) -> Option<(String, HashMap<String, String>)> {
-    let cmd = args.first()?.clone();
-    let mut flags = HashMap::new();
-    let mut i = 1;
-    while i < args.len() {
-        let key = args[i].strip_prefix("--")?;
-        let value = args.get(i + 1)?;
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
-    }
-    Some((cmd, flags))
-}
-
 fn addr(flags: &HashMap<String, String>) -> Result<String, String> {
     if let Some(a) = flags.get("addr") {
         return Ok(a.clone());
@@ -81,20 +67,9 @@ fn connect(flags: &HashMap<String, String>) -> Result<TrassClient, String> {
     TrassClient::connect(addr.as_str()).map_err(|e| format!("connect {addr}: {e}"))
 }
 
-fn parse_measure(flags: &HashMap<String, String>) -> Result<Measure, String> {
-    flags.get("measure").map(|m| m.parse::<Measure>()).transpose()?.map_or(Ok(Measure::Frechet), Ok)
-}
-
 fn parse_window(flags: &HashMap<String, String>) -> Result<[f64; 4], String> {
     let spec = flags.get("window").ok_or("--window lon0,lat0,lon1,lat1 is required")?;
-    let nums: Vec<f64> = spec
-        .split(',')
-        .map(|s| s.trim().parse().map_err(|_| format!("bad number in '{spec}'")))
-        .collect::<Result<_, _>>()?;
-    if nums.len() != 4 {
-        return Err("expected lon0,lat0,lon1,lat1".into());
-    }
-    Ok([nums[0], nums[1], nums[2], nums[3]])
+    trass_server::cli::parse_window(spec)
 }
 
 fn stored_query(flags: &HashMap<String, String>) -> Result<QueryRef, String> {
@@ -108,20 +83,6 @@ fn stored_query(flags: &HashMap<String, String>) -> Result<QueryRef, String> {
 
 fn err_str(e: ClientError) -> String {
     e.to_string()
-}
-
-/// Prints similarity results in the embedded CLI's exact format.
-fn print_similarity(results: &[(u64, f64)]) {
-    for (tid, d) in results {
-        println!("  {tid}\t{d:.6}");
-    }
-}
-
-/// Prints range results in the embedded CLI's exact format.
-fn print_range(results: &[(u64, f64)]) {
-    for (tid, _) in results {
-        println!("  {tid}");
-    }
 }
 
 fn threshold_request(flags: &HashMap<String, String>) -> Result<Request, String> {
@@ -145,7 +106,7 @@ fn run(cmd: &str, flags: &HashMap<String, String>) -> Result<(), String> {
                 other => return Err(format!("unexpected response: {other:?}")),
             };
             eprintln!("{} matches", results.len());
-            print_similarity(&results);
+            print!("{}", similarity_lines(&results));
             Ok(())
         }
         "topk" => {
@@ -156,14 +117,14 @@ fn run(cmd: &str, flags: &HashMap<String, String>) -> Result<(), String> {
                 other => return Err(format!("unexpected response: {other:?}")),
             };
             eprintln!("{} results", results.len());
-            print_similarity(&results);
+            print!("{}", similarity_lines(&results));
             Ok(())
         }
         "range" => {
             let mut client = connect(flags)?;
             let results = client.range(parse_window(flags)?).map_err(err_str)?;
             eprintln!("{} trajectories intersect the window", results.len());
-            print_range(&results);
+            print!("{}", range_lines(&results));
             Ok(())
         }
         "ingest" => {
@@ -193,9 +154,9 @@ fn run(cmd: &str, flags: &HashMap<String, String>) -> Result<(), String> {
             let mut client = connect(flags)?;
             let (results, trace) = client.explain(inner).map_err(err_str)?;
             if is_range {
-                print_range(&results);
+                print!("{}", range_lines(&results));
             } else {
-                print_similarity(&results);
+                print!("{}", similarity_lines(&results));
             }
             println!("{trace}");
             Ok(())

@@ -19,6 +19,8 @@
 //!   `trass-client` binary, the `repro loadtest` harness, and the e2e
 //!   tests. Distances travel as raw IEEE-754 bits, so a wire result can
 //!   be asserted byte-identical to embedded execution.
+//! * [`cli`] — the flag, measure and window parsers and the result-line
+//!   formats the `trass` and `trass-client` binaries share.
 //!
 //! The server publishes `trass_server_*` metrics into the store's
 //! registry (scrapeable through the existing telemetry endpoint):
@@ -28,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod client;
 pub mod protocol;
 pub mod server;

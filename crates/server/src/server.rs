@@ -449,9 +449,11 @@ fn execute_explain(shared: &Arc<Shared>, inner: Request) -> Response {
     }
 }
 
+/// The store's probe report, then the server's own counters.
 fn health_text(shared: &Shared) -> String {
     format!(
-        "status: ok\nuptime_seconds: {}\nconnections_total: {}\nrequests_total: {}\n",
+        "{}uptime_seconds: {}\nconnections_total: {}\nrequests_total: {}\n",
+        shared.store.health().render().1,
         shared.started.elapsed().as_secs(),
         shared.connections_total.get(),
         shared.requests_total.load(Ordering::Relaxed),

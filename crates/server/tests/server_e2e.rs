@@ -215,6 +215,43 @@ fn malformed_frames_get_clean_errors_and_the_server_survives() {
 }
 
 #[test]
+fn health_fails_over_wire_and_http_when_the_data_directory_is_gone() {
+    let dir = std::env::temp_dir().join(format!("trass-server-health-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg =
+        TrassConfig { max_resolution: 12, telemetry_addr: None, ..TrassConfig::default() };
+    cfg.store.dir = Some(dir.join("kv"));
+    let store = Arc::new(TrajectoryStore::open(cfg).expect("open on disk"));
+    store.insert_all(&generator::tdrive_like(SEED, 20)).expect("insert");
+    let server = start(&store);
+    let telemetry = store.serve_telemetry().expect("telemetry");
+    let mut client = TrassClient::connect(server.local_addr()).expect("connect");
+    let healthz = || {
+        use std::io::{Read as _, Write as _};
+        let mut http = std::net::TcpStream::connect(telemetry.local_addr()).expect("connect");
+        http.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").expect("send");
+        let mut raw = String::new();
+        http.read_to_string(&mut raw).expect("read");
+        raw
+    };
+
+    let wire = client.health().expect("health");
+    assert!(wire.starts_with("status: ok\nok   probe kv-regions\n"), "{wire}");
+    assert!(wire.contains("\nuptime_seconds: "), "{wire}");
+    assert!(healthz().starts_with("HTTP/1.1 200"));
+
+    std::fs::remove_dir_all(&dir).expect("remove data dir");
+    let wire = client.health().expect("health");
+    assert!(wire.starts_with("status: unhealthy\n"), "{wire}");
+    assert!(wire.contains("FAIL probe kv-regions: shard 0: data dir"), "{wire}");
+    assert!(wire.contains("\nrequests_total: "), "{wire}");
+    let http = healthz();
+    assert!(http.starts_with("HTTP/1.1 503"), "{http}");
+    assert!(http.contains("status: unhealthy\n"), "{http}");
+    assert!(http.contains("FAIL probe kv-regions: shard 0: data dir"), "{http}");
+}
+
+#[test]
 fn graceful_shutdown_joins_threads_and_releases_the_port() {
     let store = build_store(50);
     let mut server = start(&store);

@@ -21,11 +21,12 @@ use std::process::ExitCode;
 use trass::core::{query, TrajectoryStore, TrassConfig};
 use trass::geo::{Mbr, NormalizedSpace};
 use trass::kv::StoreOptions;
-use trass::traj::{io as traj_io, Measure};
+use trass::server::cli::{parse, parse_measure, range_lines, similarity_lines};
+use trass::traj::io as traj_io;
 
 // Route every allocation through the stage-tagged counting allocator so
-// EXPLAIN output and the telemetry endpoint's `/profile?weight=alloc`
-// carry real per-stage byte counts.
+// EXPLAIN output and the `trass_stage_alloc_*` series carry real per-stage
+// byte counts.
 #[global_allocator]
 static ALLOC: trass::obs::CountingAlloc = trass::obs::CountingAlloc::system();
 
@@ -53,19 +54,6 @@ usage:
   trass get    --data <dir> --tid <id>
   trass stats  --data <dir>
   trass serve  --data <dir> [--addr host:port]   (addr default: TRASS_SERVE_ADDR, else 127.0.0.1:0)";
-
-fn parse(args: &[String]) -> Option<(String, HashMap<String, String>)> {
-    let cmd = args.first()?.clone();
-    let mut flags = HashMap::new();
-    let mut i = 1;
-    while i < args.len() {
-        let key = args[i].strip_prefix("--")?;
-        let value = args.get(i + 1)?;
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
-    }
-    Some((cmd, flags))
-}
 
 fn run(cmd: &str, flags: &HashMap<String, String>) -> Result<(), String> {
     let data_dir = PathBuf::from(flags.get("data").ok_or("--data <dir> is required")?);
@@ -137,21 +125,7 @@ fn open_store(dir: &Path) -> Result<TrajectoryStore, String> {
 }
 
 fn parse_mbr(spec: &str) -> Result<Mbr, String> {
-    let nums: Vec<f64> = spec
-        .split(',')
-        .map(|s| s.trim().parse().map_err(|_| format!("bad number in '{spec}'")))
-        .collect::<Result<_, _>>()?;
-    if nums.len() != 4 {
-        return Err("expected lon0,lat0,lon1,lat1".into());
-    }
-    Ok(Mbr::from_corners(
-        trass::geo::Point::new(nums[0], nums[1]),
-        trass::geo::Point::new(nums[2], nums[3]),
-    ))
-}
-
-fn parse_measure(flags: &HashMap<String, String>) -> Result<Measure, String> {
-    flags.get("measure").map(|m| m.parse::<Measure>()).transpose()?.map_or(Ok(Measure::Frechet), Ok)
+    trass::server::cli::parse_window(spec).map(|w| trass::server::protocol::window_mbr(&w))
 }
 
 fn load(dir: &Path, flags: &HashMap<String, String>) -> Result<(), String> {
@@ -246,9 +220,7 @@ fn sim(store: &TrajectoryStore, flags: &HashMap<String, String>) -> Result<(), S
     let measure = parse_measure(flags)?;
     let r = query::threshold_search(store, &q, eps, measure).map_err(|e| e.to_string())?;
     println!("{} matches within {eps}° ({measure}):", r.results.len());
-    for (tid, d) in &r.results {
-        println!("  {tid}\t{d:.6}");
-    }
+    print!("{}", similarity_lines(&r.results));
     print_stats(&r.stats);
     Ok(())
 }
@@ -259,9 +231,7 @@ fn topk(store: &TrajectoryStore, flags: &HashMap<String, String>) -> Result<(), 
     let measure = parse_measure(flags)?;
     let r = query::top_k_search(store, &q, k, measure).map_err(|e| e.to_string())?;
     println!("top-{k} ({measure}):");
-    for (tid, d) in &r.results {
-        println!("  {tid}\t{d:.6}");
-    }
+    print!("{}", similarity_lines(&r.results));
     print_stats(&r.stats);
     Ok(())
 }
@@ -270,9 +240,7 @@ fn range(store: &TrajectoryStore, flags: &HashMap<String, String>) -> Result<(),
     let window = parse_mbr(flags.get("window").ok_or("--window is required")?)?;
     let r = query::range_search(store, &window).map_err(|e| e.to_string())?;
     println!("{} trajectories intersect the window:", r.results.len());
-    for (tid, _) in &r.results {
-        println!("  {tid}");
-    }
+    print!("{}", range_lines(&r.results));
     print_stats(&r.stats);
     Ok(())
 }
