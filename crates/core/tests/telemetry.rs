@@ -51,13 +51,11 @@ static ALLOC: trass_obs::CountingAlloc = trass_obs::CountingAlloc::system();
 /// Every `# TYPE` family on `/metrics` after a threshold, a top-k and a
 /// range query, in exposition order (`trass_stage_cpu_seconds` only where
 /// the platform exposes per-thread CPU time).
-const PINNED_FAMILIES: [&str; 35] = [
+const PINNED_FAMILIES: [&str; 33] = [
     "trass_build_info",
     "trass_ingest_rows",
     "trass_ingest_seconds",
     "trass_kv_blocks_read",
-    "trass_kv_bloom_probes",
-    "trass_kv_bloom_skips",
     "trass_kv_bytes_read",
     "trass_kv_cache_hits",
     "trass_kv_cache_misses",

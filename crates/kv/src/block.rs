@@ -9,7 +9,8 @@
 //!
 //! `flag` distinguishes puts from tombstones (deletes must survive into
 //! SSTables so compaction can shadow older values). Entries within a block
-//! are sorted by key, enabling binary search.
+//! are sorted by key; the table's key directory says which slot holds
+//! which key, so a block is only ever indexed, never searched.
 
 use crate::crc::crc32c;
 use crate::error::{KvError, Result};
@@ -144,16 +145,6 @@ impl Block {
     pub fn entries(&self) -> &[BlockEntry] {
         &self.entries
     }
-
-    /// Binary-searches for an exact key.
-    pub fn get(&self, key: &[u8]) -> Option<&BlockEntry> {
-        self.entries.binary_search_by(|e| e.key.as_ref().cmp(key)).ok().map(|i| &self.entries[i])
-    }
-
-    /// Index of the first entry with key `>= key`.
-    pub fn lower_bound(&self, key: &[u8]) -> usize {
-        self.entries.partition_point(|e| e.key.as_ref() < key)
-    }
 }
 
 #[cfg(test)]
@@ -181,17 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn get_and_lower_bound() {
-        let block = Block::decode(&build_sample()).unwrap();
-        assert_eq!(block.get(b"banana").unwrap().value.as_deref(), Some(&b"yellow"[..]));
-        assert!(block.get(b"blueberry").is_none());
-        assert_eq!(block.lower_bound(b"a"), 0);
-        assert_eq!(block.lower_bound(b"b"), 1);
-        assert_eq!(block.lower_bound(b"banana"), 1);
-        assert_eq!(block.lower_bound(b"zzz"), 4);
-    }
-
-    #[test]
     fn corruption_detected() {
         let mut buf = build_sample();
         let mid = buf.len() / 2;
@@ -212,7 +192,6 @@ mod tests {
         let buf = BlockBuilder::new().finish();
         let block = Block::decode(&buf).unwrap();
         assert!(block.entries().is_empty());
-        assert_eq!(block.lower_bound(b"x"), 0);
     }
 
     #[test]

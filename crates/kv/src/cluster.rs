@@ -167,7 +167,7 @@ impl Cluster {
     }
 
     /// [`Cluster::scan_ranges`] recording one `region-scan` child span per
-    /// involved shard under `parent`, with per-region row/byte/bloom/cache
+    /// involved shard under `parent`, with per-region row/byte/block/cache
     /// deltas. With a disabled parent this adds one branch per shard.
     pub fn scan_ranges_traced(
         &self,
@@ -176,17 +176,28 @@ impl Cluster {
         parent: &TraceSpan,
     ) -> Result<Vec<Entry>> {
         // Group ranges by owning shard. Ranges produced by the rowkey
-        // schema carry a shard prefix and land on one shard; administrative
-        // scans (e.g. `KeyRange::all()`) are split per shard.
+        // schema start and end under one shard byte and are routed by it;
+        // only a range that crosses shards (administrative scans such as
+        // `KeyRange::all()`) is clipped against every shard's prefix.
         let mut per_shard: Vec<Vec<KeyRange>> = vec![Vec::new(); self.regions.len()];
         for range in ranges {
             if range.is_empty() {
                 continue;
             }
-            for (shard, bucket) in per_shard.iter_mut().enumerate() {
-                let clipped = range.intersect(&KeyRange::prefix(vec![shard as u8]));
-                if !clipped.is_empty() {
-                    bucket.push(clipped);
+            let end_shard = range.end.as_ref().and_then(|e| e.first());
+            match range.start.first() {
+                Some(shard) if Some(shard) == end_shard => {
+                    if let Some(bucket) = per_shard.get_mut(usize::from(*shard)) {
+                        bucket.push(range.clone());
+                    }
+                }
+                _ => {
+                    for (shard, bucket) in per_shard.iter_mut().enumerate() {
+                        let clipped = range.intersect(&KeyRange::prefix(vec![shard as u8]));
+                        if !clipped.is_empty() {
+                            bucket.push(clipped);
+                        }
+                    }
                 }
             }
         }
@@ -219,7 +230,7 @@ impl Cluster {
             });
             let io_before = region.metrics().snapshot();
             let t = Instant::now();
-            let r = scan_region(region, &per_shard[shard], filter);
+            let r = region.scan_ranges_filtered(&per_shard[shard], filter);
             self.scan_obs[shard].seconds.record_duration(t.elapsed());
             // Attribute this scan's read bytes to the active stage
             // ("scan" for queries — the pool propagates the caller's
@@ -348,7 +359,6 @@ fn finish_region_span(
     }
     span.set_field("bytes_read", delta.bytes_read);
     span.set_field("blocks_read", delta.blocks_read);
-    span.set_field("bloom_probes", delta.bloom_probes);
     span.set_field("cache_hits", delta.cache_hits);
     span.set_field("cache_misses", delta.cache_misses);
     if let Some((alloc_before, cpu_before)) = marks {
@@ -362,18 +372,6 @@ fn finish_region_span(
         }
     }
     span.finish();
-}
-
-fn scan_region(
-    region: &LsmStore,
-    ranges: &[KeyRange],
-    filter: &(dyn ScanFilter + '_),
-) -> Result<Vec<Entry>> {
-    let mut out = Vec::new();
-    for range in ranges {
-        out.extend(region.scan_filtered(range.clone(), filter)?);
-    }
-    Ok(out)
 }
 
 impl std::fmt::Debug for Cluster {

@@ -16,6 +16,15 @@ pub enum KvError {
         /// What was being read.
         context: String,
     },
+    /// An SSTable was written in a format this build does not read (its
+    /// footer is intact but carries another version). There is one reader:
+    /// such a table is refused, never interpreted.
+    UnsupportedFormat {
+        /// Version byte found in the footer.
+        found: u8,
+        /// The version this build reads and writes.
+        supported: u8,
+    },
     /// The store was opened or used in an invalid way.
     InvalidUsage {
         /// Explanation of the misuse.
@@ -38,6 +47,10 @@ impl fmt::Display for KvError {
         match self {
             KvError::Io(e) => write!(f, "I/O error: {e}"),
             KvError::Corruption { context } => write!(f, "corruption detected: {context}"),
+            KvError::UnsupportedFormat { found, supported } => write!(
+                f,
+                "unsupported sstable format version {found} (this build reads version {supported})"
+            ),
             KvError::InvalidUsage { message } => write!(f, "invalid usage: {message}"),
         }
     }
@@ -68,6 +81,8 @@ mod tests {
         assert!(e.to_string().contains("bad block"));
         let e = KvError::invalid("reopened");
         assert!(e.to_string().contains("reopened"));
+        let e = KvError::UnsupportedFormat { found: 66, supported: 2 };
+        assert!(e.to_string().contains("version 66"));
         let e: KvError = io::Error::new(io::ErrorKind::NotFound, "gone").into();
         assert!(e.to_string().contains("gone"));
     }

@@ -15,9 +15,10 @@
 //!
 //! This crate implements that contract from scratch as a miniature LSM
 //! tree: a write-ahead log ([`wal`]), a sorted memtable ([`memtable`]),
-//! block-structured SSTables with bloom filters and CRC-protected blocks
-//! ([`sstable`], [`block`], [`bloom`], [`crc`]), size-tiered compaction, a
-//! merging iterator ([`merge`]), and a sharded [`cluster::Cluster`] that
+//! block-structured SSTables with a resident key directory and
+//! CRC-protected blocks ([`sstable`], [`block`], [`crc`]), size-tiered
+//! compaction, a merging iterator ([`merge`]), and a sharded
+//! [`cluster::Cluster`] that
 //! emulates the multi-node deployment of the evaluation. Both disk-backed
 //! and fully in-memory operation are supported.
 
@@ -25,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod bloom;
 pub mod cache;
 pub mod cluster;
 mod codec;

@@ -15,8 +15,6 @@ pub struct IoMetrics {
     bytes_read: AtomicU64,
     entries_scanned: AtomicU64,
     entries_returned: AtomicU64,
-    bloom_probes: AtomicU64,
-    bloom_skips: AtomicU64,
     range_scans: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -31,14 +29,6 @@ impl IoMetrics {
     pub(crate) fn record_block_read(&self, bytes: usize) {
         self.blocks_read.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_bloom_probe(&self) {
-        self.bloom_probes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_bloom_skip(&self) {
-        self.bloom_skips.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_entry_scanned(&self) {
@@ -81,16 +71,6 @@ impl IoMetrics {
         self.entries_returned.load(Ordering::Relaxed)
     }
 
-    /// Bloom-filter membership tests performed by point lookups.
-    pub fn bloom_probes(&self) -> u64 {
-        self.bloom_probes.load(Ordering::Relaxed)
-    }
-
-    /// Point lookups short-circuited by the bloom filter.
-    pub fn bloom_skips(&self) -> u64 {
-        self.bloom_skips.load(Ordering::Relaxed)
-    }
-
     /// Number of key-range scans executed.
     pub fn range_scans(&self) -> u64 {
         self.range_scans.load(Ordering::Relaxed)
@@ -114,8 +94,6 @@ impl IoMetrics {
             bytes_read: self.bytes_read(),
             entries_scanned: self.entries_scanned(),
             entries_returned: self.entries_returned(),
-            bloom_probes: self.bloom_probes(),
-            bloom_skips: self.bloom_skips(),
             range_scans: self.range_scans(),
             cache_hits: self.cache_hits(),
             cache_misses: self.cache_misses(),
@@ -128,8 +106,6 @@ impl IoMetrics {
         self.bytes_read.store(0, Ordering::Relaxed);
         self.entries_scanned.store(0, Ordering::Relaxed);
         self.entries_returned.store(0, Ordering::Relaxed);
-        self.bloom_probes.store(0, Ordering::Relaxed);
-        self.bloom_skips.store(0, Ordering::Relaxed);
         self.range_scans.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
         self.cache_misses.store(0, Ordering::Relaxed);
@@ -147,10 +123,6 @@ pub struct MetricsSnapshot {
     pub entries_scanned: u64,
     /// Rows returned to clients.
     pub entries_returned: u64,
-    /// Bloom-filter membership tests.
-    pub bloom_probes: u64,
-    /// Bloom-filter short circuits.
-    pub bloom_skips: u64,
     /// Range scans executed.
     pub range_scans: u64,
     /// Block reads served from the cache.
@@ -167,8 +139,6 @@ impl MetricsSnapshot {
             bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
             entries_scanned: self.entries_scanned.saturating_sub(earlier.entries_scanned),
             entries_returned: self.entries_returned.saturating_sub(earlier.entries_returned),
-            bloom_probes: self.bloom_probes.saturating_sub(earlier.bloom_probes),
-            bloom_skips: self.bloom_skips.saturating_sub(earlier.bloom_skips),
             range_scans: self.range_scans.saturating_sub(earlier.range_scans),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
@@ -182,8 +152,6 @@ impl MetricsSnapshot {
             bytes_read: self.bytes_read + other.bytes_read,
             entries_scanned: self.entries_scanned + other.entries_scanned,
             entries_returned: self.entries_returned + other.entries_returned,
-            bloom_probes: self.bloom_probes + other.bloom_probes,
-            bloom_skips: self.bloom_skips + other.bloom_skips,
             range_scans: self.range_scans + other.range_scans,
             cache_hits: self.cache_hits + other.cache_hits,
             cache_misses: self.cache_misses + other.cache_misses,
@@ -200,8 +168,6 @@ impl MetricsSnapshot {
             ("trass_kv_bytes_read", self.bytes_read),
             ("trass_kv_entries_scanned", self.entries_scanned),
             ("trass_kv_entries_returned", self.entries_returned),
-            ("trass_kv_bloom_probes", self.bloom_probes),
-            ("trass_kv_bloom_skips", self.bloom_skips),
             ("trass_kv_range_scans", self.range_scans),
             ("trass_kv_cache_hits", self.cache_hits),
             ("trass_kv_cache_misses", self.cache_misses),
@@ -222,8 +188,6 @@ mod tests {
         m.record_block_read(50);
         m.record_entry_scanned();
         m.record_entry_returned();
-        m.record_bloom_probe();
-        m.record_bloom_skip();
         m.record_range_scan();
         m.record_cache_hit();
         m.record_cache_miss();
@@ -231,8 +195,6 @@ mod tests {
         assert_eq!(m.bytes_read(), 150);
         assert_eq!(m.entries_scanned(), 1);
         assert_eq!(m.entries_returned(), 1);
-        assert_eq!(m.bloom_probes(), 1);
-        assert_eq!(m.bloom_skips(), 1);
         assert_eq!(m.range_scans(), 1);
         assert_eq!(m.cache_hits(), 1);
         assert_eq!(m.cache_misses(), 1);
@@ -245,28 +207,13 @@ mod tests {
         let s1 = m.snapshot();
         m.record_block_read(20);
         m.record_entry_scanned();
+        m.record_cache_miss();
         let s2 = m.snapshot();
         let d = s2.since(&s1);
         assert_eq!(d.blocks_read, 1);
         assert_eq!(d.bytes_read, 20);
         assert_eq!(d.entries_scanned, 1);
-        let sum = d.plus(&s1);
-        assert_eq!(sum.bytes_read, 30);
-    }
-
-    #[test]
-    fn cache_misses_flow_through_snapshot_math() {
-        let m = IoMetrics::new();
-        m.record_cache_miss();
-        m.record_cache_miss();
-        let s1 = m.snapshot();
-        assert_eq!(s1.cache_misses, 2);
-        m.record_cache_miss();
-        m.record_bloom_probe();
-        let s2 = m.snapshot();
-        let d = s2.since(&s1);
         assert_eq!(d.cache_misses, 1);
-        assert_eq!(d.bloom_probes, 1);
         assert_eq!(s1.plus(&d), s2);
     }
 
@@ -283,7 +230,7 @@ mod tests {
         assert_eq!(r.counter("trass_kv_cache_hits", &[("shard", "3")]).get(), 1);
         assert_eq!(r.counter("trass_kv_cache_misses", &[("shard", "3")]).get(), 1);
         // One mirrored counter per snapshot field.
-        assert_eq!(r.len(), 9);
+        assert_eq!(r.len(), 7);
     }
 
     #[test]

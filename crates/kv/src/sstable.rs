@@ -3,22 +3,29 @@
 //! Layout:
 //!
 //! ```text
-//! [data block]* [index block] [bloom filter] [footer]
+//! [data block]* [key directory] [footer]
 //!
-//! index  := [n: u32] ([klen: u32][last_key][offset: u64][len: u32])* [crc: u32]
-//! footer := [index_off: u64][index_len: u64][bloom_off: u64][bloom_len: u64]
-//!           [n_entries: u64][magic: u64]                      (48 bytes)
+//! directory := [n_blocks: u32] block* [crc: u32]
+//! block     := [offset: varint][len: varint][n_keys: varint] key{n_keys}
+//! key       := [shared: varint][suffix_len: varint][suffix]
+//! footer    := [dir_off: u64][dir_len: u64][n_entries: u64][magic: u64]   (32 bytes)
 //! ```
 //!
-//! The index stores each block's *last* key; binary search for the first
-//! block whose last key is `>= target` locates the block that may contain
-//! the target. SSTables are immutable once built and can live either on
-//! disk or fully in memory ([`SsData`]), which keeps unit tests and
-//! benchmark setups hermetic.
+//! The directory is the table's index and it is row-granular: every key
+//! of every block, prefix-compressed against the key before it, loaded
+//! resident at open. A range or a point lookup is resolved to
+//! `(block, slot, row count)` by binary search over the directory before
+//! any I/O, so a range holding no key of this table touches no block and
+//! no cache entry, and one holding rows reads exactly the blocks they sit
+//! in. The low byte of `magic` is the format version; a table carrying
+//! another version is refused with [`KvError::UnsupportedFormat`].
+//! SSTables are immutable once built and can live either on disk or fully
+//! in memory ([`SsData`]), which keeps unit tests and benchmark setups
+//! hermetic.
 
 use crate::block::{Block, BlockBuilder, BlockEntry};
-use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
+use crate::codec::{put_varint, u32_le, u64_le, varint};
 use crate::crc::crc32c;
 use crate::error::{KvError, Result};
 use crate::metrics::IoMetrics;
@@ -34,8 +41,13 @@ use trass_obs::sync::Mutex;
 /// Process-wide table id source, used as the block-cache key namespace.
 static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(0);
 
-const MAGIC: u64 = 0x7452_6153_5353_5442; // "tRaSSSTB"
-const FOOTER_LEN: usize = 48;
+/// The version this build reads and writes: 2, the key-directory layout.
+/// Its predecessor (last-key index block, bloom filter section, 48-byte
+/// footer) carried `0x42` in the same byte.
+const FORMAT_VERSION: u8 = 2;
+/// "tRaSSST" above the version byte.
+const MAGIC: u64 = 0x7452_6153_5353_5400 | FORMAT_VERSION as u64;
+const FOOTER_LEN: usize = 32;
 
 /// Where an SSTable's bytes live.
 #[derive(Debug)]
@@ -81,37 +93,30 @@ impl SsData {
     }
 }
 
-/// One index entry describing a data block.
-#[derive(Debug, Clone)]
-struct IndexEntry {
-    last_key: Bytes,
-    offset: u64,
-    len: u32,
-}
-
 /// Builds an SSTable from strictly-increasing keyed entries.
 pub struct SsTableBuilder {
     target_block_size: usize,
-    bits_per_key: usize,
     buf: Vec<u8>,
     current: BlockBuilder,
-    index: Vec<IndexEntry>,
-    keys: Vec<Vec<u8>>,
+    /// Encoded directory entries of the sealed blocks.
+    dir: Vec<u8>,
+    n_blocks: u32,
+    /// Encoded keys of the block being built.
+    block_keys: Vec<u8>,
     last_key: Vec<u8>,
     n_entries: u64,
 }
 
 impl SsTableBuilder {
-    /// Creates a builder with the given target data-block size (bytes) and
-    /// bloom-filter density.
-    pub fn new(target_block_size: usize, bits_per_key: usize) -> Self {
+    /// Creates a builder with the given target data-block size (bytes).
+    pub fn new(target_block_size: usize) -> Self {
         SsTableBuilder {
             target_block_size: target_block_size.max(64),
-            bits_per_key,
             buf: Vec::new(),
             current: BlockBuilder::new(),
-            index: Vec::new(),
-            keys: Vec::new(),
+            dir: Vec::new(),
+            n_blocks: 0,
+            block_keys: Vec::new(),
             last_key: Vec::new(),
             n_entries: 0,
         }
@@ -125,9 +130,13 @@ impl SsTableBuilder {
             "sstable keys must be strictly increasing"
         );
         self.current.add(key, value);
-        self.keys.push(key.to_vec());
-        self.last_key.clear();
-        self.last_key.extend_from_slice(key);
+        let shared = self.last_key.iter().zip(key).take_while(|(a, b)| a == b).count();
+        let suffix = key.get(shared..).unwrap_or_default();
+        put_varint(&mut self.block_keys, shared as u64);
+        put_varint(&mut self.block_keys, suffix.len() as u64);
+        self.block_keys.extend_from_slice(suffix);
+        self.last_key.truncate(shared);
+        self.last_key.extend_from_slice(suffix);
         self.n_entries += 1;
         if self.current.encoded_size() >= self.target_block_size {
             self.rotate_block();
@@ -139,13 +148,13 @@ impl SsTableBuilder {
             return;
         }
         let builder = std::mem::take(&mut self.current);
-        let offset = self.buf.len() as u64;
+        let n_keys = builder.len();
         let encoded = builder.finish();
-        self.index.push(IndexEntry {
-            last_key: Bytes::copy_from_slice(&self.last_key),
-            offset,
-            len: encoded.len() as u32,
-        });
+        put_varint(&mut self.dir, self.buf.len() as u64);
+        put_varint(&mut self.dir, encoded.len() as u64);
+        put_varint(&mut self.dir, u64::from(n_keys));
+        self.dir.append(&mut self.block_keys);
+        self.n_blocks += 1;
         self.buf.extend_from_slice(&encoded);
     }
 
@@ -163,43 +172,131 @@ impl SsTableBuilder {
     pub fn finish(mut self) -> Vec<u8> {
         self.rotate_block();
 
-        // Index block.
-        let index_off = self.buf.len() as u64;
-        let mut index_buf = Vec::new();
-        index_buf.extend_from_slice(&(self.index.len() as u32).to_le_bytes());
-        for e in &self.index {
-            index_buf.extend_from_slice(&(e.last_key.len() as u32).to_le_bytes());
-            index_buf.extend_from_slice(&e.last_key);
-            index_buf.extend_from_slice(&e.offset.to_le_bytes());
-            index_buf.extend_from_slice(&e.len.to_le_bytes());
-        }
-        let index_crc = crc32c(&index_buf);
-        index_buf.extend_from_slice(&index_crc.to_le_bytes());
-        let index_len = index_buf.len() as u64;
-        self.buf.extend_from_slice(&index_buf);
-
-        // Bloom filter (CRC-protected: a corrupt filter could cause false
-        // negatives, i.e. silently missing data).
-        let bloom_off = self.buf.len() as u64;
-        let bloom = BloomFilter::build(
-            self.keys.iter().map(|k| k.as_slice()),
-            self.keys.len(),
-            self.bits_per_key,
-        );
-        let mut bloom_buf = bloom.encode();
-        let bloom_crc = crc32c(&bloom_buf);
-        bloom_buf.extend_from_slice(&bloom_crc.to_le_bytes());
-        let bloom_len = bloom_buf.len() as u64;
-        self.buf.extend_from_slice(&bloom_buf);
+        // Key directory, CRC-protected: a damaged directory would resolve
+        // ranges to the wrong rows, i.e. silently missing data.
+        let dir_off = self.buf.len();
+        self.buf.extend_from_slice(&self.n_blocks.to_le_bytes());
+        self.buf.append(&mut self.dir);
+        let dir_crc = crc32c(self.buf.get(dir_off..).unwrap_or_default());
+        self.buf.extend_from_slice(&dir_crc.to_le_bytes());
+        let dir_len = self.buf.len() - dir_off;
 
         // Footer.
-        self.buf.extend_from_slice(&index_off.to_le_bytes());
-        self.buf.extend_from_slice(&index_len.to_le_bytes());
-        self.buf.extend_from_slice(&bloom_off.to_le_bytes());
-        self.buf.extend_from_slice(&bloom_len.to_le_bytes());
+        self.buf.extend_from_slice(&(dir_off as u64).to_le_bytes());
+        self.buf.extend_from_slice(&(dir_len as u64).to_le_bytes());
         self.buf.extend_from_slice(&self.n_entries.to_le_bytes());
         self.buf.extend_from_slice(&MAGIC.to_le_bytes());
         self.buf
+    }
+}
+
+/// Location of one data block and the ordinal of its first row.
+#[derive(Debug, Clone, Copy)]
+struct BlockLoc {
+    offset: u64,
+    len: u32,
+    first_row: u32,
+}
+
+/// The resident key directory: every key of the table in one contiguous
+/// buffer, addressed by row ordinal.
+#[derive(Debug)]
+struct Directory {
+    /// All keys, concatenated in order.
+    keys: Vec<u8>,
+    /// Row `r`'s key is `keys[key_off[r]..key_off[r + 1]]`.
+    key_off: Vec<u32>,
+    blocks: Vec<BlockLoc>,
+}
+
+impl Directory {
+    /// Decodes the checksum-verified directory body; `data_len` bounds
+    /// the block locations.
+    fn decode(body: &[u8], data_len: u64) -> Result<Self> {
+        let truncated = || KvError::corruption("sstable directory truncated");
+        let too_big = |_| KvError::corruption("sstable directory exceeds u32 addressing");
+        let n_blocks = u32_le(body, 0, "sstable directory block count")? as usize;
+        let mut pos = 4usize;
+        // Every block costs at least 5 bytes here, which bounds the
+        // allocation by the section's length.
+        if n_blocks > body.len() / 5 {
+            return Err(truncated());
+        }
+        let mut dir = Directory {
+            keys: Vec::with_capacity(body.len()),
+            key_off: vec![0],
+            blocks: Vec::with_capacity(n_blocks),
+        };
+        let mut key_start = 0usize;
+        for _ in 0..n_blocks {
+            let offset = varint(body, &mut pos, "sstable block offset")?;
+            let len = varint(body, &mut pos, "sstable block len")?;
+            let n_keys = varint(body, &mut pos, "sstable block key count")?;
+            if n_keys == 0 || offset.checked_add(len).map_or(true, |e| e > data_len) {
+                return Err(KvError::corruption("sstable directory block out of range"));
+            }
+            dir.blocks.push(BlockLoc {
+                offset,
+                len: u32::try_from(len).map_err(too_big)?,
+                first_row: u32::try_from(dir.key_off.len() - 1).map_err(too_big)?,
+            });
+            for _ in 0..n_keys {
+                let shared = varint(body, &mut pos, "sstable key shared len")? as usize;
+                let suffix_len = varint(body, &mut pos, "sstable key suffix len")? as usize;
+                let suffix = pos.checked_add(suffix_len).and_then(|end| body.get(pos..end));
+                let suffix = suffix.ok_or_else(truncated)?;
+                pos += suffix_len;
+                let prev_end = dir.keys.len();
+                if shared > prev_end - key_start {
+                    return Err(KvError::corruption(
+                        "sstable key shares more than its predecessor",
+                    ));
+                }
+                dir.keys.extend_from_within(key_start..key_start + shared);
+                dir.keys.extend_from_slice(suffix);
+                key_start = prev_end;
+                dir.key_off.push(u32::try_from(dir.keys.len()).map_err(too_big)?);
+            }
+        }
+        if pos != body.len() {
+            return Err(KvError::corruption("sstable directory trailing bytes"));
+        }
+        dir.keys.shrink_to_fit();
+        Ok(dir)
+    }
+
+    fn n_rows(&self) -> usize {
+        self.key_off.len() - 1
+    }
+
+    fn key(&self, row: usize) -> &[u8] {
+        &self.keys[self.key_off[row] as usize..self.key_off[row + 1] as usize]
+    }
+
+    /// Ordinal of the first row with key `>= key`.
+    fn lower_bound(&self, key: &[u8]) -> usize {
+        let (mut lo, mut hi) = (0, self.n_rows());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// `(block, slot)` of row `row`, which must be `< n_rows()`.
+    fn locate(&self, row: usize) -> (usize, usize) {
+        let block = self.blocks.partition_point(|b| b.first_row as usize <= row) - 1;
+        (block, row - self.blocks[block].first_row as usize)
+    }
+
+    /// Keys the directory records for block `i`.
+    fn block_rows(&self, i: usize) -> usize {
+        let end = self.blocks.get(i + 1).map_or(self.n_rows(), |b| b.first_row as usize);
+        end - self.blocks[i].first_row as usize
     }
 }
 
@@ -208,153 +305,95 @@ pub struct SsTable {
     /// Process-unique id (block-cache key namespace).
     id: u64,
     data: SsData,
-    index: Vec<IndexEntry>,
-    bloom: BloomFilter,
-    n_entries: u64,
-    min_key: Bytes,
-    max_key: Bytes,
+    dir: Directory,
     cache: Option<Arc<BlockCache>>,
 }
 
 impl std::fmt::Debug for SsTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SsTable")
-            .field("blocks", &self.index.len())
-            .field("entries", &self.n_entries)
+            .field("blocks", &self.dir.blocks.len())
+            .field("entries", &self.dir.n_rows())
             .finish()
     }
 }
 
 impl SsTable {
-    /// Opens an SSTable from in-memory bytes, uncached.
-    pub fn open_mem(bytes: Bytes) -> Result<Arc<Self>> {
-        Self::open(SsData::Mem(bytes), None)
+    /// Opens an SSTable from in-memory bytes, reading blocks through the
+    /// shared `cache` when one is given.
+    pub fn open_mem(bytes: Bytes, cache: Option<Arc<BlockCache>>) -> Result<Arc<Self>> {
+        Self::open(SsData::Mem(bytes), cache)
     }
 
-    /// Opens an SSTable from in-memory bytes with a shared block cache.
-    pub fn open_mem_cached(bytes: Bytes, cache: Arc<BlockCache>) -> Result<Arc<Self>> {
-        Self::open(SsData::Mem(bytes), Some(cache))
-    }
-
-    /// Opens an SSTable file from disk, uncached.
-    pub fn open_file(path: &Path) -> Result<Arc<Self>> {
-        let file = File::open(path)?;
-        Self::open(SsData::File(Mutex::new(file)), None)
-    }
-
-    /// Opens an SSTable file from disk with a shared block cache.
-    pub fn open_file_cached(path: &Path, cache: Arc<BlockCache>) -> Result<Arc<Self>> {
-        let file = File::open(path)?;
-        Self::open(SsData::File(Mutex::new(file)), Some(cache))
+    /// Opens an SSTable file from disk, reading blocks through the shared
+    /// `cache` when one is given.
+    pub fn open_file(path: &Path, cache: Option<Arc<BlockCache>>) -> Result<Arc<Self>> {
+        Self::open(SsData::File(Mutex::new(File::open(path)?)), cache)
     }
 
     fn open(data: SsData, cache: Option<Arc<BlockCache>>) -> Result<Arc<Self>> {
         let total = data.len()?;
-        if (total as usize) < FOOTER_LEN {
+        if total < FOOTER_LEN as u64 {
             return Err(KvError::corruption("sstable shorter than footer"));
         }
         let footer = data.read_at(total - FOOTER_LEN as u64, FOOTER_LEN)?;
-        let u64_at = |i: usize| crate::codec::u64_le(&footer, i * 8, "sstable footer");
-        let (index_off, index_len) = (u64_at(0)?, u64_at(1)?);
-        let (bloom_off, bloom_len) = (u64_at(2)?, u64_at(3)?);
-        let n_entries = u64_at(4)?;
-        if u64_at(5)? != MAGIC {
+        let u64_at = |i: usize| u64_le(&footer, i * 8, "sstable footer");
+        let (dir_off, dir_len, n_entries, magic) = (u64_at(0)?, u64_at(1)?, u64_at(2)?, u64_at(3)?);
+        if magic >> 8 != MAGIC >> 8 {
             return Err(KvError::corruption("sstable bad magic"));
         }
-        if index_off.checked_add(index_len).map_or(true, |e| e > total)
-            || bloom_off.checked_add(bloom_len).map_or(true, |e| e > total)
-        {
+        if magic as u8 != FORMAT_VERSION {
+            return Err(KvError::UnsupportedFormat {
+                found: magic as u8,
+                supported: FORMAT_VERSION,
+            });
+        }
+        if dir_off.checked_add(dir_len) != Some(total - FOOTER_LEN as u64) || dir_len < 8 {
             return Err(KvError::corruption("sstable footer offsets out of range"));
         }
 
-        // Index.
-        let index_buf = data.read_at(index_off, index_len as usize)?;
-        if index_buf.len() < 8 {
-            return Err(KvError::corruption("sstable index truncated"));
+        let dir_buf = data.read_at(dir_off, dir_len as usize)?;
+        let (body, _) = dir_buf.split_at(dir_buf.len() - 4);
+        if crc32c(body) != u32_le(&dir_buf, body.len(), "sstable directory crc")? {
+            return Err(KvError::corruption("sstable directory checksum mismatch"));
         }
-        let (body, _) = index_buf.split_at(index_buf.len() - 4);
-        let stored = crate::codec::u32_le(&index_buf, index_buf.len() - 4, "sstable index crc")?;
-        if crc32c(body) != stored {
-            return Err(KvError::corruption("sstable index checksum mismatch"));
+        let dir = Directory::decode(body, dir_off)?;
+        if dir.n_rows() as u64 != n_entries {
+            return Err(KvError::corruption("sstable entry count disagrees with directory"));
         }
-        let n_blocks = crate::codec::u32_le(body, 0, "sstable index count")? as usize;
-        let mut index = Vec::with_capacity(n_blocks);
-        let mut pos = 4usize;
-        for _ in 0..n_blocks {
-            if pos + 4 > body.len() {
-                return Err(KvError::corruption("sstable index entry truncated"));
-            }
-            let klen = crate::codec::u32_le(body, pos, "sstable index klen")? as usize;
-            pos += 4;
-            if pos + klen + 12 > body.len() {
-                return Err(KvError::corruption("sstable index entry truncated"));
-            }
-            let last_key = Bytes::copy_from_slice(&body[pos..pos + klen]);
-            pos += klen;
-            let offset = crate::codec::u64_le(body, pos, "sstable index offset")?;
-            pos += 8;
-            let len = crate::codec::u32_le(body, pos, "sstable index block len")?;
-            pos += 4;
-            index.push(IndexEntry { last_key, offset, len });
-        }
-        if pos != body.len() {
-            return Err(KvError::corruption("sstable index trailing bytes"));
-        }
-
-        // Bloom.
-        let bloom_buf = data.read_at(bloom_off, bloom_len as usize)?;
-        if bloom_buf.len() < 4 {
-            return Err(KvError::corruption("sstable bloom section truncated"));
-        }
-        let (bloom_body, _) = bloom_buf.split_at(bloom_buf.len() - 4);
-        let bloom_stored =
-            crate::codec::u32_le(&bloom_buf, bloom_buf.len() - 4, "sstable bloom crc")?;
-        if crc32c(bloom_body) != bloom_stored {
-            return Err(KvError::corruption("sstable bloom checksum mismatch"));
-        }
-        let bloom = BloomFilter::decode(bloom_body)
-            .ok_or_else(|| KvError::corruption("sstable bloom filter invalid"))?;
-
-        // Min key: first key of first block (decode it once at open).
-        let (min_key, max_key) = match (index.first(), index.last()) {
-            (Some(first), Some(last)) => {
-                let block = Block::decode(&data.read_at(first.offset, first.len as usize)?)?;
-                let min = block.entries().first().map(|e| e.key.clone()).unwrap_or_default();
-                (min, last.last_key.clone())
-            }
-            _ => (Bytes::new(), Bytes::new()),
-        };
 
         Ok(Arc::new(SsTable {
             id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
             data,
-            index,
-            bloom,
-            n_entries,
-            min_key,
-            max_key,
+            dir,
             cache,
         }))
     }
 
     /// Total logical entries (including tombstones).
     pub fn n_entries(&self) -> u64 {
-        self.n_entries
+        self.dir.n_rows() as u64
     }
 
-    /// Smallest key in the table.
-    pub fn min_key(&self) -> &Bytes {
-        &self.min_key
+    /// Smallest key in the table (empty for an empty table).
+    pub fn min_key(&self) -> &[u8] {
+        match self.dir.n_rows() {
+            0 => &[],
+            _ => self.dir.key(0),
+        }
     }
 
-    /// Largest key in the table.
-    pub fn max_key(&self) -> &Bytes {
-        &self.max_key
+    /// Largest key in the table (empty for an empty table).
+    pub fn max_key(&self) -> &[u8] {
+        match self.dir.n_rows() {
+            0 => &[],
+            n => self.dir.key(n - 1),
+        }
     }
 
     /// Number of data blocks.
     pub fn n_blocks(&self) -> usize {
-        self.index.len()
+        self.dir.blocks.len()
     }
 
     fn read_block(&self, i: usize, metrics: &IoMetrics) -> Result<Arc<Block>> {
@@ -366,186 +405,98 @@ impl SsTable {
             }
             metrics.record_cache_miss();
         }
-        let e = &self.index[i];
-        let raw = self.data.read_at(e.offset, e.len as usize)?;
+        let loc = &self.dir.blocks[i];
+        let raw = self.data.read_at(loc.offset, loc.len as usize)?;
         metrics.record_block_read(raw.len());
         let block = Arc::new(Block::decode(&raw)?);
+        // Cursors address rows by directory slot, so the two must agree
+        // before the block is handed out or cached.
+        if block.entries().len() != self.dir.block_rows(i) {
+            return Err(KvError::corruption("sstable block disagrees with directory"));
+        }
         if let Some(cache) = &self.cache {
             cache.insert(key, Arc::clone(&block), raw.len());
         }
         Ok(block)
     }
 
-    /// Index of the first block that may contain `key`.
-    fn block_for(&self, key: &[u8]) -> usize {
-        self.index.partition_point(|e| e.last_key.as_ref() < key)
-    }
-
     /// Point lookup. Returns `Ok(None)` when absent, `Ok(Some(None))` for a
-    /// tombstone, `Ok(Some(Some(v)))` for a live value.
+    /// tombstone, `Ok(Some(Some(v)))` for a live value. The directory
+    /// answers absence exactly, without I/O.
     pub fn get(&self, key: &[u8], metrics: &IoMetrics) -> Result<Option<Option<Bytes>>> {
-        if self.index.is_empty() || key < self.min_key.as_ref() || key > self.max_key.as_ref() {
+        let row = self.dir.lower_bound(key);
+        if row == self.dir.n_rows() || self.dir.key(row) != key {
             return Ok(None);
         }
-        metrics.record_bloom_probe();
-        if !self.bloom.may_contain(key) {
-            metrics.record_bloom_skip();
-            return Ok(None);
-        }
-        let bi = self.block_for(key);
-        if bi >= self.index.len() {
-            return Ok(None);
-        }
-        let block = self.read_block(bi, metrics)?;
-        Ok(block.get(key).map(|e| e.value.clone()))
-    }
-
-    /// Creates an *owning* scan over `range`: it keeps the table and
-    /// metrics alive itself, so it can outlive the store lock (used by
-    /// snapshot scans).
-    pub fn scan_owned(self: Arc<Self>, range: KeyRange, metrics: Arc<IoMetrics>) -> OwnedScan {
-        let start_block =
-            if self.index.is_empty() { 0 } else { self.block_for(range.start.as_ref()) };
-        OwnedScan {
-            table: self,
-            metrics,
-            range,
-            next_block: start_block,
-            current: None,
-            pos: 0,
-            done: false,
+        let (block, slot) = self.dir.locate(row);
+        let block = self.read_block(block, metrics)?;
+        match block.entries().get(slot) {
+            Some(e) if e.key.as_ref() == key => Ok(Some(e.value.clone())),
+            _ => Err(KvError::corruption("sstable block disagrees with directory")),
         }
     }
 
-    /// Creates a scanning iterator over `range`.
-    pub fn scan<'a>(
-        self: &'a Arc<Self>,
-        range: KeyRange,
-        metrics: &'a IoMetrics,
-    ) -> SsTableScan<'a> {
-        let start_block =
-            if self.index.is_empty() { 0 } else { self.block_for(range.start.as_ref()) };
-        SsTableScan {
-            table: self,
-            metrics,
-            range,
-            next_block: start_block,
-            current: None,
-            pos: 0,
-            done: false,
-        }
+    /// Creates a cursor over the rows of `range`, resolved against the
+    /// directory: no block is touched until the first `next`, and none at
+    /// all when [`SsTableScan::remaining`] is 0.
+    pub fn scan<'a>(&'a self, range: &KeyRange, metrics: &'a IoMetrics) -> SsTableScan<'a> {
+        let first = self.dir.lower_bound(&range.start);
+        let end = match &range.end {
+            Some(end) => self.dir.lower_bound(end).max(first),
+            None => self.dir.n_rows(),
+        };
+        let (block, slot) = if first < end { self.dir.locate(first) } else { (0, 0) };
+        SsTableScan { table: self, metrics, block, slot, remaining: end - first, current: None }
     }
 }
 
-/// Iterator over the entries of one SSTable within a key range.
+/// Cursor over the entries of one SSTable within a key range.
 pub struct SsTableScan<'a> {
-    table: &'a Arc<SsTable>,
+    table: &'a SsTable,
     metrics: &'a IoMetrics,
-    range: KeyRange,
-    next_block: usize,
+    /// Block and slot of the next row.
+    block: usize,
+    slot: usize,
+    remaining: usize,
     current: Option<Arc<Block>>,
-    pos: usize,
-    done: bool,
+}
+
+impl SsTableScan<'_> {
+    /// Rows this cursor has yet to yield.
+    pub fn remaining(&self) -> usize {
+        self.remaining
+    }
 }
 
 impl Iterator for SsTableScan<'_> {
     type Item = Result<BlockEntry>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
+        if self.remaining == 0 {
             return None;
         }
-        loop {
-            if let Some(block) = &self.current {
-                while self.pos < block.entries().len() {
-                    let e = &block.entries()[self.pos];
-                    self.pos += 1;
-                    if e.key.as_ref() < self.range.start.as_ref() {
-                        continue;
-                    }
-                    if let Some(end) = &self.range.end {
-                        if e.key.as_ref() >= end.as_ref() {
-                            self.done = true;
-                            return None;
-                        }
-                    }
-                    return Some(Ok(e.clone()));
-                }
-                self.current = None;
-            }
-            if self.next_block >= self.table.index.len() {
-                self.done = true;
-                return None;
-            }
-            match self.table.read_block(self.next_block, self.metrics) {
-                Ok(block) => {
-                    // Skip within the block to the range start.
-                    self.pos = block.lower_bound(self.range.start.as_ref());
-                    self.current = Some(block);
-                    self.next_block += 1;
-                }
+        let block = match self.current.take() {
+            Some(block) => block,
+            None => match self.table.read_block(self.block, self.metrics) {
+                Ok(block) => block,
                 Err(e) => {
-                    self.done = true;
+                    self.remaining = 0;
                     return Some(Err(e));
                 }
-            }
+            },
+        };
+        // `read_block` matched the block against the directory, so the
+        // slot exists.
+        let entry = block.entries().get(self.slot)?.clone();
+        self.remaining -= 1;
+        self.slot += 1;
+        if self.slot == block.entries().len() {
+            self.block += 1;
+            self.slot = 0;
+        } else {
+            self.current = Some(block);
         }
-    }
-}
-
-/// Owning variant of [`SsTableScan`]: holds `Arc`s instead of borrows so
-/// snapshot scans can stream after the store lock is released.
-pub struct OwnedScan {
-    table: Arc<SsTable>,
-    metrics: Arc<IoMetrics>,
-    range: KeyRange,
-    next_block: usize,
-    current: Option<Arc<Block>>,
-    pos: usize,
-    done: bool,
-}
-
-impl Iterator for OwnedScan {
-    type Item = Result<BlockEntry>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            if let Some(block) = &self.current {
-                while self.pos < block.entries().len() {
-                    let e = &block.entries()[self.pos];
-                    self.pos += 1;
-                    if e.key.as_ref() < self.range.start.as_ref() {
-                        continue;
-                    }
-                    if let Some(end) = &self.range.end {
-                        if e.key.as_ref() >= end.as_ref() {
-                            self.done = true;
-                            return None;
-                        }
-                    }
-                    return Some(Ok(e.clone()));
-                }
-                self.current = None;
-            }
-            if self.next_block >= self.table.index.len() {
-                self.done = true;
-                return None;
-            }
-            match self.table.read_block(self.next_block, &self.metrics) {
-                Ok(block) => {
-                    self.pos = block.lower_bound(self.range.start.as_ref());
-                    self.current = Some(block);
-                    self.next_block += 1;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-        }
+        Some(Ok(entry))
     }
 }
 
@@ -554,7 +505,7 @@ mod tests {
     use super::*;
 
     fn build(n: usize, block_size: usize) -> Arc<SsTable> {
-        let mut b = SsTableBuilder::new(block_size, 10);
+        let mut b = SsTableBuilder::new(block_size);
         for i in 0..n {
             let key = format!("key-{i:06}");
             if i % 17 == 3 {
@@ -564,7 +515,24 @@ mod tests {
                 b.add(key.as_bytes(), Some(value.as_bytes()));
             }
         }
-        SsTable::open_mem(Bytes::from(b.finish())).unwrap()
+        SsTable::open_mem(Bytes::from(b.finish()), None).unwrap()
+    }
+
+    /// 62-byte entries against a 256-byte target: exactly four rows per
+    /// block, so the blocks a row range occupies can be stated outright.
+    fn four_rows_per_block(n: usize) -> Arc<SsTable> {
+        let mut b = SsTableBuilder::new(256);
+        for i in 0..n {
+            b.add(format!("key-{i:06}").as_bytes(), Some(&[b'v'; 43]));
+        }
+        let cache = Some(BlockCache::new(1 << 20));
+        let t = SsTable::open_mem(Bytes::from(b.finish()), cache).unwrap();
+        assert_eq!(t.n_blocks() * 4, n);
+        t
+    }
+
+    fn range(lo: &str, hi: &str) -> KeyRange {
+        KeyRange::new(lo.as_bytes(), hi.as_bytes())
     }
 
     #[test]
@@ -580,8 +548,8 @@ mod tests {
     #[test]
     fn min_max_keys() {
         let t = build(100, 256);
-        assert_eq!(t.min_key().as_ref(), b"key-000000");
-        assert_eq!(t.max_key().as_ref(), b"key-000099");
+        assert_eq!(t.min_key(), b"key-000000");
+        assert_eq!(t.max_key(), b"key-000099");
         assert_eq!(t.n_entries(), 100);
         assert!(t.n_blocks() > 1, "should span multiple blocks");
     }
@@ -590,89 +558,119 @@ mod tests {
     fn full_scan_returns_everything_in_order() {
         let t = build(500, 256);
         let m = IoMetrics::default();
-        let entries: Vec<_> = t.scan(KeyRange::all(), &m).map(|e| e.unwrap()).collect();
+        let entries: Vec<_> = t.scan(&KeyRange::all(), &m).map(|e| e.unwrap()).collect();
         assert_eq!(entries.len(), 500);
         for w in entries.windows(2) {
             assert!(w[0].key < w[1].key);
         }
-        assert!(m.blocks_read() as usize >= t.n_blocks());
+        assert_eq!(m.blocks_read() as usize, t.n_blocks());
     }
 
     #[test]
     fn range_scan_respects_bounds() {
         let t = build(1000, 512);
         let m = IoMetrics::default();
-        let range = KeyRange::new(&b"key-000100"[..], &b"key-000200"[..]);
-        let entries: Vec<_> = t.scan(range, &m).map(|e| e.unwrap()).collect();
+        let scan = t.scan(&range("key-000100", "key-000200"), &m);
+        assert_eq!(scan.remaining(), 100);
+        let entries: Vec<_> = scan.map(|e| e.unwrap()).collect();
         assert_eq!(entries.len(), 100);
         assert_eq!(entries[0].key.as_ref(), b"key-000100");
         assert_eq!(entries.last().unwrap().key.as_ref(), b"key-000199");
+        // Unbounded end, and a start past the last key.
+        assert_eq!(t.scan(&KeyRange::from(&b"key-000990"[..]), &m).count(), 10);
+        assert_eq!(t.scan(&KeyRange::from(&b"zzz"[..]), &m).count(), 0);
     }
 
     #[test]
-    fn range_scan_skips_unneeded_blocks() {
-        let t = build(10_000, 512);
+    fn range_without_rows_touches_no_block_and_no_cache_entry() {
+        let t = four_rows_per_block(400);
         let m = IoMetrics::default();
-        let range = KeyRange::new(&b"key-005000"[..], &b"key-005010"[..]);
-        let n = t.scan(range, &m).count();
-        assert_eq!(n, 10);
-        assert!(
-            (m.blocks_read() as usize) < t.n_blocks() / 10,
-            "read {} of {} blocks",
-            m.blocks_read(),
-            t.n_blocks()
-        );
-    }
-
-    #[test]
-    fn bloom_avoids_block_reads_for_absent_keys() {
-        let t = build(10_000, 512);
-        let m = IoMetrics::default();
-        for i in 0..1000 {
-            // Absent keys *inside* the table's key range, so the min/max
-            // check cannot short-circuit before the bloom filter.
-            let key = format!("key-{i:06}x");
-            let _ = t.get(key.as_bytes(), &m).unwrap();
+        for r in [
+            range("key-000100x", "key-000100y"), // between two adjacent keys
+            range("a", "b"),                     // before the first key
+            range("key-000400", "zzz"),          // after the last key
+            range("key-000007", "key-000007"),   // empty range on a present key
+        ] {
+            let scan = t.scan(&r, &m);
+            assert_eq!(scan.remaining(), 0, "{r:?}");
+            assert_eq!(scan.count(), 0);
         }
-        assert!(m.bloom_skips() > 900, "bloom skips: {}", m.bloom_skips());
+        for i in 0..400 {
+            assert_eq!(t.get(format!("key-{i:06}x").as_bytes(), &m).unwrap(), None);
+        }
+        assert_eq!((m.blocks_read(), m.cache_hits(), m.cache_misses()), (0, 0, 0));
+    }
+
+    #[test]
+    fn range_with_rows_reads_exactly_the_blocks_holding_them() {
+        let t = four_rows_per_block(400);
+        // (first row, end row, blocks those rows occupy)
+        for (lo, hi, blocks) in [(8, 16, 2), (8, 14, 2), (9, 11, 1), (7, 9, 2), (0, 400, 100)] {
+            let m = IoMetrics::default();
+            let r = range(&format!("key-{lo:06}"), &format!("key-{hi:06}"));
+            assert_eq!(t.scan(&r, &m).count(), hi - lo);
+            let lookups = m.cache_hits() + m.cache_misses();
+            assert_eq!(lookups, blocks, "rows {lo}..{hi}: one cache look-up per block");
+        }
+        // Cold table: every look-up of the first scan is a block read.
+        let cold = four_rows_per_block(400);
+        let m = IoMetrics::default();
+        assert_eq!(cold.scan(&range("key-000008", "key-000016"), &m).count(), 8);
+        assert_eq!((m.blocks_read(), m.cache_misses(), m.cache_hits()), (2, 2, 0));
     }
 
     #[test]
     fn empty_table() {
-        let t = SsTable::open_mem(Bytes::from(SsTableBuilder::new(4096, 10).finish())).unwrap();
+        let t = SsTable::open_mem(Bytes::from(SsTableBuilder::new(4096).finish()), None).unwrap();
         let m = IoMetrics::default();
         assert_eq!(t.n_entries(), 0);
+        assert_eq!(t.min_key(), b"");
         assert_eq!(t.get(b"x", &m).unwrap(), None);
-        assert_eq!(t.scan(KeyRange::all(), &m).count(), 0);
+        assert_eq!(t.scan(&KeyRange::all(), &m).count(), 0);
     }
 
     #[test]
     fn corrupt_footer_rejected() {
-        let mut bytes = {
-            let mut b = SsTableBuilder::new(4096, 10);
+        let bytes = {
+            let mut b = SsTableBuilder::new(4096);
             b.add(b"a", Some(b"1"));
             b.finish()
         };
         let n = bytes.len();
-        bytes[n - 1] ^= 0xFF; // clobber magic
-        assert!(SsTable::open_mem(Bytes::from(bytes)).is_err());
+        let mut bad_magic = bytes.clone();
+        bad_magic[n - 1] ^= 0xFF;
+        assert!(matches!(
+            SsTable::open_mem(Bytes::from(bad_magic), None),
+            Err(KvError::Corruption { .. })
+        ));
+        // Only the version byte differs: refused as a format, not as damage.
+        let mut other_version = bytes;
+        other_version[n - 8] = 0x42;
+        assert!(matches!(
+            SsTable::open_mem(Bytes::from(other_version), None),
+            Err(KvError::UnsupportedFormat { found: 0x42, supported: FORMAT_VERSION })
+        ));
     }
 
     #[test]
-    fn corrupt_index_rejected() {
-        let mut bytes = {
-            let mut b = SsTableBuilder::new(64, 10);
-            for i in 0..100 {
-                let k = format!("k{i:04}");
-                b.add(k.as_bytes(), Some(b"v"));
-            }
-            b.finish()
-        };
-        // Index sits between data and footer; flip a byte near the end of
-        // the data+index region.
-        let n = bytes.len();
-        bytes[n - FOOTER_LEN - 10] ^= 0xFF;
-        assert!(SsTable::open_mem(Bytes::from(bytes)).is_err());
+    fn keys_sharing_and_not_sharing_prefixes_roundtrip() {
+        // Prefix compression across block boundaries, keys that extend
+        // their predecessor, empty first key, binary bytes.
+        let keys: [&[u8]; 7] =
+            [b"", b"a", b"aa", b"aab", b"ab", &[0xFF, 0x00], &[0xFF, 0x00, 0x00]];
+        let mut b = SsTableBuilder::new(64);
+        for k in keys {
+            b.add(k, Some(&[7u8; 30]));
+        }
+        let t = SsTable::open_mem(Bytes::from(b.finish()), None).unwrap();
+        assert!(t.n_blocks() > 1);
+        let m = IoMetrics::default();
+        let got: Vec<_> = t.scan(&KeyRange::all(), &m).map(|e| e.unwrap().key.to_vec()).collect();
+        assert_eq!(got, keys.iter().map(|k| k.to_vec()).collect::<Vec<_>>());
+        for k in keys {
+            assert!(t.get(k, &m).unwrap().is_some());
+        }
+        assert_eq!(t.max_key(), &[0xFF, 0x00, 0x00]);
     }
 
     #[test]
@@ -680,17 +678,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("trass-kv-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("test.sst");
-        let mut b = SsTableBuilder::new(256, 10);
+        let mut b = SsTableBuilder::new(256);
         for i in 0..200 {
             let k = format!("key-{i:04}");
             let v = format!("val-{i}");
             b.add(k.as_bytes(), Some(v.as_bytes()));
         }
         std::fs::write(&path, b.finish()).unwrap();
-        let t = SsTable::open_file(&path).unwrap();
+        let t = SsTable::open_file(&path, None).unwrap();
         let m = IoMetrics::default();
         assert_eq!(t.get(b"key-0123", &m).unwrap().unwrap().as_deref(), Some(&b"val-123"[..]));
-        assert_eq!(t.scan(KeyRange::all(), &m).count(), 200);
+        assert_eq!(t.scan(&KeyRange::all(), &m).count(), 200);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

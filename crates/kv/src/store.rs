@@ -26,8 +26,6 @@ pub struct StoreOptions {
     pub memtable_bytes: usize,
     /// SSTable data-block target size in bytes.
     pub block_size: usize,
-    /// Bloom filter density.
-    pub bloom_bits_per_key: usize,
     /// Number of SSTables that triggers a full compaction.
     pub compaction_threshold: usize,
     /// fsync the WAL on every write.
@@ -49,7 +47,6 @@ impl Default for StoreOptions {
             dir: None,
             memtable_bytes: 4 << 20,
             block_size: 4096,
-            bloom_bits_per_key: 10,
             compaction_threshold: 8,
             sync_writes: false,
             block_cache_bytes: 8 << 20,
@@ -84,9 +81,9 @@ struct Inner {
 
 /// An embedded log-structured key-value store.
 ///
-/// Thread-safe: reads take a shared lock, writes an exclusive lock. Scans
-/// snapshot the table list and stream per-block, holding the shared lock
-/// only while merging.
+/// Thread-safe: reads take a shared lock, writes an exclusive lock. A scan
+/// holds the shared lock while it merges, which pins the memtable and the
+/// table list it reads.
 pub struct LsmStore {
     opts: StoreOptions,
     inner: RwLock<Inner>,
@@ -152,10 +149,7 @@ impl LsmStore {
             if manifest.exists() {
                 let listing = std::fs::read_to_string(&manifest)?;
                 for name in listing.lines().filter(|l| !l.is_empty()) {
-                    let table = match &cache {
-                        Some(c) => SsTable::open_file_cached(&dir.join(name), Arc::clone(c))?,
-                        None => SsTable::open_file(&dir.join(name))?,
-                    };
+                    let table = SsTable::open_file(&dir.join(name), cache.clone())?;
                     if let Some(stem) = name.strip_suffix(".sst") {
                         if let Ok(id) = stem.parse::<u64>() {
                             next_table_id = next_table_id.max(id + 1);
@@ -264,69 +258,62 @@ impl LsmStore {
         self.scan_filtered(range, &KeepAll)
     }
 
-    /// Range scan with a push-down filter. Rows the filter skips are
-    /// counted as scanned but never materialized; `FilterDecision::Stop`
-    /// ends the scan early.
+    /// Range scan with a push-down filter: the one-range call of
+    /// [`LsmStore::scan_ranges_filtered`].
     pub fn scan_filtered(&self, range: KeyRange, filter: &dyn ScanFilter) -> Result<Vec<Entry>> {
-        self.metrics.record_range_scan();
-        if range.is_empty() {
-            return Ok(Vec::new());
-        }
+        self.scan_ranges_filtered(std::slice::from_ref(&range), filter)
+    }
+
+    /// Scans `ranges` in the order given under one acquisition of the
+    /// store lock and concatenates what each yields; ranges may overlap,
+    /// repeat, be unsorted or empty. Rows the filter skips are counted as
+    /// scanned but never materialized; `FilterDecision::Stop` ends the
+    /// range it fires in. A source joins a range's merge only if it holds
+    /// a row of that range — for a table that is a probe of its resident
+    /// key directory, so a (range, table) pair without rows costs no
+    /// block, no cache look-up and no iterator.
+    pub fn scan_ranges_filtered(
+        &self,
+        ranges: &[KeyRange],
+        filter: &dyn ScanFilter,
+    ) -> Result<Vec<Entry>> {
+        // The read guard pins the memtable and the table set for the
+        // whole call; writers block meanwhile.
         let inner = self.inner.read();
-        let mut sources: Vec<Box<dyn Iterator<Item = Result<MergeItem>> + '_>> = Vec::new();
-        // Newest first: memtable, then tables newest → oldest.
-        sources
-            .push(Box::new(inner.memtable.range(&range).map(|(k, v)| Ok((k.clone(), v.clone())))));
-        for table in inner.tables.iter().rev() {
-            // Scanning under the read guard pins the table set for the
-            // whole merge; writers block meanwhile. scan_snapshot is the
-            // lock-free path for long scans.
-            sources.push(Box::new(
-                // trass-lint: allow(lock-across-io)
-                table.scan(range.clone(), &self.metrics).map(|r| r.map(|e| (e.key, e.value))),
-            ));
-        }
-        let merged = MergeIter::new(sources)?;
         let mut out = Vec::new();
-        for item in merged {
-            let (key, value) = item?;
-            let Some(value) = value else { continue }; // tombstone
-            self.metrics.record_entry_scanned();
-            match filter.check(&key, &value) {
-                FilterDecision::Keep => {
-                    self.metrics.record_entry_returned();
-                    out.push(Entry { key, value });
+        for range in ranges {
+            self.metrics.record_range_scan();
+            if range.is_empty() {
+                continue;
+            }
+            // Newest first: memtable, then tables newest → oldest.
+            let mut sources: Vec<Box<dyn Iterator<Item = Result<MergeItem>> + '_>> = Vec::new();
+            let mut mem = inner.memtable.range(range).peekable();
+            if mem.peek().is_some() {
+                sources.push(Box::new(mem.map(|(k, v)| Ok((k.clone(), v.clone())))));
+            }
+            for table in inner.tables.iter().rev() {
+                // trass-lint: allow(lock-across-io)
+                let scan = table.scan(range, &self.metrics);
+                if scan.remaining() > 0 {
+                    sources.push(Box::new(scan.map(|r| r.map(|e| (e.key, e.value)))));
                 }
-                FilterDecision::Skip => {}
-                FilterDecision::Stop => break,
+            }
+            for item in MergeIter::new(sources)? {
+                let (key, value) = item?;
+                let Some(value) = value else { continue }; // tombstone
+                self.metrics.record_entry_scanned();
+                match filter.check(&key, &value) {
+                    FilterDecision::Keep => {
+                        self.metrics.record_entry_returned();
+                        out.push(Entry { key, value });
+                    }
+                    FilterDecision::Skip => {}
+                    FilterDecision::Stop => break,
+                }
             }
         }
         Ok(out)
-    }
-
-    /// Streaming scan over a consistent snapshot: the memtable's matching
-    /// range is copied and SSTables are pinned via `Arc`, so iteration
-    /// proceeds without holding the store lock and is unaffected by
-    /// concurrent writes, flushes, or compactions. Tombstoned rows are
-    /// skipped; rows are yielded in key order, newest version wins.
-    pub fn scan_snapshot(&self, range: KeyRange) -> Result<SnapshotScan> {
-        self.metrics.record_range_scan();
-        let (mem_items, tables) = {
-            let inner = self.inner.read();
-            let mem: Vec<MergeItem> =
-                inner.memtable.range(&range).map(|(k, v)| (k.clone(), v.clone())).collect();
-            (mem, inner.tables.clone())
-        };
-        let mut sources: Vec<Box<dyn Iterator<Item = Result<MergeItem>>>> =
-            Vec::with_capacity(1 + tables.len());
-        sources.push(Box::new(mem_items.into_iter().map(Ok)));
-        for table in tables.into_iter().rev() {
-            let metrics = Arc::clone(&self.metrics);
-            sources.push(Box::new(
-                table.scan_owned(range.clone(), metrics).map(|r| r.map(|e| (e.key, e.value))),
-            ));
-        }
-        Ok(SnapshotScan { merged: MergeIter::new(sources)?, metrics: Arc::clone(&self.metrics) })
     }
 
     /// Flushes the memtable if it exceeds the configured threshold, then
@@ -356,7 +343,7 @@ impl LsmStore {
             return Ok(());
         }
         let t = Instant::now();
-        let mut builder = SsTableBuilder::new(self.opts.block_size, self.opts.bloom_bits_per_key);
+        let mut builder = SsTableBuilder::new(self.opts.block_size);
         for (k, v) in inner.memtable.iter() {
             builder.add(k, v.as_deref());
         }
@@ -409,11 +396,11 @@ impl LsmStore {
             sources.push(Box::new(
                 table
                     // trass-lint: allow(lock-across-io)
-                    .scan(KeyRange::all(), &compaction_metrics)
+                    .scan(&KeyRange::all(), &compaction_metrics)
                     .map(|r| r.map(|e| (e.key, e.value))),
             ));
         }
-        let mut builder = SsTableBuilder::new(self.opts.block_size, self.opts.bloom_bits_per_key);
+        let mut builder = SsTableBuilder::new(self.opts.block_size);
         let mut merged_rows = 0u64;
         for item in MergeIter::new(sources)? {
             let (key, value) = item?;
@@ -458,17 +445,9 @@ impl LsmStore {
             let name = format!("{id:08}.sst");
             let path = dir.join(&name);
             std::fs::write(&path, &encoded)?;
-            let table = match &self.cache {
-                Some(c) => SsTable::open_file_cached(&path, Arc::clone(c))?,
-                None => SsTable::open_file(&path)?,
-            };
-            Ok((table, name))
+            Ok((SsTable::open_file(&path, self.cache.clone())?, name))
         } else {
-            let table = match &self.cache {
-                Some(c) => SsTable::open_mem_cached(Bytes::from(encoded), Arc::clone(c))?,
-                None => SsTable::open_mem(Bytes::from(encoded))?,
-            };
-            Ok((table, String::new()))
+            Ok((SsTable::open_mem(Bytes::from(encoded), self.cache.clone())?, String::new()))
         }
     }
 
@@ -530,29 +509,6 @@ impl LsmStore {
             ));
         }
         Ok(())
-    }
-}
-
-/// Streaming iterator returned by [`LsmStore::scan_snapshot`].
-pub struct SnapshotScan {
-    merged: MergeIter<'static>,
-    metrics: Arc<IoMetrics>,
-}
-
-impl Iterator for SnapshotScan {
-    type Item = Result<Entry>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            match self.merged.next()? {
-                Ok((_, None)) => continue, // tombstone
-                Ok((key, Some(value))) => {
-                    self.metrics.record_entry_scanned();
-                    return Some(Ok(Entry { key, value }));
-                }
-                Err(e) => return Some(Err(e)),
-            }
-        }
     }
 }
 
@@ -700,6 +656,52 @@ mod tests {
     }
 
     #[test]
+    fn multi_range_scan_reads_only_tables_holding_rows_and_stop_ends_one_range() {
+        let s = mem_store();
+        // Three tables with disjoint key sets, nothing in the memtable.
+        for prefix in ["a", "b", "c"] {
+            for i in 0..40 {
+                s.put(format!("{prefix}-{i:03}"), "v").unwrap();
+            }
+            s.flush().unwrap();
+        }
+        assert_eq!(s.n_tables(), 3);
+        let range = |lo: &str, hi: &str| KeyRange::new(lo.as_bytes(), hi.as_bytes());
+
+        // Ranges holding no key of any table: no block, no cache look-up.
+        let before = s.metrics().snapshot();
+        let gaps = [range("a-999", "b-000"), range("0", "a-000"), range("b-010x", "b-010y")];
+        assert!(s.scan_ranges_filtered(&gaps, &KeepAll).unwrap().is_empty());
+        let io = s.metrics().snapshot().since(&before);
+        assert_eq!((io.blocks_read, io.cache_hits, io.cache_misses), (0, 0, 0));
+        assert_eq!(io.range_scans, 3);
+
+        // Unsorted and overlapping: the concatenation of the per-range
+        // results, in the order given.
+        let ranges = [range("c-000", "c-003"), range("a-038", "b-002"), range("b-000", "b-001")];
+        let keys: Vec<String> = s
+            .scan_ranges_filtered(&ranges, &KeepAll)
+            .unwrap()
+            .iter()
+            .map(|e| String::from_utf8(e.key.to_vec()).unwrap())
+            .collect();
+        assert_eq!(keys, ["c-000", "c-001", "c-002", "a-038", "a-039", "b-000", "b-001", "b-000"]);
+
+        // Stop ends the range it fires in; the next range still runs.
+        let stop_at_2 = |key: &[u8], _v: &[u8]| {
+            if key.ends_with(b"2") {
+                FilterDecision::Stop
+            } else {
+                FilterDecision::Keep
+            }
+        };
+        let ranges = [range("a-000", "a-010"), range("c-011", "c-020")];
+        let kept = s.scan_ranges_filtered(&ranges, &stop_at_2).unwrap();
+        let keys: Vec<&[u8]> = kept.iter().map(|e| e.key.as_ref()).collect();
+        assert_eq!(keys, [&b"a-000"[..], b"a-001", b"c-011"]);
+    }
+
+    #[test]
     fn automatic_flush_and_compaction_under_load() {
         let s = mem_store();
         for i in 0..5000 {
@@ -764,56 +766,6 @@ mod tests {
             assert_eq!(s.scan(KeyRange::all()).unwrap().len(), 499);
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshot_scan_ignores_later_writes() {
-        let s = mem_store();
-        for i in 0..200 {
-            let (k, v) = kv(i);
-            s.put(k, v).unwrap();
-        }
-        s.flush().unwrap();
-        let mut snap = s.scan_snapshot(KeyRange::all()).unwrap();
-        // Mutate after the snapshot: delete everything, add new keys,
-        // flush and compact underneath the iterator.
-        for i in 0..200 {
-            let (k, _) = kv(i);
-            s.delete(k).unwrap();
-        }
-        s.put("zzz", "after").unwrap();
-        s.flush().unwrap();
-        s.compact().unwrap();
-        // The snapshot still sees exactly the original 200 rows.
-        let mut n = 0;
-        for entry in &mut snap {
-            let e = entry.unwrap();
-            assert!(e.key.as_ref() != b"zzz");
-            n += 1;
-        }
-        assert_eq!(n, 200);
-        // A fresh scan sees the new state.
-        let now = s.scan(KeyRange::all()).unwrap();
-        assert_eq!(now.len(), 1);
-        assert_eq!(now[0].key.as_ref(), b"zzz");
-    }
-
-    #[test]
-    fn snapshot_scan_matches_collecting_scan() {
-        let s = mem_store();
-        for i in 0..500 {
-            let (k, v) = kv(i);
-            s.put(k, v).unwrap();
-        }
-        s.flush().unwrap();
-        for i in (0..500).step_by(3) {
-            let (k, _) = kv(i);
-            s.delete(k).unwrap();
-        }
-        let range = KeyRange::new(&b"key-000050"[..], &b"key-000400"[..]);
-        let collected = s.scan(range.clone()).unwrap();
-        let streamed: Vec<Entry> = s.scan_snapshot(range).unwrap().map(|e| e.unwrap()).collect();
-        assert_eq!(collected, streamed);
     }
 
     #[test]
@@ -974,5 +926,41 @@ mod tests {
         assert!(err.contains("data dir"), "{err}");
         drop(s);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// 1,000 rows shaped like trajectory rows (17-byte `shard + index value
+    /// + tid` keys, 3.5 KB values), flushed to one table.
+    fn table_bytes_of_fixed_load() -> u64 {
+        let dir = std::env::temp_dir().join(format!("trass-store-bytes-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let s = LsmStore::open(StoreOptions::at_dir(&dir)).unwrap();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for tid in 0..1000u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let mut key = vec![3u8];
+            key.extend_from_slice(&(x >> 24).to_be_bytes());
+            key.extend_from_slice(&tid.to_be_bytes());
+            let value: Vec<u8> = (0..3500u32).map(|i| (i as u64 ^ x) as u8).collect();
+            s.put(key, value).unwrap();
+        }
+        s.flush().unwrap();
+        drop(s);
+        let bytes = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+            .map(|p| std::fs::metadata(p).unwrap().len())
+            .sum();
+        std::fs::remove_dir_all(&dir).ok();
+        bytes
+    }
+
+    #[test]
+    fn key_directory_keeps_the_footprint_of_the_format_it_replaced() {
+        // The last-key index + bloom filter build stored this load in
+        // 3,547,811 bytes; the directory took over both sections' bytes.
+        const BEFORE: u64 = 3_547_811;
+        let now = table_bytes_of_fixed_load();
+        assert!(now * 1000 <= BEFORE * 1002, "{now} bytes is over {BEFORE} + 0.2 %");
     }
 }

@@ -1,7 +1,8 @@
 //! Fault-injection tests: corrupt on-disk state must surface as clean
 //! `KvError`s — never panics, never silently wrong data.
 
-use trass_kv::{KeyRange, LsmStore, StoreOptions};
+use trass_kv::sstable::{SsTable, SsTableBuilder};
+use trass_kv::{Bytes, KeyRange, KvError, LsmStore, StoreOptions};
 use trass_rng::check;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -55,7 +56,7 @@ fn random_sst_corruption_is_detected() {
         std::fs::write(victim, &bytes).expect("write sst");
 
         match LsmStore::open(StoreOptions::at_dir(&dir)) {
-            Err(_) => {} // detected at open (index/bloom/footer damage)
+            Err(_) => {} // detected at open (directory/footer damage)
             Ok(store) => {
                 // Open succeeded: damage sits in a data block. Every
                 // operation must either succeed with *correct* data or
@@ -72,9 +73,9 @@ fn random_sst_corruption_is_detected() {
                             );
                         }
                         Ok(None) => {
-                            // Acceptable only if the flipped byte made the
-                            // bloom filter drop the key — but bloom bytes
-                            // are CRC-protected, so a missing key means the
+                            // Absence is answered by the key directory,
+                            // whose bytes are CRC-protected and were
+                            // verified at open — so a missing key means a
                             // block errored somewhere else first. Verify a
                             // scan reports the corruption.
                             let scan: Result<Vec<_>, _> = store.scan(KeyRange::all());
@@ -97,6 +98,55 @@ fn random_sst_corruption_is_detected() {
         }
         std::fs::remove_dir_all(&dir).ok();
     });
+}
+
+/// The key directory decides which rows a range or a lookup resolves to,
+/// so damage there must never reach a reader: any changed byte from the
+/// start of the directory to the end of the footer fails the open.
+#[test]
+fn any_flipped_directory_or_footer_byte_is_detected_at_open() {
+    let mut builder = SsTableBuilder::new(256);
+    for i in 0..300u32 {
+        builder.add(format!("key-{i:06}").as_bytes(), Some(format!("value-{i:06}").as_bytes()));
+    }
+    let bytes = builder.finish();
+    SsTable::open_mem(Bytes::from(bytes.clone()), None).expect("intact table opens");
+    // Footer: [dir_off: u64][dir_len: u64][n_entries: u64][magic: u64].
+    let footer = bytes.len() - 32;
+    let dir_off = u64::from_le_bytes(bytes[footer..footer + 8].try_into().expect("8 bytes"));
+    let dir_off = dir_off as usize;
+    assert!(footer - dir_off > 300, "one directory entry per key");
+    let mut rng = trass_rng::Rng::new(7);
+    for pos in dir_off..bytes.len() {
+        let mut damaged = bytes.clone();
+        damaged[pos] ^= rng.usize_in(1, 255) as u8;
+        assert!(
+            SsTable::open_mem(Bytes::from(damaged), None).is_err(),
+            "changed byte at {pos} (directory starts at {dir_off}, footer at {footer}) opened"
+        );
+    }
+}
+
+/// A table written before the key directory (last-key index block, bloom
+/// section, 48-byte footer; these bytes came from that build's
+/// `SsTableBuilder`) is refused with the typed version error, by the table
+/// reader and by a store whose manifest names it — never read as damage,
+/// never misread as data.
+#[test]
+fn table_in_the_previous_format_is_refused_with_the_version_error() {
+    let fixture: &[u8] = include_bytes!("fixtures/parent_format.sst");
+    let refused = |e: KvError| matches!(e, KvError::UnsupportedFormat { found: 0x42, .. });
+    let err =
+        SsTable::open_mem(Bytes::copy_from_slice(fixture), None).expect_err("old table opened");
+    assert!(refused(err));
+
+    let dir = temp_dir("old-format");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("00000000.sst"), fixture).expect("write table");
+    std::fs::write(dir.join("MANIFEST"), "00000000.sst").expect("write manifest");
+    let err = LsmStore::open(StoreOptions::at_dir(&dir)).expect_err("store opened an old table");
+    assert!(refused(err));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Truncating the WAL at any point loses only the tail; everything

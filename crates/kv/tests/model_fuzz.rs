@@ -1,10 +1,11 @@
 //! Model-based fuzzing of the LSM store: random operation sequences
 //! (put / delete / flush / compact / reopen) are applied both to the store
 //! and to a `BTreeMap` reference model; every observation (gets, full and
-//! partial scans) must agree. This is the test that catches merge-order,
-//! tombstone, and recovery bugs that unit tests miss.
+//! partial scans, multi-range scans) must agree. This is the test that
+//! catches merge-order, tombstone, and recovery bugs that unit tests miss.
 
 use std::collections::BTreeMap;
+use trass_kv::filter::KeepAll;
 use trass_kv::{KeyRange, LsmStore, StoreOptions};
 use trass_rng::{check, Rng};
 
@@ -15,22 +16,46 @@ enum Op {
     Flush,
     Compact,
     Scan(u16, u16),
+    /// One `scan_ranges_filtered` call over these `[lo, hi)` pairs, in
+    /// this order.
+    ScanMany(Vec<(u16, u16)>),
     Get(u16),
 }
 
-/// Weights 6 put : 2 delete : 1 flush : 1 compact : 2 scan : 2 get over
-/// 512 keys.
+/// Weights 6 put : 2 delete : 1 flush : 1 compact : 2 scan : 1 multi-range
+/// scan : 2 get over 512 keys.
 fn op(rng: &mut Rng) -> Op {
     let mut key = || rng.usize_in(0, 511) as u16;
     let (a, b) = (key(), key());
-    match rng.usize_in(0, 13) {
+    match rng.usize_in(0, 14) {
         0..=5 => Op::Put(a, rng.u64() as u8),
         6..=7 => Op::Delete(a),
         8 => Op::Flush,
         9 => Op::Compact,
         10..=11 => Op::Scan(a, b),
+        12 => Op::ScanMany(range_list(rng)),
         _ => Op::Get(a),
     }
+}
+
+/// `0..=8` ranges: overlapping and repeated by chance, one in four empty,
+/// and the whole list sorted by start half the time (the order the query
+/// layer emits) and left as drawn otherwise.
+fn range_list(rng: &mut Rng) -> Vec<(u16, u16)> {
+    let mut ranges: Vec<(u16, u16)> = (0..rng.len(0, 8))
+        .map(|_| {
+            let (a, b) = (rng.usize_in(0, 511) as u16, rng.usize_in(0, 80) as u16);
+            if rng.usize_in(0, 3) == 0 {
+                (a, a)
+            } else {
+                (a, a.saturating_add(b).min(512))
+            }
+        })
+        .collect();
+    if rng.usize_in(0, 1) == 0 {
+        ranges.sort_unstable();
+    }
+    ranges
 }
 
 /// `1..=max` ops.
@@ -74,6 +99,28 @@ fn check_agreement(store: &LsmStore, model: &BTreeMap<Vec<u8>, Vec<u8>>, ops: &[
                     .map(|(k, v)| (k.clone(), v.clone()))
                     .collect();
                 assert_eq!(got, want, "scan [{lo}, {hi}) diverged");
+            }
+            Op::ScanMany(pairs) => {
+                let ranges: Vec<KeyRange> = pairs
+                    .iter()
+                    .map(|&(lo, hi)| KeyRange::new(key_bytes(lo), key_bytes(hi)))
+                    .collect();
+                let rows = |entries: Vec<trass_kv::Entry>| -> Vec<(Vec<u8>, Vec<u8>)> {
+                    entries.into_iter().map(|e| (e.key.to_vec(), e.value.to_vec())).collect()
+                };
+                let got = rows(store.scan_ranges_filtered(&ranges, &KeepAll).expect("multi-scan"));
+                // The per-range loop the multi-range call replaced.
+                let looped: Vec<_> = ranges
+                    .iter()
+                    .flat_map(|r| rows(store.scan(r.clone()).expect("scan")))
+                    .collect();
+                let want: Vec<_> = pairs
+                    .iter()
+                    .flat_map(|&(lo, hi)| model.range(key_bytes(lo)..key_bytes(hi)))
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                assert_eq!(got, want, "multi-range scan {pairs:?} diverged from the model");
+                assert_eq!(got, looped, "multi-range scan {pairs:?} diverged from the loop");
             }
             Op::Get(k) => {
                 let got = store.get(&key_bytes(*k)).expect("get").map(|b| b.to_vec());

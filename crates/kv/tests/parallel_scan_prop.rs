@@ -1,8 +1,10 @@
 //! The parallel-scan ordering contract: for any shard count, dataset, and
 //! range set, `scan_ranges` over a multi-threaded cluster returns the
-//! exact byte sequence the sequential cluster produces. The query layer's
-//! determinism guarantee stands on this.
+//! exact byte sequence the sequential cluster produces — which is the
+//! shard-major concatenation of each range's rows, as a `BTreeMap` model
+//! yields them. The query layer's determinism guarantee stands on this.
 
+use std::collections::BTreeMap;
 use trass_kv::{Cluster, ClusterOptions, Entry, FilterDecision, KeyRange, StoreOptions};
 use trass_rng::{check, Rng};
 
@@ -27,23 +29,43 @@ fn keep_all(_k: &[u8], _v: &[u8]) -> FilterDecision {
     FilterDecision::Keep
 }
 
-/// Loads the same rows into both clusters.
-fn load(clusters: &[&Cluster], rows: &[(u8, u16)]) {
-    for c in clusters {
-        for &(shard, body) in rows {
-            c.put(key(shard, body), format!("v-{shard}-{body}")).expect("put");
+/// Loads the same rows into every cluster and returns the model of what
+/// they hold. Three generations, a flush after each of the first two, and
+/// every fifth row of a generation deleted again in the next: a scan
+/// merges a memtable, several tables, overwrites and tombstones.
+fn load(clusters: &[&Cluster], rows: &[(u8, u16)]) -> BTreeMap<Vec<u8>, Vec<u8>> {
+    let mut model = BTreeMap::new();
+    let third = rows.len().div_ceil(3).max(1);
+    for (generation, chunk) in rows.chunks(third).enumerate() {
+        let doomed: Vec<Vec<u8>> = model.keys().step_by(5).cloned().collect();
+        for c in clusters {
+            for k in &doomed {
+                c.delete(k.clone()).expect("delete");
+            }
+            for &(shard, body) in chunk {
+                c.put(key(shard, body), format!("v{generation}-{shard}-{body}")).expect("put");
+            }
+            if generation < 2 {
+                c.flush().expect("flush");
+            }
         }
-        c.flush().expect("flush");
+        for k in &doomed {
+            model.remove(k);
+        }
+        for &(shard, body) in chunk {
+            model.insert(key(shard, body), format!("v{generation}-{shard}-{body}").into_bytes());
+        }
     }
+    model
 }
 
 fn bytes_of(entries: &[Entry]) -> Vec<(Vec<u8>, Vec<u8>)> {
     entries.iter().map(|e| (e.key.to_vec(), e.value.to_vec())).collect()
 }
 
-/// Parallel and sequential scans agree byte-for-byte, in order, for
-/// random shard counts, row sets, and (possibly overlapping,
-/// possibly empty, possibly cross-shard) range sets.
+/// Parallel and sequential scans agree with each other and with the model
+/// byte-for-byte, in order, for random shard counts, row sets, and range
+/// lists — sorted or as drawn, overlapping, empty, cross-shard.
 #[test]
 fn parallel_scan_matches_sequential_bytes() {
     check(32, |rng| {
@@ -51,20 +73,35 @@ fn parallel_scan_matches_sequential_bytes() {
         let shard = |rng: &mut Rng| rng.usize_in(0, usize::from(shards) - 1) as u8;
         let rows: Vec<(u8, u16)> =
             (0..rng.len(0, 199)).map(|_| (shard(rng), rng.u64() as u16)).collect();
-        let key_ranges: Vec<KeyRange> = (0..rng.len(0, 11))
+        let mut key_ranges: Vec<KeyRange> = (0..rng.len(0, 11))
             .map(|_| {
                 let (s, a, b) = (shard(rng), rng.u64() as u16, rng.u64() as u16);
-                KeyRange::new(key(s, a.min(b)), key(s, a.max(b)))
+                let empty = rng.usize_in(0, 4) == 0;
+                KeyRange::new(key(s, a.min(b)), key(s, if empty { a.min(b) } else { a.max(b) }))
             })
             .chain(std::iter::once(KeyRange::all()))
             .collect();
+        if rng.usize_in(0, 1) == 0 {
+            key_ranges.sort_by(|a, b| a.start.cmp(&b.start));
+        }
         let sequential = cluster(shards, 1);
         let parallel = cluster(shards, rng.usize_in(2, 8));
-        load(&[&sequential, &parallel], &rows);
+        let model = load(&[&sequential, &parallel], &rows);
 
         let want = sequential.scan_ranges(&key_ranges, &keep_all).expect("sequential scan");
         let got = parallel.scan_ranges(&key_ranges, &keep_all).expect("parallel scan");
         assert_eq!(bytes_of(&want), bytes_of(&got));
+        let mut from_model = Vec::new();
+        for s in 0..shards {
+            for r in &key_ranges {
+                let r = r.intersect(&KeyRange::prefix(vec![s]));
+                if !r.is_empty() {
+                    let rows = model.range::<[u8], _>(r.bounds());
+                    from_model.extend(rows.map(|(k, v)| (k.clone(), v.clone())));
+                }
+            }
+        }
+        assert_eq!(bytes_of(&got), from_model);
     });
 }
 
