@@ -122,6 +122,9 @@ impl LocalFilter {
 
     /// Runs the checks cheap-first and names the first one that fails.
     fn classify(&self, row: &RowValue) -> Verdict {
+        if self.eps == f64::INFINITY {
+            return Verdict::Pass; // no bound can exceed it: skip computing them
+        }
         let q = &self.side;
         // Rejection slack: oriented-box distance arithmetic leaves ~1e-16
         // residue; a filter may only reject when the bound *certainly*

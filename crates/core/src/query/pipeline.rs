@@ -1,7 +1,7 @@
 //! The one staged query path (§V-E, Fig. 8): G-Pruning → range scans with
 //! L-Filtering pushed down → refinement.
 //!
-//! Threshold search, every top-k deepening round and range search run
+//! Threshold search, every batch of top-k's frontier and range search run
 //! through a [`StagedQuery`] and supply only what differs: the value
 //! ranges, the pushed-down filter with its attribution, and the refine
 //! verdicts. The shard fan-out, the I/O delta, the filter-time attribution

@@ -213,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn whole_space_window_completes_quickly() {
+    fn window_covering_everything_completes_quickly() {
         // Regression: a window covering the entire index space used to
         // enumerate all 4^r elements. The subtree collapse must answer in
         // milliseconds via a handful of contiguous ranges.

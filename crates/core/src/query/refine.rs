@@ -1,5 +1,5 @@
 //! The refinement-side lower-bound prefilter (shared by threshold search
-//! and top-k's deepening rounds).
+//! and top-k's batches).
 //!
 //! [`RefineContext`] wraps a query-side [`QueryEnvelope`] plus atomic
 //! per-outcome tallies, so parallel refine workers can assess candidates

@@ -8,6 +8,7 @@ use crate::stats::SearchResult;
 use crate::store::TrajectoryStore;
 use std::sync::Arc;
 use trass_exec::TopKBound;
+use trass_index::ranges::ValueRange;
 use trass_index::xzstar::{GlobalPruning, PruningConfig, QueryContext};
 use trass_kv::KvError;
 use trass_obs::{QueryTrace, TraceCtx, TraceSpan};
@@ -46,25 +47,62 @@ pub(crate) fn threshold_search_traced(
     store.run_query(QueryKind::Threshold, ctx, |root| {
         root.set_label("measure", measure.name());
         root.set_field("eps", eps);
-        let result = similarity_pass(store, query, eps, measure, None, root)?;
+        let plan = |span: &mut TraceSpan| global_pruning(store, query, eps, span);
+        let result = similarity_pass(store, query, eps, measure, None, root, plan)?;
         root.set_field("results", result.results.len());
         let detail = format!("eps={eps} measure={measure} results={}", result.results.len());
         Ok((result, Some(detail)))
     })
 }
 
-/// One pass of Fig. 8 at threshold `eps`: the whole of a threshold search,
-/// and one deepening round of top-k (which records one aggregate "topk"
-/// query instead of one entry per round). Supplies the staged path with
-/// what is specific to similarity search — Algorithm 1's value ranges,
-/// the Lemma 12–14 filter, and the exact-measure verdict per candidate.
+/// Algorithm 1 at threshold `eps`: the value ranges whose index spaces can
+/// hold a trajectory within `eps` of `query`, with the per-lemma counters
+/// on `span`.
+fn global_pruning(
+    store: &TrajectoryStore,
+    query: &Trajectory,
+    eps: f64,
+    span: &mut TraceSpan,
+) -> Vec<ValueRange> {
+    let config = store.config();
+    let unit_points = store.to_unit(query.points());
+    let eps_unit = config.space.distance_to_unit(eps);
+    let ctx = QueryContext::new(store.index(), unit_points, eps_unit);
+    let pruner = GlobalPruning::new(
+        store.index(),
+        PruningConfig {
+            range_gap: config.range_gap,
+            use_position_codes: config.use_position_codes,
+            use_min_dist: config.use_min_dist,
+            ..PruningConfig::default()
+        },
+    );
+    let (value_ranges, prune_stats) = pruner.query_ranges_stats(&ctx);
+    span.set_field("visited", prune_stats.visited);
+    span.set_field("lemma8_pruned", prune_stats.lemma8_pruned);
+    span.set_field("lemma9_pruned", prune_stats.lemma9_pruned);
+    span.set_field("lemma10_codes_pruned", prune_stats.lemma10_codes_pruned);
+    span.set_field("lemma11_codes_pruned", prune_stats.lemma11_codes_pruned);
+    span.set_field("codes_emitted", prune_stats.codes_emitted);
+    span.set_field("spilled_subtrees", prune_stats.spilled_subtrees);
+    span.set_field("traversal_seconds", prune_stats.elapsed.as_secs_f64());
+    value_ranges
+}
+
+/// One pass of Fig. 8 over the value ranges `plan` produces: the whole of
+/// a threshold search (`plan` = Algorithm 1 at `eps`), and one batch of
+/// top-k's frontier (`plan` = the next index spaces in lower-bound order;
+/// top-k records one aggregate "topk" query instead of one entry per
+/// batch). Supplies the staged path with what is specific to similarity
+/// search — the Lemma 12–14 filter at `eps` and the exact-measure verdict
+/// per candidate.
 ///
 /// `bound` is top-k's early-exit protocol: refine workers shrink their
 /// effective threshold to `min(eps, bound.current())` and offer every hit's
 /// exact distance back. The bound is always ≥ the k-th best distance among
 /// the hits recorded so far, so a skipped candidate is provably outside the
 /// final top-k; which *non-top-k* hits get skipped depends on worker
-/// timing, so per-round hit counts may vary across runs while the ranked
+/// timing, so per-batch hit counts may vary across runs while the ranked
 /// top-k (and plain threshold results, `bound = None`) never do.
 pub(crate) fn similarity_pass(
     store: &TrajectoryStore,
@@ -73,6 +111,7 @@ pub(crate) fn similarity_pass(
     measure: Measure,
     bound: Option<&TopKBound>,
     parent: &TraceSpan,
+    plan: impl FnOnce(&mut TraceSpan) -> Vec<ValueRange>,
 ) -> Result<SearchResult, KvError> {
     if eps.is_nan() || eps < 0.0 {
         return Err(KvError::InvalidUsage { message: format!("invalid threshold {eps}") });
@@ -80,30 +119,7 @@ pub(crate) fn similarity_pass(
     let config = store.config();
     let mut pass = StagedQuery::begin(store, Some(measure), parent);
 
-    let key_ranges = pass.prune(|span| {
-        let unit_points = store.to_unit(query.points());
-        let eps_unit = config.space.distance_to_unit(eps);
-        let ctx = QueryContext::new(store.index(), unit_points, eps_unit);
-        let pruner = GlobalPruning::new(
-            store.index(),
-            PruningConfig {
-                range_gap: config.range_gap,
-                use_position_codes: config.use_position_codes,
-                use_min_dist: config.use_min_dist,
-                ..PruningConfig::default()
-            },
-        );
-        let (value_ranges, prune_stats) = pruner.query_ranges_stats(&ctx);
-        span.set_field("visited", prune_stats.visited);
-        span.set_field("lemma8_pruned", prune_stats.lemma8_pruned);
-        span.set_field("lemma9_pruned", prune_stats.lemma9_pruned);
-        span.set_field("lemma10_codes_pruned", prune_stats.lemma10_codes_pruned);
-        span.set_field("lemma11_codes_pruned", prune_stats.lemma11_codes_pruned);
-        span.set_field("codes_emitted", prune_stats.codes_emitted);
-        span.set_field("spilled_subtrees", prune_stats.spilled_subtrees);
-        span.set_field("traversal_seconds", prune_stats.elapsed.as_secs_f64());
-        value_ranges
-    });
+    let key_ranges = pass.prune(plan);
 
     let rows = pass.scan(
         &key_ranges,

@@ -1,25 +1,31 @@
-//! Top-k similarity search (§V-E, Algorithm 4 adapted).
+//! Top-k similarity search (§V-E, Algorithm 4).
 //!
-//! The paper's Algorithm 4 walks index spaces best-first by `minDistIS`,
-//! tightening ε from the running k-th best. That traversal is exact but
-//! degenerates on *sparse* stores: until k results exist ε is infinite, and
-//! when fewer than k similar rows exist at all it must exhaust every index
-//! space (4^r elements) before it can stop. The index-level primitive
-//! ([`trass_index::xzstar::BestFirst`]) implements the paper's traversal
-//! faithfully; this query path wraps the same pruning machinery in an
-//! *iterative-deepening* driver that is exact under all data distributions:
+//! One best-first frontier ([`trass_index::xzstar::BestFirst`]) pops the
+//! *occupied* index spaces in increasing lower-bound order; the driver cuts
+//! that stream into batches, and each batch goes once through the staged
+//! path — scan with Lemmas 12–14 pushed down, exact measure on the
+//! survivors — at ε = the k-th best distance found so far.
 //!
-//! 1. run threshold search at a radius derived from the query's extent;
-//! 2. if it returned ≥ k results, the true top-k all lie within that
-//!    radius (the k-th best distance is ≤ ε and threshold search is
-//!    complete) — rank and return;
-//! 3. otherwise grow ε geometrically and repeat; once ε covers the whole
-//!    space the search has degenerated to a full scan and terminates
-//!    unconditionally.
-//!
-//! Rounds repeat work only on the (small) inner ranges already scanned;
-//! the geometric growth bounds total work at a constant factor of the
-//! final round.
+//! * **One carried bound.** A single [`TopKBound`] lives for the whole
+//!   query. Every index value is emitted, hence scanned, at most once, and
+//!   a row is stored under exactly one value, so no row's distance is
+//!   offered twice: the bound is the k-th smallest of *distinct* rows'
+//!   distances, never below the true k-th best, and whatever the filter or
+//!   the kernels skip against it is provably outside the answer. (Batch
+//!   ranges are therefore coalesced with gap 0 — a bridged gap would scan a
+//!   value the frontier has yet to emit.)
+//! * **Stopping rule.** The query ends when the frontier is empty: its
+//!   nearest remaining space lies farther than the k-th best (every row
+//!   under it is at least that far), or no occupied space remains. Nothing
+//!   depends on the resolution: a store of 50 rows expands the elements
+//!   on the paths to those rows and stops.
+//! * **Batches.** The first batch holds ≥ k rows by the occupancy bound
+//!   (fewer only if the store does), later ones [`BATCH_FACTOR`]× the one
+//!   before, so what a loose early bound lets in beyond the final ε is at
+//!   most the last batch. ε is read once per batch, between batches, which
+//!   makes the batch boundaries — and with them `retrieved` and
+//!   `candidates` — independent of worker timing; only the live bound
+//!   inside refine moves with it.
 
 use crate::query::pipeline::QueryKind;
 use crate::query::threshold::similarity_pass;
@@ -28,17 +34,19 @@ use crate::store::TrajectoryStore;
 use std::sync::Arc;
 use std::time::Instant;
 use trass_exec::TopKBound;
+use trass_index::ranges::coalesce;
+use trass_index::xzstar::BestFirst;
 use trass_kv::KvError;
-use trass_obs::{QueryTrace, TraceCtx};
+use trass_obs::{QueryTrace, TraceCtx, TraceSpan};
 use trass_traj::{Measure, Trajectory};
 
-/// Growth factor between deepening rounds.
-const GROWTH: f64 = 4.0;
+/// Row budget of a batch relative to the one before it.
+const BATCH_FACTOR: u64 = 2;
 
 /// Finds the `k` stored trajectories most similar to `query`, ordered by
-/// increasing distance. Exact for Fréchet and Hausdorff; for DTW the
-/// threshold is a *sum* budget, which iterative deepening handles the same
-/// way (Lemma 5 keeps every pruning stage sound for it).
+/// increasing distance, ties by id. Exact for Fréchet and Hausdorff; for
+/// DTW the bound is a *sum* budget, which every pruning stage handles the
+/// same way (Lemma 5 keeps them sound for it).
 pub fn top_k_search(
     store: &TrajectoryStore,
     query: &Trajectory,
@@ -48,9 +56,9 @@ pub fn top_k_search(
     Ok(top_k_search_traced(store, query, k, measure, store.begin_trace())?.0)
 }
 
-/// [`top_k_search`] under an explicit trace context. Each deepening round
-/// becomes a `round` child span (with its eps / candidates / results)
-/// whose own children are that round's pruning/scan/refine stages.
+/// [`top_k_search`] under an explicit trace context. Each batch becomes a
+/// `round` child span (with its eps / candidates / results) whose own
+/// children are that batch's pruning/scan/refine stages.
 pub(crate) fn top_k_search_traced(
     store: &TrajectoryStore,
     query: &Trajectory,
@@ -67,36 +75,43 @@ pub(crate) fn top_k_search_traced(
         }
         let t_all = Instant::now();
         let space = &store.config().space;
-        // Initial radius: a fraction of the query's own extent, floored at
-        // a few cells of the finest resolution so point queries start sane.
-        let cell_world = space.distance_to_world(0.5f64.powi(store.config().max_resolution as i32));
-        let mbr = query.mbr();
-        let mut eps = (mbr.width().max(mbr.height()) * 0.25).max(cell_world * 4.0);
-        // ε covering the entire space ⇒ the search has become a full scan
-        // and must terminate.
-        let whole_space = space.distance_to_world(2.0);
+        let mut frontier = BestFirst::new(store.index(), store.to_unit(query.points()), store)
+            .ok_or_else(|| KvError::InvalidUsage {
+                message: "empty query trajectory".to_string(),
+            })?;
+        let bound = TopKBound::new(k);
+        let mut budget = k as u64;
+        let mut exhausted = false;
 
         let mut stats = QueryStats::default();
-        // Per-round summaries for the slow-log entry: the aggregate totals
-        // alone hide which round did the damage.
+        let mut hits = Vec::new();
+        // Per-batch summaries for the slow-log entry: the aggregate totals
+        // alone hide which batch did the damage.
         let mut rounds = Vec::new();
-        loop {
+        while !exhausted {
             let round_no = rounds.len();
+            let eps = bound.current();
             let mut rspan = root.child("round");
             rspan.set_label("round", &round_no.to_string());
             rspan.set_field("eps", eps);
-            // Early-exit bound for this round's refine stage. Fresh per
-            // round: rounds rescan the inner ranges, and re-offering a
-            // duplicate hit into a carried-over bound would shrink it
-            // below the true k-th best. Within one round every row is
-            // offered at most once, so the bound stays an upper bound on
-            // the k-th best and skipped candidates are provably outside
-            // the top-k. The bound also cannot change the termination test
-            // below: it only turns finite after k hits are recorded, so
-            // `results.len() >= k` already holds whenever anything was
-            // skipped.
-            let round_bound = TopKBound::new(k);
-            let round = similarity_pass(store, query, eps, measure, Some(&round_bound), &rspan)?;
+            let plan = |span: &mut TraceSpan| {
+                let expanded_before = frontier.expanded();
+                let eps_unit = space.distance_to_unit(eps);
+                let (mut values, mut rows) = (Vec::new(), 0u64);
+                while rows < budget {
+                    let Some(next) = frontier.next_space(eps_unit) else {
+                        exhausted = true;
+                        break;
+                    };
+                    values.push(next.value);
+                    rows += next.rows;
+                }
+                span.set_field("expanded", frontier.expanded() - expanded_before);
+                span.set_field("codes_emitted", values.len());
+                span.set_field("rows_bound", rows);
+                coalesce(values, 0)
+            };
+            let round = similarity_pass(store, query, eps, measure, Some(&bound), &rspan, plan)?;
             rspan.set_field("candidates", round.stats.candidates);
             rspan.set_field("results", round.results.len());
             rspan.finish();
@@ -106,23 +121,22 @@ pub(crate) fn top_k_search_traced(
                 round.results.len()
             ));
             stats.absorb_round(&round.stats);
-            if round.results.len() >= k || eps >= whole_space {
-                let mut results = round.results;
-                results.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                results.truncate(k);
-                stats.results = results.len() as u64;
-                stats.total_time = t_all.elapsed();
-                root.set_field("rounds", rounds.len());
-                root.set_field("results", results.len());
-                let detail = format!(
-                    "k={k} measure={measure} eps_final={eps} results={} rounds=[{}]",
-                    results.len(),
-                    rounds.join(" ")
-                );
-                return Ok((SearchResult { results, stats }, Some(detail)));
-            }
-            eps = (eps * GROWTH).min(whole_space);
+            hits.extend(round.results);
+            budget = budget.saturating_mul(BATCH_FACTOR);
         }
+        hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        hits.truncate(k);
+        stats.results = hits.len() as u64;
+        stats.total_time = t_all.elapsed();
+        root.set_field("rounds", rounds.len());
+        root.set_field("results", hits.len());
+        let detail = format!(
+            "k={k} measure={measure} eps_final={} results={} rounds=[{}]",
+            bound.current(),
+            hits.len(),
+            rounds.join(" ")
+        );
+        Ok((SearchResult { results: hits, stats }, Some(detail)))
     })
 }
 
@@ -130,16 +144,30 @@ pub(crate) fn top_k_search_traced(
 mod tests {
     use super::*;
     use crate::config::TrassConfig;
+    use crate::store::ExplainQuery;
     use trass_geo::Mbr;
     use trass_traj::TrajectoryId;
 
+    fn config(query_threads: usize, refine_bounds: bool) -> TrassConfig {
+        let extent = Mbr::new(116.0, 39.6, 116.8, 40.2);
+        TrassConfig { query_threads, refine_bounds, ..TrassConfig::for_extent(extent) }
+    }
+
+    /// A store holding `data`, flushed.
+    fn loaded<'a>(
+        config: TrassConfig,
+        data: impl IntoIterator<Item = &'a Trajectory>,
+    ) -> TrajectoryStore {
+        let store = TrajectoryStore::open(config).unwrap();
+        store.insert_all(data).unwrap();
+        store.flush().unwrap();
+        store
+    }
+
     fn workload_store(n: usize, seed: u64) -> (TrajectoryStore, Vec<Trajectory>) {
         let extent = Mbr::new(116.0, 39.6, 116.8, 40.2);
-        let store = TrajectoryStore::open(TrassConfig::for_extent(extent)).unwrap();
         let data = trass_traj::generator::tdrive_like(seed, n);
-        store.insert_all(&data).unwrap();
-        store.flush().unwrap();
-        (store, data)
+        (loaded(TrassConfig::for_extent(extent), &data), data)
     }
 
     fn brute_force_topk(
@@ -150,7 +178,7 @@ mod tests {
     ) -> Vec<(TrajectoryId, f64)> {
         let mut all: Vec<(TrajectoryId, f64)> =
             data.iter().map(|t| (t.id, measure.distance(q.points(), t.points()))).collect();
-        all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         all.truncate(k);
         all
     }
@@ -212,8 +240,8 @@ mod tests {
 
     #[test]
     fn pruning_bound_limits_retrieval() {
-        // Deepening should stop well before scanning the whole store for a
-        // dense neighbourhood.
+        // The frontier should stop well before scanning the whole store
+        // for a dense neighbourhood.
         let (store, data) = workload_store(400, 53);
         let got = top_k_search(&store, &data[8], 5, Measure::Frechet).unwrap();
         assert!(
@@ -230,5 +258,108 @@ mod tests {
         let got = top_k_search(&store, &data[0], 3, Measure::Frechet).unwrap();
         assert_eq!(got.results.len(), 1);
         assert_eq!(got.results[0].0, data[0].id);
+    }
+
+    #[test]
+    fn sparse_store_costs_its_rows_not_the_index() {
+        // 50 rows under a 16-level index: the traversal follows the
+        // occupied paths and ends when they do, whatever ε would admit.
+        let data = trass_traj::generator::tdrive_like(29, 50);
+        let store = loaded(config(1, true), &data);
+        for measure in [Measure::Frechet, Measure::Dtw] {
+            let query = ExplainQuery::TopK { query: &data[7], k: 5, measure };
+            let explained = store.explain(query).unwrap();
+            assert_eq!(explained.result.results, brute_force_topk(&data, &data[7], 5, measure));
+            let expanded: u64 = explained
+                .trace
+                .root
+                .children_named("round")
+                .filter_map(|r| r.child("pruning")?.field_u64("expanded"))
+                .sum();
+            assert!(expanded <= 4 * 50, "{measure}: {expanded} elements expanded for 50 rows");
+            let stats = &explained.result.stats;
+            // At most one rowkey range per shard for every row.
+            assert!(stats.n_ranges <= 8 * 50, "{measure}: {} ranges", stats.n_ranges);
+            assert!(stats.retrieved <= 50);
+        }
+        // Fewer rows than k: everything, once. No rows: nothing.
+        let all = top_k_search(&store, &data[7], 80, Measure::Frechet).unwrap();
+        assert_eq!(all.results, brute_force_topk(&data, &data[7], 80, Measure::Frechet));
+        assert_eq!(all.stats.retrieved, 50);
+        let empty = TrajectoryStore::open(config(1, true)).unwrap();
+        let none = top_k_search(&empty, &data[7], 5, Measure::Frechet).unwrap();
+        assert!(none.results.is_empty());
+        assert_eq!((none.stats.n_ranges, none.stats.retrieved), (0, 0));
+    }
+
+    #[test]
+    fn occupancy_sees_unflushed_rows_and_outlives_removed_ones() {
+        let mut data = trass_traj::generator::tdrive_like(37, 120);
+        let store = loaded(config(1, true), &data[..60]);
+        store.insert_all(&data[60..]).unwrap(); // memtable only
+        let q = data[90].clone();
+        let got = top_k_search(&store, &q, 10, Measure::Frechet).unwrap();
+        assert_eq!(got.results, brute_force_topk(&data, &q, 10, Measure::Frechet));
+        // A removed row's tombstone still counts as occupancy — an upper
+        // bound — and the answer is the survivors' exact top-k.
+        for (tid, _) in got.results.iter().take(4) {
+            assert!(store.remove(*tid).unwrap());
+            data.retain(|t| t.id != *tid);
+        }
+        let got = top_k_search(&store, &q, 10, Measure::Frechet).unwrap();
+        assert_eq!(got.results, brute_force_topk(&data, &q, 10, Measure::Frechet));
+    }
+
+    #[test]
+    fn ties_at_the_kth_distance_go_to_the_smallest_ids() {
+        // More than k exact duplicates of the query: the k-th best
+        // distance is 0, ε becomes exactly 0, and every stage has to keep
+        // what ties it.
+        let mut data = trass_traj::generator::tdrive_like(43, 60);
+        let q = data[11].clone();
+        for id in 1000..1008 {
+            data.push(Trajectory::new(id, q.points().to_vec()));
+        }
+        for query_threads in [1, 4] {
+            let store = loaded(config(query_threads, true), data.iter().rev());
+            for measure in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
+                let got = top_k_search(&store, &q, 5, measure).unwrap();
+                let want: Vec<(TrajectoryId, f64)> =
+                    [q.id, 1000, 1001, 1002, 1003].map(|id| (id, 0.0)).to_vec();
+                assert_eq!(got.results, want, "{measure}, {query_threads} thread(s)");
+            }
+        }
+    }
+
+    #[test]
+    fn answer_and_scan_volume_do_not_depend_on_threads_or_refine_bounds() {
+        // ε is read between batches only, so which rows a batch retrieves
+        // and which survive the filter is the same under any worker
+        // timing; the live bound inside refine moves hit counts only.
+        let data = trass_traj::generator::tdrive_like(47, 300);
+        let queries = trass_traj::generator::sample_queries(&data, 4, 9);
+        let stores: Vec<TrajectoryStore> = [(1, true), (4, true), (1, false), (4, false)]
+            .into_iter()
+            .map(|(threads, bounds)| loaded(config(threads, bounds), &data))
+            .collect();
+        for measure in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
+            for q in &queries {
+                let base = top_k_search(&stores[0], q, 10, measure).unwrap();
+                assert_eq!(base.results, brute_force_topk(&data, q, 10, measure));
+                for store in &stores[1..] {
+                    let got = top_k_search(store, q, 10, measure).unwrap();
+                    let bits = |r: &SearchResult| -> Vec<(TrajectoryId, u64)> {
+                        r.results.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&got), bits(&base), "{measure} query {}", q.id);
+                    assert_eq!(
+                        (got.stats.retrieved, got.stats.candidates, got.stats.n_ranges),
+                        (base.stats.retrieved, base.stats.candidates, base.stats.n_ranges),
+                        "{measure} query {}",
+                        q.id
+                    );
+                }
+            }
+        }
     }
 }

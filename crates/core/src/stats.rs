@@ -121,10 +121,10 @@ impl QueryStats {
         }
     }
 
-    /// Folds one top-k deepening round into the query's running totals:
-    /// stage times, scan volume, I/O and refine attribution add up;
-    /// per-worker busy time adds position-wise (rounds with tiny candidate
-    /// sets may use fewer workers). `results` and `total_time` belong to
+    /// Folds one top-k round — one batch of the frontier — into the
+    /// query's running totals: stage times, scan volume, I/O and refine
+    /// attribution add up; per-worker busy time adds position-wise (rounds
+    /// with tiny candidate sets may use fewer workers). `results` and `total_time` belong to
     /// the whole query and are left to the driver.
     pub fn absorb_round(&mut self, round: &QueryStats) {
         self.pruning_time += round.pruning_time;

@@ -2,14 +2,16 @@
 
 use crate::config::TrassConfig;
 use crate::query::pipeline::{Answer, QueryKind, STAGE_SERIES};
-use crate::schema::{rowkey, shard_of, RowValue};
+use crate::schema::{parse_rowkey, rowkey, shard_key_ranges, shard_of, RowValue};
 use crate::stats::{QueryStats, RefinePrune, SearchResult};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use trass_exec::ScopedPool;
 use trass_geo::{Mbr, Point};
-use trass_index::xzstar::{IndexSpace, XzStar};
+use trass_index::ranges::ValueRange;
+use trass_index::xzstar::{IndexSpace, Occupancy, XzStar};
 use trass_kv::{Cluster, ClusterOptions, KvError};
 use trass_obs::{
     Counter, FlightRecorder, HealthRegistry, Histogram, QueryTrace, Registry, SlowLog, Telemetry,
@@ -526,6 +528,32 @@ impl TrajectoryStore {
     pub fn flush(&self) -> Result<(), KvError> {
         self.cluster.flush()?;
         self.id_index.flush()
+    }
+}
+
+/// The occupancy of the trajectory table, read from the cluster's resident
+/// key directories and memtables: memory only, and never "empty" for a
+/// value range that holds a stored row. Rows inserted after a call are not
+/// in its answer, exactly as they are not in a scan that ran before them.
+impl Occupancy for &TrajectoryStore {
+    fn rows(&self, ranges: &[ValueRange]) -> Vec<u64> {
+        let key_ranges = shard_key_ranges(self.config.shards, ranges);
+        let per_key_range = self.cluster.rows_upper_bound(&key_ranges);
+        // Shard-major fan-out: every `ranges.len()`-th entry from `i` on
+        // belongs to `ranges[i]`.
+        let of = |i| per_key_range.iter().skip(i).step_by(ranges.len()).sum();
+        (0..ranges.len()).map(of).collect()
+    }
+
+    fn values(&self, range: ValueRange) -> Vec<(u64, u64)> {
+        let key_ranges = shard_key_ranges(self.config.shards, &[range]);
+        let mut rows_of: BTreeMap<u64, u64> = BTreeMap::new();
+        self.cluster.visit_resident_keys(&key_ranges, &mut |key| {
+            if let Some((_, value, _)) = parse_rowkey(key) {
+                *rows_of.entry(value).or_default() += 1;
+            }
+        });
+        rows_of.into_iter().collect()
     }
 }
 

@@ -15,10 +15,11 @@ use trass_traj::{generator, Measure};
 
 /// Upper bound on `Σ(total − Σ stage wall) / Σ total` over each batch below
 /// (DESIGN.md's "Stage timing" bullet quotes it). Measured on the 2-core
-/// reference host: 0.003–0.005 % for thresholds, 0.03 % for range, 0.2 %
-/// for traced top-k. The glue is 2–8 µs a pass (stats assembly, the
+/// reference host: 0.003–0.01 % for thresholds, 0.04 % for range, 1 % for
+/// traced top-k. The glue is 2–8 µs a pass (stats assembly, the
 /// `local-filter` span, top-k's per-round bookkeeping), so the share only
-/// approaches the bound on queries far below a millisecond.
+/// approaches the bound on queries far below a millisecond — which top-k
+/// at k = 1 on this store now is (3–4 %), hence the larger k below.
 const MAX_RESIDUAL: f64 = 0.05;
 
 const STAGES: [&str; 3] = ["pruning", "scan", "refine"];
@@ -74,9 +75,8 @@ fn reconcile(query_threads: usize) {
     let data = generator::tdrive_like(7, 240);
     store.insert_all(&data).unwrap();
     store.flush().unwrap();
-    // Top-k is a batch of its own: on a store this small it spends seconds
-    // in pruning, which would drown the millisecond queries the residual
-    // bound is about.
+    // Top-k is a batch of its own: its rounds are passes far below a
+    // millisecond, where the glue weighs most.
     let mut batches = Batches::new();
 
     for q in data.iter().take(12) {
@@ -96,9 +96,9 @@ fn reconcile(query_threads: usize) {
     book(&mut batches, ("threshold", Some("dtw")), &e.result.stats, Some(vec![&e.trace.root]));
     let e = store.explain(ExplainQuery::Range { window: q.mbr() }).unwrap();
     book(&mut batches, ("range", None), &e.result.stats, Some(vec![&e.trace.root]));
-    // Top-k: stage times are sums over the deepening rounds, and every
-    // round ran every stage once.
-    for (q, k) in [(&data[9], 1), (&data[17], 5)] {
+    // Top-k: stage times are sums over the rounds (one per batch of the
+    // frontier), and every round ran every stage once.
+    for (q, k) in [(&data[9], 10), (&data[17], 40)] {
         let e =
             store.explain(ExplainQuery::TopK { query: q, k, measure: Measure::Frechet }).unwrap();
         let rounds: Vec<_> = e.trace.root.children_named("round").collect();

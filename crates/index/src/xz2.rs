@@ -240,7 +240,8 @@ mod tests {
         let eps = 0.002;
         let q = QueryContext::new(&star, points.clone(), eps);
         let star_values: u64 = GlobalPruning::new(&star, PruningConfig::default())
-            .query_ranges(&q)
+            .query_ranges_stats(&q)
+            .0
             .iter()
             .map(|r| r.len())
             .sum();

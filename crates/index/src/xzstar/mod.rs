@@ -14,9 +14,10 @@ mod topk;
 
 pub use position_code::{io_reduction, surviving_codes, PositionCode, QuadSet, CODE_SETS};
 pub use pruning::{GlobalPruning, PruneStats, PruningConfig, QueryContext};
-pub use topk::{BestFirst, SpaceCandidate};
+pub use topk::{BestFirst, Occupancy, SpaceCandidate};
 
 use crate::quad::{Cell, MAX_RESOLUTION};
+use crate::ranges::ValueRange;
 use trass_geo::{Mbr, Point};
 
 /// One XZ\* index space: an enlarged element plus a position code.
@@ -164,6 +165,17 @@ impl XzStar {
         let end = start + self.n_is(cell.level) - 1;
         crate::debug_invariant!(start <= end, "subtree range must be non-empty");
         (start, end)
+    }
+
+    /// The contiguous values of `cell`'s own index spaces: its nine
+    /// position codes (ten at the maximum resolution), which the
+    /// node-first numbering puts at the head of its subtree — the reserved
+    /// root block for the root.
+    pub fn code_block(&self, cell: &Cell) -> ValueRange {
+        let start = self.encode(&IndexSpace { cell: *cell, code: PositionCode::P1 });
+        let codes =
+            if cell.level == self.max_resolution { 10 } else { PositionCode::REGULAR_COUNT };
+        ValueRange { start, end: start + u64::from(codes) - 1 }
     }
 
     /// Definition 5: the index value `V(s, p)`.

@@ -21,7 +21,7 @@
 //! Lemmas are evaluated cheap-first, exactly as §V-E prescribes.
 
 use super::position_code::{PositionCode, QuadSet};
-use super::{IndexSpace, XzStar};
+use super::XzStar;
 use crate::quad::Cell;
 use crate::ranges::{coalesce, ValueRange};
 use std::collections::VecDeque;
@@ -127,16 +127,18 @@ pub(crate) fn cover_boxes(points: &[Point], theta: f64) -> Vec<OrientedBox> {
     boxes
 }
 
-/// Lemma 10 distance: a lower bound on `min_{q ∈ Q} d(q, rect)`, computed
-/// against the query's covering boxes (or the raw points when no boxes
-/// exist). Marking a quad "far" requires certainty that the true distance
-/// exceeds ε; a lower bound gives exactly that.
-pub(crate) fn query_dist_to_rect_lb(ctx: &QueryContext, rect: &Mbr) -> f64 {
+/// Lemma 10 test: is `rect` certainly farther than ε from every query
+/// point? Decided against the query's covering boxes (or the raw points
+/// when no boxes exist): the distance to their union lower-bounds the
+/// distance to the point set, so "far" needs every box beyond ε — and
+/// "near" is settled by the first box within it.
+pub(crate) fn quad_is_far(ctx: &QueryContext, rect: &Mbr) -> bool {
+    let cutoff = ctx.eps + PRUNE_SLACK;
     if ctx.cover_boxes.is_empty() {
-        return min_point_dist_to_rect(&ctx.points, rect);
+        return min_point_dist_to_rect(&ctx.points, rect) > cutoff;
     }
     let rect_box = OrientedBox::from_mbr(rect);
-    ctx.cover_boxes.iter().map(|b| b.distance_to_box(&rect_box)).fold(f64::INFINITY, f64::min)
+    ctx.cover_boxes.iter().all(|b| b.distance_to_box(&rect_box) > cutoff)
 }
 
 /// Definition 9 / Lemma 7: the largest resolution whose enlarged elements
@@ -176,14 +178,35 @@ pub fn min_dist_ee(query_mbr: &Mbr, region: &Mbr) -> f64 {
     query_mbr.edges().iter().map(|edge| region.distance_to_segment(edge)).fold(0.0f64, f64::max)
 }
 
-/// Definition 11: `minDistIS` against a union of rectangles (the quads of
-/// one index space).
-pub fn min_dist_is(query_mbr: &Mbr, rects: &[Mbr]) -> f64 {
-    query_mbr
-        .edges()
-        .iter()
-        .map(|edge| rects.iter().map(|r| r.distance_to_segment(edge)).fold(f64::INFINITY, f64::min))
-        .fold(0.0f64, f64::max)
+/// Definition 11 for every index space of one element: `minDistIS`
+/// against a union of the element's quads is, per edge of the query MBR,
+/// the nearest of those quads, and the farthest such edge. The sixteen
+/// edge-to-quad distances are measured once and serve all ten codes.
+pub(crate) struct QuadDistances {
+    /// `[edge][quad]`, quads in a, b, c, d order.
+    edge_to_quad: [[f64; 4]; 4],
+}
+
+impl QuadDistances {
+    pub(crate) fn new(query_mbr: &Mbr, rects: &[Mbr; 4]) -> Self {
+        let edge_to_quad =
+            query_mbr.edges().map(|edge| [0, 1, 2, 3].map(|i| rects[i].distance_to_segment(&edge)));
+        QuadDistances { edge_to_quad }
+    }
+
+    /// `minDistIS` of the index space whose quads are `quads`.
+    pub(crate) fn min_dist_is(&self, quads: QuadSet) -> f64 {
+        self.edge_to_quad
+            .iter()
+            .map(|quad_dist| {
+                quads
+                    .iter()
+                    .filter_map(QuadSet::quad_index)
+                    .map(|i| quad_dist[i])
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .fold(0.0f64, f64::max)
+    }
 }
 
 /// Lemma 10 helper: minimum distance from the query's *point set* to a
@@ -233,7 +256,7 @@ impl<'a> GlobalPruning<'a> {
 
     /// Algorithm 1: the candidate index values for a query context,
     /// unsorted. Exact (no traversal budget) — prefer
-    /// [`GlobalPruning::query_ranges`] in query paths.
+    /// [`GlobalPruning::query_ranges_stats`] in query paths.
     pub fn query_values(&self, q: &QueryContext) -> Vec<u64> {
         let (values, spill) = self.traverse(q, usize::MAX, &mut PruneStats::default());
         debug_assert!(spill.is_empty());
@@ -241,12 +264,7 @@ impl<'a> GlobalPruning<'a> {
     }
 
     /// Candidate values coalesced into contiguous scan ranges, respecting
-    /// the traversal budget.
-    pub fn query_ranges(&self, q: &QueryContext) -> Vec<ValueRange> {
-        self.query_ranges_stats(q).0
-    }
-
-    /// [`GlobalPruning::query_ranges`] plus per-lemma pruning counters.
+    /// the traversal budget, plus per-lemma pruning counters.
     pub fn query_ranges_stats(&self, q: &QueryContext) -> (Vec<ValueRange>, PruneStats) {
         let t0 = std::time::Instant::now();
         let mut stats = PruneStats::default();
@@ -319,11 +337,13 @@ impl<'a> GlobalPruning<'a> {
     ) {
         let rects = XzStar::quad_rects(cell);
         let at_max = cell.level == self.index.max_resolution();
+        // An element's codes are consecutive values from its first.
+        let first = self.index.code_block(cell).start;
         // Lemma 10: which quads are too far from the query's points?
         let far = if self.config.use_position_codes {
             let mut far = QuadSet::EMPTY;
             for (i, rect) in rects.iter().enumerate() {
-                if query_dist_to_rect_lb(q, rect) > q.eps + PRUNE_SLACK {
+                if quad_is_far(q, rect) {
                     far = far.union(QuadSet(1 << i));
                 }
             }
@@ -331,25 +351,22 @@ impl<'a> GlobalPruning<'a> {
         } else {
             QuadSet::EMPTY
         };
+        // Lemma 11's distances, unless an ablation switch skips the lemma.
+        let distances = (self.config.use_position_codes && self.config.use_min_dist)
+            .then(|| QuadDistances::new(&q.mbr, &rects));
         for code in PositionCode::all(at_max) {
             if self.config.use_position_codes {
                 if code.quads().intersects(far) {
                     stats.lemma10_codes_pruned += 1;
                     continue; // Lemma 10
                 }
-                if self.config.use_min_dist {
-                    let is_rects: Vec<Mbr> = code
-                        .quads()
-                        .iter()
-                        .filter_map(|s| s.quad_index().map(|i| rects[i]))
-                        .collect();
-                    if min_dist_is(&q.mbr, &is_rects) > q.eps + PRUNE_SLACK {
-                        stats.lemma11_codes_pruned += 1;
-                        continue; // Lemma 11
-                    }
+                let dist = distances.as_ref().map_or(0.0, |d| d.min_dist_is(code.quads()));
+                if dist > q.eps + PRUNE_SLACK {
+                    stats.lemma11_codes_pruned += 1;
+                    continue; // Lemma 11
                 }
             }
-            out.push(self.index.encode(&IndexSpace { cell: *cell, code }));
+            out.push(first + u64::from(code.0) - 1);
         }
     }
 }
@@ -394,9 +411,10 @@ mod tests {
         let q = Mbr::new(0.0, 0.0, 0.2, 0.2);
         let near = Mbr::new(0.25, 0.0, 0.3, 0.2);
         let far = Mbr::new(0.9, 0.9, 1.0, 1.0);
+        let distances = QuadDistances::new(&q, &[near, far, far, far]);
         // With both rects, each edge's distance is to the nearest rect.
-        let with_near = min_dist_is(&q, &[near, far]);
-        let only_far = min_dist_is(&q, &[far]);
+        let with_near = distances.min_dist_is(QuadSet::A.union(QuadSet::B));
+        let only_far = distances.min_dist_is(QuadSet::B);
         assert!(with_near < only_far);
     }
 
@@ -522,7 +540,7 @@ mod tests {
         let query = pts(&[(0.4, 0.4), (0.42, 0.44)]);
         let q = QueryContext::new(&index, query, 0.005);
         let values = pruner.query_values(&q);
-        let ranges = pruner.query_ranges(&q);
+        let (ranges, _) = pruner.query_ranges_stats(&q);
         for v in &values {
             assert!(ranges.iter().any(|r| r.contains(*v)), "value {v} lost");
         }
@@ -566,8 +584,6 @@ mod tests {
         assert!(stats.lemma10_codes_pruned + stats.lemma11_codes_pruned > 0, "{stats:?}");
         assert!(stats.codes_emitted > 0);
         assert_eq!(stats.spilled_subtrees, 0);
-        // The stats-carrying path returns the same plan as the plain one.
-        assert_eq!(ranges, pruner.query_ranges(&q));
     }
 
     #[test]

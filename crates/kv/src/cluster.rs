@@ -175,32 +175,7 @@ impl Cluster {
         filter: &(dyn ScanFilter + '_),
         parent: &TraceSpan,
     ) -> Result<Vec<Entry>> {
-        // Group ranges by owning shard. Ranges produced by the rowkey
-        // schema start and end under one shard byte and are routed by it;
-        // only a range that crosses shards (administrative scans such as
-        // `KeyRange::all()`) is clipped against every shard's prefix.
-        let mut per_shard: Vec<Vec<KeyRange>> = vec![Vec::new(); self.regions.len()];
-        for range in ranges {
-            if range.is_empty() {
-                continue;
-            }
-            let end_shard = range.end.as_ref().and_then(|e| e.first());
-            match range.start.first() {
-                Some(shard) if Some(shard) == end_shard => {
-                    if let Some(bucket) = per_shard.get_mut(usize::from(*shard)) {
-                        bucket.push(range.clone());
-                    }
-                }
-                _ => {
-                    for (shard, bucket) in per_shard.iter_mut().enumerate() {
-                        let clipped = range.intersect(&KeyRange::prefix(vec![shard as u8]));
-                        if !clipped.is_empty() {
-                            bucket.push(clipped);
-                        }
-                    }
-                }
-            }
-        }
+        let (per_shard, _) = self.route(ranges);
 
         let involved: Vec<usize> =
             (0..self.regions.len()).filter(|&i| !per_shard[i].is_empty()).collect();
@@ -246,6 +221,69 @@ impl Cluster {
             out.extend(r?);
         }
         Ok(out)
+    }
+
+    /// Groups `ranges` by owning shard; the second vector gives, parallel
+    /// to the first, each routed range's position in `ranges`. Ranges
+    /// produced by the rowkey schema start and end under one shard byte
+    /// and are routed by it; only a range that crosses shards
+    /// (administrative scans such as `KeyRange::all()`) is clipped against
+    /// every shard's prefix.
+    fn route(&self, ranges: &[KeyRange]) -> (Vec<Vec<KeyRange>>, Vec<Vec<usize>>) {
+        let mut per_shard: Vec<Vec<KeyRange>> = vec![Vec::new(); self.regions.len()];
+        let mut origins: Vec<Vec<usize>> = vec![Vec::new(); self.regions.len()];
+        for (i, range) in ranges.iter().enumerate() {
+            if range.is_empty() {
+                continue;
+            }
+            let end_shard = range.end.as_ref().and_then(|e| e.first());
+            match range.start.first() {
+                Some(shard) if Some(shard) == end_shard => {
+                    if let Some(bucket) = per_shard.get_mut(usize::from(*shard)) {
+                        bucket.push(range.clone());
+                        origins[usize::from(*shard)].push(i);
+                    }
+                }
+                _ => {
+                    for (shard, bucket) in per_shard.iter_mut().enumerate() {
+                        let clipped = range.intersect(&KeyRange::prefix(vec![shard as u8]));
+                        if !clipped.is_empty() {
+                            bucket.push(clipped);
+                            origins[shard].push(i);
+                        }
+                    }
+                }
+            }
+        }
+        (per_shard, origins)
+    }
+
+    /// An upper bound on the live rows of each of `ranges`
+    /// ([`LsmStore::rows_upper_bound`], summed over the shards a range
+    /// crosses): memory only, one lock acquisition per involved region.
+    pub fn rows_upper_bound(&self, ranges: &[KeyRange]) -> Vec<u64> {
+        let (per_shard, origins) = self.route(ranges);
+        let mut rows = vec![0u64; ranges.len()];
+        for ((region, routed), origin) in self.regions.iter().zip(&per_shard).zip(&origins) {
+            if routed.is_empty() {
+                continue;
+            }
+            for (&i, n) in origin.iter().zip(region.rows_upper_bound(routed)) {
+                rows[i] += n;
+            }
+        }
+        rows
+    }
+
+    /// [`LsmStore::visit_resident_keys`] for each of `ranges`, in every
+    /// region it touches.
+    pub fn visit_resident_keys(&self, ranges: &[KeyRange], visit: &mut dyn FnMut(&[u8])) {
+        let (per_shard, _) = self.route(ranges);
+        for (region, routed) in self.regions.iter().zip(&per_shard) {
+            for range in routed {
+                region.visit_resident_keys(range, visit);
+            }
+        }
     }
 
     /// Aggregated I/O metrics across all regions.
@@ -437,6 +475,29 @@ mod tests {
         ];
         let entries = c.scan_ranges(&ranges, &KeepAll).unwrap();
         assert_eq!(entries.len(), 10 + 5 + 1);
+    }
+
+    #[test]
+    fn occupancy_probe_routes_by_shard_and_sums_crossing_ranges() {
+        let c = cluster(3);
+        for (shard, n) in [(0u8, 4), (2, 7)] {
+            for i in 0..n {
+                c.put(key(shard, &format!("k{i:03}")), "v").unwrap();
+            }
+        }
+        c.flush().unwrap();
+        c.put(key(2, "k100"), "unflushed").unwrap();
+        let ranges = [
+            KeyRange::new(key(2, "k005"), key(2, "k999")),
+            KeyRange::new(key(1, "k000"), key(1, "k999")),
+            KeyRange::all(),
+            KeyRange::new(key(0, "k001"), key(0, "k003")),
+        ];
+        assert_eq!(c.rows_upper_bound(&ranges), [3, 0, 12, 2]);
+        let mut listed = Vec::new();
+        c.visit_resident_keys(&ranges[..2], &mut |k| listed.push(k.to_vec()));
+        listed.sort();
+        assert_eq!(listed, [key(2, "k005"), key(2, "k006"), key(2, "k100")]);
     }
 
     #[test]

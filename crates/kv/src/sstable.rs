@@ -31,6 +31,7 @@ use crate::error::{KvError, Result};
 use crate::metrics::IoMetrics;
 use crate::types::Bytes;
 use crate::types::KeyRange;
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
@@ -300,6 +301,11 @@ impl Directory {
     }
 }
 
+/// The block a table's cursor decoded last, carried across the ranges of
+/// one multi-range scan: two ranges meeting inside a block look it up in
+/// the cache once.
+pub type BlockMemo = RefCell<Option<(usize, Arc<Block>)>>;
+
 /// An open, immutable SSTable.
 pub struct SsTable {
     /// Process-unique id (block-cache key namespace).
@@ -436,17 +442,39 @@ impl SsTable {
         }
     }
 
-    /// Creates a cursor over the rows of `range`, resolved against the
-    /// directory: no block is touched until the first `next`, and none at
-    /// all when [`SsTableScan::remaining`] is 0.
-    pub fn scan<'a>(&'a self, range: &KeyRange, metrics: &'a IoMetrics) -> SsTableScan<'a> {
+    /// Row ordinals `[first, end)` of `range`: two binary searches of the
+    /// resident directory.
+    fn row_span(&self, range: &KeyRange) -> (usize, usize) {
         let first = self.dir.lower_bound(&range.start);
         let end = match &range.end {
             Some(end) => self.dir.lower_bound(end).max(first),
             None => self.dir.n_rows(),
         };
+        (first, end)
+    }
+
+    /// The keys of the entries (tombstones included) this table holds in
+    /// `range`, in order, from the directory alone: no block read, no cache
+    /// look-up. Its `len` is their count.
+    pub fn keys_in(&self, range: &KeyRange) -> impl ExactSizeIterator<Item = &[u8]> {
+        let (first, end) = self.row_span(range);
+        (first..end).map(|row| self.dir.key(row))
+    }
+
+    /// Creates a cursor over the rows of `range`, resolved against the
+    /// directory: no block is touched until the first `next`, and none at
+    /// all when [`SsTableScan::remaining`] is 0. The cursor takes its first
+    /// block from `memo` when the previous range of the same call ended in
+    /// it, and leaves the block it read last there.
+    pub fn scan<'a>(
+        &'a self,
+        range: &KeyRange,
+        metrics: &'a IoMetrics,
+        memo: &'a BlockMemo,
+    ) -> SsTableScan<'a> {
+        let (first, end) = self.row_span(range);
         let (block, slot) = if first < end { self.dir.locate(first) } else { (0, 0) };
-        SsTableScan { table: self, metrics, block, slot, remaining: end - first, current: None }
+        SsTableScan { table: self, metrics, memo, block, slot, remaining: end - first }
     }
 }
 
@@ -454,17 +482,30 @@ impl SsTable {
 pub struct SsTableScan<'a> {
     table: &'a SsTable,
     metrics: &'a IoMetrics,
+    memo: &'a BlockMemo,
     /// Block and slot of the next row.
     block: usize,
     slot: usize,
     remaining: usize,
-    current: Option<Arc<Block>>,
 }
 
 impl SsTableScan<'_> {
     /// Rows this cursor has yet to yield.
     pub fn remaining(&self) -> usize {
         self.remaining
+    }
+
+    /// The block of the next row: the memo's when it holds that block (the
+    /// cursor's own last one, or the previous range's), otherwise read
+    /// through the cache and left in the memo.
+    fn load(&self) -> Result<Arc<Block>> {
+        let mut memo = self.memo.borrow_mut();
+        if let Some((_, block)) = memo.as_ref().filter(|(i, _)| *i == self.block) {
+            return Ok(Arc::clone(block));
+        }
+        let block = self.table.read_block(self.block, self.metrics)?;
+        *memo = Some((self.block, Arc::clone(&block)));
+        Ok(block)
     }
 }
 
@@ -475,15 +516,12 @@ impl Iterator for SsTableScan<'_> {
         if self.remaining == 0 {
             return None;
         }
-        let block = match self.current.take() {
-            Some(block) => block,
-            None => match self.table.read_block(self.block, self.metrics) {
-                Ok(block) => block,
-                Err(e) => {
-                    self.remaining = 0;
-                    return Some(Err(e));
-                }
-            },
+        let block = match self.load() {
+            Ok(block) => block,
+            Err(e) => {
+                self.remaining = 0;
+                return Some(Err(e));
+            }
         };
         // `read_block` matched the block against the directory, so the
         // slot exists.
@@ -493,8 +531,6 @@ impl Iterator for SsTableScan<'_> {
         if self.slot == block.entries().len() {
             self.block += 1;
             self.slot = 0;
-        } else {
-            self.current = Some(block);
         }
         Some(Ok(entry))
     }
@@ -558,7 +594,8 @@ mod tests {
     fn full_scan_returns_everything_in_order() {
         let t = build(500, 256);
         let m = IoMetrics::default();
-        let entries: Vec<_> = t.scan(&KeyRange::all(), &m).map(|e| e.unwrap()).collect();
+        let entries: Vec<_> =
+            t.scan(&KeyRange::all(), &m, &BlockMemo::default()).map(|e| e.unwrap()).collect();
         assert_eq!(entries.len(), 500);
         for w in entries.windows(2) {
             assert!(w[0].key < w[1].key);
@@ -570,15 +607,19 @@ mod tests {
     fn range_scan_respects_bounds() {
         let t = build(1000, 512);
         let m = IoMetrics::default();
-        let scan = t.scan(&range("key-000100", "key-000200"), &m);
+        let memo = BlockMemo::default();
+        let scan = t.scan(&range("key-000100", "key-000200"), &m, &memo);
         assert_eq!(scan.remaining(), 100);
         let entries: Vec<_> = scan.map(|e| e.unwrap()).collect();
         assert_eq!(entries.len(), 100);
         assert_eq!(entries[0].key.as_ref(), b"key-000100");
         assert_eq!(entries.last().unwrap().key.as_ref(), b"key-000199");
         // Unbounded end, and a start past the last key.
-        assert_eq!(t.scan(&KeyRange::from(&b"key-000990"[..]), &m).count(), 10);
-        assert_eq!(t.scan(&KeyRange::from(&b"zzz"[..]), &m).count(), 0);
+        assert_eq!(
+            t.scan(&KeyRange::from(&b"key-000990"[..]), &m, &BlockMemo::default()).count(),
+            10
+        );
+        assert_eq!(t.scan(&KeyRange::from(&b"zzz"[..]), &m, &BlockMemo::default()).count(), 0);
     }
 
     #[test]
@@ -591,7 +632,8 @@ mod tests {
             range("key-000400", "zzz"),          // after the last key
             range("key-000007", "key-000007"),   // empty range on a present key
         ] {
-            let scan = t.scan(&r, &m);
+            let memo = BlockMemo::default();
+            let scan = t.scan(&r, &m, &memo);
             assert_eq!(scan.remaining(), 0, "{r:?}");
             assert_eq!(scan.count(), 0);
         }
@@ -608,14 +650,17 @@ mod tests {
         for (lo, hi, blocks) in [(8, 16, 2), (8, 14, 2), (9, 11, 1), (7, 9, 2), (0, 400, 100)] {
             let m = IoMetrics::default();
             let r = range(&format!("key-{lo:06}"), &format!("key-{hi:06}"));
-            assert_eq!(t.scan(&r, &m).count(), hi - lo);
+            assert_eq!(t.scan(&r, &m, &BlockMemo::default()).count(), hi - lo);
             let lookups = m.cache_hits() + m.cache_misses();
             assert_eq!(lookups, blocks, "rows {lo}..{hi}: one cache look-up per block");
         }
         // Cold table: every look-up of the first scan is a block read.
         let cold = four_rows_per_block(400);
         let m = IoMetrics::default();
-        assert_eq!(cold.scan(&range("key-000008", "key-000016"), &m).count(), 8);
+        assert_eq!(
+            cold.scan(&range("key-000008", "key-000016"), &m, &BlockMemo::default()).count(),
+            8
+        );
         assert_eq!((m.blocks_read(), m.cache_misses(), m.cache_hits()), (2, 2, 0));
     }
 
@@ -626,7 +671,7 @@ mod tests {
         assert_eq!(t.n_entries(), 0);
         assert_eq!(t.min_key(), b"");
         assert_eq!(t.get(b"x", &m).unwrap(), None);
-        assert_eq!(t.scan(&KeyRange::all(), &m).count(), 0);
+        assert_eq!(t.scan(&KeyRange::all(), &m, &BlockMemo::default()).count(), 0);
     }
 
     #[test]
@@ -665,7 +710,10 @@ mod tests {
         let t = SsTable::open_mem(Bytes::from(b.finish()), None).unwrap();
         assert!(t.n_blocks() > 1);
         let m = IoMetrics::default();
-        let got: Vec<_> = t.scan(&KeyRange::all(), &m).map(|e| e.unwrap().key.to_vec()).collect();
+        let got: Vec<_> = t
+            .scan(&KeyRange::all(), &m, &BlockMemo::default())
+            .map(|e| e.unwrap().key.to_vec())
+            .collect();
         assert_eq!(got, keys.iter().map(|k| k.to_vec()).collect::<Vec<_>>());
         for k in keys {
             assert!(t.get(k, &m).unwrap().is_some());
@@ -688,7 +736,7 @@ mod tests {
         let t = SsTable::open_file(&path, None).unwrap();
         let m = IoMetrics::default();
         assert_eq!(t.get(b"key-0123", &m).unwrap().unwrap().as_deref(), Some(&b"val-123"[..]));
-        assert_eq!(t.scan(&KeyRange::all(), &m).count(), 200);
+        assert_eq!(t.scan(&KeyRange::all(), &m, &BlockMemo::default()).count(), 200);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -6,7 +6,7 @@ use crate::filter::{FilterDecision, KeepAll, ScanFilter};
 use crate::memtable::Memtable;
 use crate::merge::{MergeItem, MergeIter};
 use crate::metrics::IoMetrics;
-use crate::sstable::{SsTable, SsTableBuilder};
+use crate::sstable::{BlockMemo, SsTable, SsTableBuilder};
 use crate::types::Bytes;
 use crate::types::{Entry, KeyRange};
 use crate::wal::Wal;
@@ -271,7 +271,9 @@ impl LsmStore {
     /// range it fires in. A source joins a range's merge only if it holds
     /// a row of that range — for a table that is a probe of its resident
     /// key directory, so a (range, table) pair without rows costs no
-    /// block, no cache look-up and no iterator.
+    /// block, no cache look-up and no iterator. Each table's last decoded
+    /// block is carried from range to range, so for sorted ranges a block
+    /// is looked up in the cache once however many ranges meet in it.
     pub fn scan_ranges_filtered(
         &self,
         ranges: &[KeyRange],
@@ -280,6 +282,7 @@ impl LsmStore {
         // The read guard pins the memtable and the table set for the
         // whole call; writers block meanwhile.
         let inner = self.inner.read();
+        let memos: Vec<BlockMemo> = inner.tables.iter().map(|_| BlockMemo::default()).collect();
         let mut out = Vec::new();
         for range in ranges {
             self.metrics.record_range_scan();
@@ -292,9 +295,9 @@ impl LsmStore {
             if mem.peek().is_some() {
                 sources.push(Box::new(mem.map(|(k, v)| Ok((k.clone(), v.clone())))));
             }
-            for table in inner.tables.iter().rev() {
+            for (table, memo) in inner.tables.iter().zip(&memos).rev() {
                 // trass-lint: allow(lock-across-io)
-                let scan = table.scan(range, &self.metrics);
+                let scan = table.scan(range, &self.metrics, memo);
                 if scan.remaining() > 0 {
                     sources.push(Box::new(scan.map(|r| r.map(|e| (e.key, e.value)))));
                 }
@@ -314,6 +317,33 @@ impl LsmStore {
             }
         }
         Ok(out)
+    }
+
+    /// An upper bound on the live rows of each of `ranges`: the entries
+    /// the memtable and every table's resident key directory hold there,
+    /// tombstones and shadowed versions included. Memory only — no block
+    /// read, no cache look-up — under one acquisition of the store lock;
+    /// 0 means a scan of that range returns nothing.
+    pub fn rows_upper_bound(&self, ranges: &[KeyRange]) -> Vec<u64> {
+        let inner = self.inner.read();
+        let rows = |range: &KeyRange| {
+            let tabled: usize = inner.tables.iter().map(|t| t.keys_in(range).len()).sum();
+            (inner.memtable.range(range).count() + tabled) as u64
+        };
+        ranges.iter().map(|r| if r.is_empty() { 0 } else { rows(r) }).collect()
+    }
+
+    /// Calls `visit` with every key [`LsmStore::rows_upper_bound`] counts
+    /// in `range`, a key once per source holding it and in no order across
+    /// sources. `visit` runs under the store lock, as a scan's filter
+    /// does: it must not call back into the store.
+    pub fn visit_resident_keys(&self, range: &KeyRange, visit: &mut dyn FnMut(&[u8])) {
+        if range.is_empty() {
+            return;
+        }
+        let inner = self.inner.read();
+        inner.memtable.range(range).for_each(|(key, _)| visit(key));
+        inner.tables.iter().flat_map(|t| t.keys_in(range)).for_each(visit);
     }
 
     /// Flushes the memtable if it exceeds the configured threshold, then
@@ -388,15 +418,16 @@ impl LsmStore {
         // Compaction I/O is counted separately from query I/O, then
         // published into dedicated `compaction_*` registry counters below.
         let compaction_metrics = IoMetrics::new();
+        let memos: Vec<BlockMemo> = inner.tables.iter().map(|_| BlockMemo::default()).collect();
         let mut sources: Vec<Box<dyn Iterator<Item = Result<MergeItem>> + '_>> = Vec::new();
-        for table in inner.tables.iter().rev() {
+        for (table, memo) in inner.tables.iter().zip(&memos).rev() {
             // Full compaction swaps the table set atomically; the write
             // guard must span the merge or a concurrent flush could add a
             // table the rewrite would silently drop.
             sources.push(Box::new(
                 table
                     // trass-lint: allow(lock-across-io)
-                    .scan(&KeyRange::all(), &compaction_metrics)
+                    .scan(&KeyRange::all(), &compaction_metrics, memo)
                     .map(|r| r.map(|e| (e.key, e.value))),
             ));
         }
@@ -699,6 +730,38 @@ mod tests {
         let kept = s.scan_ranges_filtered(&ranges, &stop_at_2).unwrap();
         let keys: Vec<&[u8]> = kept.iter().map(|e| e.key.as_ref()).collect();
         assert_eq!(keys, [&b"a-000"[..], b"a-001", b"c-011"]);
+    }
+
+    #[test]
+    fn sorted_ranges_look_each_block_up_once_and_probes_read_nothing() {
+        // One table, four 62-byte rows to a 256-byte block.
+        let s =
+            LsmStore::open(StoreOptions { block_size: 256, ..StoreOptions::in_memory() }).unwrap();
+        for i in 0..400 {
+            s.put(format!("key-{i:06}"), vec![b'v'; 43]).unwrap();
+        }
+        s.flush().unwrap();
+        s.put("key-000401", "still in the memtable").unwrap();
+        let range = |lo: usize, hi: usize| {
+            KeyRange::new(format!("key-{lo:06}").into_bytes(), format!("key-{hi:06}").into_bytes())
+        };
+
+        // Rows 8..10, 10..11, 11..13, 14..21 and 40..41 sit in blocks 2, 2,
+        // 2–3, 3–5 and 10: five ranges, five distinct blocks.
+        let ranges = [range(8, 10), range(10, 11), range(11, 13), range(14, 21), range(40, 41)];
+        let before = s.metrics().snapshot();
+        assert_eq!(s.scan_ranges_filtered(&ranges, &KeepAll).unwrap().len(), 13);
+        let io = s.metrics().snapshot().since(&before);
+        assert_eq!(io.cache_hits + io.cache_misses, 5, "one look-up per distinct block");
+
+        // The occupancy probe answers from the directory and the memtable.
+        let before = s.metrics().snapshot();
+        let probes = [range(8, 13), range(500, 600), range(399, 402)];
+        assert_eq!(s.rows_upper_bound(&probes), [5, 0, 2]);
+        let mut listed = Vec::new();
+        s.visit_resident_keys(&range(399, 402), &mut |key| listed.push(key.to_vec()));
+        assert_eq!(listed, [b"key-000401".to_vec(), b"key-000399".to_vec()]);
+        assert_eq!(s.metrics().snapshot(), before, "a probe moved an I/O counter");
     }
 
     #[test]

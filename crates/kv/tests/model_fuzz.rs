@@ -1,8 +1,9 @@
 //! Model-based fuzzing of the LSM store: random operation sequences
 //! (put / delete / flush / compact / reopen) are applied both to the store
 //! and to a `BTreeMap` reference model; every observation (gets, full and
-//! partial scans, multi-range scans) must agree. This is the test that
-//! catches merge-order, tombstone, and recovery bugs that unit tests miss.
+//! partial scans, multi-range scans, occupancy probes) must agree. This is
+//! the test that catches merge-order, tombstone, and recovery bugs that
+//! unit tests miss.
 
 use std::collections::BTreeMap;
 use trass_kv::filter::KeepAll;
@@ -121,6 +122,20 @@ fn check_agreement(store: &LsmStore, model: &BTreeMap<Vec<u8>, Vec<u8>>, ops: &[
                     .collect();
                 assert_eq!(got, want, "multi-range scan {pairs:?} diverged from the model");
                 assert_eq!(got, looped, "multi-range scan {pairs:?} diverged from the loop");
+                // The occupancy probe never undercounts, whatever mix of
+                // memtable, tables and tombstones holds the range: its
+                // bound covers the live rows (so 0 means the scan above
+                // found nothing) and the keys it lists include every live
+                // one.
+                let bounds = store.rows_upper_bound(&ranges);
+                for ((range, &(lo, hi)), bound) in ranges.iter().zip(pairs).zip(bounds) {
+                    let mut listed = Vec::new();
+                    store.visit_resident_keys(range, &mut |key| listed.push(key.to_vec()));
+                    assert_eq!(listed.len() as u64, bound, "probe and listing of [{lo}, {hi})");
+                    for (key, _) in model.range(key_bytes(lo)..key_bytes(hi)) {
+                        assert!(listed.contains(key), "live key missing from [{lo}, {hi})");
+                    }
+                }
             }
             Op::Get(k) => {
                 let got = store.get(&key_bytes(*k)).expect("get").map(|b| b.to_vec());
