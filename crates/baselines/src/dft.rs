@@ -7,10 +7,10 @@
 //! reproduce exactly that scheme over an in-memory R-tree of trajectory
 //! MBRs.
 
+use crate::rtree::RTree;
 use crate::{finish_topk, EngineResult, SimilarityEngine};
 use std::time::{Duration, Instant};
 use trass_geo::Mbr;
-use trass_index::rtree::RTree;
 use trass_rng::Rng;
 use trass_traj::{Measure, Trajectory, TrajectoryId};
 

@@ -1,10 +1,10 @@
 //! An in-memory R-tree.
 //!
-//! Used by the DFT-like baseline (which partitions trajectory MBRs with an
-//! R-tree, as the original system does on Spark) and available as a general
-//! substrate. Supports incremental insertion with quadratic splits, STR
-//! bulk loading, window queries, and best-first nearest-neighbour search by
-//! MBR distance.
+//! Used by the DFT-like baseline ([`crate::dft`]), which partitions
+//! trajectory MBRs with an R-tree as the original system does on Spark;
+//! it has no other user. Supports incremental insertion with quadratic
+//! splits, STR bulk loading, window queries, and best-first
+//! nearest-neighbour search by MBR distance.
 //!
 //! The paper's §VI observes that dynamic indexes like this pay heavy
 //! restructuring costs at scale — `Fig. 13` measures exactly that against

@@ -30,6 +30,7 @@ pub fn shard_of(tid: TrajectoryId, shards: u8) -> u8 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
+    // trass-lint: allow(panic-surface) shard router: `shards` comes from TrassConfig which clamps it to >= 1
     (z % shards as u64) as u8
 }
 
@@ -125,10 +126,12 @@ impl RowValue {
         if buf.len() < 4 {
             return Err(CodecError::Truncated { context: "row value header" });
         }
+        // trass-lint: allow(panic-surface) record header split is preceded by an explicit length check on `buf`
         let header: [u8; 4] = buf[0..4]
             .try_into()
             .map_err(|_| CodecError::Truncated { context: "row value header" })?;
         let points_len = u32::from_le_bytes(header) as usize;
+        // trass-lint: allow(panic-surface) record header split is preceded by an explicit length check on `buf`
         let rest = &buf[4..];
         if points_len > rest.len() {
             return Err(CodecError::Truncated { context: "row value points column" });

@@ -22,6 +22,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::print_stdout, clippy::print_stderr)
+)]
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -212,7 +216,8 @@ impl ScopedPool {
                                 obs.queue_depth.add(-1);
                             }
                             // The ticket counter hands each index to exactly
-                            // one worker: trass-lint: allow(unwrap)
+                            // one worker.
+                            #[allow(clippy::expect_used)]
                             let item = slots[i].lock().take().expect("task claimed twice");
                             let r = f(i, item);
                             *results[i].lock() = Some(r);
@@ -232,10 +237,9 @@ impl ScopedPool {
             results: results
                 .into_iter()
                 .map(|slot| {
-                    slot.into_inner()
-                        // scope join guarantees every claimed slot was
-                        // filled: trass-lint: allow(unwrap)
-                        .expect("worker completed every claimed task")
+                    // scope join guarantees every claimed slot was filled.
+                    #[allow(clippy::expect_used)]
+                    slot.into_inner().expect("worker completed every claimed task")
                 })
                 .collect(),
             worker_busy: busy.into_iter().map(Mutex::into_inner).collect(),

@@ -24,6 +24,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::as_conversions, clippy::float_cmp, clippy::print_stdout, clippy::print_stderr)
+)]
 
 mod dp;
 mod mbr;

@@ -131,7 +131,6 @@ impl OrientedBox {
                 best = best.min(e.distance_to_segment(f));
                 // Early exit on an exact zero from the intersection test —
                 // distances are non-negative, so nothing can beat it.
-                // trass-lint: allow(float-eq)
                 if best == 0.0 {
                     return 0.0;
                 }

@@ -83,13 +83,9 @@ impl Segment {
         // Exact-zero cross products are the collinearity predicate of the
         // classical orientation test; a tolerance here would misclassify
         // near-parallel segments as touching.
-        // trass-lint: allow(float-eq)
         (d1 == 0.0 && on_segment(&other.a, &other.b, &self.a))
-            // trass-lint: allow(float-eq)
             || (d2 == 0.0 && on_segment(&other.a, &other.b, &self.b))
-            // trass-lint: allow(float-eq)
             || (d3 == 0.0 && on_segment(&self.a, &self.b, &other.a))
-            // trass-lint: allow(float-eq)
             || (d4 == 0.0 && on_segment(&self.a, &self.b, &other.b))
     }
 

@@ -12,12 +12,20 @@
 //! * [`xz2`] — classic XZ-Ordering (Böhm et al.), the index GeoMesa/JUST
 //!   use; the baseline the paper's I/O-reduction numbers are measured
 //!   against.
-//! * [`rtree`] — an in-memory R-tree used by the DFT-like baseline and as a
-//!   general substrate.
 //! * [`ranges`] — coalescing of index values into contiguous scan ranges.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::as_conversions,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 /// Asserts an index invariant under `debug_assertions`, compiling to
 /// nothing in release builds.
@@ -34,7 +42,6 @@ macro_rules! debug_invariant {
 
 pub mod quad;
 pub mod ranges;
-pub mod rtree;
 pub mod xz2;
 pub mod xzstar;
 

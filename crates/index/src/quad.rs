@@ -40,8 +40,10 @@ impl Cell {
     /// # Panics
     /// Panics if `level > MAX_RESOLUTION` or a coordinate is out of range.
     pub fn new(x: u32, y: u32, level: u8) -> Self {
+        // trass-lint: allow(panic-surface) constructor contract: level/coordinate bounds are validated at the API boundary; a violation is a caller bug, not a runtime condition
         assert!(level <= MAX_RESOLUTION, "level {level} exceeds MAX_RESOLUTION");
         let side = 1u32 << level;
+        // trass-lint: allow(panic-surface) constructor contract: level/coordinate bounds are validated at the API boundary; a violation is a caller bug, not a runtime condition
         assert!(x < side && y < side, "cell ({x},{y}) out of range at level {level}");
         Cell { x, y, level }
     }
@@ -56,13 +58,14 @@ impl Cell {
     /// Coordinates are clamped into `[0, 1)`-cell range so `1.0` maps to the
     /// last cell.
     pub fn containing(px: f64, py: f64, level: u8) -> Self {
+        // trass-lint: allow(panic-surface) constructor contract: level/coordinate bounds are validated at the API boundary; a violation is a caller bug, not a runtime condition
         assert!(level <= MAX_RESOLUTION);
         let side = 1u64 << level;
         let clamp = |v: f64| -> u32 {
             // Float → grid truncation is the intended rounding here; the
             // clamp saturates out-of-range input, and `side ≤ 2^30` keeps
             // every grid index exact in f64 and within u32.
-            // trass-lint: allow(cast)
+            #[allow(clippy::as_conversions)]
             let i = (v * side as f64).floor().max(0.0) as u64;
             u32::try_from(i.min(side - 1)).unwrap_or(u32::MAX)
         };
@@ -106,6 +109,7 @@ impl Cell {
     /// # Panics
     /// Panics if already at [`MAX_RESOLUTION`].
     pub fn children(&self) -> [Cell; 4] {
+        // trass-lint: allow(panic-surface) constructor contract: level/coordinate bounds are validated at the API boundary; a violation is a caller bug, not a runtime condition
         assert!(self.level < MAX_RESOLUTION, "cannot split beyond MAX_RESOLUTION");
         let (x, y, l) = (self.x << 1, self.y << 1, self.level + 1);
         [
@@ -140,10 +144,12 @@ impl Cell {
     /// Panics on digits outside 0–3 or sequences longer than
     /// [`MAX_RESOLUTION`].
     pub fn from_sequence(seq: &[u8]) -> Cell {
+        // trass-lint: allow(panic-surface) constructor contract: level/coordinate bounds are validated at the API boundary; a violation is a caller bug, not a runtime condition
         assert!(seq.len() <= usize::from(MAX_RESOLUTION), "sequence too long");
         let mut x = 0u32;
         let mut y = 0u32;
         for &d in seq {
+            // trass-lint: allow(panic-surface) constructor contract: level/coordinate bounds are validated at the API boundary; a violation is a caller bug, not a runtime condition
             assert!(d < 4, "invalid quadrant digit {d}");
             x = (x << 1) | u32::from(d & 1);
             y = (y << 1) | u32::from((d >> 1) & 1);
@@ -176,7 +182,7 @@ pub fn sequence_length(mbr: &Mbr, g: u8) -> u8 {
         return 0;
     }
     // In range [0, g) by the guards above, so the truncation is exact.
-    // trass-lint: allow(cast)
+    #[allow(clippy::as_conversions)]
     let l1 = l1 as u8;
     let w2 = 0.5f64.powi(i32::from(l1) + 1);
     let fits = |min: f64, max: f64| max <= (min / w2).floor() * w2 + 2.0 * w2;

@@ -51,6 +51,7 @@ pub fn coalesce(mut values: Vec<u64>, max_gap: u64) -> Vec<ValueRange> {
     values.dedup();
     let mut out = Vec::new();
     let mut current = ValueRange::single(values[0]);
+    // trass-lint: allow(panic-surface) `values` is checked non-empty immediately before `values[1..]`
     for &v in &values[1..] {
         if v - current.end <= max_gap + 1 {
             current.end = v;

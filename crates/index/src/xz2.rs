@@ -24,6 +24,7 @@ impl Xz2 {
     /// # Panics
     /// Panics unless `1 <= max_resolution <= 30`.
     pub fn new(max_resolution: u8) -> Self {
+        // trass-lint: allow(panic-surface) constructor contract: resolution bound validated at the API boundary
         assert!(
             (1..=MAX_RESOLUTION).contains(&max_resolution),
             "max_resolution must be in 1..={MAX_RESOLUTION}"
@@ -77,9 +78,11 @@ impl Xz2 {
         while rem > 0 {
             rem -= 1;
             let child_size = self.subtree_size(cell.level + 1);
+            // trass-lint: allow(panic-surface) `child_size` is `subtree_size(...)`, a sum of positive powers of 4, never zero
             let q = rem / child_size;
             debug_assert!(q < 4);
             cell = cell.child(u8::try_from(q & 3).unwrap_or(0));
+            // trass-lint: allow(panic-surface) `child_size` is `subtree_size(...)`, a sum of positive powers of 4, never zero
             rem %= child_size;
         }
         Some(cell)

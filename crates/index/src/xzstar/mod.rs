@@ -42,6 +42,7 @@ impl XzStar {
     /// # Panics
     /// Panics unless `1 <= max_resolution <= 30` (the `u64` encoding bound).
     pub fn new(max_resolution: u8) -> Self {
+        // trass-lint: allow(panic-surface) constructor contract: parameters validated at the API boundary
         assert!(
             (1..=MAX_RESOLUTION).contains(&max_resolution),
             "max_resolution must be in 1..={MAX_RESOLUTION}"
@@ -112,6 +113,7 @@ impl XzStar {
     /// # Panics
     /// Panics if `points` is empty.
     pub fn index_points(&self, points: &[Point]) -> IndexSpace {
+        // trass-lint: allow(panic-surface) constructor contract: parameters validated at the API boundary
         assert!(!points.is_empty(), "cannot index an empty trajectory");
         let Some(mbr) = Mbr::from_points(points.iter()) else {
             unreachable!("asserted non-empty just above")
@@ -228,7 +230,9 @@ impl XzStar {
         // Descend from the root: the root has no own codes in the regular
         // block, so the first step always picks a level-1 child.
         let n1 = self.n_is(1);
+        // trass-lint: allow(panic-surface) `n_is(...)` is a geometric series of positive terms, always >= 1
         cell = cell.child(u8::try_from(rem / n1).ok()?);
+        // trass-lint: allow(panic-surface) `n_is(...)` is a geometric series of positive terms, always >= 1
         rem %= n1;
         loop {
             if cell.level == self.max_resolution {
@@ -246,7 +250,9 @@ impl XzStar {
             }
             rem -= 9;
             let n_child = self.n_is(cell.level + 1);
+            // trass-lint: allow(panic-surface) `n_is(...)` is a geometric series of positive terms, always >= 1
             cell = cell.child(u8::try_from(rem / n_child).ok()?);
+            // trass-lint: allow(panic-surface) `n_is(...)` is a geometric series of positive terms, always >= 1
             rem %= n_child;
         }
     }

@@ -93,7 +93,9 @@ impl QueryContext {
     /// # Panics
     /// Panics if `points` is empty or `eps` is negative/NaN.
     pub fn new(index: &XzStar, points: Vec<Point>, eps: f64) -> Self {
+        // trass-lint: allow(panic-surface) internal invariant on split positions; violation is a programming error worth failing loudly on
         assert!(!points.is_empty(), "empty query trajectory");
+        // trass-lint: allow(panic-surface) internal invariant on split positions; violation is a programming error worth failing loudly on
         assert!(eps >= 0.0, "negative or NaN threshold");
         let Some(mbr) = Mbr::from_points(points.iter()) else {
             unreachable!("asserted non-empty just above")
@@ -119,7 +121,9 @@ pub(crate) fn cover_boxes(points: &[Point], theta: f64) -> Vec<OrientedBox> {
     let rep = trass_geo::douglas_peucker(points, theta.max(1e-12));
     let mut boxes = Vec::with_capacity(rep.len().saturating_sub(1));
     for w in rep.windows(2) {
-        let (s, e) = (w[0] as usize, w[1] as usize); // trass-lint: allow(cast) u32 → usize widening
+        #[allow(clippy::as_conversions)] // u32 → usize widening
+        let (s, e) = (w[0] as usize, w[1] as usize);
+        // trass-lint: allow(panic-surface) `w` is a windows(2) element of valid indices, so s <= e < points.len()
         if let Some(b) = OrientedBox::from_points_along(points[s], points[e], &points[s..=e]) {
             boxes.push(b);
         }
@@ -143,6 +147,7 @@ pub(crate) fn quad_is_far(ctx: &QueryContext, rect: &Mbr) -> bool {
 
 /// Definition 9 / Lemma 7: the largest resolution whose enlarged elements
 /// can still hold trajectories similar to a query with the given MBR.
+#[allow(clippy::as_conversions)] // the two float → integer casts at the end, justified there
 pub(crate) fn max_resolution_bound(index: &XzStar, query_mbr: &Mbr, eps: f64) -> u8 {
     let r = index.max_resolution();
     if !eps.is_finite() {
@@ -163,11 +168,10 @@ pub(crate) fn max_resolution_bound(index: &XzStar, query_mbr: &Mbr, eps: f64) ->
     }
     // Guard the floating-point floor against boundary error. The float is
     // in [0, r) here, so the truncating casts below are exact.
-    // trass-lint: allow(cast)
     while max_r > 0.0 && 0.5f64.powi(max_r as i32) < t {
         max_r -= 1.0;
     }
-    max_r as u8 // trass-lint: allow(cast)
+    max_r as u8
 }
 
 /// Definition 10: `minDistEE` — the largest, over the four edges of the

@@ -126,8 +126,10 @@ impl Block {
             if end > payload.len() {
                 return Err(KvError::corruption("block entry body truncated"));
             }
+            // trass-lint: allow(panic-surface) offsets come from the length-prefixed encoding and the payload is checksum-verified before decoding
             let key = Bytes::copy_from_slice(&payload[pos..pos + klen]);
             let value = match flag {
+                // trass-lint: allow(panic-surface) offsets come from the length-prefixed encoding and the payload is checksum-verified before decoding
                 FLAG_PUT => Some(Bytes::copy_from_slice(&payload[pos + klen..end])),
                 FLAG_TOMBSTONE if vlen == 0 => None,
                 _ => return Err(KvError::corruption("unknown block entry flag")),

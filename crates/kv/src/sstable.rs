@@ -70,6 +70,7 @@ impl SsData {
                 if end > b.len() {
                     return Err(KvError::corruption("sstable read past end"));
                 }
+                // trass-lint: allow(panic-surface) block offsets are validated against the file footer/index before slicing
                 Ok(b[start..end].to_vec())
             }
             SsData::File(f) => {
@@ -271,6 +272,7 @@ impl Directory {
     }
 
     fn key(&self, row: usize) -> &[u8] {
+        // trass-lint: allow(panic-surface) `key_off` is the prefix sum `Directory::decode` builds over `keys`, and callers pass `row < n_rows()`
         &self.keys[self.key_off[row] as usize..self.key_off[row + 1] as usize]
     }
 

@@ -116,6 +116,7 @@ impl Wal {
                 Some(e) if e <= buf.len() => e,
                 _ => break, // torn body
             };
+            // trass-lint: allow(panic-surface) record bounds are checked against the buffer length before the CRC/body split
             let body = &buf[body_start..body_end];
             if crc32c(body) != crc {
                 if body_end == buf.len() {
@@ -133,7 +134,9 @@ impl Wal {
             if 5 + klen > body.len() {
                 return Err(KvError::corruption("WAL key length out of range"));
             }
+            // trass-lint: allow(panic-surface) record bounds are checked against the buffer length before the CRC/body split
             let key = Bytes::copy_from_slice(&body[5..5 + klen]);
+            // trass-lint: allow(panic-surface) record bounds are checked against the buffer length before the CRC/body split
             let value = &body[5 + klen..];
             match rtype {
                 TYPE_PUT => ops.push((key, Some(Bytes::copy_from_slice(value)))),

@@ -1,85 +1,45 @@
-//! trass-lint: dependency-free static analysis for the TraSS workspace.
+//! trass-lint: dependency-free static analysis for the TraSS workspace —
+//! the four checks rustc and clippy have no lint for.
 //!
 //! ```text
-//! trass-lint [ROOT] [--format text|json] [--baseline PATH] [--write-baseline PATH]
+//! trass-lint [ROOT]
 //! ```
 //!
 //! Architecture: [`scanner`] turns each source file into a masked token
-//! view plus side tables; [`rules`] holds one module per rule — per-file
-//! line rules and the cross-file analyses (lock-order cycles, knob/metric
-//! drift); [`report`] renders findings as text or JSON and implements the
-//! checked-in-baseline workflow; [`json`] is the small parser both the
-//! baseline reader and the self-tests use.
+//! view plus side tables; [`rules`] holds one module per rule — the
+//! per-file line rules (`panic-surface`, `lock-across-io`) and the
+//! cross-file analyses (`lock-order` cycles, knob/metric `drift`).
 //!
-//! Exit code is 0 iff there are no findings outside the baseline, which
-//! makes `trass-lint --format json --baseline lint-baseline.json` the CI
-//! gate: pre-existing accepted debt stays visible (and auditable, each
-//! entry carries a reason) without blocking, while anything new fails.
+//! The interface is a text report, one `path:line: [rule] message` per
+//! finding, and the exit code: 0 iff there are no findings. A finding is
+//! fixed or suppressed in place with `// trass-lint: allow(<rule>) <reason>`
+//! on its line or the line above; there is no other suppression. What the
+//! toolchain can check it does: `.unwrap()`/`.expect()`, bare `as` casts,
+//! float `==`, `println!` and undocumented `pub` items are crate-level
+//! `clippy::`/rustc lints in each `lib.rs`, and the self-test below pins
+//! which crate declares which.
 
-mod json;
-mod report;
 mod rules;
 mod scanner;
 
-use report::{Baseline, Diagnostic};
 use rules::drift::DocSet;
+use rules::Diagnostic;
 use scanner::{FileInfo, PreparedFile};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: trass-lint [ROOT] [--format text|json] \
-                     [--baseline PATH] [--write-baseline PATH]";
+const USAGE: &str = "usage: trass-lint [ROOT]";
 
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-}
-
-struct Cli {
-    root: PathBuf,
-    format: Format,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-}
-
-fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut cli =
-        Cli { root: default_root(), format: Format::Text, baseline: None, write_baseline: None };
-    let mut root_set = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                i += 1;
-                let v = args.get(i).ok_or("--format needs a value")?;
-                cli.format = match v.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    other => return Err(format!("unknown format {other:?} (want text or json)")),
-                };
-            }
-            "--baseline" => {
-                i += 1;
-                cli.baseline = Some(PathBuf::from(args.get(i).ok_or("--baseline needs a path")?));
-            }
-            "--write-baseline" => {
-                i += 1;
-                cli.write_baseline =
-                    Some(PathBuf::from(args.get(i).ok_or("--write-baseline needs a path")?));
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            path => {
-                if root_set {
-                    return Err(format!("unexpected second root argument {path:?}"));
-                }
-                cli.root = PathBuf::from(path);
-                root_set = true;
-            }
-        }
-        i += 1;
+/// The one optional argument: the workspace root.
+fn parse_args(args: &[String]) -> Result<PathBuf, String> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag {flag}"));
     }
-    Ok(cli)
+    match args {
+        [] => Ok(default_root()),
+        [root] => Ok(PathBuf::from(root)),
+        [_, extra, ..] => Err(format!("unexpected argument {extra:?}")),
+    }
 }
 
 /// Resolves the default workspace root: the lint crate's grandparent (when
@@ -170,21 +130,16 @@ fn lint_all(files: &[PreparedFile], docs: &DocSet) -> Vec<Diagnostic> {
     out
 }
 
-/// The process exit policy: only findings outside the baseline fail.
-fn exit_code_for(new: &[Diagnostic]) -> u8 {
-    u8::from(!new.is_empty())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
-        Ok(cli) => cli,
+    let root = match parse_args(&args) {
+        Ok(root) => root,
         Err(e) => {
             eprintln!("trass-lint: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let (files, docs) = match load_workspace(&cli.root) {
+    let (files, docs) = match load_workspace(&root) {
         Ok(loaded) => loaded,
         Err(e) => {
             eprintln!("trass-lint: I/O error: {e}");
@@ -192,65 +147,21 @@ fn main() -> ExitCode {
         }
     };
     let diags = lint_all(&files, &docs);
-
-    if let Some(path) = &cli.write_baseline {
-        if let Err(e) = std::fs::write(path, report::render_baseline(&diags)) {
-            eprintln!("trass-lint: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "trass-lint: wrote {} finding(s) to {}; fill in each \"reason\" before committing",
-            diags.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
+    for d in &diags {
+        println!("{d}");
     }
-
-    let baseline = match &cli.baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("trass-lint: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match Baseline::parse(&text) {
-                Ok(baseline) => baseline,
-                Err(e) => {
-                    eprintln!("trass-lint: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => Baseline::default(),
-    };
-    let (new, baselined) = baseline.split(diags);
-
-    match cli.format {
-        Format::Json => print!("{}", report::render_json(&new, &baselined)),
-        Format::Text => {
-            for d in &new {
-                println!("{d}");
-            }
-            if new.is_empty() {
-                println!("trass-lint: clean ({} baselined finding(s))", baselined.len());
-            } else {
-                println!("trass-lint: {} new finding(s), {} baselined", new.len(), baselined.len());
-            }
-        }
-    }
-    if exit_code_for(&new) == 0 {
+    if diags.is_empty() {
+        println!("trass-lint: clean");
         ExitCode::SUCCESS
     } else {
+        println!("trass-lint: {} finding(s)", diags.len());
         ExitCode::FAILURE
     }
 }
 
 // ---------------------------------------------------------------------------
-// Self-tests: CLI parsing, the JSON pipeline end-to-end on the real
-// workspace, and the workspace staying clean modulo the checked-in
-// baseline (the living proof every accepted finding is accounted for).
+// Self-tests: CLI parsing, the real workspace staying clean, and the
+// per-crate clippy policy that replaced the five token rules.
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
@@ -258,87 +169,90 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cli_defaults_and_flags_parse() {
-        let cli = parse_args(&[]).unwrap();
-        assert!(cli.format == Format::Text && cli.baseline.is_none());
-        let args: Vec<String> = ["/x", "--format", "json", "--baseline", "b.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let cli = parse_args(&args).unwrap();
-        assert!(cli.format == Format::Json);
-        assert_eq!(cli.root, PathBuf::from("/x"));
-        assert_eq!(cli.baseline, Some(PathBuf::from("b.json")));
-        assert!(parse_args(&["--format".into(), "xml".into()]).is_err());
-        assert!(parse_args(&["--nope".into()]).is_err());
-        assert!(parse_args(&["a".into(), "b".into()]).is_err());
+    fn cli_takes_a_root_and_nothing_else() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_args(&[]), Ok(default_root()));
+        assert_eq!(parse_args(&args(&["/x"])), Ok(PathBuf::from("/x")));
+        assert!(parse_args(&args(&["a", "b"])).is_err());
+        for retired in ["--format", "--baseline", "--write-baseline", "--nope"] {
+            assert_eq!(
+                parse_args(&args(&["/x", retired, "y"])),
+                Err(format!("unknown flag {retired}")),
+                "{retired}"
+            );
+        }
     }
 
-    fn real_workspace() -> Option<(Vec<PreparedFile>, DocSet, Baseline)> {
-        let root = default_root();
-        if !root.join("crates").is_dir() {
-            return None; // out-of-tree build; nothing to lint
-        }
+    /// The workspace this binary was built from; `None` out of tree.
+    fn real_root() -> Option<PathBuf> {
+        Some(default_root()).filter(|root| root.join("crates").is_dir())
+    }
+
+    /// Also the proof that no `allow(unwrap|cast|float-eq|pub-doc|no-print)`
+    /// is left in the tree: each would be an `unknown rule in allow` finding.
+    #[test]
+    fn workspace_is_clean() {
+        let Some(root) = real_root() else { return };
         let (files, docs) = load_workspace(&root).expect("workspace readable");
-        let baseline_path = root.join("lint-baseline.json");
-        let baseline = if baseline_path.is_file() {
-            let text = std::fs::read_to_string(&baseline_path).expect("baseline readable");
-            Baseline::parse(&text).expect("lint-baseline.json must parse with reasons")
-        } else {
-            Baseline::default()
-        };
-        Some((files, docs, baseline))
+        let listing: Vec<String> =
+            lint_all(&files, &docs).iter().map(ToString::to_string).collect();
+        assert!(listing.is_empty(), "findings:\n{}", listing.join("\n"));
+    }
+
+    /// The scope table of the retired `unwrap`, `cast`, `float-eq` and
+    /// `no-print` rules: which `clippy::` lints each library crate's
+    /// `lib.rs` turns on outside test builds (`pub-doc` is rustc's
+    /// `missing_docs`, on in geo, index and core among others). `bench`
+    /// prints its reports; `trass` is the root package.
+    const CLIPPY_POLICY: [(&str, &[&str]); 12] = [
+        ("baselines", &["print_stdout", "print_stderr"]),
+        ("bench", &[]),
+        ("core", &["unwrap_used", "expect_used", "print_stdout", "print_stderr"]),
+        ("exec", &["unwrap_used", "expect_used", "print_stdout", "print_stderr"]),
+        ("geo", &["as_conversions", "float_cmp", "print_stdout", "print_stderr"]),
+        (
+            "index",
+            &["unwrap_used", "expect_used", "as_conversions", "print_stdout", "print_stderr"],
+        ),
+        ("kv", &["unwrap_used", "expect_used", "print_stdout", "print_stderr"]),
+        ("obs", &["unwrap_used", "expect_used", "print_stdout", "print_stderr"]),
+        ("rng", &["print_stdout", "print_stderr"]),
+        ("server", &["unwrap_used", "expect_used", "print_stdout", "print_stderr"]),
+        ("traj", &["float_cmp", "print_stdout", "print_stderr"]),
+        ("trass", &["print_stdout", "print_stderr"]),
+    ];
+
+    /// The lints of `#![cfg_attr(not(test), warn(clippy::a, clippy::b))]`,
+    /// however rustfmt wrapped it; empty when there is no such attribute.
+    fn declared_lints(lib_rs: &str) -> Vec<String> {
+        let flat: String = lib_rs.chars().filter(|c| !c.is_whitespace()).collect();
+        let open = "#![cfg_attr(not(test),warn(";
+        let Some(start) = flat.find(open) else { return Vec::new() };
+        let list = &flat[start + open.len()..];
+        let list = &list[..list.find("))]").expect("attribute closes")];
+        list.split(',').map(|lint| lint.trim_start_matches("clippy::").to_string()).collect()
     }
 
     #[test]
-    fn workspace_is_clean_modulo_baseline() {
-        let Some((files, docs, baseline)) = real_workspace() else { return };
-        let (new, _) = baseline.split(lint_all(&files, &docs));
-        let listing = new.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n");
-        assert!(new.is_empty(), "new findings outside lint-baseline.json:\n{listing}");
-    }
-
-    #[test]
-    fn json_report_of_real_workspace_round_trips() {
-        let Some((files, docs, baseline)) = real_workspace() else { return };
-        let (new, baselined) = baseline.split(lint_all(&files, &docs));
-        let rendered = report::render_json(&new, &baselined);
-        let doc = json::parse(&rendered).expect("report is valid JSON");
-        assert_eq!(doc.get("new_findings").and_then(json::Json::as_num), Some(new.len() as f64));
-        assert_eq!(
-            doc.get("baselined_findings").and_then(json::Json::as_num),
-            Some(baselined.len() as f64)
-        );
-        let findings = doc.get("findings").and_then(json::Json::as_arr).unwrap();
-        assert_eq!(findings.len(), new.len() + baselined.len());
-        for f in findings {
-            for field in ["rule", "path", "message"] {
-                assert!(f.get(field).and_then(json::Json::as_str).is_some(), "missing {field}");
+    fn each_lib_crate_declares_exactly_its_policy_lints() {
+        let Some(root) = real_root() else { return };
+        for (krate, want) in CLIPPY_POLICY {
+            let dir = if krate == "trass" { root.clone() } else { root.join("crates").join(krate) };
+            let path = dir.join("src/lib.rs");
+            let lib_rs = std::fs::read_to_string(&path).expect(krate);
+            assert_eq!(declared_lints(&lib_rs), want, "{}", path.display());
+            if ["geo", "index", "core"].contains(&krate) {
+                assert!(lib_rs.contains("\n#![warn(missing_docs)]\n"), "{krate}: missing_docs");
             }
-            assert!(f.get("line").and_then(json::Json::as_num).is_some());
         }
-    }
-
-    #[test]
-    fn baselined_findings_exit_zero_and_new_findings_exit_one() {
-        let finding = Diagnostic {
-            path: "crates/kv/src/x.rs".into(),
-            line: 7,
-            rule: rules::Rule::Unwrap,
-            message: "`.unwrap()` in library code; propagate a typed error instead".into(),
-        };
-        let baseline = Baseline::parse(
-            r#"{"version": 1, "findings": [
-                {"rule": "unwrap", "path": "crates/kv/src/x.rs",
-                 "message": "`.unwrap()` in library code; propagate a typed error instead",
-                 "reason": "accepted"}
-            ]}"#,
-        )
-        .unwrap();
-        let (new, baselined) = baseline.split(vec![finding.clone()]);
-        assert_eq!((new.len(), baselined.len()), (0, 1));
-        assert_eq!(exit_code_for(&new), 0, "baselined finding must pass");
-        let (new, _) = Baseline::default().split(vec![finding]);
-        assert_eq!(exit_code_for(&new), 1, "non-baselined finding must fail");
+        // A new library crate has to choose its row.
+        for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+            let dir = entry.expect("entry").path();
+            let name = dir.file_name().and_then(|n| n.to_str()).expect("utf-8 name").to_string();
+            assert!(
+                !dir.join("src/lib.rs").is_file() || CLIPPY_POLICY.iter().any(|(k, _)| *k == name),
+                "crates/{name} has a lib.rs but no CLIPPY_POLICY row"
+            );
+        }
     }
 }

@@ -22,8 +22,7 @@
 //! `trass_kv_*` in prose) act as prefix wildcards. Histogram suffixes
 //! `_bucket`/`_count`/`_sum` normalize away before the asserted check.
 
-use super::Rule;
-use crate::report::Diagnostic;
+use super::{Diagnostic, Rule};
 use crate::scanner::{is_ident_byte, PreparedFile};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -125,7 +124,7 @@ pub fn check(files: &[PreparedFile], docs: &DocSet) -> Vec<Diagnostic> {
 }
 
 fn diag(site: &Site, message: String) -> Diagnostic {
-    Diagnostic { path: site.path.clone(), line: site.line, rule: Rule::Drift, message }
+    Diagnostic { path: site.path.clone(), line: site.line, rule: Some(Rule::Drift), message }
 }
 
 /// Strips histogram-export suffixes so `x_seconds_bucket` matches the
@@ -298,11 +297,11 @@ mod tests {
         }
     }
 
-    fn messages(diags: &[crate::report::Diagnostic]) -> Vec<String> {
+    fn messages(diags: &[crate::rules::Diagnostic]) -> Vec<String> {
         diags
             .iter()
             .map(|d| {
-                assert_eq!(d.rule, Rule::Drift);
+                assert_eq!(d.rule, Some(Rule::Drift));
                 format!("{}:{} {}", d.path, d.line, d.message)
             })
             .collect()

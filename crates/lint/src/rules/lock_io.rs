@@ -11,8 +11,7 @@
 //! the guard itself as an argument (e.g. `Condvar::wait(guard)`) consumes
 //! or releases the guard and is exempt.
 
-use super::Rule;
-use crate::report::Diagnostic;
+use super::{Diagnostic, Rule};
 use crate::scanner::{FileInfo, Prepared};
 
 /// Calls that do file I/O or long scans.
@@ -76,7 +75,7 @@ pub fn check(info: &FileInfo, prep: &Prepared, out: &mut Vec<Diagnostic>) {
                         out.push(Diagnostic {
                             path: info.rel_path.clone(),
                             line,
-                            rule: Rule::LockAcrossIo,
+                            rule: Some(Rule::LockAcrossIo),
                             message: format!(
                                 "`{marker}` while lock guard `{}` (bound line {}) is live; \
                                  drop the guard first or justify with an allow",
@@ -181,7 +180,7 @@ mod tests {
     fn rules_fired(info: &FileInfo, src: &str) -> Vec<(usize, Rule)> {
         lint_file(&PreparedFile::new(info.clone(), src))
             .into_iter()
-            .map(|d| (d.line, d.rule))
+            .map(|d| (d.line, d.rule.expect("a rule finding")))
             .collect()
     }
 

@@ -18,8 +18,7 @@
 //! the crate; ambiguous or unknown receivers are skipped rather than
 //! guessed, so every finding names two concrete source sites.
 
-use super::Rule;
-use crate::report::Diagnostic;
+use super::{Diagnostic, Rule};
 use crate::rules::lock_io::guard_binding;
 use crate::scanner::{is_ident_byte, PreparedFile};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -116,7 +115,7 @@ pub fn check(files: &[PreparedFile]) -> Vec<Diagnostic> {
                                 out.push(Diagnostic {
                                     path: path.clone(),
                                     line,
-                                    rule: Rule::LockOrder,
+                                    rule: Some(Rule::LockOrder),
                                     message: format!(
                                         "lock `{node}` re-acquired while already held (guard \
                                          `{}` since line {}); std sync locks self-deadlock here",
@@ -199,7 +198,7 @@ pub fn check(files: &[PreparedFile]) -> Vec<Diagnostic> {
         out.push(Diagnostic {
             path: sites.to_path.clone(),
             line: sites.to_line,
-            rule: Rule::LockOrder,
+            rule: Some(Rule::LockOrder),
             message: format!(
                 "lock-order cycle: `{a}` (held since {}:{}) is held while `{b}` is \
                  acquired, {reverse}; acquire these locks in one global order",
@@ -335,7 +334,7 @@ mod tests {
         let diags = check(&[pf("crates/kv/src/locks.rs", "kv", &src)]);
         assert_eq!(diags.len(), 1, "one cycle, reported once: {diags:?}");
         let d = &diags[0];
-        assert_eq!(d.rule, Rule::LockOrder);
+        assert_eq!(d.rule, Some(Rule::LockOrder));
         assert!(d.message.contains("kv::locks.a") && d.message.contains("kv::locks.b"));
         assert!(
             d.message.contains("crates/kv/src/locks.rs:"),

@@ -1,6 +1,7 @@
 //! `panic-surface`: constructs that can panic at runtime in library code.
 //!
-//! Three shapes beyond the `unwrap` rule's `.unwrap()`/`.expect(`:
+//! Three shapes beyond the `.unwrap()`/`.expect(` that
+//! `clippy::{unwrap_used, expect_used}` flag in the same crates:
 //!
 //! 1. `assert!` / `assert_eq!` / `assert_ne!` outside test code — release
 //!    builds keep these, so a bad invariant takes the whole query path
@@ -11,13 +12,28 @@
 //!    panics. Literal divisors are provably non-zero at review time;
 //!    lines in float context (`f32`/`f64`/float literals) never panic.
 //!
-//! All checks are per-line on masked text; `tokens::check` applies scope,
-//! test exemption, and allows.
+//! All checks are per-line on masked text; [`check`] applies the test
+//! exemption and allows.
 
-use crate::scanner::is_ident_byte;
+use super::{Diagnostic, Rule};
+use crate::scanner::{is_ident_byte, FileInfo, Prepared};
+
+/// Checks every line of the file outside `#[cfg(test)]` regions.
+pub fn check(info: &FileInfo, prep: &Prepared, out: &mut Vec<Diagnostic>) {
+    for (idx, masked) in prep.masked_lines.iter().enumerate() {
+        let line = idx + 1;
+        if prep.is_test_line(line) || prep.is_allowed(line, Rule::PanicSurface) {
+            continue;
+        }
+        for message in check_line(masked) {
+            let rule = Some(Rule::PanicSurface);
+            out.push(Diagnostic { path: info.rel_path.clone(), line, rule, message });
+        }
+    }
+}
 
 /// Returns one message per panic-surface construct on this masked line.
-pub fn check_line(masked: &str) -> Vec<String> {
+fn check_line(masked: &str) -> Vec<String> {
     let mut out = Vec::new();
     if let Some(mac) = bare_assert(masked) {
         out.push(format!(
@@ -188,7 +204,7 @@ mod tests {
     fn fired(krate: &str, src: &str) -> Vec<(usize, Rule)> {
         lint_file(&PreparedFile::new(info_for(krate), src))
             .into_iter()
-            .map(|d| (d.line, d.rule))
+            .map(|d| (d.line, d.rule.expect("a rule finding")))
             .collect()
     }
 
@@ -243,9 +259,35 @@ mod tests {
     }
 
     #[test]
-    fn allow_comment_suppresses_panic_surface() {
-        let src = "fn f(a: u64, n: u64) -> u64 {\n    \
-                   a % n // trass-lint: allow(panic-surface)\n}\n";
+    fn allow_comment_suppresses_same_line_and_next_line_only() {
+        let allow = "// n >= 1: trass-lint: allow(panic-surface)";
+        let same = format!("fn f(a: u64, n: u64) -> u64 {{\n    a % n {allow}\n}}\n");
+        assert!(fired("kv", &same).is_empty());
+        let above = format!("fn f(a: u64, n: u64) -> u64 {{\n    {allow}\n    a % n\n}}\n");
+        assert!(fired("kv", &above).is_empty());
+        let two_up = format!("fn f(a: u64, n: u64) -> u64 {{\n    {allow}\n\n    a % n\n}}\n");
+        assert_eq!(fired("kv", &two_up), vec![(4, Rule::PanicSurface)]);
+        let wrong_rule =
+            "fn f(a: u64, n: u64) -> u64 {\n    a % n // trass-lint: allow(drift)\n}\n";
+        assert_eq!(fired("kv", wrong_rule), vec![(2, Rule::PanicSurface)]);
+    }
+
+    #[test]
+    fn out_of_scope_crates_bins_and_test_files_are_exempt() {
+        let src = "fn f(x: u8) {\n    assert!(x > 0);\n}\n";
+        assert_eq!(fired("kv", src), vec![(2, Rule::PanicSurface)]);
+        assert!(fired("traj", src).is_empty());
+        for (is_bin, is_test_file) in [(true, false), (false, true)] {
+            let info = FileInfo { is_bin, is_test_file, ..info_for("kv") };
+            assert!(lint_file(&PreparedFile::new(info, src)).is_empty());
+        }
+    }
+
+    #[test]
+    fn comments_strings_raw_strings_and_doc_examples_do_not_fire() {
+        let src = "/// ```\n/// assert!(f().is_empty());\n/// ```\nfn f() -> &'static str {\n    \
+                   // an assert!(x) here would be bad\n    /* &b[1..n] */\n    \
+                   let _r = r#\"assert!(\"x\")\"#;\n    let _c = '/';\n    \"a / n; assert!(y)\"\n}\n";
         assert!(fired("kv", src).is_empty());
     }
 }

@@ -1,13 +1,13 @@
-//! Source preprocessing: comment/string masking, doc-line and allow
-//! tracking, `#[cfg(test)]` region detection, and file classification.
+//! Source preprocessing: comment/string masking, allow tracking,
+//! `#[cfg(test)]` region detection, and file classification.
 //!
 //! Every rule works on a [`Prepared`] view of one file: the masked text
 //! keeps byte offsets per line identical to the original (comments and
 //! literal contents become spaces), so diagnostics point at real columns,
 //! while the side tables carry what the masking pass learned on the way —
-//! which lines are doc comments, which carry `trass-lint: allow(...)`
-//! escapes, which string literals exist (the drift analysis needs their
-//! *contents*, which the mask erases), and which lines sit inside
+//! which lines carry `trass-lint: allow(...)` escapes (and which of those
+//! name no rule), which string literals exist (the drift analysis needs
+//! their *contents*, which the mask erases), and which lines sit inside
 //! `#[cfg(test)]` items.
 
 use crate::rules::Rule;
@@ -21,10 +21,10 @@ pub struct Prepared {
     /// delimiters replaced by spaces. Newlines are preserved, so byte
     /// offsets per line match the original.
     pub masked_lines: Vec<String>,
-    /// Lines carrying a doc comment (`///`, `//!`, `/**`, `/*!`).
-    pub doc_lines: BTreeSet<usize>,
     /// `(line, rule)` pairs from `trass-lint: allow(...)` comments.
     pub allows: BTreeSet<(usize, Rule)>,
+    /// `(line, name)` of every name in an `allow(...)` that is no rule's.
+    pub unknown_allows: Vec<(usize, String)>,
     /// Lines inside a `#[cfg(test)]` item (the attribute's braced body).
     pub test_lines: Vec<bool>,
     /// `(line, contents)` of every string literal outside comments, in
@@ -46,7 +46,7 @@ impl Prepared {
     }
 }
 
-/// Strips comments and literals while recording doc lines and allows, then
+/// Strips comments and literals while recording allows, then
 /// marks `#[cfg(test)]` regions by brace matching on the masked text.
 pub fn prepare(source: &str) -> Prepared {
     let masked = mask(source);
@@ -96,8 +96,8 @@ pub fn prepare(source: &str) -> Prepared {
 
     Prepared {
         masked_lines,
-        doc_lines: masked.doc_lines,
         allows: masked.allows,
+        unknown_allows: masked.unknown_allows,
         test_lines,
         literals: masked.literals,
     }
@@ -106,13 +106,13 @@ pub fn prepare(source: &str) -> Prepared {
 /// What the masking pass returns.
 struct Masked {
     text: String,
-    doc_lines: BTreeSet<usize>,
     allows: BTreeSet<(usize, Rule)>,
+    unknown_allows: Vec<(usize, String)>,
     literals: Vec<(usize, String)>,
 }
 
-/// The comment/string stripper. Returns the masked text plus the doc-line,
-/// allow, and string-literal side tables gathered while walking.
+/// The comment/string stripper. Returns the masked text plus the allow and
+/// string-literal side tables gathered while walking.
 fn mask(source: &str) -> Masked {
     #[derive(PartialEq)]
     enum State {
@@ -125,8 +125,8 @@ fn mask(source: &str) -> Masked {
     }
     let bytes = source.as_bytes();
     let mut out = String::with_capacity(source.len());
-    let mut doc_lines = BTreeSet::new();
     let mut allows = BTreeSet::new();
+    let mut unknown_allows = Vec::new();
     let mut literals: Vec<(usize, String)> = Vec::new();
     let mut current_literal: Option<(usize, String)> = None;
     let mut state = State::Normal;
@@ -156,18 +156,11 @@ fn mask(source: &str) -> Masked {
         match state {
             State::Normal => {
                 if c == b'/' && at(i + 1) == b'/' {
-                    // Doc comment? (`///` but not `////`, or `//!`.)
-                    if (at(i + 2) == b'/' && at(i + 3) != b'/') || at(i + 2) == b'!' {
-                        doc_lines.insert(line);
-                    }
-                    record_allows(&source[i..], line, &mut allows);
+                    record_allows(&source[i..], line, &mut allows, &mut unknown_allows);
                     state = State::LineComment;
                     out.push(' ');
                     i += 1;
                 } else if c == b'/' && at(i + 1) == b'*' {
-                    if at(i + 2) == b'*' || at(i + 2) == b'!' {
-                        doc_lines.insert(line);
-                    }
                     state = State::BlockComment(1);
                     out.push(' ');
                     out.push(' ');
@@ -311,11 +304,17 @@ fn mask(source: &str) -> Masked {
         // Unterminated literal at EOF: keep what we saw.
         literals.push(lit);
     }
-    Masked { text: out, doc_lines, allows, literals }
+    Masked { text: out, allows, unknown_allows, literals }
 }
 
-/// Parses `trass-lint: allow(a, b)` out of a comment's text.
-fn record_allows(comment: &str, line: usize, allows: &mut BTreeSet<(usize, Rule)>) {
+/// Parses `trass-lint: allow(a, b)` out of a comment's text; a name that
+/// is no rule's goes to `unknown`.
+fn record_allows(
+    comment: &str,
+    line: usize,
+    allows: &mut BTreeSet<(usize, Rule)>,
+    unknown: &mut Vec<(usize, String)>,
+) {
     let comment = match comment.find('\n') {
         Some(end) => &comment[..end],
         None => comment,
@@ -325,9 +324,12 @@ fn record_allows(comment: &str, line: usize, allows: &mut BTreeSet<(usize, Rule)
     let Some(open) = rest.find("allow(") else { return };
     let rest = &rest[open + "allow(".len()..];
     let Some(close) = rest.find(')') else { return };
-    for name in rest[..close].split(',') {
-        if let Some(rule) = Rule::from_name(name.trim()) {
-            allows.insert((line, rule));
+    for name in rest[..close].split(',').map(str::trim) {
+        match Rule::from_name(name) {
+            Some(rule) => {
+                allows.insert((line, rule));
+            }
+            None => unknown.push((line, name.to_string())),
         }
     }
 }

@@ -274,11 +274,13 @@ fn cpu_from_schedstat() -> Option<u64> {
 fn cpu_from_stat() -> Option<u64> {
     let s = read_proc("/proc/thread-self/stat")?;
     // comm may contain spaces; fields restart after the closing paren.
+    // trass-lint: allow(panic-surface) fixed-layout /proc/self/stat line; the preceding parse validates the width
     let rest = &s[s.rfind(')')? + 1..];
     let mut it = rest.split_whitespace();
     // rest starts at field 3 (state); utime/stime are fields 14/15.
     let utime: u64 = it.nth(11)?.parse().ok()?;
     let stime: u64 = it.next()?.parse().ok()?;
+    // trass-lint: allow(panic-surface) CLK_TCK is a non-zero compile-time constant
     Some((utime + stime) * (1_000_000_000 / CLK_TCK))
 }
 

@@ -67,9 +67,9 @@ impl Histogram {
     /// sum) are multiplied by `scale`.
     pub fn with_scale(scale: f64) -> Self {
         let buckets: Vec<AtomicU64> = (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect();
+        // the Vec was built with exactly N_BUCKETS elements just above.
+        #[allow(clippy::expect_used)]
         let buckets: Box<[AtomicU64; N_BUCKETS]> =
-            // the Vec was built with exactly N_BUCKETS elements just
-            // above: trass-lint: allow(unwrap)
             buckets.into_boxed_slice().try_into().expect("N_BUCKETS length");
         Histogram {
             buckets,
@@ -99,7 +99,9 @@ impl Histogram {
         if index < SUB_COUNT as usize {
             return index as u64;
         }
+        // trass-lint: allow(panic-surface) SUB_COUNT is a non-zero compile-time constant
         let group = index / SUB_COUNT as usize;
+        // trass-lint: allow(panic-surface) SUB_COUNT is a non-zero compile-time constant
         let sub = (index % SUB_COUNT as usize) as u128;
         let shift = (group - 1) as u32;
         // The very top bucket's exclusive bound is 2^64; compute in u128

@@ -141,6 +141,7 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
         if n == 0 {
             break;
         }
+        // trass-lint: allow(panic-surface) `n` is the byte count just returned by read(), so n <= chunk.len()
         buf.extend_from_slice(&chunk[..n]);
         if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.windows(2).any(|w| w == b"\n\n") {
             break;

@@ -53,6 +53,10 @@
 // must `unsafe impl GlobalAlloc`) can opt out with a scoped allow.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::print_stdout, clippy::print_stderr)
+)]
 
 pub mod alloc;
 pub mod export;

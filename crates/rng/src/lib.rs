@@ -6,6 +6,7 @@
 //! replays it exactly.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -29,6 +29,10 @@
 //! `TRASS_SERVE_MAX_FRAME` (frame size limit in bytes).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::print_stdout, clippy::print_stderr)
+)]
 
 pub mod cli;
 pub mod client;

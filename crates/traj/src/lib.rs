@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::print_stdout, clippy::print_stderr))]
 
 pub mod bounds;
 pub mod codec;

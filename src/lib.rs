@@ -39,6 +39,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
 
 pub use trass_baselines as baselines;
 pub use trass_core as core;
