@@ -17,10 +17,8 @@ pub struct TrassConfig {
     pub space: NormalizedSpace,
     /// Gap tolerance when coalescing index values into scan ranges.
     pub range_gap: u64,
-    /// Run region scans on parallel threads (the five-node cluster of the
-    /// paper's evaluation).
-    pub parallel_scans: bool,
-    /// Worker budget for intra-query parallelism (region-scan fan-out and
+    /// Worker budget for intra-query parallelism (region-scan fan-out, the
+    /// stand-in for the five-node cluster of the paper's evaluation, and
     /// candidate refinement). `0` uses the machine's available parallelism;
     /// `1` reproduces the exact sequential pipeline. The default honours
     /// the `TRASS_QUERY_THREADS` environment variable (CI's determinism
@@ -64,7 +62,6 @@ impl Default for TrassConfig {
             dp_theta: 0.01,
             space: trass_geo::WORLD_SQUARE,
             range_gap: 0,
-            parallel_scans: true,
             query_threads: default_query_threads(),
             store: StoreOptions::default(),
             use_position_codes: true,

@@ -20,8 +20,8 @@ use crate::stats::{QueryStats, RefinePrune, SearchResult};
 use crate::store::TrajectoryStore;
 use std::time::{Duration, Instant};
 use trass_index::ranges::ValueRange;
-use trass_kv::{Entry, KeyRange, KvError, MetricsSnapshot, ScanFilter};
-use trass_obs::{StageGuard, TraceSpan};
+use trass_kv::{Entry, KeyRange, KvError, ScanFilter};
+use trass_obs::TraceSpan;
 use trass_traj::{Measure, TrajectoryId};
 
 /// The query entry points, as metrics, traces and the slow log name them.
@@ -104,8 +104,7 @@ impl<'a> StagedQuery<'a> {
         &self.stats
     }
 
-    /// Runs `body` as `stage`: wall timer, thread stage tag (alloc/CPU
-    /// attribution, inherited by pool workers) and trace child are entered
+    /// Runs `body` as `stage`: wall timer and trace child are entered
     /// together, and the one measured duration feeds the histogram and the
     /// span and is returned for the stats. Wall time only — what workers
     /// spend busy on the stage's behalf is reported apart
@@ -114,9 +113,7 @@ impl<'a> StagedQuery<'a> {
         let obs = self.store.query_obs();
         let started = Instant::now();
         let mut span = self.parent.child(STAGE_SERIES[stage as usize]);
-        let tag = StageGuard::enter(obs.stage_tags[stage as usize]);
         let out = body(&mut span);
-        drop(tag);
         let wall = started.elapsed();
         obs.stage_seconds(self.measure, stage as usize).record_duration(wall);
         span.set_duration(wall);
@@ -147,25 +144,26 @@ impl<'a> StagedQuery<'a> {
     /// Range scans with the filter `build` makes pushed down into them.
     /// The filter's time inside the scan threads (CPU-style summed time,
     /// not wall time) becomes the `local-filter` series and sibling span;
-    /// `attribute` fills that span's fields from the filter and returns
-    /// the candidate count.
+    /// `attribute` fills that span's fields from the filter and the kept
+    /// rows and returns the candidate count. `retrieved` is the rows this
+    /// scan's filter saw; `io` is the cluster-wide delta over the scan.
     pub(crate) fn scan<F: ScanFilter>(
         &mut self,
         key_ranges: &[KeyRange],
         build: impl FnOnce() -> F,
-        attribute: impl FnOnce(&F, &MetricsSnapshot, &mut TraceSpan) -> u64,
+        attribute: impl FnOnce(&F, &[Entry], &mut TraceSpan) -> u64,
     ) -> Result<Vec<Entry>, KvError> {
         let cluster = self.store.cluster();
-        let ((rows, filter, filter_time, io), wall) = self.stage(Stage::Scan, |span| {
+        let ((rows, filter, filter_time, retrieved, io), wall) = self.stage(Stage::Scan, |span| {
             let io_before = cluster.metrics_snapshot();
             let filter = build();
             let timed = TimedFilter::new(&filter);
             let rows = cluster.scan_ranges_traced(key_ranges, &timed, span);
-            let filter_time = timed.elapsed();
+            let (filter_time, retrieved) = (timed.elapsed(), timed.rows());
             if let Ok(rows) = &rows {
                 span.set_field("rows_returned", rows.len());
             }
-            (rows, filter, filter_time, cluster.metrics_snapshot().since(&io_before))
+            (rows, filter, filter_time, retrieved, cluster.metrics_snapshot().since(&io_before))
         });
         self.stats.scan_time = wall;
         let rows = rows?;
@@ -174,10 +172,10 @@ impl<'a> StagedQuery<'a> {
             .stage_seconds(self.measure, LOCAL_FILTER)
             .record_duration(filter_time);
         let mut span = self.parent.child(STAGE_SERIES[LOCAL_FILTER]);
-        self.stats.candidates = attribute(&filter, &io, &mut span);
+        self.stats.candidates = attribute(&filter, &rows, &mut span);
         span.set_duration(filter_time);
         span.finish();
-        self.stats.retrieved = io.entries_scanned;
+        self.stats.retrieved = retrieved;
         self.stats.io = io;
         Ok(rows)
     }

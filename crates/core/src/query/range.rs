@@ -59,7 +59,7 @@ pub(crate) fn range_search_traced(
                     _ => FilterDecision::Skip,
                 }
             },
-            |_filter, io, _span| io.entries_returned,
+            |_filter, rows, _span| rows.len() as u64,
         )?;
 
         let results = pass.refine(|span| {

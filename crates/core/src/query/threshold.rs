@@ -129,7 +129,7 @@ pub(crate) fn similarity_pass(
             let filter_eps = if config.use_local_filter { eps } else { f64::INFINITY };
             LocalFilter::new(QuerySide::new(query, config.dp_theta, measure), filter_eps)
         },
-        |filter, _io, span| {
+        |filter, _rows, span| {
             let rejects = filter.reject_counts();
             span.set_field("kept", filter.kept());
             span.set_field("rejected", filter.rejected());

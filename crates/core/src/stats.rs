@@ -28,7 +28,9 @@ pub struct QueryStats {
     pub candidates: u64,
     /// Final answers.
     pub results: u64,
-    /// Store-level I/O deltas for this query.
+    /// Store-level I/O deltas over this query's scans. Cluster-wide:
+    /// another query scanning the same store meanwhile adds to them, unlike
+    /// `retrieved`, which counts this query's rows alone.
     pub io: MetricsSnapshot,
     /// Measured end-to-end wall-clock time, set by the query drivers.
     /// Zero when the stats were assembled by hand (tests, aggregation).

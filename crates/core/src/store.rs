@@ -108,9 +108,8 @@ pub struct TrajectoryStore {
     /// The probe set of the kv cluster and the worker pools (shared with
     /// the telemetry endpoint's `/healthz` and `/readyz` routes).
     health: Arc<HealthRegistry>,
-    /// Mirrors counters kept outside the registry — the cluster's I/O
-    /// counters, the stage-tagged alloc/CPU accounting — into it (shared
-    /// with the telemetry endpoint's scrape routes).
+    /// Mirrors the cluster's I/O counters, kept outside the registry, into
+    /// it (shared with the telemetry endpoint's scrape routes).
     refresh: Arc<dyn Fn() + Send + Sync>,
     /// Monotonic id handed to traced queries; the root span carries it as
     /// the `trace_id` label so slow-log entries can name their trace.
@@ -131,8 +130,6 @@ pub(crate) struct QueryObs {
     /// `trass_query_stage_seconds`: one row per label family
     /// ([`stage_family`]), one column per [`STAGE_SERIES`] entry.
     stage_seconds: [[Arc<Histogram>; 4]; 4],
-    /// Interned alloc/CPU attribution tags of the three scoped stages.
-    pub(crate) stage_tags: [usize; 3],
     /// `trass_refine_outcomes{outcome}`, in [`RefinePrune::outcomes`] order.
     refine_outcomes: [Arc<Counter>; 6],
 }
@@ -167,7 +164,6 @@ impl QueryObs {
                 )
             }),
             stage_seconds: families.map(|m| STAGE_SERIES.map(|stage| stage_seconds(m, stage))),
-            stage_tags: [0, 1, 2].map(|stage| trass_obs::alloc::stage_id(STAGE_SERIES[stage])),
             refine_outcomes: RefinePrune::default().outcomes().map(|(outcome, _)| {
                 registry.counter("trass_refine_outcomes", &[("outcome", outcome)])
             }),
@@ -195,7 +191,6 @@ impl TrajectoryStore {
         let cluster = Cluster::open(ClusterOptions {
             shards: config.shards,
             store: config.store.clone(),
-            parallel_scans: config.parallel_scans,
             scan_threads: config.query_threads,
             registry: Some(Arc::clone(&registry)),
         })?;
@@ -208,8 +203,7 @@ impl TrajectoryStore {
         let id_index = Cluster::open(ClusterOptions {
             shards: config.shards,
             store: id_store,
-            parallel_scans: false, // point lookups only
-            scan_threads: 1,
+            scan_threads: 1, // point lookups only
             registry: None,
         })?;
         let index = XzStar::new(config.max_resolution);
@@ -235,17 +229,12 @@ impl TrajectoryStore {
         let health = HealthRegistry::new_shared();
         cluster.register_health_probes(&health);
         refine_pool.register_health_probe(&health, "refine-pool", 256);
-        let publish_cluster = cluster.metrics_publisher();
-        let mirrored = Arc::clone(&registry);
         Ok(TrajectoryStore {
             tracer: TraceSampler::every(config.trace_sample_every),
             flight: Arc::new(FlightRecorder::new(FLIGHT_RECORDER_CAPACITY)),
             refine_pool,
             health,
-            refresh: Arc::new(move || {
-                publish_cluster();
-                trass_obs::alloc::publish(&mirrored);
-            }),
+            refresh: cluster.metrics_publisher(),
             trace_seq: AtomicU64::new(0),
             config,
             index,

@@ -2,9 +2,11 @@
 //! time — `QueryStats`, `trass_query_stage_seconds` and the trace span —
 //! carry the same measured duration, stage intervals nest inside the
 //! query's total, and what the total adds on top of them (the glue between
-//! stages) stays under a stated share.
+//! stages) stays under a stated share. A query's row count reconciles with
+//! its own scan alone, whatever else runs on the store.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use trass_core::config::TrassConfig;
 use trass_core::store::{ExplainQuery, TrajectoryStore};
@@ -136,4 +138,39 @@ fn stage_times_reconcile_with_total_metrics_and_traces() {
     for query_threads in [1, 4] {
         reconcile(query_threads);
     }
+}
+
+/// `retrieved` counts the rows this query's scan visited, not the store's
+/// shared scan counters: a concurrent full-extent range loop on the same
+/// store leaves every repetition at its solo value.
+#[test]
+fn retrieved_ignores_concurrent_scans() {
+    let extent = Mbr::new(116.0, 39.6, 116.8, 40.2);
+    let mut config = TrassConfig::for_extent(extent);
+    config.query_threads = 2;
+    config.trace_sample_every = 0;
+    // A coarse index keeps the range query's pruning short, so its scans
+    // take most of its time and overlap most of the threshold scans.
+    config.max_resolution = 6;
+    let store = TrajectoryStore::open(config).unwrap();
+    let data = generator::tdrive_like(11, 240);
+    store.insert_all(&data).unwrap();
+    store.flush().unwrap();
+    let q = &data[5];
+    let solo = threshold_search(&store, q, 0.01, Measure::Frechet).unwrap().stats.retrieved;
+    assert!(solo > 0);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                range_search(&store, &extent).unwrap();
+            }
+        });
+        let got: Result<Vec<u64>, _> = (0..50)
+            .map(|_| threshold_search(&store, q, 0.01, Measure::Frechet).map(|r| r.stats.retrieved))
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        let got = got.unwrap();
+        assert!(got.iter().all(|&r| r == solo), "solo {solo}, under contention {got:?}");
+    });
 }

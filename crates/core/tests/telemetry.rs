@@ -43,15 +43,9 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String, String) {
     (status, head.to_string(), body.to_string())
 }
 
-// Installed as the shipped binaries install it, so the pinned families
-// include the allocator's.
-#[global_allocator]
-static ALLOC: trass_obs::CountingAlloc = trass_obs::CountingAlloc::system();
-
 /// Every `# TYPE` family on `/metrics` after a threshold, a top-k and a
-/// range query, in exposition order (`trass_stage_cpu_seconds` only where
-/// the platform exposes per-thread CPU time).
-const PINNED_FAMILIES: [&str; 33] = [
+/// range query, in exposition order.
+const PINNED_FAMILIES: [&str; 29] = [
     "trass_build_info",
     "trass_ingest_rows",
     "trass_ingest_seconds",
@@ -81,10 +75,6 @@ const PINNED_FAMILIES: [&str; 33] = [
     "trass_query_seconds",
     "trass_query_stage_seconds",
     "trass_refine_outcomes",
-    "trass_stage_alloc_bytes",
-    "trass_stage_allocs",
-    "trass_stage_bytes_scanned",
-    "trass_stage_cpu_seconds",
 ];
 
 #[test]
@@ -128,10 +118,7 @@ fn metrics_expose_the_query_pipeline_over_a_live_workload() {
         .filter_map(|l| l.strip_prefix("# TYPE "))
         .filter_map(|l| l.split(' ').next())
         .collect();
-    let cpu = trass_obs::alloc::cpu_supported();
-    let pinned: Vec<&str> =
-        PINNED_FAMILIES.into_iter().filter(|f| cpu || *f != "trass_stage_cpu_seconds").collect();
-    assert_eq!(families, pinned, "{body}");
+    assert_eq!(families, PINNED_FAMILIES, "{body}");
 
     let (status, _, json) = http_get(addr, "/metrics.json");
     assert_eq!(status, 200);

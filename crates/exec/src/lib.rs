@@ -177,14 +177,6 @@ impl ScopedPool {
             return PoolRun { results, worker_busy: vec![t0.elapsed()] };
         }
 
-        // The caller's stage tag (e.g. "refine") is thread-local, so
-        // spawned workers would otherwise account their allocations and
-        // CPU to stage "other". Capture it here and re-enter it on each
-        // worker for the whole claim loop, making resource attribution
-        // identical to the inline fallback above (which already runs
-        // under the caller's tag).
-        let stage = trass_obs::alloc::current_stage();
-
         // Each slot is claimed by exactly one worker (the atomic cursor
         // hands out indices), so the mutexes are uncontended — they exist
         // to move values across the scope without unsafe code.
@@ -205,7 +197,6 @@ impl ScopedPool {
                     let f = &f;
                     let obs = &self.obs;
                     scope.spawn(move || {
-                        let _stage = trass_obs::alloc::StageGuard::enter(stage);
                         let t0 = Instant::now();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -346,12 +337,6 @@ impl TopKBound {
     }
 }
 
-// The unit-test binary installs the counting allocator so the stage
-// attribution tests below observe real allocation counts.
-#[cfg(test)]
-#[global_allocator]
-static TEST_ALLOC: trass_obs::CountingAlloc = trass_obs::CountingAlloc::system();
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,41 +466,6 @@ mod tests {
         let empty = trass_obs::HealthRegistry::new();
         bare.register_health_probe(&empty, "noop", 1);
         assert!(empty.is_empty());
-    }
-
-    /// The satellite regression test: allocations performed *inside*
-    /// pool tasks are attributed to the caller's active stage, and the
-    /// task-level totals are identical whether the pool runs inline
-    /// (1 thread) or fans out (4 threads).
-    #[test]
-    fn stage_tag_propagates_to_workers_at_any_thread_count() {
-        use trass_obs::alloc::{stage_id, stage_totals, thread_alloc_snapshot, StageGuard};
-        let stage = stage_id("exec-attrib-test");
-        let attributed = |threads: usize| {
-            let pool = ScopedPool::new(threads);
-            let before = stage_totals(stage);
-            let per_task: Vec<u64> = {
-                let _g = StageGuard::enter(stage);
-                pool.run((0..8).collect(), |_, i: usize| {
-                    let snap = thread_alloc_snapshot();
-                    let v: Vec<u8> = Vec::with_capacity(64 * 1024 + i);
-                    let d = thread_alloc_snapshot().since(&snap);
-                    drop(v);
-                    d.bytes
-                })
-            };
-            let stage_bytes = stage_totals(stage).alloc_bytes - before.alloc_bytes;
-            (per_task.iter().sum::<u64>(), stage_bytes)
-        };
-        let (task_total_seq, stage_seq) = attributed(1);
-        let (task_total_par, stage_par) = attributed(4);
-        // Identical attribution totals at 1 and 4 threads …
-        assert_eq!(task_total_seq, task_total_par);
-        assert_eq!(task_total_seq, (0..8u64).map(|i| 64 * 1024 + i).sum::<u64>());
-        // … and the task allocations landed in the propagated stage
-        // (without propagation the 4-thread run would charge `other`).
-        assert!(stage_seq >= task_total_seq, "{stage_seq} < {task_total_seq}");
-        assert!(stage_par >= task_total_par, "{stage_par} < {task_total_par}");
     }
 
     #[test]

@@ -58,16 +58,6 @@ impl OrientedBox {
         })
     }
 
-    /// An axis-aligned box expressed as an `OrientedBox`.
-    pub fn from_mbr(mbr: &Mbr) -> Self {
-        OrientedBox {
-            center: mbr.center(),
-            axis: Point::new(1.0, 0.0),
-            half_u: mbr.width() / 2.0,
-            half_v: mbr.height() / 2.0,
-        }
-    }
-
     /// The perpendicular axis `v`.
     #[inline]
     fn perp(&self) -> Point {
@@ -119,26 +109,6 @@ impl OrientedBox {
         self.edges().iter().map(|e| e.distance_to_segment(seg)).fold(f64::INFINITY, f64::min)
     }
 
-    /// Minimum distance between two oriented boxes (0 on overlap).
-    pub fn distance_to_box(&self, other: &OrientedBox) -> f64 {
-        if self.contains_point(&other.center) || other.contains_point(&self.center) {
-            return 0.0;
-        }
-        let mut best = f64::INFINITY;
-        let other_edges = other.edges();
-        for e in self.edges().iter() {
-            for f in other_edges.iter() {
-                best = best.min(e.distance_to_segment(f));
-                // Early exit on an exact zero from the intersection test —
-                // distances are non-negative, so nothing can beat it.
-                if best == 0.0 {
-                    return 0.0;
-                }
-            }
-        }
-        best
-    }
-
     /// The axis-aligned MBR of this box.
     pub fn to_mbr(&self) -> Mbr {
         let c = self.corners();
@@ -148,28 +118,11 @@ impl OrientedBox {
         }
         mbr
     }
-
-    /// Area of the box.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        4.0 * self.half_u * self.half_v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn axis_aligned_roundtrip() {
-        let mbr = Mbr::new(0.0, 0.0, 4.0, 2.0);
-        let obb = OrientedBox::from_mbr(&mbr);
-        let back = obb.to_mbr();
-        assert!((back.min_x - 0.0).abs() < 1e-12);
-        assert!((back.max_x - 4.0).abs() < 1e-12);
-        assert!((back.max_y - 2.0).abs() < 1e-12);
-        assert_eq!(obb.area(), 8.0);
-    }
 
     #[test]
     fn from_points_along_diagonal_is_tight() {
@@ -214,28 +167,6 @@ mod tests {
         let beyond = Point::new(std::f64::consts::SQRT_2 + 1.0, 0.0);
         let d = obb.distance_to_point(&beyond);
         assert!(d > 0.5 && d <= 1.0, "d = {d}");
-    }
-
-    #[test]
-    fn box_distance_zero_when_overlapping() {
-        let a = OrientedBox::from_mbr(&Mbr::new(0.0, 0.0, 2.0, 2.0));
-        let b = OrientedBox::from_mbr(&Mbr::new(1.0, 1.0, 3.0, 3.0));
-        assert_eq!(a.distance_to_box(&b), 0.0);
-    }
-
-    #[test]
-    fn box_distance_matches_axis_aligned_gap() {
-        let a = OrientedBox::from_mbr(&Mbr::new(0.0, 0.0, 1.0, 1.0));
-        let b = OrientedBox::from_mbr(&Mbr::new(3.0, 0.0, 4.0, 1.0));
-        assert!((a.distance_to_box(&b) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn contained_box_distance_zero() {
-        let outer = OrientedBox::from_mbr(&Mbr::new(0.0, 0.0, 10.0, 10.0));
-        let inner = OrientedBox::from_mbr(&Mbr::new(4.0, 4.0, 5.0, 5.0));
-        assert_eq!(outer.distance_to_box(&inner), 0.0);
-        assert_eq!(inner.distance_to_box(&outer), 0.0);
     }
 
     #[test]

@@ -188,21 +188,3 @@ fn obb_mbr_cover() {
         }
     });
 }
-
-#[test]
-fn obb_box_distance_lower_bounds_point_pairs() {
-    check(CASES, |rng| {
-        // Lemma 14 soundness core: box-box distance lower-bounds every
-        // covered point pair distance.
-        let (a, b, pts1) = (pt(rng), pt(rng), pts(rng, 11));
-        let (c, d, pts2) = (pt(rng), pt(rng), pts(rng, 11));
-        let b1 = OrientedBox::from_points_along(a, b, &pts1).unwrap();
-        let b2 = OrientedBox::from_points_along(c, d, &pts2).unwrap();
-        let dist = b1.distance_to_box(&b2);
-        for p in &pts1 {
-            for q in &pts2 {
-                assert!(dist <= p.distance(q) + 1e-9);
-            }
-        }
-    });
-}

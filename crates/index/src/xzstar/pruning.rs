@@ -14,7 +14,8 @@
 //!   that edge to the element — a lower bound on the similarity distance,
 //!   monotone down the tree.
 //! * **Lemma 10** drops position codes containing a sub-quad farther than ε
-//!   from the query's point set.
+//!   from the query's point set (`quad_distance`, shared with top-k's
+//!   best-first traversal).
 //! * **Lemma 11** drops index spaces by `minDistIS` (Definition 11), the
 //!   edge-based bound against the code's quad union.
 //!
@@ -25,11 +26,11 @@ use super::XzStar;
 use crate::quad::Cell;
 use crate::ranges::{coalesce, ValueRange};
 use std::collections::VecDeque;
-use trass_geo::{Mbr, OrientedBox, Point};
+use trass_geo::{Mbr, Point};
 
 /// Absolute slack added to every rejection comparison: pruning may only
-/// drop a space when the lower bound *certainly* exceeds ε, and oriented
-/// box arithmetic leaves ~1e-16 residue that would otherwise break exact
+/// drop a space when the lower bound *certainly* exceeds ε, and distance
+/// arithmetic leaves ~1e-16 residue that would otherwise break exact
 /// (ε = 0) queries.
 pub(crate) const PRUNE_SLACK: f64 = 1e-12;
 
@@ -79,12 +80,6 @@ pub struct QueryContext {
     pub min_r: u8,
     /// Lemma 7 resolution ceiling.
     pub max_r: u8,
-    /// Covering boxes of the query (a coarse Douglas-Peucker pass): every
-    /// query point lies inside their union, so a distance to the union
-    /// lower-bounds the distance to the point set. Lemma 10 evaluates
-    /// against these instead of the raw points — same soundness, O(boxes)
-    /// instead of O(points) per sub-quad.
-    pub cover_boxes: Vec<OrientedBox>,
 }
 
 impl QueryContext {
@@ -103,46 +98,21 @@ impl QueryContext {
         let ext_mbr = mbr.extended(eps);
         let min_r = index.sequence_length(&ext_mbr);
         let max_r = max_resolution_bound(index, &mbr, eps);
-        // Tolerance floor at a quarter of the finest cell: finer boxes buy
-        // no pruning power and explode the box count for tiny ε.
-        let theta = (eps / 4.0).max(0.5f64.powi(i32::from(index.max_resolution())) / 4.0);
-        let cover_boxes = cover_boxes(&points, theta);
-        QueryContext { mbr, ext_mbr, points, eps, min_r, max_r, cover_boxes }
+        QueryContext { mbr, ext_mbr, points, eps, min_r, max_r }
     }
 }
 
-/// Builds a small set of oriented boxes covering every point of `points`,
-/// via a coarse Douglas-Peucker pass at tolerance `theta` (callers keep
-/// the slack well below their pruning threshold).
-pub(crate) fn cover_boxes(points: &[Point], theta: f64) -> Vec<OrientedBox> {
-    if points.len() < 2 {
-        return Vec::new();
+/// Lemma 10 as a distance: how far the query's points are from the quad
+/// `rect`, exact up to `cutoff`. A trajectory whose position code holds
+/// the quad has a point in it, so a quad beyond ε rejects the code. The
+/// query's MBR is tried first; where it alone is beyond `cutoff`, that
+/// (smaller) distance rejects as well and the points are not visited.
+pub(crate) fn quad_distance(query_mbr: &Mbr, points: &[Point], rect: &Mbr, cutoff: f64) -> f64 {
+    let mbr_dist = query_mbr.distance_to_mbr(rect);
+    if mbr_dist > cutoff {
+        return mbr_dist;
     }
-    let rep = trass_geo::douglas_peucker(points, theta.max(1e-12));
-    let mut boxes = Vec::with_capacity(rep.len().saturating_sub(1));
-    for w in rep.windows(2) {
-        #[allow(clippy::as_conversions)] // u32 → usize widening
-        let (s, e) = (w[0] as usize, w[1] as usize);
-        // trass-lint: allow(panic-surface) `w` is a windows(2) element of valid indices, so s <= e < points.len()
-        if let Some(b) = OrientedBox::from_points_along(points[s], points[e], &points[s..=e]) {
-            boxes.push(b);
-        }
-    }
-    boxes
-}
-
-/// Lemma 10 test: is `rect` certainly farther than ε from every query
-/// point? Decided against the query's covering boxes (or the raw points
-/// when no boxes exist): the distance to their union lower-bounds the
-/// distance to the point set, so "far" needs every box beyond ε — and
-/// "near" is settled by the first box within it.
-pub(crate) fn quad_is_far(ctx: &QueryContext, rect: &Mbr) -> bool {
-    let cutoff = ctx.eps + PRUNE_SLACK;
-    if ctx.cover_boxes.is_empty() {
-        return min_point_dist_to_rect(&ctx.points, rect) > cutoff;
-    }
-    let rect_box = OrientedBox::from_mbr(rect);
-    ctx.cover_boxes.iter().all(|b| b.distance_to_box(&rect_box) > cutoff)
+    points.iter().map(|p| rect.distance_sq_to_point(p)).fold(f64::INFINITY, f64::min).sqrt()
 }
 
 /// Definition 9 / Lemma 7: the largest resolution whose enlarged elements
@@ -211,12 +181,6 @@ impl QuadDistances {
             })
             .fold(0.0f64, f64::max)
     }
-}
-
-/// Lemma 10 helper: minimum distance from the query's *point set* to a
-/// rectangle.
-pub(crate) fn min_point_dist_to_rect(points: &[Point], rect: &Mbr) -> f64 {
-    points.iter().map(|p| rect.distance_sq_to_point(p)).fold(f64::INFINITY, f64::min).sqrt()
 }
 
 /// Per-query pruning outcome counters: how many elements each lemma
@@ -344,17 +308,15 @@ impl<'a> GlobalPruning<'a> {
         // An element's codes are consecutive values from its first.
         let first = self.index.code_block(cell).start;
         // Lemma 10: which quads are too far from the query's points?
-        let far = if self.config.use_position_codes {
-            let mut far = QuadSet::EMPTY;
+        let cutoff = q.eps + PRUNE_SLACK;
+        let mut far = QuadSet::EMPTY;
+        if self.config.use_position_codes {
             for (i, rect) in rects.iter().enumerate() {
-                if quad_is_far(q, rect) {
+                if quad_distance(&q.mbr, &q.points, rect, cutoff) > cutoff {
                     far = far.union(QuadSet(1 << i));
                 }
             }
-            far
-        } else {
-            QuadSet::EMPTY
-        };
+        }
         // Lemma 11's distances, unless an ablation switch skips the lemma.
         let distances = (self.config.use_position_codes && self.config.use_min_dist)
             .then(|| QuadDistances::new(&q.mbr, &rects));
@@ -365,7 +327,7 @@ impl<'a> GlobalPruning<'a> {
                     continue; // Lemma 10
                 }
                 let dist = distances.as_ref().map_or(0.0, |d| d.min_dist_is(code.quads()));
-                if dist > q.eps + PRUNE_SLACK {
+                if dist > cutoff {
                     stats.lemma11_codes_pruned += 1;
                     continue; // Lemma 11
                 }

@@ -18,7 +18,7 @@
 
 use super::position_code::QuadSet;
 use super::pruning::{
-    max_resolution_bound, min_dist_ee, min_point_dist_to_rect, QuadDistances, PRUNE_SLACK,
+    max_resolution_bound, min_dist_ee, quad_distance, QuadDistances, PRUNE_SLACK,
 };
 use super::{IndexSpace, XzStar};
 use crate::quad::Cell;
@@ -224,16 +224,8 @@ impl<'a, O: Occupancy> BestFirst<'a, O> {
             }
             if element.as_ref().map_or(true, |(cell, _, _)| *cell != space.cell) {
                 let rects = XzStar::quad_rects(&space.cell);
-                // Distance from the query's points to each quad; where the
-                // query's MBR alone is too far, that (smaller) distance
-                // rejects as well.
-                let quad_dist = rects.map(|rect| {
-                    let mbr_dist = self.q_mbr.distance_to_mbr(&rect);
-                    if mbr_dist > cutoff {
-                        return mbr_dist;
-                    }
-                    min_point_dist_to_rect(&self.points, &rect)
-                });
+                let quad_dist =
+                    rects.map(|rect| quad_distance(&self.q_mbr, &self.points, &rect, cutoff));
                 element = Some((space.cell, QuadDistances::new(&self.q_mbr, &rects), quad_dist));
             }
             let Some((_, edge_dist, quad_dist)) = &element else { continue };
@@ -369,25 +361,32 @@ mod tests {
 
     #[test]
     fn matches_global_pruning_at_fixed_eps() {
-        // The set of spaces best-first emits under a fixed eps must equal
-        // the set Algorithm 1 computes for that eps.
+        // At a fixed ε, the spaces the unguided best-first stream emits are
+        // exactly the values Algorithm 1 computes: both apply one Lemma 10.
         use super::super::pruning::{GlobalPruning, PruningConfig, QueryContext};
         let index = XzStar::new(8);
-        let points = pts(&[(0.41, 0.33), (0.44, 0.37), (0.46, 0.33)]);
-        let eps = 0.004;
-
         let pruner = GlobalPruning::new(&index, PruningConfig::default());
-        let ctx = QueryContext::new(&index, points.clone(), eps);
-        let mut expected = pruner.query_values(&ctx);
-        expected.sort_unstable();
+        trass_rng::check(96, |rng| {
+            let n = rng.len(1, 12);
+            let (x0, y0) = (rng.f64_in(0.05, 0.8), rng.f64_in(0.05, 0.8));
+            let span = rng.f64_in(0.0, 0.1);
+            let points: Vec<Point> = (0..n)
+                .map(|_| Point::new(x0 + rng.f64_in(0.0, span), y0 + rng.f64_in(0.0, span)))
+                .collect();
+            let eps = rng.f64_in(0.0, 0.02);
 
-        let mut bf = traversal(&index, points, None);
-        let mut got = Vec::new();
-        while let Some(c) = bf.next_space(eps) {
-            got.push(c.value);
-        }
-        got.sort_unstable();
-        assert_eq!(got, expected);
+            let ctx = QueryContext::new(&index, points.clone(), eps);
+            let mut expected = pruner.query_values(&ctx);
+            expected.sort_unstable();
+
+            let mut bf = traversal(&index, points, None);
+            let mut got = Vec::new();
+            while let Some(c) = bf.next_space(eps) {
+                got.push(c.value);
+            }
+            got.sort_unstable();
+            assert_eq!(got, expected, "{n} points at eps {eps}");
+        });
     }
 
     #[test]

@@ -29,12 +29,10 @@ pub struct ClusterOptions {
     /// Options applied to each region's store. When `dir` is set, region
     /// `i` stores under `dir/region-<i>`.
     pub store: StoreOptions,
-    /// Fan scans out across a scoped worker pool, up to one worker per
-    /// involved region. `false` forces every scan onto the calling thread.
-    pub parallel_scans: bool,
-    /// Worker budget for parallel scans: `0` uses the machine's available
-    /// parallelism, `1` is exact sequential behavior (equivalent to
-    /// `parallel_scans: false`), anything else caps the fan-out.
+    /// Worker budget for fanning scans out across a scoped worker pool, up
+    /// to one worker per involved region: `0` uses the machine's available
+    /// parallelism, `1` keeps every scan on the calling thread (exact
+    /// sequential behavior), anything else caps the fan-out.
     pub scan_threads: usize,
     /// Observability registry shared by every region (each labelled with
     /// its shard). `None` creates a private one, reachable via
@@ -47,7 +45,6 @@ impl Default for ClusterOptions {
         ClusterOptions {
             shards: 8,
             store: StoreOptions::default(),
-            parallel_scans: true,
             scan_threads: 0,
             registry: None,
         }
@@ -103,8 +100,7 @@ impl Cluster {
                 seconds: registry.timer("trass_kv_region_scan_seconds", &labels),
             });
         }
-        let pool_threads = if opts.parallel_scans { opts.scan_threads } else { 1 };
-        let pool = ScopedPool::with_registry(pool_threads, &registry, "scan");
+        let pool = ScopedPool::with_registry(opts.scan_threads, &registry, "scan");
         Ok(Cluster { regions, scan_obs, pool, registry, opts })
     }
 
@@ -203,16 +199,9 @@ impl Cluster {
             let marks = span.as_ref().map(|_| {
                 (trass_obs::alloc::thread_alloc_snapshot(), trass_obs::alloc::thread_cpu_ns())
             });
-            let io_before = region.metrics().snapshot();
             let t = Instant::now();
             let r = region.scan_ranges_filtered(&per_shard[shard], filter);
             self.scan_obs[shard].seconds.record_duration(t.elapsed());
-            // Attribute this scan's read bytes to the active stage
-            // ("scan" for queries — the pool propagates the caller's
-            // stage tag into this worker).
-            trass_obs::alloc::charge_bytes_scanned(
-                region.metrics().snapshot().since(&io_before).bytes_read,
-            );
             finish_region_span(span, marks, region, &r);
             r
         });
@@ -652,7 +641,7 @@ mod tests {
         let opts = ClusterOptions {
             shards: 2,
             store: StoreOptions::at_dir(&dir),
-            parallel_scans: false,
+            scan_threads: 1,
             ..ClusterOptions::default()
         };
         {

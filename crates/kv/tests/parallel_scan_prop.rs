@@ -18,7 +18,6 @@ fn cluster(shards: u8, scan_threads: usize) -> Cluster {
     Cluster::open(ClusterOptions {
         shards,
         store: StoreOptions { memtable_bytes: 1 << 12, ..StoreOptions::in_memory() },
-        parallel_scans: true,
         scan_threads,
         registry: None,
     })

@@ -18,7 +18,7 @@
 //!   (`trass_query_stage_seconds{stage="scan"}`). Its one writer is
 //!   `trass-core`'s staged query path, whose single call per stage feeds
 //!   the histogram, the stage's [`TraceSpan`] and the per-query stats
-//!   from one measured duration, under a [`StageGuard`] stage tag.
+//!   from one measured duration.
 //! * Exporters — Prometheus text format ([`Registry::render_prometheus`])
 //!   and JSON ([`Registry::render_json`] / [`Registry::snapshot`]).
 //! * [`json`] — the workspace's one JSON writer and parser, behind every
@@ -38,11 +38,9 @@
 //! * [`health`] — liveness/readiness probes ([`HealthRegistry`]) and the
 //!   one text rendering of their verdicts, behind `/healthz`, `/readyz`
 //!   and the wire protocol's `Health` op.
-//! * [`alloc`] — stage-tagged resource accounting: a counting
-//!   [`CountingAlloc`] global-allocator wrapper, thread-local stage tags
-//!   ([`StageGuard`]) entered by the query path's stage calls and
-//!   propagated to pool workers, and per-thread CPU time, published as
-//!   `trass_stage_*` metrics.
+//! * [`alloc`] — the per-thread readings behind EXPLAIN's resource
+//!   fields: a counting [`CountingAlloc`] global-allocator wrapper and
+//!   per-thread CPU time, marked at span open and finish.
 //!
 //! Metric name conventions: `trass_query_*` (query pipeline),
 //! `trass_kv_*` (store internals), `trass_ingest_*` (write path);
@@ -70,7 +68,7 @@ pub mod slowlog;
 pub mod sync;
 pub mod trace;
 
-pub use alloc::{AllocSnapshot, CountingAlloc, StageGuard};
+pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use export::{MetricSnapshot, MetricValue};
 pub use health::{HealthRegistry, ProbeReport};
 pub use histogram::{Histogram, Percentiles};

@@ -46,17 +46,6 @@ impl Measure {
         }
     }
 
-    /// Non-panicking [`Measure::distance`]: `None` when either sequence is
-    /// empty (a corrupt stored row, never a valid trajectory), the exact
-    /// value otherwise. Refinement call sites use this so a bad row is
-    /// skipped instead of crashing the query.
-    pub fn try_distance(&self, a: &[Point], b: &[Point]) -> Option<f64> {
-        if a.is_empty() || b.is_empty() {
-            return None;
-        }
-        Some(self.distance(a, b))
-    }
-
     /// Decides `distance(a, b) <= eps` with early abandoning.
     pub fn within(&self, a: &[Point], b: &[Point], eps: f64) -> bool {
         match self {
@@ -90,16 +79,6 @@ impl Measure {
     /// (`D ≥ d(q_1,t_1)` and `D ≥ d(q_n,t_m)`); Hausdorff does not (§VII-A).
     pub fn supports_endpoint_lemma(&self) -> bool {
         !matches!(self, Measure::Hausdorff)
-    }
-
-    /// Whether Lemma 5 (any-point lower bound: `∃t∈T₁, d(t,T₂) > ε ⇒
-    /// f(T₁,T₂) > ε`) is sound for this measure.
-    ///
-    /// It holds for all three supported measures (§V-B, §VII), so global
-    /// pruning and local filtering apply unchanged. Kept explicit so a
-    /// future measure without the property fails safe.
-    pub fn supports_point_lower_bound(&self) -> bool {
-        true
     }
 }
 
@@ -179,17 +158,6 @@ mod tests {
             let d = m.distance(&a, &b);
             assert!(m.within(&a, &b, d + 1e-9), "{m} within failed at d+");
             assert!(!m.within(&a, &b, d - 1e-9), "{m} within failed at d-");
-        }
-    }
-
-    #[test]
-    fn try_distance_skips_empty_sequences() {
-        let a = pts(&[(0.0, 0.0), (1.0, 0.2)]);
-        for m in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
-            assert_eq!(m.try_distance(&a, &[]), None, "{m}");
-            assert_eq!(m.try_distance(&[], &a), None, "{m}");
-            assert_eq!(m.try_distance(&[], &[]), None, "{m}");
-            assert_eq!(m.try_distance(&a, &a), Some(0.0), "{m}");
         }
     }
 

@@ -24,9 +24,8 @@ use trass::kv::StoreOptions;
 use trass::server::cli::{parse, parse_measure, range_lines, similarity_lines};
 use trass::traj::io as traj_io;
 
-// Route every allocation through the stage-tagged counting allocator so
-// EXPLAIN output and the `trass_stage_alloc_*` series carry real per-stage
-// byte counts.
+// Route every allocation through the counting allocator so EXPLAIN's
+// spans carry real `alloc_bytes` / `allocs` counts.
 #[global_allocator]
 static ALLOC: trass::obs::CountingAlloc = trass::obs::CountingAlloc::system();
 

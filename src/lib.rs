@@ -12,7 +12,7 @@
 //! * [`core`] — the TraSS framework: storage schema plus threshold, top-k,
 //!   and spatial-range queries.
 //! * [`obs`] — observability: metrics, tracing, the telemetry endpoint,
-//!   and stage-tagged allocation/CPU profiling.
+//!   and per-span allocation/CPU marks for EXPLAIN.
 //! * [`server`] — the network front-end: a length-prefixed binary wire
 //!   protocol over TCP, a thread-per-connection server, and a client.
 //! * [`baselines`] — the comparison engines of the paper's evaluation.
