@@ -60,8 +60,8 @@ impl SimilarityEngine for DftEngine {
         let mut results: Vec<(TrajectoryId, f64)> = Vec::new();
         for i in &hits {
             let t = &self.data[*i];
-            if measure.within(query.points(), t.points(), eps) {
-                results.push((t.id, measure.distance(query.points(), t.points())));
+            if let Some(d) = measure.distance_within(query.points(), t.points(), eps) {
+                results.push((t.id, d));
             }
         }
         results.sort_by_key(|&(tid, _)| tid);
@@ -128,7 +128,7 @@ mod tests {
         let got_ids: Vec<u64> = got.results.iter().map(|&(id, _)| id).collect();
         let mut expected: Vec<u64> = data
             .iter()
-            .filter(|t| Measure::Frechet.within(q.points(), t.points(), eps))
+            .filter(|t| Measure::Frechet.distance_within(q.points(), t.points(), eps).is_some())
             .map(|t| t.id)
             .collect();
         expected.sort_unstable();

@@ -95,8 +95,7 @@ impl XzKvEngine {
         for row in rows {
             let Some((_, _, tid)) = parse_rowkey(&row.key) else { continue };
             let Ok(value) = RowValue::decode(&row.value) else { continue };
-            if measure.within(query.points(), &value.points, eps) {
-                let d = measure.distance(query.points(), &value.points);
+            if let Some(d) = measure.distance_within(query.points(), &value.points, eps) {
                 results.push((tid, d));
             }
         }
@@ -221,7 +220,7 @@ mod tests {
         let got_ids: Vec<u64> = got.results.iter().map(|&(id, _)| id).collect();
         let mut expected: Vec<u64> = data
             .iter()
-            .filter(|t| Measure::Frechet.within(q.points(), t.points(), eps))
+            .filter(|t| Measure::Frechet.distance_within(q.points(), t.points(), eps).is_some())
             .map(|t| t.id)
             .collect();
         expected.sort_unstable();

@@ -36,7 +36,7 @@ fn run_dataset(ds: &Dataset, rep: &mut Reporter) {
             ("topk_p99_ms", tk.p99_time.as_secs_f64() * 1e3),
             ("topk_p999_ms", tk.p999_time.as_secs_f64() * 1e3),
             // Refine-stage medians and lower-bound prune volume: the
-            // numbers TRASS_REFINE_BOUNDS moves (tails above include every
+            // numbers `refine_bounds` moves (tails above include every
             // stage, so the refine effect is diluted there).
             ("threshold_refine_p50_ms", th.median_refine_time.as_secs_f64() * 1e3),
             ("topk_refine_p50_ms", tk.median_refine_time.as_secs_f64() * 1e3),

@@ -34,12 +34,12 @@ pub struct TrassConfig {
     /// Ablation: push local filtering (Lemmas 12–14) into scans. Off makes
     /// every retrieved row a refinement candidate.
     pub use_local_filter: bool,
-    /// Evaluate cheap lower bounds (endpoint, MBR gap, reference-point
-    /// interval gap) before each exact refinement kernel, and let the
-    /// kernels abandon early at the threshold. Results are bit-identical
-    /// either way (the differential harness in `tests/refine_exactness.rs`
-    /// enforces it); off reproduces the pre-bounds refine path. The default
-    /// honours the `TRASS_REFINE_BOUNDS` environment variable.
+    /// Ablation: evaluate cheap lower bounds (endpoint, MBR gap,
+    /// reference-point interval gap) before each refinement kernel call.
+    /// Off builds no query envelope; every candidate then goes straight to
+    /// the kernel, which abandons at the threshold either way. Results are
+    /// bit-identical on and off (the differential harness in
+    /// `tests/refine_exactness.rs` enforces it). Default on.
     pub refine_bounds: bool,
     /// Trace one query in N (deterministic counter; queries 1, N+1, 2N+1,
     /// … record full span trees into the flight recorder). `0` disables
@@ -67,7 +67,7 @@ impl Default for TrassConfig {
             use_position_codes: true,
             use_min_dist: true,
             use_local_filter: true,
-            refine_bounds: default_refine_bounds(),
+            refine_bounds: true,
             trace_sample_every: 64,
             telemetry_addr: default_telemetry_addr(),
         }
@@ -78,15 +78,6 @@ impl Default for TrassConfig {
 /// count, otherwise `0` (auto).
 fn default_query_threads() -> usize {
     std::env::var("TRASS_QUERY_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-}
-
-/// The `refine_bounds` default: on, unless `TRASS_REFINE_BOUNDS` is set to
-/// an explicit off value (`0`, `false`, `off`, `no`).
-fn default_refine_bounds() -> bool {
-    match std::env::var("TRASS_REFINE_BOUNDS") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    }
 }
 
 /// The `telemetry_addr` default: `TRASS_TELEMETRY_ADDR` when set and
@@ -159,25 +150,6 @@ mod tests {
         match ambient {
             Some(v) => std::env::set_var("TRASS_QUERY_THREADS", v),
             None => std::env::remove_var("TRASS_QUERY_THREADS"),
-        }
-    }
-
-    #[test]
-    fn refine_bounds_env_override_feeds_default() {
-        let ambient = std::env::var("TRASS_REFINE_BOUNDS").ok();
-        std::env::remove_var("TRASS_REFINE_BOUNDS");
-        assert!(TrassConfig::default().refine_bounds, "unset defaults to on");
-        for off in ["0", "false", "OFF", " no "] {
-            std::env::set_var("TRASS_REFINE_BOUNDS", off);
-            assert!(!TrassConfig::default().refine_bounds, "{off:?} should disable");
-        }
-        for on in ["1", "true", "anything-else"] {
-            std::env::set_var("TRASS_REFINE_BOUNDS", on);
-            assert!(TrassConfig::default().refine_bounds, "{on:?} should enable");
-        }
-        match ambient {
-            Some(v) => std::env::set_var("TRASS_REFINE_BOUNDS", v),
-            None => std::env::remove_var("TRASS_REFINE_BOUNDS"),
         }
     }
 

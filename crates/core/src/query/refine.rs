@@ -4,9 +4,11 @@
 //! [`RefineContext`] wraps a query-side [`QueryEnvelope`] plus atomic
 //! per-outcome tallies, so parallel refine workers can assess candidates
 //! through one shared read-only object and the driver can snapshot an
-//! attribution breakdown afterwards ([`RefinePrune`]). With bounds
-//! disabled the context degrades to the legacy two-pass refine path
-//! (`within` then `distance`), byte-identical to the pre-bounds pipeline.
+//! attribution breakdown afterwards ([`RefinePrune`]). Every candidate the
+//! bounds let through ends in one kernel call,
+//! [`Measure::distance_within`]; with bounds disabled (the
+//! `refine_bounds` ablation) no envelope is built and every candidate goes
+//! straight to that call.
 
 use crate::stats::RefinePrune;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +26,7 @@ pub(crate) enum RefineOutcome {
     /// kernel ran.
     Pruned(BoundKind),
     /// The exact kernel abandoned mid-computation (running value crossed
-    /// the threshold), or the legacy decision kernel said no.
+    /// the threshold).
     Abandoned,
     /// Empty point sequence — a corrupt row the exact kernels would panic
     /// on; skipped and counted, never an error for the whole query.
@@ -58,8 +60,8 @@ pub(crate) struct RefineContext {
 
 impl RefineContext {
     /// Builds the context. `enabled = false` (or an empty query, which has
-    /// nothing to bound) keeps the envelope off and routes every candidate
-    /// through the legacy two-pass path.
+    /// nothing to bound) builds no envelope, so no candidate is pruned
+    /// before the kernel.
     pub(crate) fn new(query: &[Point], enabled: bool) -> RefineContext {
         RefineContext {
             envelope: if enabled { QueryEnvelope::new(query) } else { None },
@@ -82,10 +84,10 @@ impl RefineContext {
     /// row carries one (the DP-feature MBR); a covering rectangle is
     /// sufficient — the gap bound only loosens, never breaks.
     ///
-    /// The exact value of a [`RefineOutcome::Hit`] is bit-identical
-    /// between the bounded and legacy paths (`Measure::distance_within`'s
-    /// contract), which is what keeps `TRASS_REFINE_BOUNDS` invisible in
-    /// query results.
+    /// A bound only fires on a candidate the kernel would reject, and the
+    /// kernel call is the same with or without the envelope, so
+    /// `refine_bounds` never changes a [`RefineOutcome::Hit`] or its
+    /// distance.
     pub(crate) fn assess(
         &self,
         query: &[Point],
@@ -98,36 +100,26 @@ impl RefineContext {
             self.corrupt.fetch_add(1, Ordering::Relaxed);
             return RefineOutcome::Corrupt;
         }
-        if let Some(env) = &self.envelope {
-            if let Some(kind) = env.prunes(cand, cand_mbr, measure, eff) {
-                match kind {
-                    BoundKind::Endpoint => &self.endpoint,
-                    BoundKind::MbrGap => &self.mbr_gap,
-                    BoundKind::RefGap => &self.ref_gap,
-                }
-                .fetch_add(1, Ordering::Relaxed);
-                return RefineOutcome::Pruned(kind);
+        if let Some(kind) =
+            self.envelope.as_ref().and_then(|env| env.prunes(cand, cand_mbr, measure, eff))
+        {
+            match kind {
+                BoundKind::Endpoint => &self.endpoint,
+                BoundKind::MbrGap => &self.mbr_gap,
+                BoundKind::RefGap => &self.ref_gap,
             }
-            match measure.distance_within(query, cand, eff) {
-                Some(d) => {
-                    self.computed.fetch_add(1, Ordering::Relaxed);
-                    RefineOutcome::Hit(d)
-                }
-                None => {
-                    self.abandoned.fetch_add(1, Ordering::Relaxed);
-                    RefineOutcome::Abandoned
-                }
+            .fetch_add(1, Ordering::Relaxed);
+            return RefineOutcome::Pruned(kind);
+        }
+        match measure.distance_within(query, cand, eff) {
+            Some(d) => {
+                self.computed.fetch_add(1, Ordering::Relaxed);
+                RefineOutcome::Hit(d)
             }
-        } else {
-            // Legacy two-pass path, kept verbatim so `refine_bounds =
-            // false` reproduces the pre-bounds pipeline exactly.
-            if !measure.within(query, cand, eff) {
+            None => {
                 self.abandoned.fetch_add(1, Ordering::Relaxed);
-                return RefineOutcome::Abandoned;
+                RefineOutcome::Abandoned
             }
-            let d = measure.distance(query, cand);
-            self.computed.fetch_add(1, Ordering::Relaxed);
-            RefineOutcome::Hit(d)
         }
     }
 
@@ -163,34 +155,6 @@ mod tests {
             let out = ctx.assess(&q, &[], None, Measure::Frechet, 1.0);
             assert_eq!(out, RefineOutcome::Corrupt);
             assert_eq!(ctx.snapshot().corrupt, 1);
-        }
-    }
-
-    #[test]
-    fn bounded_and_legacy_paths_agree_bit_for_bit() {
-        let q = pts(&[(0.0, 0.0), (1.0, 0.3), (2.0, -0.1)]);
-        let near = pts(&[(0.1, 0.1), (1.1, 0.2), (2.1, 0.0)]);
-        let far = pts(&[(8.0, 8.0), (9.0, 8.0)]);
-        for m in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
-            let on = RefineContext::new(&q, true);
-            let off = RefineContext::new(&q, false);
-            for cand in [&near, &far] {
-                for eff in [0.1, 0.5, 5.0, f64::INFINITY] {
-                    let a = on.assess(&q, cand, None, m, eff);
-                    let b = off.assess(&q, cand, None, m, eff);
-                    match (a, b) {
-                        (RefineOutcome::Hit(x), RefineOutcome::Hit(y)) => {
-                            assert_eq!(x.to_bits(), y.to_bits(), "{m} eff {eff}");
-                        }
-                        (RefineOutcome::Hit(_), other) | (other, RefineOutcome::Hit(_)) => {
-                            panic!("{m} eff {eff}: hit vs {other:?}");
-                        }
-                        // Pruned vs abandoned is the expected divergence:
-                        // both mean "not a result".
-                        _ => {}
-                    }
-                }
-            }
         }
     }
 

@@ -271,7 +271,7 @@ mod tests {
                 let got_ids: Vec<u64> = got.results.iter().map(|&(id, _)| id).collect();
                 let mut expected: Vec<u64> = data
                     .iter()
-                    .filter(|t| measure.within(q.points(), t.points(), eps))
+                    .filter(|t| measure.distance_within(q.points(), t.points(), eps).is_some())
                     .map(|t| t.id)
                     .collect();
                 expected.sort_unstable();
@@ -303,7 +303,7 @@ mod tests {
         let (store, q) = populated_store();
         let hits = threshold_search(&store, &q, 0.002, Measure::Frechet).unwrap();
         assert!(hits.stats.total_time >= hits.stats.scan_time);
-        let text = store.render_prometheus();
+        let text = store.registry().render_prometheus();
         assert!(text.contains("# TYPE trass_query_stage_seconds histogram"));
         for stage in ["pruning", "scan", "local-filter", "refine"] {
             assert!(text.contains(&format!("stage=\"{stage}\"")), "missing stage {stage}");

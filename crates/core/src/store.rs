@@ -108,9 +108,6 @@ pub struct TrajectoryStore {
     /// The probe set of the kv cluster and the worker pools (shared with
     /// the telemetry endpoint's `/healthz` and `/readyz` routes).
     health: Arc<HealthRegistry>,
-    /// Mirrors the cluster's I/O counters, kept outside the registry, into
-    /// it (shared with the telemetry endpoint's scrape routes).
-    refresh: Arc<dyn Fn() + Send + Sync>,
     /// Monotonic id handed to traced queries; the root span carries it as
     /// the `trace_id` label so slow-log entries can name their trace.
     trace_seq: AtomicU64,
@@ -234,7 +231,6 @@ impl TrajectoryStore {
             flight: Arc::new(FlightRecorder::new(FLIGHT_RECORDER_CAPACITY)),
             refine_pool,
             health,
-            refresh: cluster.metrics_publisher(),
             trace_seq: AtomicU64::new(0),
             config,
             index,
@@ -296,7 +292,6 @@ impl TrajectoryStore {
             self.config.telemetry_addr.as_deref().unwrap_or("127.0.0.1:0"),
             TelemetrySources {
                 registry: Arc::clone(&self.registry),
-                refresh: Arc::clone(&self.refresh),
                 flight: Arc::clone(&self.flight),
                 slowlog: Arc::new(move |json| render_slowlog(&slow, json)),
                 health: Arc::clone(&self.health),
@@ -402,21 +397,6 @@ impl TrajectoryStore {
             stats.total_time().as_nanos() as u64,
             SlowQueryRecord { kind: kind.name(), detail, stats: stats.clone(), trace },
         );
-    }
-
-    /// Renders every metric in the Prometheus text exposition format,
-    /// after mirroring the counters kept outside the registry into it (so
-    /// the scrape sees fresh per-shard values).
-    pub fn render_prometheus(&self) -> String {
-        (self.refresh)();
-        self.registry.render_prometheus()
-    }
-
-    /// Renders every metric as a JSON document (same refresh semantics as
-    /// [`TrajectoryStore::render_prometheus`]).
-    pub fn render_json(&self) -> String {
-        (self.refresh)();
-        self.registry.render_json()
     }
 
     /// Maps a trajectory's world-space points into unit space.
@@ -715,6 +695,43 @@ mod tests {
         let s = store();
         let data: Vec<Trajectory> = (0..15).map(|i| beijing_traj(i, i as f64 * 0.002)).collect();
         assert_eq!(s.insert_all(&data).unwrap(), 15);
+    }
+
+    #[test]
+    fn trajectories_on_the_east_and_north_edges_index_and_answer() {
+        // Unit coordinate 1.0 of the default space: longitude 180, latitude
+        // 270, and a segment past 180 that normalization clamps onto it.
+        let s = store();
+        let shapes: [&[(f64, f64)]; 4] = [
+            &[(180.0, 10.0)],
+            &[(180.0, 10.0), (180.0, 11.0)],
+            &[(10.0, 270.0)],
+            &[(181.0, 10.0), (182.0, 10.0)],
+        ];
+        let data: Vec<Trajectory> = (1..)
+            .zip(shapes)
+            .map(|(id, pts)| {
+                Trajectory::new(id, pts.iter().map(|&(x, y)| Point::new(x, y)).collect())
+            })
+            .collect();
+        assert_eq!(s.insert_all(&data).unwrap(), 4);
+        s.flush().unwrap();
+        for q in &data {
+            let got = crate::threshold_search(&s, q, 0.0, Measure::Frechet).unwrap().results;
+            let brute: Vec<(u64, f64)> = data
+                .iter()
+                .filter_map(|t| {
+                    Measure::Frechet.distance_within(q.points(), t.points(), 0.0).map(|d| (t.id, d))
+                })
+                .collect();
+            assert_eq!(got, brute, "threshold at eps 0, query {}", q.id);
+            let top = crate::top_k_search(&s, q, 1, Measure::Frechet).unwrap().results;
+            let nearest = data
+                .iter()
+                .map(|t| (t.id, Measure::Frechet.distance(q.points(), t.points())))
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            assert_eq!(top.first().copied(), nearest, "top-1, query {}", q.id);
+        }
     }
 
     #[test]

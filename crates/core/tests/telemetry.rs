@@ -103,7 +103,7 @@ fn metrics_expose_the_query_pipeline_over_a_live_workload() {
         .expect("trass_query_seconds_count series");
     assert_eq!(count, 6, "four threshold, one top-k and one range query ran");
     assert!(body.contains("trass_queries{kind=\"threshold\"} 4"), "{body}");
-    // Scraping refreshes kv-side gauges through the cluster publisher.
+    // The kv regions' I/O counters are registry series like any other.
     assert!(body.contains("trass_kv_entries_scanned"), "{body}");
     // Per-stage timers from the pipeline are present too.
     assert!(body.contains("# TYPE trass_query_stage_seconds histogram"), "{body}");

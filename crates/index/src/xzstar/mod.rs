@@ -91,11 +91,15 @@ impl XzStar {
     /// The sub-quads of `cell`'s enlarged element touched by `points`.
     /// Quad membership uses half-open boundaries (a point exactly on the
     /// internal split lines belongs to the upper/right quad), matching the
-    /// `fits` predicate of [`XzStar::sequence_length`].
+    /// `fits` predicate of [`XzStar::sequence_length`], with the boundary
+    /// convention of [`Cell::containing`]: a cell in the grid's last column
+    /// (row) owns the space's east (north) edge, so nothing lies right of
+    /// (above) it.
     pub fn touched_quads(cell: &Cell, points: &[Point]) -> QuadSet {
         let w = cell.width();
-        let split_x = f64::from(cell.x) * w + w;
-        let split_y = f64::from(cell.y) * w + w;
+        let last = (1u32 << cell.level) - 1;
+        let split = |c: u32| if c < last { f64::from(c) * w + w } else { f64::INFINITY };
+        let (split_x, split_y) = (split(cell.x), split(cell.y));
         let mut set = QuadSet::EMPTY;
         for p in points {
             let qx = u8::from(p.x >= split_x);
@@ -121,6 +125,10 @@ impl XzStar {
         let mut cell = self.anchor_cell(&mbr);
         loop {
             let set = Self::touched_quads(&cell, points);
+            // The anchor and the quads share one boundary convention, so the
+            // points on the MBR's west and south sides lie in the left
+            // column and the bottom row: the set is one of the ten feasible
+            // ones.
             let code = PositionCode::from_quads(set)
                 .unwrap_or_else(|| unreachable!("anchored quad sets are always feasible"));
             if code.0 == 10 && cell.level < self.max_resolution {
@@ -434,6 +442,41 @@ mod tests {
         assert_eq!(set, QuadSet::D);
         let set = XzStar::touched_quads(&cell, &pts(&[(0.49, 0.5)]));
         assert_eq!(set, QuadSet::C);
+    }
+
+    #[test]
+    fn east_and_north_edges_index_like_the_last_cell() {
+        // Unit coordinate 1.0 lies in the last cell at every level, for
+        // the anchor and for the quads alike.
+        let x = xz(16);
+        for shape in [
+            pts(&[(1.0, 0.3)]),
+            pts(&[(1.0, 0.3), (1.0, 0.30001)]),
+            pts(&[(0.3, 1.0)]),
+            pts(&[(1.0, 1.0), (0.99999, 1.0)]),
+        ] {
+            let space = x.index_points(&shape);
+            assert_eq!(x.decode(x.encode(&space)), Some(space));
+            let rects = XzStar::quad_rects(&space.cell);
+            for q in space.code.quads().iter() {
+                let rect = rects[q.quad_index().unwrap()];
+                assert!(shape.iter().any(|p| rect.contains_point(p)), "{shape:?}: empty quad");
+            }
+        }
+        // One convention: a point's quad is where `Cell::containing` puts
+        // it relative to the cell, on split lines and edges too.
+        let coords = [0.0, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0];
+        for level in 1..=3 {
+            let side = 1u32 << level;
+            for cell in (0..side).flat_map(|cx| (0..side).map(move |cy| Cell::new(cx, cy, level))) {
+                for (&px, &py) in coords.iter().flat_map(|x| coords.iter().map(move |y| (x, y))) {
+                    let at = Cell::containing(px, py, level);
+                    let (qx, qy) = (u8::from(at.x > cell.x), u8::from(at.y > cell.y));
+                    let got = XzStar::touched_quads(&cell, &pts(&[(px, py)]));
+                    assert_eq!(got, QuadSet(1 << ((qy << 1) | qx)), "{cell:?} ({px}, {py})");
+                }
+            }
+        }
     }
 
     #[test]

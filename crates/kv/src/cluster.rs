@@ -109,14 +109,6 @@ impl Cluster {
         &self.registry
     }
 
-    /// Mirrors each region's cumulative I/O counters into the shared
-    /// registry as per-shard `trass_kv_*` counters. Call before scraping.
-    pub fn publish_metrics(&self) {
-        for r in &self.regions {
-            r.publish_metrics();
-        }
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> u8 {
         self.opts.shards
@@ -283,13 +275,6 @@ impl Cluster {
             .fold(MetricsSnapshot::default(), |acc, s| acc.plus(&s))
     }
 
-    /// Resets every region's metrics.
-    pub fn reset_metrics(&self) {
-        for r in &self.regions {
-            r.metrics().reset();
-        }
-    }
-
     /// Flushes every region's memtable.
     pub fn flush(&self) -> Result<()> {
         for r in &self.regions {
@@ -309,18 +294,6 @@ impl Cluster {
     /// Per-region live-row upper bounds, for skew diagnostics (Fig. 19).
     pub fn region_entry_counts(&self) -> Vec<u64> {
         self.regions.iter().map(|r| r.table_entries() + r.memtable_len() as u64).collect()
-    }
-
-    /// A self-contained closure doing [`Cluster::publish_metrics`],
-    /// holding its own region handles — the telemetry endpoint's refresh
-    /// hook, runnable without borrowing the cluster.
-    pub fn metrics_publisher(&self) -> Arc<dyn Fn() + Send + Sync> {
-        let regions: Vec<Arc<LsmStore>> = self.regions.clone();
-        Arc::new(move || {
-            for r in &regions {
-                r.publish_metrics();
-            }
-        })
     }
 
     /// Registers this cluster's health probes on `health` (served by the
@@ -514,18 +487,17 @@ mod tests {
     }
 
     #[test]
-    fn metrics_aggregate_and_reset() {
+    fn metrics_aggregate_across_regions() {
         let c = cluster(2);
         c.put(key(0, "a"), "1").unwrap();
         c.put(key(1, "b"), "2").unwrap();
         c.flush().unwrap();
+        let before = c.metrics_snapshot();
         let _ = c.scan(KeyRange::prefix(vec![0u8])).unwrap();
         let _ = c.scan(KeyRange::prefix(vec![1u8])).unwrap();
-        let m = c.metrics_snapshot();
+        let m = c.metrics_snapshot().since(&before);
         assert_eq!(m.entries_scanned, 2);
         assert!(m.blocks_read >= 2);
-        c.reset_metrics();
-        assert_eq!(c.metrics_snapshot(), MetricsSnapshot::default());
     }
 
     #[test]
@@ -547,8 +519,7 @@ mod tests {
         assert_eq!(r.counter("trass_kv_region_scans", &[("shard", "1")]).get(), 0);
         assert_eq!(r.counter("trass_kv_region_scans", &[("shard", "2")]).get(), 1);
         assert_eq!(r.timer("trass_kv_region_scan_seconds", &[("shard", "0")]).count(), 1);
-        // Publishing mirrors per-shard I/O counters into the same registry.
-        c.publish_metrics();
+        // Per-shard I/O counters live in the same registry.
         assert_eq!(r.counter("trass_kv_entries_scanned", &[("shard", "0")]).get(), 50);
         assert_eq!(r.counter("trass_kv_entries_scanned", &[("shard", "1")]).get(), 0);
         // All regions share one registry and label themselves by shard.

@@ -3,112 +3,78 @@
 //! The paper's central claims are *I/O reductions* (rows retrieved, bytes
 //! scanned), so the store counts everything relevant with relaxed atomics:
 //! cheap enough to stay on in production paths, precise enough to
-//! regenerate Figures 9–11.
+//! regenerate Figures 9–11. A store's counters are the registry's own
+//! `trass_kv_*` series, so a scrape reads them where they are counted.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use trass_obs::{Counter, Registry};
 
 /// Cumulative I/O counters. Cheap to share (`&IoMetrics`) across scans and
-/// threads; all methods use relaxed atomics.
+/// threads; all methods use relaxed atomics. `default()` gives zeroed
+/// counters registered nowhere: a private tally (compaction's I/O, tests).
 #[derive(Debug, Default)]
 pub struct IoMetrics {
-    blocks_read: AtomicU64,
-    bytes_read: AtomicU64,
-    entries_scanned: AtomicU64,
-    entries_returned: AtomicU64,
-    range_scans: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
+    blocks_read: Arc<Counter>,
+    bytes_read: Arc<Counter>,
+    entries_scanned: Arc<Counter>,
+    entries_returned: Arc<Counter>,
+    range_scans: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
 }
 
 impl IoMetrics {
-    /// Creates zeroed metrics.
-    pub fn new() -> Self {
-        Self::default()
+    /// The counters `trass_kv_<field>` of `registry` with `labels`, created
+    /// on first use and shared with every other holder of the same series.
+    pub(crate) fn registered(registry: &Registry, labels: &[(&str, &str)]) -> Self {
+        let counter = |name: &str| registry.counter(name, labels);
+        IoMetrics {
+            blocks_read: counter("trass_kv_blocks_read"),
+            bytes_read: counter("trass_kv_bytes_read"),
+            entries_scanned: counter("trass_kv_entries_scanned"),
+            entries_returned: counter("trass_kv_entries_returned"),
+            range_scans: counter("trass_kv_range_scans"),
+            cache_hits: counter("trass_kv_cache_hits"),
+            cache_misses: counter("trass_kv_cache_misses"),
+        }
     }
 
     pub(crate) fn record_block_read(&self, bytes: usize) {
-        self.blocks_read.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.blocks_read.inc();
+        self.bytes_read.add(bytes as u64);
     }
 
     pub(crate) fn record_entry_scanned(&self) {
-        self.entries_scanned.fetch_add(1, Ordering::Relaxed);
+        self.entries_scanned.inc();
     }
 
     pub(crate) fn record_entry_returned(&self) {
-        self.entries_returned.fetch_add(1, Ordering::Relaxed);
+        self.entries_returned.inc();
     }
 
     pub(crate) fn record_range_scan(&self) {
-        self.range_scans.fetch_add(1, Ordering::Relaxed);
+        self.range_scans.inc();
     }
 
     pub(crate) fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.cache_hits.inc();
     }
 
     pub(crate) fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Data blocks fetched from SSTables.
-    pub fn blocks_read(&self) -> u64 {
-        self.blocks_read.load(Ordering::Relaxed)
-    }
-
-    /// Bytes fetched from SSTables.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.load(Ordering::Relaxed)
-    }
-
-    /// Rows visited by scans (before filter push-down).
-    pub fn entries_scanned(&self) -> u64 {
-        self.entries_scanned.load(Ordering::Relaxed)
-    }
-
-    /// Rows that passed push-down filters and were returned to the client.
-    pub fn entries_returned(&self) -> u64 {
-        self.entries_returned.load(Ordering::Relaxed)
-    }
-
-    /// Number of key-range scans executed.
-    pub fn range_scans(&self) -> u64 {
-        self.range_scans.load(Ordering::Relaxed)
-    }
-
-    /// Block reads served from the block cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache lookups that fell through to storage (only counted when a
-    /// cache is configured).
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.load(Ordering::Relaxed)
+        self.cache_misses.inc();
     }
 
     /// Takes a point-in-time copy.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            blocks_read: self.blocks_read(),
-            bytes_read: self.bytes_read(),
-            entries_scanned: self.entries_scanned(),
-            entries_returned: self.entries_returned(),
-            range_scans: self.range_scans(),
-            cache_hits: self.cache_hits(),
-            cache_misses: self.cache_misses(),
+            blocks_read: self.blocks_read.get(),
+            bytes_read: self.bytes_read.get(),
+            entries_scanned: self.entries_scanned.get(),
+            entries_returned: self.entries_returned.get(),
+            range_scans: self.range_scans.get(),
+            cache_hits: self.cache_hits.get(),
+            cache_misses: self.cache_misses.get(),
         }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.blocks_read.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.entries_scanned.store(0, Ordering::Relaxed);
-        self.entries_returned.store(0, Ordering::Relaxed);
-        self.range_scans.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -157,24 +123,6 @@ impl MetricsSnapshot {
             cache_misses: self.cache_misses + other.cache_misses,
         }
     }
-
-    /// Mirrors this snapshot into absolute-valued registry counters named
-    /// `trass_kv_<field>` with the given labels, for Prometheus export.
-    /// `IoMetrics` counters are monotone, so repeated publishes keep the
-    /// mirrored counters monotone too.
-    pub fn publish_to(&self, registry: &trass_obs::Registry, labels: &[(&str, &str)]) {
-        for (name, v) in [
-            ("trass_kv_blocks_read", self.blocks_read),
-            ("trass_kv_bytes_read", self.bytes_read),
-            ("trass_kv_entries_scanned", self.entries_scanned),
-            ("trass_kv_entries_returned", self.entries_returned),
-            ("trass_kv_range_scans", self.range_scans),
-            ("trass_kv_cache_hits", self.cache_hits),
-            ("trass_kv_cache_misses", self.cache_misses),
-        ] {
-            registry.counter(name, labels).set(v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +131,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let m = IoMetrics::new();
+        let m = IoMetrics::default();
         m.record_block_read(100);
         m.record_block_read(50);
         m.record_entry_scanned();
@@ -191,18 +139,21 @@ mod tests {
         m.record_range_scan();
         m.record_cache_hit();
         m.record_cache_miss();
-        assert_eq!(m.blocks_read(), 2);
-        assert_eq!(m.bytes_read(), 150);
-        assert_eq!(m.entries_scanned(), 1);
-        assert_eq!(m.entries_returned(), 1);
-        assert_eq!(m.range_scans(), 1);
-        assert_eq!(m.cache_hits(), 1);
-        assert_eq!(m.cache_misses(), 1);
+        let expected = MetricsSnapshot {
+            blocks_read: 2,
+            bytes_read: 150,
+            entries_scanned: 1,
+            entries_returned: 1,
+            range_scans: 1,
+            cache_hits: 1,
+            cache_misses: 1,
+        };
+        assert_eq!(m.snapshot(), expected);
     }
 
     #[test]
     fn snapshot_diff_and_sum() {
-        let m = IoMetrics::new();
+        let m = IoMetrics::default();
         m.record_block_read(10);
         let s1 = m.snapshot();
         m.record_block_read(20);
@@ -218,26 +169,17 @@ mod tests {
     }
 
     #[test]
-    fn publish_mirrors_every_field() {
-        let m = IoMetrics::new();
+    fn registered_counters_are_the_registry_series() {
+        let r = Registry::new();
+        let m = IoMetrics::registered(&r, &[("shard", "3")]);
         m.record_block_read(64);
         m.record_cache_hit();
         m.record_cache_miss();
-        let r = trass_obs::Registry::new();
-        m.snapshot().publish_to(&r, &[("shard", "3")]);
         assert_eq!(r.counter("trass_kv_blocks_read", &[("shard", "3")]).get(), 1);
         assert_eq!(r.counter("trass_kv_bytes_read", &[("shard", "3")]).get(), 64);
         assert_eq!(r.counter("trass_kv_cache_hits", &[("shard", "3")]).get(), 1);
         assert_eq!(r.counter("trass_kv_cache_misses", &[("shard", "3")]).get(), 1);
-        // One mirrored counter per snapshot field.
+        // One registered counter per snapshot field.
         assert_eq!(r.len(), 7);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let m = IoMetrics::new();
-        m.record_block_read(10);
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 }

@@ -602,7 +602,7 @@ mod tests {
         for w in entries.windows(2) {
             assert!(w[0].key < w[1].key);
         }
-        assert_eq!(m.blocks_read() as usize, t.n_blocks());
+        assert_eq!(m.snapshot().blocks_read as usize, t.n_blocks());
     }
 
     #[test]
@@ -642,7 +642,8 @@ mod tests {
         for i in 0..400 {
             assert_eq!(t.get(format!("key-{i:06}x").as_bytes(), &m).unwrap(), None);
         }
-        assert_eq!((m.blocks_read(), m.cache_hits(), m.cache_misses()), (0, 0, 0));
+        let io = m.snapshot();
+        assert_eq!((io.blocks_read, io.cache_hits, io.cache_misses), (0, 0, 0));
     }
 
     #[test]
@@ -653,7 +654,8 @@ mod tests {
             let m = IoMetrics::default();
             let r = range(&format!("key-{lo:06}"), &format!("key-{hi:06}"));
             assert_eq!(t.scan(&r, &m, &BlockMemo::default()).count(), hi - lo);
-            let lookups = m.cache_hits() + m.cache_misses();
+            let io = m.snapshot();
+            let lookups = io.cache_hits + io.cache_misses;
             assert_eq!(lookups, blocks, "rows {lo}..{hi}: one cache look-up per block");
         }
         // Cold table: every look-up of the first scan is a block read.
@@ -663,7 +665,8 @@ mod tests {
             cold.scan(&range("key-000008", "key-000016"), &m, &BlockMemo::default()).count(),
             8
         );
-        assert_eq!((m.blocks_read(), m.cache_misses(), m.cache_hits()), (2, 2, 0));
+        let io = m.snapshot();
+        assert_eq!((io.blocks_read, io.cache_misses, io.cache_hits), (2, 2, 0));
     }
 
     #[test]

@@ -87,7 +87,7 @@ struct Inner {
 pub struct LsmStore {
     opts: StoreOptions,
     inner: RwLock<Inner>,
-    metrics: Arc<IoMetrics>,
+    metrics: IoMetrics,
     cache: Option<Arc<BlockCache>>,
     registry: Arc<Registry>,
     obs: StoreObs,
@@ -109,24 +109,19 @@ struct StoreObs {
 }
 
 impl StoreObs {
-    fn new(registry: &Registry, shard: Option<&str>) -> StoreObs {
-        let labels: Vec<(&str, &str)> = match shard {
-            Some(s) => vec![("shard", s)],
-            None => Vec::new(),
-        };
+    fn new(registry: &Registry, labels: &[(&str, &str)]) -> StoreObs {
         StoreObs {
-            wal_append: registry.timer("trass_kv_wal_append_seconds", &labels),
-            flush_seconds: registry.timer("trass_kv_flush_seconds", &labels),
-            flushes: registry.counter("trass_kv_flushes", &labels),
-            flush_bytes: registry.counter("trass_kv_flush_bytes", &labels),
-            compaction_seconds: registry.timer("trass_kv_compaction_seconds", &labels),
-            compactions: registry.counter("trass_kv_compactions", &labels),
-            compaction_bytes_written: registry
-                .counter("trass_kv_compaction_bytes_written", &labels),
-            compaction_blocks_read: registry.counter("trass_kv_compaction_blocks_read", &labels),
-            compaction_bytes_read: registry.counter("trass_kv_compaction_bytes_read", &labels),
+            wal_append: registry.timer("trass_kv_wal_append_seconds", labels),
+            flush_seconds: registry.timer("trass_kv_flush_seconds", labels),
+            flushes: registry.counter("trass_kv_flushes", labels),
+            flush_bytes: registry.counter("trass_kv_flush_bytes", labels),
+            compaction_seconds: registry.timer("trass_kv_compaction_seconds", labels),
+            compactions: registry.counter("trass_kv_compactions", labels),
+            compaction_bytes_written: registry.counter("trass_kv_compaction_bytes_written", labels),
+            compaction_blocks_read: registry.counter("trass_kv_compaction_blocks_read", labels),
+            compaction_bytes_read: registry.counter("trass_kv_compaction_bytes_read", labels),
             compaction_entries_scanned: registry
-                .counter("trass_kv_compaction_entries_scanned", &labels),
+                .counter("trass_kv_compaction_entries_scanned", labels),
         }
     }
 }
@@ -172,11 +167,14 @@ impl LsmStore {
             None
         };
         let registry = opts.registry.clone().unwrap_or_else(Registry::new_shared);
-        let obs = StoreObs::new(&registry, opts.shard_label.as_deref());
+        let labels: Vec<(&str, &str)> =
+            opts.shard_label.as_deref().map(|s| ("shard", s)).into_iter().collect();
+        let obs = StoreObs::new(&registry, &labels);
+        let metrics = IoMetrics::registered(&registry, &labels);
         Ok(LsmStore {
             opts,
             inner: RwLock::new(Inner { memtable, wal, tables, file_names, next_table_id }),
-            metrics: Arc::new(IoMetrics::new()),
+            metrics,
             cache,
             registry,
             obs,
@@ -188,8 +186,9 @@ impl LsmStore {
         self.cache.as_ref()
     }
 
-    /// The store's I/O metrics handle.
-    pub fn metrics(&self) -> &Arc<IoMetrics> {
+    /// The store's query I/O counters: its registry's `trass_kv_*` series
+    /// (labelled with this store's shard, if any).
+    pub fn metrics(&self) -> &IoMetrics {
         &self.metrics
     }
 
@@ -197,16 +196,6 @@ impl LsmStore {
     /// into (shared with the cluster when opened through one).
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// Mirrors the store's cumulative I/O counters into its registry as
-    /// `trass_kv_*` counters (labelled with this store's shard, if any).
-    pub fn publish_metrics(&self) {
-        let labels: Vec<(&str, &str)> = match self.opts.shard_label.as_deref() {
-            Some(s) => vec![("shard", s)],
-            None => Vec::new(),
-        };
-        self.metrics.snapshot().publish_to(&self.registry, &labels);
     }
 
     /// Writes a key-value pair.
@@ -415,9 +404,9 @@ impl LsmStore {
             return Ok(());
         }
         let t = Instant::now();
-        // Compaction I/O is counted separately from query I/O, then
-        // published into dedicated `compaction_*` registry counters below.
-        let compaction_metrics = IoMetrics::new();
+        // Compaction I/O is tallied privately, apart from query I/O, then
+        // added to the dedicated `compaction_*` registry counters below.
+        let compaction_metrics = IoMetrics::default();
         let memos: Vec<BlockMemo> = inner.tables.iter().map(|_| BlockMemo::default()).collect();
         let mut sources: Vec<Box<dyn Iterator<Item = Result<MergeItem>> + '_>> = Vec::new();
         for (table, memo) in inner.tables.iter().zip(&memos).rev() {
@@ -908,10 +897,9 @@ mod tests {
         assert!(registry.counter("trass_kv_compaction_blocks_read", &labels).get() > 0);
         assert_eq!(registry.counter("trass_kv_compaction_entries_scanned", &labels).get(), 400);
         // Compaction I/O must not leak into the store's query metrics.
-        assert_eq!(s.metrics().entries_scanned(), 0);
-        // Query-side counters are mirrored on demand.
+        assert_eq!(s.metrics().snapshot().entries_scanned, 0);
+        // Query-side counters are the registry's series.
         let _ = s.scan(KeyRange::all()).unwrap();
-        s.publish_metrics();
         assert_eq!(registry.counter("trass_kv_entries_scanned", &labels).get(), 400);
         assert_eq!(registry.counter("trass_kv_range_scans", &labels).get(), 1);
     }

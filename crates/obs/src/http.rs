@@ -195,9 +195,6 @@ fn write_response(stream: &mut TcpStream, r: &Response) -> std::io::Result<()> {
 pub struct TelemetrySources {
     /// The metric registry behind `/metrics` and `/metrics.json`.
     pub registry: Arc<Registry>,
-    /// Runs before every scrape (mirror external counters into the
-    /// registry here).
-    pub refresh: Arc<dyn Fn() + Send + Sync>,
     /// Flight recorder behind `/traces`.
     pub flight: Arc<FlightRecorder>,
     /// Renders the slow-query log for `/slowlog`; the argument selects
@@ -269,7 +266,6 @@ fn index() -> String {
 }
 
 fn metrics(sources: &TelemetrySources, _: &Request) -> Response {
-    (sources.refresh)();
     Response {
         content_type: "text/plain; version=0.0.4; charset=utf-8",
         ..Response::text(sources.registry.render_prometheus())
@@ -277,7 +273,6 @@ fn metrics(sources: &TelemetrySources, _: &Request) -> Response {
 }
 
 fn metrics_json(sources: &TelemetrySources, _: &Request) -> Response {
-    (sources.refresh)();
     Response::json(sources.registry.render_json())
 }
 
@@ -424,7 +419,6 @@ mod tests {
             "127.0.0.1:0",
             TelemetrySources {
                 registry,
-                refresh: Arc::new(|| {}),
                 flight,
                 slowlog: Arc::new(|json| {
                     if json {

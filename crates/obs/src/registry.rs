@@ -27,13 +27,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Sets the absolute value. Only for mirroring an *external* monotone
-    /// counter (e.g. a store's `IoMetrics`) into the registry; regular
-    /// instrumentation should use [`Counter::add`].
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

@@ -411,7 +411,7 @@ fn execute(shared: &Arc<Shared>, request: Request) -> Response {
         },
         Request::Explain { inner } => execute_explain(shared, *inner),
         Request::Health => Response::Health(health_text(shared)),
-        Request::Stats => Response::Stats(shared.store.render_json()),
+        Request::Stats => Response::Stats(shared.store.registry().render_json()),
         Request::Shutdown => Response::ShuttingDown,
     }
 }

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use trass_core::config::TrassConfig;
 use trass_core::query;
 use trass_core::store::TrajectoryStore;
+use trass_geo::Point;
 use trass_server::protocol::{self, ErrorCode, Op, QueryRef, Request};
 use trass_server::{ClientError, ServerOptions, TrassClient, TrassServer};
 use trass_traj::{generator, Measure, Trajectory};
@@ -128,6 +129,24 @@ fn ingest_over_the_wire_lands_in_the_store() {
         let got = store.get(t.id).expect("store read").expect("ingested trajectory");
         assert_eq!(got.len(), t.len(), "trajectory {} round-trips", t.id);
     }
+}
+
+#[test]
+fn ingest_on_the_east_edge_of_the_space_is_answered() {
+    // Longitude 180 is unit x = 1.0 in the default space: the edge the
+    // index's last cell owns.
+    let store = build_store(20);
+    let server = start(&store);
+    let mut client = TrassClient::connect(server.local_addr()).expect("connect");
+
+    let edge = Trajectory::try_new(900_100, vec![Point::new(180.0, 10.0)]).expect("valid");
+    assert_eq!(client.ingest(vec![edge.clone()]).expect("wire ingest"), 1);
+    // The connection stays usable and the row is found where it was put.
+    assert!(client.health().expect("health after ingest").contains("status: ok"));
+    let hits = client
+        .threshold(QueryRef::Stored(edge.id), 0.0, Measure::Frechet)
+        .expect("wire threshold on the edge");
+    assert_eq!(hits, vec![(edge.id, 0.0)]);
 }
 
 #[test]
@@ -292,7 +311,7 @@ fn server_metrics_are_registered_and_counted() {
     // One protocol error to move the error counter.
     let _ = client.send_raw(&protocol::frame(0x7E, &[]).expect("frame")).expect("reply");
 
-    let prom = store.render_prometheus();
+    let prom = store.registry().render_prometheus();
     for series in [
         "trass_server_connections_total",
         "trass_server_active_connections",

@@ -17,15 +17,6 @@ pub fn distance(a: &[Point], b: &[Point]) -> f64 {
     dtw_impl(a, b, f64::INFINITY)
 }
 
-/// Decides `distance(a, b) <= eps`, abandoning when every cell of a row
-/// already exceeds `eps` (all path prefixes are over budget).
-pub fn within(a: &[Point], b: &[Point], eps: f64) -> bool {
-    if eps < 0.0 {
-        return false;
-    }
-    dtw_impl(a, b, eps) <= eps
-}
-
 /// Single-pass exact-or-abandon kernel: `Some(distance(a, b))` —
 /// bit-identical to [`distance`] — when the DTW cost is at most `eps`,
 /// `None` once every partial path is over budget. Partial-path costs only
@@ -72,41 +63,6 @@ fn dtw_impl(a: &[Point], b: &[Point], cutoff: f64) -> f64 {
     prev[m - 1]
 }
 
-/// DTW constrained to a Sakoe-Chiba band of half-width `band` (in matrix
-/// cells). `band >= max(n, m)` is equivalent to unconstrained DTW. Useful as
-/// a cheaper upper-bound kernel for long trajectories.
-#[allow(clippy::needless_range_loop)] // symmetric a[i]/b[j] DP recurrence
-pub fn distance_banded(a: &[Point], b: &[Point], band: usize) -> f64 {
-    assert!(!a.is_empty() && !b.is_empty(), "DTW distance of empty sequence");
-    let (n, m) = (a.len(), b.len());
-    // The band must cover the length difference or no path exists.
-    let band = band.max(n.abs_diff(m));
-    let mut prev = vec![f64::INFINITY; m];
-    let mut curr = vec![f64::INFINITY; m];
-
-    let hi0 = (band + 1).min(m);
-    prev[0] = a[0].distance(&b[0]);
-    for j in 1..hi0 {
-        prev[j] = prev[j - 1] + a[0].distance(&b[j]);
-    }
-    for i in 1..n {
-        curr.fill(f64::INFINITY);
-        let lo = i.saturating_sub(band);
-        let hi = (i + band + 1).min(m);
-        for j in lo..hi {
-            let mut best = prev[j];
-            if j > 0 {
-                best = best.min(curr[j - 1]).min(prev[j - 1]);
-            }
-            if best.is_finite() {
-                curr[j] = best + a[i].distance(&b[j]);
-            }
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +75,7 @@ mod tests {
     fn identical_sequences_have_zero_distance() {
         let a = pts(&[(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]);
         assert_eq!(distance(&a, &a), 0.0);
-        assert!(within(&a, &a, 0.0));
+        assert_eq!(distance_within(&a, &a, 0.0), Some(0.0));
     }
 
     #[test]
@@ -169,19 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn within_matches_distance() {
-        let a = pts(&[(0.0, 0.0), (1.0, 0.3), (2.0, -0.4), (3.0, 0.6)]);
-        let b = pts(&[(0.2, 0.5), (1.4, -0.3), (2.4, 0.6)]);
-        let d = distance(&a, &b);
-        assert!(within(&a, &b, d + 1e-9));
-        assert!(!within(&a, &b, d - 1e-9));
-    }
-
-    #[test]
-    fn within_abandons_far_sequences() {
+    fn distance_within_abandons_far_sequences() {
         let a = pts(&[(0.0, 0.0), (1.0, 0.0)]);
         let b = pts(&[(100.0, 100.0), (101.0, 100.0)]);
-        assert!(!within(&a, &b, 1.0));
+        assert_eq!(distance_within(&a, &b, 1.0), None);
     }
 
     #[test]
@@ -195,26 +142,6 @@ mod tests {
         assert_eq!(distance_within(&a, &b, -1.0), None);
         // DTW compares the sum directly — exact boundary equivalence.
         assert_eq!(distance_within(&a, &b, d), Some(d));
-        for eps in [0.0, d * 0.9, d, d * 1.1] {
-            assert_eq!(distance_within(&a, &b, eps).is_some(), within(&a, &b, eps), "eps {eps}");
-        }
-    }
-
-    #[test]
-    fn banded_with_full_band_equals_exact() {
-        let a = pts(&[(0.0, 0.0), (1.0, 0.5), (2.0, 0.0), (3.0, -0.5), (4.0, 0.0)]);
-        let b = pts(&[(0.1, 0.2), (1.5, 0.0), (2.6, 0.4), (3.9, 0.1)]);
-        let exact = distance(&a, &b);
-        assert!((distance_banded(&a, &b, 10) - exact).abs() < 1e-12);
-    }
-
-    #[test]
-    fn banded_is_an_upper_bound() {
-        let a: Vec<Point> = (0..20).map(|i| Point::new(i as f64, (i % 3) as f64)).collect();
-        let b: Vec<Point> = (0..25).map(|i| Point::new(i as f64 * 0.8, (i % 4) as f64)).collect();
-        let exact = distance(&a, &b);
-        for band in [1usize, 2, 5, 30] {
-            assert!(distance_banded(&a, &b, band) >= exact - 1e-12, "band {band}");
-        }
+        assert_eq!(distance_within(&a, &b, d - 1e-9), None);
     }
 }

@@ -1,9 +1,9 @@
 //! Discrete Fréchet distance (§II, Definition 2).
 //!
-//! The classic "man walks dog" coupling distance over point sequences.
-//! `distance` is the exact O(n·m) dynamic program with a rolling row;
-//! `within` is the reachability decision version, which only needs boolean
-//! state and abandons as soon as an entire row becomes unreachable.
+//! The classic "man walks dog" coupling distance over point sequences,
+//! computed by one O(n·m) dynamic program with a rolling row
+//! (`frechet_impl`). `distance` runs it to the end; `distance_within` runs
+//! it with a cutoff and abandons as soon as an entire row exceeds it.
 
 use trass_geo::Point;
 
@@ -34,7 +34,7 @@ pub fn distance_within(a: &[Point], b: &[Point], eps: f64) -> Option<f64> {
         return None;
     }
     let eps_sq = eps * eps;
-    // Endpoints must couple; same O(1) quick check as `within`.
+    // Endpoints must couple: an O(1) rejection before the O(n·m) DP.
     if a[0].distance_sq(&b[0]) > eps_sq || a[a.len() - 1].distance_sq(&b[b.len() - 1]) > eps_sq {
         return None;
     }
@@ -74,46 +74,6 @@ fn frechet_impl(a: &[Point], b: &[Point], cutoff_sq: f64) -> f64 {
     prev[m - 1]
 }
 
-/// Decides `distance(a, b) <= eps` via free-space reachability, abandoning
-/// early when no cell of a row is reachable.
-///
-/// # Panics
-/// Panics if either sequence is empty.
-#[allow(clippy::needless_range_loop)] // symmetric a[i]/b[j] DP recurrence
-pub fn within(a: &[Point], b: &[Point], eps: f64) -> bool {
-    assert!(!a.is_empty() && !b.is_empty(), "Fréchet decision of empty sequence");
-    if eps < 0.0 {
-        return false;
-    }
-    let (n, m) = (a.len(), b.len());
-    let eps_sq = eps * eps;
-    // Quick necessary conditions: endpoints must couple.
-    if a[0].distance_sq(&b[0]) > eps_sq || a[n - 1].distance_sq(&b[m - 1]) > eps_sq {
-        return false;
-    }
-
-    let mut prev = vec![false; m];
-    let mut curr = vec![false; m];
-    prev[0] = true; // endpoint check above guarantees d(a0,b0) <= eps
-    for j in 1..m {
-        prev[j] = prev[j - 1] && a[0].distance_sq(&b[j]) <= eps_sq;
-    }
-    for i in 1..n {
-        curr[0] = prev[0] && a[i].distance_sq(&b[0]) <= eps_sq;
-        let mut any = curr[0];
-        for j in 1..m {
-            let reach = prev[j] || curr[j - 1] || prev[j - 1];
-            curr[j] = reach && a[i].distance_sq(&b[j]) <= eps_sq;
-            any |= curr[j];
-        }
-        if !any {
-            return false;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,7 +86,7 @@ mod tests {
     fn identical_sequences_have_zero_distance() {
         let a = pts(&[(0.0, 0.0), (1.0, 2.0), (3.0, 1.0)]);
         assert_eq!(distance(&a, &a), 0.0);
-        assert!(within(&a, &a, 0.0));
+        assert_eq!(distance_within(&a, &a, 0.0), Some(0.0));
     }
 
     #[test]
@@ -173,27 +133,22 @@ mod tests {
     }
 
     #[test]
-    fn within_matches_distance_on_grid() {
+    fn distance_within_matches_distance_on_grid() {
         let a = pts(&[(0.0, 0.0), (1.0, 0.3), (2.0, -0.4), (3.0, 0.1), (4.0, 0.0)]);
         let b = pts(&[(0.2, 0.5), (1.4, -0.3), (2.4, 0.6), (3.8, -0.5)]);
         let d = distance(&a, &b);
         for scale in [0.5, 0.9, 0.999, 1.001, 1.1, 2.0] {
             let eps = d * scale;
-            assert_eq!(within(&a, &b, eps), d <= eps, "scale {scale}");
+            assert_eq!(distance_within(&a, &b, eps).is_some(), d <= eps, "scale {scale}");
         }
     }
 
     #[test]
-    fn within_rejects_negative_eps() {
-        let a = pts(&[(0.0, 0.0)]);
-        assert!(!within(&a, &a, -1.0));
-    }
-
-    #[test]
-    fn within_abandons_on_far_endpoints() {
+    fn distance_within_rejects_negative_eps_and_far_endpoints() {
         let a = pts(&[(0.0, 0.0), (1.0, 0.0)]);
+        assert_eq!(distance_within(&a, &a, -1.0), None);
         let b = pts(&[(100.0, 0.0), (101.0, 0.0)]);
-        assert!(!within(&a, &b, 1.0));
+        assert_eq!(distance_within(&a, &b, 1.0), None);
     }
 
     #[test]
@@ -201,8 +156,8 @@ mod tests {
         let a = pts(&[(0.0, 0.0)]);
         let b = pts(&[(3.0, 4.0)]);
         assert_eq!(distance(&a, &b), 5.0);
-        assert!(within(&a, &b, 5.0));
-        assert!(!within(&a, &b, 4.999));
+        assert_eq!(distance_within(&a, &b, 5.0), Some(5.0));
+        assert_eq!(distance_within(&a, &b, 4.999), None);
     }
 
     #[test]
@@ -213,16 +168,5 @@ mod tests {
         let got = distance_within(&a, &b, d * 1.5).expect("within generous eps");
         assert_eq!(got.to_bits(), d.to_bits());
         assert_eq!(distance_within(&a, &b, d * 0.5), None);
-        assert_eq!(distance_within(&a, &b, -1.0), None);
-    }
-
-    #[test]
-    fn distance_within_verdict_matches_within() {
-        let a = pts(&[(0.0, 0.0), (1.0, 0.3), (2.0, -0.4), (3.0, 0.1)]);
-        let b = pts(&[(0.2, 0.5), (1.4, -0.3), (2.4, 0.6)]);
-        let d = distance(&a, &b);
-        for eps in [0.0, d * 0.9, d, d * 1.1, 10.0] {
-            assert_eq!(distance_within(&a, &b, eps).is_some(), within(&a, &b, eps), "eps {eps}");
-        }
     }
 }

@@ -74,28 +74,6 @@ pub fn distance_within(a: &[Point], b: &[Point], eps: f64) -> Option<f64> {
     Some(ab_sq.sqrt().max(ba_sq.sqrt()))
 }
 
-/// Decides `distance(a, b) <= eps`, abandoning at the first witness point
-/// with no partner within `eps`.
-pub fn within(a: &[Point], b: &[Point], eps: f64) -> bool {
-    if eps < 0.0 {
-        return false;
-    }
-    let eps_sq = eps * eps;
-    directed_within_sq(a, b, eps_sq) && directed_within_sq(b, a, eps_sq)
-}
-
-fn directed_within_sq(a: &[Point], b: &[Point], eps_sq: f64) -> bool {
-    'outer: for p in a {
-        for q in b {
-            if p.distance_sq(q) <= eps_sq {
-                continue 'outer;
-            }
-        }
-        return false;
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,7 +86,7 @@ mod tests {
     fn identical_sets_have_zero_distance() {
         let a = pts(&[(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]);
         assert_eq!(distance(&a, &a), 0.0);
-        assert!(within(&a, &a, 0.0));
+        assert_eq!(distance_within(&a, &a, 0.0), Some(0.0));
     }
 
     #[test]
@@ -145,18 +123,12 @@ mod tests {
     }
 
     #[test]
-    fn within_matches_distance() {
+    fn distance_within_matches_distance() {
         let a = pts(&[(0.0, 0.0), (1.0, 0.3), (2.0, -0.4)]);
         let b = pts(&[(0.2, 0.5), (1.4, -0.3), (2.4, 0.6), (3.8, -0.5)]);
         let d = distance(&a, &b);
-        assert!(within(&a, &b, d + 1e-9));
-        assert!(!within(&a, &b, d - 1e-9));
-    }
-
-    #[test]
-    fn within_rejects_negative_eps() {
-        let a = pts(&[(0.0, 0.0)]);
-        assert!(!within(&a, &a, -0.1));
+        assert!(distance_within(&a, &b, d + 1e-9).is_some());
+        assert_eq!(distance_within(&a, &b, d - 1e-9), None);
     }
 
     #[test]
@@ -175,8 +147,5 @@ mod tests {
         assert_eq!(got.to_bits(), d.to_bits());
         assert_eq!(distance_within(&a, &b, d * 0.5), None);
         assert_eq!(distance_within(&a, &b, -1.0), None);
-        for eps in [0.0, d * 0.9, d * 1.1, 100.0] {
-            assert_eq!(distance_within(&a, &b, eps).is_some(), within(&a, &b, eps), "eps {eps}");
-        }
     }
 }

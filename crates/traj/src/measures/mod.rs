@@ -2,15 +2,16 @@
 //!
 //! TraSS adopts classic measures rather than inventing one (§II): discrete
 //! Fréchet distance is the default, with Hausdorff and DTW supported through
-//! the §VII extension. Each measure exposes two kernels:
+//! the §VII extension. Each measure has exactly one kernel (one dynamic
+//! program or scan) and two entry points into it:
 //!
-//! * an **exact** kernel (`distance`) used when the measure value itself is
-//!   needed (e.g. ranking in top-k search), and
-//! * a **decision** kernel (`within`) that answers `f(Q,T) ≤ ε` with early
-//!   abandoning, used by threshold-search refinement where the exact value
-//!   is irrelevant once the threshold is exceeded.
+//! * `distance`, the exact value, for oracles and callers that need the
+//!   measure itself, and
+//! * `distance_within`, the same kernel with a cutoff ε: the exact value
+//!   when it is at most ε, `None` as soon as the kernel proves it exceeds ε.
+//!   Refinement (threshold and top-k) runs this one.
 //!
-//! All kernels operate on point slices so they can run against borrowed
+//! Kernels operate on point slices so they can run against borrowed
 //! storage without copying.
 
 pub mod dtw;
@@ -46,22 +47,12 @@ impl Measure {
         }
     }
 
-    /// Decides `distance(a, b) <= eps` with early abandoning.
-    pub fn within(&self, a: &[Point], b: &[Point], eps: f64) -> bool {
-        match self {
-            Measure::Frechet => frechet::within(a, b, eps),
-            Measure::Hausdorff => hausdorff::within(a, b, eps),
-            Measure::Dtw => dtw::within(a, b, eps),
-        }
-    }
-
-    /// Single-pass exact-or-abandon kernel: `Some(d)` with
-    /// `d == distance(a, b)` **bit-for-bit** when the distance is at most
-    /// `eps`, `None` as soon as the kernel proves it exceeds `eps`. The
-    /// `Some`-ness agrees exactly with [`Measure::within`] at the same
-    /// `eps` (both decide in the same squared/summed space), so replacing
-    /// a `within` + `distance` pair with one `distance_within` call can
-    /// never change query results — only skip the second O(n·m) pass.
+    /// Exact-or-abandon: `Some(d)` with `d == distance(a, b)`
+    /// **bit-for-bit** when the distance is at most `eps`, `None` as soon
+    /// as the kernel proves it exceeds `eps` (and for a negative `eps`).
+    /// The decision is taken in the kernel's own space (squared for
+    /// Fréchet and Hausdorff, summed for DTW), so only a distance within
+    /// rounding of `eps` can decide differently from `distance(a, b) <= eps`.
     ///
     /// # Panics
     /// Panics if either sequence is empty.
@@ -151,26 +142,15 @@ mod tests {
     }
 
     #[test]
-    fn within_consistent_with_distance() {
+    fn distance_within_is_some_distance_up_to_eps() {
         let a = pts(&[(0.0, 0.0), (1.0, 0.2), (2.0, -0.1), (3.0, 0.0)]);
         let b = pts(&[(0.1, 0.4), (1.2, 0.1), (2.2, 0.3), (3.1, -0.2)]);
         for m in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
             let d = m.distance(&a, &b);
-            assert!(m.within(&a, &b, d + 1e-9), "{m} within failed at d+");
-            assert!(!m.within(&a, &b, d - 1e-9), "{m} within failed at d-");
-        }
-    }
-
-    #[test]
-    fn distance_within_agrees_with_two_pass_path() {
-        let a = pts(&[(0.0, 0.0), (1.0, 0.2), (2.0, -0.1), (3.0, 0.0)]);
-        let b = pts(&[(0.1, 0.4), (1.2, 0.1), (2.2, 0.3), (3.1, -0.2)]);
-        for m in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
-            let d = m.distance(&a, &b);
-            for eps in [0.0, d * 0.5, d * 1.5, f64::INFINITY] {
-                let fused = m.distance_within(&a, &b, eps);
-                assert_eq!(fused.is_some(), m.within(&a, &b, eps), "{m} eps {eps}");
-                if let Some(got) = fused {
+            for eps in [0.0, d * 0.5, d - 1e-9, d + 1e-9, d * 1.5, f64::INFINITY] {
+                let got = m.distance_within(&a, &b, eps);
+                assert_eq!(got.is_some(), d <= eps, "{m} eps {eps}");
+                if let Some(got) = got {
                     assert_eq!(got.to_bits(), d.to_bits(), "{m} eps {eps}");
                 }
             }

@@ -93,29 +93,6 @@ fn lemma12_endpoint_lower_bound() {
 }
 
 #[test]
-fn within_agrees_with_distance() {
-    check(CASES, |rng| {
-        let a = seq(rng);
-        let b = seq(rng);
-        let eps = rng.f64_in(0.0, 30.0);
-        for measure in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
-            let d = measure.distance(&a, &b);
-            // Avoid asserting exactly at the boundary (floating point).
-            if (d - eps).abs() > 1e-6 {
-                assert_eq!(
-                    measure.within(&a, &b, eps),
-                    d <= eps,
-                    "{} at d = {}, eps = {}",
-                    measure,
-                    d,
-                    eps
-                );
-            }
-        }
-    });
-}
-
-#[test]
 fn dtw_dominates_frechet_scaled() {
     check(CASES, |rng| {
         let a = seq(rng);

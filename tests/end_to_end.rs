@@ -9,6 +9,7 @@ use trass::baselines::repose::ReposeEngine;
 use trass::baselines::xz_kv::build_for_extent;
 use trass::baselines::SimilarityEngine;
 use trass::core::{query, TrajectoryStore, TrassConfig};
+use trass::geo::Point;
 use trass::traj::generator::{self, BEIJING};
 use trass::traj::{Measure, Trajectory};
 
@@ -20,8 +21,11 @@ fn build_store(data: &[Trajectory]) -> TrajectoryStore {
 }
 
 fn brute_threshold(data: &[Trajectory], q: &Trajectory, eps: f64, m: Measure) -> Vec<u64> {
-    let mut ids: Vec<u64> =
-        data.iter().filter(|t| m.within(q.points(), t.points(), eps)).map(|t| t.id).collect();
+    let mut ids: Vec<u64> = data
+        .iter()
+        .filter(|t| m.distance_within(q.points(), t.points(), eps).is_some())
+        .map(|t| t.id)
+        .collect();
     ids.sort_unstable();
     ids
 }
@@ -181,4 +185,71 @@ fn disk_backed_store_survives_reopen_with_queries() {
         assert_eq!(got, brute_threshold(&data, q, 0.005, Measure::Frechet));
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn degenerate_inputs_match_brute_force() {
+    let traj = |id: u64, pts: &[(f64, f64)]| {
+        Trajectory::new(id, pts.iter().map(|&(x, y)| Point::new(x, y)).collect())
+    };
+    // A city store (BEIJING, squared): ordinary rows plus a single point,
+    // an all-equal-points row, a duplicate, and rows south-west of the
+    // space and across its west edge, which normalization clamps.
+    let mut city = generator::tdrive_like(117, 40);
+    city.extend([
+        traj(901, &[(116.4, 39.9)]),
+        traj(902, &[(116.41, 39.91); 5]),
+        Trajectory::new(903, city[3].points().to_vec()),
+        traj(904, &[(115.2, 38.9), (115.25, 38.92), (115.3, 38.95)]),
+        traj(905, &[(115.95, 39.8), (116.0, 39.805), (116.05, 39.81)]),
+    ]);
+    let city_queries = vec![
+        traj(10_001, &[(116.4, 39.9)]),                  // single point
+        traj(10_002, &[(115.2, 38.9), (115.25, 38.92)]), // outside the space
+        city[3].clone(),                                 // has a duplicate
+        city[41].clone(),                                // all points equal
+    ];
+    // The default (world) space: the antimeridian and both poles, on the
+    // east edge and the west edge of the index.
+    let world = vec![
+        traj(1, &[(179.99, 10.0), (180.0, 10.01)]),
+        traj(2, &[(-180.0, 5.0), (-179.99, 5.01)]),
+        traj(3, &[(0.0, 90.0)]),
+        traj(4, &[(10.0, 89.99), (20.0, 90.0)]),
+        traj(5, &[(-30.0, -90.0), (-30.0, -89.99)]),
+        traj(6, &[(179.995, -20.0), (-179.995, -20.0)]),
+    ];
+    let world_queries = world.clone();
+
+    for (config, data, queries) in [
+        (TrassConfig::for_extent(BEIJING), city, city_queries),
+        (TrassConfig::default(), world, world_queries),
+    ] {
+        let store = TrajectoryStore::open(config).unwrap();
+        store.insert_all(&data).unwrap();
+        store.flush().unwrap();
+        for q in &queries {
+            for m in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
+                let mut all: Vec<(u64, f64)> =
+                    data.iter().map(|t| (t.id, m.distance(q.points(), t.points()))).collect();
+                for eps in [0.0, 0.01] {
+                    let got = query::threshold_search(&store, q, eps, m).unwrap().results;
+                    let mut brute: Vec<(u64, f64)> = data
+                        .iter()
+                        .filter_map(|t| {
+                            m.distance_within(q.points(), t.points(), eps).map(|d| (t.id, d))
+                        })
+                        .collect();
+                    brute.sort_by_key(|&(id, _)| id);
+                    assert_eq!(got, brute, "{m} threshold eps {eps}, query {}", q.id);
+                }
+                all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                for k in [1, data.len() + 5] {
+                    let got = query::top_k_search(&store, q, k, m).unwrap().results;
+                    let brute = &all[..k.min(all.len())];
+                    assert_eq!(got, brute, "{m} top-{k}, query {}", q.id);
+                }
+            }
+        }
+    }
 }

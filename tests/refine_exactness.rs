@@ -1,11 +1,11 @@
 //! The differential-exactness oracle for the refinement lower-bound
-//! prefilter (`TRASS_REFINE_BOUNDS` / `TrassConfig::refine_bounds`).
+//! prefilter (`TrassConfig::refine_bounds`).
 //!
 //! The contract: bounds and early-abandoning kernels are pure
 //! optimisations. A store with `refine_bounds = true` must answer every
 //! threshold, top-k and range query with *identical* results — same ids,
-//! same order, same bit-level exact distances — as a store with the
-//! legacy two-pass refine path, at every thread count. The trass-traj
+//! same order, same bit-level exact distances — as a store that sends
+//! every candidate straight to the kernel, at every thread count. The trass-traj
 //! half of the argument (bound soundness, kernel bit-identity) lives in
 //! `crates/traj/tests/bounds_props.rs`; this file closes the loop over
 //! the whole query pipeline.
