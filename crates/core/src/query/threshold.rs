@@ -8,8 +8,8 @@ use crate::stats::SearchResult;
 use crate::store::TrajectoryStore;
 use std::sync::Arc;
 use trass_exec::TopKBound;
-use trass_index::ranges::ValueRange;
-use trass_index::xzstar::{GlobalPruning, PruningConfig, QueryContext};
+use trass_index::ranges::{coalesce, ValueRange};
+use trass_index::xzstar::PruneStats;
 use trass_kv::KvError;
 use trass_obs::{QueryTrace, TraceCtx, TraceSpan};
 use trass_traj::{Measure, Trajectory};
@@ -55,9 +55,9 @@ pub(crate) fn threshold_search_traced(
     })
 }
 
-/// Algorithm 1 at threshold `eps`: the value ranges whose index spaces can
-/// hold a trajectory within `eps` of `query`, with the per-lemma counters
-/// on `span`.
+/// Algorithm 1 at threshold `eps`: the value ranges of the occupied index
+/// spaces that can hold a trajectory within `eps` of `query`, with the
+/// per-lemma counters on `span`.
 fn global_pruning(
     store: &TrajectoryStore,
     query: &Trajectory,
@@ -65,28 +65,22 @@ fn global_pruning(
     span: &mut TraceSpan,
 ) -> Vec<ValueRange> {
     let config = store.config();
-    let unit_points = store.to_unit(query.points());
+    let Some(mut frontier) = store.frontier(query) else { return Vec::new() };
     let eps_unit = config.space.distance_to_unit(eps);
-    let ctx = QueryContext::new(store.index(), unit_points, eps_unit);
-    let pruner = GlobalPruning::new(
-        store.index(),
-        PruningConfig {
-            range_gap: config.range_gap,
-            use_position_codes: config.use_position_codes,
-            use_min_dist: config.use_min_dist,
-            ..PruningConfig::default()
-        },
-    );
-    let (value_ranges, prune_stats) = pruner.query_ranges_stats(&ctx);
-    span.set_field("visited", prune_stats.visited);
-    span.set_field("lemma8_pruned", prune_stats.lemma8_pruned);
-    span.set_field("lemma9_pruned", prune_stats.lemma9_pruned);
-    span.set_field("lemma10_codes_pruned", prune_stats.lemma10_codes_pruned);
-    span.set_field("lemma11_codes_pruned", prune_stats.lemma11_codes_pruned);
-    span.set_field("codes_emitted", prune_stats.codes_emitted);
-    span.set_field("spilled_subtrees", prune_stats.spilled_subtrees);
-    span.set_field("traversal_seconds", prune_stats.elapsed.as_secs_f64());
-    value_ranges
+    let values = std::iter::from_fn(|| frontier.next_space(eps_unit)).map(|c| c.value).collect();
+    record_pruning(span, &frontier.take_stats());
+    coalesce(values, config.range_gap)
+}
+
+/// The pruning span's fields, one set for threshold search and every top-k
+/// batch: the traversal's counters.
+pub(crate) fn record_pruning(span: &mut TraceSpan, stats: &PruneStats) {
+    span.set_field("visited", stats.visited);
+    span.set_field("lemma8_pruned", stats.lemma8_pruned);
+    span.set_field("lemma9_pruned", stats.lemma9_pruned);
+    span.set_field("lemma10_codes_pruned", stats.lemma10_codes_pruned);
+    span.set_field("lemma11_codes_pruned", stats.lemma11_codes_pruned);
+    span.set_field("codes_emitted", stats.codes_emitted);
 }
 
 /// One pass of Fig. 8 over the value ranges `plan` produces: the whole of
@@ -205,6 +199,7 @@ pub(crate) fn similarity_pass(
 mod tests {
     use super::*;
     use crate::config::TrassConfig;
+    use crate::store::ExplainQuery;
     use trass_geo::Point;
 
     fn traj(id: u64, pts: &[(f64, f64)]) -> Trajectory {
@@ -341,20 +336,19 @@ mod tests {
     }
 
     #[test]
-    fn huge_threshold_completes_within_budget() {
-        // Regression: an ε on the order of the whole space used to make
-        // Algorithm 1 visit an exponential number of elements. The node
-        // budget spills remaining subtrees into whole ranges instead.
+    fn infinite_threshold_returns_every_row_at_the_cost_of_the_rows() {
+        // ε = +∞ admits every element of the 16-level tree; the traversal
+        // enters only occupied subtrees, a few elements per stored row.
         let (store, q) = populated_store();
-        let t0 = std::time::Instant::now();
-        let hits = threshold_search(&store, &q, 500.0, Measure::Frechet).unwrap();
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(20),
-            "budget fallback failed ({:?})",
-            t0.elapsed()
-        );
-        // Everything in the store is within 500° of everything else.
-        assert_eq!(hits.results.len(), 5);
+        for measure in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
+            let query = ExplainQuery::Threshold { query: &q, eps: f64::INFINITY, measure };
+            let explained = store.explain(query).unwrap();
+            let ids: Vec<u64> = explained.result.results.iter().map(|&(id, _)| id).collect();
+            assert_eq!(ids, vec![100, 101, 102, 200, 300], "{measure}");
+            let pruning = explained.trace.root.child("pruning").unwrap();
+            let visited = pruning.field_u64("visited").unwrap();
+            assert!(visited <= 5 * 17, "{measure}: {visited} elements visited for 5 rows");
+        }
     }
 
     #[test]

@@ -144,12 +144,6 @@ impl QueryStats {
             }
         }
     }
-
-    /// Summed busy time across refine workers — CPU-style time, which
-    /// exceeds `refine_time` wall clock when refinement ran in parallel.
-    pub fn refine_busy_total(&self) -> Duration {
-        self.refine_worker_busy.iter().sum()
-    }
 }
 
 /// The outcome of a similarity search.

@@ -109,8 +109,12 @@ fn explain_topk_records_one_round_per_batch() {
     for (i, r) in rounds.iter().enumerate() {
         assert_eq!(r.label("round"), Some(i.to_string().as_str()));
         assert!(r.fields.iter().any(|(k, _)| k == "eps"), "round without eps");
-        // Every round ran the staged pipeline over its batch of spaces.
-        assert!(r.child("pruning").unwrap().field_u64("expanded").is_some());
+        // Every round ran the staged pipeline over its batch of spaces,
+        // its pruning span carrying the fields a threshold search's does.
+        let pruning = r.child("pruning").unwrap();
+        for field in ["visited", "lemma8_pruned", "lemma11_codes_pruned", "codes_emitted"] {
+            assert!(pruning.field_u64(field).is_some(), "round without {field}");
+        }
         assert!(r.child("scan").is_some());
     }
     // The rounds' hits together hold at least k matches (they get ranked

@@ -47,9 +47,3 @@ pub use segment::Segment;
 /// degenerate-case handling. Coordinates live in `[0, 1]` or degree space, so
 /// an absolute epsilon is appropriate.
 pub const EPSILON: f64 = 1e-12;
-
-/// Returns `true` when two floats are equal within [`EPSILON`].
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= EPSILON
-}

@@ -97,12 +97,6 @@ impl Mbr {
         self.width() * self.height()
     }
 
-    /// Half of the perimeter (used by R-tree split heuristics).
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// Center point of the rectangle.
     #[inline]
     pub fn center(&self) -> Point {
@@ -153,13 +147,6 @@ impl Mbr {
             && other.min_y <= self.max_y
     }
 
-    /// Area of the intersection (0 when disjoint).
-    pub fn intersection_area(&self, other: &Mbr) -> f64 {
-        let w = (self.max_x.min(other.max_x) - self.min_x.max(other.min_x)).max(0.0);
-        let h = (self.max_y.min(other.max_y) - self.min_y.max(other.min_y)).max(0.0);
-        w * h
-    }
-
     /// Minimum distance from `p` to the rectangle (0 when inside).
     #[inline]
     pub fn distance_to_point(&self, p: &Point) -> f64 {
@@ -196,21 +183,6 @@ impl Mbr {
         let ur = Point::new(self.max_x, self.max_y);
         let ul = Point::new(self.min_x, self.max_y);
         [Segment::new(ll, lr), Segment::new(lr, ur), Segment::new(ur, ul), Segment::new(ul, ll)]
-    }
-
-    /// The four corners, counter-clockwise from the lower-left.
-    pub fn corners(&self) -> [Point; 4] {
-        [
-            Point::new(self.min_x, self.min_y),
-            Point::new(self.max_x, self.min_y),
-            Point::new(self.max_x, self.max_y),
-            Point::new(self.min_x, self.max_y),
-        ]
-    }
-
-    /// Maximum distance from `p` to any point of the rectangle.
-    pub fn max_distance_to_point(&self, p: &Point) -> f64 {
-        self.corners().iter().map(|c| c.distance(p)).fold(0.0, f64::max)
     }
 }
 
@@ -282,15 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_area_basics() {
-        let a = rect(0.0, 0.0, 2.0, 2.0);
-        let b = rect(1.0, 1.0, 3.0, 3.0);
-        assert_eq!(a.intersection_area(&b), 1.0);
-        let c = rect(5.0, 5.0, 6.0, 6.0);
-        assert_eq!(a.intersection_area(&c), 0.0);
-    }
-
-    #[test]
     fn segment_distance_overlap_and_offset() {
         let m = rect(0.0, 0.0, 1.0, 1.0);
         let inside = Segment::new(Point::new(0.5, 0.5), Point::new(0.6, 0.6));
@@ -307,13 +270,6 @@ mod tests {
         assert_eq!(m.width(), 0.0);
         assert_eq!(m.area(), 0.0);
         assert_eq!(m.distance_to_point(&Point::new(4.0, 5.0)), 5.0);
-    }
-
-    #[test]
-    fn max_distance_uses_far_corner() {
-        let m = rect(0.0, 0.0, 1.0, 1.0);
-        let d = m.max_distance_to_point(&Point::new(-1.0, -1.0));
-        assert!((d - (8.0f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]

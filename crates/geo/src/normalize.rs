@@ -56,8 +56,7 @@ impl NormalizedSpace {
     /// Exact world→unit distance conversion for square spaces.
     ///
     /// # Panics
-    /// Panics when the space is not square (use the lower/upper-bound
-    /// variants there).
+    /// Panics when the space is not square.
     pub fn distance_to_unit(&self, d: f64) -> f64 {
         assert!(self.is_square(), "exact distance scaling requires a square space");
         d / self.extent.width()
@@ -83,42 +82,11 @@ impl NormalizedSpace {
         )
     }
 
-    /// Maps a unit-square point back to world coordinates.
-    pub fn to_world(&self, p: &Point) -> Point {
-        Point::new(
-            self.extent.min_x + p.x * self.extent.width(),
-            self.extent.min_y + p.y * self.extent.height(),
-        )
-    }
-
     /// Maps a world MBR into unit space (clamped).
     pub fn mbr_to_unit(&self, mbr: &Mbr) -> Mbr {
         let ll = self.to_unit(&mbr.lower_left());
         let ur = self.to_unit(&mbr.upper_right());
         Mbr::from_corners(ll, ur)
-    }
-
-    /// Maps a unit-space MBR back to world coordinates.
-    pub fn mbr_to_world(&self, mbr: &Mbr) -> Mbr {
-        let ll = self.to_world(&mbr.lower_left());
-        let ur = self.to_world(&mbr.upper_right());
-        Mbr::from_corners(ll, ur)
-    }
-
-    /// Converts a world-space distance into unit-space, conservatively.
-    ///
-    /// For anisotropic extents (width ≠ height) a single world distance maps
-    /// to different unit distances per axis; pruning must *underestimate*
-    /// unit distance to stay sound, so we divide by the larger side.
-    pub fn distance_to_unit_lower_bound(&self, d: f64) -> f64 {
-        d / self.extent.width().max(self.extent.height())
-    }
-
-    /// Converts a world-space distance into unit-space, for *expansion*
-    /// purposes (e.g. `Ext(MBR, ε)`), conservatively overestimating by
-    /// dividing by the smaller side.
-    pub fn distance_to_unit_upper_bound(&self, d: f64) -> f64 {
-        d / self.extent.width().min(self.extent.height())
     }
 }
 
@@ -127,13 +95,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn world_roundtrip() {
-        let p = Point::new(116.4, 39.9); // Beijing
-        let u = WORLD.to_unit(&p);
-        assert!(u.x > 0.0 && u.x < 1.0 && u.y > 0.0 && u.y < 1.0);
-        let back = WORLD.to_world(&u);
-        assert!((back.x - p.x).abs() < 1e-9);
-        assert!((back.y - p.y).abs() < 1e-9);
+    fn world_maps_into_the_unit_square() {
+        let u = WORLD.to_unit(&Point::new(116.4, 39.9)); // Beijing
+        assert!((u.x - 296.4 / 360.0).abs() < 1e-12 && (u.y - 129.9 / 180.0).abs() < 1e-12);
     }
 
     #[test]
@@ -145,23 +109,6 @@ mod tests {
     #[test]
     fn out_of_extent_clamps() {
         assert_eq!(WORLD.to_unit(&Point::new(-200.0, 100.0)), Point::new(0.0, 1.0));
-    }
-
-    #[test]
-    fn mbr_roundtrip() {
-        let m = Mbr::new(100.0, 30.0, 120.0, 45.0);
-        let u = WORLD.mbr_to_unit(&m);
-        let back = WORLD.mbr_to_world(&u);
-        assert!((back.min_x - m.min_x).abs() < 1e-9);
-        assert!((back.max_y - m.max_y).abs() < 1e-9);
-    }
-
-    #[test]
-    fn distance_bounds_bracket_truth_for_world() {
-        // WORLD is 360 × 180: lower bound uses 360, upper uses 180.
-        assert_eq!(WORLD.distance_to_unit_lower_bound(3.6), 0.01);
-        assert_eq!(WORLD.distance_to_unit_upper_bound(1.8), 0.01);
-        assert!(WORLD.distance_to_unit_lower_bound(1.0) <= WORLD.distance_to_unit_upper_bound(1.0));
     }
 
     #[test]
@@ -192,8 +139,6 @@ mod tests {
         let beijing = Point::new(116.4, 39.9);
         let u = WORLD_SQUARE.to_unit(&beijing);
         assert!(u.x > 0.0 && u.x < 1.0 && u.y > 0.0 && u.y < 0.5);
-        let back = WORLD_SQUARE.to_world(&u);
-        assert!((back.x - beijing.x).abs() < 1e-9 && (back.y - beijing.y).abs() < 1e-9);
     }
 
     #[test]

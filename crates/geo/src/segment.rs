@@ -24,12 +24,6 @@ impl Segment {
         self.a.distance(&self.b)
     }
 
-    /// Returns `true` when both endpoints coincide (within exact equality).
-    #[inline]
-    pub fn is_degenerate(&self) -> bool {
-        self.a == self.b
-    }
-
     /// The closest point on this segment to `p`.
     pub fn closest_point(&self, p: &Point) -> Point {
         let d = self.b - self.a;
@@ -100,12 +94,6 @@ impl Segment {
             .min(other.distance_to_point(&self.a))
             .min(other.distance_to_point(&self.b))
     }
-
-    /// Midpoint of the segment.
-    #[inline]
-    pub fn midpoint(&self) -> Point {
-        self.a.lerp(&self.b, 0.5)
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +121,6 @@ mod tests {
     #[test]
     fn degenerate_segment_behaves_like_point() {
         let s = seg(2.0, 2.0, 2.0, 2.0);
-        assert!(s.is_degenerate());
         assert_eq!(s.distance_to_point(&Point::new(2.0, 5.0)), 3.0);
         assert_eq!(s.line_distance_to_point(&Point::new(2.0, 5.0)), 3.0);
     }
@@ -192,9 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_and_length() {
-        let s = seg(0.0, 0.0, 4.0, 3.0);
-        assert_eq!(s.length(), 5.0);
-        assert_eq!(s.midpoint(), Point::new(2.0, 1.5));
+    fn length_is_euclidean() {
+        assert_eq!(seg(0.0, 0.0, 4.0, 3.0).length(), 5.0);
     }
 }

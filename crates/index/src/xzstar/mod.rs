@@ -8,13 +8,13 @@
 //! preserving depth-first order, so spatially close index spaces get close
 //! integers and queries become few contiguous rowkey scans.
 
+mod frontier;
 mod position_code;
 mod pruning;
-mod topk;
 
+pub use frontier::{BestFirst, EveryValue, Occupancy, SpaceCandidate, LEAF_ROWS};
 pub use position_code::{io_reduction, surviving_codes, PositionCode, QuadSet, CODE_SETS};
 pub use pruning::{GlobalPruning, PruneStats, PruningConfig, QueryContext};
-pub use topk::{BestFirst, Occupancy, SpaceCandidate};
 
 use crate::quad::{Cell, MAX_RESOLUTION};
 use crate::ranges::ValueRange;

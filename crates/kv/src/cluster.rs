@@ -163,7 +163,7 @@ impl Cluster {
         filter: &(dyn ScanFilter + '_),
         parent: &TraceSpan,
     ) -> Result<Vec<Entry>> {
-        let (per_shard, _) = self.route(ranges);
+        let per_shard = self.route(ranges);
 
         let involved: Vec<usize> =
             (0..self.regions.len()).filter(|&i| !per_shard[i].is_empty()).collect();
@@ -204,16 +204,13 @@ impl Cluster {
         Ok(out)
     }
 
-    /// Groups `ranges` by owning shard; the second vector gives, parallel
-    /// to the first, each routed range's position in `ranges`. Ranges
-    /// produced by the rowkey schema start and end under one shard byte
-    /// and are routed by it; only a range that crosses shards
-    /// (administrative scans such as `KeyRange::all()`) is clipped against
-    /// every shard's prefix.
-    fn route(&self, ranges: &[KeyRange]) -> (Vec<Vec<KeyRange>>, Vec<Vec<usize>>) {
+    /// Groups `ranges` by owning shard. Ranges produced by the rowkey schema
+    /// start and end under one shard byte and are routed by it; only a
+    /// range that crosses shards (administrative scans such as
+    /// `KeyRange::all()`) is clipped against every shard's prefix.
+    fn route(&self, ranges: &[KeyRange]) -> Vec<Vec<KeyRange>> {
         let mut per_shard: Vec<Vec<KeyRange>> = vec![Vec::new(); self.regions.len()];
-        let mut origins: Vec<Vec<usize>> = vec![Vec::new(); self.regions.len()];
-        for (i, range) in ranges.iter().enumerate() {
+        for range in ranges {
             if range.is_empty() {
                 continue;
             }
@@ -222,7 +219,6 @@ impl Cluster {
                 Some(shard) if Some(shard) == end_shard => {
                     if let Some(bucket) = per_shard.get_mut(usize::from(*shard)) {
                         bucket.push(range.clone());
-                        origins[usize::from(*shard)].push(i);
                     }
                 }
                 _ => {
@@ -230,40 +226,19 @@ impl Cluster {
                         let clipped = range.intersect(&KeyRange::prefix(vec![shard as u8]));
                         if !clipped.is_empty() {
                             bucket.push(clipped);
-                            origins[shard].push(i);
                         }
                     }
                 }
             }
         }
-        (per_shard, origins)
+        per_shard
     }
 
-    /// An upper bound on the live rows of each of `ranges`
-    /// ([`LsmStore::rows_upper_bound`], summed over the shards a range
-    /// crosses): memory only, one lock acquisition per involved region.
-    pub fn rows_upper_bound(&self, ranges: &[KeyRange]) -> Vec<u64> {
-        let (per_shard, origins) = self.route(ranges);
-        let mut rows = vec![0u64; ranges.len()];
-        for ((region, routed), origin) in self.regions.iter().zip(&per_shard).zip(&origins) {
-            if routed.is_empty() {
-                continue;
-            }
-            for (&i, n) in origin.iter().zip(region.rows_upper_bound(routed)) {
-                rows[i] += n;
-            }
-        }
-        rows
-    }
-
-    /// [`LsmStore::visit_resident_keys`] for each of `ranges`, in every
-    /// region it touches.
-    pub fn visit_resident_keys(&self, ranges: &[KeyRange], visit: &mut dyn FnMut(&[u8])) {
-        let (per_shard, _) = self.route(ranges);
-        for (region, routed) in self.regions.iter().zip(&per_shard) {
-            for range in routed {
-                region.visit_resident_keys(range, visit);
-            }
+    /// [`LsmStore::visit_resident_keys`] over every region's whole key
+    /// space: memory only, the listing a store rebuilds its occupancy from.
+    pub fn visit_resident_keys(&self, visit: &mut dyn FnMut(&[u8])) {
+        for region in &self.regions {
+            region.visit_resident_keys(&KeyRange::all(), visit);
         }
     }
 
@@ -440,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_probe_routes_by_shard_and_sums_crossing_ranges() {
+    fn resident_key_listing_covers_every_region_and_source() {
         let c = cluster(3);
         for (shard, n) in [(0u8, 4), (2, 7)] {
             for i in 0..n {
@@ -449,17 +424,14 @@ mod tests {
         }
         c.flush().unwrap();
         c.put(key(2, "k100"), "unflushed").unwrap();
-        let ranges = [
-            KeyRange::new(key(2, "k005"), key(2, "k999")),
-            KeyRange::new(key(1, "k000"), key(1, "k999")),
-            KeyRange::all(),
-            KeyRange::new(key(0, "k001"), key(0, "k003")),
-        ];
-        assert_eq!(c.rows_upper_bound(&ranges), [3, 0, 12, 2]);
+        c.delete(key(0, "k000")).unwrap();
         let mut listed = Vec::new();
-        c.visit_resident_keys(&ranges[..2], &mut |k| listed.push(k.to_vec()));
+        c.visit_resident_keys(&mut |k| listed.push(k.to_vec()));
         listed.sort();
-        assert_eq!(listed, [key(2, "k005"), key(2, "k006"), key(2, "k100")]);
+        // The tombstone is listed beside the flushed key it shadows.
+        assert_eq!(listed.len(), 13);
+        assert_eq!(listed[..2], [key(0, "k000"), key(0, "k000")]);
+        assert!(listed.contains(&key(2, "k100")));
     }
 
     #[test]

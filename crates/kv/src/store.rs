@@ -308,24 +308,12 @@ impl LsmStore {
         Ok(out)
     }
 
-    /// An upper bound on the live rows of each of `ranges`: the entries
-    /// the memtable and every table's resident key directory hold there,
-    /// tombstones and shadowed versions included. Memory only — no block
-    /// read, no cache look-up — under one acquisition of the store lock;
-    /// 0 means a scan of that range returns nothing.
-    pub fn rows_upper_bound(&self, ranges: &[KeyRange]) -> Vec<u64> {
-        let inner = self.inner.read();
-        let rows = |range: &KeyRange| {
-            let tabled: usize = inner.tables.iter().map(|t| t.keys_in(range).len()).sum();
-            (inner.memtable.range(range).count() + tabled) as u64
-        };
-        ranges.iter().map(|r| if r.is_empty() { 0 } else { rows(r) }).collect()
-    }
-
-    /// Calls `visit` with every key [`LsmStore::rows_upper_bound`] counts
-    /// in `range`, a key once per source holding it and in no order across
-    /// sources. `visit` runs under the store lock, as a scan's filter
-    /// does: it must not call back into the store.
+    /// Calls `visit` with every key the memtable and every table's resident
+    /// key directory hold in `range`, tombstones and shadowed versions
+    /// included: a key once per source holding it, in no order across
+    /// sources, so every live key is among them. Memory only — no block
+    /// read, no cache look-up. `visit` runs under the store lock, as a
+    /// scan's filter does: it must not call back into the store.
     pub fn visit_resident_keys(&self, range: &KeyRange, visit: &mut dyn FnMut(&[u8])) {
         if range.is_empty() {
             return;
@@ -743,10 +731,8 @@ mod tests {
         let io = s.metrics().snapshot().since(&before);
         assert_eq!(io.cache_hits + io.cache_misses, 5, "one look-up per distinct block");
 
-        // The occupancy probe answers from the directory and the memtable.
+        // The key listing answers from the directory and the memtable.
         let before = s.metrics().snapshot();
-        let probes = [range(8, 13), range(500, 600), range(399, 402)];
-        assert_eq!(s.rows_upper_bound(&probes), [5, 0, 2]);
         let mut listed = Vec::new();
         s.visit_resident_keys(&range(399, 402), &mut |key| listed.push(key.to_vec()));
         assert_eq!(listed, [b"key-000401".to_vec(), b"key-000399".to_vec()]);

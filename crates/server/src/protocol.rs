@@ -609,9 +609,10 @@ fn decode_request_body(
             let query = read_query_ref(r)?;
             let eps = r.f64("threshold.eps")?;
             let measure = measure_from_code(r.u8("threshold.measure")?)?;
-            if !eps.is_finite() || eps < 0.0 {
+            // +∞ is a threshold like any other: every row qualifies.
+            if eps.is_nan() || eps < 0.0 {
                 return Err(ProtocolError::bad_request(format!(
-                    "threshold eps must be finite and non-negative, got {eps}"
+                    "threshold eps must be non-negative, got {eps}"
                 )));
             }
             Ok(Request::Threshold { query, eps, measure })

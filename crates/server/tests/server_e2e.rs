@@ -150,6 +150,23 @@ fn ingest_on_the_east_edge_of_the_space_is_answered() {
 }
 
 #[test]
+fn infinite_threshold_over_the_wire_returns_every_row() {
+    let store = build_store(60);
+    let server = start(&store);
+    let mut client = TrassClient::connect(server.local_addr()).expect("connect");
+    let q = &queries(1)[0];
+    let wire = client
+        .threshold(QueryRef::Inline(q.clone()), f64::INFINITY, Measure::Frechet)
+        .expect("wire threshold at eps = +inf");
+    let tids: Vec<u64> = wire.iter().map(|&(tid, _)| tid).collect();
+    let mut all: Vec<u64> = generator::tdrive_like(SEED, 60).iter().map(|t| t.id).collect();
+    all.sort_unstable();
+    assert_eq!(tids, all);
+    let embedded = query::threshold_search(&store, q, f64::INFINITY, Measure::Frechet);
+    assert_bit_identical(&wire, &embedded.expect("embedded").results, "threshold at +inf");
+}
+
+#[test]
 fn eight_concurrent_clients_all_see_identical_results() {
     let store = build_store(200);
     let server = start(&store);
