@@ -151,62 +151,6 @@ fn route_trajectory(
     Trajectory::new(id, points)
 }
 
-/// Configuration of a Gaussian-clustered workload.
-#[derive(Debug, Clone)]
-pub struct GaussianConfig {
-    /// Spatial extent (origins are clamped into it).
-    pub extent: Mbr,
-    /// Standard deviation of the origin cluster as a fraction of the
-    /// extent's smaller side.
-    pub sigma_fraction: f64,
-    /// Log-normal parameters (mu, sigma) of the trip extent in degrees.
-    pub span_lognormal: (f64, f64),
-    /// Minimum and maximum points per trajectory.
-    pub points_range: (usize, usize),
-}
-
-impl Default for GaussianConfig {
-    fn default() -> Self {
-        GaussianConfig {
-            extent: BEIJING,
-            sigma_fraction: 0.12,
-            span_lognormal: (-3.9, 0.9),
-            points_range: (20, 200),
-        }
-    }
-}
-
-/// Generates `n` trajectories whose origins cluster under a 2-D Gaussian
-/// centred on the extent — the skewed "hotspot" workload observability
-/// demos and load tests use. Dense centre, sparse fringe: per-shard and
-/// per-stage metrics show real variance instead of the uniform generators'
-/// flat profile.
-pub fn gaussian_like(seed: u64, n: usize) -> Vec<Trajectory> {
-    gaussian_dataset(seed, n, &GaussianConfig::default())
-}
-
-/// Generates `n` Gaussian-clustered trajectories under an explicit
-/// configuration.
-pub fn gaussian_dataset(seed: u64, n: usize, cfg: &GaussianConfig) -> Vec<Trajectory> {
-    let mut rng = Rng::new(seed);
-    let (span_mu, span_sigma) = cfg.span_lognormal;
-    let cx = (cfg.extent.min_x + cfg.extent.max_x) * 0.5;
-    let cy = (cfg.extent.min_y + cfg.extent.max_y) * 0.5;
-    let sigma = cfg.extent.width().min(cfg.extent.height()) * cfg.sigma_fraction;
-    let max_span = (cfg.extent.width().min(cfg.extent.height())) * 0.9;
-    (0..n as u64)
-        .map(|id| {
-            let origin = clamp_to(
-                Point::new(cx + rng.normal(0.0, sigma), cy + rng.normal(0.0, sigma)),
-                &cfg.extent,
-            );
-            let span = rng.lognormal(span_mu, span_sigma).clamp(0.002, max_span);
-            let len = rng.usize_in(cfg.points_range.0, cfg.points_range.1);
-            random_walk(&mut rng, id, origin, span, len, &cfg.extent)
-        })
-        .collect()
-}
-
 /// Replicates a dataset `t` times with spatial jitter and fresh ids — the
 /// paper's synthetic scalability datasets ("copying t times of the Lorry
 /// dataset").
@@ -299,7 +243,6 @@ mod tests {
     fn dataset_streams_are_pinned() {
         assert_eq!(dataset_hash(&tdrive_like(42, 64)), 0x6AEC5FF7795ADC52, "tdrive_like");
         assert_eq!(dataset_hash(&lorry_like(42, 64)), 0xC29B008381358046, "lorry_like");
-        assert_eq!(dataset_hash(&gaussian_like(42, 64)), 0x8001FAAD8A005A8C, "gaussian_like");
         let scaled = scale_dataset(&lorry_like(42, 8), 3, 42, &CHINA);
         assert_eq!(dataset_hash(&scaled), 0xDED230D2945144ED, "scale_dataset");
         assert_eq!(
@@ -343,29 +286,6 @@ mod tests {
         let avg_span: f64 = data.iter().map(|t| t.mbr().width().max(t.mbr().height())).sum::<f64>()
             / data.len() as f64;
         assert!(avg_span > 3.0, "avg span {avg_span} too small for lorries");
-    }
-
-    #[test]
-    fn gaussian_like_clusters_around_the_centre() {
-        let data = gaussian_like(42, 400);
-        assert_eq!(data, gaussian_like(42, 400), "not deterministic");
-        let cx = (BEIJING.min_x + BEIJING.max_x) * 0.5;
-        let cy = (BEIJING.min_y + BEIJING.max_y) * 0.5;
-        let half_w = BEIJING.width() * 0.25;
-        let half_h = BEIJING.height() * 0.25;
-        let central = data
-            .iter()
-            .filter(|t| {
-                let p = t.points()[0];
-                (p.x - cx).abs() < half_w && (p.y - cy).abs() < half_h
-            })
-            .count();
-        // A uniform workload would put ~25% of origins in the central
-        // quarter-area window; the Gaussian concentrates well over half.
-        assert!(central > 200, "only {central}/400 origins are central");
-        for t in &data {
-            assert!(BEIJING.contains(&t.mbr()), "trajectory {} escaped", t.id);
-        }
     }
 
     #[test]
