@@ -147,9 +147,11 @@ impl<'a> StagedQuery<'a> {
     /// `attribute` fills that span's fields from the filter and the kept
     /// rows and returns the candidate count. `retrieved` is the rows this
     /// scan's filter saw; `io` is the cluster-wide delta over the scan.
+    /// The key ranges are freed inside the stage: thousands of them cost a
+    /// share of a top-k batch that would otherwise fall outside every stage.
     pub(crate) fn scan<F: ScanFilter>(
         &mut self,
-        key_ranges: &[KeyRange],
+        key_ranges: Vec<KeyRange>,
         build: impl FnOnce() -> F,
         attribute: impl FnOnce(&F, &[Entry], &mut TraceSpan) -> u64,
     ) -> Result<Vec<Entry>, KvError> {
@@ -158,7 +160,8 @@ impl<'a> StagedQuery<'a> {
             let io_before = cluster.metrics_snapshot();
             let filter = build();
             let timed = TimedFilter::new(&filter);
-            let rows = cluster.scan_ranges_traced(key_ranges, &timed, span);
+            let rows = cluster.scan_ranges_traced(&key_ranges, &timed, span);
+            drop(key_ranges);
             let (filter_time, retrieved) = (timed.elapsed(), timed.rows());
             if let Ok(rows) = &rows {
                 span.set_field("rows_returned", rows.len());

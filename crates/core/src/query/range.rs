@@ -50,7 +50,7 @@ pub(crate) fn range_search_traced(
 
         let window = *window;
         let rows = pass.scan(
-            &key_ranges,
+            key_ranges,
             || {
                 move |_key: &[u8], value: &[u8]| match RowValue::decode(value) {
                     Ok(row) if row.points.iter().any(|p| window.contains_point(p)) => {

@@ -116,7 +116,7 @@ pub(crate) fn similarity_pass(
     let key_ranges = pass.prune(plan);
 
     let rows = pass.scan(
-        &key_ranges,
+        key_ranges,
         || {
             // Ablation: an infinite threshold disables every local-filter
             // lemma while keeping the scan path identical.

@@ -4,6 +4,9 @@
 //! optimal warping path, so a threshold ε for DTW is a budget over the whole
 //! alignment. Lemma 5 still holds (`D_D(Q,T) ≥ d(q, T)` for every q ∈ Q,
 //! §VII-B), which is why TraSS reuses the same pruning machinery.
+//!
+//! The kernel is the measures' shared banded DP (`coupling_dp`) with the
+//! Euclidean point distance as the local cost and `+` as the combine step.
 
 use trass_geo::Point;
 
@@ -14,15 +17,15 @@ use trass_geo::Point;
 /// Panics if either sequence is empty.
 pub fn distance(a: &[Point], b: &[Point]) -> f64 {
     assert!(!a.is_empty() && !b.is_empty(), "DTW distance of empty sequence");
-    dtw_impl(a, b, f64::INFINITY)
+    dtw(a, b, f64::INFINITY)
 }
 
 /// Single-pass exact-or-abandon kernel: `Some(distance(a, b))` —
 /// bit-identical to [`distance`] — when the DTW cost is at most `eps`,
-/// `None` once every partial path is over budget. Partial-path costs only
-/// grow (local costs are non-negative), so the row-minimum abandon can
-/// never fire on a true hit, and a completed run's value involved no
-/// cutoff arithmetic.
+/// `None` otherwise. Partial-path costs only grow (local costs are
+/// non-negative), so every partial cost ≤ `eps` keeps its exact value when
+/// the over-budget cells are skipped, and a row with no partial cost
+/// ≤ `eps` proves the total exceeds it.
 ///
 /// # Panics
 /// Panics if either sequence is empty.
@@ -31,36 +34,13 @@ pub fn distance_within(a: &[Point], b: &[Point], eps: f64) -> Option<f64> {
     if eps < 0.0 {
         return None;
     }
-    let d = dtw_impl(a, b, eps);
+    let d = dtw(a, b, eps);
     (d <= eps).then_some(d)
 }
 
-/// Shared kernel: computes DTW, returning `f64::INFINITY` early when every
-/// partial path already exceeds `cutoff`.
-#[allow(clippy::needless_range_loop)] // symmetric a[i]/b[j] DP recurrence
-fn dtw_impl(a: &[Point], b: &[Point], cutoff: f64) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    let mut prev = vec![f64::INFINITY; m];
-    let mut curr = vec![f64::INFINITY; m];
-
-    prev[0] = a[0].distance(&b[0]);
-    for j in 1..m {
-        prev[j] = prev[j - 1] + a[0].distance(&b[j]);
-    }
-    for i in 1..n {
-        curr[0] = prev[0] + a[i].distance(&b[0]);
-        let mut row_min = curr[0];
-        for j in 1..m {
-            let best = prev[j].min(curr[j - 1]).min(prev[j - 1]);
-            curr[j] = best + a[i].distance(&b[j]);
-            row_min = row_min.min(curr[j]);
-        }
-        if row_min > cutoff {
-            return f64::INFINITY;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m - 1]
+/// The DTW cost, or `+∞` once it is proven to exceed `cutoff`.
+fn dtw(a: &[Point], b: &[Point], cutoff: f64) -> f64 {
+    super::coupling_dp(a, b, cutoff, Point::distance, |cost, best| cost + best)
 }
 
 #[cfg(test)]
@@ -143,5 +123,70 @@ mod tests {
         // DTW compares the sum directly — exact boundary equivalence.
         assert_eq!(distance_within(&a, &b, d), Some(d));
         assert_eq!(distance_within(&a, &b, d - 1e-9), None);
+    }
+
+    /// `Some(d)` exactly at and above `d > 0`, `None` one ulp below it.
+    fn assert_boundary(a: &[Point], b: &[Point], d: f64) {
+        let (up, down) = (f64::from_bits(d.to_bits() + 1), f64::from_bits(d.to_bits() - 1));
+        assert_eq!(distance(a, b).to_bits(), d.to_bits());
+        for eps in [d, up, 2.0 * d] {
+            assert_eq!(
+                distance_within(a, b, eps).map(f64::to_bits),
+                Some(d.to_bits()),
+                "eps {eps}"
+            );
+        }
+        assert_eq!(distance_within(a, b, down), None);
+    }
+
+    #[test]
+    fn band_single_row_and_single_column() {
+        let one = pts(&[(0.0, 0.0)]);
+        assert_boundary(&one, &pts(&[(3.0, 4.0)]), 5.0);
+        let row = pts(&[(1.0, 0.0), (2.0, 0.0), (5.0, 0.0)]);
+        assert_boundary(&one, &row, 8.0);
+        assert_boundary(&row, &one, 8.0);
+    }
+
+    #[test]
+    fn band_one_column_wide_the_whole_way() {
+        // Every off-diagonal cell costs ≥ 1, more than the whole budget.
+        let a: Vec<Point> = (0..400).map(|k| Point::new(f64::from(k), 0.0)).collect();
+        let b: Vec<Point> = a.iter().map(|p| Point::new(p.x, 0.001)).collect();
+        let d = distance(&a, &b);
+        assert!((d - 0.4).abs() < 1e-9, "d = {d}");
+        assert_boundary(&a, &b, d);
+    }
+
+    #[test]
+    fn band_keeps_a_cell_equal_to_eps() {
+        // Cells (0,0), (1,1), (2,2) and (3,3) all hold exactly ε = 1.
+        let a = pts(&[(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)]);
+        let b = pts(&[(0.0, 1.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)]);
+        assert_boundary(&a, &b, 1.0);
+    }
+
+    #[test]
+    fn band_that_empties_mid_way_abandons() {
+        // b detours through (5, 10): column 5 is never live, and from row 6
+        // on the columns left of it cost more than ε = 1.
+        let a: Vec<Point> = (0..10).map(|k| Point::new(f64::from(k), 0.0)).collect();
+        let mut b = a.clone();
+        b[5] = Point::new(5.0, 10.0);
+        assert_eq!(distance(&a, &b), 10.0);
+        assert_eq!(distance_within(&a, &b, 1.0), None);
+    }
+
+    #[test]
+    fn band_that_never_reaches_the_last_column_is_none() {
+        // Column 1 is never live, so rows 1.. never reach column 2.
+        let (o, f) = ((0.0, 0.0), (5.0, 0.0));
+        assert_eq!(distance_within(&pts(&[o, o, o, o]), &pts(&[o, f, o]), 1.0), None);
+        // Row 2 leaves a live 3 in column 3 of its row buffer; row 4 reuses
+        // that buffer, but its band stops at column 2 (every path to (4, 3)
+        // costs 9): the stale 3 must not be returned.
+        let (a, b) = (pts(&[o, (3.0, 0.0), o, o, o]), pts(&[o, o, (3.0, 0.0), (3.0, 0.0)]));
+        assert_eq!(distance(&a, &b), 9.0);
+        assert_eq!(distance_within(&a, &b, 4.0), None);
     }
 }

@@ -1,9 +1,11 @@
 //! Discrete Fréchet distance (§II, Definition 2).
 //!
-//! The classic "man walks dog" coupling distance over point sequences,
-//! computed by one O(n·m) dynamic program with a rolling row
-//! (`frechet_impl`). `distance` runs it to the end; `distance_within` runs
-//! it with a cutoff and abandons as soon as an entire row exceeds it.
+//! The classic "man walks dog" coupling distance over point sequences: the
+//! measures' shared banded DP (`coupling_dp`) in squared space, with the
+//! squared point distance as the local cost and `max` as the combine step.
+//! `distance` runs it with no cutoff; `distance_within` runs it with cutoff
+//! ε², computing only the live band of each row and abandoning when a row
+//! has none.
 
 use trass_geo::Point;
 
@@ -13,18 +15,17 @@ use trass_geo::Point;
 /// Panics if either sequence is empty.
 pub fn distance(a: &[Point], b: &[Point]) -> f64 {
     assert!(!a.is_empty() && !b.is_empty(), "Fréchet distance of empty sequence");
-    frechet_impl(a, b, f64::INFINITY).sqrt()
+    frechet_sq(a, b, f64::INFINITY).sqrt()
 }
 
 /// Single-pass exact-or-abandon kernel: `Some(distance(a, b))` —
-/// bit-identical to [`distance`] — when the Fréchet distance is at most
-/// `eps`, `None` as soon as the DP proves it exceeds `eps`.
+/// bit-identical to [`distance`] — when the squared Fréchet distance is at
+/// most `eps²`, `None` otherwise.
 ///
 /// DP values along any coupling are non-decreasing (each cell is a `max`
-/// over its path prefix) and every coupling crosses every row, so a row
-/// whose minimum exceeds `eps²` proves the final value does too — the
-/// abandon can never fire on a true hit, and a completed run used no
-/// cutoff arithmetic, so its value matches the unbounded kernel exactly.
+/// over its path prefix), so every cell ≤ `eps²` keeps its exact value
+/// when the cells above `eps²` are skipped, and a row with no such cell
+/// proves the final value exceeds `eps²`.
 ///
 /// # Panics
 /// Panics if either sequence is empty.
@@ -38,40 +39,13 @@ pub fn distance_within(a: &[Point], b: &[Point], eps: f64) -> Option<f64> {
     if a[0].distance_sq(&b[0]) > eps_sq || a[a.len() - 1].distance_sq(&b[b.len() - 1]) > eps_sq {
         return None;
     }
-    let d_sq = frechet_impl(a, b, eps_sq);
+    let d_sq = frechet_sq(a, b, eps_sq);
     (d_sq <= eps_sq).then(|| d_sq.sqrt())
 }
 
-/// The shared value DP in squared space: returns the squared Fréchet
-/// distance, or `f64::INFINITY` early once every cell of a row exceeds
-/// `cutoff_sq`. `cutoff_sq = +∞` never abandons and reproduces the exact
-/// kernel bit-for-bit (the cutoff is only ever compared, never mixed into
-/// the arithmetic).
-#[allow(clippy::needless_range_loop)] // symmetric a[i]/b[j] DP recurrence
-fn frechet_impl(a: &[Point], b: &[Point], cutoff_sq: f64) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    // Work in squared distances; the caller takes one sqrt at the end.
-    let mut prev = vec![0.0f64; m];
-    let mut curr = vec![0.0f64; m];
-
-    prev[0] = a[0].distance_sq(&b[0]);
-    for j in 1..m {
-        prev[j] = prev[j - 1].max(a[0].distance_sq(&b[j]));
-    }
-    for i in 1..n {
-        curr[0] = prev[0].max(a[i].distance_sq(&b[0]));
-        let mut row_min = curr[0];
-        for j in 1..m {
-            let reach = prev[j].min(curr[j - 1]).min(prev[j - 1]);
-            curr[j] = reach.max(a[i].distance_sq(&b[j]));
-            row_min = row_min.min(curr[j]);
-        }
-        if row_min > cutoff_sq {
-            return f64::INFINITY;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m - 1]
+/// The squared Fréchet distance, or `+∞` once it is proven to exceed `cutoff_sq`.
+fn frechet_sq(a: &[Point], b: &[Point], cutoff_sq: f64) -> f64 {
+    super::coupling_dp(a, b, cutoff_sq, Point::distance_sq, super::max)
 }
 
 #[cfg(test)]
@@ -168,5 +142,65 @@ mod tests {
         let got = distance_within(&a, &b, d * 1.5).expect("within generous eps");
         assert_eq!(got.to_bits(), d.to_bits());
         assert_eq!(distance_within(&a, &b, d * 0.5), None);
+    }
+
+    /// `Some(d)` exactly at and above `d > 0`, `None` one ulp below it.
+    fn assert_boundary(a: &[Point], b: &[Point], d: f64) {
+        let (up, down) = (f64::from_bits(d.to_bits() + 1), f64::from_bits(d.to_bits() - 1));
+        assert_eq!(distance(a, b).to_bits(), d.to_bits());
+        for eps in [d, up, 2.0 * d] {
+            assert_eq!(
+                distance_within(a, b, eps).map(f64::to_bits),
+                Some(d.to_bits()),
+                "eps {eps}"
+            );
+        }
+        assert_eq!(distance_within(a, b, down), None);
+    }
+
+    #[test]
+    fn band_single_row_and_single_column() {
+        let one = pts(&[(0.0, 0.0)]);
+        assert_boundary(&one, &pts(&[(3.0, 4.0)]), 5.0);
+        let row = pts(&[(1.0, 0.0), (5.0, 0.0), (2.0, 0.0)]);
+        assert_boundary(&one, &row, 5.0);
+        assert_boundary(&row, &one, 5.0);
+    }
+
+    #[test]
+    fn band_one_column_wide_the_whole_way() {
+        // Diagonal cells cost 0.25 (squared), every other cell ≥ 1.25.
+        let a: Vec<Point> = (0..400).map(|k| Point::new(f64::from(k), 0.0)).collect();
+        let b: Vec<Point> = a.iter().map(|p| Point::new(p.x, 0.5)).collect();
+        assert_boundary(&a, &b, 0.5);
+    }
+
+    #[test]
+    fn band_keeps_a_cell_equal_to_eps() {
+        // The bottleneck is the interior cell (2, 2), exactly ε² = 4.
+        let a = pts(&[(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)]);
+        let b = pts(&[(0.0, 1.0), (10.0, 1.0), (20.0, 2.0), (30.0, 1.0)]);
+        assert_boundary(&a, &b, 2.0);
+    }
+
+    #[test]
+    fn band_that_empties_mid_way_abandons() {
+        // b detours through (5, 10): column 5 is never live, and from row 6
+        // on the columns left of it are farther than ε = 1.
+        let a: Vec<Point> = (0..10).map(|k| Point::new(f64::from(k), 0.0)).collect();
+        let mut b = a.clone();
+        b[5] = Point::new(5.0, 10.0);
+        assert_eq!(distance(&a, &b), 10.0);
+        assert_eq!(distance_within(&a, &b, 1.0), None);
+    }
+
+    #[test]
+    fn band_that_never_reaches_the_last_column_is_none() {
+        // Endpoints couple, but column 1 is never live, so no row reaches
+        // column 2.
+        let (o, f) = ((0.0, 0.0), (5.0, 0.0));
+        let (a, b) = (pts(&[o, o, o, o]), pts(&[o, f, o]));
+        assert_eq!(distance(&a, &b), 5.0);
+        assert_eq!(distance_within(&a, &b, 1.0), None);
     }
 }

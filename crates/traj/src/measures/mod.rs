@@ -2,8 +2,10 @@
 //!
 //! TraSS adopts classic measures rather than inventing one (§II): discrete
 //! Fréchet distance is the default, with Hausdorff and DTW supported through
-//! the §VII extension. Each measure has exactly one kernel (one dynamic
-//! program or scan) and two entry points into it:
+//! the §VII extension. Fréchet and DTW share one banded dynamic program
+//! over monotone couplings (`coupling_dp`), parameterized by the local cost
+//! and the combine step; Hausdorff is a scan. Each measure has two entry
+//! points into its kernel:
 //!
 //! * `distance`, the exact value, for oracles and callers that need the
 //!   measure itself, and
@@ -12,7 +14,10 @@
 //!   Refinement (threshold and top-k) runs this one.
 //!
 //! Kernels operate on point slices so they can run against borrowed
-//! storage without copying.
+//! storage without copying. Points must be finite: `Trajectory::try_new`,
+//! `io` and the wire's request decoder reject the rest, so the kernels
+//! take `min`/`max` as plain compare-selects with no NaN handling. A
+//! non-finite point gives an unspecified value, never a panic.
 
 pub mod dtw;
 pub mod frechet;
@@ -70,6 +75,87 @@ impl Measure {
     /// (`D ≥ d(q_1,t_1)` and `D ≥ d(q_n,t_m)`); Hausdorff does not (§VII-A).
     pub fn supports_endpoint_lemma(&self) -> bool {
         !matches!(self, Measure::Hausdorff)
+    }
+}
+
+/// `f64::min` as a compare-select: inputs are finite, so it picks the same value.
+#[inline]
+fn min(x: f64, y: f64) -> f64 {
+    if x < y {
+        x
+    } else {
+        y
+    }
+}
+
+/// `f64::max` as a compare-select: inputs are finite, so it picks the same value.
+#[inline]
+fn max(x: f64, y: f64) -> f64 {
+    if x > y {
+        x
+    } else {
+        y
+    }
+}
+
+/// The DP behind Fréchet and DTW: cell `(i, j)` holds
+/// `combine(cost(a[i], b[j]), min(up-left, up, left))`, and the value of the
+/// cell `(n-1, m-1)` is returned, or `+∞` once it is proven to exceed `cutoff`.
+///
+/// A cell is *live* when its value is ≤ `cutoff`. Values only grow along a
+/// coupling, so a live cell's cheapest predecessor is live too, and reading
+/// every non-live cell as +∞ leaves each live cell's value exact, bit for
+/// bit. Each row therefore computes only from the previous row's first
+/// live column to one past its last, plus the run to the right while the
+/// left neighbour stays live; it abandons when a row has no live cell.
+/// With `cutoff = +∞` every cell is live and the full matrix is computed.
+/// `min(up-left, up)` is taken before the left neighbour is read, so the
+/// loop-carried chain of a cell is one `min` and one `combine`.
+fn coupling_dp(
+    a: &[Point],
+    b: &[Point],
+    cutoff: f64,
+    cost: impl Fn(&Point, &Point) -> f64,
+    combine: impl Fn(f64, f64) -> f64,
+) -> f64 {
+    let m = b.len();
+    let (mut prev, mut curr) = (vec![f64::INFINITY; m], vec![f64::INFINITY; m]);
+    // The previous row's live band. Reads left of it count as +∞; the cell
+    // right of it was computed in that row, so it holds a value > cutoff.
+    let (mut lo, mut hi) = (0, 0);
+    // Row 0 is reached from a virtual 0 up-left of (0, 0): both combine
+    // steps leave a cost unchanged by it.
+    let mut corner = 0.0;
+    for p in a {
+        let end = (hi + 1).min(m - 1);
+        let (mut diag, mut left) = (std::mem::replace(&mut corner, f64::INFINITY), f64::INFINITY);
+        for ((q, &up), out) in b[lo..=end].iter().zip(&prev[lo..=end]).zip(&mut curr[lo..=end]) {
+            let reach = min(diag, up);
+            diag = up;
+            left = combine(cost(p, q), min(reach, left));
+            *out = left;
+        }
+        let mut stop = end + 1;
+        for (q, out) in b[stop..].iter().zip(&mut curr[stop..]) {
+            if left > cutoff {
+                break;
+            }
+            left = combine(cost(p, q), left);
+            *out = left;
+            stop += 1;
+        }
+        let row = &curr[lo..stop];
+        let Some(first) = row.iter().position(|&v| v <= cutoff) else {
+            return f64::INFINITY;
+        };
+        let last = row.iter().rposition(|&v| v <= cutoff).unwrap_or(first);
+        (lo, hi) = (lo + first, lo + last);
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    if hi + 1 == m {
+        prev[hi]
+    } else {
+        f64::INFINITY
     }
 }
 

@@ -137,6 +137,129 @@ fn distance_within_is_the_distance_up_to_eps() {
     });
 }
 
+/// The full-matrix Fréchet recurrence in squared space: `f64::min`/`max`
+/// over every cell, no cutoff and no band — an independent reference for
+/// the banded kernel.
+#[allow(clippy::needless_range_loop)] // symmetric a[i]/b[j] DP recurrence
+fn reference_frechet_sq(a: &[Point], b: &[Point]) -> f64 {
+    let (n, m) = (a.len(), b.len());
+    let mut d = vec![vec![0.0f64; m]; n];
+    for i in 0..n {
+        for j in 0..m {
+            let c = a[i].distance_sq(&b[j]);
+            d[i][j] = match (i, j) {
+                (0, 0) => c,
+                (0, _) => d[0][j - 1].max(c),
+                (_, 0) => d[i - 1][0].max(c),
+                _ => d[i - 1][j].min(d[i][j - 1]).min(d[i - 1][j - 1]).max(c),
+            };
+        }
+    }
+    d[n - 1][m - 1]
+}
+
+/// The full-matrix DTW recurrence: `f64::min` over every cell, no cutoff
+/// and no band.
+#[allow(clippy::needless_range_loop)] // symmetric a[i]/b[j] DP recurrence
+fn reference_dtw(a: &[Point], b: &[Point]) -> f64 {
+    let (n, m) = (a.len(), b.len());
+    let mut d = vec![vec![0.0f64; m]; n];
+    for i in 0..n {
+        for j in 0..m {
+            let c = a[i].distance(&b[j]);
+            d[i][j] = match (i, j) {
+                (0, 0) => c,
+                (0, _) => d[0][j - 1] + c,
+                (_, 0) => d[i - 1][0] + c,
+                _ => d[i - 1][j].min(d[i][j - 1]).min(d[i - 1][j - 1]) + c,
+            };
+        }
+    }
+    d[n - 1][m - 1]
+}
+
+/// A random walk of `n` unit-bounded steps from `p`.
+fn walk(rng: &mut Rng, mut p: Point, n: usize) -> Vec<Point> {
+    (0..n)
+        .map(|_| {
+            p = Point::new(p.x + rng.f64_in(-1.0, 1.0), p.y + rng.f64_in(-1.0, 1.0));
+            p
+        })
+        .collect()
+}
+
+/// A walk of `lo..=hi` points and a partner: a jittered copy with points
+/// dropped and repeated (so the coupling leaves the diagonal), another walk
+/// from the same start, or an unrelated walk.
+fn walk_pair(rng: &mut Rng, lo: usize, hi: usize) -> (Vec<Point>, Vec<Point>) {
+    let mut start = || Point::new(rng.f64_in(-10.0, 10.0), rng.f64_in(-10.0, 10.0));
+    let (s, t) = (start(), start());
+    let n = rng.len(lo, hi);
+    let a = walk(rng, s, n);
+    let n = rng.len(lo, hi);
+    let b = match rng.usize_in(0, 2) {
+        0 => {
+            let noise = rng.f64_in(0.0, 0.5);
+            let mut b = Vec::new();
+            for p in &a {
+                for _ in 0..rng.usize_in(0, 2) {
+                    b.push(Point::new(
+                        p.x + rng.f64_in(-noise, noise),
+                        p.y + rng.f64_in(-noise, noise),
+                    ));
+                }
+            }
+            if b.is_empty() {
+                b.push(a[0]);
+            }
+            b
+        }
+        1 => walk(rng, s, n),
+        _ => walk(rng, t, n),
+    };
+    (a, b)
+}
+
+/// `distance` is the reference bit for bit, and `distance_within(ε)` is
+/// `Some(reference)` exactly when the reference's own-space value (squared
+/// for Fréchet, summed for DTW) is at most ε's.
+fn assert_kernels_match_reference(rng: &mut Rng, a: &[Point], b: &[Point]) {
+    let (f_sq, dtw) = (reference_frechet_sq(a, b), reference_dtw(a, b));
+    let cases = [(Measure::Frechet, f_sq.sqrt(), f_sq, true), (Measure::Dtw, dtw, dtw, false)];
+    for (m, d, own, squared) in cases {
+        let got = m.distance(a, b);
+        assert_eq!(
+            got.to_bits(),
+            d.to_bits(),
+            "{m} ({}×{}): {got} != reference {d}",
+            a.len(),
+            b.len()
+        );
+        let random = rng.f64_in(0.0, 2.0 * d + 1.0);
+        // One ulp below (0 stays 0) and above the non-negative `d`.
+        let (below, above) =
+            (f64::from_bits(d.to_bits().saturating_sub(1)), f64::from_bits(d.to_bits() + 1));
+        for eps in [0.0, d / 2.0, below, d, above, 2.0 * d, random] {
+            let eps_own = if squared { eps * eps } else { eps };
+            let want = (own <= eps_own).then_some(d.to_bits());
+            let got = m.distance_within(a, b, eps).map(f64::to_bits);
+            assert_eq!(got, want, "{m} ({}×{}) eps {eps}: reference {d}", a.len(), b.len());
+        }
+    }
+}
+
+#[test]
+fn banded_kernels_equal_the_full_matrix_reference() {
+    check(CASES, |rng| {
+        let (a, b) = walk_pair(rng, 1, 64);
+        assert_kernels_match_reference(rng, &a, &b);
+    });
+    check(4, |rng| {
+        let (a, b) = walk_pair(rng, 300, 400);
+        assert_kernels_match_reference(rng, &a, &b);
+    });
+}
+
 #[test]
 fn degenerate_trajectories_are_handled_everywhere() {
     let single = vec![Point::new(1.0, 2.0)];
