@@ -15,7 +15,8 @@ pub struct TrassConfig {
     /// World extent mapped onto the unit square. Must be square so
     /// distance-based pruning scales uniformly (see `trass_geo::normalize`).
     pub space: NormalizedSpace,
-    /// Gap tolerance when coalescing index values into scan ranges.
+    /// Gap tolerance when threshold search coalesces index values into scan
+    /// ranges. Top-k uses 0; range search bridges only gaps holding no row.
     pub range_gap: u64,
     /// Worker budget for intra-query parallelism (region-scan fan-out, the
     /// stand-in for the five-node cluster of the paper's evaluation, and

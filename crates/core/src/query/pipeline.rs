@@ -20,6 +20,7 @@ use crate::stats::{QueryStats, RefinePrune, SearchResult};
 use crate::store::TrajectoryStore;
 use std::time::{Duration, Instant};
 use trass_index::ranges::ValueRange;
+use trass_index::xzstar::PruneStats;
 use trass_kv::{Entry, KeyRange, KvError, ScanFilter};
 use trass_obs::TraceSpan;
 use trass_traj::{Measure, TrajectoryId};
@@ -207,4 +208,15 @@ impl<'a> StagedQuery<'a> {
         self.stats.total_time = self.started.elapsed();
         self.stats
     }
+}
+
+/// The pruning span's fields, one set for all three query kinds and every
+/// top-k batch: the traversal's counters.
+pub(crate) fn record_pruning(span: &mut TraceSpan, stats: &PruneStats) {
+    span.set_field("visited", stats.visited);
+    span.set_field("lemma8_pruned", stats.lemma8_pruned);
+    span.set_field("lemma9_pruned", stats.lemma9_pruned);
+    span.set_field("lemma10_codes_pruned", stats.lemma10_codes_pruned);
+    span.set_field("lemma11_codes_pruned", stats.lemma11_codes_pruned);
+    span.set_field("codes_emitted", stats.codes_emitted);
 }

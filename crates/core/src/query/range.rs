@@ -1,22 +1,22 @@
 //! Spatial range query over the XZ\* index.
 //!
 //! The paper's conclusion notes that "XZ\* index supports spatial range
-//! query". The mechanics mirror global pruning with the distance lemmas
-//! replaced by plain intersection: an index space can hold trajectories
-//! intersecting a window only if the union of its sub-quads intersects the
-//! window, and a trajectory qualifies only if one of its points falls
-//! inside.
+//! query". Global pruning is the traversal threshold and top-k search
+//! drain, with the similarity lemmas replaced by the window
+//! ([`trass_index::xzstar::SpaceTest`] for [`Mbr`]): an index space can
+//! hold a trajectory with a point in the window only if one of its code's
+//! quads meets the window, and only occupied spaces are visited. The kept
+//! values become scan ranges that bridge only gaps holding no row, so the
+//! plan reads exactly the rows under them; a trajectory qualifies only if
+//! one of its points falls inside.
 
-use crate::query::pipeline::{QueryKind, Refined, StagedQuery};
+use crate::query::pipeline::{record_pruning, QueryKind, Refined, StagedQuery};
 use crate::schema::{parse_rowkey, RowValue};
 use crate::stats::SearchResult;
 use crate::store::TrajectoryStore;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use trass_geo::Mbr;
-use trass_index::quad::Cell;
-use trass_index::ranges::{coalesce, merge_overlapping};
-use trass_index::xzstar::{IndexSpace, PositionCode, XzStar};
+use trass_index::xzstar::BestFirst;
 use trass_kv::{FilterDecision, KvError};
 use trass_obs::{QueryTrace, TraceCtx};
 
@@ -36,16 +36,15 @@ pub(crate) fn range_search_traced(
     ctx: TraceCtx,
 ) -> Result<(SearchResult, Option<Arc<QueryTrace>>), KvError> {
     store.run_query(QueryKind::Range, ctx, |root| {
-        let config = store.config();
         let mut pass = StagedQuery::begin(store, None, root);
 
-        let key_ranges = pass.prune(|_| {
-            let unit_window = config.space.mbr_to_unit(window);
-            let (values, mut value_ranges) = window_values(store.index(), &unit_window);
-            value_ranges.extend(coalesce(values, config.range_gap));
-            // Subtree ranges and coalesced singletons may overlap; no
-            // rowkey is scanned twice.
-            merge_overlapping(value_ranges, 0)
+        let key_ranges = pass.prune(|span| {
+            let unit = store.config().space.mbr_to_unit(window);
+            let mut frontier = BestFirst::with_test(store.index(), store.occupancy(), unit);
+            // Every bound is 0: any ε drains the whole window.
+            let values = std::iter::from_fn(|| frontier.next_space(0.0)).map(|c| c.value).collect();
+            record_pruning(span, &frontier.take_stats());
+            store.occupancy().bridge(values)
         });
 
         let window = *window;
@@ -87,89 +86,57 @@ pub(crate) fn range_search_traced(
     })
 }
 
-/// Index values (and whole-subtree ranges) whose space intersects the
-/// unit-space window. Subtrees fully inside the window collapse to one
-/// contiguous range — all their geometry lies inside the enlarged element,
-/// so every descendant space intersects the window. Without the collapse a
-/// window covering the space would enumerate all `4^r` elements.
-fn window_values(index: &XzStar, window: &Mbr) -> (Vec<u64>, Vec<trass_index::ranges::ValueRange>) {
-    // Planning budget: past it, boundary subtrees spill as whole ranges.
-    // Spilled ranges over-cover (sound — the point-in-window filter decides),
-    // trading a few extra scanned rows for bounded plan size; large windows
-    // would otherwise emit hundreds of thousands of boundary ranges.
-    let mut budget: u32 = 1 << 14;
-    let mut out = Vec::new();
-    let mut ranges = Vec::new();
-    let mut queue = VecDeque::new();
-    queue.push_back(Cell::ROOT);
-    while let Some(cell) = queue.pop_front() {
-        let ee = cell.enlarged();
-        if !ee.intersects(window) {
-            continue;
-        }
-        if budget == 0 {
-            let (start, end) = index.subtree_range(&cell);
-            ranges.push(trass_index::ranges::ValueRange { start, end });
-            continue;
-        }
-        budget -= 1;
-        // Collapse when the window covers the element's *effective* area
-        // (its enlarged region clamped to the unit square — stored
-        // trajectories never extend past it). Collapsing emits a superset
-        // of the exact spaces, which is always sound for a range filter.
-        let effective = Mbr::new(
-            ee.min_x.max(0.0),
-            ee.min_y.max(0.0),
-            ee.max_x.min(1.0).max(ee.min_x.max(0.0)),
-            ee.max_y.min(1.0).max(ee.min_y.max(0.0)),
-        );
-        if window.contains(&effective) {
-            let (start, end) = index.subtree_range(&cell);
-            ranges.push(trass_index::ranges::ValueRange { start, end });
-            continue;
-        }
-        let rects = XzStar::quad_rects(&cell);
-        let at_max = cell.level == index.max_resolution();
-        for code in PositionCode::all(at_max) {
-            let touches = code
-                .quads()
-                .iter()
-                .filter_map(|q| q.quad_index())
-                .any(|i| rects[i].intersects(window));
-            if touches {
-                out.push(index.encode(&IndexSpace { cell, code }));
-            }
-        }
-        if cell.level < index.max_resolution() {
-            queue.extend(cell.children());
-        }
-    }
-    (out, ranges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TrassConfig;
     use trass_geo::Point;
+    use trass_index::xzstar::{QuadSet, XzStar};
     use trass_traj::Trajectory;
 
-    fn store_with_grid() -> TrajectoryStore {
-        let extent = Mbr::new(116.0, 39.6, 116.8, 40.2);
-        let store = TrajectoryStore::open(TrassConfig::for_extent(extent)).unwrap();
-        // A 10×10 grid of short trajectories.
-        let mut id = 0;
+    /// A 10×10 grid of short trajectories.
+    fn grid() -> Vec<Trajectory> {
+        let mut data = Vec::new();
         for gx in 0..10 {
             for gy in 0..10 {
                 let x = 116.05 + gx as f64 * 0.07;
                 let y = 39.65 + gy as f64 * 0.05;
-                let t = Trajectory::new(id, vec![Point::new(x, y), Point::new(x + 0.01, y + 0.01)]);
-                store.insert(&t).unwrap();
-                id += 1;
+                let pts = vec![Point::new(x, y), Point::new(x + 0.01, y + 0.01)];
+                data.push(Trajectory::new(data.len() as u64, pts));
             }
         }
+        data
+    }
+
+    fn store_with_grid() -> TrajectoryStore {
+        let extent = Mbr::new(116.0, 39.6, 116.8, 40.2);
+        let store = TrajectoryStore::open(TrassConfig::for_extent(extent)).unwrap();
+        store.insert_all(&grid()).unwrap();
         store.flush().unwrap();
         store
+    }
+
+    /// The plan is scan-exact: it reads the rows stored under every index
+    /// space with a code quad meeting the unit window, no other row, and
+    /// at most one key range per shard for each of them.
+    fn assert_scan_exact(store: &TrajectoryStore, data: &[Trajectory], window: &Mbr) {
+        let unit = store.config().space.mbr_to_unit(window);
+        let meets = |t: &&Trajectory| {
+            let space = store.index_space_of(t);
+            let rects = XzStar::quad_rects(&space.cell);
+            space
+                .code
+                .quads()
+                .iter()
+                .filter_map(QuadSet::quad_index)
+                .any(|i| rects[i].intersects(&unit))
+        };
+        let expected = data.iter().filter(meets).count() as u64;
+        let stats = range_search(store, window).unwrap().stats;
+        assert_eq!(stats.retrieved, expected, "{window:?}");
+        let shards = usize::from(store.config().shards);
+        let bound = shards * stats.retrieved.max(1) as usize;
+        assert!(stats.n_ranges <= bound, "{window:?}: {} key ranges", stats.n_ranges);
     }
 
     #[test]
@@ -194,6 +161,7 @@ mod tests {
         }
         assert_eq!(got_ids, expected);
         assert!(!got_ids.is_empty());
+        assert_scan_exact(&store, &grid(), &window);
     }
 
     #[test]
@@ -202,6 +170,7 @@ mod tests {
         let window = Mbr::new(100.0, 10.0, 100.1, 10.1); // far away
         let got = range_search(&store, &window).unwrap();
         assert!(got.results.is_empty());
+        assert_scan_exact(&store, &grid(), &window);
     }
 
     #[test]
@@ -210,13 +179,15 @@ mod tests {
         let window = Mbr::new(116.0, 39.6, 116.8, 40.2);
         let got = range_search(&store, &window).unwrap();
         assert_eq!(got.results.len(), 100);
+        assert_scan_exact(&store, &grid(), &window);
     }
 
     #[test]
     fn window_covering_everything_completes_quickly() {
         // Regression: a window covering the entire index space used to
-        // enumerate all 4^r elements. The subtree collapse must answer in
-        // milliseconds via a handful of contiguous ranges.
+        // enumerate all 4^r elements. The walk enters occupied subtrees
+        // only, and bridging joins the store's rows into a handful of
+        // contiguous ranges, so it answers in milliseconds.
         let store = store_with_grid();
         let window = Mbr::new(-200.0, -100.0, 400.0, 400.0);
         let t0 = std::time::Instant::now();
@@ -224,6 +195,7 @@ mod tests {
         assert!(t0.elapsed() < std::time::Duration::from_secs(5), "collapse failed");
         assert_eq!(got.results.len(), 100);
         assert!(got.stats.n_ranges < 100, "{} ranges", got.stats.n_ranges);
+        assert_scan_exact(&store, &grid(), &window);
     }
 
     #[test]
@@ -233,7 +205,17 @@ mod tests {
         let data = trass_traj::generator::tdrive_like(77, 200);
         store.insert_all(&data).unwrap();
         store.flush().unwrap();
-        for window in [Mbr::new(116.2, 39.8, 116.4, 39.95), Mbr::new(116.0, 39.6, 116.1, 39.7)] {
+        let vertex = data[3].points()[1];
+        let windows = [
+            Mbr::new(116.2, 39.8, 116.4, 39.95),
+            Mbr::new(116.0, 39.6, 116.1, 39.7),
+            Mbr::new(vertex.x, vertex.y, vertex.x, vertex.y),
+            Mbr::new(116.3, 39.9, 116.5, 39.9),
+            Mbr::new(116.7, 40.1, 116.9, 40.5),
+            Mbr::new(117.0, 41.0, 117.5, 41.5),
+            Mbr::new(115.0, 39.0, 118.0, 41.0),
+        ];
+        for window in windows {
             let got = range_search(&store, &window).unwrap();
             let got_ids: Vec<u64> = got.results.iter().map(|&(id, _)| id).collect();
             let mut expected: Vec<u64> = data
@@ -243,6 +225,7 @@ mod tests {
                 .collect();
             expected.sort_unstable();
             assert_eq!(got_ids, expected);
+            assert_scan_exact(&store, &data, &window);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Threshold similarity search (§V-E, Algorithm 3).
 
 use crate::query::local_filter::{LocalFilter, QuerySide};
-use crate::query::pipeline::{QueryKind, Refined, StagedQuery};
+use crate::query::pipeline::{record_pruning, QueryKind, Refined, StagedQuery};
 use crate::query::refine::{RefineContext, RefineOutcome};
 use crate::schema::{parse_rowkey, RowValue};
 use crate::stats::SearchResult;
@@ -9,7 +9,6 @@ use crate::store::TrajectoryStore;
 use std::sync::Arc;
 use trass_exec::TopKBound;
 use trass_index::ranges::{coalesce, ValueRange};
-use trass_index::xzstar::PruneStats;
 use trass_kv::KvError;
 use trass_obs::{QueryTrace, TraceCtx, TraceSpan};
 use trass_traj::{Measure, Trajectory};
@@ -70,17 +69,6 @@ fn global_pruning(
     let values = std::iter::from_fn(|| frontier.next_space(eps_unit)).map(|c| c.value).collect();
     record_pruning(span, &frontier.take_stats());
     coalesce(values, config.range_gap)
-}
-
-/// The pruning span's fields, one set for threshold search and every top-k
-/// batch: the traversal's counters.
-pub(crate) fn record_pruning(span: &mut TraceSpan, stats: &PruneStats) {
-    span.set_field("visited", stats.visited);
-    span.set_field("lemma8_pruned", stats.lemma8_pruned);
-    span.set_field("lemma9_pruned", stats.lemma9_pruned);
-    span.set_field("lemma10_codes_pruned", stats.lemma10_codes_pruned);
-    span.set_field("lemma11_codes_pruned", stats.lemma11_codes_pruned);
-    span.set_field("codes_emitted", stats.codes_emitted);
 }
 
 /// One pass of Fig. 8 over the value ranges `plan` produces: the whole of

@@ -28,8 +28,8 @@
 //!   `candidates` — independent of worker timing; only the live bound
 //!   inside refine moves with it.
 
-use crate::query::pipeline::QueryKind;
-use crate::query::threshold::{record_pruning, similarity_pass};
+use crate::query::pipeline::{record_pruning, QueryKind};
+use crate::query::threshold::similarity_pass;
 use crate::stats::{QueryStats, SearchResult};
 use crate::store::TrajectoryStore;
 use std::sync::Arc;

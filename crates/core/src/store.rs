@@ -417,6 +417,12 @@ impl TrajectoryStore {
         BestFirst::new(&self.index, self.to_unit(query.points()), &self.occupancy, config)
     }
 
+    /// What this store holds under each index value, as global pruning
+    /// reads it.
+    pub(crate) fn occupancy(&self) -> &dyn Occupancy {
+        &self.occupancy
+    }
+
     /// Maps a trajectory's world-space points into unit space.
     pub fn to_unit(&self, points: &[Point]) -> Vec<Point> {
         points.iter().map(|p| self.config.space.to_unit(p)).collect()

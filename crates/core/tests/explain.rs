@@ -135,7 +135,10 @@ fn explain_range_has_stage_children() {
     let explained = store.explain(ExplainQuery::Range { window }).unwrap();
     let root = &explained.trace.root;
     assert_eq!(root.name, "range");
-    assert!(root.child("pruning").is_some());
+    let pruning = root.child("pruning").expect("pruning child");
+    // The window walks the same frontier as the similarity searches.
+    assert!(pruning.field_u64("visited").unwrap() > 0);
+    assert!(pruning.field_u64("codes_emitted").unwrap() > 0);
     let scan = root.child("scan").expect("scan child");
     assert!(scan.children_named("region-scan").next().is_some());
     assert!(root.child("refine").is_some());

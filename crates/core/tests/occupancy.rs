@@ -1,14 +1,14 @@
-//! The store's occupancy — the value → rows map global pruning walks —
-//! never hides a row a query must see: not while ingest races the query in
-//! the query's own box, not while writers race each other on one id, and
-//! not after a reopen that has to rebuild it from flushed tables and the
-//! WAL.
+//! The store's occupancy — the value → rows map global pruning walks for
+//! threshold, top-k and range search alike — never hides a row a query
+//! must see: not while ingest races the query in the query's own box, not
+//! while writers race each other on one id, and not after a reopen that
+//! has to rebuild it from flushed tables and the WAL.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Barrier;
 use trass_core::config::TrassConfig;
-use trass_core::query::{threshold_search, top_k_search};
+use trass_core::query::{range_search, threshold_search, top_k_search};
 use trass_core::schema::{rowkey, shard_of};
 use trass_core::store::TrajectoryStore;
 use trass_geo::{Mbr, Point};
@@ -53,6 +53,18 @@ fn brute_top_k(rows: &[Trajectory], q: &Trajectory) -> Vec<(TrajectoryId, f64)> 
     all
 }
 
+/// Every id with a point inside `window`, by id, at distance 0.
+fn brute_range(rows: &[Trajectory], window: &Mbr) -> Vec<(TrajectoryId, f64)> {
+    let inside = |t: &&Trajectory| t.points().iter().any(|p| window.contains_point(p));
+    let mut hits: Vec<_> = rows.iter().filter(inside).map(|t| (t.id, 0.0)).collect();
+    hits.sort_by_key(|&(id, _)| id);
+    hits
+}
+
+fn mbr(t: &Trajectory) -> Mbr {
+    Mbr::from_points(t.points().iter()).expect("a non-empty trajectory")
+}
+
 /// How far the one writer has got through the ingest (whose kv rowkeys are
 /// `keys`), and how many searches the readers have begun.
 #[derive(Default)]
@@ -74,12 +86,22 @@ impl Progress {
     }
 }
 
-/// A threshold and a top-k query racing the writer over `rows[..base]`
-/// plus a prefix of `rows[base..]`: each answer lies between brute force
-/// over the rows present when the call began and when it returned, and
-/// every distance is exact.
+/// A threshold, a top-k and a range query racing the writer over
+/// `rows[..base]` plus a prefix of `rows[base..]`: each answer lies between
+/// brute force over the rows present when the call began and when it
+/// returned, and every distance is exact. The range query's window is the
+/// query's MBR grown by `EPS`, which holds every ingested copy of it.
 fn check_racing(store: &TrajectoryStore, rows: &[Trajectory], base: usize, p: &Progress) {
     for q in &rows[..3] {
+        let window = mbr(q).extended(EPS);
+        let lo = base + p.at_least(store);
+        p.searches.fetch_add(1, SeqCst);
+        let got = range_search(store, &window).unwrap().results;
+        let hi = base + p.begun.load(SeqCst);
+        let (must, may) = (brute_range(&rows[..lo], &window), brute_range(&rows[..hi], &window));
+        assert!(must.iter().all(|h| got.contains(h)), "range lost a row present at the start");
+        assert!(got.iter().all(|h| may.contains(h)), "a range hit no row had");
+
         let lo = base + p.at_least(store);
         p.searches.fetch_add(1, SeqCst);
         let got = threshold_search(store, q, EPS, Measure::Frechet).unwrap().results;
@@ -198,6 +220,8 @@ fn racing_moves_of_one_id_keep_its_old_neighbour_visible() {
         assert_eq!(hits, [(1, 0.0)], "threshold, round {round}");
         let top = top_k_search(&store, &y, 1, Measure::Frechet).unwrap().results;
         assert_eq!(top, [(1, 0.0)], "top-k, round {round}");
+        let inside = range_search(&store, &mbr(&y)).unwrap().results;
+        assert_eq!(inside, [(1, 0.0)], "range, round {round}");
     }
 }
 
@@ -235,6 +259,8 @@ fn reopen_rebuilds_the_occupancy_from_what_the_store_holds() {
         assert_eq!(got, brute_threshold(&rows, q), "threshold, query {}", q.id);
         let got = top_k_search(&store, q, K, Measure::Frechet).unwrap().results;
         assert_eq!(got, brute_top_k(&rows, q), "top-k, query {}", q.id);
+        let got = range_search(&store, &mbr(q)).unwrap().results;
+        assert_eq!(got, brute_range(&rows, &mbr(q)), "range, query {}", q.id);
     }
     drop(store);
     std::fs::remove_dir_all(&dir).ok();

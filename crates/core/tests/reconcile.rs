@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 use trass_core::config::TrassConfig;
 use trass_core::store::{ExplainQuery, TrajectoryStore};
@@ -25,6 +26,12 @@ use trass_traj::{generator, Measure};
 const MAX_RESIDUAL: f64 = 0.05;
 
 const STAGES: [&str; 3] = ["pruning", "scan", "refine"];
+
+/// Held by each test for its whole run. The glue bound is a statement about
+/// a quiet host, and `retrieved_ignores_concurrent_scans` loads every core
+/// on purpose: run side by side, its range loop preempts top-k's
+/// sub-millisecond rounds between stages.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn stage_nanos(stats: &QueryStats) -> [u128; 3] {
     [stats.pruning_time, stats.scan_time, stats.refine_time].map(|d| d.as_nanos())
@@ -135,6 +142,7 @@ fn reconcile(query_threads: usize) {
 
 #[test]
 fn stage_times_reconcile_with_total_metrics_and_traces() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     for query_threads in [1, 4] {
         reconcile(query_threads);
     }
@@ -145,6 +153,7 @@ fn stage_times_reconcile_with_total_metrics_and_traces() {
 /// store leaves every repetition at its solo value.
 #[test]
 fn retrieved_ignores_concurrent_scans() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     let extent = Mbr::new(116.0, 39.6, 116.8, 40.2);
     let mut config = TrassConfig::for_extent(extent);
     config.query_threads = 2;

@@ -233,7 +233,7 @@ mod tests {
         // XZ-Ordering for the same query. Here in *space* terms: the number
         // of values XZ2 scans is >= the element count XZ* scans, because
         // XZ2 cannot discriminate by shape or resolution band.
-        use crate::xzstar::{GlobalPruning, PruningConfig, QueryContext, XzStar};
+        use crate::xzstar::{BestFirst, EveryValue, PruningConfig, XzStar};
         use trass_geo::Point;
         let r = 10;
         let xz2 = Xz2::new(r);
@@ -241,13 +241,9 @@ mod tests {
         let points: Vec<Point> =
             vec![Point::new(0.31, 0.42), Point::new(0.33, 0.45), Point::new(0.36, 0.41)];
         let eps = 0.002;
-        let q = QueryContext::new(&star, points.clone(), eps);
-        let star_values: u64 = GlobalPruning::new(&star, PruningConfig::default())
-            .query_ranges_stats(&q)
-            .0
-            .iter()
-            .map(|r| r.len())
-            .sum();
+        let mut frontier =
+            BestFirst::new(&star, points.clone(), &EveryValue, PruningConfig::default()).unwrap();
+        let star_values = std::iter::from_fn(|| frontier.next_space(eps)).count() as u64;
         let mbr = Mbr::from_points(points.iter()).unwrap();
         let xz2_values: u64 = xz2.query_ranges(&mbr.extended(eps), 0).iter().map(|r| r.len()).sum();
         // XZ2 ranges cover whole subtrees of elements; XZ* covers a narrow

@@ -1,5 +1,6 @@
 //! The one traversal of the element tree, for threshold search (§V-C,
-//! Algorithm 1) and top-k search (§V-E, Algorithm 4) alike.
+//! Algorithm 1), top-k search (§V-E, Algorithm 4) and spatial range search
+//! alike.
 //!
 //! [`BestFirst`] maintains the paper's two priority queues — `EQ` over
 //! enlarged elements (by `minDistEE`) and `IQ` over index spaces (by
@@ -8,9 +9,11 @@
 //! element could produce a nearer one. Threshold search drains it at a
 //! fixed ε; top-k search tightens ε between calls as results accumulate.
 //!
-//! The lemmas run cheap-first, each behind its ablation switch
-//! ([`PruningConfig`]), and every rejection is counted against the lemma
-//! that made it ([`PruneStats`]): an element is tested by Lemma 8
+//! What the tree is tested against is a [`SpaceTest`]: the similarity
+//! lemmas ([`Similarity`], the default) or a unit-space window ([`Mbr`],
+//! range search). The lemmas run cheap-first, each behind its ablation
+//! switch ([`PruningConfig`]), and every rejection is counted against the
+//! lemma that made it ([`PruneStats`]): an element is tested by Lemma 8
 //! (intersection with `Ext(Q.MBR, ε)`), then Lemma 9 (`minDistEE`); each
 //! code of an element in the Lemma 6–7 resolution band by Lemma 10 (a quad
 //! beyond ε of the query's points), then Lemma 11 (`minDistIS`).
@@ -20,9 +23,9 @@
 //! code block is entered only if rows are stored under it, and a subtree
 //! holding at most [`LEAF_ROWS`] rows is resolved in one step from the
 //! list of its occupied values instead of level by level. Work is
-//! proportional to the occupied part of the tree within ε, and the stream
-//! ends when that part is exhausted. Over [`EveryValue`] the same walk
-//! enumerates every index space the lemmas keep: Algorithm 1's output.
+//! proportional to the occupied part of the tree the test keeps, and the
+//! stream ends when that part is exhausted. Over [`EveryValue`] the same
+//! walk enumerates every index space the test keeps: Algorithm 1's output.
 
 use super::position_code::QuadSet;
 use super::pruning::{
@@ -31,7 +34,7 @@ use super::pruning::{
 };
 use super::XzStar;
 use crate::quad::Cell;
-use crate::ranges::ValueRange;
+use crate::ranges::{coalesce, ValueRange};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use trass_geo::{Mbr, Point};
@@ -64,6 +67,21 @@ pub trait Occupancy {
     /// The occupied values of `range`, ascending, each with an upper bound
     /// (≥ 1) on its rows.
     fn values(&self, range: ValueRange) -> Vec<(u64, u64)>;
+
+    /// Scan ranges covering exactly the rows stored under `values`: they
+    /// are coalesced, then joined across every gap that holds no row.
+    fn bridge(&self, values: Vec<u64>) -> Vec<ValueRange> {
+        let mut ranges = coalesce(values, 0);
+        // Coalesced ranges are a value apart or more: no gap is empty.
+        ranges.dedup_by(|next, last| {
+            let empty = self.rows(ValueRange { start: last.end + 1, end: next.start - 1 }) == 0;
+            if empty {
+                last.end = next.end;
+            }
+            empty
+        });
+        ranges
+    }
 }
 
 /// The occupancy of an index holding one row under every value: the
@@ -94,8 +112,39 @@ pub struct SpaceCandidate {
     pub rows: u64,
 }
 
+/// What [`BestFirst`] tests the tree against. Each test returns a lower
+/// bound on the distance of what it keeps, or `None`, counted in `stats`,
+/// when it rejects.
+pub trait SpaceTest {
+    /// What the codes of one element are tested against, once per element.
+    type Element;
+    /// Takes the traversal's ε and returns the band `[min, max]` of levels
+    /// whose codes may be kept at it: by default every level, whatever ε.
+    fn set_eps(&mut self, index: &XzStar, _eps: f64) -> (u8, u8) {
+        (0, index.max_resolution())
+    }
+    /// The subtree under enlarged element `ee`: no code in it may be kept
+    /// below the bound.
+    fn subtree(&self, ee: &Mbr, stats: &mut PruneStats) -> Option<f64>;
+    /// Prepares the code tests of `cell`, or rejects all of its codes.
+    fn element(&self, cell: &Cell, stats: &mut PruneStats) -> Option<Self::Element>;
+    /// The code with `quads` of an element that passed.
+    fn code(&self, element: &Self::Element, quads: QuadSet, stats: &mut PruneStats) -> Option<f64>;
+}
+
+/// The similarity lemmas 6–11 for one query at the traversal's ε.
+pub struct Similarity {
+    config: PruningConfig,
+    q_mbr: Mbr,
+    points: Vec<Point>,
+    max_resolution: u8,
+    /// `Ext(Q.MBR, ε)` (Lemma 8) and the rejection cutoff at the current ε.
+    ext_mbr: Mbr,
+    cutoff: f64,
+}
+
 /// What the codes of one element are tested against.
-struct ElementBounds {
+pub struct ElementBounds {
     /// The element's own lower bound (Lemma 9, or 0 with distance bounds
     /// off), raised to the Lemma 6 size bound of its level.
     dist: f64,
@@ -107,18 +156,106 @@ struct ElementBounds {
     edges: Option<QuadDistances>,
 }
 
-/// Best-first enumerator of the occupied index spaces by increasing
-/// lower-bound distance.
-pub struct BestFirst<'a> {
+impl SpaceTest for Similarity {
+    type Element = ElementBounds;
+
+    /// Lemmas 6–7: the levels whose elements can hold a trajectory within
+    /// ε of the query.
+    fn set_eps(&mut self, index: &XzStar, eps: f64) -> (u8, u8) {
+        self.cutoff = eps + PRUNE_SLACK;
+        self.ext_mbr = self.q_mbr.extended(eps);
+        (index.sequence_length(&self.ext_mbr), max_resolution_bound(index, &self.q_mbr, eps))
+    }
+
+    /// Lemmas 8 and 9: the element's `minDistEE`, or 0 with distance
+    /// bounds off.
+    fn subtree(&self, ee: &Mbr, stats: &mut PruneStats) -> Option<f64> {
+        if !ee.intersects(&self.ext_mbr) {
+            stats.lemma8_pruned += 1;
+            return None;
+        }
+        if !self.config.use_min_dist {
+            return Some(0.0);
+        }
+        let dist = min_dist_ee(&self.q_mbr, ee);
+        if dist > self.cutoff {
+            stats.lemma9_pruned += 1;
+            return None;
+        }
+        Some(dist)
+    }
+
+    /// Lemmas 8–9 on `cell`, then what its codes are tested against.
+    fn element(&self, cell: &Cell, stats: &mut PruneStats) -> Option<ElementBounds> {
+        let dist = self.subtree(&cell.enlarged(), stats)?;
+        let dist = dist.max(min_dist_level(&self.q_mbr, cell.level, self.max_resolution));
+        let rects = XzStar::quad_rects(cell);
+        let codes = self.config.use_position_codes;
+        let quads = codes.then(|| {
+            rects.map(|rect| quad_distance(&self.q_mbr, &self.points, &rect, self.cutoff))
+        });
+        let edges =
+            (codes && self.config.use_min_dist).then(|| QuadDistances::new(&self.q_mbr, &rects));
+        Some(ElementBounds { dist, quads, edges })
+    }
+
+    /// Lemmas 10 and 11 on the code with `quads`. The bound is the largest
+    /// of the element's, the farthest of the code's quads from the query's
+    /// points (Lemma 10 as a distance: a trajectory with that code has a
+    /// point in each of them), and `minDistIS` (Lemma 11).
+    fn code(&self, element: &ElementBounds, quads: QuadSet, stats: &mut PruneStats) -> Option<f64> {
+        let mut dist = element.dist;
+        if let Some(quad_dist) = &element.quads {
+            let farthest = quads.iter().filter_map(QuadSet::quad_index).map(|i| quad_dist[i]);
+            dist = farthest.fold(dist, f64::max);
+            if dist > self.cutoff {
+                stats.lemma10_codes_pruned += 1;
+                return None;
+            }
+        }
+        if let Some(edges) = &element.edges {
+            dist = dist.max(edges.min_dist_is(quads));
+            if dist > self.cutoff {
+                stats.lemma11_codes_pruned += 1;
+                return None;
+            }
+        }
+        (dist <= self.cutoff).then_some(dist)
+    }
+}
+
+/// A unit-space window: a trajectory has a point in it only if one of its
+/// code's quads meets it (its points lie in their union), and then so does
+/// every enlarged element above it. An enlarged element that misses the
+/// window fails Lemma 8 at ε = 0, and is counted as such.
+impl SpaceTest for Mbr {
+    /// Which of the element's quads meet the window.
+    type Element = [bool; 4];
+
+    fn subtree(&self, ee: &Mbr, stats: &mut PruneStats) -> Option<f64> {
+        let meets = ee.intersects(self);
+        stats.lemma8_pruned += u64::from(!meets);
+        meets.then_some(0.0)
+    }
+
+    fn element(&self, cell: &Cell, _: &mut PruneStats) -> Option<[bool; 4]> {
+        Some(XzStar::quad_rects(cell).map(|rect| rect.intersects(self)))
+    }
+
+    fn code(&self, meets: &[bool; 4], quads: QuadSet, _: &mut PruneStats) -> Option<f64> {
+        quads.iter().filter_map(QuadSet::quad_index).any(|i| meets[i]).then_some(0.0)
+    }
+}
+
+/// Best-first enumerator of the occupied index spaces `T` keeps, by
+/// increasing lower-bound distance.
+pub struct BestFirst<'a, T: SpaceTest = Similarity> {
     index: &'a XzStar,
     occupancy: &'a dyn Occupancy,
-    config: PruningConfig,
-    q_mbr: Mbr,
-    points: Vec<Point>,
-    /// The ε of the last [`BestFirst::next_space`] call, `Ext(Q.MBR, ε)`
-    /// (Lemma 8) and its Lemma 6–7 resolution band.
+    test: T,
+    /// The ε of the last [`BestFirst::next_space`] call and the resolution
+    /// band `T` keeps at it.
     eps: f64,
-    ext_mbr: Mbr,
     min_r: u8,
     max_r: u8,
     /// Elements pending expansion: ([`key`] of their lower bound, cell, row
@@ -131,9 +268,9 @@ pub struct BestFirst<'a> {
 }
 
 impl<'a> BestFirst<'a> {
-    /// Starts a traversal for the given unit-space query points over
-    /// `occupancy`, with `config`'s ablation switches; `None` for an empty
-    /// query, which has no distance to anything.
+    /// Starts a similarity traversal for the given unit-space query points
+    /// over `occupancy`, with `config`'s ablation switches; `None` for an
+    /// empty query, which has no distance to anything.
     pub fn new(
         index: &'a XzStar,
         points: Vec<Point>,
@@ -141,23 +278,34 @@ impl<'a> BestFirst<'a> {
         config: PruningConfig,
     ) -> Option<Self> {
         let q_mbr = Mbr::from_points(points.iter())?;
-        let mut frontier = BestFirst {
-            index,
-            occupancy,
+        let similarity = Similarity {
             config,
             q_mbr,
             points,
-            eps: UNIT_REACH,
+            max_resolution: index.max_resolution(),
             ext_mbr: q_mbr,
-            min_r: 0,
-            max_r: index.max_resolution(),
+            cutoff: UNIT_REACH,
+        };
+        Some(BestFirst::with_test(index, occupancy, similarity))
+    }
+}
+
+impl<'a, T: SpaceTest> BestFirst<'a, T> {
+    /// Starts a traversal of what `test` keeps over `occupancy`.
+    pub fn with_test(index: &'a XzStar, occupancy: &'a dyn Occupancy, mut test: T) -> Self {
+        let (min_r, max_r) = test.set_eps(index, UNIT_REACH);
+        BestFirst {
+            index,
+            occupancy,
+            test,
+            eps: UNIT_REACH,
+            min_r,
+            max_r,
             // The root's enlarged element covers the unit square: distance 0.
             eq: BinaryHeap::from([Reverse((key(0.0), Cell::ROOT, u64::MAX))]),
             iq: BinaryHeap::new(),
             stats: PruneStats::default(),
-        };
-        frontier.set_eps(UNIT_REACH);
-        Some(frontier)
+        }
     }
 
     /// The counters gathered since the last call (or the start), reset.
@@ -175,7 +323,8 @@ impl<'a> BestFirst<'a> {
     pub fn next_space(&mut self, eps: f64) -> Option<SpaceCandidate> {
         let eps = eps.min(UNIT_REACH);
         if eps != self.eps {
-            self.set_eps(eps);
+            self.eps = eps;
+            (self.min_r, self.max_r) = self.test.set_eps(self.index, eps);
         }
         let cutoff = key(eps + PRUNE_SLACK);
         loop {
@@ -216,19 +365,15 @@ impl<'a> BestFirst<'a> {
         }
     }
 
-    fn set_eps(&mut self, eps: f64) {
-        self.eps = eps;
-        self.ext_mbr = self.q_mbr.extended(eps);
-        self.min_r = self.index.sequence_length(&self.ext_mbr);
-        self.max_r = max_resolution_bound(self.index, &self.q_mbr, eps);
-    }
-
-    /// Queues what `cell` holds within the current ε: its occupied children
-    /// that pass Lemmas 8–9, and the occupied values of its code block.
+    /// Queues what `cell` holds at the current ε: its occupied children
+    /// whose subtree passes the test, and the occupied values of its code
+    /// block.
     fn expand(&mut self, cell: Cell) {
         if cell.level < self.max_r && cell.level < self.index.max_resolution() {
             for child in cell.children() {
-                let Some(dist) = self.element_dist(&child.enlarged()) else { continue };
+                let Some(dist) = self.test.subtree(&child.enlarged(), &mut self.stats) else {
+                    continue;
+                };
                 let (start, end) = self.index.subtree_range(&child);
                 let rows = self.occupancy.rows(ValueRange { start, end });
                 if rows > 0 {
@@ -241,31 +386,12 @@ impl<'a> BestFirst<'a> {
         }
     }
 
-    /// Lemmas 8 and 9 on the enlarged element `ee` at the current ε: the
-    /// element's lower bound (`minDistEE`, or 0 with distance bounds off),
-    /// or `None`, counted against the lemma, when one of them rejects it.
-    fn element_dist(&mut self, ee: &Mbr) -> Option<f64> {
-        if !ee.intersects(&self.ext_mbr) {
-            self.stats.lemma8_pruned += 1;
-            return None;
-        }
-        if !self.config.use_min_dist {
-            return Some(0.0);
-        }
-        let dist = min_dist_ee(&self.q_mbr, ee);
-        if dist > self.eps + PRUNE_SLACK {
-            self.stats.lemma9_pruned += 1;
-            return None;
-        }
-        Some(dist)
-    }
-
     /// Queues the occupied values of `range` in the resolution band whose
-    /// element passes Lemmas 8–9 and whose code passes Lemmas 10–11.
+    /// element and code pass the test.
     fn queue_values(&mut self, range: ValueRange) {
         // Values arrive ascending, so the codes of one element are
         // adjacent: each element is tested and measured once.
-        let mut element: Option<(Cell, Option<ElementBounds>)> = None;
+        let mut element: Option<(Cell, Option<T::Element>)> = None;
         for (value, rows) in self.occupancy.values(range) {
             let Some(space) = self.index.decode(value) else { continue };
             let level = space.cell.level;
@@ -273,54 +399,13 @@ impl<'a> BestFirst<'a> {
                 continue;
             }
             if element.as_ref().map_or(true, |(cell, _)| *cell != space.cell) {
-                element = Some((space.cell, self.element_bounds(&space.cell)));
+                element = Some((space.cell, self.test.element(&space.cell, &mut self.stats)));
             }
             let Some((_, Some(bounds))) = &element else { continue };
-            if let Some(dist) = self.space_dist(bounds, space.code.quads()) {
+            if let Some(dist) = self.test.code(bounds, space.code.quads(), &mut self.stats) {
                 self.iq.push(Reverse((key(dist), value, rows)));
             }
         }
-    }
-
-    /// Lemmas 8–9 on `cell`, then what its codes are tested against.
-    fn element_bounds(&mut self, cell: &Cell) -> Option<ElementBounds> {
-        let dist = self.element_dist(&cell.enlarged())?;
-        let dist = dist.max(min_dist_level(&self.q_mbr, cell.level, self.index.max_resolution()));
-        let cutoff = self.eps + PRUNE_SLACK;
-        let rects = XzStar::quad_rects(cell);
-        let codes = self.config.use_position_codes;
-        let quads = codes
-            .then(|| rects.map(|rect| quad_distance(&self.q_mbr, &self.points, &rect, cutoff)));
-        let edges =
-            (codes && self.config.use_min_dist).then(|| QuadDistances::new(&self.q_mbr, &rects));
-        Some(ElementBounds { dist, quads, edges })
-    }
-
-    /// Lemmas 10 and 11 on the code with `quads` of an element that passed
-    /// Lemmas 8–9: the space's lower bound, or `None`, counted against the
-    /// lemma, when one of them rejects it. The bound is the largest of the
-    /// element's, the farthest of the code's quads from the query's points
-    /// (Lemma 10 as a distance: a trajectory with that code has a point in
-    /// each of them), and `minDistIS` (Lemma 11).
-    fn space_dist(&mut self, element: &ElementBounds, quads: QuadSet) -> Option<f64> {
-        let cutoff = self.eps + PRUNE_SLACK;
-        let mut dist = element.dist;
-        if let Some(quad_dist) = &element.quads {
-            let farthest = quads.iter().filter_map(QuadSet::quad_index).map(|i| quad_dist[i]);
-            dist = farthest.fold(dist, f64::max);
-            if dist > cutoff {
-                self.stats.lemma10_codes_pruned += 1;
-                return None;
-            }
-        }
-        if let Some(edges) = &element.edges {
-            dist = dist.max(edges.min_dist_is(quads));
-            if dist > cutoff {
-                self.stats.lemma11_codes_pruned += 1;
-                return None;
-            }
-        }
-        (dist <= cutoff).then_some(dist)
     }
 }
 
@@ -369,7 +454,7 @@ mod tests {
     }
 
     /// Every (value, distance) the traversal emits at a fixed `eps`.
-    fn drain(frontier: &mut BestFirst<'_>, eps: f64) -> Vec<(u64, f64)> {
+    fn drain<T: SpaceTest>(frontier: &mut BestFirst<'_, T>, eps: f64) -> Vec<(u64, f64)> {
         std::iter::from_fn(|| frontier.next_space(eps)).map(|c| (c.value, c.dist)).collect()
     }
 
@@ -495,6 +580,45 @@ mod tests {
                 assert_eq!(bf.take_stats().codes_emitted, got.len() as u64);
             }
         });
+    }
+
+    #[test]
+    fn window_emits_exactly_the_spaces_with_a_quad_in_it() {
+        let index = XzStar::new(5);
+        trass_rng::check(16, |rng| {
+            let (x, y) = (rng.f64_in(-0.1, 1.0), rng.f64_in(-0.1, 1.0));
+            // Points and segments as well as boxes, some past the square.
+            let (w, h) = (rng.f64_in(0.0, 0.3) * f64::from(rng.bool(0.8)), rng.f64_in(0.0, 0.3));
+            let window = Mbr::new(x, y, x + w, y + h);
+            let meets = |v: &u64| {
+                let space = index.decode(*v).expect("every value decodes");
+                let rects = XzStar::quad_rects(&space.cell);
+                space
+                    .code
+                    .quads()
+                    .iter()
+                    .filter_map(QuadSet::quad_index)
+                    .any(|i| rects[i].intersects(&window))
+            };
+            let expected: Vec<u64> = (0..index.total_values()).filter(meets).collect();
+            let mut bf = BestFirst::with_test(&index, &EveryValue, window);
+            let emitted = drain(&mut bf, 0.0);
+            assert!(emitted.iter().all(|&(_, d)| d == 0.0));
+            let mut got: Vec<u64> = emitted.into_iter().map(|(v, _)| v).collect();
+            got.sort_unstable();
+            assert_eq!(got, expected, "{window:?}");
+        });
+    }
+
+    #[test]
+    fn bridge_joins_only_gaps_without_rows() {
+        let r = |start, end| ValueRange { start, end };
+        let store = OneRowEach(BTreeSet::from([1, 2, 5, 9, 10, 20, 30]));
+        assert_eq!(store.bridge(vec![5, 1, 9, 2]), [r(1, 9)]);
+        assert_eq!(store.bridge(vec![2, 5, 2]), [r(2, 5)]);
+        assert_eq!(store.bridge(vec![1, 9, 20]), [r(1, 1), r(9, 9), r(20, 20)]);
+        assert_eq!(store.bridge(vec![10, 30, 20, 1]), [r(1, 1), r(10, 30)]);
+        assert!(store.bridge(Vec::new()).is_empty());
     }
 
     #[test]

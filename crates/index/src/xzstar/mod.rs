@@ -13,6 +13,7 @@ mod position_code;
 mod pruning;
 
 pub use frontier::{BestFirst, EveryValue, Occupancy, SpaceCandidate, LEAF_ROWS};
+pub use frontier::{Similarity, SpaceTest};
 pub use position_code::{io_reduction, surviving_codes, PositionCode, QuadSet, CODE_SETS};
 pub use pruning::{GlobalPruning, PruneStats, PruningConfig, QueryContext};
 

@@ -18,7 +18,9 @@
 //! * **Lemma 11** drops index spaces by `minDistIS` (Definition 11), the
 //!   edge-based bound against the code's quad union.
 //!
-//! The walk that applies them is [`BestFirst`], shared with top-k search;
+//! The walk that applies them is [`BestFirst`] over
+//! [`Similarity`](super::Similarity), shared by threshold and top-k search
+//! (range search walks it with a window instead);
 //! [`GlobalPruning`] is that walk over [`EveryValue`], which enumerates
 //! every index space the lemmas keep whether or not a row lives there.
 

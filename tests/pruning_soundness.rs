@@ -6,7 +6,7 @@
 use trass::core::query::{LocalFilter, QuerySide};
 use trass::core::schema::RowValue;
 use trass::geo::{Mbr, NormalizedSpace, Point};
-use trass::index::xzstar::{GlobalPruning, PruningConfig, QueryContext, XzStar};
+use trass::index::xzstar::{BestFirst, EveryValue, PruningConfig, XzStar};
 use trass::traj::{DpFeatures, Measure, Trajectory};
 use trass_rng::{check, Rng};
 
@@ -75,9 +75,10 @@ fn global_pruning_keeps_similar_trajectories() {
         let d = Measure::Frechet.distance(&q_points, &t_points);
         let eps = d + slack;
         let t_value = index.encode(&index.index_points(&t_points));
-        let pruner = GlobalPruning::new(&index, PruningConfig::default());
-        let ctx = QueryContext::new(&index, q_points, eps);
-        let values = pruner.query_values(&ctx);
+        let mut frontier =
+            BestFirst::new(&index, q_points, &EveryValue, PruningConfig::default()).unwrap();
+        let values: Vec<u64> =
+            std::iter::from_fn(|| frontier.next_space(eps)).map(|c| c.value).collect();
         assert!(values.contains(&t_value), "similar trajectory (d = {d}) pruned at eps = {eps}");
     });
 }
