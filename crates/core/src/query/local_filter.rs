@@ -10,6 +10,10 @@
 //! 3. **Lemma 14** — every edge of every DP covering box must be within ε
 //!    of the other trajectory's box union (both directions).
 //!
+//! Lemmas 13 and 14 are decisions, not folds: each point or edge stops at
+//! its first box within ε (see [`DpFeatures::rep_points_within`]), so a
+//! row costs about |B_row| + |B_q| distance tests on similar pairs.
+//!
 //! All distances here are in *world* units (degrees), matching the stored
 //! geometry; global pruning, by contrast, works in unit space.
 
@@ -19,7 +23,8 @@ use std::sync::Arc;
 use trass_kv::{FilterDecision, ScanFilter};
 use trass_traj::{DpFeatures, Measure, Trajectory};
 
-/// Pre-computed query-side state, shared across the scans of one query.
+/// Pre-computed query-side state, built once per query and shared by all
+/// of its scans (every batch of a top-k search).
 #[derive(Debug, Clone)]
 pub struct QuerySide {
     /// Raw query points (world units).

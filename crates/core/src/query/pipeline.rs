@@ -115,6 +115,9 @@ impl<'a> StagedQuery<'a> {
         let started = Instant::now();
         let mut span = self.parent.child(STAGE_SERIES[stage as usize]);
         let out = body(&mut span);
+        // The span's closing resource reads (a procfs read for CPU) go
+        // inside the wall time, not into the glue after it.
+        span.close_marks();
         let wall = started.elapsed();
         obs.stage_seconds(self.measure, stage as usize).record_duration(wall);
         span.set_duration(wall);
@@ -175,9 +178,8 @@ impl<'a> StagedQuery<'a> {
             .query_obs()
             .stage_seconds(self.measure, LOCAL_FILTER)
             .record_duration(filter_time);
-        let mut span = self.parent.child(STAGE_SERIES[LOCAL_FILTER]);
+        let mut span = self.parent.attributed_child(STAGE_SERIES[LOCAL_FILTER], filter_time);
         self.stats.candidates = attribute(&filter, &rows, &mut span);
-        span.set_duration(filter_time);
         span.finish();
         self.stats.retrieved = retrieved;
         self.stats.io = io;

@@ -6,6 +6,7 @@ use crate::query::refine::{RefineContext, RefineOutcome};
 use crate::schema::{parse_rowkey, RowValue};
 use crate::stats::SearchResult;
 use crate::store::TrajectoryStore;
+use std::cell::OnceCell;
 use std::sync::Arc;
 use trass_exec::TopKBound;
 use trass_index::ranges::{coalesce, ValueRange};
@@ -47,7 +48,8 @@ pub(crate) fn threshold_search_traced(
         root.set_label("measure", measure.name());
         root.set_field("eps", eps);
         let plan = |span: &mut TraceSpan| global_pruning(store, query, eps, span);
-        let result = similarity_pass(store, query, eps, measure, None, root, plan)?;
+        let similar = SimilarityQuery::new(query, measure);
+        let result = similarity_pass(store, &similar, eps, None, root, plan)?;
         root.set_field("results", result.results.len());
         let detail = format!("eps={eps} measure={measure} results={}", result.results.len());
         Ok((result, Some(detail)))
@@ -71,6 +73,26 @@ fn global_pruning(
     coalesce(values, config.range_gap)
 }
 
+/// A similarity query as its passes see it: the trajectory, the measure,
+/// and the Lemma 12–14 query side built from them once — inside the first
+/// pass's scan stage — and shared by every later pass (top-k's batches).
+pub(crate) struct SimilarityQuery<'q> {
+    trajectory: &'q Trajectory,
+    measure: Measure,
+    side: OnceCell<Arc<QuerySide>>,
+}
+
+impl<'q> SimilarityQuery<'q> {
+    pub(crate) fn new(trajectory: &'q Trajectory, measure: Measure) -> Self {
+        SimilarityQuery { trajectory, measure, side: OnceCell::new() }
+    }
+
+    fn side(&self, theta: f64) -> Arc<QuerySide> {
+        let side = self.side.get_or_init(|| QuerySide::new(self.trajectory, theta, self.measure));
+        Arc::clone(side)
+    }
+}
+
 /// One pass of Fig. 8 over the value ranges `plan` produces: the whole of
 /// a threshold search (`plan` = Algorithm 1 at `eps`), and one batch of
 /// top-k's frontier (`plan` = the next index spaces in lower-bound order;
@@ -88,9 +110,8 @@ fn global_pruning(
 /// top-k (and plain threshold results, `bound = None`) never do.
 pub(crate) fn similarity_pass(
     store: &TrajectoryStore,
-    query: &Trajectory,
+    query: &SimilarityQuery<'_>,
     eps: f64,
-    measure: Measure,
     bound: Option<&TopKBound>,
     parent: &TraceSpan,
     plan: impl FnOnce(&mut TraceSpan) -> Vec<ValueRange>,
@@ -99,6 +120,7 @@ pub(crate) fn similarity_pass(
         return Err(KvError::InvalidUsage { message: format!("invalid threshold {eps}") });
     }
     let config = store.config();
+    let measure = query.measure;
     let mut pass = StagedQuery::begin(store, Some(measure), parent);
 
     let key_ranges = pass.prune(plan);
@@ -109,7 +131,7 @@ pub(crate) fn similarity_pass(
             // Ablation: an infinite threshold disables every local-filter
             // lemma while keeping the scan path identical.
             let filter_eps = if config.use_local_filter { eps } else { f64::INFINITY };
-            LocalFilter::new(QuerySide::new(query, config.dp_theta, measure), filter_eps)
+            LocalFilter::new(query.side(config.dp_theta), filter_eps)
         },
         |filter, _rows, span| {
             let rejects = filter.reject_counts();
@@ -133,7 +155,8 @@ pub(crate) fn similarity_pass(
     // deterministic.
     let candidates = pass.stats().candidates;
     let results = pass.refine(|span| {
-        let rctx = RefineContext::new(query.points(), config.refine_bounds);
+        let points = query.trajectory.points();
+        let rctx = RefineContext::new(points, config.refine_bounds);
         let run = store.refine_pool().run_timed(rows, |_, row| {
             let (_, _, tid) = parse_rowkey(&row.key)?;
             let value = RowValue::decode(&row.value).ok()?;
@@ -143,7 +166,7 @@ pub(crate) fn similarity_pass(
             // Early exit: a bound tighter than eps means enough closer
             // hits are already recorded to disqualify anything past it.
             let eff = bound.map_or(eps, |b| b.effective(eps));
-            let outcome = rctx.assess(query.points(), &value.points, mbr.as_ref(), measure, eff);
+            let outcome = rctx.assess(points, &value.points, mbr.as_ref(), measure, eff);
             if let RefineOutcome::Hit(d) = outcome {
                 if let Some(b) = bound {
                     b.offer(d);

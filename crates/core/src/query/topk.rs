@@ -29,7 +29,7 @@
 //!   inside refine moves with it.
 
 use crate::query::pipeline::{record_pruning, QueryKind};
-use crate::query::threshold::similarity_pass;
+use crate::query::threshold::{similarity_pass, SimilarityQuery};
 use crate::stats::{QueryStats, SearchResult};
 use crate::store::TrajectoryStore;
 use std::sync::Arc;
@@ -79,6 +79,7 @@ pub(crate) fn top_k_search_traced(
             message: "empty query trajectory".to_string(),
         })?;
         let bound = TopKBound::new(k);
+        let similar = SimilarityQuery::new(query, measure);
         let mut budget = k as u64;
         let mut exhausted = false;
 
@@ -108,7 +109,7 @@ pub(crate) fn top_k_search_traced(
                 span.set_field("rows_bound", rows);
                 coalesce(values, 0)
             };
-            let round = similarity_pass(store, query, eps, measure, Some(&bound), &rspan, plan)?;
+            let round = similarity_pass(store, &similar, eps, Some(&bound), &rspan, plan)?;
             rspan.set_field("candidates", round.stats.candidates);
             rspan.set_field("results", round.results.len());
             rspan.finish();

@@ -109,6 +109,16 @@ impl OrientedBox {
         self.edges().iter().map(|e| e.distance_to_segment(seg)).fold(f64::INFINITY, f64::min)
     }
 
+    /// Whether a segment comes within `eps` of the box: for finite inputs
+    /// the verdict of `distance_to_segment(seg) <= eps`, stopping at the
+    /// first edge within `eps` instead of taking the minimum of all four.
+    pub fn segment_within(&self, seg: &Segment, eps: f64) -> bool {
+        if self.contains_point(&seg.a) || self.contains_point(&seg.b) {
+            return 0.0 <= eps;
+        }
+        self.edges().iter().any(|e| e.distance_to_segment(seg) <= eps)
+    }
+
     /// The axis-aligned MBR of this box.
     pub fn to_mbr(&self) -> Mbr {
         let c = self.corners();

@@ -188,3 +188,16 @@ fn obb_mbr_cover() {
         }
     });
 }
+
+#[test]
+fn obb_segment_within_is_the_distance_verdict() {
+    check(CASES, |rng| {
+        let (a, b, pts, s) = (pt(rng), pt(rng), pts(rng, 19), seg(rng));
+        let obb = OrientedBox::from_points_along(a, b, &pts).unwrap();
+        let d = obb.distance_to_segment(&s);
+        // At the distance itself, just below it, and at a random threshold.
+        for eps in [d, d * (1.0 - 1e-15) - f64::MIN_POSITIVE, rng.f64_in(0.0, 2.0 * d + 1.0)] {
+            assert_eq!(obb.segment_within(&s, eps), d <= eps, "eps {eps:e}, distance {d:e}");
+        }
+    });
+}

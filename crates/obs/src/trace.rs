@@ -202,7 +202,7 @@ impl TraceCtx {
     /// (or dropped) before [`TraceCtx::finish`].
     pub fn root(&self, name: &str) -> TraceSpan {
         match &self.0 {
-            Some(inner) => TraceSpan::open(Arc::clone(inner), NO_PARENT, name),
+            Some(inner) => TraceSpan::open(Arc::clone(inner), NO_PARENT, name, true),
             None => TraceSpan::disabled(),
         }
     }
@@ -290,13 +290,49 @@ struct SpanState {
     /// Explicit duration override (for attributing time measured
     /// elsewhere, e.g. filter time accumulated across scan threads).
     duration_override: Option<Duration>,
-    /// Resource marks taken at open, so finishing on the same thread can
-    /// self-report alloc/CPU deltas (see [`record_state`]). Spans that
-    /// finish on a different thread (kv region scans) set explicit fields
-    /// from the worker instead.
+    /// Resource marks taken at open, so closing on the same thread can
+    /// self-report alloc/CPU deltas (see [`ResourceMarks::record`]); `None`
+    /// once recorded, and for spans whose time was measured elsewhere.
+    /// Spans that finish on a different thread (kv region scans) set
+    /// explicit fields from the worker instead.
+    marks: Option<ResourceMarks>,
+}
+
+/// A span's opening thread and its allocation and CPU counters there.
+struct ResourceMarks {
     opened_on: std::thread::ThreadId,
-    alloc_mark: crate::alloc::AllocSnapshot,
-    cpu_mark: Option<u64>,
+    alloc: crate::alloc::AllocSnapshot,
+    cpu: Option<u64>,
+}
+
+impl ResourceMarks {
+    fn take() -> ResourceMarks {
+        ResourceMarks {
+            opened_on: std::thread::current().id(),
+            alloc: crate::alloc::thread_alloc_snapshot(),
+            cpu: crate::alloc::thread_cpu_ns(),
+        }
+    }
+
+    /// Appends the deltas since the marks to `fields` when the span closes
+    /// on the thread that opened it (per-thread counters are meaningless
+    /// across threads) and the caller set no field of the same name.
+    fn record(self, fields: &mut Vec<(String, FieldValue)>) {
+        if std::thread::current().id() != self.opened_on {
+            return;
+        }
+        let has = |fields: &[(String, FieldValue)], k: &str| fields.iter().any(|(key, _)| key == k);
+        if crate::alloc::allocator_installed() && !has(fields, "alloc_bytes") {
+            let d = crate::alloc::thread_alloc_snapshot().since(&self.alloc);
+            fields.push(("alloc_bytes".to_string(), FieldValue::U64(d.bytes)));
+            fields.push(("allocs".to_string(), FieldValue::U64(d.count)));
+        }
+        if let (Some(mark), false) = (self.cpu, has(fields, "cpu_ns")) {
+            if let Some(now) = crate::alloc::thread_cpu_ns() {
+                fields.push(("cpu_ns".to_string(), FieldValue::U64(now.saturating_sub(mark))));
+            }
+        }
+    }
 }
 
 /// An open span: finishing (or dropping) it appends a [`SpanRecord`] to
@@ -310,7 +346,7 @@ impl TraceSpan {
         TraceSpan(None)
     }
 
-    fn open(ctx: Arc<TraceInner>, parent: u32, name: &str) -> TraceSpan {
+    fn open(ctx: Arc<TraceInner>, parent: u32, name: &str, marks: bool) -> TraceSpan {
         let id = ctx.alloc_id();
         let start_ns = ctx.start.elapsed().as_nanos() as u64;
         TraceSpan(Some(SpanState {
@@ -323,9 +359,7 @@ impl TraceSpan {
             started: Instant::now(),
             start_ns,
             duration_override: None,
-            opened_on: std::thread::current().id(),
-            alloc_mark: crate::alloc::thread_alloc_snapshot(),
-            cpu_mark: crate::alloc::thread_cpu_ns(),
+            marks: marks.then(ResourceMarks::take),
         }))
     }
 
@@ -338,8 +372,33 @@ impl TraceSpan {
     /// Opens a child span. Children of a disabled span are disabled.
     pub fn child(&self, name: &str) -> TraceSpan {
         match &self.0 {
-            Some(s) => TraceSpan::open(Arc::clone(&s.ctx), s.id, name),
+            Some(s) => TraceSpan::open(Arc::clone(&s.ctx), s.id, name, true),
             None => TraceSpan::disabled(),
+        }
+    }
+
+    /// Opens a child for time measured elsewhere (e.g. accumulated across
+    /// scan threads), recorded with `duration`. It takes no resource marks:
+    /// its own allocation and CPU deltas would measure nothing.
+    pub fn attributed_child(&self, name: &str, duration: Duration) -> TraceSpan {
+        match &self.0 {
+            Some(s) => {
+                let mut span = TraceSpan::open(Arc::clone(&s.ctx), s.id, name, false);
+                span.set_duration(duration);
+                span
+            }
+            None => TraceSpan::disabled(),
+        }
+    }
+
+    /// Records the span's allocation and CPU deltas now, as if it closed
+    /// here; finishing it later adds none. Lets a caller close the marks
+    /// before reading a wall time the span should not be charged with.
+    pub fn close_marks(&mut self) {
+        if let Some(s) = &mut self.0 {
+            if let Some(marks) = s.marks.take() {
+                marks.record(&mut s.fields);
+            }
         }
     }
 
@@ -379,21 +438,8 @@ fn record_state(s: SpanState) -> Duration {
     let elapsed = s.started.elapsed();
     let recorded = s.duration_override.unwrap_or(elapsed);
     let mut fields = s.fields;
-    // Self-report resource deltas when the span closes on the thread that
-    // opened it (per-thread counters are meaningless across threads) and
-    // no explicit field of the same name was set by the caller.
-    if std::thread::current().id() == s.opened_on {
-        let has = |fields: &[(String, FieldValue)], k: &str| fields.iter().any(|(key, _)| key == k);
-        if crate::alloc::allocator_installed() && !has(&fields, "alloc_bytes") {
-            let d = crate::alloc::thread_alloc_snapshot().since(&s.alloc_mark);
-            fields.push(("alloc_bytes".to_string(), FieldValue::U64(d.bytes)));
-            fields.push(("allocs".to_string(), FieldValue::U64(d.count)));
-        }
-        if let (Some(mark), false) = (s.cpu_mark, has(&fields, "cpu_ns")) {
-            if let Some(now) = crate::alloc::thread_cpu_ns() {
-                fields.push(("cpu_ns".to_string(), FieldValue::U64(now.saturating_sub(mark))));
-            }
-        }
+    if let Some(marks) = s.marks {
+        marks.record(&mut fields);
     }
     let flat = FlatSpan {
         id: s.id,
@@ -911,6 +957,25 @@ mod tests {
         root.finish();
         let t = ctx.finish().unwrap();
         assert_eq!(t.root.children[0].duration_ns, 123_000_000);
+    }
+
+    #[test]
+    fn attributed_child_has_its_duration_and_no_resource_fields() {
+        let ctx = TraceCtx::enabled();
+        let root = ctx.root("q");
+        root.attributed_child("local-filter", Duration::from_millis(123)).finish();
+        let mut scan = root.child("scan");
+        scan.close_marks();
+        scan.finish();
+        root.finish();
+        let t = ctx.finish().unwrap();
+        let filter = t.root.child("local-filter").unwrap();
+        assert_eq!(filter.duration_ns, 123_000_000);
+        assert_eq!(filter.field_u64("cpu_ns"), None);
+        // Closed marks are recorded once, not again at finish.
+        let scan = t.root.child("scan").unwrap();
+        let cpu_fields = scan.fields.iter().filter(|(k, _)| k == "cpu_ns").count();
+        assert_eq!(cpu_fields, usize::from(crate::alloc::cpu_supported()));
     }
 
     #[test]

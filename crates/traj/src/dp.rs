@@ -9,7 +9,7 @@
 
 use crate::Trajectory;
 pub use trass_geo::douglas_peucker;
-use trass_geo::{Mbr, OrientedBox, Point, Segment};
+use trass_geo::{Mbr, OrientedBox, Point};
 
 /// Representative points and covering boxes of one trajectory.
 ///
@@ -67,42 +67,57 @@ impl DpFeatures {
         self.rep_points.is_empty()
     }
 
-    /// Minimum distance from `p` to the covering-box union; for a
-    /// single-point trajectory (no boxes) this is the distance to that point.
+    /// Lemma 13 decision: `false` when some representative point of `self`
+    /// is farther than `eps` from every box of `other` (from its one point,
+    /// when `other` has no boxes), which proves `f(self, other) > eps`.
     ///
-    /// Because the boxes cover every raw point, this value lower-bounds
-    /// `min_{t ∈ T} d(p, t)` — the quantity Lemma 5 needs.
-    pub fn min_distance_from_point(&self, p: &Point) -> f64 {
-        if self.boxes.is_empty() {
-            return self.rep_points[0].distance(p);
-        }
-        self.boxes.iter().map(|b| b.distance_to_point(p)).fold(f64::INFINITY, f64::min)
-    }
-
-    /// Minimum distance from a segment to the covering-box union.
-    pub fn min_distance_from_segment(&self, seg: &Segment) -> f64 {
-        if self.boxes.is_empty() {
-            return seg.distance_to_point(&self.rep_points[0]);
-        }
-        self.boxes.iter().map(|b| b.distance_to_segment(seg)).fold(f64::INFINITY, f64::min)
-    }
-
-    /// Lemma 13 test: returns `false` when some representative point of
-    /// `self` is farther than `eps` from `other`'s box union (which proves
-    /// `f(self, other) > eps`).
+    /// Each point stops at its first witness box, the search starting at
+    /// the previous point's witness, so similar pairs cost about
+    /// O(|points| + |boxes|) distance tests instead of their product.
     pub fn rep_points_within(&self, other: &DpFeatures, eps: f64) -> bool {
-        self.rep_points.iter().all(|p| other.min_distance_from_point(p) <= eps)
+        if other.boxes.is_empty() {
+            let only = other.rep_points.first();
+            return self.rep_points.iter().all(|p| only.is_some_and(|q| q.distance(p) <= eps));
+        }
+        let mut cursor = 0;
+        self.rep_points.iter().all(|p| {
+            other.witness(&mut cursor, |b| !beyond(b, p, 0.0, eps) && b.distance_to_point(p) <= eps)
+        })
     }
 
-    /// Lemma 14 test: for each covering box of `self`, every edge of the box
-    /// contains at least one raw trajectory point (oriented-MBR tightness),
-    /// so `max_edge min_dist(edge, other.B) ≤ ε` is necessary for
-    /// similarity. Returns `false` when violated.
+    /// Lemma 14 decision: every edge of every covering box of `self`
+    /// contains a raw point (the boxes are tight), so each edge must come
+    /// within `eps` of some box of `other` (of its one point, when `other`
+    /// has no boxes). Returns `false` when an edge does not.
     pub fn boxes_within(&self, other: &DpFeatures, eps: f64) -> bool {
+        if other.boxes.is_empty() {
+            let only = other.rep_points.first();
+            return self.boxes.iter().all(|b| {
+                b.edges().iter().all(|e| only.is_some_and(|q| e.distance_to_point(q) <= eps))
+            });
+        }
+        let mut cursor = 0;
         self.boxes.iter().all(|b| {
-            b.edges().iter().map(|e| other.min_distance_from_segment(e)).fold(0.0f64, f64::max)
-                <= eps
+            b.edges().iter().all(|e| {
+                let (mid, half) = (e.a.lerp(&e.b, 0.5), e.length() * 0.5);
+                other.witness(&mut cursor, |t| {
+                    !beyond(t, &mid, half, eps) && t.segment_within(e, eps)
+                })
+            })
         })
+    }
+
+    /// Whether some box passes `test`. The search starts at box `*cursor`
+    /// and wraps around; a witness becomes the next search's start.
+    fn witness(&self, cursor: &mut usize, test: impl Fn(&OrientedBox) -> bool) -> bool {
+        let (before, from) = self.boxes.split_at(*cursor);
+        match from.iter().chain(before).position(test) {
+            Some(i) => {
+                *cursor = (*cursor + i) % self.boxes.len();
+                true
+            }
+            None => false,
+        }
     }
 
     /// The axis-aligned MBR of the feature set (covers the raw trajectory).
@@ -117,6 +132,29 @@ impl DpFeatures {
         }
         mbr
     }
+}
+
+/// Relative rounding margin of [`beyond`], applied to the magnitude of
+/// every coordinate and length the two distances are computed from.
+const MARGIN_REL: f64 = 1e-9;
+
+/// Absolute margin of [`beyond`]: covers the containment tolerance of
+/// `OrientedBox::segment_within` (an endpoint up to `EPSILON` outside the
+/// box along each axis counts as inside, at distance 0).
+const MARGIN_ABS: f64 = 4.0 * trass_geo::EPSILON;
+
+/// Conservative pre-check for the distance tests above: `true` only when
+/// every point within `reach` of `p` is certainly farther than `eps` from
+/// box `b`, so the exact test would fail too. The circle around the box's
+/// center of radius `half_u + half_v` contains the box; the margin exceeds
+/// any rounding the exact test and this bound can disagree by, so a
+/// skipped box never changes a verdict. Compares squares: no square root.
+#[inline]
+fn beyond(b: &OrientedBox, p: &Point, reach: f64, eps: f64) -> bool {
+    let limit = eps + reach + b.half_u + b.half_v;
+    let scale = limit + p.x.abs() + p.y.abs() + b.center.x.abs() + b.center.y.abs();
+    let limit = limit + MARGIN_REL * scale + MARGIN_ABS;
+    p.distance_sq(&b.center) > limit * limit
 }
 
 #[cfg(test)]
@@ -171,7 +209,8 @@ mod tests {
         let f = DpFeatures::extract(&t, 0.3);
         assert_eq!(f.boxes.len(), f.rep_indices.len() - 1);
         for p in t.points() {
-            assert!(f.min_distance_from_point(p) < 1e-9, "point {p} not covered by boxes");
+            let covered = f.boxes.iter().any(|b| b.distance_to_point(p) < 1e-9);
+            assert!(covered, "point {p} not covered by boxes");
         }
     }
 
@@ -201,7 +240,14 @@ mod tests {
         let f = DpFeatures::extract(&t, 0.01);
         assert_eq!(f.rep_points.len(), 1);
         assert!(f.boxes.is_empty());
-        assert_eq!(f.min_distance_from_point(&Point::new(5.0, 9.0)), 4.0);
+        let probe = DpFeatures::extract(&traj(&[(5.0, 9.0), (5.0, 9.5)]), 0.01);
+        assert!(probe.rep_points_within(&f, 4.5));
+        assert!(!probe.rep_points_within(&f, 4.4));
+        assert!(probe.boxes_within(&f, 4.5));
+        assert!(!probe.boxes_within(&f, 4.4));
+        assert!(f.rep_points_within(&probe, 4.0));
+        assert!(!f.rep_points_within(&probe, 3.9));
+        assert!(f.boxes_within(&probe, 0.0), "no boxes: nothing to test");
     }
 
     #[test]
