@@ -32,9 +32,9 @@ const IO_MARKERS: [&str; 14] = [
     ".scan(",
 ];
 
-/// Calls that block on other threads: scoped fan-out (a `ScopedPool::run`
-/// joins every worker before returning), explicit joins, channel receives,
-/// condvar waits, and sleeps.
+/// Calls that block on other threads: pool fan-out (a `ScopedPool::run`
+/// waits for every participant before returning), explicit joins, channel
+/// receives, condvar waits, and sleeps.
 const BLOCKING_MARKERS: [&str; 8] = [
     "thread::scope(",
     ".join()",
