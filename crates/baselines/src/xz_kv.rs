@@ -119,15 +119,20 @@ impl SimilarityEngine for XzKvEngine {
 
     fn top_k(&self, query: &Trajectory, k: usize, measure: Measure) -> Option<EngineResult> {
         // JUST answers top-k by iterative threshold expansion: start from a
-        // small radius and double until k results exist.
+        // small radius and double until one round returns k results (all of
+        // them, on a smaller store). A round's answer is exact, so its k
+        // nearest are the store's. Rows retrieved summed over rounds say
+        // nothing about that: a DTW budget is a sum of distances, and long
+        // routes fill a window long before they fall within its radius.
         let t0 = Instant::now();
+        let want = k.min(self.n);
         let mut eps = query.mbr().width().max(query.mbr().height()).max(1e-4) * 0.1;
         let mut agg = EngineResult::default();
         for _ in 0..32 {
             let r = self.run_threshold(query, eps, measure);
             agg.retrieved += r.retrieved;
             agg.candidates += r.candidates;
-            if r.results.len() >= k || agg.retrieved as usize >= self.n {
+            if r.results.len() >= want {
                 agg.results = finish_topk(r.results, k);
                 agg.query_time = t0.elapsed();
                 return Some(agg);
@@ -239,6 +244,36 @@ mod tests {
         all.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for (got, want) in got.results.iter().zip(all.iter()) {
             assert!((got.1 - want).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn topk_on_long_routes_returns_the_k_nearest() {
+        // Lorry routes span hundreds of kilometres, so the first rounds
+        // retrieve almost every row while returning almost no answer. The
+        // driver must stop on a round that returns k answers, not on the
+        // rows it retrieved summed over rounds.
+        use trass_traj::generator::{lorry_dataset, LorryConfig, CHINA};
+        let cfg = LorryConfig { points_range: (8, 16), ..LorryConfig::default() };
+        let data = lorry_dataset(5, 120, &cfg);
+        // A coarse index keeps the planner cheap once windows grow to
+        // cover the country; the driver is the same at any resolution.
+        let config = XzKvConfig {
+            max_resolution: 8,
+            space: NormalizedSpace::square(CHINA),
+            ..XzKvConfig::default()
+        };
+        let e = XzKvEngine::build(&data, config);
+        let k = 50;
+        for measure in [Measure::Frechet, Measure::Dtw] {
+            for q in data.iter().step_by(40) {
+                let got = e.top_k(q, k, measure).unwrap();
+                let mut all: Vec<f64> =
+                    data.iter().map(|t| measure.distance(q.points(), t.points())).collect();
+                all.sort_by(f64::total_cmp);
+                let got: Vec<f64> = got.results.iter().map(|&(_, d)| d).collect();
+                assert_eq!(got, all[..k], "{measure:?} query {}", q.id);
+            }
         }
     }
 

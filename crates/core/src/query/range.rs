@@ -8,10 +8,11 @@
 //! quads meets the window, and only occupied spaces are visited. The kept
 //! values become scan ranges that bridge only gaps holding no row, so the
 //! plan reads exactly the rows under them; a trajectory qualifies only if
-//! one of its points falls inside.
+//! one of its points falls inside, which the filter reads from the stored
+//! row in place.
 
 use crate::query::pipeline::{record_pruning, QueryKind, Refined, StagedQuery};
-use crate::schema::{parse_rowkey, RowValue};
+use crate::schema::{parse_rowkey, RowView};
 use crate::stats::SearchResult;
 use crate::store::TrajectoryStore;
 use std::sync::Arc;
@@ -51,8 +52,8 @@ pub(crate) fn range_search_traced(
         let rows = pass.scan(
             key_ranges,
             || {
-                move |_key: &[u8], value: &[u8]| match RowValue::decode(value) {
-                    Ok(row) if row.points.iter().any(|p| window.contains_point(p)) => {
+                move |_key: &[u8], value: &[u8]| match RowView::parse(value) {
+                    Ok(row) if row.points().iter().any(|p| window.contains_point(&p)) => {
                         FilterDecision::Keep
                     }
                     _ => FilterDecision::Skip,

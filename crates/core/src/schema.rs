@@ -16,7 +16,7 @@ use trass_index::ranges::ValueRange;
 use trass_index::xzstar::IndexSpace;
 use trass_kv::Bytes;
 use trass_kv::KeyRange;
-use trass_traj::codec::{self, CodecError};
+use trass_traj::codec::{self, CodecError, FeaturesView, PointsView};
 use trass_traj::{DpFeatures, TrajectoryId};
 
 /// Length of an integer-encoded rowkey.
@@ -123,23 +123,53 @@ impl RowValue {
 
     /// Deserializes a row value written by [`RowValue::encode`].
     pub fn decode(buf: &[u8]) -> Result<RowValue, CodecError> {
-        if buf.len() < 4 {
-            return Err(CodecError::Truncated { context: "row value header" });
-        }
-        // trass-lint: allow(panic-surface) record header split is preceded by an explicit length check on `buf`
-        let header: [u8; 4] = buf[0..4]
-            .try_into()
-            .map_err(|_| CodecError::Truncated { context: "row value header" })?;
-        let points_len = u32::from_le_bytes(header) as usize;
-        // trass-lint: allow(panic-surface) record header split is preceded by an explicit length check on `buf`
-        let rest = &buf[4..];
-        if points_len > rest.len() {
-            return Err(CodecError::Truncated { context: "row value points column" });
-        }
-        let (points_buf, features_buf) = rest.split_at(points_len);
+        let (points_buf, features_buf) = split_columns(buf)?;
         let points = codec::decode_points(points_buf)?;
         let features = codec::decode_features(features_buf, &points)?;
         Ok(RowValue { points, features })
+    }
+}
+
+/// Splits a row value at its header: `(points column, features column)`.
+fn split_columns(buf: &[u8]) -> Result<(&[u8], &[u8]), CodecError> {
+    let truncated = |context| CodecError::Truncated { context };
+    let header = buf.get(..4).and_then(|h| <[u8; 4]>::try_from(h).ok());
+    let points_len = u32::from_le_bytes(header.ok_or(truncated("row value header"))?) as usize;
+    let rest = buf.get(4..).unwrap_or_default();
+    if points_len > rest.len() {
+        return Err(truncated("row value points column"));
+    }
+    Ok(rest.split_at(points_len))
+}
+
+/// A stored row read where it lies: [`RowValue::decode`]'s validation,
+/// error for error, without allocating. The push-down filters test rows
+/// through it, so a rejected row costs its verdict and no copy.
+#[derive(Debug, Clone, Copy)]
+pub struct RowView<'a> {
+    points: PointsView<'a>,
+    features: FeaturesView<'a>,
+}
+
+impl<'a> RowView<'a> {
+    /// Validates a row value written by [`RowValue::encode`]; fails where
+    /// [`RowValue::decode`] fails, with the same error.
+    pub fn parse(buf: &'a [u8]) -> Result<RowView<'a>, CodecError> {
+        let (points_buf, features_buf) = split_columns(buf)?;
+        let points = PointsView::parse(points_buf)?;
+        let features = FeaturesView::parse(features_buf, points.len())?;
+        Ok(RowView { points, features })
+    }
+
+    /// The `points` column.
+    pub fn points(&self) -> PointsView<'a> {
+        self.points
+    }
+
+    /// Replaces `out` with the row's DP features, reusing its allocations;
+    /// the representative points are read from the points column.
+    pub fn features_into(&self, out: &mut DpFeatures) -> Result<(), CodecError> {
+        self.features.decode_into(out, |i| self.points.get(i))
     }
 }
 

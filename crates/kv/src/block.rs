@@ -89,55 +89,63 @@ impl BlockBuilder {
     }
 }
 
-/// A decoded, validated block.
+/// A decoded, validated block. Its entries are views of the one buffer
+/// the block was read into, so decoding copies no key and no value.
 #[derive(Debug, Clone)]
 pub struct Block {
     entries: Vec<BlockEntry>,
 }
 
 impl Block {
-    /// Decodes and checksum-validates an encoded block.
-    pub fn decode(buf: &[u8]) -> Result<Self> {
+    /// Decodes and checksum-validates an encoded block, keeping `buf` as
+    /// the storage of every entry it hands out.
+    pub fn decode(buf: Bytes) -> Result<Self> {
         if buf.len() < 8 {
             return Err(KvError::corruption("block shorter than trailer"));
         }
         let (body, _) = buf.split_at(buf.len() - 4);
-        let stored_crc = crate::codec::u32_le(buf, buf.len() - 4, "block trailer")?;
+        let stored_crc = crate::codec::u32_le(&buf, buf.len() - 4, "block trailer")?;
         if crc32c(body) != stored_crc {
             return Err(KvError::corruption("block checksum mismatch"));
         }
-        let (payload, _) = body.split_at(body.len() - 4);
-        let n_entries = crate::codec::u32_le(body, body.len() - 4, "block entry count")? as usize;
+        let payload_len = body.len() - 4;
+        let n_entries = crate::codec::u32_le(body, payload_len, "block entry count")? as usize;
+        let view = |from: usize, to: usize, what: &str| {
+            buf.slice(from..to)
+                .ok_or_else(|| KvError::corruption(format!("block {what} truncated")))
+        };
 
-        let mut entries = Vec::with_capacity(n_entries);
+        // Every entry costs at least its 9-byte header, which bounds the
+        // allocation by the payload's length.
+        let mut entries = Vec::with_capacity(n_entries.min(payload_len / 9));
         let mut pos = 0usize;
         for _ in 0..n_entries {
-            if pos + 9 > payload.len() {
+            if pos + 9 > payload_len {
                 return Err(KvError::corruption("block entry header truncated"));
             }
-            let flag = payload[pos];
-            let klen = crate::codec::u32_le(payload, pos + 1, "block entry klen")? as usize;
-            let vlen = crate::codec::u32_le(payload, pos + 5, "block entry vlen")? as usize;
+            let flag = body.get(pos).copied().unwrap_or_default();
+            let klen = crate::codec::u32_le(body, pos + 1, "block entry klen")? as usize;
+            let vlen = crate::codec::u32_le(body, pos + 5, "block entry vlen")? as usize;
             pos += 9;
-            let end = pos
+            let key_end = pos
                 .checked_add(klen)
-                .and_then(|e| e.checked_add(vlen))
                 .ok_or_else(|| KvError::corruption("block entry length overflow"))?;
-            if end > payload.len() {
+            let end = key_end
+                .checked_add(vlen)
+                .ok_or_else(|| KvError::corruption("block entry length overflow"))?;
+            if end > payload_len {
                 return Err(KvError::corruption("block entry body truncated"));
             }
-            // trass-lint: allow(panic-surface) offsets come from the length-prefixed encoding and the payload is checksum-verified before decoding
-            let key = Bytes::copy_from_slice(&payload[pos..pos + klen]);
+            let key = view(pos, key_end, "entry key")?;
             let value = match flag {
-                // trass-lint: allow(panic-surface) offsets come from the length-prefixed encoding and the payload is checksum-verified before decoding
-                FLAG_PUT => Some(Bytes::copy_from_slice(&payload[pos + klen..end])),
+                FLAG_PUT => Some(view(key_end, end, "entry value")?),
                 FLAG_TOMBSTONE if vlen == 0 => None,
                 _ => return Err(KvError::corruption("unknown block entry flag")),
             };
             entries.push(BlockEntry { key, value });
             pos = end;
         }
-        if pos != payload.len() {
+        if pos != payload_len {
             return Err(KvError::corruption("trailing bytes in block payload"));
         }
         Ok(Block { entries })
@@ -164,7 +172,7 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let block = Block::decode(&build_sample()).unwrap();
+        let block = Block::decode(Bytes::from(build_sample())).unwrap();
         let e = block.entries();
         assert_eq!(e.len(), 4);
         assert_eq!(e[0].key.as_ref(), b"apple");
@@ -178,21 +186,24 @@ mod tests {
         let mut buf = build_sample();
         let mid = buf.len() / 2;
         buf[mid] ^= 0xFF;
-        assert!(matches!(Block::decode(&buf), Err(KvError::Corruption { .. })));
+        assert!(matches!(Block::decode(Bytes::from(buf)), Err(KvError::Corruption { .. })));
     }
 
     #[test]
     fn truncated_block_rejected() {
         let buf = build_sample();
         for cut in [0, 4, 7, buf.len() - 1] {
-            assert!(Block::decode(&buf[..cut]).is_err(), "cut at {cut} accepted");
+            assert!(
+                Block::decode(Bytes::copy_from_slice(&buf[..cut])).is_err(),
+                "cut at {cut} accepted"
+            );
         }
     }
 
     #[test]
     fn empty_block_roundtrip() {
         let buf = BlockBuilder::new().finish();
-        let block = Block::decode(&buf).unwrap();
+        let block = Block::decode(Bytes::from(buf)).unwrap();
         assert!(block.entries().is_empty());
     }
 

@@ -33,11 +33,10 @@ use crate::types::Bytes;
 use crate::types::KeyRange;
 use std::cell::RefCell;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use trass_obs::sync::Mutex;
 
 /// Process-wide table id source, used as the block-cache key namespace.
 static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(0);
@@ -55,33 +54,26 @@ const FOOTER_LEN: usize = 32;
 pub enum SsData {
     /// Entire table held in memory.
     Mem(Bytes),
-    /// Table backed by a file; reads seek under a mutex.
-    File(Mutex<File>),
+    /// Table backed by a file, read with positioned reads: readers share
+    /// the handle without a lock, since no read moves a file cursor.
+    File(File),
 }
 
 impl SsData {
     fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
         match self {
             SsData::Mem(b) => {
-                let start = offset as usize;
-                let end = start
-                    .checked_add(len)
+                let range = usize::try_from(offset)
+                    .ok()
+                    .and_then(|start| Some(start..start.checked_add(len)?))
                     .ok_or_else(|| KvError::corruption("sstable read range overflow"))?;
-                if end > b.len() {
-                    return Err(KvError::corruption("sstable read past end"));
-                }
-                // trass-lint: allow(panic-surface) block offsets are validated against the file footer/index before slicing
-                Ok(b[start..end].to_vec())
+                let bytes =
+                    b.get(range).ok_or_else(|| KvError::corruption("sstable read past end"))?;
+                Ok(bytes.to_vec())
             }
             SsData::File(f) => {
-                // The guard *is* the file handle: seek+read must be one
-                // atomic unit per reader, and this mutex serialises only
-                // this table's handle, never the store lock.
-                let mut guard = f.lock();
-                guard.seek(SeekFrom::Start(offset))?;
                 let mut buf = vec![0u8; len];
-                // trass-lint: allow(lock-across-io)
-                guard.read_exact(&mut buf)?;
+                f.read_exact_at(&mut buf, offset)?;
                 Ok(buf)
             }
         }
@@ -90,7 +82,7 @@ impl SsData {
     fn len(&self) -> Result<u64> {
         match self {
             SsData::Mem(b) => Ok(b.len() as u64),
-            SsData::File(f) => Ok(f.lock().metadata()?.len()),
+            SsData::File(f) => Ok(f.metadata()?.len()),
         }
     }
 }
@@ -336,7 +328,7 @@ impl SsTable {
     /// Opens an SSTable file from disk, reading blocks through the shared
     /// `cache` when one is given.
     pub fn open_file(path: &Path, cache: Option<Arc<BlockCache>>) -> Result<Arc<Self>> {
-        Self::open(SsData::File(Mutex::new(File::open(path)?)), cache)
+        Self::open(SsData::File(File::open(path)?), cache)
     }
 
     fn open(data: SsData, cache: Option<Arc<BlockCache>>) -> Result<Arc<Self>> {
@@ -415,15 +407,16 @@ impl SsTable {
         }
         let loc = &self.dir.blocks[i];
         let raw = self.data.read_at(loc.offset, loc.len as usize)?;
-        metrics.record_block_read(raw.len());
-        let block = Arc::new(Block::decode(&raw)?);
+        let raw_len = raw.len();
+        metrics.record_block_read(raw_len);
+        let block = Arc::new(Block::decode(Bytes::from(raw))?);
         // Cursors address rows by directory slot, so the two must agree
         // before the block is handed out or cached.
         if block.entries().len() != self.dir.block_rows(i) {
             return Err(KvError::corruption("sstable block disagrees with directory"));
         }
         if let Some(cache) = &self.cache {
-            cache.insert(key, Arc::clone(&block), raw.len());
+            cache.insert(key, Arc::clone(&block), raw_len);
         }
         Ok(block)
     }

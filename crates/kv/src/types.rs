@@ -1,18 +1,26 @@
 //! Core key/value types.
 
-use std::ops::{Bound, Deref};
+use std::hash::{Hash, Hasher};
+use std::ops::{Bound, Deref, Range};
 use std::sync::Arc;
 
-/// An immutable byte buffer shared by reference count: the type of every
+/// An immutable byte string shared by reference count: the type of every
 /// key and value the store holds or hands out.
 ///
-/// `From<Vec<u8>>` takes ownership of the vector's allocation and `clone`
-/// bumps a count, so a row is copied once when it is encoded or read and
-/// never again on its way through memtable, scan and caller. It orders,
-/// hashes and compares as the `[u8]` it dereferences to, which lets maps
-/// keyed by `Bytes` be probed with a plain slice.
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Bytes(Arc<Vec<u8>>);
+/// It is a view, a range of a shared buffer. `From<Vec<u8>>` takes
+/// ownership of the vector's allocation, and `clone` and [`Bytes::slice`]
+/// bump a count, so a row is copied once when it is encoded or read and
+/// never again on its way through memtable, block, scan and caller. It
+/// orders, hashes and compares as the `[u8]` it dereferences to, never as
+/// the buffer behind it, which lets maps keyed by `Bytes` be probed with a
+/// plain slice. A view keeps its whole buffer alive.
+#[derive(Clone, Default)]
+pub struct Bytes {
+    buf: Arc<Vec<u8>>,
+    /// `start <= end <= buf.len()`, upheld by every constructor.
+    start: usize,
+    end: usize,
+}
 
 impl Bytes {
     /// An empty buffer.
@@ -24,11 +32,22 @@ impl Bytes {
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
         Bytes::from(data.to_vec())
     }
+
+    /// The view of `self[range]`, sharing this buffer, or `None` when the
+    /// range is inverted or runs past the end.
+    pub fn slice(&self, range: Range<usize>) -> Option<Bytes> {
+        if range.start > range.end || range.end > self.len() {
+            return None;
+        }
+        let start = self.start + range.start;
+        Some(Bytes { buf: Arc::clone(&self.buf), start, end: self.start + range.end })
+    }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes(Arc::new(v))
+        let end = v.len();
+        Bytes { buf: Arc::new(v), start: 0, end }
     }
 }
 
@@ -53,19 +72,51 @@ impl From<String> for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.0
+        self.buf.get(self.start..self.end).unwrap_or_default()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.0
+        self
     }
 }
 
 impl std::borrow::Borrow<[u8]> for Bytes {
     fn borrow(&self) -> &[u8] {
-        &self.0
+        self
+    }
+}
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Bytes {}
+
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Bytes) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Bytes {
+    fn cmp(&self, other: &Bytes) -> std::cmp::Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl Hash for Bytes {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl std::fmt::Debug for Bytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Bytes").field(&&**self).finish()
     }
 }
 
@@ -204,6 +255,53 @@ mod tests {
         assert_eq!(b.clone().as_ptr(), heap);
         assert_eq!(Bytes::new().len(), 0);
         assert!(Bytes::from("ab") < Bytes::from(String::from("b")));
+    }
+
+    #[test]
+    fn views_compare_order_and_hash_as_the_bytes_they_show() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |b: &[u8]| {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        let hash_bytes = |b: &Bytes| {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        let big = Bytes::from(&b"xxabcyy"[..]);
+        let view = big.slice(2..5).unwrap();
+        let own = Bytes::from("abc");
+        assert_eq!(view, own, "equal bytes, different buffers and offsets");
+        assert_eq!(hash_bytes(&view), hash_bytes(&own));
+        assert_eq!(hash_bytes(&view), hash(b"abc"), "hashes as the slice it shows");
+        assert!(big.slice(0..2).unwrap() > view, "\"xx\" > \"abc\"");
+        assert!(big.slice(2..4).unwrap() < view, "a prefix orders first");
+        assert_eq!(format!("{view:?}"), format!("{own:?}"));
+        // A map keyed by views is probed by plain slices.
+        let map: std::collections::HashMap<Bytes, u8> = [(view.clone(), 1)].into();
+        assert_eq!(map.get(&b"abc"[..]), Some(&1));
+    }
+
+    #[test]
+    fn slices_of_slices_share_one_buffer_and_reject_bad_ranges() {
+        let v = b"0123456789".to_vec();
+        let heap = v.as_ptr();
+        let b = Bytes::from(v);
+        let mid = b.slice(2..8).unwrap();
+        assert_eq!(mid.as_ref(), b"234567");
+        let inner = mid.slice(1..4).unwrap();
+        assert_eq!(inner.as_ref(), b"345");
+        assert_eq!(inner.as_ptr(), heap.wrapping_add(3));
+        assert_eq!(mid.slice(6..6).unwrap().len(), 0);
+        assert_eq!(mid.slice(0..7), None, "past the view's end, though inside the buffer");
+        #[allow(clippy::reversed_empty_ranges)]
+        let inverted = 4..3;
+        assert_eq!(mid.slice(inverted), None);
+        drop(b);
+        drop(mid);
+        assert_eq!(inner.as_ref(), b"345", "a view keeps its buffer alive");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! observe some consistent prefix of the write history.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use trass_kv::filter::KeepAll;
 use trass_kv::{Cluster, ClusterOptions, KeyRange, LsmStore, StoreOptions};
 
 fn small_store() -> LsmStore {
@@ -107,4 +108,88 @@ fn cluster_parallel_scans_under_write_load() {
     assert_eq!(cluster.scan(KeyRange::all()).unwrap().len(), 4_000);
     let counts = cluster.region_entry_counts();
     assert!(counts.iter().all(|&c| c >= 1_000), "counts {counts:?}");
+}
+
+#[test]
+fn file_backed_parallel_scans_race_writes_and_flushes() {
+    // Table blocks are read with positioned reads on a shared handle, no
+    // lock held; a cache far smaller than the data keeps every scan on
+    // that path. Every row a scan returns must be a whole version of its
+    // key, in order, and the rows loaded before the race must all show.
+    let dir = std::env::temp_dir().join(format!("trass-kv-conc-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cluster = Cluster::open(ClusterOptions {
+        shards: 2,
+        store: StoreOptions {
+            memtable_bytes: 8 << 10,
+            block_size: 512,
+            block_cache_bytes: 4 << 10,
+            compaction_threshold: 4,
+            ..StoreOptions::at_dir(&dir)
+        },
+        scan_threads: 2,
+        ..ClusterOptions::default()
+    })
+    .expect("open");
+    let key = |shard: u8, k: u32| {
+        let mut key = vec![shard];
+        key.extend_from_slice(format!("key-{k:04}").as_bytes());
+        key
+    };
+    // Every value names its key and round and has the same length, so one
+    // read at a wrong offset or torn between versions matches no version.
+    let value = |k: u32, round: u32| format!("{k:04}:{round:06}:{}", "x".repeat(40));
+    for k in 0..300u32 {
+        cluster.put(key((k % 2) as u8, k), value(k, 0)).expect("put");
+    }
+    cluster.flush().expect("flush");
+    let ranges: Vec<KeyRange> = (0..2u8)
+        .flat_map(|s| (0..6u32).map(move |i| KeyRange::new(key(s, i * 50), key(s, i * 50 + 30))))
+        .collect();
+    let expected_rows = 2 * 6 * 30 / 2;
+    let stop = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(3);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            for round in 1..=40u32 {
+                for k in (0..300u32).step_by(3) {
+                    cluster.put(key((k % 2) as u8, k), value(k, round)).expect("put");
+                }
+                if round % 5 == 0 {
+                    cluster.flush().expect("flush");
+                }
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        for _ in 0..2 {
+            s.spawn(|| {
+                start.wait();
+                let mut scans = 0;
+                while !stop.load(Ordering::SeqCst) || scans == 0 {
+                    let rows = cluster.scan_ranges(&ranges, &KeepAll).expect("scan");
+                    assert_eq!(rows.len(), expected_rows, "a loaded row went missing");
+                    for pair in rows.windows(2) {
+                        if pair[0].key[0] == pair[1].key[0] {
+                            assert!(pair[0].key < pair[1].key, "scan out of order");
+                        }
+                    }
+                    for row in &rows {
+                        let v = std::str::from_utf8(&row.value).expect("utf8");
+                        let k: u32 = std::str::from_utf8(&row.key[5..]).unwrap().parse().unwrap();
+                        let (vk, rest) = v.split_once(':').expect("key field");
+                        assert_eq!(vk.parse::<u32>().unwrap(), k, "value of another key");
+                        let round: u32 = rest.split(':').next().unwrap().parse().unwrap();
+                        assert!(round <= 40);
+                        assert_eq!(v, value(k, round), "torn value");
+                    }
+                    scans += 1;
+                }
+            });
+        }
+    });
+    let io = cluster.metrics_snapshot();
+    assert!(io.blocks_read > 0, "the race never read a block from a file");
+    drop(cluster);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -63,11 +63,6 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
-    fn f64(&mut self, context: &'static str) -> Result<f64, CodecError> {
-        let b = self.take(8, context)?;
-        Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
     fn finished(&self) -> bool {
         self.pos == self.buf.len()
     }
@@ -86,10 +81,6 @@ fn put_point(out: &mut Vec<u8>, p: &Point) {
     put_f64(out, p.y);
 }
 
-fn read_point(r: &mut Reader<'_>, context: &'static str) -> Result<Point, CodecError> {
-    Ok(Point::new(r.f64(context)?, r.f64(context)?))
-}
-
 /// Encodes a point sequence: `u32 count` then `count × (f64, f64)`.
 pub fn encode_points(points: &[Point]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + points.len() * 16);
@@ -102,20 +93,83 @@ pub fn encode_points(points: &[Point]) -> Vec<u8> {
 
 /// Decodes a point sequence written by [`encode_points`].
 pub fn decode_points(buf: &[u8]) -> Result<Vec<Point>, CodecError> {
-    let mut r = Reader::new(buf);
-    let n = r.u32("points count")? as usize;
-    // Guard against a corrupt count causing a huge allocation.
-    if n.saturating_mul(16) > buf.len() {
-        return Err(CodecError::Corrupt { context: "points count" });
+    Ok(PointsView::parse(buf)?.iter().collect())
+}
+
+/// The little-endian `f64` at `b[at..at + 8]`; NaN where `b` is too short,
+/// which a validated column never is.
+#[inline]
+fn f64_at(b: &[u8], at: usize) -> f64 {
+    let bytes = at.checked_add(8).and_then(|end| b.get(at..end));
+    bytes.and_then(|b| <[u8; 8]>::try_from(b).ok()).map_or(f64::NAN, f64::from_le_bytes)
+}
+
+/// The little-endian `u32` at `b[at..at + 4]`; `u32::MAX` where `b` is too
+/// short, which a validated column never is.
+#[inline]
+fn u32_at(b: &[u8], at: usize) -> u32 {
+    let bytes = at.checked_add(4).and_then(|end| b.get(at..end));
+    bytes.and_then(|b| <[u8; 4]>::try_from(b).ok()).map_or(u32::MAX, u32::from_le_bytes)
+}
+
+/// A points column written by [`encode_points`], validated and read where
+/// it lies: no point is copied until asked for.
+#[derive(Debug, Clone, Copy)]
+pub struct PointsView<'a> {
+    /// Exactly `16 × len` bytes, `(x, y)` per point.
+    bytes: &'a [u8],
+}
+
+impl<'a> PointsView<'a> {
+    /// Validates `buf` exactly as [`decode_points`] does, with the same
+    /// error for the same damage, and allocates nothing.
+    pub fn parse(buf: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(buf);
+        let n = r.u32("points count")? as usize;
+        // Guard against a corrupt count causing a huge allocation.
+        if n.saturating_mul(16) > buf.len() {
+            return Err(CodecError::Corrupt { context: "points count" });
+        }
+        let bytes = r.take(n * 16, "point")?;
+        if !r.finished() {
+            return Err(CodecError::Corrupt { context: "trailing bytes after points" });
+        }
+        Ok(PointsView { bytes })
     }
-    let mut points = Vec::with_capacity(n);
-    for _ in 0..n {
-        points.push(read_point(&mut r, "point")?);
+
+    /// Number of points.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.bytes.len() / 16
     }
-    if !r.finished() {
-        return Err(CodecError::Corrupt { context: "trailing bytes after points" });
+
+    /// True when the column holds no point.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
     }
-    Ok(points)
+
+    /// Point `i`, or `None` past the end.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<Point> {
+        let at = i.checked_mul(16).filter(|&at| at < self.bytes.len())?;
+        Some(Point::new(f64_at(self.bytes, at), f64_at(self.bytes, at + 8)))
+    }
+
+    /// The first point.
+    pub fn first(&self) -> Option<Point> {
+        self.get(0)
+    }
+
+    /// The last point.
+    pub fn last(&self) -> Option<Point> {
+        self.get(self.len().checked_sub(1)?)
+    }
+
+    /// The points in order.
+    pub fn iter(&self) -> impl Iterator<Item = Point> + 'a {
+        self.bytes.chunks_exact(16).map(|c| Point::new(f64_at(c, 0), f64_at(c, 8)))
+    }
 }
 
 /// Encodes DP features: representative indices and covering boxes.
@@ -141,38 +195,99 @@ pub fn encode_features(features: &DpFeatures) -> Vec<u8> {
 /// Decodes DP features written by [`encode_features`], resolving
 /// representative points against the raw `points` column.
 pub fn decode_features(buf: &[u8], points: &[Point]) -> Result<DpFeatures, CodecError> {
-    let mut r = Reader::new(buf);
-    let n_rep = r.u32("rep count")? as usize;
-    if n_rep.saturating_mul(4) > buf.len() {
-        return Err(CodecError::Corrupt { context: "rep count" });
+    let view = FeaturesView::parse(buf, points.len())?;
+    let mut features = DpFeatures {
+        rep_indices: Vec::with_capacity(view.n_reps()),
+        rep_points: Vec::with_capacity(view.n_reps()),
+        boxes: Vec::with_capacity(view.n_boxes()),
+    };
+    view.decode_into(&mut features, |i| points.get(i).copied())?;
+    Ok(features)
+}
+
+/// Bytes of one encoded covering box: center, axis, `half_u`, `half_v`.
+const BOX_LEN: usize = 48;
+
+/// A features column written by [`encode_features`], validated against
+/// the length of its row's points column without allocating.
+#[derive(Debug, Clone, Copy)]
+pub struct FeaturesView<'a> {
+    /// Exactly `4 × n_reps` bytes of representative indices.
+    reps: &'a [u8],
+    /// Exactly `48 × n_boxes` bytes of covering boxes.
+    boxes: &'a [u8],
+}
+
+impl<'a> FeaturesView<'a> {
+    /// Validates `buf` exactly as [`decode_features`] does against a
+    /// points column of `n_points` points, with the same error for the
+    /// same damage.
+    pub fn parse(buf: &'a [u8], n_points: usize) -> Result<Self, CodecError> {
+        let mut r = Reader::new(buf);
+        let n_rep = r.u32("rep count")? as usize;
+        if n_rep.saturating_mul(4) > buf.len() {
+            return Err(CodecError::Corrupt { context: "rep count" });
+        }
+        let reps = r.take(n_rep * 4, "rep index")?;
+        if reps.chunks_exact(4).any(|i| u32_at(i, 0) as usize >= n_points) {
+            return Err(CodecError::Corrupt { context: "rep index out of range" });
+        }
+        let n_boxes = r.u32("box count")? as usize;
+        if n_boxes.saturating_mul(BOX_LEN) > buf.len() {
+            return Err(CodecError::Corrupt { context: "box count" });
+        }
+        let left = buf.len().saturating_sub(r.pos);
+        let Ok(boxes) = r.take(n_boxes * BOX_LEN, "box") else {
+            // Name the field the box-by-box read would have stopped in.
+            let context = match left % BOX_LEN {
+                0..=15 => "box center",
+                16..=31 => "box axis",
+                32..=39 => "box half_u",
+                _ => "box half_v",
+            };
+            return Err(CodecError::Truncated { context });
+        };
+        if !r.finished() {
+            return Err(CodecError::Corrupt { context: "trailing bytes after features" });
+        }
+        Ok(FeaturesView { reps, boxes })
     }
-    let mut rep_indices = Vec::with_capacity(n_rep);
-    for _ in 0..n_rep {
-        rep_indices.push(r.u32("rep index")?);
+
+    /// Number of representative points.
+    pub fn n_reps(&self) -> usize {
+        self.reps.len() / 4
     }
-    let mut rep_points = Vec::with_capacity(n_rep);
-    for &i in &rep_indices {
-        let p = points
-            .get(i as usize)
-            .ok_or(CodecError::Corrupt { context: "rep index out of range" })?;
-        rep_points.push(*p);
+
+    /// Number of covering boxes.
+    pub fn n_boxes(&self) -> usize {
+        self.boxes.len() / BOX_LEN
     }
-    let n_boxes = r.u32("box count")? as usize;
-    if n_boxes.saturating_mul(48) > buf.len() {
-        return Err(CodecError::Corrupt { context: "box count" });
+
+    /// Replaces `out` with these features, reusing its allocations.
+    /// `point(i)` resolves representative index `i` against the row's
+    /// points column; an index it cannot resolve is corruption.
+    pub fn decode_into(
+        &self,
+        out: &mut DpFeatures,
+        point: impl Fn(usize) -> Option<Point>,
+    ) -> Result<(), CodecError> {
+        out.rep_indices.clear();
+        out.rep_points.clear();
+        out.boxes.clear();
+        for i in self.reps.chunks_exact(4).map(|i| u32_at(i, 0)) {
+            let p = point(i as usize)
+                .ok_or(CodecError::Corrupt { context: "rep index out of range" })?;
+            out.rep_indices.push(i);
+            out.rep_points.push(p);
+        }
+        out.boxes.extend(self.boxes.chunks_exact(BOX_LEN).map(|b| OrientedBox {
+            center: Point::new(f64_at(b, 0), f64_at(b, 8)),
+            axis: Point::new(f64_at(b, 16), f64_at(b, 24)),
+            half_u: f64_at(b, 32),
+            half_v: f64_at(b, 40),
+        }));
+        Ok(())
     }
-    let mut boxes = Vec::with_capacity(n_boxes);
-    for _ in 0..n_boxes {
-        let center = read_point(&mut r, "box center")?;
-        let axis = read_point(&mut r, "box axis")?;
-        let half_u = r.f64("box half_u")?;
-        let half_v = r.f64("box half_v")?;
-        boxes.push(OrientedBox { center, axis, half_u, half_v });
-    }
-    if !r.finished() {
-        return Err(CodecError::Corrupt { context: "trailing bytes after features" });
-    }
-    Ok(DpFeatures { rep_indices, rep_points, boxes })
 }
 
 #[cfg(test)]
