@@ -65,7 +65,13 @@ impl SimilarityEngine for DftEngine {
             }
         }
         results.sort_by_key(|&(tid, _)| tid);
-        Some(EngineResult { results, retrieved, candidates: retrieved, query_time: t0.elapsed() })
+        Some(EngineResult {
+            results,
+            retrieved,
+            candidates: retrieved,
+            query_time: t0.elapsed(),
+            stages: None,
+        })
     }
 
     fn top_k(&self, query: &Trajectory, k: usize, measure: Measure) -> Option<EngineResult> {
@@ -106,7 +112,13 @@ impl SimilarityEngine for DftEngine {
         }
         let candidates = scored.len() as u64;
         let results = finish_topk(scored, k);
-        Some(EngineResult { results, retrieved, candidates, query_time: t0.elapsed() })
+        Some(EngineResult {
+            results,
+            retrieved,
+            candidates,
+            query_time: t0.elapsed(),
+            stages: None,
+        })
     }
 }
 

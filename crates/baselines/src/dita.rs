@@ -93,7 +93,13 @@ impl SimilarityEngine for DitaEngine {
             }
         }
         results.sort_by_key(|&(tid, _)| tid);
-        Some(EngineResult { results, retrieved, candidates, query_time: t0.elapsed() })
+        Some(EngineResult {
+            results,
+            retrieved,
+            candidates,
+            query_time: t0.elapsed(),
+            stages: None,
+        })
     }
 
     fn top_k(&self, query: &Trajectory, k: usize, measure: Measure) -> Option<EngineResult> {

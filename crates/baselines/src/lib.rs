@@ -48,6 +48,21 @@ pub struct EngineResult {
     pub candidates: u64,
     /// Wall-clock query time.
     pub query_time: Duration,
+    /// Per-stage accounting; `None` for the baselines, whose pruning and
+    /// scanning interleave.
+    pub stages: Option<Stages>,
+}
+
+/// Per-stage accounting of one query, from an engine that separates the
+/// stages (TraSS, through the experiment harness's adapter).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Stages {
+    /// Global-pruning time.
+    pub pruning_time: Duration,
+    /// Refine-stage time.
+    pub refine_time: Duration,
+    /// Candidates discarded by refinement's lower bounds.
+    pub refine_pruned: u64,
 }
 
 impl EngineResult {

@@ -141,6 +141,7 @@ impl SimilarityEngine for ReposeEngine {
             retrieved: self.data.len() as u64, // the reference table is scanned in full
             candidates,
             query_time: t0.elapsed(),
+            stages: None,
         })
     }
 }

@@ -100,7 +100,13 @@ impl XzKvEngine {
             }
         }
         results.sort_by_key(|&(tid, _)| tid);
-        EngineResult { results, retrieved, candidates: filter.kept(), query_time: t0.elapsed() }
+        EngineResult {
+            results,
+            retrieved,
+            candidates: filter.kept(),
+            query_time: t0.elapsed(),
+            stages: None,
+        }
     }
 }
 

@@ -13,6 +13,7 @@
 //!   fig19   shard sweep
 //!   fig20   Hausdorff and DTW measures
 //!   io      theoretical 83.6 % + measured I/O reduction vs XZ-Ordering
+//!   ablation  pruning stages switched off one at a time
 //!   all     everything, in order
 //! ```
 //!
@@ -20,33 +21,42 @@
 //! 5 000 trajectories per dataset), `TRASS_REPRO_QUERIES` sets the query
 //! batch (default 40). Results append to `results/<exp>.jsonl`.
 //!
+//! Every timed answer is checked against brute force. A wrong one is named
+//! on stderr and written with `"correct": false`, and `repro` exits 1 once
+//! the rows are written.
+//!
 //! Performance is measured by the repository benchmark (`benchmark/`,
 //! `BENCHMARK.json`), not here.
 
-use trass_bench::experiments;
+use std::str::FromStr;
+use trass_bench::datasets::Scale;
+use trass_bench::experiments::ALL;
+
+/// A positive number from the environment, or `default`.
+fn env_or<T: FromStr + PartialOrd + Default>(name: &str, default: T) -> T {
+    let value = std::env::var(name).ok().and_then(|v| v.parse().ok());
+    value.filter(|v| *v > T::default()).unwrap_or(default)
+}
 
 fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| {
-        eprintln!("usage: repro <fig9|fig10|fig11|fig12|fig13|fig14|fig17|fig18|fig19|fig20|io|ablation|all>");
-        std::process::exit(2);
-    });
-    match arg.as_str() {
-        "fig9" => experiments::fig09_threshold::run(),
-        "fig10" => experiments::fig10_topk::run(),
-        "fig11" => experiments::fig11_pruning::run(),
-        "fig12" => experiments::fig12_distribution::run(),
-        "fig13" => experiments::fig13_overhead::run(),
-        "fig14" | "fig15" => experiments::fig14_resolution::run(),
-        "fig17" => experiments::fig17_scalability::run(),
-        "fig18" => experiments::fig18_tail_latency::run(),
-        "fig19" => experiments::fig19_shards::run(),
-        "fig20" => experiments::fig20_measures::run(),
-        "io" => experiments::io_reduction::run(),
-        "ablation" => experiments::ablation::run(),
-        "all" => experiments::run_all(),
-        other => {
-            eprintln!("unknown experiment: {other}");
+    let arg = std::env::args().nth(1).unwrap_or_default();
+    let name = if arg == "fig15" { "fig14" } else { arg.as_str() };
+    let scale = Scale {
+        size: env_or("TRASS_REPRO_SCALE", 1.0),
+        queries: env_or("TRASS_REPRO_QUERIES", 40),
+    };
+    let correct = match ALL.iter().find(|(n, _)| *n == name) {
+        Some((_, run)) => run(scale),
+        // Every experiment runs, whatever an earlier one found.
+        None if name == "all" => ALL.iter().fold(true, |ok, (_, run)| run(scale) & ok),
+        None => {
+            let names: Vec<_> = ALL.iter().map(|(n, _)| *n).collect();
+            eprintln!("usage: repro <{}|all>", names.join("|"));
             std::process::exit(2);
         }
+    };
+    if !correct {
+        eprintln!("repro: some answers differ from brute force (rows with \"correct\": false)");
+        std::process::exit(1);
     }
 }

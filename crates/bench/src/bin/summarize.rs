@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use trass_bench::report::{markdown, Row};
 use trass_obs::json::{self, Value};
 
 fn main() {
@@ -32,53 +33,16 @@ fn main() {
     files.sort();
     for file in files {
         let Ok(text) = std::fs::read_to_string(&file) else { continue };
-        let rows: Vec<Value> = text.lines().filter_map(|l| json::parse(l).ok()).collect();
-        if rows.is_empty() {
-            continue;
-        }
-        println!("\n### {}\n", text_of(&rows[0], "experiment"));
-        // Collect the metric columns in first-seen order.
-        let mut metrics: Vec<String> = Vec::new();
-        for r in &rows {
-            for (k, _) in r.get("metrics").and_then(Value::as_object).unwrap_or_default() {
-                if !metrics.contains(k) {
-                    metrics.push(k.clone());
-                }
-            }
-        }
-        print!("| dataset | solution | param | value |");
-        for m in &metrics {
-            print!(" {m} |");
-        }
-        println!();
-        print!("|---|---|---|---|");
-        for _ in &metrics {
-            print!("---|");
-        }
-        println!();
         // Deduplicate repeated runs: keep the last row per
         // (dataset, solution, param, value).
-        let mut dedup: BTreeMap<String, &Value> = BTreeMap::new();
-        for r in &rows {
-            let cells = format!(
-                "| {} | {} | {} | {} |",
-                text_of(r, "dataset"),
-                text_of(r, "solution"),
-                text_of(r, "param"),
-                r.get("param_value").and_then(Value::as_f64).map_or("null".into(), json::number)
-            );
-            dedup.insert(cells, r);
+        let mut dedup = BTreeMap::new();
+        for r in text.lines().filter_map(Row::from_json) {
+            let key = (r.dataset.clone(), r.solution.clone(), r.param.clone());
+            dedup.insert((key, json::number(r.param_value)), r);
         }
-        for (cells, r) in &dedup {
-            print!("{cells}");
-            for m in &metrics {
-                match r.get("metrics").and_then(|ms| ms.get(m)).and_then(Value::as_f64) {
-                    Some(v) if v.abs() >= 100.0 => print!(" {v:.0} |"),
-                    Some(v) => print!(" {v:.3} |"),
-                    None => print!(" – |"),
-                }
-            }
-            println!();
+        let rows: Vec<Row> = dedup.into_values().collect();
+        if let Some(first) = rows.first() {
+            println!("\n### {}\n\n{}", first.experiment, markdown(&rows));
         }
     }
 }
@@ -122,9 +86,4 @@ fn bench_series(root: &std::path::Path) {
         println!("|---|---|---|---|---|---|---|");
         lines.iter().for_each(|line| println!("{line}"));
     }
-}
-
-/// String member `key` of a row (empty when absent).
-fn text_of<'a>(row: &'a Value, key: &str) -> &'a str {
-    row.get(key).and_then(Value::as_str).unwrap_or("")
 }

@@ -6,20 +6,23 @@
 //! (Lemmas 12–14) one at a time and measure rows retrieved, candidates,
 //! and query time at ε = 0.01 on both datasets.
 
-use crate::datasets::{self, Dataset};
-use crate::harness;
-use crate::report::Reporter;
-use trass_core::{config::TrassConfig, store::TrajectoryStore};
+use crate::datasets::{Dataset, Scale};
+use crate::harness::{self, ms, Column, Op, Point, Trass};
+use trass_baselines::SimilarityEngine;
+use trass_core::TrassConfig;
 use trass_traj::Measure;
 
-/// Runs the ablation.
-pub fn run() {
-    let mut rep = Reporter::new("ablation");
-    for ds in [datasets::tdrive(), datasets::lorry()] {
-        run_dataset(&ds, &mut rep);
-    }
-    let path = rep.finish();
-    println!("ablation rows appended to {}", path.display());
+/// Runs the ablation; `false` if any answer was wrong.
+pub fn run(scale: Scale) -> bool {
+    let op = Op::Threshold(0.01, Measure::Frechet);
+    let points: [Point; 1] = [("eps", 0.01, vec![op])];
+    let columns: [Column; 4] = [
+        ("time_ms", 0, |a| Some(ms(a.median_time))),
+        ("retrieved", 0, |a| Some(a.mean_retrieved)),
+        ("candidates", 0, |a| Some(a.mean_candidates)),
+        ("results", 0, |a| Some(a.mean_results)),
+    ];
+    harness::sweep("ablation", scale, scale.queries, engines, &points, &columns)
 }
 
 type Variant = (&'static str, fn(&mut TrassConfig));
@@ -38,49 +41,36 @@ fn variants() -> Vec<Variant> {
     ]
 }
 
-fn run_dataset(ds: &Dataset, rep: &mut Reporter) {
-    let queries = datasets::queries(ds, datasets::n_queries());
-    for (name, tweak) in variants() {
-        let mut cfg = TrassConfig { space: trass_geo::WORLD_SQUARE, ..TrassConfig::default() };
+/// TraSS once per variant, each named after it.
+fn engines(ds: &Dataset) -> Vec<Box<dyn SimilarityEngine>> {
+    let build = |(name, tweak): Variant| -> Box<dyn SimilarityEngine> {
+        let mut cfg = TrassConfig::default();
         tweak(&mut cfg);
-        let store = TrajectoryStore::open(cfg).expect("open");
-        store.insert_all(&ds.data).expect("insert");
-        store.flush().expect("flush");
-        let agg = harness::run_trass_threshold(&store, &queries, 0.01, Measure::Frechet);
-        rep.row(
-            ds.name,
-            name,
-            "eps",
-            0.01,
-            &[
-                ("time_ms", agg.median_time.as_secs_f64() * 1e3),
-                ("retrieved", agg.mean_retrieved),
-                ("candidates", agg.mean_candidates),
-                ("results", agg.mean_results),
-            ],
-        );
-    }
+        let mut trass = Trass::build(&ds.data, cfg);
+        trass.name = name;
+        Box::new(trass)
+    };
+    variants().into_iter().map(build).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasets;
+    use crate::harness::Queries;
     use trass_core::query;
 
     #[test]
     fn ablations_do_not_change_answers() {
         // Every ablation must stay *correct* — the lemmas only prune, never
         // decide. Answers across variants must be identical.
-        std::env::set_var("TRASS_REPRO_SCALE", "0.05");
-        let ds = datasets::tdrive();
+        let ds = datasets::tdrive(0.05);
         let queries = datasets::queries(&ds, 3);
         let mut reference: Option<Vec<Vec<u64>>> = None;
         for (name, tweak) in variants() {
-            let mut cfg = TrassConfig { space: trass_geo::WORLD_SQUARE, ..TrassConfig::default() };
+            let mut cfg = TrassConfig::default();
             tweak(&mut cfg);
-            let store = TrajectoryStore::open(cfg).unwrap();
-            store.insert_all(&ds.data).unwrap();
-            store.flush().unwrap();
+            let store = Trass::build(&ds.data, cfg).store;
             let answers: Vec<Vec<u64>> = queries
                 .iter()
                 .map(|q| {
@@ -97,21 +87,18 @@ mod tests {
                 Some(r) => assert_eq!(&answers, r, "variant {name} changed the answers"),
             }
         }
-        std::env::remove_var("TRASS_REPRO_SCALE");
     }
 
     #[test]
     fn disabling_stages_increases_work() {
-        std::env::set_var("TRASS_REPRO_SCALE", "0.1");
-        let ds = datasets::tdrive();
-        let queries = datasets::queries(&ds, 5);
+        let ds = datasets::tdrive(0.1);
+        let queries = Queries::new(&ds, 5);
         let measure = |tweak: fn(&mut TrassConfig)| {
-            let mut cfg = TrassConfig { space: trass_geo::WORLD_SQUARE, ..TrassConfig::default() };
+            let mut cfg = TrassConfig::default();
             tweak(&mut cfg);
-            let store = TrajectoryStore::open(cfg).unwrap();
-            store.insert_all(&ds.data).unwrap();
-            store.flush().unwrap();
-            let agg = harness::run_trass_threshold(&store, &queries, 0.01, Measure::Frechet);
+            let trass = Trass::build(&ds.data, cfg);
+            let agg =
+                harness::run(&trass, &queries, Op::Threshold(0.01, Measure::Frechet)).unwrap();
             (agg.mean_retrieved, agg.mean_candidates)
         };
         let (full_retrieved, full_candidates) = measure(|_| {});
@@ -125,6 +112,5 @@ mod tests {
             nolf_candidates >= full_candidates,
             "local filter should reduce candidates: {nolf_candidates} vs {full_candidates}"
         );
-        std::env::remove_var("TRASS_REPRO_SCALE");
     }
 }

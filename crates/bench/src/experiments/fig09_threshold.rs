@@ -2,58 +2,22 @@
 //! candidates after pruning (b), varying ε ∈ {0.001 … 0.02} on T-Drive and
 //! Lorry, for TraSS vs DFT / DITA / JUST.
 
-use crate::datasets::{self, Dataset};
-use crate::harness;
-use crate::report::Reporter;
+use crate::datasets::Scale;
+use crate::harness::{self, ms, Column, Op, Point};
 use trass_traj::Measure;
 
 /// The ε sweep of §VI-A.
 pub const EPS_SWEEP: [f64; 5] = [0.001, 0.005, 0.01, 0.015, 0.02];
 
-/// Runs the experiment.
-pub fn run() {
-    let mut rep = Reporter::new("fig9");
-    for ds in [datasets::tdrive(), datasets::lorry()] {
-        run_dataset(&ds, &mut rep);
-    }
-    let path = rep.finish();
-    println!("fig9 rows appended to {}", path.display());
-}
-
-fn run_dataset(ds: &Dataset, rep: &mut Reporter) {
-    let queries = datasets::queries(ds, datasets::n_queries());
-    let solutions = harness::build_all(ds);
-    for eps in EPS_SWEEP {
-        let agg = harness::run_trass_threshold(&solutions.trass, &queries, eps, Measure::Frechet);
-        rep.row(
-            ds.name,
-            "TraSS",
-            "eps",
-            eps,
-            &[
-                ("time_ms", agg.median_time.as_secs_f64() * 1e3),
-                ("candidates", agg.mean_candidates),
-                ("retrieved", agg.mean_retrieved),
-                ("results", agg.mean_results),
-            ],
-        );
-        for engine in &solutions.baselines {
-            if let Some(agg) =
-                harness::run_engine_threshold(engine.as_ref(), &queries, eps, Measure::Frechet)
-            {
-                rep.row(
-                    ds.name,
-                    engine.name(),
-                    "eps",
-                    eps,
-                    &[
-                        ("time_ms", agg.median_time.as_secs_f64() * 1e3),
-                        ("candidates", agg.mean_candidates),
-                        ("retrieved", agg.mean_retrieved),
-                        ("results", agg.mean_results),
-                    ],
-                );
-            }
-        }
-    }
+/// Runs the experiment; `false` if any answer was wrong.
+pub fn run(scale: Scale) -> bool {
+    let points: [Point; 5] =
+        EPS_SWEEP.map(|eps| ("eps", eps, vec![Op::Threshold(eps, Measure::Frechet)]));
+    let columns: [Column; 4] = [
+        ("time_ms", 0, |a| Some(ms(a.median_time))),
+        ("candidates", 0, |a| Some(a.mean_candidates)),
+        ("retrieved", 0, |a| Some(a.mean_retrieved)),
+        ("results", 0, |a| Some(a.mean_results)),
+    ];
+    harness::sweep("fig9", scale, scale.queries, harness::build_all, &points, &columns)
 }

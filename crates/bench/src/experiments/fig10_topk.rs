@@ -1,57 +1,20 @@
 //! Fig. 10 — top-k similarity search: query time (a) and candidates (b),
 //! varying k ∈ {50 … 250}, for TraSS vs DFT / DITA / JUST / REPOSE.
 
-use crate::datasets::{self, Dataset};
-use crate::harness;
-use crate::report::Reporter;
+use crate::datasets::Scale;
+use crate::harness::{self, ms, Column, Op, Point};
 use trass_traj::Measure;
 
 /// The k sweep of §VI-B.
 pub const K_SWEEP: [usize; 5] = [50, 100, 150, 200, 250];
 
-/// Runs the experiment.
-pub fn run() {
-    let mut rep = Reporter::new("fig10");
-    for ds in [datasets::tdrive(), datasets::lorry()] {
-        run_dataset(&ds, &mut rep);
-    }
-    let path = rep.finish();
-    println!("fig10 rows appended to {}", path.display());
-}
-
-fn run_dataset(ds: &Dataset, rep: &mut Reporter) {
-    // Top-k is heavier per query; use a smaller batch.
-    let queries = datasets::queries(ds, (datasets::n_queries() / 2).max(5));
-    let solutions = harness::build_all(ds);
-    for k in K_SWEEP {
-        let agg = harness::run_trass_topk(&solutions.trass, &queries, k, Measure::Frechet);
-        rep.row(
-            ds.name,
-            "TraSS",
-            "k",
-            k as f64,
-            &[
-                ("time_ms", agg.median_time.as_secs_f64() * 1e3),
-                ("candidates", agg.mean_candidates),
-                ("retrieved", agg.mean_retrieved),
-            ],
-        );
-        for engine in &solutions.baselines {
-            if let Some(agg) =
-                harness::run_engine_topk(engine.as_ref(), &queries, k, Measure::Frechet)
-            {
-                rep.row(
-                    ds.name,
-                    engine.name(),
-                    "k",
-                    k as f64,
-                    &[
-                        ("time_ms", agg.median_time.as_secs_f64() * 1e3),
-                        ("candidates", agg.mean_candidates),
-                        ("retrieved", agg.mean_retrieved),
-                    ],
-                );
-            }
-        }
-    }
+/// Runs the experiment; `false` if any answer was wrong.
+pub fn run(scale: Scale) -> bool {
+    let points: [Point; 5] = K_SWEEP.map(|k| ("k", k as f64, vec![Op::TopK(k, Measure::Frechet)]));
+    let columns: [Column; 3] = [
+        ("time_ms", 0, |a| Some(ms(a.median_time))),
+        ("candidates", 0, |a| Some(a.mean_candidates)),
+        ("retrieved", 0, |a| Some(a.mean_retrieved)),
+    ];
+    harness::sweep("fig10", scale, scale.half_batch(), harness::build_all, &points, &columns)
 }

@@ -1,60 +1,24 @@
 //! Fig. 11 — effect of pruning strategies at ε = 0.01: (a) pruning time,
 //! (b) retrieved trajectories, (c) precision (final answers / candidates).
 
-use crate::datasets::{self, Dataset};
-use crate::harness;
-use crate::report::Reporter;
+use crate::datasets::Scale;
+use crate::harness::{self, ms, Column, Op, Point};
 use trass_traj::Measure;
 
 /// The fixed threshold of §VI-C.
 pub const EPS: f64 = 0.01;
 
-/// Runs the experiment.
-pub fn run() {
-    let mut rep = Reporter::new("fig11");
-    for ds in [datasets::tdrive(), datasets::lorry()] {
-        run_dataset(&ds, &mut rep);
-    }
-    let path = rep.finish();
-    println!("fig11 rows appended to {}", path.display());
-}
-
-fn run_dataset(ds: &Dataset, rep: &mut Reporter) {
-    let queries = datasets::queries(ds, datasets::n_queries());
-    let solutions = harness::build_all(ds);
-
-    let agg = harness::run_trass_threshold(&solutions.trass, &queries, EPS, Measure::Frechet);
-    rep.row(
-        ds.name,
-        "TraSS",
-        "eps",
-        EPS,
-        &[
-            ("pruning_ms", agg.mean_pruning_time.as_secs_f64() * 1e3),
-            ("retrieved", agg.mean_retrieved),
-            ("precision", agg.mean_precision),
-        ],
-    );
-    for engine in &solutions.baselines {
-        if let Some(agg) =
-            harness::run_engine_threshold(engine.as_ref(), &queries, EPS, Measure::Frechet)
-        {
-            rep.row(
-                ds.name,
-                engine.name(),
-                "eps",
-                EPS,
-                &[
-                    // Baselines interleave pruning and scanning; their
-                    // filter phase is the whole pre-refinement time, which
-                    // we approximate as query time minus refinement —
-                    // reported as total here, a conservative (favourable)
-                    // number for them.
-                    ("pruning_ms", agg.median_time.as_secs_f64() * 1e3),
-                    ("retrieved", agg.mean_retrieved),
-                    ("precision", agg.mean_precision),
-                ],
-            );
-        }
-    }
+/// Runs the experiment; `false` if any answer was wrong.
+pub fn run(scale: Scale) -> bool {
+    let points: [Point; 1] = [("eps", EPS, vec![Op::Threshold(EPS, Measure::Frechet)])];
+    let columns: [Column; 3] = [
+        // Baselines interleave pruning and scanning and report no stages;
+        // their filter phase is the whole pre-refinement time, which is
+        // approximated as their median query time, a conservative
+        // (favourable) number for them.
+        ("pruning_ms", 0, |a| Some(ms(a.stages.map_or(a.median_time, |s| s.mean_pruning_time)))),
+        ("retrieved", 0, |a| Some(a.mean_retrieved)),
+        ("precision", 0, |a| Some(a.mean_precision)),
+    ];
+    harness::sweep("fig11", scale, scale.queries, harness::build_all, &points, &columns)
 }

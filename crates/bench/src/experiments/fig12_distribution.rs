@@ -5,14 +5,15 @@
 //! 10–16 (driving ranges 0.5–78 km), plus a peak at the maximum resolution
 //! from stationary taxis, and a non-degenerate spread over position codes.
 
-use crate::datasets;
+use crate::datasets::{self, Scale};
 use crate::report::Reporter;
 use trass_index::xzstar::XzStar;
 
-/// Runs the experiment.
-pub fn run() {
+/// Runs the experiment (it times no query, so its rows carry no
+/// `correct` field).
+pub fn run(scale: Scale) -> bool {
     let mut rep = Reporter::new("fig12");
-    let ds = datasets::tdrive();
+    let ds = datasets::tdrive(scale.size);
     let space = trass_geo::WORLD_SQUARE; // the paper's whole-earth deployment
     let index = XzStar::new(16);
 
@@ -26,14 +27,13 @@ pub fn run() {
     }
     for (level, &count) in by_level.iter().enumerate() {
         if count > 0 {
-            rep.row(ds.name, "XZ*", "resolution", level as f64, &[("count", count as f64)]);
+            rep.row(ds.name, "XZ*", "resolution", level as f64, &[("count", count as f64)], None);
         }
     }
     for (code, &count) in by_code.iter().enumerate().skip(1) {
-        rep.row(ds.name, "XZ*", "code", code as f64, &[("count", count as f64)]);
+        rep.row(ds.name, "XZ*", "code", code as f64, &[("count", count as f64)], None);
     }
-    let path = rep.finish();
-    println!("fig12 rows appended to {}", path.display());
+    rep.finish()
 }
 
 #[cfg(test)]
@@ -42,8 +42,7 @@ mod tests {
 
     #[test]
     fn distribution_has_paper_signatures() {
-        std::env::remove_var("TRASS_REPRO_SCALE");
-        let ds = datasets::tdrive();
+        let ds = datasets::tdrive(1.0);
         let space = trass_geo::WORLD_SQUARE;
         let index = XzStar::new(16);
         let mut by_level = [0u64; 17];

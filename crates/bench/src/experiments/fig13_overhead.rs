@@ -3,52 +3,29 @@
 //! the TraSS-S string encoding (the paper reports −32 % on T-Drive and
 //! −27 % on Lorry).
 
-use crate::datasets::{self, Dataset};
-use crate::harness;
+use crate::datasets::{self, Dataset, Scale};
+use crate::harness::{self, ms};
 use crate::report::Reporter;
 use trass_core::schema::{rowkey, string_rowkey};
 use trass_index::xzstar::XzStar;
 
-/// Runs the experiment.
-pub fn run() {
+/// Runs the experiment (it times no query, so its rows carry no
+/// `correct` field).
+pub fn run(scale: Scale) -> bool {
     let mut rep = Reporter::new("fig13");
-    for ds in [datasets::tdrive(), datasets::lorry()] {
-        run_dataset(&ds, &mut rep);
+    for ds in [datasets::tdrive(scale.size), datasets::lorry(scale.size)] {
+        let n = ds.data.len() as f64;
+        // (a)(b) Indexing time.
+        for engine in harness::build_all(&ds) {
+            rep.row(ds.name, engine.name(), "n", n, &[("index_ms", ms(engine.build_time()))], None);
+        }
+        // (c) Rowkey storage overhead: integer vs string encoding.
+        let (int_avg, str_avg, reduction) = rowkey_overhead(&ds);
+        rep.row(ds.name, "TraSS", "n", n, &[("rowkey_bytes", int_avg)], None);
+        let metrics = [("rowkey_bytes", str_avg), ("reduction_pct", reduction)];
+        rep.row(ds.name, "TraSS-S", "n", n, &metrics, None);
     }
-    let path = rep.finish();
-    println!("fig13 rows appended to {}", path.display());
-}
-
-fn run_dataset(ds: &Dataset, rep: &mut Reporter) {
-    // (a)(b) Indexing time.
-    let solutions = harness::build_all(ds);
-    rep.row(
-        ds.name,
-        "TraSS",
-        "n",
-        ds.data.len() as f64,
-        &[("index_ms", solutions.trass_build.as_secs_f64() * 1e3)],
-    );
-    for engine in &solutions.baselines {
-        rep.row(
-            ds.name,
-            engine.name(),
-            "n",
-            ds.data.len() as f64,
-            &[("index_ms", engine.build_time().as_secs_f64() * 1e3)],
-        );
-    }
-
-    // (c) Rowkey storage overhead: integer vs string encoding.
-    let (int_avg, str_avg, reduction) = rowkey_overhead(ds);
-    rep.row(ds.name, "TraSS", "n", ds.data.len() as f64, &[("rowkey_bytes", int_avg)]);
-    rep.row(
-        ds.name,
-        "TraSS-S",
-        "n",
-        ds.data.len() as f64,
-        &[("rowkey_bytes", str_avg), ("reduction_pct", reduction)],
-    );
+    rep.finish()
 }
 
 /// Average rowkey sizes `(integer, string, reduction %)` over a dataset.
@@ -84,20 +61,18 @@ mod tests {
         // spans all of China (shallow sequences — see EXPERIMENTS.md), so
         // its saving is smaller but must never be negative enough to make
         // string keys preferable on average across datasets.
-        std::env::set_var("TRASS_REPRO_SCALE", "0.2");
-        let tdrive = datasets::tdrive();
+        let tdrive = datasets::tdrive(0.2);
         let (int_avg, str_avg, reduction) = rowkey_overhead(&tdrive);
         assert!(int_avg < str_avg);
         assert!(
             reduction > 15.0 && reduction < 60.0,
             "T-Drive: reduction {reduction:.1}% (int {int_avg:.1}B, str {str_avg:.1}B)"
         );
-        let lorry = datasets::lorry();
+        let lorry = datasets::lorry(0.2);
         let (_, _, lorry_reduction) = rowkey_overhead(&lorry);
         assert!(
             lorry_reduction > -15.0,
             "Lorry: reduction {lorry_reduction:.1}% unreasonably negative"
         );
-        std::env::remove_var("TRASS_REPRO_SCALE");
     }
 }

@@ -6,24 +6,41 @@
 //! selectivity → more false hits), very deep resolutions buy nothing;
 //! 16 is the sweet spot.
 
-use crate::datasets::{self, Dataset};
-use crate::harness;
+use crate::datasets::{self, Dataset, Scale};
+use crate::harness::{self, ms, Queries, Trass, PAIR};
 use crate::report::Reporter;
 use std::collections::HashSet;
+use trass_core::TrassConfig;
 use trass_index::xzstar::XzStar;
-use trass_traj::Measure;
 
 /// The resolution sweep of §VI-D.
 pub const RESOLUTIONS: [u8; 4] = [14, 16, 18, 20];
 
-/// Runs the experiment.
-pub fn run() {
+/// Runs the experiment; `false` if any answer was wrong.
+pub fn run(scale: Scale) -> bool {
     let mut rep = Reporter::new("fig14");
-    for ds in [datasets::tdrive(), datasets::lorry()] {
-        run_dataset(&ds, &mut rep);
+    for ds in [datasets::tdrive(scale.size), datasets::lorry(scale.size)] {
+        let queries = Queries::new(&ds, scale.half_batch());
+        for resolution in RESOLUTIONS {
+            let cfg = TrassConfig { max_resolution: resolution, ..TrassConfig::default() };
+            let trass = Trass::build(&ds.data, cfg);
+            let [th, tk] = PAIR.map(|op| harness::run(&trass, &queries, op).expect("supported"));
+            rep.row(
+                ds.name,
+                "TraSS",
+                "res",
+                resolution as f64,
+                &[
+                    ("selectivity", selectivity(&ds, resolution)),
+                    ("threshold_ms", ms(th.median_time)),
+                    ("topk_ms", ms(tk.median_time)),
+                    ("threshold_retrieved", th.mean_retrieved),
+                ],
+                Some(th.correct && tk.correct),
+            );
+        }
     }
-    let path = rep.finish();
-    println!("fig14 rows appended to {}", path.display());
+    rep.finish()
 }
 
 /// Selectivity: distinct index values over rows (§VI-D's definition: "the
@@ -39,28 +56,6 @@ pub fn selectivity(ds: &Dataset, resolution: u8) -> f64 {
     distinct.len() as f64 / ds.data.len() as f64
 }
 
-fn run_dataset(ds: &Dataset, rep: &mut Reporter) {
-    let queries = datasets::queries(ds, (datasets::n_queries() / 2).max(5));
-    for resolution in RESOLUTIONS {
-        let sel = selectivity(ds, resolution);
-        let (store, _) = harness::build_trass(ds, resolution, 8);
-        let th = harness::run_trass_threshold(&store, &queries, 0.01, Measure::Frechet);
-        let tk = harness::run_trass_topk(&store, &queries, 50, Measure::Frechet);
-        rep.row(
-            ds.name,
-            "TraSS",
-            "res",
-            resolution as f64,
-            &[
-                ("selectivity", sel),
-                ("threshold_ms", th.median_time.as_secs_f64() * 1e3),
-                ("topk_ms", tk.median_time.as_secs_f64() * 1e3),
-                ("threshold_retrieved", th.mean_retrieved),
-            ],
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,8 +63,7 @@ mod tests {
     #[test]
     fn selectivity_grows_with_resolution() {
         // Fig. 14(a)/15(a): resolution 14's selectivity is lowest.
-        std::env::remove_var("TRASS_REPRO_SCALE");
-        let ds = datasets::tdrive();
+        let ds = datasets::tdrive(1.0);
         let s14 = selectivity(&ds, 14);
         let s16 = selectivity(&ds, 16);
         let s20 = selectivity(&ds, 20);

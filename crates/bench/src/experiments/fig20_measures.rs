@@ -1,58 +1,23 @@
 //! Fig. 20 — other measures (§VII): Hausdorff and DTW query times.
 //!
-//! Support matrix follows the paper: DITA has no Hausdorff, DFT has no
-//! DTW, REPOSE is top-k-only; unsupported cells simply produce no row.
+//! The engines decide what they support, and an unsupported cell writes
+//! no column: DITA answers neither query under Hausdorff, REPOSE answers
+//! no threshold query and no Hausdorff top-k. DFT answers every cell, DTW
+//! included.
 
-use crate::datasets::{self, Dataset};
-use crate::harness;
-use crate::report::Reporter;
+use crate::datasets::Scale;
+use crate::harness::{self, ms, Column, Op, Point};
 use trass_traj::Measure;
 
-/// Runs the experiment.
-pub fn run() {
-    let mut rep = Reporter::new("fig20");
-    for ds in [datasets::tdrive(), datasets::lorry()] {
-        run_dataset(&ds, &mut rep);
-    }
-    let path = rep.finish();
-    println!("fig20 rows appended to {}", path.display());
-}
-
-fn run_dataset(ds: &Dataset, rep: &mut Reporter) {
-    let queries = datasets::queries(ds, (datasets::n_queries() / 2).max(5));
-    let solutions = harness::build_all(ds);
-    for measure in [Measure::Hausdorff, Measure::Dtw] {
-        // DTW budgets are sums of point distances; use a larger eps so
-        // threshold answers are non-trivial.
-        let eps = match measure {
-            Measure::Dtw => 0.2,
-            _ => 0.01,
-        };
-        let th = harness::run_trass_threshold(&solutions.trass, &queries, eps, measure);
-        let tk = harness::run_trass_topk(&solutions.trass, &queries, 50, measure);
-        rep.row(
-            ds.name,
-            "TraSS",
-            &format!("{measure}"),
-            eps,
-            &[
-                ("threshold_ms", th.median_time.as_secs_f64() * 1e3),
-                ("topk_ms", tk.median_time.as_secs_f64() * 1e3),
-            ],
-        );
-        for engine in &solutions.baselines {
-            let th = harness::run_engine_threshold(engine.as_ref(), &queries, eps, measure);
-            let tk = harness::run_engine_topk(engine.as_ref(), &queries, 50, measure);
-            let mut metrics: Vec<(&str, f64)> = Vec::new();
-            if let Some(th) = &th {
-                metrics.push(("threshold_ms", th.median_time.as_secs_f64() * 1e3));
-            }
-            if let Some(tk) = &tk {
-                metrics.push(("topk_ms", tk.median_time.as_secs_f64() * 1e3));
-            }
-            if !metrics.is_empty() {
-                rep.row(ds.name, engine.name(), &format!("{measure}"), eps, &metrics);
-            }
-        }
-    }
+/// Runs the experiment; `false` if any answer was wrong.
+pub fn run(scale: Scale) -> bool {
+    // DTW budgets are sums of point distances; a larger ε keeps threshold
+    // answers non-trivial.
+    let points: [Point; 2] = [(Measure::Hausdorff, 0.01), (Measure::Dtw, 0.2)]
+        .map(|(m, eps)| (m.name(), eps, vec![Op::Threshold(eps, m), Op::TopK(50, m)]));
+    let columns: [Column; 2] = [
+        ("threshold_ms", 0, |a| Some(ms(a.median_time))),
+        ("topk_ms", 1, |a| Some(ms(a.median_time))),
+    ];
+    harness::sweep("fig20", scale, scale.half_batch(), harness::build_all, &points, &columns)
 }

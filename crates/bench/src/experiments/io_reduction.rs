@@ -7,60 +7,55 @@
 //!   JUST engine (XZ-Ordering) on identical KV clusters and compares rows
 //!   scanned.
 
-use crate::datasets;
-use crate::harness;
+use crate::datasets::{self, Scale};
+use crate::harness::{self, Op, Queries, Trass};
 use crate::report::Reporter;
 use trass_baselines::xz_kv::{XzKvConfig, XzKvEngine};
-use trass_baselines::SimilarityEngine;
+use trass_core::TrassConfig;
 use trass_index::xzstar::{io_reduction, QuadSet};
 use trass_traj::Measure;
 
-/// Runs the experiment.
-pub fn run() {
-    theory();
-    measured();
+/// Runs the experiment; `false` if any answer was wrong.
+pub fn run(scale: Scale) -> bool {
+    theory() & measured(scale)
 }
 
 /// §IV-B's theoretical table.
-pub fn theory() {
+pub fn theory() -> bool {
     let mut rep = Reporter::new("io_theory");
     let names = ["a", "b", "c", "d"];
     let mut total = 0.0;
     let mut count = 0u32;
     for mask in 1u8..15 {
-        let set = QuadSet(mask);
-        let label: String = (0..4).filter(|i| mask >> i & 1 == 1).map(|i| names[i]).collect();
-        let quads = (0..4).filter(|i| mask >> i & 1 == 1).count();
-        if quads == 4 {
-            continue;
-        }
-        let reduction = io_reduction(set);
+        let far: Vec<&str> = (0..4).filter(|i| mask >> i & 1 == 1).map(|i| names[i]).collect();
+        let reduction = io_reduction(QuadSet(mask));
         total += reduction;
         count += 1;
         rep.row(
             "theory",
             "XZ*",
-            &format!("far-{label}"),
-            quads as f64,
+            &format!("far-{}", far.concat()),
+            far.len() as f64,
             &[("reduction_pct", reduction * 100.0)],
+            None,
         );
     }
-    rep.row("theory", "XZ*", "average", 0.0, &[("reduction_pct", total / count as f64 * 100.0)]);
-    let path = rep.finish();
-    println!("io_theory rows appended to {}", path.display());
+    let average = total / count as f64 * 100.0;
+    rep.row("theory", "XZ*", "average", 0.0, &[("reduction_pct", average)], None);
+    rep.finish()
 }
 
 /// Measured rows-scanned comparison, TraSS vs XZ-Ordering.
-pub fn measured() {
+pub fn measured(scale: Scale) -> bool {
     let mut rep = Reporter::new("io_measured");
-    for ds in [datasets::tdrive(), datasets::lorry()] {
-        let queries = datasets::queries(&ds, datasets::n_queries());
-        let (trass, _) = harness::build_trass(&ds, 16, 8);
+    for ds in [datasets::tdrive(scale.size), datasets::lorry(scale.size)] {
+        let queries = Queries::new(&ds, scale.queries);
+        let trass = Trass::build(&ds.data, TrassConfig::default());
         let just = XzKvEngine::build(&ds.data, XzKvConfig::default());
         for eps in [0.001, 0.005, 0.01, 0.02] {
-            let t = harness::run_trass_threshold(&trass, &queries, eps, Measure::Frechet);
-            let j = harness::run_engine_threshold(&just, &queries, eps, Measure::Frechet)
-                .expect("JUST supports threshold");
+            let op = Op::Threshold(eps, Measure::Frechet);
+            let t = harness::run(&trass, &queries, op).expect("TraSS supports threshold");
+            let j = harness::run(&just, &queries, op).expect("JUST supports threshold");
             let reduction = if j.mean_retrieved > 0.0 {
                 (j.mean_retrieved - t.mean_retrieved) / j.mean_retrieved * 100.0
             } else {
@@ -77,12 +72,11 @@ pub fn measured() {
                     ("xz2_rows", j.mean_retrieved),
                     ("reduction_pct", reduction),
                 ],
+                Some(t.correct && j.correct),
             );
         }
-        let _ = just.name();
     }
-    let path = rep.finish();
-    println!("io_measured rows appended to {}", path.display());
+    rep.finish()
 }
 
 #[cfg(test)]
@@ -107,19 +101,19 @@ mod tests {
     #[test]
     fn xzstar_scans_fewer_rows_than_xz2() {
         // The measured half of the claim, on a small workload.
-        std::env::set_var("TRASS_REPRO_SCALE", "0.2");
-        let ds = datasets::tdrive();
-        let queries = datasets::queries(&ds, 10);
-        let (trass, _) = harness::build_trass(&ds, 16, 8);
+        let ds = datasets::tdrive(0.2);
+        let queries = Queries::new(&ds, 10);
+        let trass = Trass::build(&ds.data, TrassConfig::default());
         let just = XzKvEngine::build(&ds.data, XzKvConfig::default());
-        let t = harness::run_trass_threshold(&trass, &queries, 0.005, Measure::Frechet);
-        let j = harness::run_engine_threshold(&just, &queries, 0.005, Measure::Frechet).unwrap();
+        let op = Op::Threshold(0.005, Measure::Frechet);
+        let t = harness::run(&trass, &queries, op).unwrap();
+        let j = harness::run(&just, &queries, op).unwrap();
+        assert!(t.correct && j.correct);
         assert!(
             t.mean_retrieved < j.mean_retrieved,
             "TraSS {} rows vs XZ2 {} rows",
             t.mean_retrieved,
             j.mean_retrieved
         );
-        std::env::remove_var("TRASS_REPRO_SCALE");
     }
 }
