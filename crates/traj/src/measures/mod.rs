@@ -105,12 +105,23 @@ fn max(x: f64, y: f64) -> f64 {
 /// A cell is *live* when its value is ≤ `cutoff`. Values only grow along a
 /// coupling, so a live cell's cheapest predecessor is live too, and reading
 /// every non-live cell as +∞ leaves each live cell's value exact, bit for
-/// bit. Each row therefore computes only from the previous row's first
-/// live column to one past its last, plus the run to the right while the
-/// left neighbour stays live; it abandons when a row has no live cell.
-/// With `cutoff = +∞` every cell is live and the full matrix is computed.
-/// `min(up-left, up)` is taken before the left neighbour is read, so the
-/// loop-carried chain of a cell is one `min` and one `combine`.
+/// bit; any other computed cell holds a value > `cutoff`, because reading
+/// a cell as +∞ can only raise what depends on it. Each row computes only
+/// from the previous row's first live column to one past its last, plus
+/// the run to the right while the left neighbour stays live; it abandons
+/// when a row has no live cell. With `cutoff = +∞` every cell is live and
+/// the full matrix is computed.
+///
+/// A cell's loop-carried chain is one `min` and one `combine`
+/// (`min(up-left, up)` is taken off it), so a lone row waits on that
+/// latency. Rows therefore go two to a sweep, row i+1 two columns behind
+/// row i: the two chains interleave, and row i+1's up and up-left cells
+/// are row-i values from earlier iterations, so no chain waits on the
+/// other even where the compiler packs both rows into one vector (one
+/// column behind, that packing puts the read of row i on the chain).
+/// Row i+1 starts at row i's first column (its cells left of that are not
+/// live); once row i's live band is known, it continues to one past the
+/// band and then runs right on its own. An odd last row goes alone.
 fn coupling_dp(
     a: &[Point],
     b: &[Point],
@@ -119,24 +130,24 @@ fn coupling_dp(
     combine: impl Fn(f64, f64) -> f64,
 ) -> f64 {
     let m = b.len();
-    let (mut prev, mut curr) = (vec![f64::INFINITY; m], vec![f64::INFINITY; m]);
-    // The previous row's live band. Reads left of it count as +∞; the cell
-    // right of it was computed in that row, so it holds a value > cutoff.
-    let (mut lo, mut hi) = (0, 0);
-    // Row 0 is reached from a virtual 0 up-left of (0, 0): both combine
-    // steps leave a cost unchanged by it.
-    let mut corner = 0.0;
-    for p in a {
-        let end = (hi + 1).min(m - 1);
-        let (mut diag, mut left) = (std::mem::replace(&mut corner, f64::INFINITY), f64::INFINITY);
-        for ((q, &up), out) in b[lo..=end].iter().zip(&prev[lo..=end]).zip(&mut curr[lo..=end]) {
-            let reach = min(diag, up);
-            diag = up;
-            left = combine(cost(p, q), min(reach, left));
-            *out = left;
-        }
-        let mut stop = end + 1;
-        for (q, out) in b[stop..].iter().zip(&mut curr[stop..]) {
+    // Cells `from..to` of the row of `p`, from the row above (`up`) and the
+    // cells up-left and left of `from`; returns the cells up-left and left
+    // of `to`.
+    let fill =
+        |p: &Point, up: &[f64], row: &mut [f64], from: usize, to: usize, (mut diag, mut left)| {
+            for ((q, &up), out) in b[from..to].iter().zip(&up[from..to]).zip(&mut row[from..to]) {
+                let reach = min(diag, up);
+                diag = up;
+                left = combine(cost(p, q), min(reach, left));
+                *out = left;
+            }
+            (diag, left)
+        };
+    // The run right of column `from` while the left neighbour stays live,
+    // where the row above holds no live cell; returns where it stopped.
+    let run = |p: &Point, row: &mut [f64], from: usize, mut left: f64| {
+        let mut stop = from;
+        for (q, out) in b[from..].iter().zip(&mut row[from..]) {
             if left > cutoff {
                 break;
             }
@@ -144,12 +155,61 @@ fn coupling_dp(
             *out = left;
             stop += 1;
         }
-        let row = &curr[lo..stop];
+        stop
+    };
+    let mut rows = vec![f64::INFINITY; 3 * m];
+    let (mut prev, rest) = rows.split_at_mut(m);
+    let (mut curr, mut next) = rest.split_at_mut(m);
+    // The previous row's live band. Reads left of it count as +∞; the cell
+    // right of it was computed in that row, so it holds a value > cutoff.
+    let (mut lo, mut hi) = (0, 0);
+    // Row 0 is reached from a virtual 0 up-left of (0, 0): both combine
+    // steps leave a cost unchanged by it.
+    let mut corner = 0.0;
+    let mut pairs = a.chunks_exact(2);
+    for pair in &mut pairs {
+        let (p, p2) = (&pair[0], &pair[1]);
+        let end = (hi + 1).min(m - 1);
+        // Row i's first two cells, then row i at column j beside row i+1 at j - 2.
+        let head = (lo + 2).min(end + 1);
+        let (mut diag, mut left) = fill(p, prev, curr, lo, head, (corner, f64::INFINITY));
+        corner = f64::INFINITY;
+        // Row i+1's cells `lo..from` ride along.
+        let from = lo + end + 1 - head;
+        let (mut diag2, mut up2, mut left2) = (f64::INFINITY, curr[lo], f64::INFINITY);
+        let row = b[head..=end].iter().zip(&prev[head..=end]).zip(&mut curr[head..=end]);
+        for (((q, &up), out), (q2, out2)) in row.zip(b[lo..from].iter().zip(&mut next[lo..from])) {
+            let (reach, reach2) = (min(diag, up), min(diag2, up2));
+            (diag, diag2, up2) = (up, up2, left);
+            left = combine(cost(p, q), min(reach, left));
+            left2 = combine(cost(p2, q2), min(reach2, left2));
+            *out = left;
+            *out2 = left2;
+        }
+        let stop = run(p, curr, end + 1, left);
+        let Some(last) = curr[lo..stop].iter().rposition(|&v| v <= cutoff) else {
+            return f64::INFINITY;
+        };
+        // Row i+1 from `from` to one past row i's band, then on its own.
+        let to = (lo + last + 2).min(m).max(from);
+        let (_, left2) = fill(p2, curr, next, from, to, (diag2, left2));
+        let stop = run(p2, next, to, left2);
+        let row = &next[lo..stop];
         let Some(first) = row.iter().position(|&v| v <= cutoff) else {
             return f64::INFINITY;
         };
         let last = row.iter().rposition(|&v| v <= cutoff).unwrap_or(first);
         (lo, hi) = (lo + first, lo + last);
+        std::mem::swap(&mut prev, &mut next);
+    }
+    if let [p] = pairs.remainder() {
+        let to = (hi + 2).min(m);
+        let (_, left) = fill(p, prev, curr, lo, to, (corner, f64::INFINITY));
+        let stop = run(p, curr, to, left);
+        let Some(last) = curr[lo..stop].iter().rposition(|&v| v <= cutoff) else {
+            return f64::INFINITY;
+        };
+        hi = lo + last;
         std::mem::swap(&mut prev, &mut curr);
     }
     if hi + 1 == m {

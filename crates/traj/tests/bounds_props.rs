@@ -254,9 +254,36 @@ fn banded_kernels_equal_the_full_matrix_reference() {
         let (a, b) = walk_pair(rng, 1, 64);
         assert_kernels_match_reference(rng, &a, &b);
     });
-    check(4, |rng| {
-        let (a, b) = walk_pair(rng, 300, 400);
+    check(32, |rng| {
+        let (a, b) = walk_pair(rng, 20, 400);
         assert_kernels_match_reference(rng, &a, &b);
+    });
+    // Every n, m ∈ {1, 2, 3}, in both argument orders: rows go through the
+    // kernel two at a time, so these reach a lone row, one pair, a pair
+    // plus a lone row, and bands one and two columns wide.
+    check(CASES, |rng| {
+        let start = Point::new(rng.f64_in(-10.0, 10.0), rng.f64_in(-10.0, 10.0));
+        for n in 1..=3 {
+            for m in 1..=3 {
+                let (a, b) = (walk(rng, start, n), walk(rng, start, m));
+                assert_kernels_match_reference(rng, &a, &b);
+                assert_kernels_match_reference(rng, &b, &a);
+            }
+        }
+    });
+    // A one-cell band: b[i] sits 0.01–0.1 beside a[i] on a line of unit
+    // steps, so every off-diagonal cost is at least 1, above both measures'
+    // distance (at most 0.1 for Fréchet, 0.9 for DTW at n ≤ 9). At ε = the
+    // distance and one ulp either side, the live band is the diagonal, one
+    // cell per row, for odd and even n.
+    check(CASES, |rng| {
+        for n in 1..=9 {
+            let a: Vec<Point> = (0..n).map(|i| Point::new(i as f64, 0.0)).collect();
+            let b: Vec<Point> =
+                (0..n).map(|i| Point::new(i as f64, rng.f64_in(0.01, 0.1))).collect();
+            assert_kernels_match_reference(rng, &a, &b);
+            assert_kernels_match_reference(rng, &b, &a);
+        }
     });
 }
 
