@@ -86,7 +86,6 @@ impl SimilarityEngine for DftEngine {
         if pool.len() < self.sample_c * k {
             pool = (0..self.data.len()).collect();
         }
-        let mut threshold: f64 = 0.0;
         let mut sample_best: Vec<(TrajectoryId, f64)> = Vec::new();
         let sample_n = (self.sample_c * k).min(pool.len());
         for _ in 0..sample_n {
@@ -95,15 +94,18 @@ impl SimilarityEngine for DftEngine {
             let d = measure.distance(query.points(), t.points());
             sample_best.push((t.id, d));
         }
-        sample_best.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN"));
+        // Sampling is with replacement: order by (distance, id) so every
+        // repeat is adjacent and dropped.
+        sample_best.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         sample_best.dedup_by_key(|e| e.0);
-        if let Some(&(_, kth)) = sample_best.get(k.saturating_sub(1)).or(sample_best.last()) {
-            threshold = kth;
-        }
         // Step 2: verify every trajectory whose MBR falls within the
-        // sampled threshold of the query — the candidate explosion.
-        let window = query.mbr().extended(threshold);
-        let hits = self.intersecting(&window);
+        // sampled threshold of the query — the candidate explosion. Fewer
+        // than k distinct samples bound nothing, so then every trajectory
+        // is verified.
+        let hits = match sample_best.get(k - 1) {
+            Some(&(_, kth)) => self.intersecting(&query.mbr().extended(kth)),
+            None => (0..self.data.len()).collect(),
+        };
         let retrieved = sample_n as u64 + hits.len() as u64;
         let mut scored: Vec<(TrajectoryId, f64)> = Vec::with_capacity(hits.len());
         for i in hits {

@@ -39,8 +39,8 @@ pub struct TrassConfig {
     /// reference-point interval gap) before each refinement kernel call.
     /// Off builds no query envelope; every candidate then goes straight to
     /// the kernel, which abandons at the threshold either way. Results are
-    /// bit-identical on and off (the differential harness in
-    /// `tests/refine_exactness.rs` enforces it). Default on.
+    /// bit-identical on and off (the exactness table in
+    /// `tests/exactness.rs` holds both to brute force). Default on.
     pub refine_bounds: bool,
     /// Trace one query in N (deterministic counter; queries 1, N+1, 2N+1,
     /// … record full span trees into the flight recorder). `0` disables

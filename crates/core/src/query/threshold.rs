@@ -262,31 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn results_match_brute_force() {
-        // Ground truth comparison over a generated workload.
-        let extent = trass_geo::Mbr::new(116.0, 39.6, 116.8, 40.2);
-        let store = TrajectoryStore::open(TrassConfig::for_extent(extent)).unwrap();
-        let data = trass_traj::generator::tdrive_like(7, 300);
-        store.insert_all(&data).unwrap();
-        store.flush().unwrap();
-        let queries = trass_traj::generator::sample_queries(&data, 5, 99);
-        for measure in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
-            for q in &queries {
-                let eps = 0.005;
-                let got = threshold_search(&store, q, eps, measure).unwrap();
-                let got_ids: Vec<u64> = got.results.iter().map(|&(id, _)| id).collect();
-                let mut expected: Vec<u64> = data
-                    .iter()
-                    .filter(|t| measure.distance_within(q.points(), t.points(), eps).is_some())
-                    .map(|t| t.id)
-                    .collect();
-                expected.sort_unstable();
-                assert_eq!(got_ids, expected, "measure {measure} query {}", q.id);
-            }
-        }
-    }
-
-    #[test]
     fn stats_are_consistent() {
         let (store, q) = populated_store();
         let hits = threshold_search(&store, &q, 0.002, Measure::Frechet).unwrap();

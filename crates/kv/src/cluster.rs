@@ -171,7 +171,7 @@ impl Cluster {
         // Spans (and the fan-out counters) are opened here on the calling
         // thread, in ascending shard order, so the trace tree and counter
         // sequence are identical whatever the worker interleaving. Workers
-        // only fill in the per-region results.
+        // take the spans' resource marks and fill in the per-region results.
         let tasks: Vec<(usize, Option<(TraceSpan, MetricsSnapshot)>)> = involved
             .into_iter()
             .map(|shard| {
@@ -183,18 +183,15 @@ impl Cluster {
         // so the concatenation below yields the exact byte sequence of a
         // sequential scan. A single involved region (or scan_threads = 1)
         // runs inline on the calling thread with no fan-out at all.
-        let results: Vec<Result<Vec<Entry>>> = self.pool.run(tasks, |_, (shard, span)| {
+        let results: Vec<Result<Vec<Entry>>> = self.pool.run(tasks, |_, (shard, mut span)| {
             let region = &self.regions[shard];
-            // Resource marks for the span's alloc/cpu fields, taken here
-            // on the worker thread — the span was opened on the caller's
-            // thread, so it cannot self-report these deltas at finish.
-            let marks = span.as_ref().map(|_| {
-                (trass_obs::alloc::thread_alloc_snapshot(), trass_obs::alloc::thread_cpu_ns())
-            });
+            if let Some((span, _)) = &mut span {
+                span.mark_here();
+            }
             let t = Instant::now();
             let r = region.scan_ranges_filtered(&per_shard[shard], filter);
             self.scan_obs[shard].seconds.record_duration(t.elapsed());
-            finish_region_span(span, marks, region, &r);
+            finish_region_span(span, region, &r);
             r
         });
         let mut out = Vec::new();
@@ -296,8 +293,9 @@ impl Cluster {
 }
 
 /// Opens a per-region trace span, capturing the region's I/O counters so
-/// [`finish_region_span`] can record the scan's deltas. `None` (no work at
-/// all) when the parent span is disabled.
+/// [`finish_region_span`] can record the scan's deltas. The worker that
+/// runs the scan takes the span's allocation and CPU marks. `None` (no
+/// work at all) when the parent span is disabled.
 fn region_span(
     parent: &TraceSpan,
     shard: usize,
@@ -307,7 +305,7 @@ fn region_span(
     if !parent.is_enabled() {
         return None;
     }
-    let mut span = parent.child("region-scan");
+    let mut span = parent.handoff_child("region-scan");
     span.set_label("shard", &shard.to_string());
     span.set_field("ranges", ranges.len());
     Some((span, region.metrics().snapshot()))
@@ -316,12 +314,9 @@ fn region_span(
 /// Records the scan's per-region I/O deltas and row count into the span
 /// opened by [`region_span`]. Deltas are computed from the region's shared
 /// counters, so concurrent queries on the same region can inflate them;
-/// rows_returned comes from this scan's own result and is exact. `marks`
-/// carries the worker thread's alloc/CPU readings from just before the
-/// scan, recorded as explicit `alloc_bytes`/`allocs`/`cpu_ns` fields.
+/// rows_returned comes from this scan's own result and is exact.
 fn finish_region_span(
     span: Option<(TraceSpan, MetricsSnapshot)>,
-    marks: Option<(trass_obs::alloc::AllocSnapshot, Option<u64>)>,
     region: &LsmStore,
     result: &Result<Vec<Entry>>,
 ) {
@@ -336,16 +331,6 @@ fn finish_region_span(
     span.set_field("blocks_read", delta.blocks_read);
     span.set_field("cache_hits", delta.cache_hits);
     span.set_field("cache_misses", delta.cache_misses);
-    if let Some((alloc_before, cpu_before)) = marks {
-        if trass_obs::alloc::allocator_installed() {
-            let d = trass_obs::alloc::thread_alloc_snapshot().since(&alloc_before);
-            span.set_field("alloc_bytes", d.bytes);
-            span.set_field("allocs", d.count);
-        }
-        if let (Some(c0), Some(c1)) = (cpu_before, trass_obs::alloc::thread_cpu_ns()) {
-            span.set_field("cpu_ns", c1.saturating_sub(c0));
-        }
-    }
     span.finish();
 }
 

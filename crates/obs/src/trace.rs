@@ -293,8 +293,8 @@ struct SpanState {
     /// Resource marks taken at open, so closing on the same thread can
     /// self-report alloc/CPU deltas (see [`ResourceMarks::record`]); `None`
     /// once recorded, and for spans whose time was measured elsewhere.
-    /// Spans that finish on a different thread (kv region scans) set
-    /// explicit fields from the worker instead.
+    /// Spans that run on another thread (kv region scans) open without and
+    /// take them there ([`TraceSpan::mark_here`]).
     marks: Option<ResourceMarks>,
 }
 
@@ -388,6 +388,25 @@ impl TraceSpan {
                 span
             }
             None => TraceSpan::disabled(),
+        }
+    }
+
+    /// Opens a child that another thread runs. It takes no resource marks
+    /// here, where they would count the wrong thread: the thread that runs
+    /// it calls [`TraceSpan::mark_here`] before its work.
+    pub fn handoff_child(&self, name: &str) -> TraceSpan {
+        match &self.0 {
+            Some(s) => TraceSpan::open(Arc::clone(&s.ctx), s.id, name, false),
+            None => TraceSpan::disabled(),
+        }
+    }
+
+    /// Takes the span's resource marks on the calling thread, replacing any
+    /// taken at open, so finishing it on this thread records this thread's
+    /// allocation and CPU deltas.
+    pub fn mark_here(&mut self) {
+        if let Some(s) = &mut self.0 {
+            s.marks = Some(ResourceMarks::take());
         }
     }
 
@@ -976,6 +995,27 @@ mod tests {
         let scan = t.root.child("scan").unwrap();
         let cpu_fields = scan.fields.iter().filter(|(k, _)| k == "cpu_ns").count();
         assert_eq!(cpu_fields, usize::from(crate::alloc::cpu_supported()));
+    }
+
+    #[test]
+    fn a_handed_off_span_counts_the_thread_that_marks_it() {
+        let ctx = TraceCtx::enabled();
+        let root = ctx.root("q");
+        let (mut marked, unmarked) = (root.handoff_child("a"), root.handoff_child("b"));
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                marked.mark_here();
+                drop(std::hint::black_box(vec![0u8; 4096]));
+                marked.finish();
+                unmarked.finish();
+            });
+        });
+        root.finish();
+        let t = ctx.finish().unwrap();
+        let a = t.root.child("a").unwrap();
+        assert!(a.field_u64("alloc_bytes").is_some_and(|b| b >= 4096), "{a:?}");
+        assert_eq!(a.field_u64("cpu_ns").is_some(), crate::alloc::cpu_supported());
+        assert!(t.root.child("b").unwrap().fields.is_empty());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! *lower bound* on the measure value, and when it already exceeds the
 //! threshold the exact kernel is provably pointless. Every bound here is a
 //! strict lower bound for the measures it claims, so pruning never changes
-//! query results — the differential harness (`tests/refine_exactness.rs`)
-//! and the property suite (`crates/traj/tests/bounds_props.rs`) hold the
-//! implementation to that.
+//! query results — the exactness table (`tests/exactness.rs`, bounds on
+//! and off against brute force) and the property suite
+//! (`crates/traj/tests/bounds_props.rs`) hold the implementation to that.
 //!
 //! Three bounds, evaluated cheap-first:
 //!

@@ -1,7 +1,6 @@
 //! Property suite for the refinement lower bounds and the single-pass
-//! exact-or-abandon kernels (the trass-traj half of the PR-level
-//! exactness contract; `tests/refine_exactness.rs` covers the query
-//! pipeline half).
+//! exact-or-abandon kernels (the trass-traj half of the exactness
+//! contract; `tests/exactness.rs` covers the query pipeline half).
 //!
 //! Each property runs ≥ 256 seeded cases per measure through the
 //! workspace's property runner, which reports the failing case's seed.

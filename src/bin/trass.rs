@@ -21,6 +21,7 @@ use std::process::ExitCode;
 use trass::core::{query, TrajectoryStore, TrassConfig};
 use trass::geo::{Mbr, NormalizedSpace};
 use trass::kv::StoreOptions;
+use trass::obs::json::{self, Value};
 use trass::server::cli::{parse, parse_measure, range_lines, similarity_lines};
 use trass::traj::io as traj_io;
 
@@ -82,37 +83,42 @@ fn config_path(dir: &Path) -> PathBuf {
 /// agree across sessions).
 fn save_config(dir: &Path, cfg: &TrassConfig) -> Result<(), String> {
     let e = cfg.space.extent;
+    let extent = [e.min_x, e.min_y, e.max_x, e.max_y].map(json::number).join(",");
     let json = format!(
-        r#"{{"max_resolution":{},"shards":{},"extent":[{},{},{},{}],"dp_theta":{}}}"#,
-        cfg.max_resolution, cfg.shards, e.min_x, e.min_y, e.max_x, e.max_y, cfg.dp_theta
+        r#"{{"max_resolution":{},"shards":{},"extent":[{extent}],"dp_theta":{}}}"#,
+        cfg.max_resolution,
+        cfg.shards,
+        json::number(cfg.dp_theta)
     );
     std::fs::write(config_path(dir), json).map_err(|e| e.to_string())
 }
 
+/// Reads what [`save_config`] wrote. A resolution or shard count that is
+/// not an integer in `0..=255` is an error: rounding or wrapping it would
+/// route rows to other shards than the ones they were written to.
 fn load_config(dir: &Path) -> Result<TrassConfig, String> {
     let text = std::fs::read_to_string(config_path(dir))
         .map_err(|_| format!("no deployment at {} (run `trass load` first)", dir.display()))?;
-    let grab = |key: &str| -> Result<f64, String> {
-        let pat = format!("\"{key}\":");
-        let start = text.find(&pat).ok_or(format!("config missing {key}"))? + pat.len();
-        let rest = &text[start..];
-        let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-        rest[..end].trim().parse().map_err(|_| format!("bad {key} in config"))
+    let doc = json::parse(&text).map_err(|e| format!("bad config: {e}"))?;
+    let field = |key: &str| doc.get(key).ok_or(format!("config missing {key}"));
+    let small = |key: &str| match field(key)? {
+        Value::U64(n) => {
+            u8::try_from(*n).map_err(|_| format!("config {key} {n} is out of 0..=255"))
+        }
+        _ => Err(format!("config {key} is not an integer in 0..=255")),
     };
-    let extent_start = text.find("\"extent\":[").ok_or("config missing extent")? + 10;
-    let extent_end = text[extent_start..].find(']').ok_or("bad extent")? + extent_start;
-    let nums: Vec<f64> = text[extent_start..extent_end]
-        .split(',')
-        .map(|s| s.trim().parse().map_err(|_| "bad extent number".to_string()))
-        .collect::<Result<_, _>>()?;
-    if nums.len() != 4 {
-        return Err("extent must have 4 numbers".into());
-    }
+    let number = |v: &Value, key: &str| v.as_f64().ok_or(format!("config {key} is not a number"));
+    let extent = match field("extent")? {
+        Value::Array(v) if v.len() == 4 => {
+            v.iter().map(|x| number(x, "extent")).collect::<Result<Vec<f64>, _>>()?
+        }
+        _ => return Err("config extent must have 4 numbers".into()),
+    };
     Ok(TrassConfig {
-        max_resolution: grab("max_resolution")? as u8,
-        shards: grab("shards")? as u8,
-        dp_theta: grab("dp_theta")?,
-        space: NormalizedSpace::square(Mbr::new(nums[0], nums[1], nums[2], nums[3])),
+        max_resolution: small("max_resolution")?,
+        shards: small("shards")?,
+        dp_theta: number(field("dp_theta")?, "dp_theta")?,
+        space: NormalizedSpace::square(Mbr::new(extent[0], extent[1], extent[2], extent[3])),
         store: StoreOptions::at_dir(dir.join("kv")),
         ..TrassConfig::default()
     })

@@ -94,3 +94,33 @@ fn cli_rejects_bad_usage() {
     let out = bin().args(["frobnicate", "--data", "/tmp/x"]).output().unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn cli_rejects_a_config_it_cannot_represent() {
+    // A shard count is a u8: 300 must not open as 255 (or 8.5 as 8), or
+    // rows would be routed to other shards than they were written to.
+    let dir = std::env::temp_dir().join(format!("trass-cli-config-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let deploy = dir.join("deploy");
+    let csv_path = dir.join("trips.csv");
+    let rows: String = (0..10).map(|i| format!("1,{},39.9\n", 116.30 + i as f64 * 0.002)).collect();
+    std::fs::write(&csv_path, rows).unwrap();
+    run_ok(&["load", "--data", deploy.to_str().unwrap(), "--csv", csv_path.to_str().unwrap()]);
+
+    let config = deploy.join("config.json");
+    let saved = std::fs::read_to_string(&config).unwrap();
+    assert!(saved.contains("\"shards\":8"), "{saved}");
+    for bad in ["\"shards\":300", "\"shards\":8.5"] {
+        std::fs::write(&config, saved.replace("\"shards\":8", bad)).unwrap();
+        let out = bin().args(["stats", "--data", deploy.to_str().unwrap()]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{bad} opened: {}", String::from_utf8_lossy(&out.stdout));
+        assert!(stderr.contains("config shards"), "{bad}: {stderr}");
+    }
+    std::fs::write(&config, saved).unwrap();
+    let out = run_ok(&["stats", "--data", deploy.to_str().unwrap()]);
+    assert!(out.contains("regions: 8"), "{out}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,7 +1,10 @@
 //! Cross-crate integration tests: the full TraSS pipeline from generated
 //! workload through storage, pruning, filtering, and refinement, verified
-//! against brute force — plus agreement between TraSS and every baseline
-//! engine.
+//! against brute force (ids and distance bits) on stores of 250–500 rows
+//! — plus every baseline engine's answers, the I/O claim against the XZ2
+//! baseline, a country-scale extent, and recovery of a disk-backed store.
+//! Answers across paths and configurations on small stores, degenerate
+//! rows included, are checked in `tests/exactness.rs`.
 
 use trass::baselines::dft::DftEngine;
 use trass::baselines::dita::DitaEngine;
@@ -9,7 +12,6 @@ use trass::baselines::repose::ReposeEngine;
 use trass::baselines::xz_kv::build_for_extent;
 use trass::baselines::SimilarityEngine;
 use trass::core::{query, TrajectoryStore, TrassConfig};
-use trass::geo::Point;
 use trass::traj::generator::{self, BEIJING};
 use trass::traj::{Measure, Trajectory};
 
@@ -20,14 +22,20 @@ fn build_store(data: &[Trajectory]) -> TrajectoryStore {
     store
 }
 
-fn brute_threshold(data: &[Trajectory], q: &Trajectory, eps: f64, m: Measure) -> Vec<u64> {
-    let mut ids: Vec<u64> = data
+/// `(id, distance bits)`, so `assert_eq!` compares distances bit for bit.
+fn bits(rows: &[(u64, f64)]) -> Vec<(u64, u64)> {
+    rows.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+}
+
+/// Brute force's threshold answer: every row at distance ≤ ε, by id.
+fn brute_hits(data: &[Trajectory], q: &Trajectory, eps: f64, m: Measure) -> Vec<(u64, u64)> {
+    let mut hits: Vec<(u64, f64)> = data
         .iter()
-        .filter(|t| m.distance_within(q.points(), t.points(), eps).is_some())
-        .map(|t| t.id)
+        .map(|t| (t.id, m.distance(q.points(), t.points())))
+        .filter(|&(_, d)| d <= eps)
         .collect();
-    ids.sort_unstable();
-    ids
+    hits.sort_by_key(|&(id, _)| id);
+    bits(&hits)
 }
 
 #[test]
@@ -38,15 +46,10 @@ fn trass_threshold_equals_brute_force_across_measures_and_eps() {
     for measure in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
         for q in &queries {
             for eps in [0.001, 0.01] {
-                let got: Vec<u64> = query::threshold_search(&store, q, eps, measure)
-                    .unwrap()
-                    .results
-                    .iter()
-                    .map(|&(id, _)| id)
-                    .collect();
+                let got = query::threshold_search(&store, q, eps, measure).unwrap();
                 assert_eq!(
-                    got,
-                    brute_threshold(&data, q, eps, measure),
+                    bits(&got.results),
+                    brute_hits(&data, q, eps, measure),
                     "measure {measure}, eps {eps}, query {}",
                     q.id
                 );
@@ -65,21 +68,15 @@ fn all_engines_agree_on_threshold_results() {
     let queries = generator::sample_queries(&data, 4, 77);
     for q in &queries {
         let eps = 0.005;
-        let expected = brute_threshold(&data, q, eps, Measure::Frechet);
-        let trass: Vec<u64> = query::threshold_search(&store, q, eps, Measure::Frechet)
-            .unwrap()
-            .results
-            .iter()
-            .map(|&(id, _)| id)
-            .collect();
-        assert_eq!(trass, expected, "TraSS disagrees");
+        let expected = brute_hits(&data, q, eps, Measure::Frechet);
+        let trass = query::threshold_search(&store, q, eps, Measure::Frechet).unwrap();
+        assert_eq!(bits(&trass.results), expected, "TraSS disagrees");
         for (name, got) in [
             ("DFT", dft.threshold(q, eps, Measure::Frechet)),
             ("DITA", dita.threshold(q, eps, Measure::Frechet)),
             ("JUST", just.threshold(q, eps, Measure::Frechet)),
         ] {
-            let ids: Vec<u64> = got.unwrap().results.iter().map(|&(id, _)| id).collect();
-            assert_eq!(ids, expected, "{name} disagrees");
+            assert_eq!(bits(&got.unwrap().results), expected, "{name} disagrees");
         }
     }
 }
@@ -95,16 +92,16 @@ fn all_engines_agree_on_topk_distances() {
     let q = &data[31];
     let k = 12;
 
-    let mut expected: Vec<f64> =
-        data.iter().map(|t| Measure::Frechet.distance(q.points(), t.points())).collect();
-    expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    // Brute force in (distance, id) order, cut at k: the ids as well as
+    // the distances must match.
+    let mut expected: Vec<(u64, f64)> =
+        data.iter().map(|t| (t.id, Measure::Frechet.distance(q.points(), t.points()))).collect();
+    expected.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     expected.truncate(k);
+    let expected = bits(&expected);
 
     let trass = query::top_k_search(&store, q, k, Measure::Frechet).unwrap();
-    let trass_d: Vec<f64> = trass.results.iter().map(|&(_, d)| d).collect();
-    for (g, e) in trass_d.iter().zip(expected.iter()) {
-        assert!((g - e).abs() < 1e-9, "TraSS {trass_d:?} vs {expected:?}");
-    }
+    assert_eq!(bits(&trass.results), expected, "TraSS disagrees");
     for (name, engine) in [
         ("DFT", &dft as &dyn SimilarityEngine),
         ("DITA", &dita),
@@ -112,11 +109,7 @@ fn all_engines_agree_on_topk_distances() {
         ("REPOSE", &repose),
     ] {
         let got = engine.top_k(q, k, Measure::Frechet).unwrap();
-        let got_d: Vec<f64> = got.results.iter().map(|&(_, d)| d).collect();
-        assert_eq!(got_d.len(), k, "{name} returned {} results", got_d.len());
-        for (g, e) in got_d.iter().zip(expected.iter()) {
-            assert!((g - e).abs() < 1e-9, "{name}: {got_d:?} vs {expected:?}");
-        }
+        assert_eq!(bits(&got.results), expected, "{name} disagrees");
     }
 }
 
@@ -149,13 +142,8 @@ fn lorry_scale_roundtrip() {
         store
     };
     let q = &data[50];
-    let got: Vec<u64> = query::threshold_search(&store, q, 0.05, Measure::Frechet)
-        .unwrap()
-        .results
-        .iter()
-        .map(|&(id, _)| id)
-        .collect();
-    assert_eq!(got, brute_threshold(&data, q, 0.05, Measure::Frechet));
+    let got = query::threshold_search(&store, q, 0.05, Measure::Frechet).unwrap();
+    assert_eq!(bits(&got.results), brute_hits(&data, q, 0.05, Measure::Frechet));
 }
 
 #[test]
@@ -176,80 +164,8 @@ fn disk_backed_store_survives_reopen_with_queries() {
     {
         let store = TrajectoryStore::open(cfg()).unwrap();
         let q = &data[10];
-        let got: Vec<u64> = query::threshold_search(&store, q, 0.005, Measure::Frechet)
-            .unwrap()
-            .results
-            .iter()
-            .map(|&(id, _)| id)
-            .collect();
-        assert_eq!(got, brute_threshold(&data, q, 0.005, Measure::Frechet));
+        let got = query::threshold_search(&store, q, 0.005, Measure::Frechet).unwrap();
+        assert_eq!(bits(&got.results), brute_hits(&data, q, 0.005, Measure::Frechet));
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn degenerate_inputs_match_brute_force() {
-    let traj = |id: u64, pts: &[(f64, f64)]| {
-        Trajectory::new(id, pts.iter().map(|&(x, y)| Point::new(x, y)).collect())
-    };
-    // A city store (BEIJING, squared): ordinary rows plus a single point,
-    // an all-equal-points row, a duplicate, and rows south-west of the
-    // space and across its west edge, which normalization clamps.
-    let mut city = generator::tdrive_like(117, 40);
-    city.extend([
-        traj(901, &[(116.4, 39.9)]),
-        traj(902, &[(116.41, 39.91); 5]),
-        Trajectory::new(903, city[3].points().to_vec()),
-        traj(904, &[(115.2, 38.9), (115.25, 38.92), (115.3, 38.95)]),
-        traj(905, &[(115.95, 39.8), (116.0, 39.805), (116.05, 39.81)]),
-    ]);
-    let city_queries = vec![
-        traj(10_001, &[(116.4, 39.9)]),                  // single point
-        traj(10_002, &[(115.2, 38.9), (115.25, 38.92)]), // outside the space
-        city[3].clone(),                                 // has a duplicate
-        city[41].clone(),                                // all points equal
-    ];
-    // The default (world) space: the antimeridian and both poles, on the
-    // east edge and the west edge of the index.
-    let world = vec![
-        traj(1, &[(179.99, 10.0), (180.0, 10.01)]),
-        traj(2, &[(-180.0, 5.0), (-179.99, 5.01)]),
-        traj(3, &[(0.0, 90.0)]),
-        traj(4, &[(10.0, 89.99), (20.0, 90.0)]),
-        traj(5, &[(-30.0, -90.0), (-30.0, -89.99)]),
-        traj(6, &[(179.995, -20.0), (-179.995, -20.0)]),
-    ];
-    let world_queries = world.clone();
-
-    for (config, data, queries) in [
-        (TrassConfig::for_extent(BEIJING), city, city_queries),
-        (TrassConfig::default(), world, world_queries),
-    ] {
-        let store = TrajectoryStore::open(config).unwrap();
-        store.insert_all(&data).unwrap();
-        store.flush().unwrap();
-        for q in &queries {
-            for m in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
-                let mut all: Vec<(u64, f64)> =
-                    data.iter().map(|t| (t.id, m.distance(q.points(), t.points()))).collect();
-                for eps in [0.0, 0.01] {
-                    let got = query::threshold_search(&store, q, eps, m).unwrap().results;
-                    let mut brute: Vec<(u64, f64)> = data
-                        .iter()
-                        .filter_map(|t| {
-                            m.distance_within(q.points(), t.points(), eps).map(|d| (t.id, d))
-                        })
-                        .collect();
-                    brute.sort_by_key(|&(id, _)| id);
-                    assert_eq!(got, brute, "{m} threshold eps {eps}, query {}", q.id);
-                }
-                all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                for k in [1, data.len() + 5] {
-                    let got = query::top_k_search(&store, q, k, m).unwrap().results;
-                    let brute = &all[..k.min(all.len())];
-                    assert_eq!(got, brute, "{m} top-{k}, query {}", q.id);
-                }
-            }
-        }
-    }
 }

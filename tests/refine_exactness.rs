@@ -1,21 +1,23 @@
-//! The differential-exactness oracle for the refinement lower-bound
-//! prefilter (`TrassConfig::refine_bounds`).
+//! The refinement lower-bound prefilter (`TrassConfig::refine_bounds`)
+//! over the whole query pipeline, on stores of 250 rows.
 //!
 //! The contract: bounds and early-abandoning kernels are pure
-//! optimisations. A store with `refine_bounds = true` must answer every
-//! threshold, top-k and range query with *identical* results — same ids,
-//! same order, same bit-level exact distances — as a store that sends
-//! every candidate straight to the kernel, at every thread count. The trass-traj
-//! half of the argument (bound soundness, kernel bit-identity) lives in
-//! `crates/traj/tests/bounds_props.rs`; this file closes the loop over
-//! the whole query pipeline.
+//! optimisations. A store answers every threshold, top-k and range query
+//! with brute force's answer — same ids, same order, same bit-level
+//! distances — with bounds on and off, at 1 and 4 query threads.
+//! `tests/exactness.rs` holds every path and engine to the same contract
+//! on small stores; this file runs the bounds × threads grid at a size
+//! where the bounds face more candidates, and checks that every
+//! candidate's verdict is attributed and that a corrupt row is skipped.
+//! The trass-traj half of the argument (bound soundness, kernel
+//! bit-identity) lives in `crates/traj/tests/bounds_props.rs`.
 
 use trass_core::config::TrassConfig;
 use trass_core::query;
 use trass_core::schema::{parse_rowkey, RowValue};
 use trass_core::store::TrajectoryStore;
 use trass_geo::Mbr;
-use trass_traj::{generator, DpFeatures, Measure, Trajectory};
+use trass_traj::{generator, DpFeatures, Measure, Trajectory, TrajectoryId};
 
 const MEASURES: [Measure; 3] = [Measure::Frechet, Measure::Hausdorff, Measure::Dtw];
 
@@ -33,24 +35,48 @@ fn open_store(data: &[Trajectory], refine_bounds: bool, threads: usize) -> Traje
     store
 }
 
+/// `data` stored under refine bounds {on, off} × query threads {1, 4},
+/// each with the name its failures report.
+fn grid(data: &[Trajectory]) -> Vec<(String, TrajectoryStore)> {
+    [(true, 1), (true, 4), (false, 1), (false, 4)]
+        .into_iter()
+        .map(|(bounds, threads)| {
+            (format!("bounds={bounds} threads={threads}"), open_store(data, bounds, threads))
+        })
+        .collect()
+}
+
+/// `(id, distance bits)`, so `assert_eq!` compares distances bit for bit.
+fn bits(rows: &[(TrajectoryId, f64)]) -> Vec<(TrajectoryId, u64)> {
+    rows.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+}
+
+/// Brute force: every row's distance to `q`, in (distance, id) order.
+fn ranked(data: &[Trajectory], q: &Trajectory, m: Measure) -> Vec<(TrajectoryId, f64)> {
+    let mut all: Vec<_> = data.iter().map(|t| (t.id, m.distance(q.points(), t.points()))).collect();
+    all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    all
+}
+
 #[test]
 fn threshold_results_identical_with_and_without_bounds() {
     let data = generator::tdrive_like(11, 250);
     let queries = generator::sample_queries(&data, 3, 5);
-    for threads in [1, 4] {
-        let with = open_store(&data, true, threads);
-        let without = open_store(&data, false, threads);
-        for measure in MEASURES {
-            for q in &queries {
-                // Spans tight (few hits, heavy pruning) to wide (most
-                // candidates are hits, bounds rarely fire).
-                for eps in [0.0, 0.002, 0.01, 0.05] {
-                    let a = query::threshold_search(&with, q, eps, measure).expect("bounds on");
-                    let b = query::threshold_search(&without, q, eps, measure).expect("bounds off");
+    let stores = grid(&data);
+    for measure in MEASURES {
+        for q in &queries {
+            let all = ranked(&data, q, measure);
+            // Spans tight (few hits, heavy pruning) to wide (most
+            // candidates are hits, bounds rarely fire).
+            for eps in [0.0, 0.002, 0.01, 0.05] {
+                let mut want: Vec<_> = all.iter().copied().filter(|&(_, d)| d <= eps).collect();
+                want.sort_by_key(|r| r.0);
+                for (config, store) in &stores {
+                    let got = query::threshold_search(store, q, eps, measure).expect("threshold");
                     assert_eq!(
-                        a.results, b.results,
-                        "threshold divergence: threads={threads} measure={measure} \
-                         eps={eps} query={}",
+                        bits(&got.results),
+                        bits(&want),
+                        "threshold vs brute force: {config} measure={measure} eps={eps} query={}",
                         q.id
                     );
                 }
@@ -66,17 +92,17 @@ fn topk_results_identical_with_and_without_bounds() {
     // value that tightens mid-query. The ranked answer must not notice.
     let data = generator::tdrive_like(13, 250);
     let queries = generator::sample_queries(&data, 3, 23);
-    for threads in [1, 4] {
-        let with = open_store(&data, true, threads);
-        let without = open_store(&data, false, threads);
-        for measure in MEASURES {
-            for q in &queries {
-                for k in [1, 5, 20] {
-                    let a = query::top_k_search(&with, q, k, measure).expect("bounds on");
-                    let b = query::top_k_search(&without, q, k, measure).expect("bounds off");
+    let stores = grid(&data);
+    for measure in MEASURES {
+        for q in &queries {
+            let all = ranked(&data, q, measure);
+            for k in [1, 5, 10, 20] {
+                for (config, store) in &stores {
+                    let got = query::top_k_search(store, q, k, measure).expect("topk");
                     assert_eq!(
-                        a.results, b.results,
-                        "topk divergence: threads={threads} measure={measure} k={k} query={}",
+                        bits(&got.results),
+                        bits(&all[..k]),
+                        "top-k vs brute force: {config} measure={measure} k={k} query={}",
                         q.id
                     );
                 }
@@ -91,12 +117,19 @@ fn range_results_identical_with_and_without_bounds() {
     // trivially — pinned so a future refactor routing range through the
     // refine context cannot silently change it.
     let data = generator::tdrive_like(19, 250);
-    let with = open_store(&data, true, 1);
-    let without = open_store(&data, false, 1);
     let window = Mbr::new(116.2, 39.8, 116.5, 40.0);
-    let a = query::range_search(&with, &window).expect("bounds on");
-    let b = query::range_search(&without, &window).expect("bounds off");
-    assert_eq!(a.results, b.results);
+    // A range hit carries distance 0.
+    let mut want: Vec<_> = data
+        .iter()
+        .filter(|t| t.points().iter().any(|p| window.contains_point(p)))
+        .map(|t| (t.id, 0.0))
+        .collect();
+    want.sort_by_key(|r| r.0);
+    assert!(!want.is_empty(), "the window holds no row");
+    for (config, store) in grid(&data) {
+        let got = query::range_search(&store, &window).expect("range");
+        assert_eq!(bits(&got.results), bits(&want), "range vs brute force: {config}");
+    }
 }
 
 #[test]
