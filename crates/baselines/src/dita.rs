@@ -8,7 +8,8 @@
 //! leaves many candidates.
 
 use crate::{finish_topk, EngineResult, SimilarityEngine};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::time::{Duration, Instant};
 use trass_geo::{Mbr, Point};
 use trass_traj::{Measure, Trajectory, TrajectoryId};
@@ -19,8 +20,8 @@ const GRID: usize = 64;
 
 /// The DITA-like engine.
 pub struct DitaEngine {
-    /// (start-cell, end-cell) → trajectory indexes.
-    trie: HashMap<(u32, u32), Vec<usize>>,
+    /// (start-cell, end-cell) → trajectory indexes, occupied pairs only.
+    trie: BTreeMap<(u32, u32), Vec<usize>>,
     data: Vec<Trajectory>,
     extent: Mbr,
     build_time: Duration,
@@ -35,7 +36,7 @@ impl DitaEngine {
             .map(|t| t.mbr())
             .reduce(|a, b| a.union(&b))
             .unwrap_or(Mbr::new(0.0, 0.0, 1.0, 1.0));
-        let mut trie: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
+        let mut trie: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
         for (i, t) in data.iter().enumerate() {
             let key = (cell_of(&t.start(), &extent), cell_of(&t.end(), &extent));
             trie.entry(key).or_default().push(i);
@@ -44,14 +45,20 @@ impl DitaEngine {
     }
 
     /// Indexes of trajectories whose start/end cells are within `eps` of
-    /// the query's start/end points.
+    /// the query's start/end points, in (start cell, end cell) order: per
+    /// row of the start square, one trie range over that row's cells.
     fn pivot_candidates(&self, query: &Trajectory, eps: f64) -> Vec<usize> {
-        let start_cells = cells_within(&query.start(), eps, &self.extent);
-        let end_cells = cells_within(&query.end(), eps, &self.extent);
+        let start = CellSquare::around(&query.start(), eps, &self.extent);
+        let end = CellSquare::around(&query.end(), eps, &self.extent);
         let mut out = Vec::new();
-        for &s in &start_cells {
-            for &e in &end_cells {
-                if let Some(ids) = self.trie.get(&(s, e)) {
+        if start.cols.is_empty() {
+            return out;
+        }
+        for row in start.rows.clone() {
+            let first = row * GRID as u32 + start.cols.start();
+            let last = row * GRID as u32 + start.cols.end();
+            for (&(_, e), ids) in self.trie.range((first, 0)..=(last, u32::MAX)) {
+                if end.contains(e) {
                     out.extend_from_slice(ids);
                 }
             }
@@ -107,7 +114,10 @@ impl SimilarityEngine for DitaEngine {
             return None;
         }
         let t0 = Instant::now();
-        // Iterative radius doubling over the pivot trie.
+        // Iterative radius doubling over the pivot trie, until the query's
+        // MBR grown by the radius covers the dataset's extent: from there
+        // the MBR filter keeps every row, and further rounds only widen
+        // the pivot squares toward what a full scan reads at once.
         let mut eps = self.extent.width().max(self.extent.height()) / GRID as f64;
         let mut agg = EngineResult::default();
         for _ in 0..24 {
@@ -119,9 +129,12 @@ impl SimilarityEngine for DitaEngine {
                 agg.query_time = t0.elapsed();
                 return Some(agg);
             }
+            if query.mbr().extended(eps).contains(&self.extent) {
+                break;
+            }
             eps *= 2.0;
         }
-        // Radius exhausted the extent: fall back to a full scan.
+        // Radius covers the extent: fall back to a full scan.
         let mut scored: Vec<(TrajectoryId, f64)> = self
             .data
             .iter()
@@ -144,24 +157,40 @@ fn cell_of(p: &Point, extent: &Mbr) -> u32 {
     gy * GRID as u32 + gx
 }
 
-/// All grid cells intersecting the disc of radius `eps` around `p`
-/// (approximated by its bounding square — a superset, so sound).
-fn cells_within(p: &Point, eps: f64, extent: &Mbr) -> Vec<u32> {
-    let cw = extent.width() / GRID as f64;
-    let ch = extent.height() / GRID as f64;
-    let gx0 = (((p.x - eps - extent.min_x) / cw).floor().max(0.0)) as i64;
-    let gx1 = (((p.x + eps - extent.min_x) / cw).floor()).min(GRID as f64 - 1.0) as i64;
-    let gy0 = (((p.y - eps - extent.min_y) / ch).floor().max(0.0)) as i64;
-    let gy1 = (((p.y + eps - extent.min_y) / ch).floor()).min(GRID as f64 - 1.0) as i64;
-    let mut out = Vec::new();
-    for gy in gy0..=gy1.max(gy0) {
-        for gx in gx0..=gx1.max(gx0) {
-            if (0..GRID as i64).contains(&gx) && (0..GRID as i64).contains(&gy) {
-                out.push(gy as u32 * GRID as u32 + gx as u32);
+/// The grid cells intersecting the disc of radius `eps` around `p`,
+/// approximated by its bounding square (a superset, so sound): a column
+/// range and a row range. Each range holds at least its first index, so a
+/// square left of (or below) the extent still names column (row) 0; one
+/// wholly right of (or above) it names none.
+struct CellSquare {
+    cols: RangeInclusive<u32>,
+    rows: RangeInclusive<u32>,
+}
+
+impl CellSquare {
+    fn around(p: &Point, eps: f64, extent: &Mbr) -> Self {
+        let top = GRID as f64 - 1.0;
+        let span = |lo: f64, hi: f64, cell: f64| {
+            let first = (lo / cell).floor().max(0.0);
+            let last = (hi / cell).floor().min(top).max(first);
+            // Wholly past the extent's far edge: an empty range.
+            if first > top {
+                return RangeInclusive::new(1, 0);
             }
+            first as u32..=last as u32
+        };
+        let (cw, ch) = (extent.width() / GRID as f64, extent.height() / GRID as f64);
+        CellSquare {
+            cols: span(p.x - eps - extent.min_x, p.x + eps - extent.min_x, cw),
+            rows: span(p.y - eps - extent.min_y, p.y + eps - extent.min_y, ch),
         }
     }
-    out
+
+    /// Whether the square covers `cell` (a [`cell_of`] index).
+    fn contains(&self, cell: u32) -> bool {
+        let (col, row) = (cell % GRID as u32, cell / GRID as u32);
+        self.cols.contains(&col) && self.rows.contains(&row)
+    }
 }
 
 #[cfg(test)]
@@ -187,6 +216,26 @@ mod tests {
             .collect();
         expected.sort_unstable();
         assert_eq!(got_ids, expected);
+    }
+
+    #[test]
+    fn pivot_candidates_are_the_occupied_pairs_in_both_squares() {
+        let data = dataset();
+        let e = DitaEngine::build(data.clone());
+        let far = Trajectory::new(0, vec![Point::new(200.0, 80.0), Point::new(-200.0, -80.0)]);
+        for q in [&data[3], &data[50], &far] {
+            for eps in [0.0, 0.001, 0.004, 0.02, 0.1, 1.0, 400.0] {
+                let start = CellSquare::around(&q.start(), eps, &e.extent);
+                let end = CellSquare::around(&q.end(), eps, &e.extent);
+                let walked: Vec<usize> = e
+                    .trie
+                    .iter()
+                    .filter(|(&(s, t), _)| start.contains(s) && end.contains(t))
+                    .flat_map(|(_, ids)| ids.iter().copied())
+                    .collect();
+                assert_eq!(e.pivot_candidates(q, eps), walked, "eps {eps}");
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   filtering. This is the apples-to-apples I/O comparator for the
 //!   paper's 66.4 % I/O-reduction claim.
 //! * [`dft::DftEngine`] — DFT (VLDB'17): an R-tree over trajectory MBRs
-//!   with the sample-`c·k` threshold scheme for top-k; [`rtree`] is that
-//!   tree, and DFT is its only user.
+//!   with the sample-`c·k` threshold scheme for top-k; the private
+//!   `rtree` module is that tree, and DFT is its only user.
 //! * [`dita::DitaEngine`] — DITA (SIGMOD'18): pivot-point (first/last)
 //!   grid trie with MBR coverage filtering.
 //! * [`repose::ReposeEngine`] — REPOSE (ICDE'21): reference-point distance
@@ -29,7 +29,7 @@
 pub mod dft;
 pub mod dita;
 pub mod repose;
-pub mod rtree;
+mod rtree;
 pub mod xz_kv;
 
 use std::time::Duration;

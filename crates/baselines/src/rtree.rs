@@ -2,17 +2,14 @@
 //!
 //! Used by the DFT-like baseline ([`crate::dft`]), which partitions
 //! trajectory MBRs with an R-tree as the original system does on Spark;
-//! it has no other user. Supports incremental insertion with quadratic
-//! splits, STR bulk loading, window queries, and best-first
-//! nearest-neighbour search by MBR distance.
+//! it has no other user. It supports what DFT calls: incremental
+//! insertion with quadratic splits, and window queries.
 //!
 //! The paper's §VI observes that dynamic indexes like this pay heavy
 //! restructuring costs at scale — `Fig. 13` measures exactly that against
 //! the static XZ\* encoding, so the insert path here is deliberately the
 //! textbook algorithm.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use trass_geo::Mbr;
 
 const MAX_ENTRIES: usize = 16;
@@ -38,91 +35,16 @@ impl<T> Node<T> {
 #[derive(Debug)]
 pub struct RTree<T> {
     root: Node<T>,
-    len: usize,
-    height: usize,
-}
-
-impl<T> Default for RTree<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<T> RTree<T> {
     /// Creates an empty tree.
     pub fn new() -> Self {
-        RTree { root: Node::Leaf { entries: Vec::new() }, len: 0, height: 1 }
-    }
-
-    /// Bulk-loads items with the Sort-Tile-Recursive algorithm, producing a
-    /// well-packed tree much faster than repeated insertion.
-    pub fn bulk_load(mut items: Vec<(Mbr, T)>) -> Self {
-        let len = items.len();
-        if len == 0 {
-            return Self::new();
-        }
-        // STR: sort by center-x, slice into vertical strips, sort each
-        // strip by center-y, pack runs of MAX_ENTRIES into leaves.
-        items.sort_by(|a, b| a.0.center().x.total_cmp(&b.0.center().x));
-        let n_leaves = len.div_ceil(MAX_ENTRIES);
-        // Smallest n_strips with n_strips² ≥ n_leaves (integer ceil-sqrt).
-        let mut n_strips = 1usize;
-        while n_strips * n_strips < n_leaves {
-            n_strips += 1;
-        }
-        let strip_len = len.div_ceil(n_strips);
-        let mut leaves: Vec<(Mbr, Box<Node<T>>)> = Vec::with_capacity(n_leaves);
-        let mut items = items.into_iter().peekable();
-        while items.peek().is_some() {
-            let mut strip: Vec<(Mbr, T)> = (&mut items).take(strip_len).collect();
-            strip.sort_by(|a, b| a.0.center().y.total_cmp(&b.0.center().y));
-            let mut strip = strip.into_iter().peekable();
-            while strip.peek().is_some() {
-                let entries: Vec<(Mbr, T)> = (&mut strip).take(MAX_ENTRIES).collect();
-                let node = Node::Leaf { entries };
-                leaves.push((node.mbr(), Box::new(node)));
-            }
-        }
-        // Pack upward.
-        let mut height = 1;
-        let mut level = leaves;
-        while level.len() > 1 {
-            let mut next: Vec<(Mbr, Box<Node<T>>)> =
-                Vec::with_capacity(level.len().div_ceil(MAX_ENTRIES));
-            let mut level_iter = level.into_iter().peekable();
-            while level_iter.peek().is_some() {
-                let children: Vec<(Mbr, Box<Node<T>>)> =
-                    (&mut level_iter).take(MAX_ENTRIES).collect();
-                let node = Node::Inner { children };
-                next.push((node.mbr(), Box::new(node)));
-            }
-            level = next;
-            height += 1;
-        }
-        let Some((_, root)) = level.into_iter().next() else {
-            unreachable!("the packing loop always leaves exactly one node")
-        };
-        RTree { root: *root, len, height }
-    }
-
-    /// Number of stored items.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no items are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Tree height (1 = a single leaf).
-    pub fn height(&self) -> usize {
-        self.height
+        RTree { root: Node::Leaf { entries: Vec::new() } }
     }
 
     /// Inserts an item.
     pub fn insert(&mut self, mbr: Mbr, item: T) {
-        self.len += 1;
         if let Some((left, right)) = insert_rec(&mut self.root, mbr, item) {
             // Root split: grow the tree.
             let old_root = std::mem::replace(&mut self.root, Node::Leaf { entries: Vec::new() });
@@ -130,7 +52,6 @@ impl<T> RTree<T> {
             self.root = Node::Inner {
                 children: vec![(left.mbr(), Box::new(left)), (right.mbr(), Box::new(right))],
             };
-            self.height += 1;
         }
     }
 
@@ -139,81 +60,6 @@ impl<T> RTree<T> {
         let mut out = Vec::new();
         query_rec(&self.root, window, &mut out);
         out
-    }
-
-    /// The `k` items nearest to `target` by MBR-to-MBR distance,
-    /// best-first. Returns `(distance, mbr, item)` in increasing order.
-    pub fn nearest<'a>(&'a self, target: &Mbr, k: usize) -> Vec<(f64, &'a Mbr, &'a T)> {
-        #[derive(PartialEq)]
-        struct HeapDist(f64);
-        impl Eq for HeapDist {}
-        impl PartialOrd for HeapDist {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for HeapDist {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0.total_cmp(&other.0)
-            }
-        }
-        enum Candidate<'a, T> {
-            Node(&'a Node<T>),
-            Item(&'a Mbr, &'a T),
-        }
-        if self.len == 0 || k == 0 {
-            return Vec::new();
-        }
-        let mut heap: BinaryHeap<Reverse<(HeapDist, usize)>> = BinaryHeap::new();
-        let mut arena: Vec<Candidate<'a, T>> = vec![Candidate::Node(&self.root)];
-        heap.push(Reverse((HeapDist(0.0), 0)));
-        let mut out = Vec::new();
-        while let Some(Reverse((HeapDist(dist), idx))) = heap.pop() {
-            match arena[idx] {
-                Candidate::Item(mbr, item) => {
-                    out.push((dist, mbr, item));
-                    if out.len() == k {
-                        break;
-                    }
-                }
-                Candidate::Node(node) => match node {
-                    Node::Leaf { entries } => {
-                        for (mbr, item) in entries {
-                            let d = target.distance_to_mbr(mbr);
-                            arena.push(Candidate::Item(mbr, item));
-                            heap.push(Reverse((HeapDist(d), arena.len() - 1)));
-                        }
-                    }
-                    Node::Inner { children } => {
-                        for (mbr, child) in children {
-                            let d = target.distance_to_mbr(mbr);
-                            arena.push(Candidate::Node(child));
-                            heap.push(Reverse((HeapDist(d), arena.len() - 1)));
-                        }
-                    }
-                },
-            }
-        }
-        out
-    }
-
-    /// Visits every stored item.
-    pub fn for_each(&self, mut f: impl FnMut(&Mbr, &T)) {
-        fn walk<T>(node: &Node<T>, f: &mut impl FnMut(&Mbr, &T)) {
-            match node {
-                Node::Leaf { entries } => {
-                    for (m, t) in entries {
-                        f(m, t);
-                    }
-                }
-                Node::Inner { children } => {
-                    for (_, c) in children {
-                        walk(c, f);
-                    }
-                }
-            }
-        }
-        walk(&self.root, &mut f);
     }
 }
 
@@ -350,90 +196,39 @@ mod tests {
             .collect()
     }
 
+    /// 500 items split leaves and inner nodes (`MAX_ENTRIES` = 16); every
+    /// one reads back exactly once, and a window finds exactly its cells.
     #[test]
     fn insert_and_query() {
         let mut t = RTree::new();
         for (mbr, i) in grid_items(500) {
             t.insert(mbr, i);
         }
-        assert_eq!(t.len(), 500);
-        let hits = t.query_intersecting(&Mbr::new(10.0, 1.0, 12.0, 2.0));
-        let ids: Vec<usize> = hits.iter().map(|(_, &i)| i).collect();
+        let ids = |window: Mbr| {
+            let mut ids: Vec<usize> =
+                t.query_intersecting(&window).iter().map(|(_, &i)| i).collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(ids(Mbr::new(0.0, 0.0, 100.0, 5.0)), (0..500).collect::<Vec<_>>());
         // x in 10..=12, y in 1..=2 → i = y*100 + x.
-        for expect in [110, 111, 112, 210, 211, 212] {
-            assert!(ids.contains(&expect), "{expect} missing from {ids:?}");
-        }
-    }
-
-    #[test]
-    fn bulk_load_matches_insert_results() {
-        let items = grid_items(1000);
-        let bulk = RTree::bulk_load(items.clone());
-        let mut incremental = RTree::new();
-        for (m, i) in items {
-            incremental.insert(m, i);
-        }
-        assert_eq!(bulk.len(), incremental.len());
-        let window = Mbr::new(25.0, 3.0, 40.0, 7.0);
-        let mut from_bulk: Vec<usize> =
-            bulk.query_intersecting(&window).iter().map(|(_, &i)| i).collect();
-        let mut from_incr: Vec<usize> =
-            incremental.query_intersecting(&window).iter().map(|(_, &i)| i).collect();
-        from_bulk.sort_unstable();
-        from_incr.sort_unstable();
-        assert_eq!(from_bulk, from_incr);
-        assert!(!from_bulk.is_empty());
+        assert_eq!(ids(Mbr::new(10.0, 1.0, 12.0, 2.0)), [110, 111, 112, 210, 211, 212]);
     }
 
     #[test]
     fn query_empty_tree() {
         let t: RTree<u32> = RTree::new();
         assert!(t.query_intersecting(&Mbr::new(0.0, 0.0, 1.0, 1.0)).is_empty());
-        assert!(t.nearest(&Mbr::new(0.0, 0.0, 1.0, 1.0), 5).is_empty());
     }
 
     #[test]
     fn query_misses_outside_window() {
-        let t = RTree::bulk_load(grid_items(200));
+        let mut t = RTree::new();
+        for (mbr, i) in grid_items(200) {
+            t.insert(mbr, i);
+        }
         let hits = t.query_intersecting(&Mbr::new(500.0, 500.0, 501.0, 501.0));
         assert!(hits.is_empty());
-    }
-
-    #[test]
-    fn nearest_returns_increasing_distances() {
-        let t = RTree::bulk_load(grid_items(1000));
-        let target = Mbr::new(50.2, 5.2, 50.3, 5.3);
-        let results = t.nearest(&target, 10);
-        assert_eq!(results.len(), 10);
-        assert_eq!(results[0].0, 0.0, "containing cell first");
-        for w in results.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-        }
-        // Best-first matches brute force.
-        let mut brute: Vec<(f64, usize)> =
-            grid_items(1000).into_iter().map(|(m, i)| (target.distance_to_mbr(&m), i)).collect();
-        brute.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for (got, want) in results.iter().zip(brute.iter()) {
-            assert!((got.0 - want.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn for_each_visits_everything() {
-        let t = RTree::bulk_load(grid_items(300));
-        let mut seen = vec![false; 300];
-        t.for_each(|_, &i| seen[i] = true);
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn tree_height_grows_logarithmically() {
-        let mut t = RTree::new();
-        for (m, i) in grid_items(2000) {
-            t.insert(m, i);
-        }
-        assert!(t.height() >= 3);
-        assert!(t.height() <= 7, "height {} too tall for 2000 items", t.height());
     }
 
     #[test]

@@ -8,8 +8,10 @@
 
 use crate::{finish_topk, EngineResult, SimilarityEngine};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trass_core::schema::{parse_rowkey, rowkey, shard_key_ranges, shard_of, RowValue};
+use trass_exec::ScopedPool;
 use trass_geo::{Mbr, NormalizedSpace};
 use trass_index::xz2::Xz2;
 use trass_kv::{Cluster, ClusterOptions, FilterDecision, ScanFilter, StoreOptions};
@@ -45,7 +47,8 @@ pub struct XzKvEngine {
 }
 
 impl XzKvEngine {
-    /// Builds the engine over a dataset (in-memory cluster).
+    /// Builds the engine over a dataset (in-memory cluster, scanning its
+    /// regions in parallel on a pool of the machine's parallelism).
     pub fn build(data: &[Trajectory], config: XzKvConfig) -> Self {
         let t0 = Instant::now();
         let cluster = Cluster::open(ClusterOptions {
@@ -53,7 +56,8 @@ impl XzKvEngine {
             store: StoreOptions::in_memory(),
             ..ClusterOptions::default()
         })
-        .expect("in-memory cluster always opens");
+        .expect("in-memory cluster always opens")
+        .with_pool(Arc::new(ScopedPool::new(0)));
         let index = Xz2::new(config.max_resolution);
         for traj in data {
             let unit_mbr = config.space.mbr_to_unit(&traj.mbr());

@@ -18,9 +18,10 @@ pub struct TrassConfig {
     /// Gap tolerance when threshold search coalesces index values into scan
     /// ranges. Top-k uses 0; range search bridges only gaps holding no row.
     pub range_gap: u64,
-    /// Worker budget for intra-query parallelism (region-scan fan-out, the
-    /// stand-in for the five-node cluster of the paper's evaluation, and
-    /// candidate refinement). `0` uses the machine's available parallelism;
+    /// Worker budget for intra-query parallelism: the size of the store's
+    /// one worker pool, on which a query fans its region scans out (the
+    /// stand-in for the five-node cluster of the paper's evaluation) and
+    /// then refines its candidates. `0` uses the machine's available parallelism;
     /// `1` reproduces the exact sequential pipeline. The default honours
     /// the `TRASS_QUERY_THREADS` environment variable (CI's determinism
     /// matrix relies on it), falling back to `0`.

@@ -146,18 +146,18 @@ pub(crate) fn similarity_pass(
     )?;
 
     // Exact similarity on the candidates, fanned out across the store's
-    // refine pool. Lower bounds (endpoint / MBR gap / ref gap) run before
-    // each exact kernel when `refine_bounds` is on; the kernel itself
-    // abandons at the effective threshold. Either way the surviving hits
-    // carry the bit-identical exact distance. Verdicts come back indexed
-    // by candidate, so the merge below observes them in scan order — the
-    // same order a sequential loop produces — and the trace stays
-    // deterministic.
+    // query pool (the scan's fan-out is done with it by now). Lower bounds
+    // (endpoint / MBR gap / ref gap) run before each exact kernel when
+    // `refine_bounds` is on; the kernel itself abandons at the effective
+    // threshold. Either way the surviving hits carry the bit-identical
+    // exact distance. Verdicts come back indexed by candidate, so the merge
+    // below observes them in scan order — the same order a sequential loop
+    // produces — and the trace stays deterministic.
     let candidates = pass.stats().candidates;
     let results = pass.refine(|span| {
         let points = query.trajectory.points();
         let rctx = RefineContext::new(points, config.refine_bounds);
-        let run = store.refine_pool().run_timed(rows, |_, row| {
+        let run = store.pool().run_timed(rows, |_, row| {
             let (_, _, tid) = parse_rowkey(&row.key)?;
             let value = RowValue::decode(&row.value).ok()?;
             // The row's cached DP-feature MBR covers the trajectory

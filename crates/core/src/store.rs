@@ -15,8 +15,8 @@ use trass_index::xzstar::{BestFirst, IndexSpace, Occupancy, PruningConfig, XzSta
 use trass_kv::{Cluster, ClusterOptions, KvError};
 use trass_obs::sync::RwLock;
 use trass_obs::{
-    Counter, FlightRecorder, HealthRegistry, Histogram, QueryTrace, Registry, SlowLog, Telemetry,
-    TelemetrySources, TraceCtx, TraceSampler, TraceSpan, STAGE_HISTOGRAM,
+    Counter, FlightRecorder, Histogram, QueryTrace, Registry, SlowLog, Telemetry, TelemetrySources,
+    TraceCtx, TraceSampler, TraceSpan, STAGE_HISTOGRAM,
 };
 use trass_traj::{DpFeatures, Measure, Trajectory, TrajectoryId};
 
@@ -89,7 +89,9 @@ pub struct Explained {
 pub struct TrajectoryStore {
     config: TrassConfig,
     index: XzStar,
-    cluster: Cluster,
+    /// The trajectory table (the telemetry endpoint's `/healthz` and
+    /// `/readyz` routes hold a weak handle to it).
+    cluster: Arc<Cluster>,
     /// Secondary table: tid → current index value.
     id_index: Cluster,
     /// What the trajectory table holds under each index value: the
@@ -106,12 +108,11 @@ pub struct TrajectoryStore {
     /// Ring buffer of the last N completed traces (shared with the
     /// telemetry endpoint's `/traces` route).
     flight: Arc<FlightRecorder>,
-    /// Worker pool for candidate refinement (`config.query_threads`
-    /// workers; `1` refines inline on the query thread).
-    refine_pool: ScopedPool,
-    /// The probe set of the kv cluster and the worker pools (shared with
-    /// the telemetry endpoint's `/healthz` and `/readyz` routes).
-    health: Arc<HealthRegistry>,
+    /// The one worker pool of a query's parallel stages: lent to
+    /// `cluster` for region-scan fan-out, and refinement runs on it
+    /// (`config.query_threads` participants; `1` runs both inline on the
+    /// query thread).
+    pool: Arc<ScopedPool>,
     /// Monotonic id handed to traced queries; the root span carries it as
     /// the `trace_id` label so slow-log entries can name their trace.
     trace_seq: AtomicU64,
@@ -189,22 +190,23 @@ impl TrajectoryStore {
     pub fn open(config: TrassConfig) -> Result<Self, KvError> {
         config.validate().map_err(|m| KvError::InvalidUsage { message: m })?;
         let registry = Registry::new_shared();
+        let pool = Arc::new(ScopedPool::with_registry(config.query_threads, &registry, "query"));
         let cluster = Cluster::open(ClusterOptions {
             shards: config.shards,
             store: config.store.clone(),
-            scan_threads: config.query_threads,
             registry: Some(Arc::clone(&registry)),
-        })?;
+        })?
+        .with_pool(Arc::clone(&pool));
         let mut id_store = config.store.clone();
         if let Some(dir) = &config.store.dir {
             id_store.dir = Some(dir.join("id-index"));
         }
         // The id-index keeps a private registry: its regions reuse the same
-        // shard labels as the main cluster and would collide otherwise.
+        // shard labels as the main cluster and would collide otherwise. It
+        // serves point lookups only, so it gets no pool.
         let id_index = Cluster::open(ClusterOptions {
             shards: config.shards,
             store: id_store,
-            scan_threads: 1, // point lookups only
             registry: None,
         })?;
         let index = XzStar::new(config.max_resolution);
@@ -227,19 +229,14 @@ impl TrajectoryStore {
             )
             .set(1);
         let query_obs = QueryObs::new(&registry);
-        let refine_pool = ScopedPool::with_registry(config.query_threads, &registry, "refine");
-        let health = HealthRegistry::new_shared();
-        cluster.register_health_probes(&health);
-        refine_pool.register_health_probe(&health, "refine-pool", 256);
         Ok(TrajectoryStore {
             tracer: TraceSampler::every(config.trace_sample_every),
             flight: Arc::new(FlightRecorder::new(FLIGHT_RECORDER_CAPACITY)),
-            refine_pool,
-            health,
+            pool,
             trace_seq: AtomicU64::new(0),
             config,
             index,
-            cluster,
+            cluster: Arc::new(cluster),
             id_index,
             occupancy,
             registry,
@@ -282,10 +279,11 @@ impl TrajectoryStore {
         &self.flight
     }
 
-    /// The probes of the kv cluster (`kv-regions`, `kv-scan-pool`) and the
-    /// refine pool (`refine-pool`), registered once at open.
-    pub fn health(&self) -> &HealthRegistry {
-        &self.health
+    /// Whether this store can serve right now: [`Cluster::health`] of the
+    /// trajectory table's regions, `Err` naming the first failing shard.
+    /// [`render_health`] turns it into the `/healthz` report.
+    pub fn health(&self) -> Result<(), String> {
+        self.cluster.health()
     }
 
     /// Starts the embedded telemetry endpoint on
@@ -294,13 +292,21 @@ impl TrajectoryStore {
     /// (or calling [`Telemetry::shutdown`]) stops it.
     pub fn serve_telemetry(&self) -> std::io::Result<Telemetry> {
         let slow = Arc::clone(&self.slow_queries);
+        // Weak, so a running endpoint does not keep the store's regions and
+        // query pool alive once the store drops.
+        let cluster = Arc::downgrade(&self.cluster);
         Telemetry::serve(
             self.config.telemetry_addr.as_deref().unwrap_or("127.0.0.1:0"),
             TelemetrySources {
                 registry: Arc::clone(&self.registry),
                 flight: Arc::clone(&self.flight),
                 slowlog: Arc::new(move |json| render_slowlog(&slow, json)),
-                health: Arc::clone(&self.health),
+                health: Arc::new(move || {
+                    render_health(match cluster.upgrade() {
+                        Some(cluster) => cluster.health(),
+                        None => Err("store closed".into()),
+                    })
+                }),
             },
         )
     }
@@ -339,9 +345,9 @@ impl TrajectoryStore {
         }
     }
 
-    /// The refinement worker pool, shared by the query drivers.
-    pub(crate) fn refine_pool(&self) -> &ScopedPool {
-        &self.refine_pool
+    /// The query worker pool, which refinement runs on.
+    pub(crate) fn pool(&self) -> &ScopedPool {
+        &self.pool
     }
 
     /// The query path's pre-resolved metric handles.
@@ -577,6 +583,17 @@ impl Occupancy for RowsByValue {
     }
 }
 
+/// Renders a [`TrajectoryStore::health`] verdict as the telemetry
+/// endpoint's `/healthz` and `/readyz` and the wire `Health` op report it:
+/// `status: ok` or `status: unhealthy`, then the `kv-regions` line, which
+/// carries the reason when it fails. The flag is the verdict.
+pub fn render_health(verdict: Result<(), String>) -> (bool, String) {
+    match verdict {
+        Ok(()) => (true, "status: ok\nok   probe kv-regions\n".to_string()),
+        Err(reason) => (false, format!("status: unhealthy\nFAIL probe kv-regions: {reason}\n")),
+    }
+}
+
 /// Renders the slow-query log for the telemetry endpoint's `/slowlog`
 /// route: a plain-text report, or (`json = true`) a JSON array whose
 /// entries carry the id of their attached trace (`null` when the query
@@ -787,6 +804,18 @@ mod tests {
                 .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             assert_eq!(top.first().copied(), nearest, "top-1, query {}", q.id);
         }
+    }
+
+    #[test]
+    fn health_renders_the_regions_verdict() {
+        assert_eq!(
+            render_health(store().health()),
+            (true, "status: ok\nok   probe kv-regions\n".into())
+        );
+        assert_eq!(
+            render_health(Err("shard 1: data dir gone".into())),
+            (false, "status: unhealthy\nFAIL probe kv-regions: shard 1: data dir gone\n".into())
+        );
     }
 
     #[test]

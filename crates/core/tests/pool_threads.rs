@@ -1,6 +1,8 @@
-//! Queries start no thread and a dropped store leaves none. A store's scan
-//! and refine pools keep their workers parked between queries and join
-//! them when the store drops; the thread count comes from
+//! A store runs one pool's worth of threads, queries start no further one,
+//! and a dropped store leaves none, even while its telemetry endpoint
+//! still runs. A store's one query pool serves both
+//! region-scan fan-out and refinement; it keeps its workers parked between
+//! queries and joins them when the store drops. Threads are read from
 //! `/proc/self/task`.
 #![cfg(target_os = "linux")]
 
@@ -14,6 +16,18 @@ use trass_traj::{generator, Measure, Trajectory};
 /// Threads of this process.
 fn threads() -> usize {
     std::fs::read_dir("/proc/self/task").unwrap().count()
+}
+
+/// Names of this process's threads that a pool started, sorted.
+fn pool_workers() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .filter(|name| name.starts_with("trass-"))
+        .collect();
+    names.sort();
+    names
 }
 
 /// The thread count once it reads `expected`, or after five seconds
@@ -59,6 +73,8 @@ fn queries_start_no_thread_and_a_dropped_store_leaves_none() {
     let store = open_store(&data);
     run_queries(&store, &data[..10]);
     let warm = threads();
+    assert_eq!(warm, baseline + 1, "a store at query_threads = 2 runs one background worker");
+    assert_eq!(pool_workers(), ["trass-query-1"]);
     run_queries(&store, &data[10..60]);
     assert_eq!(settled_threads(warm), warm, "50 threshold and top-k queries started a thread");
     drop(store);
@@ -69,4 +85,21 @@ fn queries_start_no_thread_and_a_dropped_store_leaves_none() {
         run_queries(&store, &data[..3]);
     }
     assert_eq!(settled_threads(baseline), baseline, "20 dropped stores left threads behind");
+
+    // A telemetry endpoint that outlives its store does not keep the
+    // store's pool alive.
+    let store = open_store(&data);
+    let telemetry = store.serve_telemetry().unwrap();
+    run_queries(&store, &data[..3]);
+    let query_workers = || -> Vec<String> {
+        pool_workers().into_iter().filter(|name| name.starts_with("trass-query-")).collect()
+    };
+    assert_eq!(query_workers(), ["trass-query-1"]);
+    drop(store);
+    let t0 = Instant::now();
+    while !query_workers().is_empty() && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(query_workers(), Vec::<String>::new(), "the endpoint kept the pool alive");
+    telemetry.shutdown();
 }

@@ -1,7 +1,7 @@
 //! End-to-end acceptance tests for the embedded telemetry endpoint:
 //! Prometheus exposition over a live query workload with its metric
-//! families pinned, health probes wired from the kv cluster and worker
-//! pools, and clean shutdown (the port must be rebindable).
+//! families pinned, the kv regions' health check behind `/healthz` and
+//! `/readyz`, and clean shutdown (the port must be rebindable).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -45,7 +45,7 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String, String) {
 
 /// Every `# TYPE` family on `/metrics` after a threshold, a top-k and a
 /// range query, in exposition order.
-const PINNED_FAMILIES: [&str; 29] = [
+const PINNED_FAMILIES: [&str; 28] = [
     "trass_build_info",
     "trass_ingest_rows",
     "trass_ingest_seconds",
@@ -68,7 +68,6 @@ const PINNED_FAMILIES: [&str; 29] = [
     "trass_kv_region_scan_seconds",
     "trass_kv_region_scans",
     "trass_kv_wal_append_seconds",
-    "trass_pool_queue_depth",
     "trass_pool_tasks_total",
     "trass_queries",
     "trass_query_errors",
@@ -138,19 +137,23 @@ fn metrics_expose_the_query_pipeline_over_a_live_workload() {
 }
 
 #[test]
-fn healthz_reports_the_wired_probes() {
+fn healthz_reports_the_regions_check() {
     let (store, _) = populated_store(100);
     let telemetry = store.serve_telemetry().unwrap();
     let addr = telemetry.local_addr();
 
-    // All wired probes pass and are named in the body, under both paths.
+    // The regions' check passes and is named, the same under both paths.
     let (status, _, body) = http_get(addr, "/healthz");
-    assert_eq!(status, 200, "{body}");
-    assert!(body.starts_with("status: ok\n"), "{body}");
-    for probe in ["kv-regions", "kv-scan-pool", "refine-pool"] {
-        assert!(body.contains(&format!("ok   probe {probe}")), "{body}");
-    }
+    assert_eq!((status, body.as_str()), (200, "status: ok\nok   probe kv-regions\n"));
     assert_eq!(http_get(addr, "/readyz").2, body);
+
+    // The endpoint does not keep a dropped store's regions alive.
+    drop(store);
+    let (status, _, body) = http_get(addr, "/healthz");
+    assert_eq!(
+        (status, body.as_str()),
+        (503, "status: unhealthy\nFAIL probe kv-regions: store closed\n")
+    );
 
     telemetry.shutdown();
 }

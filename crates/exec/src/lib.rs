@@ -42,7 +42,7 @@ use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trass_obs::sync::Mutex;
-use trass_obs::{Counter, Gauge, Registry};
+use trass_obs::{Counter, Registry};
 
 /// Resolves a configured thread count: `0` means "use all available
 /// parallelism", anything else is taken literally.
@@ -52,15 +52,6 @@ pub fn resolve_threads(configured: usize) -> usize {
     } else {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     }
-}
-
-/// Registry handles for a pool's instrumentation, resolved once at
-/// construction so recording on the hot path is a single atomic op.
-struct PoolObs {
-    /// Tasks submitted but not yet claimed by a worker.
-    queue_depth: Arc<Gauge>,
-    /// Total tasks ever submitted to this pool.
-    tasks_total: Arc<Counter>,
 }
 
 /// The outcome of one [`ScopedPool::run_timed`] call.
@@ -230,7 +221,8 @@ impl<F: FnMut()> Drop for Defer<F> {
 /// sibling results into an inconsistent state. The pool stays usable.
 pub struct ScopedPool {
     threads: usize,
-    obs: Option<PoolObs>,
+    /// `trass_pool_tasks_total`, when a registry is attached.
+    tasks_total: Option<Arc<Counter>>,
     /// Workers are named `trass-<name>-<i>`.
     name: String,
     /// Set while a parallel run owns the crew.
@@ -248,23 +240,18 @@ impl ScopedPool {
         ScopedPool::build(threads, None, "pool")
     }
 
-    /// A pool reporting `trass_pool_queue_depth` / `trass_pool_tasks_total`
-    /// into `registry`, labelled `pool=<name>` so several pools (scan,
-    /// refine) can share one registry. Its workers are named
+    /// A pool counting the tasks it is given into `registry` as
+    /// `trass_pool_tasks_total{pool=<name>}`. Its workers are named
     /// `trass-<name>-<i>`.
     pub fn with_registry(threads: usize, registry: &Registry, name: &str) -> Self {
-        let labels = [("pool", name)];
-        let obs = PoolObs {
-            queue_depth: registry.gauge("trass_pool_queue_depth", &labels),
-            tasks_total: registry.counter("trass_pool_tasks_total", &labels),
-        };
-        ScopedPool::build(threads, Some(obs), name)
+        let tasks_total = registry.counter("trass_pool_tasks_total", &[("pool", name)]);
+        ScopedPool::build(threads, Some(tasks_total), name)
     }
 
-    fn build(threads: usize, obs: Option<PoolObs>, name: &str) -> Self {
+    fn build(threads: usize, tasks_total: Option<Arc<Counter>>, name: &str) -> Self {
         ScopedPool {
             threads: resolve_threads(threads).max(1),
-            obs,
+            tasks_total,
             name: name.to_string(),
             in_run: AtomicBool::new(false),
             crew: Arc::default(),
@@ -276,31 +263,6 @@ impl ScopedPool {
     /// use.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Registers a readiness probe named `name` on `health` that fails
-    /// when the pool's queue depth exceeds `max_queue` — a saturated pool
-    /// means queries are arriving faster than workers drain them, which an
-    /// orchestrator should see on `/readyz` before latency degrades.
-    ///
-    /// No-op for uninstrumented pools (no registry attached): with no
-    /// gauge to read there is nothing to probe.
-    pub fn register_health_probe(
-        &self,
-        health: &trass_obs::HealthRegistry,
-        name: &str,
-        max_queue: i64,
-    ) {
-        let Some(obs) = &self.obs else { return };
-        let depth = Arc::clone(&obs.queue_depth);
-        health.register(name, move || {
-            let d = depth.get();
-            if d > max_queue {
-                Err(format!("pool queue depth {d} exceeds {max_queue}"))
-            } else {
-                Ok(())
-            }
-        });
     }
 
     /// Runs `f` over every item, returning results in item order. See
@@ -329,8 +291,8 @@ impl ScopedPool {
         F: Fn(usize, T) -> R + Sync,
     {
         let n = items.len();
-        if let Some(obs) = &self.obs {
-            obs.tasks_total.add(n as u64);
+        if let Some(tasks_total) = &self.tasks_total {
+            tasks_total.add(n as u64);
         }
         let wanted = self.threads.min(n);
         // Owns the crew for this run; released last, once the crew is idle.
@@ -351,25 +313,12 @@ impl ScopedPool {
         let busy: Vec<Mutex<Duration>> =
             (0..participants).map(|_| Mutex::new(Duration::ZERO)).collect();
         let cursor = AtomicUsize::new(0);
-        if let Some(obs) = &self.obs {
-            obs.queue_depth.add(n as i64);
-        }
-        // Tasks a panic left unclaimed leave the gauge once the run is over.
-        let _unqueue = Defer(|| {
-            if let Some(obs) = &self.obs {
-                let left = n.saturating_sub(cursor.swap(n, Ordering::Relaxed));
-                obs.queue_depth.add(-(left as i64));
-            }
-        });
         let share = |seat: usize| {
             let t0 = Instant::now();
             loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
-                }
-                if let Some(obs) = &self.obs {
-                    obs.queue_depth.add(-1);
                 }
                 // The ticket counter hands each index to exactly one
                 // participant.
@@ -444,7 +393,7 @@ impl std::fmt::Debug for ScopedPool {
         f.debug_struct("ScopedPool")
             .field("name", &self.name)
             .field("threads", &self.threads)
-            .field("instrumented", &self.obs.is_some())
+            .field("instrumented", &self.tasks_total.is_some())
             .finish()
     }
 }
@@ -639,34 +588,7 @@ mod tests {
         let registry = Registry::new();
         let pool = ScopedPool::with_registry(4, &registry, "test");
         let _ = pool.run((0..50).collect(), |_, i: usize| i);
-        let labels = [("pool", "test")];
-        assert_eq!(registry.counter("trass_pool_tasks_total", &labels).get(), 50);
-        // Every submitted task was drained.
-        assert_eq!(registry.gauge("trass_pool_queue_depth", &labels).get(), 0);
-    }
-
-    #[test]
-    fn health_probe_tracks_queue_depth() {
-        let registry = Registry::new();
-        let pool = ScopedPool::with_registry(2, &registry, "probe-test");
-        let health = trass_obs::HealthRegistry::new();
-        pool.register_health_probe(&health, "scan-pool", 10);
-        assert!(health.healthy(), "idle pool must be healthy");
-        // Saturate the gauge directly: the probe reads whatever the pool's
-        // queue-depth handle says, it does not re-derive it.
-        let depth = registry.gauge("trass_pool_queue_depth", &[("pool", "probe-test")]);
-        depth.set(11);
-        let reports = health.check();
-        assert_eq!(reports.len(), 1);
-        let err = reports[0].result.as_ref().expect_err("saturated pool must fail");
-        assert!(err.contains("11"), "{err}");
-        depth.set(0);
-        assert!(health.healthy(), "drained pool must recover");
-        // Uninstrumented pools register nothing.
-        let bare = ScopedPool::new(2);
-        let empty = trass_obs::HealthRegistry::new();
-        bare.register_health_probe(&empty, "noop", 1);
-        assert!(empty.is_empty());
+        assert_eq!(registry.counter("trass_pool_tasks_total", &[("pool", "test")]).get(), 50);
     }
 
     #[test]
@@ -802,8 +724,7 @@ mod tests {
     #[test]
     fn caller_panic_unwinds_only_after_every_background_task() {
         const N: usize = 8;
-        let registry = Registry::new();
-        let pool = ScopedPool::with_registry(3, &registry, "unwind");
+        let pool = ScopedPool::new(3);
         let caller = std::thread::current().id();
         let worker_started = AtomicBool::new(false);
         let unwinding = AtomicBool::new(false);
@@ -832,24 +753,8 @@ mod tests {
             let expected = if i == skipped { 0 } else { i + 1 };
             assert_eq!(w.load(Ordering::Relaxed), expected, "task {i}");
         }
-        let depth = registry.gauge("trass_pool_queue_depth", &[("pool", "unwind")]);
-        assert_eq!(depth.get(), 0);
         // The pool is idle again and usable.
         assert_eq!(pool.run(vec![1, 2, 3], |_, x: i32| x + 1), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn tasks_a_panic_leaves_unclaimed_leave_the_queue_gauge() {
-        let registry = Registry::new();
-        let pool = ScopedPool::with_registry(4, &registry, "drained");
-        for _ in 0..20 {
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                pool.run((0..64).collect(), |i, _: usize| -> usize { panic!("task {i} explodes") })
-            }));
-            assert!(caught.is_err());
-        }
-        let depth = registry.gauge("trass_pool_queue_depth", &[("pool", "drained")]);
-        assert_eq!(depth.get(), 0);
     }
 
     #[test]
@@ -907,7 +812,7 @@ mod tests {
         let name = || std::thread::current().name().map(str::to_string);
         assert_eq!(on_a_worker(&ScopedPool::new(2), name).as_deref(), Some("trass-pool-1"));
         let registry = Registry::new();
-        let scan = ScopedPool::with_registry(2, &registry, "scan");
-        assert_eq!(on_a_worker(&scan, name).as_deref(), Some("trass-scan-1"));
+        let query = ScopedPool::with_registry(2, &registry, "query");
+        assert_eq!(on_a_worker(&query, name).as_deref(), Some("trass-query-1"));
     }
 }

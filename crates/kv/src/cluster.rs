@@ -4,10 +4,12 @@
 //! hash *shard* prefix in the rowkey (§IV-E):
 //! `rowkey = shard + index value + tid`. The [`Cluster`] reproduces that
 //! topology as one [`LsmStore`] per shard, routed by the first key byte.
-//! Scans over multiple key ranges fan out across the owning regions —
-//! optionally on parallel threads, standing in for the evaluation's five
-//! region servers — and filter push-down runs inside each region, as a
-//! coprocessor would.
+//! Scans over multiple key ranges fan out across the owning regions on
+//! the worker pool the cluster is given ([`Cluster::with_pool`]; a TraSS
+//! store lends it the one pool its queries also refine on), standing in
+//! for the evaluation's five region servers, or run one region after
+//! another on the calling thread until one is given. Filter push-down runs
+//! inside each region, as a coprocessor would.
 
 use crate::error::{KvError, Result};
 use crate::filter::{KeepAll, ScanFilter};
@@ -29,11 +31,6 @@ pub struct ClusterOptions {
     /// Options applied to each region's store. When `dir` is set, region
     /// `i` stores under `dir/region-<i>`.
     pub store: StoreOptions,
-    /// Worker budget for fanning scans out across a scoped worker pool, up
-    /// to one worker per involved region: `0` uses the machine's available
-    /// parallelism, `1` keeps every scan on the calling thread (exact
-    /// sequential behavior), anything else caps the fan-out.
-    pub scan_threads: usize,
     /// Observability registry shared by every region (each labelled with
     /// its shard). `None` creates a private one, reachable via
     /// [`Cluster::registry`].
@@ -42,12 +39,7 @@ pub struct ClusterOptions {
 
 impl Default for ClusterOptions {
     fn default() -> Self {
-        ClusterOptions {
-            shards: 8,
-            store: StoreOptions::default(),
-            scan_threads: 0,
-            registry: None,
-        }
+        ClusterOptions { shards: 8, store: StoreOptions::default(), registry: None }
     }
 }
 
@@ -63,8 +55,9 @@ pub struct Cluster {
     regions: Vec<Arc<LsmStore>>,
     /// Per-region scan fan-out metrics, parallel to `regions`.
     scan_obs: Vec<RegionScanObs>,
-    /// Scoped worker pool for multi-region scan fan-out.
-    pool: ScopedPool,
+    /// The pool multi-region scans fan out on; one thread (scans inline)
+    /// until [`Cluster::with_pool`] lends another.
+    pool: Arc<ScopedPool>,
     registry: Arc<Registry>,
     opts: ClusterOptions,
 }
@@ -100,8 +93,13 @@ impl Cluster {
                 seconds: registry.timer("trass_kv_region_scan_seconds", &labels),
             });
         }
-        let pool = ScopedPool::with_registry(opts.scan_threads, &registry, "scan");
-        Ok(Cluster { regions, scan_obs, pool, registry, opts })
+        Ok(Cluster { regions, scan_obs, pool: Arc::new(ScopedPool::new(1)), registry, opts })
+    }
+
+    /// This cluster, fanning multi-region scans out on `pool`, one task per
+    /// involved region.
+    pub fn with_pool(self, pool: Arc<ScopedPool>) -> Self {
+        Cluster { pool, ..self }
     }
 
     /// The registry every region reports into.
@@ -181,8 +179,8 @@ impl Cluster {
             .collect();
         // The pool returns results in task order — ascending shard order —
         // so the concatenation below yields the exact byte sequence of a
-        // sequential scan. A single involved region (or scan_threads = 1)
-        // runs inline on the calling thread with no fan-out at all.
+        // sequential scan. A single involved region, a one-thread pool, or
+        // a pool busy with another run scans inline on the calling thread.
         let results: Vec<Result<Vec<Entry>>> = self.pool.run(tasks, |_, (shard, mut span)| {
             let region = &self.regions[shard];
             if let Some((span, _)) = &mut span {
@@ -268,27 +266,16 @@ impl Cluster {
         self.regions.iter().map(|r| r.table_entries() + r.memtable_len() as u64).collect()
     }
 
-    /// Registers this cluster's health probes on `health` (served by the
-    /// telemetry endpoint's `/healthz` and `/readyz` and the wire `Health`
-    /// op):
-    ///
-    /// * `kv-regions` — every region's [`LsmStore::health`] (data dir
-    ///   present and writable, WAL alive, compaction keeping up). The
-    ///   first failing shard wins and is named in the report.
-    /// * `kv-scan-pool` — the scan pool's queue depth stays under
-    ///   `4 × shards` (deeper means fan-out is outrunning the workers).
-    pub fn register_health_probes(&self, health: &trass_obs::HealthRegistry) {
-        let regions: Vec<Arc<LsmStore>> = self.regions.clone();
-        health.register("kv-regions", move || {
-            for (shard, region) in regions.iter().enumerate() {
-                if let Err(e) = region.health() {
-                    return Err(format!("shard {shard}: {e}"));
-                }
+    /// Every region's [`LsmStore::health`] (data dir present and
+    /// writable, WAL alive, compaction keeping up): the first failing shard
+    /// wins and is named in the reason.
+    pub fn health(&self) -> std::result::Result<(), String> {
+        for (shard, region) in self.regions.iter().enumerate() {
+            if let Err(e) = region.health() {
+                return Err(format!("shard {shard}: {e}"));
             }
-            Ok(())
-        });
-        let max_queue = (self.regions.len() as i64) * 4;
-        self.pool.register_health_probe(health, "kv-scan-pool", max_queue);
+        }
+        Ok(())
     }
 }
 
@@ -351,6 +338,7 @@ mod tests {
         k
     }
 
+    /// A cluster scanning on a pool of the machine's parallelism.
     fn cluster(shards: u8) -> Cluster {
         Cluster::open(ClusterOptions {
             shards,
@@ -358,6 +346,7 @@ mod tests {
             ..ClusterOptions::default()
         })
         .unwrap()
+        .with_pool(Arc::new(ScopedPool::new(0)))
     }
 
     #[test]
@@ -530,13 +519,8 @@ mod tests {
     }
 
     #[test]
-    fn health_probes_cover_regions_and_scan_pool() {
-        let c = cluster(3);
-        let health = trass_obs::HealthRegistry::new();
-        c.register_health_probes(&health);
-        let names: Vec<String> = health.check().into_iter().map(|r| r.name).collect();
-        assert_eq!(names, vec!["kv-regions".to_string(), "kv-scan-pool".to_string()]);
-        assert!(health.healthy(), "fresh in-memory cluster must be healthy");
+    fn health_is_ok_on_a_fresh_in_memory_cluster() {
+        assert_eq!(cluster(3).health(), Ok(()));
     }
 
     #[test]
@@ -549,14 +533,11 @@ mod tests {
             ..ClusterOptions::default()
         })
         .unwrap();
-        let health = trass_obs::HealthRegistry::new();
-        c.register_health_probes(&health);
-        assert!(health.healthy(), "fresh disk cluster must be healthy");
-        // Yank one region's directory: the probe must fail and say which
+        assert!(c.health().is_ok(), "fresh disk cluster must be healthy");
+        // Yank one region's directory: the check must fail and say which
         // shard is broken.
         std::fs::remove_dir_all(dir.join("region-1")).unwrap();
-        let reports = health.check();
-        let err = reports[0].result.as_ref().expect_err("missing region dir must fail");
+        let err = c.health().expect_err("missing region dir must fail");
         assert!(err.contains("shard 1"), "{err}");
         drop(c);
         std::fs::remove_dir_all(&dir).ok();
@@ -569,7 +550,6 @@ mod tests {
         let opts = ClusterOptions {
             shards: 2,
             store: StoreOptions::at_dir(&dir),
-            scan_threads: 1,
             ..ClusterOptions::default()
         };
         {

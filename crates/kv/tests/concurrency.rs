@@ -3,6 +3,8 @@
 //! observe some consistent prefix of the write history.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use trass_exec::ScopedPool;
 use trass_kv::filter::KeepAll;
 use trass_kv::{Cluster, ClusterOptions, KeyRange, LsmStore, StoreOptions};
 
@@ -85,7 +87,8 @@ fn cluster_parallel_scans_under_write_load() {
         store: StoreOptions { memtable_bytes: 4 << 10, ..StoreOptions::in_memory() },
         ..ClusterOptions::default()
     })
-    .unwrap();
+    .unwrap()
+    .with_pool(Arc::new(ScopedPool::new(0)));
     std::thread::scope(|s| {
         for shard in 0..4u8 {
             let cluster = &cluster;
@@ -127,10 +130,10 @@ fn file_backed_parallel_scans_race_writes_and_flushes() {
             compaction_threshold: 4,
             ..StoreOptions::at_dir(&dir)
         },
-        scan_threads: 2,
         ..ClusterOptions::default()
     })
-    .expect("open");
+    .expect("open")
+    .with_pool(Arc::new(ScopedPool::new(2)));
     let key = |shard: u8, k: u32| {
         let mut key = vec![shard];
         key.extend_from_slice(format!("key-{k:04}").as_bytes());

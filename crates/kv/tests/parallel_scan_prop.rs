@@ -1,10 +1,12 @@
 //! The parallel-scan ordering contract: for any shard count, dataset, and
-//! range set, `scan_ranges` over a multi-threaded cluster returns the
-//! exact byte sequence the sequential cluster produces — which is the
+//! range set, `scan_ranges` over a cluster given a worker pool returns the
+//! exact byte sequence a cluster given none produces — which is the
 //! shard-major concatenation of each range's rows, as a `BTreeMap` model
 //! yields them. The query layer's determinism guarantee stands on this.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use trass_exec::ScopedPool;
 use trass_kv::{Cluster, ClusterOptions, Entry, FilterDecision, KeyRange, StoreOptions};
 use trass_rng::{check, Rng};
 
@@ -14,14 +16,18 @@ fn key(shard: u8, body: u16) -> Vec<u8> {
     k
 }
 
-fn cluster(shards: u8, scan_threads: usize) -> Cluster {
-    Cluster::open(ClusterOptions {
+/// A cluster scanning inline, or on a pool of `threads` participants.
+fn cluster(shards: u8, threads: Option<usize>) -> Cluster {
+    let cluster = Cluster::open(ClusterOptions {
         shards,
         store: StoreOptions { memtable_bytes: 1 << 12, ..StoreOptions::in_memory() },
-        scan_threads,
         registry: None,
     })
-    .expect("open cluster")
+    .expect("open cluster");
+    match threads {
+        Some(threads) => cluster.with_pool(Arc::new(ScopedPool::new(threads))),
+        None => cluster,
+    }
 }
 
 fn keep_all(_k: &[u8], _v: &[u8]) -> FilterDecision {
@@ -62,7 +68,7 @@ fn bytes_of(entries: &[Entry]) -> Vec<(Vec<u8>, Vec<u8>)> {
     entries.iter().map(|e| (e.key.to_vec(), e.value.to_vec())).collect()
 }
 
-/// Parallel and sequential scans agree with each other and with the model
+/// Pooled and inline scans agree with each other and with the model
 /// byte-for-byte, in order, for random shard counts, row sets, and range
 /// lists — sorted or as drawn, overlapping, empty, cross-shard.
 #[test]
@@ -83,8 +89,8 @@ fn parallel_scan_matches_sequential_bytes() {
         if rng.usize_in(0, 1) == 0 {
             key_ranges.sort_by(|a, b| a.start.cmp(&b.start));
         }
-        let sequential = cluster(shards, 1);
-        let parallel = cluster(shards, rng.usize_in(2, 8));
+        let sequential = cluster(shards, None);
+        let parallel = cluster(shards, Some(rng.usize_in(2, 8)));
         let model = load(&[&sequential, &parallel], &rows);
 
         let want = sequential.scan_ranges(&key_ranges, &keep_all).expect("sequential scan");
@@ -111,7 +117,7 @@ fn parallel_scan_matches_sequential_bytes() {
 /// per shard), since results race the writer by design.
 #[test]
 fn concurrent_parallel_scans_stress() {
-    let c = cluster(4, 4);
+    let c = cluster(4, Some(4));
     for shard in 0..4u8 {
         for body in 0..300u16 {
             c.put(key(shard, body), "seed").expect("put");

@@ -15,12 +15,11 @@
 //! | `/metrics.json` | JSON snapshot of the registry                  |
 //! | `/traces`       | flight-recorder dump (`?format=json` for JSON) |
 //! | `/slowlog`      | the slow-query log (`?format=json` for JSON)   |
-//! | `/healthz`      | probe report; 503 when any probe fails         |
+//! | `/healthz`      | health report; 503 when unhealthy              |
 //! | `/readyz`       | the same report under the readiness path       |
 //!
 //! `/` lists the routes.
 
-use crate::health::HealthRegistry;
 use crate::listener::Listener;
 use crate::registry::Registry;
 use crate::trace::FlightRecorder;
@@ -200,13 +199,14 @@ pub struct TelemetrySources {
     /// Renders the slow-query log for `/slowlog`; the argument selects
     /// JSON (`true`, for `?format=json`) or text rendering.
     pub slowlog: Arc<dyn Fn(bool) -> String + Send + Sync>,
-    /// Probes behind `/healthz` and `/readyz`.
-    pub health: Arc<HealthRegistry>,
+    /// Checks health for `/healthz` and `/readyz`: the verdict (`false`
+    /// answers 503) and the report text.
+    pub health: Arc<dyn Fn() -> (bool, String) + Send + Sync>,
 }
 
 impl std::fmt::Debug for TelemetrySources {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TelemetrySources").field("probes", &self.health.len()).finish()
+        f.debug_struct("TelemetrySources").finish_non_exhaustive()
     }
 }
 
@@ -299,9 +299,9 @@ fn slowlog(sources: &TelemetrySources, req: &Request) -> Response {
     }
 }
 
-/// `/healthz` and `/readyz`: the probe report, 503 when any probe fails.
+/// `/healthz` and `/readyz`: the health report, 503 when unhealthy.
 fn health(sources: &TelemetrySources, _: &Request) -> Response {
-    let (ok, body) = sources.health.render();
+    let (ok, body) = (sources.health)();
     Response::status(if ok { 200 } else { 503 }, body)
 }
 
@@ -397,8 +397,9 @@ mod tests {
     }
 
     /// A telemetry endpoint over populated sources: two metric series,
-    /// one recorded trace, a two-format slowlog stub and `health`'s probes.
-    fn fixture(health: Arc<HealthRegistry>) -> Telemetry {
+    /// one recorded trace, a two-format slowlog stub and a fixed health
+    /// report.
+    fn fixture(ok: bool, report: &'static str) -> Telemetry {
         use crate::trace::TraceCtx;
         let registry = Registry::new_shared();
         registry.counter("demo_total", &[]).add(5);
@@ -427,16 +428,14 @@ mod tests {
                         "slow queries: none\n".to_string()
                     }
                 }),
-                health,
+                health: Arc::new(move || (ok, report.to_string())),
             },
         )
         .expect("serve telemetry")
     }
 
     fn healthy_fixture() -> Telemetry {
-        let health = HealthRegistry::new_shared();
-        health.register("self", || Ok(()));
-        fixture(health)
+        fixture(true, "status: ok\nok   probe self\n")
     }
 
     #[test]
@@ -469,14 +468,11 @@ mod tests {
     }
 
     #[test]
-    fn healthz_fails_on_probe_failure() {
-        let health = HealthRegistry::new_shared();
-        health.register("disk", || Err("disk full".to_string()));
-        let telemetry = fixture(health);
+    fn healthz_answers_503_when_unhealthy() {
+        let report = "status: unhealthy\nFAIL probe disk: disk full\n";
+        let telemetry = fixture(false, report);
         let (status, body) = http_get(telemetry.local_addr(), "/healthz");
-        assert_eq!(status, 503);
-        assert!(body.starts_with("status: unhealthy\n"), "{body}");
-        assert!(body.contains("FAIL probe disk: disk full"), "{body}");
+        assert_eq!((status, body.as_str()), (503, report));
         let (status, _) = http_get(telemetry.local_addr(), "/readyz");
         assert_eq!(status, 503);
         telemetry.shutdown();

@@ -32,12 +32,9 @@
 //! * [`http`] — an embedded, dependency-free telemetry endpoint
 //!   ([`Telemetry`] / [`HttpServer`]) serving `/metrics`,
 //!   `/metrics.json`, `/traces`, `/slowlog`, `/healthz`, and `/readyz`
-//!   over `std::net`.
+//!   over `std::net`; the health report is the caller's to render.
 //! * [`listener`] — the one thread-per-connection accept/join loop
 //!   ([`Listener`]) under both the telemetry endpoint and `trass-server`.
-//! * [`health`] — liveness/readiness probes ([`HealthRegistry`]) and the
-//!   one text rendering of their verdicts, behind `/healthz`, `/readyz`
-//!   and the wire protocol's `Health` op.
 //! * [`alloc`] — the per-thread readings behind EXPLAIN's resource
 //!   fields: a counting [`CountingAlloc`] global-allocator wrapper and
 //!   per-thread CPU time, marked at span open and finish.
@@ -58,7 +55,6 @@
 
 pub mod alloc;
 pub mod export;
-pub mod health;
 pub mod histogram;
 pub mod http;
 pub mod json;
@@ -70,7 +66,6 @@ pub mod trace;
 
 pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use export::{MetricSnapshot, MetricValue};
-pub use health::{HealthRegistry, ProbeReport};
 pub use histogram::{Histogram, Percentiles};
 pub use http::{HttpServer, Request, Response, Telemetry, TelemetrySources};
 pub use listener::{Listener, StopSignal};

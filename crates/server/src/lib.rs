@@ -11,7 +11,7 @@
 //!   [`protocol::ProtocolError`]s instead of panics.
 //! * [`server`] — [`server::TrassServer`]: a thread-per-connection TCP
 //!   server over a shared [`trass_core::store::TrajectoryStore`]. Query
-//!   parallelism comes from the store's own `trass-exec` refine pool, so
+//!   parallelism comes from the store's own `trass-exec` query pool, so
 //!   a connection thread is cheap; graceful shutdown mirrors the
 //!   telemetry endpoint's join discipline (stop flag, wake-connect, join
 //!   every thread ever spawned).

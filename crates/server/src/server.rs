@@ -5,7 +5,7 @@
 //! complete frames off a buffer, executes them against the shared
 //! [`TrajectoryStore`], and writes one response frame per request.
 //! Connection threads stay cheap because query parallelism lives inside
-//! the store (its `trass-exec` refine pool is shared across
+//! the store (its one `trass-exec` query pool is shared across
 //! connections), exactly as the paper's HBase deployment shares region
 //! servers across clients.
 //!
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 use trass_core::query;
-use trass_core::store::{ExplainQuery, TrajectoryStore};
+use trass_core::store::{render_health, ExplainQuery, TrajectoryStore};
 use trass_obs::sync::Mutex;
 use trass_obs::{Counter, Gauge, Histogram, Listener, StopSignal};
 use trass_traj::Trajectory;
@@ -449,11 +449,11 @@ fn execute_explain(shared: &Arc<Shared>, inner: Request) -> Response {
     }
 }
 
-/// The store's probe report, then the server's own counters.
+/// The store's health report, then the server's own counters.
 fn health_text(shared: &Shared) -> String {
     format!(
         "{}uptime_seconds: {}\nconnections_total: {}\nrequests_total: {}\n",
-        shared.store.health().render().1,
+        render_health(shared.store.health()).1,
         shared.started.elapsed().as_secs(),
         shared.connections_total.get(),
         shared.requests_total.load(Ordering::Relaxed),

@@ -285,12 +285,10 @@ fn table(ds: &Dataset) {
 }
 
 /// The baselines on the city store under Fréchet, as [`SimilarityEngine`]
-/// rows: every threshold ε and top-k at k ∈ {1, 10}. REPOSE answers top-k
-/// only. Larger k is not asked of them: DITA's radius doubling runs 24
-/// rounds over its whole grid before it scans when k exceeds the rows.
-/// JUST is built at resolution 12, not its default 16, where its planner
-/// alone takes up to 2.5 s per top-k query; the resolution decides which
-/// ranges it scans, not what it answers.
+/// rows: every threshold ε and top-k at TraSS's k ∈ {1, 10, 50, rows + 5}.
+/// REPOSE answers top-k only. JUST is built at resolution 12, not its
+/// default 16, where its planner alone takes up to 2.5 s per top-k query;
+/// the resolution decides which ranges it scans, not what it answers.
 fn baselines(ds: &Dataset) {
     let just = XzKvConfig {
         space: NormalizedSpace::square(BEIJING),
@@ -304,6 +302,7 @@ fn baselines(ds: &Dataset) {
         Box::new(ReposeEngine::build(ds.data.clone(), 5)),
     ];
     let m = Measure::Frechet;
+    let k_all = ds.data.len() + 5;
     for q in &ds.queries {
         let truth = Truth::new(&ds.data, q, m);
         for engine in &engines {
@@ -316,7 +315,7 @@ fn baselines(ds: &Dataset) {
                 let cell = || format!("{name} eps {eps} query {}", q.id);
                 assert_exact(&r.results, &truth.threshold(eps), cell);
             }
-            for k in [1, 10] {
+            for k in [1, 10, 50, k_all] {
                 let r = engine.top_k(q, k, m).expect("every engine answers top-k");
                 let cell = || format!("{name} top-{k} query {}", q.id);
                 assert_exact(&r.results, &truth.top_k(k), cell);
