@@ -7,14 +7,14 @@
 //! Fig. 11(b) / §VI-C I/O claim.
 
 use crate::{finish_topk, EngineResult, SimilarityEngine};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use trass_core::schema::{parse_rowkey, rowkey, shard_key_ranges, shard_of, RowValue};
+use trass_core::schema::{parse_rowkey, rowkey, shard_key_ranges, shard_of, RowValue, RowView};
 use trass_exec::ScopedPool;
-use trass_geo::{Mbr, NormalizedSpace};
+use trass_geo::{Mbr, NormalizedSpace, Point};
 use trass_index::xz2::Xz2;
 use trass_kv::{Cluster, ClusterOptions, FilterDecision, ScanFilter, StoreOptions};
+use trass_obs::TraceSpan;
 use trass_traj::{DpFeatures, Measure, Trajectory};
 
 /// Configuration of the XZ-KV baseline.
@@ -88,26 +88,30 @@ impl XzKvEngine {
         let value_ranges = self.index.query_ranges(&unit_window, 0);
         let key_ranges = shard_key_ranges(self.config.shards, &value_ranges);
 
-        let io_before = self.cluster.metrics_snapshot();
         // JUST-style local filter: MBR containment in the extended window
         // plus start/end pivots (for coupling measures).
         let filter = MbrEndpointFilter::new(query, ext, eps, measure);
-        let rows = self.cluster.scan_ranges(&key_ranges, &filter).expect("scan");
-        let retrieved = self.cluster.metrics_snapshot().since(&io_before).entries_scanned;
+        let (rows, io) = self
+            .cluster
+            .scan_ranges_traced(&key_ranges, &filter, &TraceSpan::disabled())
+            .expect("scan");
 
-        let mut results = Vec::new();
-        for row in rows {
+        // Each candidate's points, read in place into one reused buffer.
+        let (mut points, mut results) = (Vec::new(), Vec::new());
+        for row in &rows {
             let Some((_, _, tid)) = parse_rowkey(&row.key) else { continue };
-            let Ok(value) = RowValue::decode(&row.value) else { continue };
-            if let Some(d) = measure.distance_within(query.points(), &value.points, eps) {
+            let Ok(view) = RowView::parse(&row.value) else { continue };
+            points.clear();
+            points.extend(view.points().iter());
+            if let Some(d) = measure.distance_within(query.points(), &points, eps) {
                 results.push((tid, d));
             }
         }
         results.sort_by_key(|&(tid, _)| tid);
         EngineResult {
             results,
-            retrieved,
-            candidates: filter.kept(),
+            retrieved: io.entries_scanned,
+            candidates: rows.len() as u64,
             query_time: t0.elapsed(),
             stages: None,
         }
@@ -155,14 +159,13 @@ impl SimilarityEngine for XzKvEngine {
 }
 
 /// The JUST-style push-down filter: MBR inside the extended window +
-/// endpoint pivots.
+/// endpoint pivots, read from the row where it lies.
 struct MbrEndpointFilter {
-    q_start: trass_geo::Point,
-    q_end: trass_geo::Point,
+    q_start: Point,
+    q_end: Point,
     ext: Mbr,
     eps: f64,
     endpoint_check: bool,
-    kept: AtomicU64,
 }
 
 impl MbrEndpointFilter {
@@ -173,49 +176,44 @@ impl MbrEndpointFilter {
             ext,
             eps,
             endpoint_check: measure.supports_endpoint_lemma(),
-            kept: AtomicU64::new(0),
         }
-    }
-
-    fn kept(&self) -> u64 {
-        self.kept.load(Ordering::Relaxed)
     }
 }
 
 impl ScanFilter for MbrEndpointFilter {
     fn check(&self, _key: &[u8], value: &[u8]) -> FilterDecision {
-        let Ok(row) = RowValue::decode(value) else { return FilterDecision::Skip };
-        let Some(mbr) = Mbr::from_points(row.points.iter()) else {
+        let Ok(row) = RowView::parse(value) else { return FilterDecision::Skip };
+        let points = row.points();
+        let (Some(t_start), Some(t_end)) = (points.first(), points.last()) else {
             return FilterDecision::Skip;
         };
+        let mut mbr = Mbr::from_point(t_start);
+        points.iter().for_each(|p| mbr.extend(p));
         // Any similar trajectory lies wholly inside Ext(Q.MBR, eps).
         if !self.ext.contains(&mbr) {
             return FilterDecision::Skip;
         }
-        if self.endpoint_check {
-            let t_start = row.points[0];
-            let t_end = *row.points.last().expect("non-empty");
-            if self.q_start.distance(&t_start) > self.eps || self.q_end.distance(&t_end) > self.eps
-            {
-                return FilterDecision::Skip;
-            }
+        if self.endpoint_check
+            && (self.q_start.distance(&t_start) > self.eps
+                || self.q_end.distance(&t_end) > self.eps)
+        {
+            return FilterDecision::Skip;
         }
-        self.kept.fetch_add(1, Ordering::Relaxed);
         FilterDecision::Keep
     }
-}
-
-/// Helper for experiments: build with an explicit square extent.
-pub fn build_for_extent(data: &[Trajectory], extent: Mbr) -> XzKvEngine {
-    XzKvEngine::build(
-        data,
-        XzKvConfig { space: NormalizedSpace::square(extent), ..XzKvConfig::default() },
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Builds with an explicit square extent.
+    fn build_for_extent(data: &[Trajectory], extent: Mbr) -> XzKvEngine {
+        XzKvEngine::build(
+            data,
+            XzKvConfig { space: NormalizedSpace::square(extent), ..XzKvConfig::default() },
+        )
+    }
 
     fn dataset() -> Vec<Trajectory> {
         trass_traj::generator::tdrive_like(3, 200)

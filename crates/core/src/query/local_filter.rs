@@ -74,7 +74,7 @@ thread_local! {
 }
 
 /// Per-lemma reject counts, snapshotted after a scan for traces and
-/// ablation reports.
+/// ablation reports. The rows kept are the rows the scan returned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterRejects {
     /// Rows rejected by the lemma 12 endpoint test.
@@ -87,12 +87,17 @@ pub struct FilterRejects {
     pub corrupt: u64,
 }
 
+impl FilterRejects {
+    /// Rows rejected, all causes.
+    pub fn total(&self) -> u64 {
+        self.lemma12 + self.lemma13 + self.lemma14 + self.corrupt
+    }
+}
+
 /// The push-down scan filter applying Lemmas 12–14.
 pub struct LocalFilter {
     side: Arc<QuerySide>,
     eps: f64,
-    /// Rows that survived the filter (the paper's "candidates").
-    kept: AtomicU64,
     /// Per-lemma reject tallies (their sum is the total rejected).
     lemma12: AtomicU64,
     lemma13: AtomicU64,
@@ -108,23 +113,11 @@ impl LocalFilter {
         LocalFilter {
             side,
             eps,
-            kept: AtomicU64::new(0),
             lemma12: AtomicU64::new(0),
             lemma13: AtomicU64::new(0),
             lemma14: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
         }
-    }
-
-    /// Rows that survived so far.
-    pub fn kept(&self) -> u64 {
-        self.kept.load(Ordering::Relaxed)
-    }
-
-    /// Rows rejected so far (all causes).
-    pub fn rejected(&self) -> u64 {
-        let r = self.reject_counts();
-        r.lemma12 + r.lemma13 + r.lemma14 + r.corrupt
     }
 
     /// Reject tallies broken down by the lemma that fired.
@@ -219,10 +212,7 @@ impl ScanFilter for LocalFilter {
             _ => Verdict::Corrupt,
         };
         let counter = match verdict {
-            Verdict::Pass => {
-                self.kept.fetch_add(1, Ordering::Relaxed);
-                return FilterDecision::Keep;
-            }
+            Verdict::Pass => return FilterDecision::Keep,
             Verdict::Lemma12 => &self.lemma12,
             Verdict::Lemma13 => &self.lemma13,
             Verdict::Lemma14 => &self.lemma14,
@@ -245,13 +235,13 @@ mod tests {
         RowValue { points: t.points().to_vec(), features: DpFeatures::extract(t, theta) }
     }
 
-    /// The verdict `check` reaches on encoded `value`, read back from the
-    /// counters of a fresh filter.
+    /// The verdict `check` reaches on encoded `value`, read back from its
+    /// decision and the counters of a fresh filter.
     fn verdict_in_place(side: &Arc<QuerySide>, eps: f64, value: &[u8]) -> Verdict {
         let filter = LocalFilter::new(Arc::clone(side), eps);
-        let decision = filter.check(b"k", value);
+        let kept = u64::from(filter.check(b"k", value) == FilterDecision::Keep);
         let r = filter.reject_counts();
-        let verdict = match (filter.kept(), r.lemma12, r.lemma13, r.lemma14, r.corrupt) {
+        let verdict = match (kept, r.lemma12, r.lemma13, r.lemma14, r.corrupt) {
             (1, 0, 0, 0, 0) => Verdict::Pass,
             (0, 1, 0, 0, 0) => Verdict::Lemma12,
             (0, 0, 1, 0, 0) => Verdict::Lemma13,
@@ -259,7 +249,6 @@ mod tests {
             (0, 0, 0, 0, 1) => Verdict::Corrupt,
             other => panic!("one row moved several counters: {other:?}"),
         };
-        assert_eq!(decision == FilterDecision::Keep, verdict == Verdict::Pass);
         verdict
     }
 
@@ -451,9 +440,8 @@ mod tests {
         assert_eq!(filter.check(b"k", &row_of(&t_near, 0.01).encode()), FilterDecision::Keep);
         assert_eq!(filter.check(b"k", &row_of(&t_far, 0.01).encode()), FilterDecision::Skip);
         assert_eq!(filter.check(b"k", b"\x03garbage"), FilterDecision::Skip);
-        assert_eq!(filter.kept(), 1);
-        assert_eq!(filter.rejected(), 2);
         let rejects = filter.reject_counts();
+        assert_eq!(rejects.total(), 2);
         assert_eq!(rejects.corrupt, 1);
         assert_eq!(rejects.lemma12 + rejects.lemma13 + rejects.lemma14, 1, "{rejects:?}");
     }

@@ -4,7 +4,7 @@
 //! Threshold search, every batch of top-k's frontier and range search run
 //! through a [`StagedQuery`] and supply only what differs: the value
 //! ranges, the pushed-down filter with its attribution, and the refine
-//! verdicts. The shard fan-out, the I/O delta, the filter-time attribution
+//! verdicts. The shard fan-out, the scan's I/O tally, the filter-time attribution
 //! with its `local-filter` span, the tid sort and the [`QueryStats`]
 //! assembly live here, once. Each stage method is that stage's single
 //! instrumentation call: one measured wall time goes to
@@ -149,40 +149,40 @@ impl<'a> StagedQuery<'a> {
     /// The filter's time inside the scan threads (CPU-style summed time,
     /// not wall time) becomes the `local-filter` series and sibling span;
     /// `attribute` fills that span's fields from the filter and the kept
-    /// rows and returns the candidate count. `retrieved` is the rows this
-    /// scan's filter saw; `io` is the cluster-wide delta over the scan.
-    /// The key ranges are freed inside the stage: thousands of them cost a
-    /// share of a top-k batch that would otherwise fall outside every stage.
+    /// rows. `io` is the scan's own I/O tally, `retrieved` its rows
+    /// visited, and `candidates` the rows the filter kept. The key ranges
+    /// are freed inside the stage: thousands of them cost a share of a
+    /// top-k batch that would otherwise fall outside every stage.
     pub(crate) fn scan<F: ScanFilter>(
         &mut self,
         key_ranges: Vec<KeyRange>,
         build: impl FnOnce() -> F,
-        attribute: impl FnOnce(&F, &[Entry], &mut TraceSpan) -> u64,
+        attribute: impl FnOnce(&F, &[Entry], &mut TraceSpan),
     ) -> Result<Vec<Entry>, KvError> {
         let cluster = self.store.cluster();
-        let ((rows, filter, filter_time, retrieved, io), wall) = self.stage(Stage::Scan, |span| {
-            let io_before = cluster.metrics_snapshot();
+        let ((scanned, filter, filter_time), wall) = self.stage(Stage::Scan, |span| {
             let filter = build();
             let timed = TimedFilter::new(&filter);
-            let rows = cluster.scan_ranges_traced(&key_ranges, &timed, span);
+            let scanned = cluster.scan_ranges_traced(&key_ranges, &timed, span);
             drop(key_ranges);
-            let (filter_time, retrieved) = (timed.elapsed(), timed.rows());
-            if let Ok(rows) = &rows {
+            let filter_time = timed.elapsed();
+            if let Ok((rows, _)) = &scanned {
                 span.set_field("rows_returned", rows.len());
             }
-            (rows, filter, filter_time, retrieved, cluster.metrics_snapshot().since(&io_before))
+            (scanned, filter, filter_time)
         });
         self.stats.scan_time = wall;
-        let rows = rows?;
+        let (rows, io) = scanned?;
         self.store
             .query_obs()
             .stage_seconds(self.measure, LOCAL_FILTER)
             .record_duration(filter_time);
         let mut span = self.parent.attributed_child(STAGE_SERIES[LOCAL_FILTER], filter_time);
-        self.stats.candidates = attribute(&filter, &rows, &mut span);
+        attribute(&filter, &rows, &mut span);
         span.finish();
-        self.stats.retrieved = retrieved;
         self.stats.io = io;
+        self.stats.retrieved = io.entries_scanned;
+        self.stats.candidates = rows.len() as u64;
         Ok(rows)
     }
 

@@ -59,7 +59,7 @@ pub(crate) fn range_search_traced(
                     _ => FilterDecision::Skip,
                 }
             },
-            |_filter, rows, _span| rows.len() as u64,
+            |_, _, _| {},
         )?;
 
         let results = pass.refine(|span| {

@@ -133,15 +133,14 @@ pub(crate) fn similarity_pass(
             let filter_eps = if config.use_local_filter { eps } else { f64::INFINITY };
             LocalFilter::new(query.side(config.dp_theta), filter_eps)
         },
-        |filter, _rows, span| {
+        |filter, rows, span| {
             let rejects = filter.reject_counts();
-            span.set_field("kept", filter.kept());
-            span.set_field("rejected", filter.rejected());
+            span.set_field("kept", rows.len());
+            span.set_field("rejected", rejects.total());
             span.set_field("lemma12_rejects", rejects.lemma12);
             span.set_field("lemma13_rejects", rejects.lemma13);
             span.set_field("lemma14_rejects", rejects.lemma14);
             span.set_field("corrupt_rejects", rejects.corrupt);
-            filter.kept()
         },
     )?;
 

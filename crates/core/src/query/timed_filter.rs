@@ -1,13 +1,12 @@
-//! Attributing local-filter time and scanned rows inside the scan.
+//! Attributing local-filter time inside the scan.
 //!
 //! Local filtering runs *inside* the store's scan (as an HBase coprocessor
 //! would), so its cost is buried in the scan stage. [`TimedFilter`] wraps
 //! any [`ScanFilter`] and accumulates the wall-clock time spent in `check`
 //! across every row and every region thread; the query drivers record the
-//! total into `trass_query_stage_seconds{stage="local-filter"}`. The store
-//! calls `check` once per live row it visits, so the wrapper also counts
-//! exactly the rows this scan retrieved — the per-query figure the shared
-//! `entries_scanned` counter cannot give while other queries run.
+//! total into `trass_query_stage_seconds{stage="local-filter"}`. The rows
+//! the scan visits and keeps are counted by the scan itself, in the I/O
+//! tally it returns.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -17,13 +16,12 @@ use trass_kv::{FilterDecision, ScanFilter};
 pub struct TimedFilter<'a> {
     inner: &'a (dyn ScanFilter + 'a),
     nanos: AtomicU64,
-    rows: AtomicU64,
 }
 
 impl<'a> TimedFilter<'a> {
-    /// Wraps `inner`, starting from zero accumulated time and rows.
+    /// Wraps `inner`, starting from zero accumulated time.
     pub fn new(inner: &'a (dyn ScanFilter + 'a)) -> Self {
-        TimedFilter { inner, nanos: AtomicU64::new(0), rows: AtomicU64::new(0) }
+        TimedFilter { inner, nanos: AtomicU64::new(0) }
     }
 
     /// Total time spent inside the wrapped filter so far. When region
@@ -32,12 +30,6 @@ impl<'a> TimedFilter<'a> {
     pub fn elapsed(&self) -> Duration {
         Duration::from_nanos(self.nanos.load(Ordering::Relaxed))
     }
-
-    /// Rows handed to the wrapped filter so far: the rows this scan
-    /// visited, across every region thread.
-    pub fn rows(&self) -> u64 {
-        self.rows.load(Ordering::Relaxed)
-    }
 }
 
 impl ScanFilter for TimedFilter<'_> {
@@ -45,7 +37,6 @@ impl ScanFilter for TimedFilter<'_> {
         let t = Instant::now();
         let decision = self.inner.check(key, value);
         self.nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.rows.fetch_add(1, Ordering::Relaxed);
         decision
     }
 }
@@ -72,6 +63,5 @@ mod tests {
         let as_dyn: &dyn ScanFilter = &timed;
         assert_eq!(as_dyn.check(b"a", b""), FilterDecision::Keep);
         assert!(timed.elapsed() >= after_two);
-        assert_eq!(timed.rows(), 3);
     }
 }

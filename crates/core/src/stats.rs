@@ -28,9 +28,9 @@ pub struct QueryStats {
     pub candidates: u64,
     /// Final answers.
     pub results: u64,
-    /// Store-level I/O deltas over this query's scans. Cluster-wide:
-    /// another query scanning the same store meanwhile adds to them, unlike
-    /// `retrieved`, which counts this query's rows alone.
+    /// This query's own scan I/O: the tallies its scans returned, exact
+    /// whatever else scans the store meanwhile. `entries_scanned` is
+    /// `retrieved` and `entries_returned` is `candidates`.
     pub io: MetricsSnapshot,
     /// Measured end-to-end wall-clock time, set by the query drivers.
     /// Zero when the stats were assembled by hand (tests, aggregation).

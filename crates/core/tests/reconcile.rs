@@ -11,8 +11,9 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 use trass_core::config::TrassConfig;
 use trass_core::store::{ExplainQuery, TrajectoryStore};
-use trass_core::{range_search, threshold_search, QueryStats};
+use trass_core::{range_search, threshold_search, top_k_search, QueryStats};
 use trass_geo::Mbr;
+use trass_kv::MetricsSnapshot;
 use trass_obs::{SpanRecord, STAGE_HISTOGRAM};
 use trass_traj::{generator, Measure};
 
@@ -148,9 +149,11 @@ fn stage_times_reconcile_with_total_metrics_and_traces() {
     }
 }
 
-/// `retrieved` counts the rows this query's scan visited, not the store's
-/// shared scan counters: a concurrent full-extent range loop on the same
-/// store leaves every repetition at its solo value.
+/// A query's scan counts are its own scans' tallies, not deltas of the
+/// store's shared counters: a concurrent full-extent range loop on the same
+/// store leaves every repetition's `retrieved`, `candidates` and `io` at
+/// its solo value, and an `explain` trace's `region-scan` spans at the
+/// same rows and cache look-ups.
 #[test]
 fn retrieved_ignores_concurrent_scans() {
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
@@ -166,8 +169,9 @@ fn retrieved_ignores_concurrent_scans() {
     store.insert_all(&data).unwrap();
     store.flush().unwrap();
     let q = &data[5];
-    let solo = threshold_search(&store, q, 0.01, Measure::Frechet).unwrap().stats.retrieved;
-    assert!(solo > 0);
+    let solo = threshold_search(&store, q, 0.01, Measure::Frechet).unwrap().stats;
+    let lookups = |io: &MetricsSnapshot| io.cache_hits + io.cache_misses;
+    assert!(solo.retrieved > 0 && lookups(&solo.io) > 0);
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         s.spawn(|| {
@@ -175,11 +179,54 @@ fn retrieved_ignores_concurrent_scans() {
                 range_search(&store, &extent).unwrap();
             }
         });
-        let got: Result<Vec<u64>, _> = (0..50)
-            .map(|_| threshold_search(&store, q, 0.01, Measure::Frechet).map(|r| r.stats.retrieved))
+        let got: Result<Vec<QueryStats>, _> = (0..50)
+            .map(|_| threshold_search(&store, q, 0.01, Measure::Frechet).map(|r| r.stats))
             .collect();
+        let explained = store.explain(ExplainQuery::Threshold {
+            query: q,
+            eps: 0.01,
+            measure: Measure::Frechet,
+        });
         stop.store(true, Ordering::Relaxed);
-        let got = got.unwrap();
-        assert!(got.iter().all(|&r| r == solo), "solo {solo}, under contention {got:?}");
+        for got in got.unwrap() {
+            let io = &got.io;
+            assert_eq!((io.entries_scanned, got.retrieved), (solo.retrieved, solo.retrieved));
+            assert_eq!(io.entries_returned, got.candidates);
+            assert_eq!(got.candidates, solo.candidates);
+            assert_eq!((io.range_scans, lookups(io)), (solo.io.range_scans, lookups(&solo.io)));
+            assert_eq!(io.blocks_read, io.cache_misses, "every miss reads its block");
+        }
+        let trace = explained.unwrap().trace;
+        let spans: Vec<&SpanRecord> =
+            trace.root.child("scan").unwrap().children_named("region-scan").collect();
+        let sum = |field: &str| spans.iter().filter_map(|s| s.field_u64(field)).sum::<u64>();
+        assert_eq!(sum("rows_scanned"), solo.retrieved);
+        assert_eq!(sum("cache_hits") + sum("cache_misses"), lookups(&solo.io));
     });
+}
+
+/// With nothing else running, the registry's `trass_kv_*` I/O counters
+/// advance by exactly the sum of the queries' own `io`: each scan
+/// publishes its tally once.
+#[test]
+fn kv_counters_advance_by_the_queries_io() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let extent = Mbr::new(116.0, 39.6, 116.8, 40.2);
+    let mut config = TrassConfig::for_extent(extent);
+    config.query_threads = 2;
+    // A cache of a few blocks, so the queries both hit and miss.
+    config.store.block_cache_bytes = 16 << 10;
+    let store = TrajectoryStore::open(config).unwrap();
+    let data = generator::tdrive_like(13, 300);
+    store.insert_all(&data).unwrap();
+    store.flush().unwrap();
+    let before = store.cluster().metrics_snapshot();
+    let mut io = MetricsSnapshot::default();
+    for q in data.iter().step_by(30) {
+        io = io.plus(&threshold_search(&store, q, 0.01, Measure::Frechet).unwrap().stats.io);
+        io = io.plus(&top_k_search(&store, q, 5, Measure::Dtw).unwrap().stats.io);
+        io = io.plus(&range_search(&store, &q.mbr()).unwrap().stats.io);
+    }
+    assert!(io.blocks_read > 0 && io.cache_hits > 0, "{io:?}");
+    assert_eq!(store.cluster().metrics_snapshot().since(&before), io);
 }

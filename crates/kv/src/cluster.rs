@@ -149,54 +149,54 @@ impl Cluster {
         ranges: &[KeyRange],
         filter: &(dyn ScanFilter + '_),
     ) -> Result<Vec<Entry>> {
-        self.scan_ranges_traced(ranges, filter, &TraceSpan::disabled())
+        Ok(self.scan_ranges_traced(ranges, filter, &TraceSpan::disabled())?.0)
     }
 
-    /// [`Cluster::scan_ranges`] recording one `region-scan` child span per
-    /// involved shard under `parent`, with per-region row/byte/block/cache
-    /// deltas. With a disabled parent this adds one branch per shard.
+    /// [`Cluster::scan_ranges`] returning the rows with the scan's I/O
+    /// tally, the sum of the involved regions' own, and recording one
+    /// `region-scan` child span per involved shard under `parent`, filled
+    /// from that region's tally. With a disabled parent this adds one
+    /// branch per shard.
     pub fn scan_ranges_traced(
         &self,
         ranges: &[KeyRange],
         filter: &(dyn ScanFilter + '_),
         parent: &TraceSpan,
-    ) -> Result<Vec<Entry>> {
+    ) -> Result<(Vec<Entry>, MetricsSnapshot)> {
         let per_shard = self.route(ranges);
-
-        let involved: Vec<usize> =
-            (0..self.regions.len()).filter(|&i| !per_shard[i].is_empty()).collect();
 
         // Spans (and the fan-out counters) are opened here on the calling
         // thread, in ascending shard order, so the trace tree and counter
         // sequence are identical whatever the worker interleaving. Workers
         // take the spans' resource marks and fill in the per-region results.
-        let tasks: Vec<(usize, Option<(TraceSpan, MetricsSnapshot)>)> = involved
-            .into_iter()
+        let tasks: Vec<(usize, Option<TraceSpan>)> = (0..self.regions.len())
+            .filter(|&shard| !per_shard[shard].is_empty())
             .map(|shard| {
                 self.scan_obs[shard].scans.inc();
-                (shard, region_span(parent, shard, &per_shard[shard], &self.regions[shard]))
+                (shard, region_span(parent, shard, &per_shard[shard]))
             })
             .collect();
         // The pool returns results in task order — ascending shard order —
         // so the concatenation below yields the exact byte sequence of a
         // sequential scan. A single involved region, a one-thread pool, or
         // a pool busy with another run scans inline on the calling thread.
-        let results: Vec<Result<Vec<Entry>>> = self.pool.run(tasks, |_, (shard, mut span)| {
-            let region = &self.regions[shard];
-            if let Some((span, _)) = &mut span {
+        let results = self.pool.run(tasks, |_, (shard, mut span)| {
+            if let Some(span) = &mut span {
                 span.mark_here();
             }
             let t = Instant::now();
-            let r = region.scan_ranges_filtered(&per_shard[shard], filter);
+            let r = self.regions[shard].scan_ranges_filtered(&per_shard[shard], filter);
             self.scan_obs[shard].seconds.record_duration(t.elapsed());
-            finish_region_span(span, region, &r);
+            finish_region_span(span, &r);
             r
         });
-        let mut out = Vec::new();
+        let (mut out, mut io) = (Vec::new(), MetricsSnapshot::default());
         for r in results {
-            out.extend(r?);
+            let (rows, region_io) = r?;
+            out.extend(rows);
+            io = io.plus(&region_io);
         }
-        Ok(out)
+        Ok((out, io))
     }
 
     /// Groups `ranges` by owning shard. Ranges produced by the rowkey schema
@@ -237,7 +237,8 @@ impl Cluster {
         }
     }
 
-    /// Aggregated I/O metrics across all regions.
+    /// Every region's `trass_kv_*` I/O counters, summed: the tallies of
+    /// every scan and point lookup that has ended.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.regions
             .iter()
@@ -279,45 +280,34 @@ impl Cluster {
     }
 }
 
-/// Opens a per-region trace span, capturing the region's I/O counters so
-/// [`finish_region_span`] can record the scan's deltas. The worker that
-/// runs the scan takes the span's allocation and CPU marks. `None` (no
-/// work at all) when the parent span is disabled.
-fn region_span(
-    parent: &TraceSpan,
-    shard: usize,
-    ranges: &[KeyRange],
-    region: &LsmStore,
-) -> Option<(TraceSpan, MetricsSnapshot)> {
-    if !parent.is_enabled() {
-        return None;
-    }
-    let mut span = parent.handoff_child("region-scan");
-    span.set_label("shard", &shard.to_string());
-    span.set_field("ranges", ranges.len());
-    Some((span, region.metrics().snapshot()))
+/// Opens a per-region trace span; the worker that runs the scan takes its
+/// allocation and CPU marks. `None` (no work at all) when the parent span
+/// is disabled.
+fn region_span(parent: &TraceSpan, shard: usize, ranges: &[KeyRange]) -> Option<TraceSpan> {
+    parent.is_enabled().then(|| {
+        let mut span = parent.handoff_child("region-scan");
+        span.set_label("shard", &shard.to_string());
+        span.set_field("ranges", ranges.len());
+        span
+    })
 }
 
-/// Records the scan's per-region I/O deltas and row count into the span
-/// opened by [`region_span`]. Deltas are computed from the region's shared
-/// counters, so concurrent queries on the same region can inflate them;
-/// rows_returned comes from this scan's own result and is exact.
-fn finish_region_span(
-    span: Option<(TraceSpan, MetricsSnapshot)>,
-    region: &LsmStore,
-    result: &Result<Vec<Entry>>,
-) {
-    let Some((mut span, before)) = span else { return };
-    let delta = region.metrics().snapshot().since(&before);
-    span.set_field("rows_scanned", delta.entries_scanned);
+/// Fills the span opened by [`region_span`] from the region scan's own
+/// tally and rows, exact however many other scans ran on the region
+/// meanwhile; a failed scan records its error instead.
+fn finish_region_span(span: Option<TraceSpan>, result: &Result<(Vec<Entry>, MetricsSnapshot)>) {
+    let Some(mut span) = span else { return };
     match result {
-        Ok(entries) => span.set_field("rows_returned", entries.len()),
+        Ok((entries, io)) => {
+            span.set_field("rows_scanned", io.entries_scanned);
+            span.set_field("rows_returned", entries.len());
+            span.set_field("bytes_read", io.bytes_read);
+            span.set_field("blocks_read", io.blocks_read);
+            span.set_field("cache_hits", io.cache_hits);
+            span.set_field("cache_misses", io.cache_misses);
+        }
         Err(e) => span.set_field("error", e.to_string()),
     }
-    span.set_field("bytes_read", delta.bytes_read);
-    span.set_field("blocks_read", delta.blocks_read);
-    span.set_field("cache_hits", delta.cache_hits);
-    span.set_field("cache_misses", delta.cache_misses);
     span.finish();
 }
 
@@ -482,16 +472,20 @@ mod tests {
                 c.put(key(shard, &format!("k{i:03}")), "v").unwrap();
             }
         }
+        c.flush().unwrap();
         let ranges = vec![
             KeyRange::new(key(0, "k000"), key(0, "k010")),
             KeyRange::new(key(3, "k000"), key(3, "k005")),
         ];
         let ctx = TraceCtx::enabled();
         let root = ctx.root("scan");
-        let entries = c.scan_ranges_traced(&ranges, &KeepAll, &root).unwrap();
+        let (entries, io) = c.scan_ranges_traced(&ranges, &KeepAll, &root).unwrap();
         root.finish();
         let t = ctx.finish().unwrap();
         assert_eq!(entries.len(), 15);
+        assert_eq!((io.entries_scanned, io.entries_returned, io.range_scans), (15, 15, 2));
+        assert_eq!(io.blocks_read, 2, "one block per region");
+        assert_eq!(c.metrics_snapshot(), io, "the regions published what they returned");
         // Parallel fan-out: span start order is nondeterministic, so key
         // the assertions by shard label.
         let mut spans: Vec<_> = t.root.children_named("region-scan").collect();
@@ -502,6 +496,17 @@ mod tests {
         assert_eq!(spans[0].field_u64("rows_scanned"), Some(10));
         assert_eq!(spans[0].field_u64("rows_returned"), Some(10));
         assert_eq!(spans[1].field_u64("rows_returned"), Some(5));
+        // The spans split the returned tally by region.
+        for (field, want) in [
+            ("rows_scanned", io.entries_scanned),
+            ("bytes_read", io.bytes_read),
+            ("blocks_read", io.blocks_read),
+            ("cache_hits", io.cache_hits),
+            ("cache_misses", io.cache_misses),
+        ] {
+            let sum: u64 = spans.iter().filter_map(|s| s.field_u64(field)).sum();
+            assert_eq!(sum, want, "{field}");
+        }
     }
 
     #[test]

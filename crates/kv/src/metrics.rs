@@ -1,18 +1,21 @@
 //! I/O and scan accounting.
 //!
 //! The paper's central claims are *I/O reductions* (rows retrieved, bytes
-//! scanned), so the store counts everything relevant with relaxed atomics:
-//! cheap enough to stay on in production paths, precise enough to
-//! regenerate Figures 9–11. A store's counters are the registry's own
-//! `trass_kv_*` series, so a scrape reads them where they are counted.
+//! scanned), so every store call that touches data counts its own I/O. A
+//! scan, a point lookup or a compaction adds rows, blocks, bytes and cache
+//! look-ups into a plain [`MetricsSnapshot`] tally that is local to the
+//! call: no atomic on the path of a row or a block. When the call ends,
+//! whether it succeeded or failed, the tally is added once to the store's
+//! `trass_kv_*` registry series ([`IoMetrics`]), so a scrape reads the
+//! sum of every call's tally; a scan also returns its tally, which is
+//! that scan's exact I/O whatever else runs on the store meanwhile.
 
 use std::sync::Arc;
 use trass_obs::{Counter, Registry};
 
-/// Cumulative I/O counters. Cheap to share (`&IoMetrics`) across scans and
-/// threads; all methods use relaxed atomics. `default()` gives zeroed
-/// counters registered nowhere: a private tally (compaction's I/O, tests).
-#[derive(Debug, Default)]
+/// A store's cumulative query I/O: its registry's `trass_kv_*` counters,
+/// advanced once per call by that call's tally.
+#[derive(Debug)]
 pub struct IoMetrics {
     blocks_read: Arc<Counter>,
     bytes_read: Arc<Counter>,
@@ -39,29 +42,21 @@ impl IoMetrics {
         }
     }
 
-    pub(crate) fn record_block_read(&self, bytes: usize) {
-        self.blocks_read.inc();
-        self.bytes_read.add(bytes as u64);
-    }
-
-    pub(crate) fn record_entry_scanned(&self) {
-        self.entries_scanned.inc();
-    }
-
-    pub(crate) fn record_entry_returned(&self) {
-        self.entries_returned.inc();
-    }
-
-    pub(crate) fn record_range_scan(&self) {
-        self.range_scans.inc();
-    }
-
-    pub(crate) fn record_cache_hit(&self) {
-        self.cache_hits.inc();
-    }
-
-    pub(crate) fn record_cache_miss(&self) {
-        self.cache_misses.inc();
+    /// Publishes one call's tally, skipping its zero fields.
+    pub(crate) fn add(&self, tally: &MetricsSnapshot) {
+        for (counter, n) in [
+            (&self.blocks_read, tally.blocks_read),
+            (&self.bytes_read, tally.bytes_read),
+            (&self.entries_scanned, tally.entries_scanned),
+            (&self.entries_returned, tally.entries_returned),
+            (&self.range_scans, tally.range_scans),
+            (&self.cache_hits, tally.cache_hits),
+            (&self.cache_misses, tally.cache_misses),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
     }
 
     /// Takes a point-in-time copy.
@@ -78,7 +73,8 @@ impl IoMetrics {
     }
 }
 
-/// Plain-data copy of [`IoMetrics`] at one instant.
+/// I/O counts as plain data: one call's tally, or a copy of a store's
+/// [`IoMetrics`] at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Data blocks fetched.
@@ -130,53 +126,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let m = IoMetrics::default();
-        m.record_block_read(100);
-        m.record_block_read(50);
-        m.record_entry_scanned();
-        m.record_entry_returned();
-        m.record_range_scan();
-        m.record_cache_hit();
-        m.record_cache_miss();
-        let expected = MetricsSnapshot {
-            blocks_read: 2,
-            bytes_read: 150,
+    fn snapshot_diff_and_sum() {
+        let s1 = MetricsSnapshot { blocks_read: 1, bytes_read: 10, ..MetricsSnapshot::default() };
+        let d = MetricsSnapshot {
+            blocks_read: 1,
+            bytes_read: 20,
             entries_scanned: 1,
-            entries_returned: 1,
-            range_scans: 1,
+            cache_misses: 1,
+            ..MetricsSnapshot::default()
+        };
+        let s2 = s1.plus(&d);
+        assert_eq!(s2.since(&s1), d);
+        assert_eq!(s1.since(&s2), MetricsSnapshot::default(), "saturates at zero");
+    }
+
+    #[test]
+    fn a_published_tally_lands_in_the_registry_series() {
+        let r = Registry::new();
+        let m = IoMetrics::registered(&r, &[("shard", "3")]);
+        let tally = MetricsSnapshot {
+            blocks_read: 1,
+            bytes_read: 64,
+            entries_scanned: 5,
+            entries_returned: 2,
+            range_scans: 3,
             cache_hits: 1,
             cache_misses: 1,
         };
-        assert_eq!(m.snapshot(), expected);
-    }
-
-    #[test]
-    fn snapshot_diff_and_sum() {
-        let m = IoMetrics::default();
-        m.record_block_read(10);
-        let s1 = m.snapshot();
-        m.record_block_read(20);
-        m.record_entry_scanned();
-        m.record_cache_miss();
-        let s2 = m.snapshot();
-        let d = s2.since(&s1);
-        assert_eq!(d.blocks_read, 1);
-        assert_eq!(d.bytes_read, 20);
-        assert_eq!(d.entries_scanned, 1);
-        assert_eq!(d.cache_misses, 1);
-        assert_eq!(s1.plus(&d), s2);
-    }
-
-    #[test]
-    fn registered_counters_are_the_registry_series() {
-        let r = Registry::new();
-        let m = IoMetrics::registered(&r, &[("shard", "3")]);
-        m.record_block_read(64);
-        m.record_cache_hit();
-        m.record_cache_miss();
+        m.add(&tally);
+        m.add(&MetricsSnapshot { bytes_read: 6, ..MetricsSnapshot::default() });
+        assert_eq!(m.snapshot(), MetricsSnapshot { bytes_read: 70, ..tally });
         assert_eq!(r.counter("trass_kv_blocks_read", &[("shard", "3")]).get(), 1);
-        assert_eq!(r.counter("trass_kv_bytes_read", &[("shard", "3")]).get(), 64);
+        assert_eq!(r.counter("trass_kv_bytes_read", &[("shard", "3")]).get(), 70);
         assert_eq!(r.counter("trass_kv_cache_hits", &[("shard", "3")]).get(), 1);
         assert_eq!(r.counter("trass_kv_cache_misses", &[("shard", "3")]).get(), 1);
         // One registered counter per snapshot field.

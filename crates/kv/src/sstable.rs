@@ -28,7 +28,7 @@ use crate::cache::BlockCache;
 use crate::codec::{put_varint, u32_le, u64_le, varint};
 use crate::crc::crc32c;
 use crate::error::{KvError, Result};
-use crate::metrics::IoMetrics;
+use crate::metrics::MetricsSnapshot;
 use crate::types::Bytes;
 use crate::types::KeyRange;
 use std::cell::RefCell;
@@ -295,10 +295,24 @@ impl Directory {
     }
 }
 
-/// The block a table's cursor decoded last, carried across the ranges of
-/// one multi-range scan: two ranges meeting inside a block look it up in
-/// the cache once.
-pub type BlockMemo = RefCell<Option<(usize, Arc<Block>)>>;
+/// One table's part of one multi-range scan: the block its cursor decoded
+/// last, carried across the ranges (two ranges meeting inside a block look
+/// it up in the cache once), and the tally of the I/O its cursors did.
+#[derive(Default)]
+pub struct BlockMemo(RefCell<Memo>);
+
+#[derive(Default)]
+struct Memo {
+    last: Option<(usize, Arc<Block>)>,
+    io: MetricsSnapshot,
+}
+
+impl BlockMemo {
+    /// Blocks, bytes and cache look-ups of the cursors that used this memo.
+    pub fn io(&self) -> MetricsSnapshot {
+        self.0.borrow().io
+    }
+}
 
 /// An open, immutable SSTable.
 pub struct SsTable {
@@ -396,19 +410,22 @@ impl SsTable {
         self.dir.blocks.len()
     }
 
-    fn read_block(&self, i: usize, metrics: &IoMetrics) -> Result<Arc<Block>> {
+    /// Block `i`, from the cache or the table's bytes, with the look-up
+    /// and the read added to `io`.
+    fn read_block(&self, i: usize, io: &mut MetricsSnapshot) -> Result<Arc<Block>> {
         let key = (self.id, i as u32);
         if let Some(cache) = &self.cache {
             if let Some(block) = cache.get(key) {
-                metrics.record_cache_hit();
+                io.cache_hits += 1;
                 return Ok(block);
             }
-            metrics.record_cache_miss();
+            io.cache_misses += 1;
         }
         let loc = &self.dir.blocks[i];
         let raw = self.data.read_at(loc.offset, loc.len as usize)?;
         let raw_len = raw.len();
-        metrics.record_block_read(raw_len);
+        io.blocks_read += 1;
+        io.bytes_read += raw_len as u64;
         let block = Arc::new(Block::decode(Bytes::from(raw))?);
         // Cursors address rows by directory slot, so the two must agree
         // before the block is handed out or cached.
@@ -423,14 +440,14 @@ impl SsTable {
 
     /// Point lookup. Returns `Ok(None)` when absent, `Ok(Some(None))` for a
     /// tombstone, `Ok(Some(Some(v)))` for a live value. The directory
-    /// answers absence exactly, without I/O.
-    pub fn get(&self, key: &[u8], metrics: &IoMetrics) -> Result<Option<Option<Bytes>>> {
+    /// answers absence exactly, without I/O; a block read is added to `io`.
+    pub fn get(&self, key: &[u8], io: &mut MetricsSnapshot) -> Result<Option<Option<Bytes>>> {
         let row = self.dir.lower_bound(key);
         if row == self.dir.n_rows() || self.dir.key(row) != key {
             return Ok(None);
         }
         let (block, slot) = self.dir.locate(row);
-        let block = self.read_block(block, metrics)?;
+        let block = self.read_block(block, io)?;
         match block.entries().get(slot) {
             Some(e) if e.key.as_ref() == key => Ok(Some(e.value.clone())),
             _ => Err(KvError::corruption("sstable block disagrees with directory")),
@@ -460,23 +477,17 @@ impl SsTable {
     /// directory: no block is touched until the first `next`, and none at
     /// all when [`SsTableScan::remaining`] is 0. The cursor takes its first
     /// block from `memo` when the previous range of the same call ended in
-    /// it, and leaves the block it read last there.
-    pub fn scan<'a>(
-        &'a self,
-        range: &KeyRange,
-        metrics: &'a IoMetrics,
-        memo: &'a BlockMemo,
-    ) -> SsTableScan<'a> {
+    /// it, leaves the block it read last there, and tallies its I/O there.
+    pub fn scan<'a>(&'a self, range: &KeyRange, memo: &'a BlockMemo) -> SsTableScan<'a> {
         let (first, end) = self.row_span(range);
         let (block, slot) = if first < end { self.dir.locate(first) } else { (0, 0) };
-        SsTableScan { table: self, metrics, memo, block, slot, remaining: end - first }
+        SsTableScan { table: self, memo, block, slot, remaining: end - first }
     }
 }
 
 /// Cursor over the entries of one SSTable within a key range.
 pub struct SsTableScan<'a> {
     table: &'a SsTable,
-    metrics: &'a IoMetrics,
     memo: &'a BlockMemo,
     /// Block and slot of the next row.
     block: usize,
@@ -494,12 +505,12 @@ impl SsTableScan<'_> {
     /// cursor's own last one, or the previous range's), otherwise read
     /// through the cache and left in the memo.
     fn load(&self) -> Result<Arc<Block>> {
-        let mut memo = self.memo.borrow_mut();
-        if let Some((_, block)) = memo.as_ref().filter(|(i, _)| *i == self.block) {
+        let mut memo = self.memo.0.borrow_mut();
+        if let Some((_, block)) = memo.last.as_ref().filter(|(i, _)| *i == self.block) {
             return Ok(Arc::clone(block));
         }
-        let block = self.table.read_block(self.block, self.metrics)?;
-        *memo = Some((self.block, Arc::clone(&block)));
+        let block = self.table.read_block(self.block, &mut memo.io)?;
+        memo.last = Some((self.block, Arc::clone(&block)));
         Ok(block)
     }
 }
@@ -569,11 +580,14 @@ mod tests {
     #[test]
     fn point_lookups() {
         let t = build(1000, 512);
-        let m = IoMetrics::default();
-        assert_eq!(t.get(b"key-000042", &m).unwrap().unwrap().as_deref(), Some(&b"value-42"[..]));
-        assert_eq!(t.get(b"key-000003", &m).unwrap(), Some(None), "tombstone visible");
-        assert_eq!(t.get(b"key-999999", &m).unwrap(), None);
-        assert_eq!(t.get(b"absent", &m).unwrap(), None);
+        let mut m = MetricsSnapshot::default();
+        assert_eq!(
+            t.get(b"key-000042", &mut m).unwrap().unwrap().as_deref(),
+            Some(&b"value-42"[..])
+        );
+        assert_eq!(t.get(b"key-000003", &mut m).unwrap(), Some(None), "tombstone visible");
+        assert_eq!(t.get(b"key-999999", &mut m).unwrap(), None);
+        assert_eq!(t.get(b"absent", &mut m).unwrap(), None);
     }
 
     #[test]
@@ -588,55 +602,49 @@ mod tests {
     #[test]
     fn full_scan_returns_everything_in_order() {
         let t = build(500, 256);
-        let m = IoMetrics::default();
-        let entries: Vec<_> =
-            t.scan(&KeyRange::all(), &m, &BlockMemo::default()).map(|e| e.unwrap()).collect();
+        let memo = BlockMemo::default();
+        let entries: Vec<_> = t.scan(&KeyRange::all(), &memo).map(|e| e.unwrap()).collect();
         assert_eq!(entries.len(), 500);
         for w in entries.windows(2) {
             assert!(w[0].key < w[1].key);
         }
-        assert_eq!(m.snapshot().blocks_read as usize, t.n_blocks());
+        assert_eq!(memo.io().blocks_read as usize, t.n_blocks());
     }
 
     #[test]
     fn range_scan_respects_bounds() {
         let t = build(1000, 512);
-        let m = IoMetrics::default();
         let memo = BlockMemo::default();
-        let scan = t.scan(&range("key-000100", "key-000200"), &m, &memo);
+        let scan = t.scan(&range("key-000100", "key-000200"), &memo);
         assert_eq!(scan.remaining(), 100);
         let entries: Vec<_> = scan.map(|e| e.unwrap()).collect();
         assert_eq!(entries.len(), 100);
         assert_eq!(entries[0].key.as_ref(), b"key-000100");
         assert_eq!(entries.last().unwrap().key.as_ref(), b"key-000199");
         // Unbounded end, and a start past the last key.
-        assert_eq!(
-            t.scan(&KeyRange::from(&b"key-000990"[..]), &m, &BlockMemo::default()).count(),
-            10
-        );
-        assert_eq!(t.scan(&KeyRange::from(&b"zzz"[..]), &m, &BlockMemo::default()).count(), 0);
+        assert_eq!(t.scan(&KeyRange::from(&b"key-000990"[..]), &BlockMemo::default()).count(), 10);
+        assert_eq!(t.scan(&KeyRange::from(&b"zzz"[..]), &BlockMemo::default()).count(), 0);
     }
 
     #[test]
     fn range_without_rows_touches_no_block_and_no_cache_entry() {
         let t = four_rows_per_block(400);
-        let m = IoMetrics::default();
+        let memo = BlockMemo::default();
         for r in [
             range("key-000100x", "key-000100y"), // between two adjacent keys
             range("a", "b"),                     // before the first key
             range("key-000400", "zzz"),          // after the last key
             range("key-000007", "key-000007"),   // empty range on a present key
         ] {
-            let memo = BlockMemo::default();
-            let scan = t.scan(&r, &m, &memo);
+            let scan = t.scan(&r, &memo);
             assert_eq!(scan.remaining(), 0, "{r:?}");
             assert_eq!(scan.count(), 0);
         }
+        let mut io = memo.io();
         for i in 0..400 {
-            assert_eq!(t.get(format!("key-{i:06}x").as_bytes(), &m).unwrap(), None);
+            assert_eq!(t.get(format!("key-{i:06}x").as_bytes(), &mut io).unwrap(), None);
         }
-        let io = m.snapshot();
-        assert_eq!((io.blocks_read, io.cache_hits, io.cache_misses), (0, 0, 0));
+        assert_eq!(io, MetricsSnapshot::default());
     }
 
     #[test]
@@ -644,32 +652,29 @@ mod tests {
         let t = four_rows_per_block(400);
         // (first row, end row, blocks those rows occupy)
         for (lo, hi, blocks) in [(8, 16, 2), (8, 14, 2), (9, 11, 1), (7, 9, 2), (0, 400, 100)] {
-            let m = IoMetrics::default();
+            let memo = BlockMemo::default();
             let r = range(&format!("key-{lo:06}"), &format!("key-{hi:06}"));
-            assert_eq!(t.scan(&r, &m, &BlockMemo::default()).count(), hi - lo);
-            let io = m.snapshot();
+            assert_eq!(t.scan(&r, &memo).count(), hi - lo);
+            let io = memo.io();
             let lookups = io.cache_hits + io.cache_misses;
             assert_eq!(lookups, blocks, "rows {lo}..{hi}: one cache look-up per block");
         }
         // Cold table: every look-up of the first scan is a block read.
         let cold = four_rows_per_block(400);
-        let m = IoMetrics::default();
-        assert_eq!(
-            cold.scan(&range("key-000008", "key-000016"), &m, &BlockMemo::default()).count(),
-            8
-        );
-        let io = m.snapshot();
+        let memo = BlockMemo::default();
+        assert_eq!(cold.scan(&range("key-000008", "key-000016"), &memo).count(), 8);
+        let io = memo.io();
         assert_eq!((io.blocks_read, io.cache_misses, io.cache_hits), (2, 2, 0));
     }
 
     #[test]
     fn empty_table() {
         let t = SsTable::open_mem(Bytes::from(SsTableBuilder::new(4096).finish()), None).unwrap();
-        let m = IoMetrics::default();
+        let mut m = MetricsSnapshot::default();
         assert_eq!(t.n_entries(), 0);
         assert_eq!(t.min_key(), b"");
-        assert_eq!(t.get(b"x", &m).unwrap(), None);
-        assert_eq!(t.scan(&KeyRange::all(), &m, &BlockMemo::default()).count(), 0);
+        assert_eq!(t.get(b"x", &mut m).unwrap(), None);
+        assert_eq!(t.scan(&KeyRange::all(), &BlockMemo::default()).count(), 0);
     }
 
     #[test]
@@ -707,14 +712,14 @@ mod tests {
         }
         let t = SsTable::open_mem(Bytes::from(b.finish()), None).unwrap();
         assert!(t.n_blocks() > 1);
-        let m = IoMetrics::default();
+        let mut m = MetricsSnapshot::default();
         let got: Vec<_> = t
-            .scan(&KeyRange::all(), &m, &BlockMemo::default())
+            .scan(&KeyRange::all(), &BlockMemo::default())
             .map(|e| e.unwrap().key.to_vec())
             .collect();
         assert_eq!(got, keys.iter().map(|k| k.to_vec()).collect::<Vec<_>>());
         for k in keys {
-            assert!(t.get(k, &m).unwrap().is_some());
+            assert!(t.get(k, &mut m).unwrap().is_some());
         }
         assert_eq!(t.max_key(), &[0xFF, 0x00, 0x00]);
     }
@@ -732,9 +737,9 @@ mod tests {
         }
         std::fs::write(&path, b.finish()).unwrap();
         let t = SsTable::open_file(&path, None).unwrap();
-        let m = IoMetrics::default();
-        assert_eq!(t.get(b"key-0123", &m).unwrap().unwrap().as_deref(), Some(&b"val-123"[..]));
-        assert_eq!(t.scan(&KeyRange::all(), &m, &BlockMemo::default()).count(), 200);
+        let mut m = MetricsSnapshot::default();
+        assert_eq!(t.get(b"key-0123", &mut m).unwrap().unwrap().as_deref(), Some(&b"val-123"[..]));
+        assert_eq!(t.scan(&KeyRange::all(), &BlockMemo::default()).count(), 200);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -5,7 +5,7 @@ use crate::error::{KvError, Result};
 use crate::filter::{FilterDecision, KeepAll, ScanFilter};
 use crate::memtable::Memtable;
 use crate::merge::{MergeItem, MergeIter};
-use crate::metrics::IoMetrics;
+use crate::metrics::{IoMetrics, MetricsSnapshot};
 use crate::sstable::{BlockMemo, SsTable, SsTableBuilder};
 use crate::types::Bytes;
 use crate::types::{Entry, KeyRange};
@@ -187,7 +187,8 @@ impl LsmStore {
     }
 
     /// The store's query I/O counters: its registry's `trass_kv_*` series
-    /// (labelled with this store's shard, if any).
+    /// (labelled with this store's shard, if any), advanced once per scan
+    /// or point lookup, when it ends, by that call's tally.
     pub fn metrics(&self) -> &IoMetrics {
         &self.metrics
     }
@@ -228,29 +229,22 @@ impl LsmStore {
         self.maybe_flush()
     }
 
-    /// Point lookup.
+    /// Point lookup. Its block reads and cache look-ups reach the store's
+    /// counters once, when it returns.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         let inner = self.inner.read();
         if let Some(v) = inner.memtable.get(key) {
             return Ok(v);
         }
-        for table in inner.tables.iter().rev() {
-            if let Some(v) = table.get(key, &self.metrics)? {
-                return Ok(v);
-            }
-        }
-        Ok(None)
+        let mut io = MetricsSnapshot::default();
+        let found = inner.tables.iter().rev().find_map(|t| t.get(key, &mut io).transpose());
+        self.metrics.add(&io);
+        Ok(found.transpose()?.flatten())
     }
 
     /// Range scan returning all live entries in `range`.
     pub fn scan(&self, range: KeyRange) -> Result<Vec<Entry>> {
-        self.scan_filtered(range, &KeepAll)
-    }
-
-    /// Range scan with a push-down filter: the one-range call of
-    /// [`LsmStore::scan_ranges_filtered`].
-    pub fn scan_filtered(&self, range: KeyRange, filter: &dyn ScanFilter) -> Result<Vec<Entry>> {
-        self.scan_ranges_filtered(std::slice::from_ref(&range), filter)
+        Ok(self.scan_ranges_filtered(std::slice::from_ref(&range), &KeepAll)?.0)
     }
 
     /// Scans `ranges` in the order given under one acquisition of the
@@ -263,49 +257,24 @@ impl LsmStore {
     /// block, no cache look-up and no iterator. Each table's last decoded
     /// block is carried from range to range, so for sorted ranges a block
     /// is looked up in the cache once however many ranges meet in it.
+    ///
+    /// Returns the rows with the call's I/O tally: ranges, rows visited and
+    /// returned, blocks, bytes and cache look-ups. The tally reaches the
+    /// store's counters once, when the call ends, whether it failed or not.
     pub fn scan_ranges_filtered(
         &self,
         ranges: &[KeyRange],
         filter: &dyn ScanFilter,
-    ) -> Result<Vec<Entry>> {
+    ) -> Result<(Vec<Entry>, MetricsSnapshot)> {
         // The read guard pins the memtable and the table set for the
         // whole call; writers block meanwhile.
         let inner = self.inner.read();
         let memos: Vec<BlockMemo> = inner.tables.iter().map(|_| BlockMemo::default()).collect();
-        let mut out = Vec::new();
-        for range in ranges {
-            self.metrics.record_range_scan();
-            if range.is_empty() {
-                continue;
-            }
-            // Newest first: memtable, then tables newest → oldest.
-            let mut sources: Vec<Box<dyn Iterator<Item = Result<MergeItem>> + '_>> = Vec::new();
-            let mut mem = inner.memtable.range(range).peekable();
-            if mem.peek().is_some() {
-                sources.push(Box::new(mem.map(|(k, v)| Ok((k.clone(), v.clone())))));
-            }
-            for (table, memo) in inner.tables.iter().zip(&memos).rev() {
-                // trass-lint: allow(lock-across-io)
-                let scan = table.scan(range, &self.metrics, memo);
-                if scan.remaining() > 0 {
-                    sources.push(Box::new(scan.map(|r| r.map(|e| (e.key, e.value)))));
-                }
-            }
-            for item in MergeIter::new(sources)? {
-                let (key, value) = item?;
-                let Some(value) = value else { continue }; // tombstone
-                self.metrics.record_entry_scanned();
-                match filter.check(&key, &value) {
-                    FilterDecision::Keep => {
-                        self.metrics.record_entry_returned();
-                        out.push(Entry { key, value });
-                    }
-                    FilterDecision::Skip => {}
-                    FilterDecision::Stop => break,
-                }
-            }
-        }
-        Ok(out)
+        let mut io = MetricsSnapshot::default();
+        let rows = merge_ranges(&inner, &memos, ranges, filter, &mut io);
+        let io = memos.iter().fold(io, |io, memo| io.plus(&memo.io()));
+        self.metrics.add(&io);
+        Ok((rows?, io))
     }
 
     /// Calls `visit` with every key the memtable and every table's resident
@@ -392,9 +361,8 @@ impl LsmStore {
             return Ok(());
         }
         let t = Instant::now();
-        // Compaction I/O is tallied privately, apart from query I/O, then
+        // Compaction I/O is tallied in the memos, apart from query I/O, then
         // added to the dedicated `compaction_*` registry counters below.
-        let compaction_metrics = IoMetrics::default();
         let memos: Vec<BlockMemo> = inner.tables.iter().map(|_| BlockMemo::default()).collect();
         let mut sources: Vec<Box<dyn Iterator<Item = Result<MergeItem>> + '_>> = Vec::new();
         for (table, memo) in inner.tables.iter().zip(&memos).rev() {
@@ -404,7 +372,7 @@ impl LsmStore {
             sources.push(Box::new(
                 table
                     // trass-lint: allow(lock-across-io)
-                    .scan(&KeyRange::all(), &compaction_metrics, memo)
+                    .scan(&KeyRange::all(), memo)
                     .map(|r| r.map(|e| (e.key, e.value))),
             ));
         }
@@ -436,7 +404,7 @@ impl LsmStore {
                 std::fs::remove_file(dir.join(name)).ok();
             }
         }
-        let io = compaction_metrics.snapshot();
+        let io = memos.iter().fold(MetricsSnapshot::default(), |io, memo| io.plus(&memo.io()));
         self.obs.compactions.inc();
         self.obs.compaction_bytes_written.add(written_bytes);
         self.obs.compaction_blocks_read.add(io.blocks_read);
@@ -518,6 +486,52 @@ impl LsmStore {
         }
         Ok(())
     }
+}
+
+/// The body of [`LsmStore::scan_ranges_filtered`] under its read guard:
+/// rows visited and returned and ranges go into `io`, each table's block
+/// I/O into its memo.
+fn merge_ranges(
+    inner: &Inner,
+    memos: &[BlockMemo],
+    ranges: &[KeyRange],
+    filter: &dyn ScanFilter,
+    io: &mut MetricsSnapshot,
+) -> Result<Vec<Entry>> {
+    let mut out = Vec::new();
+    for range in ranges {
+        io.range_scans += 1;
+        if range.is_empty() {
+            continue;
+        }
+        // Newest first: memtable, then tables newest → oldest.
+        let mut sources: Vec<Box<dyn Iterator<Item = Result<MergeItem>> + '_>> = Vec::new();
+        let mut mem = inner.memtable.range(range).peekable();
+        if mem.peek().is_some() {
+            sources.push(Box::new(mem.map(|(k, v)| Ok((k.clone(), v.clone())))));
+        }
+        for (table, memo) in inner.tables.iter().zip(memos).rev() {
+            // trass-lint: allow(lock-across-io)
+            let scan = table.scan(range, memo);
+            if scan.remaining() > 0 {
+                sources.push(Box::new(scan.map(|r| r.map(|e| (e.key, e.value)))));
+            }
+        }
+        for item in MergeIter::new(sources)? {
+            let (key, value) = item?;
+            let Some(value) = value else { continue }; // tombstone
+            io.entries_scanned += 1;
+            match filter.check(&key, &value) {
+                FilterDecision::Keep => {
+                    io.entries_returned += 1;
+                    out.push(Entry { key, value });
+                }
+                FilterDecision::Skip => {}
+                FilterDecision::Stop => break,
+            }
+        }
+    }
+    Ok(out)
 }
 
 impl std::fmt::Debug for LsmStore {
@@ -632,7 +646,6 @@ mod tests {
             let (k, v) = kv(i);
             s.put(k, v).unwrap();
         }
-        let before = s.metrics().snapshot();
         // Keep every third row.
         let every_third = |key: &[u8], _v: &[u8]| {
             let i: u32 = std::str::from_utf8(&key[4..]).unwrap().parse().unwrap();
@@ -642,11 +655,10 @@ mod tests {
                 FilterDecision::Skip
             }
         };
-        let entries = s.scan_filtered(KeyRange::all(), &every_third).unwrap();
+        let (entries, io) = s.scan_ranges_filtered(&[KeyRange::all()], &every_third).unwrap();
         assert_eq!(entries.len(), 34);
-        let after = s.metrics().snapshot().since(&before);
-        assert_eq!(after.entries_scanned, 100);
-        assert_eq!(after.entries_returned, 34);
+        assert_eq!((io.entries_scanned, io.entries_returned, io.range_scans), (100, 34, 1));
+        assert_eq!(s.metrics().snapshot(), io, "the scan's tally is what it published");
 
         // Stop after the first row.
         let stop_after_first = {
@@ -659,7 +671,7 @@ mod tests {
                 }
             }
         };
-        let entries = s.scan_filtered(KeyRange::all(), &stop_after_first).unwrap();
+        let (entries, _) = s.scan_ranges_filtered(&[KeyRange::all()], &stop_after_first).unwrap();
         assert_eq!(entries.len(), 1);
     }
 
@@ -677,10 +689,9 @@ mod tests {
         let range = |lo: &str, hi: &str| KeyRange::new(lo.as_bytes(), hi.as_bytes());
 
         // Ranges holding no key of any table: no block, no cache look-up.
-        let before = s.metrics().snapshot();
         let gaps = [range("a-999", "b-000"), range("0", "a-000"), range("b-010x", "b-010y")];
-        assert!(s.scan_ranges_filtered(&gaps, &KeepAll).unwrap().is_empty());
-        let io = s.metrics().snapshot().since(&before);
+        let (rows, io) = s.scan_ranges_filtered(&gaps, &KeepAll).unwrap();
+        assert!(rows.is_empty());
         assert_eq!((io.blocks_read, io.cache_hits, io.cache_misses), (0, 0, 0));
         assert_eq!(io.range_scans, 3);
 
@@ -690,6 +701,7 @@ mod tests {
         let keys: Vec<String> = s
             .scan_ranges_filtered(&ranges, &KeepAll)
             .unwrap()
+            .0
             .iter()
             .map(|e| String::from_utf8(e.key.to_vec()).unwrap())
             .collect();
@@ -704,7 +716,7 @@ mod tests {
             }
         };
         let ranges = [range("a-000", "a-010"), range("c-011", "c-020")];
-        let kept = s.scan_ranges_filtered(&ranges, &stop_at_2).unwrap();
+        let (kept, _) = s.scan_ranges_filtered(&ranges, &stop_at_2).unwrap();
         let keys: Vec<&[u8]> = kept.iter().map(|e| e.key.as_ref()).collect();
         assert_eq!(keys, [&b"a-000"[..], b"a-001", b"c-011"]);
     }
@@ -726,9 +738,8 @@ mod tests {
         // Rows 8..10, 10..11, 11..13, 14..21 and 40..41 sit in blocks 2, 2,
         // 2–3, 3–5 and 10: five ranges, five distinct blocks.
         let ranges = [range(8, 10), range(10, 11), range(11, 13), range(14, 21), range(40, 41)];
-        let before = s.metrics().snapshot();
-        assert_eq!(s.scan_ranges_filtered(&ranges, &KeepAll).unwrap().len(), 13);
-        let io = s.metrics().snapshot().since(&before);
+        let (rows, io) = s.scan_ranges_filtered(&ranges, &KeepAll).unwrap();
+        assert_eq!(rows.len(), 13);
         assert_eq!(io.cache_hits + io.cache_misses, 5, "one look-up per distinct block");
 
         // The key listing answers from the directory and the memtable.
@@ -783,6 +794,29 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_scan_still_publishes_its_tally() {
+        let dir = std::env::temp_dir().join(format!("trass-store-fail-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let opts = StoreOptions { block_cache_bytes: 0, ..StoreOptions::at_dir(&dir) };
+        let s = LsmStore::open(opts).unwrap();
+        for i in 0..50 {
+            let (k, v) = kv(i);
+            s.put(k, v).unwrap();
+        }
+        s.flush().unwrap();
+        // Flip a byte of the first data block, in place: its CRC fails on read.
+        let sst = dir.join(&s.inner.read().file_names[0]);
+        let mut bytes = std::fs::read(&sst).unwrap();
+        bytes[10] ^= 0xFF;
+        std::fs::write(&sst, bytes).unwrap();
+        assert!(s.scan(KeyRange::all()).is_err());
+        let io = s.metrics().snapshot();
+        assert_eq!((io.range_scans, io.blocks_read, io.entries_scanned), (1, 1, 0));
+        drop(s);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn disk_store_recovers_after_reopen() {
         let dir = std::env::temp_dir().join(format!("trass-store-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -821,9 +855,7 @@ mod tests {
         s.flush().unwrap();
         let range = KeyRange::new(&b"key-000100"[..], &b"key-000200"[..]);
         let _ = s.scan(range.clone()).unwrap();
-        let cold = s.metrics().snapshot();
-        let _ = s.scan(range).unwrap();
-        let warm = s.metrics().snapshot().since(&cold);
+        let (_, warm) = s.scan_ranges_filtered(&[range], &KeepAll).unwrap();
         assert_eq!(warm.blocks_read, 0, "second scan should be fully cached");
         assert!(warm.cache_hits > 0);
         assert!(s.block_cache().unwrap().resident_bytes() > 0);
@@ -845,9 +877,7 @@ mod tests {
         assert!(s.block_cache().is_none());
         let range = KeyRange::new(&b"key-000100"[..], &b"key-000200"[..]);
         let _ = s.scan(range.clone()).unwrap();
-        let cold = s.metrics().snapshot();
-        let _ = s.scan(range).unwrap();
-        let warm = s.metrics().snapshot().since(&cold);
+        let (_, warm) = s.scan_ranges_filtered(&[range], &KeepAll).unwrap();
         assert!(warm.blocks_read > 0);
         assert_eq!(warm.cache_hits, 0);
     }

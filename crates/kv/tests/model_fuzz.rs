@@ -109,7 +109,14 @@ fn check_agreement(store: &LsmStore, model: &BTreeMap<Vec<u8>, Vec<u8>>, ops: &[
                 let rows = |entries: Vec<trass_kv::Entry>| -> Vec<(Vec<u8>, Vec<u8>)> {
                     entries.into_iter().map(|e| (e.key.to_vec(), e.value.to_vec())).collect()
                 };
-                let got = rows(store.scan_ranges_filtered(&ranges, &KeepAll).expect("multi-scan"));
+                let (entries, io) =
+                    store.scan_ranges_filtered(&ranges, &KeepAll).expect("multi-scan");
+                let got = rows(entries);
+                assert_eq!(io.range_scans, ranges.len() as u64);
+                assert_eq!(
+                    (io.entries_scanned, io.entries_returned),
+                    (got.len() as u64, got.len() as u64)
+                );
                 // The per-range loop the multi-range call replaced.
                 let looped: Vec<_> = ranges
                     .iter()

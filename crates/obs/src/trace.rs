@@ -5,8 +5,7 @@
 //! [`TraceCtx`] records one query's execution as a tree of [`SpanRecord`]s
 //! — each with a name, labels, typed [`FieldValue`] payloads, and wall
 //! time — which renders as an `EXPLAIN ANALYZE`-style tree
-//! ([`QueryTrace::render_text`]) or JSON ([`QueryTrace::render_json`],
-//! round-tripped by [`QueryTrace::from_json`]).
+//! ([`QueryTrace::render_text`]) or JSON ([`QueryTrace::render_json`]).
 //!
 //! Cost model: tracing is *sampled*. A disabled [`TraceCtx`] hands out
 //! disabled [`TraceSpan`]s whose every method is a no-op behind a single
@@ -20,7 +19,8 @@
 //! after the fact without external collectors.
 
 use crate::sync::Mutex;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -222,58 +222,38 @@ impl fmt::Debug for TraceCtx {
     }
 }
 
-/// Builds the span tree from completed flat spans. Spans whose parent was
-/// never completed attach to the root (best effort; drivers finish spans
-/// in LIFO order so this only happens on error paths).
+/// Builds the span tree from completed flat spans in one pass: each
+/// span's children under it, ordered by `(start_ns, id)` so a parent's
+/// children that opened within one nanosecond keep their opening order.
+/// A span whose parent never completed goes under the root (best effort;
+/// drivers finish spans in LIFO order so this only happens on error
+/// paths). `None` when no root span was recorded.
 fn assemble(mut flats: Vec<FlatSpan>) -> Option<SpanRecord> {
-    // Tie-break equal start times by allocation id so a parent always
-    // sorts before children it opened within the same nanosecond.
-    flats.sort_by_key(|s| (s.start_ns, s.id));
-    let root_at = flats.iter().position(|s| s.parent == NO_PARENT)?;
-    let root_id = flats[root_at].id;
-    let mut nodes: Vec<(u32, u32, SpanRecord)> = flats
-        .into_iter()
-        .map(|f| {
-            let record = SpanRecord {
-                name: f.name,
-                labels: f.labels,
-                fields: f.fields,
-                start_ns: f.start_ns,
-                duration_ns: f.duration_ns,
-                children: Vec::new(),
-            };
-            (f.id, f.parent, record)
-        })
-        .collect();
-    // Attach children to parents, deepest-start first so grandchildren are
-    // already in place when their parent moves. Quadratic in span count,
-    // which is bounded (tens of spans per query).
-    let known: std::collections::HashSet<u32> = nodes.iter().map(|&(id, _, _)| id).collect();
-    while nodes.len() > 1 {
-        // Take the last span that is not the root; its children (if any)
-        // were appended already because children start after parents and
-        // the list is start-sorted.
-        let idx = (0..nodes.len()).rev().find(|&i| nodes[i].0 != root_id)?;
-        let (id, parent, record) = nodes.remove(idx);
-        let parent = if known.contains(&parent) { parent } else { root_id };
-        // Spans are removed in descending (start, id) order, so inserting
-        // at the front leaves each child list ascending; the later stable
-        // sort then only has to handle clock ties.
-        match nodes.iter_mut().find(|(pid, _, _)| *pid == parent) {
-            Some((_, _, p)) => p.children.insert(0, record),
-            None => return None, // parent vanished: malformed trace
-        }
-        let _ = id;
+    let root = flats.swap_remove(flats.iter().position(|s| s.parent == NO_PARENT)?);
+    // A child opens under a live parent, so its id is the larger: walking
+    // ids downwards completes each child list before its parent takes it.
+    flats.sort_unstable_by_key(|s| Reverse(s.id));
+    let mut children: HashMap<u32, Vec<(u32, SpanRecord)>> = HashMap::new();
+    for span in flats {
+        let (id, parent) = (span.id, span.parent);
+        let own = children.remove(&id).unwrap_or_default();
+        children.entry(parent).or_default().push((id, span.into_record(own)));
     }
-    let (_, _, mut root) = nodes.pop()?;
-    sort_children(&mut root);
-    Some(root)
+    // What is left are the root's children and the orphans.
+    Some(root.into_record(children.into_values().flatten().collect()))
 }
 
-fn sort_children(s: &mut SpanRecord) {
-    s.children.sort_by_key(|c| c.start_ns);
-    for c in &mut s.children {
-        sort_children(c);
+impl FlatSpan {
+    fn into_record(self, mut children: Vec<(u32, SpanRecord)>) -> SpanRecord {
+        children.sort_unstable_by_key(|(id, c)| (c.start_ns, *id));
+        SpanRecord {
+            name: self.name,
+            labels: self.labels,
+            fields: self.fields,
+            start_ns: self.start_ns,
+            duration_ns: self.duration_ns,
+            children: children.into_iter().map(|(_, c)| c).collect(),
+        }
     }
 }
 
@@ -512,17 +492,13 @@ impl QueryTrace {
         out
     }
 
-    /// Renders the trace as a JSON document (no external dependencies;
-    /// parse it back with [`QueryTrace::from_json`]).
+    /// Renders the trace as a JSON document (no external dependencies):
+    /// one object per span, with its name, labels, typed fields, times and
+    /// children in order.
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         json::write_span(&mut out, &self.root);
         out
-    }
-
-    /// Parses a document produced by [`QueryTrace::render_json`].
-    pub fn from_json(s: &str) -> Result<QueryTrace, String> {
-        json::parse_span(s).map(|root| QueryTrace { root })
     }
 }
 
@@ -659,7 +635,7 @@ impl fmt::Debug for FlightRecorder {
 /// nested.
 mod json {
     use super::{FieldValue, SpanRecord};
-    use crate::json::{string, Value};
+    use crate::json::string;
     use std::fmt::Write as _;
 
     pub(super) fn write_span(out: &mut String, s: &SpanRecord) {
@@ -706,68 +682,12 @@ mod json {
         }
         out.push_str("]}");
     }
-
-    pub(super) fn parse_span(s: &str) -> Result<SpanRecord, String> {
-        span(crate::json::parse(s)?)
-    }
-
-    fn members(v: Value, what: &str) -> Result<Vec<(String, Value)>, String> {
-        match v {
-            Value::Object(members) => Ok(members),
-            _ => Err(format!("{what} must be an object")),
-        }
-    }
-
-    fn nanos(v: Value, what: &str) -> Result<u64, String> {
-        match v {
-            Value::U64(n) => Ok(n),
-            _ => Err(format!("{what} must be an integer")),
-        }
-    }
-
-    fn span(v: Value) -> Result<SpanRecord, String> {
-        let mut span = SpanRecord::default();
-        for (key, v) in members(v, "a span")? {
-            match (key.as_str(), v) {
-                ("name", Value::Str(name)) => span.name = name,
-                ("labels", v) => {
-                    for (k, v) in members(v, "labels")? {
-                        let Value::Str(v) = v else {
-                            return Err(format!("label {k:?} not a string"));
-                        };
-                        span.labels.push((k, v));
-                    }
-                }
-                ("fields", v) => {
-                    for (k, v) in members(v, "fields")? {
-                        let field = match v {
-                            Value::U64(n) => FieldValue::U64(n),
-                            Value::F64(x) => FieldValue::F64(x),
-                            Value::Str(t) => FieldValue::Str(t),
-                            Value::Bool(b) => FieldValue::Bool(b),
-                            // The writer's spelling of a non-finite float.
-                            Value::Null => FieldValue::F64(f64::NAN),
-                            _ => return Err(format!("field {k:?} is not a scalar")),
-                        };
-                        span.fields.push((k, field));
-                    }
-                }
-                ("start_ns", v) => span.start_ns = nanos(v, "start_ns")?,
-                ("duration_ns", v) => span.duration_ns = nanos(v, "duration_ns")?,
-                ("children", Value::Array(children)) => {
-                    span.children =
-                        children.into_iter().map(self::span).collect::<Result<_, _>>()?;
-                }
-                (other, _) => return Err(format!("unknown or mistyped key {other:?}")),
-            }
-        }
-        Ok(span)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     fn sleepless_trace() -> QueryTrace {
         let ctx = TraceCtx::enabled();
@@ -858,39 +778,88 @@ mod tests {
         assert!(lines.iter().any(|l| l.starts_with("    region-scan [shard=2]")), "{text}");
     }
 
-    #[test]
-    fn json_round_trips_exactly() {
-        let t = sleepless_trace();
-        let json = t.render_json();
-        let back = QueryTrace::from_json(&json).expect("parse");
-        assert_eq!(back, t);
-        // And the re-rendered document is byte-identical.
-        assert_eq!(back.render_json(), json);
+    /// Checks that `v`, a span as [`QueryTrace::render_json`] writes it and
+    /// the generic parser reads it back, shows `s`: name, labels, typed
+    /// fields, times, and children in order.
+    fn assert_renders(v: &Value, s: &SpanRecord) {
+        assert_eq!(v.get("name").and_then(Value::as_str), Some(s.name.as_str()));
+        let labels: Vec<(String, String)> = v
+            .get("labels")
+            .and_then(Value::as_object)
+            .expect("labels object")
+            .iter()
+            .map(|(k, v)| (k.clone(), v.as_str().expect("string label").to_string()))
+            .collect();
+        assert_eq!(labels, s.labels);
+        let fields = v.get("fields").and_then(Value::as_object).expect("fields object");
+        assert_eq!(fields.len(), s.fields.len(), "fields of {}", s.name);
+        for ((key, got), (name, want)) in fields.iter().zip(&s.fields) {
+            assert_eq!(key, name);
+            let same = match (got, want) {
+                (Value::U64(a), FieldValue::U64(b)) => a == b,
+                (Value::F64(a), FieldValue::F64(b)) => a.to_bits() == b.to_bits(),
+                // The writer's spelling of a non-finite float.
+                (Value::Null, FieldValue::F64(b)) => !b.is_finite(),
+                (Value::Str(a), FieldValue::Str(b)) => a == b,
+                (Value::Bool(a), FieldValue::Bool(b)) => a == b,
+                _ => false,
+            };
+            assert!(same, "field {key}: {got:?} for {want:?}");
+        }
+        assert_eq!(v.get("start_ns"), Some(&Value::U64(s.start_ns)));
+        assert_eq!(v.get("duration_ns"), Some(&Value::U64(s.duration_ns)));
+        let Some(Value::Array(children)) = v.get("children") else { panic!("no children array") };
+        assert_eq!(children.len(), s.children.len(), "children of {}", s.name);
+        children.iter().zip(&s.children).for_each(|(v, s)| assert_renders(v, s));
+    }
+
+    fn assert_json_renders(t: &QueryTrace) {
+        assert_renders(&crate::json::parse(&t.render_json()).expect("parse"), &t.root);
     }
 
     #[test]
-    fn json_round_trips_typed_fields() {
-        let mut root = SpanRecord { name: "q".into(), ..SpanRecord::default() };
+    fn json_renders_the_span_tree() {
+        assert_json_renders(&sleepless_trace());
+    }
+
+    #[test]
+    fn json_renders_typed_fields_and_escapes() {
+        let child = SpanRecord { name: "region-scan".into(), start_ns: 7, ..SpanRecord::default() };
+        let mut root = SpanRecord { name: "q \"1\"".into(), ..SpanRecord::default() };
+        root.labels = vec![("shard".into(), "a\\b\tc".into())];
         root.fields = vec![
             ("count".into(), FieldValue::U64(u64::MAX)),
             ("eps".into(), FieldValue::F64(0.25)),
             ("whole".into(), FieldValue::F64(2.0)),
+            ("nan".into(), FieldValue::F64(f64::NAN)),
             ("verdict".into(), FieldValue::Str("keep \"x\"\n".into())),
             ("capped".into(), FieldValue::Bool(true)),
         ];
-        let t = QueryTrace { root };
-        let back = QueryTrace::from_json(&t.render_json()).expect("parse");
-        assert_eq!(back, t);
+        root.children = vec![child.clone(), SpanRecord { name: "refine".into(), ..child }];
+        root.duration_ns = 1 << 60;
+        assert_json_renders(&QueryTrace { root });
     }
 
     #[test]
-    fn from_json_rejects_garbage() {
-        assert!(QueryTrace::from_json("").is_err());
-        assert!(QueryTrace::from_json("{\"name\":\"q\"").is_err());
-        assert!(QueryTrace::from_json("{\"nope\":1}").is_err());
-        let t = sleepless_trace();
-        let json = t.render_json();
-        assert!(QueryTrace::from_json(&format!("{json}trailing")).is_err());
+    fn assembly_orders_children_by_start_then_id_and_adopts_orphans() {
+        let flat = |id, parent, start_ns| FlatSpan {
+            id,
+            parent,
+            name: format!("s{id}"),
+            labels: Vec::new(),
+            fields: Vec::new(),
+            start_ns,
+            duration_ns: 0,
+        };
+        // Span 4 never completed, so its child 5 goes under the root.
+        let flats =
+            vec![flat(3, 2, 6), flat(2, 0, 5), flat(0, NO_PARENT, 0), flat(5, 4, 1), flat(1, 0, 5)];
+        let root = assemble(flats).expect("a root");
+        let names = |s: &SpanRecord| s.children.iter().map(|c| c.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&root), ["s5", "s1", "s2"]);
+        assert_eq!(names(&root.children[2]), ["s3"]);
+        assert_eq!(root.span_count(), 5);
+        assert!(assemble(vec![flat(1, 0, 0)]).is_none(), "no root, no tree");
     }
 
     #[test]
@@ -921,11 +890,11 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_json_round_trips_under_concurrent_push() {
-        // Writers push fresh traces while readers snapshot and round-trip
-        // every retained trace through the JSON renderer. Every snapshot
-        // must be a consistent set of fully-formed traces — a torn or
-        // half-written entry would fail the parse or the equality check.
+    fn flight_recorder_json_renders_under_concurrent_push() {
+        // Writers push fresh traces while readers snapshot and render every
+        // retained trace to JSON. Every snapshot must be a consistent set
+        // of fully-formed traces — a torn or half-written entry would fail
+        // the parse or the comparison with the trace.
         let fr = Arc::new(FlightRecorder::new(8));
         std::thread::scope(|s| {
             for w in 0..2 {
@@ -949,9 +918,8 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..50 {
                         for t in fr.snapshot() {
-                            let back = QueryTrace::from_json(&t.render_json()).expect("round-trip");
-                            assert_eq!(&back, t.as_ref());
-                            assert_eq!(back.root.span_count(), 2);
+                            assert_json_renders(&t);
+                            assert_eq!(t.root.span_count(), 2);
                         }
                     }
                 });
@@ -959,10 +927,8 @@ mod tests {
         });
         assert_eq!(fr.len(), 8, "recorder should be full after 100 pushes");
         for t in fr.snapshot() {
-            assert_eq!(
-                QueryTrace::from_json(&t.render_json()).expect("parse").root.name,
-                "threshold"
-            );
+            let json = crate::json::parse(&t.render_json()).expect("parse");
+            assert_eq!(json.get("name").and_then(Value::as_str), Some("threshold"));
         }
     }
 

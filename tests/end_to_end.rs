@@ -9,11 +9,18 @@
 use trass::baselines::dft::DftEngine;
 use trass::baselines::dita::DitaEngine;
 use trass::baselines::repose::ReposeEngine;
-use trass::baselines::xz_kv::build_for_extent;
+use trass::baselines::xz_kv::{XzKvConfig, XzKvEngine};
 use trass::baselines::SimilarityEngine;
 use trass::core::{query, TrajectoryStore, TrassConfig};
+use trass::geo::NormalizedSpace;
 use trass::traj::generator::{self, BEIJING};
 use trass::traj::{Measure, Trajectory};
+
+/// The JUST baseline over the same square extent as the TraSS stores.
+fn build_just(data: &[Trajectory]) -> XzKvEngine {
+    let space = NormalizedSpace::square(BEIJING);
+    XzKvEngine::build(data, XzKvConfig { space, ..XzKvConfig::default() })
+}
 
 fn build_store(data: &[Trajectory]) -> TrajectoryStore {
     let store = TrajectoryStore::open(TrassConfig::for_extent(BEIJING)).unwrap();
@@ -64,7 +71,7 @@ fn all_engines_agree_on_threshold_results() {
     let store = build_store(&data);
     let dft = DftEngine::build(data.clone(), 9);
     let dita = DitaEngine::build(data.clone());
-    let just = build_for_extent(&data, BEIJING);
+    let just = build_just(&data);
     let queries = generator::sample_queries(&data, 4, 77);
     for q in &queries {
         let eps = 0.005;
@@ -87,7 +94,7 @@ fn all_engines_agree_on_topk_distances() {
     let store = build_store(&data);
     let dft = DftEngine::build(data.clone(), 5);
     let dita = DitaEngine::build(data.clone());
-    let just = build_for_extent(&data, BEIJING);
+    let just = build_just(&data);
     let repose = ReposeEngine::build(data.clone(), 5);
     let q = &data[31];
     let k = 12;
@@ -119,7 +126,7 @@ fn trass_scans_less_io_than_xz2_baseline() {
     // rows retrieved.
     let data = generator::tdrive_like(109, 500);
     let store = build_store(&data);
-    let just = build_for_extent(&data, BEIJING);
+    let just = build_just(&data);
     let queries = generator::sample_queries(&data, 8, 3);
     let mut trass_rows = 0u64;
     let mut just_rows = 0u64;
