@@ -127,26 +127,21 @@ impl SimilarityEngine for DftEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trass_traj::reference;
 
     fn dataset() -> Vec<Trajectory> {
         trass_traj::generator::tdrive_like(5, 200)
     }
 
     #[test]
-    fn threshold_matches_brute_force() {
+    fn threshold_matches_the_reference() {
         let data = dataset();
         let e = DftEngine::build(data.clone(), 1);
         let q = &data[3];
         let eps = 0.004;
         let got = e.threshold(q, eps, Measure::Frechet).unwrap();
-        let got_ids: Vec<u64> = got.results.iter().map(|&(id, _)| id).collect();
-        let mut expected: Vec<u64> = data
-            .iter()
-            .filter(|t| Measure::Frechet.distance_within(q.points(), t.points(), eps).is_some())
-            .map(|t| t.id)
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(got_ids, expected);
+        let want = reference::threshold(&data, q, eps, Measure::Frechet);
+        assert_eq!(reference::diff(&got.results, &want), None);
     }
 
     #[test]
@@ -157,13 +152,8 @@ mod tests {
         let e = DftEngine::build(data.clone(), 2);
         let q = &data[8];
         let got = e.top_k(q, 10, Measure::Frechet).unwrap();
-        assert_eq!(got.results.len(), 10);
-        let mut all: Vec<f64> =
-            data.iter().map(|t| Measure::Frechet.distance(q.points(), t.points())).collect();
-        all.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (got, want) in got.results.iter().zip(all.iter()) {
-            assert!((got.1 - want).abs() < 1e-9, "{got:?} vs {want}");
-        }
+        let want = reference::top_k(&data, q, 10, Measure::Frechet);
+        assert_eq!(reference::diff(&got.results, &want), None);
     }
 
     #[test]

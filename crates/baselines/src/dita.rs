@@ -196,26 +196,21 @@ impl CellSquare {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trass_traj::reference;
 
     fn dataset() -> Vec<Trajectory> {
         trass_traj::generator::tdrive_like(9, 200)
     }
 
     #[test]
-    fn threshold_matches_brute_force() {
+    fn threshold_matches_the_reference() {
         let data = dataset();
         let e = DitaEngine::build(data.clone());
         let q = &data[7];
         let eps = 0.004;
         let got = e.threshold(q, eps, Measure::Frechet).unwrap();
-        let got_ids: Vec<u64> = got.results.iter().map(|&(id, _)| id).collect();
-        let mut expected: Vec<u64> = data
-            .iter()
-            .filter(|t| Measure::Frechet.distance_within(q.points(), t.points(), eps).is_some())
-            .map(|t| t.id)
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(got_ids, expected);
+        let want = reference::threshold(&data, q, eps, Measure::Frechet);
+        assert_eq!(reference::diff(&got.results, &want), None);
     }
 
     #[test]
@@ -248,18 +243,13 @@ mod tests {
     }
 
     #[test]
-    fn topk_matches_brute_force_distances() {
+    fn topk_matches_the_reference() {
         let data = dataset();
         let e = DitaEngine::build(data.clone());
         let q = &data[11];
         let got = e.top_k(q, 10, Measure::Frechet).unwrap();
-        assert_eq!(got.results.len(), 10);
-        let mut all: Vec<f64> =
-            data.iter().map(|t| Measure::Frechet.distance(q.points(), t.points())).collect();
-        all.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (got, want) in got.results.iter().zip(all.iter()) {
-            assert!((got.1 - want).abs() < 1e-9);
-        }
+        let want = reference::top_k(&data, q, 10, Measure::Frechet);
+        assert_eq!(reference::diff(&got.results, &want), None);
     }
 
     #[test]

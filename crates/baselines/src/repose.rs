@@ -149,24 +149,20 @@ impl SimilarityEngine for ReposeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trass_traj::reference;
 
     fn dataset() -> Vec<Trajectory> {
         trass_traj::generator::tdrive_like(13, 200)
     }
 
     #[test]
-    fn topk_matches_brute_force_distances() {
+    fn topk_matches_the_reference() {
         let data = dataset();
         let e = ReposeEngine::build(data.clone(), 7);
         let q = &data[19];
         let got = e.top_k(q, 10, Measure::Frechet).unwrap();
-        assert_eq!(got.results.len(), 10);
-        let mut all: Vec<f64> =
-            data.iter().map(|t| Measure::Frechet.distance(q.points(), t.points())).collect();
-        all.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (got, want) in got.results.iter().zip(all.iter()) {
-            assert!((got.1 - want).abs() < 1e-9);
-        }
+        let want = reference::top_k(&data, q, 10, Measure::Frechet);
+        assert_eq!(reference::diff(&got.results, &want), None);
     }
 
     #[test]

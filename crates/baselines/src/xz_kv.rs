@@ -206,6 +206,7 @@ impl ScanFilter for MbrEndpointFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trass_traj::reference;
 
     /// Builds with an explicit square extent.
     fn build_for_extent(data: &[Trajectory], extent: Mbr) -> XzKvEngine {
@@ -224,35 +225,24 @@ mod tests {
     }
 
     #[test]
-    fn threshold_matches_brute_force() {
+    fn threshold_matches_the_reference() {
         let data = dataset();
         let e = engine(&data);
         let q = &data[10];
         let eps = 0.005;
         let got = e.threshold(q, eps, Measure::Frechet).unwrap();
-        let got_ids: Vec<u64> = got.results.iter().map(|&(id, _)| id).collect();
-        let mut expected: Vec<u64> = data
-            .iter()
-            .filter(|t| Measure::Frechet.distance_within(q.points(), t.points(), eps).is_some())
-            .map(|t| t.id)
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(got_ids, expected);
+        let want = reference::threshold(&data, q, eps, Measure::Frechet);
+        assert_eq!(reference::diff(&got.results, &want), None);
     }
 
     #[test]
-    fn topk_matches_brute_force_distances() {
+    fn topk_matches_the_reference() {
         let data = dataset();
         let e = engine(&data);
         let q = &data[42];
         let got = e.top_k(q, 8, Measure::Frechet).unwrap();
-        assert_eq!(got.results.len(), 8);
-        let mut all: Vec<f64> =
-            data.iter().map(|t| Measure::Frechet.distance(q.points(), t.points())).collect();
-        all.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (got, want) in got.results.iter().zip(all.iter()) {
-            assert!((got.1 - want).abs() < 1e-9);
-        }
+        let want = reference::top_k(&data, q, 8, Measure::Frechet);
+        assert_eq!(reference::diff(&got.results, &want), None);
     }
 
     #[test]
@@ -276,11 +266,8 @@ mod tests {
         for measure in [Measure::Frechet, Measure::Dtw] {
             for q in data.iter().step_by(40) {
                 let got = e.top_k(q, k, measure).unwrap();
-                let mut all: Vec<f64> =
-                    data.iter().map(|t| measure.distance(q.points(), t.points())).collect();
-                all.sort_by(f64::total_cmp);
-                let got: Vec<f64> = got.results.iter().map(|&(_, d)| d).collect();
-                assert_eq!(got, all[..k], "{measure:?} query {}", q.id);
+                let want = reference::top_k(&data, q, k, measure);
+                assert_eq!(reference::diff(&got.results, &want), None, "{measure} query {}", q.id);
             }
         }
     }

@@ -21,16 +21,20 @@
 //! 5 000 trajectories per dataset), `TRASS_REPRO_QUERIES` sets the query
 //! batch (default 40). Results append to `results/<exp>.jsonl`.
 //!
-//! Every timed answer is checked against brute force. A wrong one is named
-//! on stderr and written with `"correct": false`, and `repro` exits 1 once
-//! the rows are written.
+//! Every timed answer is checked against the reference answer
+//! (`trass_traj::reference`). A wrong one is named on stderr and written
+//! with `"correct": false`, and `repro` exits 1 once the rows are written.
+//! The last stderr line states the share of the run spent computing
+//! reference answers.
 //!
 //! Performance is measured by the repository benchmark (`benchmark/`,
 //! `BENCHMARK.json`), not here.
 
 use std::str::FromStr;
+use std::time::Instant;
 use trass_bench::datasets::Scale;
 use trass_bench::experiments::ALL;
+use trass_bench::harness;
 
 /// A positive number from the environment, or `default`.
 fn env_or<T: FromStr + PartialOrd + Default>(name: &str, default: T) -> T {
@@ -39,6 +43,7 @@ fn env_or<T: FromStr + PartialOrd + Default>(name: &str, default: T) -> T {
 }
 
 fn main() {
+    let t0 = Instant::now();
     let arg = std::env::args().nth(1).unwrap_or_default();
     let name = if arg == "fig15" { "fig14" } else { arg.as_str() };
     let scale = Scale {
@@ -55,8 +60,13 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let (oracle, total) = (harness::oracle_time().as_secs_f64(), t0.elapsed().as_secs_f64());
+    eprintln!(
+        "repro: reference answers took {oracle:.2} s of {total:.2} s ({:.1} %)",
+        100.0 * oracle / total
+    );
     if !correct {
-        eprintln!("repro: some answers differ from brute force (rows with \"correct\": false)");
+        eprintln!("repro: some answers differ from the reference (rows with \"correct\": false)");
         std::process::exit(1);
     }
 }

@@ -1,6 +1,6 @@
 //! One module per paper artifact. Each `run(scale)` prints the figure's
 //! table, appends JSONL rows under `results/`, and returns `false` if any
-//! timed answer differed from brute force.
+//! timed answer differed from the reference answer.
 
 use crate::datasets::Scale;
 

@@ -1,11 +1,13 @@
 //! Shared machinery: every solution, TraSS included, is one
 //! [`SimilarityEngine`]; [`run`] times one operation over a query batch
-//! and checks every answer against brute force; [`sweep`] turns datasets ×
-//! parameter values × engines into rows.
+//! and checks every answer against [`trass_traj::reference`]; [`sweep`]
+//! turns datasets × parameter values × engines into rows.
 
 use crate::datasets::{self, Dataset, Scale};
 use crate::report::Reporter;
-use std::cell::OnceCell;
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use trass_baselines::dft::DftEngine;
 use trass_baselines::dita::DitaEngine;
@@ -14,7 +16,8 @@ use trass_baselines::xz_kv::{XzKvConfig, XzKvEngine};
 use trass_baselines::{EngineResult, SimilarityEngine, Stages};
 use trass_core::{query, SearchResult, TrajectoryStore, TrassConfig};
 use trass_obs::Histogram;
-use trass_traj::{Measure, Trajectory, TrajectoryId};
+use trass_traj::reference::{self, Answer};
+use trass_traj::{Measure, Trajectory};
 
 /// TraSS as one more engine: a loaded store and its build time. Its
 /// results carry the stage accounting the baselines lack.
@@ -87,7 +90,7 @@ pub fn build_all(ds: &Dataset) -> Vec<Box<dyn SimilarityEngine>> {
 }
 
 /// One timed operation, asked of every query in a batch.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Threshold search at ε.
     Threshold(f64, Measure),
@@ -96,25 +99,10 @@ pub enum Op {
 }
 
 impl Op {
-    fn measure(self) -> Measure {
-        match self {
-            Op::Threshold(_, m) | Op::TopK(_, m) => m,
-        }
-    }
-
     fn call(self, engine: &dyn SimilarityEngine, q: &Trajectory) -> Option<EngineResult> {
         match self {
             Op::Threshold(eps, m) => engine.threshold(q, eps, m),
             Op::TopK(k, m) => engine.top_k(q, k, m),
-        }
-    }
-
-    /// Puts an answer in the order it is compared in: threshold hits by
-    /// id, top-k by distance with ties broken by id.
-    fn normalize(self, answer: &mut [(TrajectoryId, f64)]) {
-        match self {
-            Op::Threshold(..) => answer.sort_by_key(|r| r.0),
-            Op::TopK(..) => answer.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))),
         }
     }
 }
@@ -123,37 +111,45 @@ impl Op {
 /// pair Figs. 14 and 17–19 time.
 pub const PAIR: [Op; 2] = [Op::Threshold(0.01, Measure::Frechet), Op::TopK(50, Measure::Frechet)];
 
-/// A query batch over one dataset, with the brute-force distances every
-/// answer is checked against. They are computed once per measure, on first
-/// use, and serve every ε and k of that measure.
+/// A query batch over one dataset. Each answer is checked against the
+/// reference answer to its operation ([`trass_traj::reference`]), computed
+/// once per operation and shared by every engine asked it.
 pub struct Queries<'a> {
     data: &'a [Trajectory],
     list: Vec<Trajectory>,
-    truth: [OnceCell<Vec<Vec<f64>>>; 3],
+    answers: RefCell<Vec<(Op, Rc<[Answer]>)>>,
+}
+
+/// Nanoseconds spent computing reference answers, over the whole process.
+static ORACLE_NS: AtomicU64 = AtomicU64::new(0);
+
+/// The time this process has spent computing reference answers in [`run`].
+pub fn oracle_time() -> Duration {
+    Duration::from_nanos(ORACLE_NS.load(Ordering::Relaxed))
 }
 
 impl<'a> Queries<'a> {
     /// Samples `n` queries from a dataset.
     pub fn new(ds: &'a Dataset, n: usize) -> Queries<'a> {
-        Queries { data: &ds.data, list: datasets::queries(ds, n), truth: Default::default() }
+        Queries { data: &ds.data, list: datasets::queries(ds, n), answers: RefCell::default() }
     }
 
-    /// The exact answer to `op` for query `i`, in [`Op::normalize`] order.
-    fn expected(&self, i: usize, op: Op) -> Vec<(TrajectoryId, f64)> {
-        let m = op.measure();
-        let distances = &self.truth[m as usize].get_or_init(|| {
-            let row = |q: &Trajectory| {
-                self.data.iter().map(|t| m.distance(q.points(), t.points())).collect()
-            };
-            self.list.iter().map(row).collect()
-        })[i];
-        let mut answer: Vec<_> = self.data.iter().map(|t| t.id).zip(distances.clone()).collect();
-        op.normalize(&mut answer);
-        match op {
-            Op::Threshold(eps, _) => answer.retain(|&(_, d)| d <= eps),
-            Op::TopK(k, _) => answer.truncate(k),
+    /// The reference answers to `op`, one per query, in query order.
+    fn expected(&self, op: Op) -> Rc<[Answer]> {
+        let mut answers = self.answers.borrow_mut();
+        if let Some((_, known)) = answers.iter().find(|(o, _)| *o == op) {
+            return Rc::clone(known);
         }
-        answer
+        let t0 = Instant::now();
+        let answer = |q: &Trajectory| match op {
+            Op::Threshold(eps, m) => reference::threshold(self.data, q, eps, m),
+            Op::TopK(k, m) => reference::top_k(self.data, q, k, m),
+        };
+        let computed: Rc<[Answer]> = self.list.iter().map(answer).collect();
+        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        ORACLE_NS.fetch_add(ns, Ordering::Relaxed);
+        answers.push((op, Rc::clone(&computed)));
+        computed
     }
 }
 
@@ -181,7 +177,7 @@ pub struct Aggregate {
     pub mean_precision: f64,
     /// Stage numbers; `None` for engines that report no stages.
     pub stages: Option<StageAggregate>,
-    /// Whether every answer equalled brute force.
+    /// Whether every answer equalled the reference answer.
     pub correct: bool,
 }
 
@@ -227,23 +223,16 @@ fn aggregate(results: &[EngineResult]) -> Aggregate {
 }
 
 /// Times `op` on every query of the batch, then checks each answer against
-/// brute force: ids and distance bits. A wrong answer is named on stderr
-/// and clears [`Aggregate::correct`]. `None` when the engine does not
-/// support `op`.
+/// the reference answer: ids, distance bits and order ([`reference::diff`]).
+/// A wrong answer is named on stderr and clears [`Aggregate::correct`].
+/// `None` when the engine does not support `op`.
 pub fn run(engine: &dyn SimilarityEngine, queries: &Queries, op: Op) -> Option<Aggregate> {
     let results =
         queries.list.iter().map(|q| op.call(engine, q)).collect::<Option<Vec<EngineResult>>>()?;
     let mut agg = aggregate(&results);
-    for (i, r) in results.iter().enumerate() {
-        let mut got = r.results.clone();
-        op.normalize(&mut got);
-        let want = queries.expected(i, op);
-        let bits = |a: &[(TrajectoryId, f64)]| -> Vec<(TrajectoryId, u64)> {
-            a.iter().map(|&(id, d)| (id, d.to_bits())).collect()
-        };
-        if bits(&got) != bits(&want) {
-            let (name, n, m) = (engine.name(), got.len(), want.len());
-            eprintln!("wrong answer: {name}, query {i}, {op:?}: {n} results, brute force {m}");
+    for (i, (r, want)) in results.iter().zip(queries.expected(op).iter()).enumerate() {
+        if let Some(d) = reference::diff(&r.results, want) {
+            eprintln!("wrong answer: {}, query {i}, {op:?}: {d}", engine.name());
             agg.correct = false;
         }
     }
@@ -351,10 +340,9 @@ mod tests {
         assert!((s.mean_refine_pruned - 4.0).abs() < 1e-9);
     }
 
-    type Answer = Vec<(TrajectoryId, f64)>;
     type Fault = fn(&mut Answer);
 
-    /// Brute-force threshold search whose answer `fault` then edits.
+    /// The reference threshold answer, which `fault` then edits.
     struct Fake {
         data: Vec<Trajectory>,
         fault: Fault,
@@ -370,12 +358,7 @@ mod tests {
         }
 
         fn threshold(&self, q: &Trajectory, eps: f64, m: Measure) -> Option<EngineResult> {
-            let mut results: Answer = self
-                .data
-                .iter()
-                .map(|t| (t.id, m.distance(q.points(), t.points())))
-                .filter(|&(_, d)| d <= eps)
-                .collect();
+            let mut results = reference::threshold(&self.data, q, eps, m);
             (self.fault)(&mut results);
             Some(EngineResult { results, ..EngineResult::default() })
         }

@@ -5,7 +5,7 @@
 //! `repro all`, …); each experiment prints a table mirroring the paper's
 //! figure and appends machine-readable rows to `results/<exp>.jsonl`.
 //! Every solution, TraSS included, is a `SimilarityEngine`, and every
-//! timed answer is checked against brute force (`harness::run`).
+//! timed answer is checked against `trass_traj::reference` (`harness::run`).
 //!
 //! Dataset sizes are scaled for a single machine (the paper used a 5-node
 //! cluster and up to 136 GB of data); set `TRASS_REPRO_SCALE` to grow or

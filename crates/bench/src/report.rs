@@ -22,7 +22,7 @@ pub struct Row {
     pub param_value: f64,
     /// Metric values by name, in the order the experiment reported them.
     pub metrics: Vec<(String, f64)>,
-    /// Whether every answer the row times equalled brute force; `None`
+    /// Whether every answer the row times equalled the reference; `None`
     /// for rows that time no query.
     pub correct: Option<bool>,
 }

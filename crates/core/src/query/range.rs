@@ -93,7 +93,7 @@ mod tests {
     use crate::config::TrassConfig;
     use trass_geo::Point;
     use trass_index::xzstar::{QuadSet, XzStar};
-    use trass_traj::Trajectory;
+    use trass_traj::{reference, Trajectory};
 
     /// A 10×10 grid of short trajectories.
     fn grid() -> Vec<Trajectory> {
@@ -141,27 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn matches_brute_force_over_grid() {
+    fn matches_the_reference_over_grid() {
         let store = store_with_grid();
         let window = Mbr::new(116.1, 39.7, 116.3, 39.9);
         let got = range_search(&store, &window).unwrap();
-        let got_ids: Vec<u64> = got.results.iter().map(|&(id, _)| id).collect();
-        // Brute force against the same grid.
-        let mut expected = Vec::new();
-        let mut id = 0u64;
-        for gx in 0..10 {
-            for gy in 0..10 {
-                let x = 116.05 + gx as f64 * 0.07;
-                let y = 39.65 + gy as f64 * 0.05;
-                let pts = [Point::new(x, y), Point::new(x + 0.01, y + 0.01)];
-                if pts.iter().any(|p| window.contains_point(p)) {
-                    expected.push(id);
-                }
-                id += 1;
-            }
-        }
-        assert_eq!(got_ids, expected);
-        assert!(!got_ids.is_empty());
+        assert_eq!(reference::diff(&got.results, &reference::range(&grid(), &window)), None);
+        assert!(!got.results.is_empty());
         assert_scan_exact(&store, &grid(), &window);
     }
 
@@ -200,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn random_workload_matches_brute_force() {
+    fn random_workload_matches_the_reference() {
         let extent = Mbr::new(116.0, 39.6, 116.8, 40.2);
         let store = TrajectoryStore::open(TrassConfig::for_extent(extent)).unwrap();
         let data = trass_traj::generator::tdrive_like(77, 200);
@@ -218,14 +203,8 @@ mod tests {
         ];
         for window in windows {
             let got = range_search(&store, &window).unwrap();
-            let got_ids: Vec<u64> = got.results.iter().map(|&(id, _)| id).collect();
-            let mut expected: Vec<u64> = data
-                .iter()
-                .filter(|t| t.points().iter().any(|p| window.contains_point(p)))
-                .map(|t| t.id)
-                .collect();
-            expected.sort_unstable();
-            assert_eq!(got_ids, expected);
+            let want = reference::range(&data, &window);
+            assert_eq!(reference::diff(&got.results, &want), None, "{window:?}");
             assert_scan_exact(&store, &data, &window);
         }
     }

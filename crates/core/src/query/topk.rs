@@ -144,7 +144,7 @@ mod tests {
     use crate::config::TrassConfig;
     use crate::store::ExplainQuery;
     use trass_geo::Mbr;
-    use trass_traj::TrajectoryId;
+    use trass_traj::{reference, TrajectoryId};
 
     fn config(query_threads: usize, refine_bounds: bool) -> TrassConfig {
         let extent = Mbr::new(116.0, 39.6, 116.8, 40.2);
@@ -168,17 +168,16 @@ mod tests {
         (loaded(TrassConfig::for_extent(extent), &data), data)
     }
 
-    fn brute_force_topk(
+    /// Panics unless `got` is the reference top-k answer over `data`.
+    fn assert_reference(
+        got: &[(TrajectoryId, f64)],
         data: &[Trajectory],
         q: &Trajectory,
         k: usize,
-        measure: Measure,
-    ) -> Vec<(TrajectoryId, f64)> {
-        let mut all: Vec<(TrajectoryId, f64)> =
-            data.iter().map(|t| (t.id, measure.distance(q.points(), t.points()))).collect();
-        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
+        m: Measure,
+    ) {
+        let want = reference::top_k(data, q, k, m);
+        assert_eq!(reference::diff(got, &want), None, "{m} top-{k}, query {}", q.id);
     }
 
     #[test]
@@ -236,7 +235,7 @@ mod tests {
         for measure in [Measure::Frechet, Measure::Dtw] {
             let query = ExplainQuery::TopK { query: &data[7], k: 5, measure };
             let explained = store.explain(query).unwrap();
-            assert_eq!(explained.result.results, brute_force_topk(&data, &data[7], 5, measure));
+            assert_reference(&explained.result.results, &data, &data[7], 5, measure);
             let expanded: u64 = explained
                 .trace
                 .root
@@ -251,7 +250,7 @@ mod tests {
         }
         // Fewer rows than k: everything, once. No rows: nothing.
         let all = top_k_search(&store, &data[7], 80, Measure::Frechet).unwrap();
-        assert_eq!(all.results, brute_force_topk(&data, &data[7], 80, Measure::Frechet));
+        assert_reference(&all.results, &data, &data[7], 80, Measure::Frechet);
         assert_eq!(all.stats.retrieved, 50);
         let empty = TrajectoryStore::open(config(1, true)).unwrap();
         let none = top_k_search(&empty, &data[7], 5, Measure::Frechet).unwrap();
@@ -266,7 +265,7 @@ mod tests {
         store.insert_all(&data[60..]).unwrap(); // memtable only
         let q = data[90].clone();
         let got = top_k_search(&store, &q, 10, Measure::Frechet).unwrap();
-        assert_eq!(got.results, brute_force_topk(&data, &q, 10, Measure::Frechet));
+        assert_reference(&got.results, &data, &q, 10, Measure::Frechet);
         // A removed row still counts as occupancy — an upper bound — and
         // the answer is the survivors' exact top-k.
         for (tid, _) in got.results.iter().take(4) {
@@ -274,7 +273,7 @@ mod tests {
             data.retain(|t| t.id != *tid);
         }
         let got = top_k_search(&store, &q, 10, Measure::Frechet).unwrap();
-        assert_eq!(got.results, brute_force_topk(&data, &q, 10, Measure::Frechet));
+        assert_reference(&got.results, &data, &q, 10, Measure::Frechet);
     }
 
     #[test]

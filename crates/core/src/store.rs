@@ -13,7 +13,7 @@ use trass_geo::{Mbr, Point};
 use trass_index::ranges::ValueRange;
 use trass_index::xzstar::{BestFirst, IndexSpace, Occupancy, PruningConfig, XzStar, LEAF_ROWS};
 use trass_kv::{Cluster, ClusterOptions, KvError};
-use trass_obs::sync::RwLock;
+use trass_obs::sync::{Mutex, RwLock};
 use trass_obs::{
     Counter, FlightRecorder, Histogram, QueryTrace, Registry, SlowLog, Telemetry, TelemetrySources,
     TraceCtx, TraceSampler, TraceSpan, STAGE_HISTOGRAM,
@@ -25,6 +25,10 @@ const SLOW_LOG_CAPACITY: usize = 32;
 
 /// How many completed query traces the flight recorder retains.
 const FLIGHT_RECORDER_CAPACITY: usize = 32;
+
+/// Writer locks per store: writers of ids in different stripes never wait
+/// on each other.
+const WRITER_STRIPES: usize = 64;
 
 /// One retained slow query: what ran and its full accounting.
 #[derive(Debug, Clone)]
@@ -94,6 +98,9 @@ pub struct TrajectoryStore {
     cluster: Arc<Cluster>,
     /// Secondary table: tid → current index value.
     id_index: Cluster,
+    /// Locks striped by tid that order the writers of one id
+    /// ([`Self::writer_of`]).
+    writers: [Mutex<()>; WRITER_STRIPES],
     /// What the trajectory table holds under each index value: the
     /// occupancy that guides global pruning.
     occupancy: RowsByValue,
@@ -238,6 +245,7 @@ impl TrajectoryStore {
             index,
             cluster: Arc::new(cluster),
             id_index,
+            writers: std::array::from_fn(|_| Mutex::new(())),
             occupancy,
             registry,
             slow_queries: Arc::new(SlowLog::new(SLOW_LOG_CAPACITY)),
@@ -463,27 +471,38 @@ impl TrajectoryStore {
     /// Inserts (or replaces) one trajectory: extracts DP features, computes
     /// the index value, and writes the row. A re-insert whose geometry
     /// moved to a different index space removes the stale row first.
+    /// Writers of one id take turns: each holds the id's writer lock from
+    /// its id-index read to its last write.
     pub fn insert(&self, traj: &Trajectory) -> Result<(), KvError> {
         let t = Instant::now();
         let space = self.index_space_of(traj);
         let value = self.index.encode(&space);
         let shard = shard_of(traj.id, self.config.shards);
+        let row = RowValue {
+            points: traj.points().to_vec(),
+            features: DpFeatures::extract(traj, self.config.dp_theta),
+        };
+        let _writer = self.writer_of(traj.id).lock();
         // Move-aware replace: drop the old row if the index value changed.
         let old_value = self.stored_value_of(traj.id)?;
         if let Some(old_value) = old_value.filter(|&old| old != value) {
             self.cluster.delete(rowkey(shard, old_value, traj.id))?;
         }
-        let key = rowkey(shard, value, traj.id);
-        let row = RowValue {
-            points: traj.points().to_vec(),
-            features: DpFeatures::extract(traj, self.config.dp_theta),
-        };
         self.occupancy.raise(value, old_value == Some(value));
-        self.cluster.put(key, row.encode())?;
+        self.cluster.put(rowkey(shard, value, traj.id), row.encode())?;
         self.id_index.put(self.id_key(traj.id), value.to_le_bytes().to_vec())?;
         self.ingest_rows.inc();
         self.ingest_seconds.record_duration(t.elapsed());
         Ok(())
+    }
+
+    /// The lock that orders the writers of `tid`: [`Self::insert`] and
+    /// [`Self::remove`] hold it from their id-index read to their last
+    /// write. Unordered, two writers of one id could both read the same old
+    /// row, both delete it, and each put its own: two live rows for one id.
+    fn writer_of(&self, tid: TrajectoryId) -> &Mutex<()> {
+        // trass-lint: allow(panic-surface) WRITER_STRIPES is a non-zero constant
+        &self.writers[(tid % WRITER_STRIPES as u64) as usize]
     }
 
     /// Fetches a trajectory by id.
@@ -503,6 +522,7 @@ impl TrajectoryStore {
 
     /// Removes a trajectory by id. Returns whether it existed.
     pub fn remove(&self, tid: TrajectoryId) -> Result<bool, KvError> {
+        let _writer = self.writer_of(tid).lock();
         let Some(value) = self.stored_value_of(tid)? else { return Ok(false) };
         let shard = shard_of(tid, self.config.shards);
         self.cluster.delete(rowkey(shard, value, tid))?;
@@ -536,8 +556,11 @@ impl TrajectoryStore {
 /// included) and raised before every row is written, so a query sees every
 /// row written before it began, as its scan does. It is never lowered: a
 /// removed or moved row keeps counting until the store is reopened, as its
-/// tombstone does in the rebuild, so no interleaving of writers to one id
-/// can leave a value that holds a row counted empty.
+/// tombstone does in the rebuild. Writers of one id take turns
+/// ([`TrajectoryStore::insert`] and [`TrajectoryStore::remove`] hold the
+/// id's writer lock from the id-index read to the last write), so each
+/// write's `rewrite` flag comes from the id-index entry of the id's
+/// previous write, and a value that holds a row is never counted empty.
 struct RowsByValue(RwLock<BTreeMap<u64, u64>>);
 
 impl RowsByValue {
@@ -661,6 +684,7 @@ impl std::fmt::Debug for TrajectoryStore {
 mod tests {
     use super::*;
     use trass_kv::KeyRange;
+    use trass_traj::reference;
 
     fn store() -> TrajectoryStore {
         TrajectoryStore::open(TrassConfig::default()).unwrap()
@@ -790,19 +814,11 @@ mod tests {
         s.flush().unwrap();
         for q in &data {
             let got = crate::threshold_search(&s, q, 0.0, Measure::Frechet).unwrap().results;
-            let brute: Vec<(u64, f64)> = data
-                .iter()
-                .filter_map(|t| {
-                    Measure::Frechet.distance_within(q.points(), t.points(), 0.0).map(|d| (t.id, d))
-                })
-                .collect();
-            assert_eq!(got, brute, "threshold at eps 0, query {}", q.id);
+            let want = reference::threshold(&data, q, 0.0, Measure::Frechet);
+            assert_eq!(reference::diff(&got, &want), None, "threshold at eps 0, query {}", q.id);
             let top = crate::top_k_search(&s, q, 1, Measure::Frechet).unwrap().results;
-            let nearest = data
-                .iter()
-                .map(|t| (t.id, Measure::Frechet.distance(q.points(), t.points())))
-                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            assert_eq!(top.first().copied(), nearest, "top-1, query {}", q.id);
+            let want = reference::top_k(&data, q, 1, Measure::Frechet);
+            assert_eq!(reference::diff(&top, &want), None, "top-1, query {}", q.id);
         }
     }
 

@@ -13,6 +13,7 @@ use trass_core::schema::{rowkey, shard_of};
 use trass_core::store::TrajectoryStore;
 use trass_geo::{Mbr, Point};
 use trass_kv::StoreOptions;
+use trass_traj::reference::{self, diff, Answer};
 use trass_traj::{Measure, Trajectory, TrajectoryId};
 
 const EXTENT: Mbr = Mbr { min_x: 116.0, min_y: 39.6, max_x: 116.8, max_y: 40.2 };
@@ -36,29 +37,14 @@ fn shifted(t: &Trajectory, id: TrajectoryId, dx: f64, dy: f64) -> Trajectory {
     Trajectory::new(id, t.points().iter().map(|p| Point::new(p.x + dx, p.y + dy)).collect())
 }
 
-/// Every `(id, distance)` within `EPS` of `q`, by id.
-fn brute_threshold(rows: &[Trajectory], q: &Trajectory) -> Vec<(TrajectoryId, f64)> {
-    let within = |t: &Trajectory| Measure::Frechet.distance_within(q.points(), t.points(), EPS);
-    let mut hits: Vec<_> = rows.iter().filter_map(|t| Some((t.id, within(t)?))).collect();
-    hits.sort_by_key(|&(id, _)| id);
-    hits
+/// The reference threshold answer at `EPS` under Fréchet.
+fn threshold(rows: &[Trajectory], q: &Trajectory) -> Answer {
+    reference::threshold(rows, q, EPS, Measure::Frechet)
 }
 
-/// The `K` nearest `(id, distance)` pairs, ties by id.
-fn brute_top_k(rows: &[Trajectory], q: &Trajectory) -> Vec<(TrajectoryId, f64)> {
-    let distance = |t: &Trajectory| Measure::Frechet.distance(q.points(), t.points());
-    let mut all: Vec<_> = rows.iter().map(|t| (t.id, distance(t))).collect();
-    all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    all.truncate(K);
-    all
-}
-
-/// Every id with a point inside `window`, by id, at distance 0.
-fn brute_range(rows: &[Trajectory], window: &Mbr) -> Vec<(TrajectoryId, f64)> {
-    let inside = |t: &&Trajectory| t.points().iter().any(|p| window.contains_point(p));
-    let mut hits: Vec<_> = rows.iter().filter(inside).map(|t| (t.id, 0.0)).collect();
-    hits.sort_by_key(|&(id, _)| id);
-    hits
+/// The reference top-`K` answer under Fréchet.
+fn top_k(rows: &[Trajectory], q: &Trajectory) -> Answer {
+    reference::top_k(rows, q, K, Measure::Frechet)
 }
 
 fn mbr(t: &Trajectory) -> Mbr {
@@ -88,8 +74,8 @@ impl Progress {
 
 /// A threshold, a top-k and a range query racing the writer over
 /// `rows[..base]` plus a prefix of `rows[base..]`: each answer lies between
-/// brute force over the rows present when the call began and when it
-/// returned, and every distance is exact. The range query's window is the
+/// the reference answers over the rows present when the call began and when
+/// it returned, and every distance is exact. The range query's window is the
 /// query's MBR grown by `EPS`, which holds every ingested copy of it.
 fn check_racing(store: &TrajectoryStore, rows: &[Trajectory], base: usize, p: &Progress) {
     for q in &rows[..3] {
@@ -98,7 +84,8 @@ fn check_racing(store: &TrajectoryStore, rows: &[Trajectory], base: usize, p: &P
         p.searches.fetch_add(1, SeqCst);
         let got = range_search(store, &window).unwrap().results;
         let hi = base + p.begun.load(SeqCst);
-        let (must, may) = (brute_range(&rows[..lo], &window), brute_range(&rows[..hi], &window));
+        let (must, may) =
+            (reference::range(&rows[..lo], &window), reference::range(&rows[..hi], &window));
         assert!(must.iter().all(|h| got.contains(h)), "range lost a row present at the start");
         assert!(got.iter().all(|h| may.contains(h)), "a range hit no row had");
 
@@ -106,7 +93,7 @@ fn check_racing(store: &TrajectoryStore, rows: &[Trajectory], base: usize, p: &P
         p.searches.fetch_add(1, SeqCst);
         let got = threshold_search(store, q, EPS, Measure::Frechet).unwrap().results;
         let hi = base + p.begun.load(SeqCst);
-        let (must, may) = (brute_threshold(&rows[..lo], q), brute_threshold(&rows[..hi], q));
+        let (must, may) = (threshold(&rows[..lo], q), threshold(&rows[..hi], q));
         assert!(must.iter().all(|h| got.contains(h)), "lost a row present at the start");
         assert!(got.iter().all(|h| may.contains(h)), "a hit no row had");
 
@@ -114,7 +101,7 @@ fn check_racing(store: &TrajectoryStore, rows: &[Trajectory], base: usize, p: &P
         p.searches.fetch_add(1, SeqCst);
         let got = top_k_search(store, q, K, Measure::Frechet).unwrap().results;
         let hi = base + p.begun.load(SeqCst);
-        let (lo_k, hi_k) = (brute_top_k(&rows[..lo], q), brute_top_k(&rows[..hi], q));
+        let (lo_k, hi_k) = (top_k(&rows[..lo], q), top_k(&rows[..hi], q));
         assert_eq!(got.len(), K);
         for ((&(id, d), l), h) in got.iter().zip(&lo_k).zip(&hi_k) {
             let t = rows[..hi].iter().find(|t| t.id == id).expect("a stored row");
@@ -256,11 +243,11 @@ fn reopen_rebuilds_the_occupancy_from_what_the_store_holds() {
     let queries = [&base[4], &base[9], &rows[rows.len() - 1], &base[12], &base[33]];
     for q in queries {
         let got = threshold_search(&store, q, EPS, Measure::Frechet).unwrap().results;
-        assert_eq!(got, brute_threshold(&rows, q), "threshold, query {}", q.id);
+        assert_eq!(diff(&got, &threshold(&rows, q)), None, "threshold, query {}", q.id);
         let got = top_k_search(&store, q, K, Measure::Frechet).unwrap().results;
-        assert_eq!(got, brute_top_k(&rows, q), "top-k, query {}", q.id);
+        assert_eq!(diff(&got, &top_k(&rows, q)), None, "top-k, query {}", q.id);
         let got = range_search(&store, &mbr(q)).unwrap().results;
-        assert_eq!(got, brute_range(&rows, &mbr(q)), "range, query {}", q.id);
+        assert_eq!(diff(&got, &reference::range(&rows, &mbr(q))), None, "range, query {}", q.id);
     }
     drop(store);
     std::fs::remove_dir_all(&dir).ok();

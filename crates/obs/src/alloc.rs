@@ -11,22 +11,22 @@
 //!   opt in with `#[global_allocator]`; when none is installed every
 //!   reading is zero and spans omit their alloc fields.
 //! * CPU time — [`thread_cpu_ns`], per-thread cumulative CPU nanoseconds
-//!   read from `/proc/thread-self/schedstat` (falling back to `stat`
-//!   utime+stime). Only span boundaries read it, so an untraced query
-//!   pays no procfs read.
+//!   read from the thread CPU clock (`CLOCK_THREAD_CPUTIME_ID`, one
+//!   `clock_gettime` call, no file read). Only span boundaries read it.
 //!
 //! The counting runs inside the allocator, so the thread-locals are
 //! const-initialised `Cell`s: no lazy init, no `Drop`, hence no recursion
 //! into the allocator.
 
 // The one unsafe surface in trass-obs: implementing `GlobalAlloc` requires
-// an `unsafe impl`. The wrapper only forwards to `System` and bumps
-// counters; it never touches the returned memory.
+// an `unsafe impl`, and the thread CPU clock is one libc call. The wrapper
+// only forwards to `System` and bumps counters; it never touches the
+// returned memory.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Set by the first allocation routed through [`CountingAlloc`]; readings
 /// are meaningless (always zero) until then.
@@ -143,68 +143,35 @@ pub fn thread_alloc_snapshot() -> AllocSnapshot {
     }
 }
 
-// How per-thread CPU time is read; probed once, then cached.
-const CPU_UNPROBED: u8 = 0;
-const CPU_SCHEDSTAT: u8 = 1;
-const CPU_STAT: u8 = 2;
-const CPU_NONE: u8 = 3;
-static CPU_SOURCE: AtomicU8 = AtomicU8::new(CPU_UNPROBED);
-
-/// Linux's default clock tick rate; `/proc/*/stat` utime/stime are in
-/// ticks and std exposes no sysconf, so the fallback assumes the default.
-const CLK_TCK: u64 = 100;
-
+/// Cumulative CPU nanoseconds consumed by the calling thread, from the
+/// thread CPU clock (`CLOCK_THREAD_CPUTIME_ID`). The kernel updates it at
+/// every read, so a span of a few microseconds reads its own CPU.
 #[cfg(target_os = "linux")]
-fn read_proc(path: &str) -> Option<String> {
-    std::fs::read_to_string(path).ok()
-}
-
-#[cfg(not(target_os = "linux"))]
-fn read_proc(_path: &str) -> Option<String> {
-    None
-}
-
-/// First field of `/proc/thread-self/schedstat`: cumulative on-CPU ns.
-fn cpu_from_schedstat() -> Option<u64> {
-    let s = read_proc("/proc/thread-self/schedstat")?;
-    s.split_whitespace().next()?.parse().ok()
-}
-
-/// utime+stime (fields 14/15) of `/proc/thread-self/stat`, converted from
-/// clock ticks; coarse (10 ms granularity) but better than nothing.
-fn cpu_from_stat() -> Option<u64> {
-    let s = read_proc("/proc/thread-self/stat")?;
-    // comm may contain spaces; fields restart after the closing paren.
-    // trass-lint: allow(panic-surface) fixed-layout /proc/self/stat line; the preceding parse validates the width
-    let rest = &s[s.rfind(')')? + 1..];
-    let mut it = rest.split_whitespace();
-    // rest starts at field 3 (state); utime/stime are fields 14/15.
-    let utime: u64 = it.nth(11)?.parse().ok()?;
-    let stime: u64 = it.next()?.parse().ok()?;
-    // trass-lint: allow(panic-surface) CLK_TCK is a non-zero compile-time constant
-    Some((utime + stime) * (1_000_000_000 / CLK_TCK))
-}
-
-/// Cumulative CPU nanoseconds consumed by the calling thread, or `None`
-/// when no per-thread CPU clock is readable on this platform.
 pub fn thread_cpu_ns() -> Option<u64> {
-    match CPU_SOURCE.load(Ordering::Relaxed) {
-        CPU_SCHEDSTAT => cpu_from_schedstat(),
-        CPU_STAT => cpu_from_stat(),
-        CPU_NONE => None,
-        _ => {
-            if let Some(v) = cpu_from_schedstat() {
-                CPU_SOURCE.store(CPU_SCHEDSTAT, Ordering::Relaxed);
-                Some(v)
-            } else if let Some(v) = cpu_from_stat() {
-                CPU_SOURCE.store(CPU_STAT, Ordering::Relaxed);
-                Some(v)
-            } else {
-                CPU_SOURCE.store(CPU_NONE, Ordering::Relaxed);
-                None
-            }
-        }
+    use std::ffi::{c_int, c_long};
+    /// `struct timespec` on Linux: `time_t` is a `long`.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
     }
+    extern "C" {
+        fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a valid, writable `timespec` for the call's duration,
+    // and `clock_gettime` writes nothing else.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    let (sec, nsec) = (u64::try_from(ts.tv_sec).ok()?, u64::try_from(ts.tv_nsec).ok()?);
+    (rc == 0).then(|| sec * 1_000_000_000 + nsec)
+}
+
+/// Cumulative CPU nanoseconds consumed by the calling thread: `None`, as
+/// no per-thread CPU clock is read on this platform.
+#[cfg(not(target_os = "linux"))]
+pub fn thread_cpu_ns() -> Option<u64> {
+    None
 }
 
 /// Whether per-thread CPU time is readable on this platform.

@@ -964,6 +964,32 @@ mod tests {
     }
 
     #[test]
+    fn a_busy_millisecond_span_reads_most_of_its_time_as_cpu() {
+        if !crate::alloc::cpu_supported() {
+            return;
+        }
+        let ctx = TraceCtx::enabled();
+        let root = ctx.root("q");
+        for _ in 0..9 {
+            let span = root.child("spin");
+            let t0 = std::time::Instant::now();
+            while t0.elapsed() < Duration::from_millis(1) {
+                std::hint::black_box(t0);
+            }
+            span.finish();
+        }
+        root.finish();
+        let t = ctx.finish().unwrap();
+        let mut ratios: Vec<f64> = t
+            .root
+            .children_named("spin")
+            .map(|s| s.field_u64("cpu_ns").unwrap() as f64 / s.duration_ns as f64)
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        assert!(ratios[4] >= 0.5, "cpu_ns / duration_ns by span: {ratios:?}");
+    }
+
+    #[test]
     fn a_handed_off_span_counts_the_thread_that_marks_it() {
         let ctx = TraceCtx::enabled();
         let root = ctx.root("q");

@@ -19,6 +19,9 @@
 //!   substitution rationale).
 //! * [`codec`] — a compact binary encoding of point sequences and DP
 //!   features, used as the value format in the key-value store.
+//! * [`reference`](mod@reference) — the exact threshold, top-k and range
+//!   answers every query path and engine is checked against, and the one
+//!   comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +33,7 @@ pub mod dp;
 pub mod generator;
 pub mod io;
 pub mod measures;
+pub mod reference;
 mod trajectory;
 
 pub use dp::DpFeatures;

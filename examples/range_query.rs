@@ -3,7 +3,7 @@
 //! query").
 //!
 //! Finds all trajectories passing through a district of the city and
-//! cross-checks against a brute-force scan.
+//! cross-checks against the reference answer.
 //!
 //! ```sh
 //! cargo run --release --example range_query
@@ -12,6 +12,7 @@
 use trass::core::{query, TrajectoryStore, TrassConfig};
 use trass::geo::Mbr;
 use trass::traj::generator::{self, BEIJING};
+use trass::traj::reference;
 
 fn main() {
     let data = generator::tdrive_like(7, 3_000);
@@ -38,14 +39,8 @@ fn main() {
         hits.stats.n_ranges
     );
 
-    // Verify against brute force.
-    let expected: Vec<u64> = data
-        .iter()
-        .filter(|t| t.points().iter().any(|p| district.contains_point(p)))
-        .map(|t| t.id)
-        .collect();
-    let got: Vec<u64> = hits.results.iter().map(|&(tid, _)| tid).collect();
-    assert_eq!(got.len(), expected.len());
-    assert!(expected.iter().all(|id| got.contains(id)));
-    println!("matches brute force ({} trajectories) ✔", expected.len());
+    // Verify against the reference answer: the same ids, in id order.
+    let expected = reference::range(&data, &district);
+    assert_eq!(reference::diff(&hits.results, &expected), None);
+    println!("matches the reference answer ({} trajectories) ✔", expected.len());
 }

@@ -1,27 +1,33 @@
-//! The exactness table: every answer equals brute force, ids and distance
-//! bits, on every path, at every thread count, with refine bounds on and
-//! off, and from every baseline engine.
+//! The exactness table: every answer equals the reference answer
+//! ([`trass_traj::reference`]), ids and distance bits, on every path, at
+//! every thread count, with refine bounds on and off, and from every
+//! baseline engine.
 //!
 //! TraSS is exact by construction (every pruning and filtering lemma is a
-//! lower bound), so there is one reference per (dataset, query, measure):
-//! [`Measure::distance`] over every row. A threshold answer is the rows at
-//! `d ≤ ε` by id, a top-k answer is the (distance, id) order cut at k, and
-//! a range answer is the rows with a point in the window, by id. One
-//! comparison, [`diff`], is applied to every cell.
+//! lower bound), so there is one reference per (dataset, query, measure,
+//! kind): a threshold answer is the rows at `d ≤ ε` by id, a top-k answer
+//! is the (distance, id) order cut at k, and a range answer is the rows
+//! with a point in the window, by id. One comparison, [`diff`], is applied
+//! to every cell.
 //!
 //! Axes: path {embedded, wire `TrassClient` with an inline query, wire
 //! `Explain`} × `query_threads` {1, 4} × `refine_bounds` {on, off} ×
 //! measure {Fréchet, Hausdorff, DTW} × kind {threshold ε ∈ [`EPS`], top-k
 //! k ∈ {1, 10, 50, rows + 5}, range windows} × dataset {a T-Drive-like
-//! city store with degenerate rows, the world-space edge set}, plus the
-//! four baselines as [`SimilarityEngine`] rows on the city store under
-//! Fréchet (see [`baselines`] for their cells). Two invariants that are
-//! not answers ride along: a raw scan of the whole cluster is
-//! byte-identical across configurations, and each query's scan volume
-//! `(retrieved, candidates, n_ranges)` is too.
+//! city store of 16–40 rows with degenerate rows, the same of 250–500
+//! rows, the world-space edge set}, plus the four baselines as
+//! [`SimilarityEngine`] rows on both city stores under Fréchet (see
+//! [`baselines`] for their cells). The 250–500-row store leaves out the
+//! `Explain` path and top-k at k = rows + 5 (see [`large_city`]). Two
+//! invariants that are not answers ride along: a raw scan of the whole
+//! cluster is byte-identical across configurations, and each query's scan
+//! volume `(retrieved, candidates, n_ranges)` is too.
 //!
 //! The trass-traj half of the argument (bound soundness, kernel
-//! bit-identity) lives in `crates/traj/tests/bounds_props.rs`.
+//! bit-identity) lives in `crates/traj/tests/bounds_props.rs`, and the
+//! reference's own checks (its bounds, and its answers against an
+//! every-row scan) in `trass_traj::reference`. The last test here shows
+//! that [`diff`] fails on each kind of wrong answer.
 
 use std::sync::Arc;
 use trass_baselines::dft::DftEngine;
@@ -39,6 +45,7 @@ use trass_rng::{check, Rng};
 use trass_server::protocol::{self, QueryRef, Request, Response};
 use trass_server::{ServerOptions, TrassClient, TrassServer};
 use trass_traj::generator::{self, BEIJING};
+use trass_traj::reference::{self, diff, Answer};
 use trass_traj::{Measure, Trajectory, TrajectoryId};
 
 const MEASURES: [Measure; 3] = [Measure::Frechet, Measure::Hausdorff, Measure::Dtw];
@@ -46,21 +53,6 @@ const MEASURES: [Measure; 3] = [Measure::Frechet, Measure::Hausdorff, Measure::D
 /// Thresholds from tight (few hits, heavy pruning) to wide (most
 /// candidates are hits, bounds rarely fire).
 const EPS: [f64; 4] = [0.0, 0.002, 0.01, 0.05];
-
-type Answer = Vec<(TrajectoryId, f64)>;
-
-/// The one comparison: `None` when `got` holds `want`'s ids in `want`'s
-/// order with the same distance bits, else the first difference.
-fn diff(got: &[(TrajectoryId, f64)], want: &[(TrajectoryId, f64)]) -> Option<String> {
-    let bits = |r: &(TrajectoryId, f64)| (r.0, r.1.to_bits());
-    match got.iter().map(bits).zip(want.iter().map(bits)).position(|(g, w)| g != w) {
-        Some(i) => Some(format!("row {i}: got {:?}, brute force {:?}", got[i], want[i])),
-        None if got.len() != want.len() => {
-            Some(format!("{} rows, brute force {}: {got:?} vs {want:?}", got.len(), want.len()))
-        }
-        None => None,
-    }
-}
 
 /// Panics naming the cell (built only then) when `got` is not `want`.
 fn assert_exact(
@@ -73,58 +65,45 @@ fn assert_exact(
     }
 }
 
-/// Brute force for one (dataset, query, measure): every row's distance.
-struct Truth(Answer);
-
-impl Truth {
-    fn new(data: &[Trajectory], q: &Trajectory, m: Measure) -> Truth {
-        Truth(data.iter().map(|t| (t.id, m.distance(q.points(), t.points()))).collect())
-    }
-
-    fn threshold(&self, eps: f64) -> Answer {
-        let mut hits: Answer = self.0.iter().copied().filter(|&(_, d)| d <= eps).collect();
-        hits.sort_by_key(|r| r.0);
-        hits
-    }
-
-    fn top_k(&self, k: usize) -> Answer {
-        let mut all = self.0.clone();
-        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
-    }
-}
-
-fn brute_range(data: &[Trajectory], window: &[f64; 4]) -> Answer {
-    let w = protocol::window_mbr(window);
-    let mut hits: Answer = data
-        .iter()
-        .filter(|t| t.points().iter().any(|p| w.contains_point(p)))
-        .map(|t| (t.id, 0.0))
-        .collect();
-    hits.sort_by_key(|r| r.0);
-    hits
-}
-
 fn traj(id: u64, pts: &[(f64, f64)]) -> Trajectory {
     Trajectory::new(id, pts.iter().map(|&(x, y)| Point::new(x, y)).collect())
 }
 
 /// One store's rows, the configuration it is opened under, and what it is
-/// asked.
+/// asked: its queries at every ε of [`EPS`] and every k of `ks`, its
+/// windows, on the embedded and wire paths and, if `explain`, `Explain`.
 struct Dataset {
     base: TrassConfig,
     data: Vec<Trajectory>,
     queries: Vec<Trajectory>,
     windows: Vec<[f64; 4]>,
+    ks: Vec<usize>,
+    explain: bool,
 }
 
-/// A T-Drive-like city store (BEIJING, squared) of a drawn size plus
-/// degenerate rows: a single point, an all-equal-points row, a duplicate,
-/// and rows south-west of the space and across its west edge, which
-/// normalization clamps.
+/// Top-k at k ∈ {1, 10, 50, rows + 5}.
+fn every_k(rows: usize) -> Vec<usize> {
+    vec![1, 10, 50, rows + 5]
+}
+
+/// A T-Drive-like city store (BEIJING, squared) of 16–40 drawn rows plus
+/// degenerate rows: a single point, an all-equal-points row, a
+/// duplicate, and rows south-west of the space and across its west edge,
+/// which normalization clamps.
 fn city(rng: &mut Rng) -> Dataset {
-    let mut data = generator::tdrive_like(rng.u64(), rng.len(16, 40));
+    city_of(rng, 16, 40)
+}
+
+/// The city store at 250–500 drawn rows. It leaves out the two cells that
+/// cost most at this size and that the small store already covers:
+/// `Explain`, which traces every call, and top-k at k = rows + 5, which
+/// reads the whole store.
+fn large_city(rng: &mut Rng) -> Dataset {
+    Dataset { ks: vec![1, 10, 50], explain: false, ..city_of(rng, 250, 500) }
+}
+
+fn city_of(rng: &mut Rng, lo: usize, hi: usize) -> Dataset {
+    let mut data = generator::tdrive_like(rng.u64(), rng.len(lo, hi));
     let n = data.len();
     data.extend([
         traj(901, &[(116.4, 39.9)]),
@@ -150,7 +129,8 @@ fn city(rng: &mut Rng) -> Dataset {
         let m = q.mbr().extended(0.02);
         [m.min_x, m.min_y, m.max_x, m.max_y]
     }));
-    Dataset { base: TrassConfig::for_extent(BEIJING), data, queries, windows }
+    let (ks, explain) = (every_k(data.len()), true);
+    Dataset { base: TrassConfig::for_extent(BEIJING), data, queries, windows, ks, explain }
 }
 
 /// The default (world) space: the antimeridian and both poles, on the
@@ -171,7 +151,8 @@ fn world() -> Dataset {
         [-40.0, -90.0, 40.0, -89.995],
         [-180.0, -90.0, 180.0, 90.0],
     ];
-    Dataset { base: TrassConfig::default(), queries: data.clone(), data, windows }
+    let (ks, explain) = (every_k(data.len()), true);
+    Dataset { base: TrassConfig::default(), queries: data.clone(), data, windows, ks, explain }
 }
 
 fn open_with(
@@ -226,9 +207,15 @@ impl Deployment {
         .expect("embedded query")
     }
 
-    /// Asks `request` on every path and checks each answer against `want`;
-    /// returns the embedded call's scan volume.
-    fn check(&mut self, request: &Request, want: &[(TrajectoryId, f64)]) -> (u64, u64, usize) {
+    /// Asks `request` embedded, over the wire and, if `explain`, under
+    /// `Explain`, and checks each answer against `want`; returns the
+    /// embedded call's scan volume.
+    fn check(
+        &mut self,
+        request: &Request,
+        want: &[(TrajectoryId, f64)],
+        explain: bool,
+    ) -> (u64, u64, usize) {
         let name = &self.name;
         let cell = |path: &'static str| move || format!("{name} {path} {request:?}");
         let r = self.embedded(request);
@@ -237,16 +224,18 @@ impl Deployment {
             Response::Results(wire) => assert_exact(&wire, want, cell("wire")),
             other => panic!("{}: {other:?}", cell("wire")()),
         }
-        let (explained, trace) = self.client.explain(request.clone()).expect("wire explain");
-        assert_exact(&explained, want, cell("explain"));
-        assert!(!trace.is_empty(), "{}: empty trace", cell("explain")());
+        if explain {
+            let (explained, trace) = self.client.explain(request.clone()).expect("wire explain");
+            assert_exact(&explained, want, cell("explain"));
+            assert!(!trace.is_empty(), "{}: empty trace", cell("explain")());
+        }
         (r.stats.retrieved, r.stats.candidates, r.stats.n_ranges)
     }
 }
 
 /// Every cell of one dataset: each (query, measure, kind) and window asked
-/// of the four configurations on every path, and the two invariants
-/// across the configurations.
+/// of the four configurations on its paths, and the two invariants across
+/// the configurations.
 fn table(ds: &Dataset) {
     let mut grid: Vec<Deployment> = [(1, true), (4, true), (1, false), (4, false)]
         .into_iter()
@@ -260,33 +249,36 @@ fn table(ds: &Dataset) {
     }
 
     let mut ask = |request: Request, want: Answer| {
-        let volumes: Vec<_> = grid.iter_mut().map(|d| d.check(&request, &want)).collect();
+        let volumes: Vec<_> =
+            grid.iter_mut().map(|d| d.check(&request, &want, ds.explain)).collect();
         assert!(
             volumes.iter().all(|v| *v == volumes[0]),
             "scan volume (retrieved, candidates, n_ranges) differs: {volumes:?} {request:?}"
         );
     };
-    let k_all = u32::try_from(ds.data.len() + 5).expect("small store");
     for q in &ds.queries {
         for measure in MEASURES {
-            let truth = Truth::new(&ds.data, q, measure);
             let query = || QueryRef::Inline(q.clone());
             for eps in EPS {
-                ask(Request::Threshold { query: query(), eps, measure }, truth.threshold(eps));
+                let want = reference::threshold(&ds.data, q, eps, measure);
+                ask(Request::Threshold { query: query(), eps, measure }, want);
             }
-            for k in [1, 10, 50, k_all] {
-                ask(Request::TopK { query: query(), k, measure }, truth.top_k(k as usize));
+            for &k in &ds.ks {
+                let want = reference::top_k(&ds.data, q, k, measure);
+                let k = u32::try_from(k).expect("a small k");
+                ask(Request::TopK { query: query(), k, measure }, want);
             }
         }
     }
     for window in &ds.windows {
-        ask(Request::Range { window: *window }, brute_range(&ds.data, window));
+        let want = reference::range(&ds.data, &protocol::window_mbr(window));
+        ask(Request::Range { window: *window }, want);
     }
 }
 
-/// The baselines on the city store under Fréchet, as [`SimilarityEngine`]
-/// rows: every threshold ε and top-k at TraSS's k ∈ {1, 10, 50, rows + 5}.
-/// REPOSE answers top-k only. JUST is built at resolution 12, not its
+/// The baselines on a city store under Fréchet, as [`SimilarityEngine`]
+/// rows: every threshold ε and top-k at each of the dataset's k. REPOSE
+/// answers top-k only. JUST is built at resolution 12, not its
 /// default 16, where its planner alone takes up to 2.5 s per top-k query;
 /// the resolution decides which ranges it scans, not what it answers.
 fn baselines(ds: &Dataset) {
@@ -302,9 +294,7 @@ fn baselines(ds: &Dataset) {
         Box::new(ReposeEngine::build(ds.data.clone(), 5)),
     ];
     let m = Measure::Frechet;
-    let k_all = ds.data.len() + 5;
     for q in &ds.queries {
-        let truth = Truth::new(&ds.data, q, m);
         for engine in &engines {
             let name = engine.name();
             for eps in EPS {
@@ -313,12 +303,12 @@ fn baselines(ds: &Dataset) {
                     continue;
                 };
                 let cell = || format!("{name} eps {eps} query {}", q.id);
-                assert_exact(&r.results, &truth.threshold(eps), cell);
+                assert_exact(&r.results, &reference::threshold(&ds.data, q, eps, m), cell);
             }
-            for k in [1, 10, 50, k_all] {
+            for &k in &ds.ks {
                 let r = engine.top_k(q, k, m).expect("every engine answers top-k");
                 let cell = || format!("{name} top-{k} query {}", q.id);
-                assert_exact(&r.results, &truth.top_k(k), cell);
+                assert_exact(&r.results, &reference::top_k(&ds.data, q, k, m), cell);
             }
         }
     }
@@ -330,8 +320,16 @@ fn city_store_answers_equal_brute_force_in_every_cell() {
 }
 
 #[test]
+fn city_store_of_250_to_500_rows_answers_equal_the_reference_in_every_cell() {
+    check(1, |rng| table(&large_city(rng)));
+}
+
+#[test]
 fn baseline_answers_equal_brute_force_on_the_city_store() {
-    check(1, |rng| baselines(&city(rng)));
+    check(1, |rng| {
+        baselines(&city(rng));
+        baselines(&large_city(rng));
+    });
 }
 
 #[test]
@@ -344,7 +342,7 @@ fn the_comparison_fails_on_each_kind_of_wrong_answer() {
     // Row 100 copies row 5, so the top-k answer to row 5 opens with a tie.
     let mut data = generator::tdrive_like(7, 12);
     data.push(Trajectory::new(100, data[5].points().to_vec()));
-    let want = Truth::new(&data, &data[5], Measure::Frechet).top_k(4);
+    let want = reference::top_k(&data, &data[5], 4, Measure::Frechet);
     assert_eq!((want[0].0, want[1].0, want[1].1.to_bits()), (5, 100, 0), "the tie leads");
     type Fault = fn(&mut Answer);
     let faults: [(bool, Fault); 5] = [

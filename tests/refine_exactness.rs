@@ -3,11 +3,10 @@
 //!
 //! The contract: bounds and early-abandoning kernels are pure
 //! optimisations. A store answers every threshold, top-k and range query
-//! with brute force's answer — same ids, same order, same bit-level
-//! distances — with bounds on and off, at 1 and 4 query threads.
+//! with the reference answer (`trass_traj::reference`; same ids, order and
+//! distance bits) with bounds on and off, at 1 and 4 query threads.
 //! `tests/exactness.rs` holds every path and engine to the same contract
-//! on small stores; this file runs the bounds × threads grid at a size
-//! where the bounds face more candidates, and checks that every
+//! on drawn stores of 16–500 rows. This file also checks that every
 //! candidate's verdict is attributed and that a corrupt row is skipped.
 //! The trass-traj half of the argument (bound soundness, kernel
 //! bit-identity) lives in `crates/traj/tests/bounds_props.rs`.
@@ -17,7 +16,7 @@ use trass_core::query;
 use trass_core::schema::{parse_rowkey, RowValue};
 use trass_core::store::TrajectoryStore;
 use trass_geo::Mbr;
-use trass_traj::{generator, DpFeatures, Measure, Trajectory, TrajectoryId};
+use trass_traj::{generator, reference, DpFeatures, Measure, Trajectory};
 
 const MEASURES: [Measure; 3] = [Measure::Frechet, Measure::Hausdorff, Measure::Dtw];
 
@@ -46,39 +45,20 @@ fn grid(data: &[Trajectory]) -> Vec<(String, TrajectoryStore)> {
         .collect()
 }
 
-/// `(id, distance bits)`, so `assert_eq!` compares distances bit for bit.
-fn bits(rows: &[(TrajectoryId, f64)]) -> Vec<(TrajectoryId, u64)> {
-    rows.iter().map(|&(id, d)| (id, d.to_bits())).collect()
-}
-
-/// Brute force: every row's distance to `q`, in (distance, id) order.
-fn ranked(data: &[Trajectory], q: &Trajectory, m: Measure) -> Vec<(TrajectoryId, f64)> {
-    let mut all: Vec<_> = data.iter().map(|t| (t.id, m.distance(q.points(), t.points()))).collect();
-    all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    all
-}
-
 #[test]
 fn threshold_results_identical_with_and_without_bounds() {
     let data = generator::tdrive_like(11, 250);
-    let queries = generator::sample_queries(&data, 3, 5);
     let stores = grid(&data);
     for measure in MEASURES {
-        for q in &queries {
-            let all = ranked(&data, q, measure);
+        for q in &generator::sample_queries(&data, 3, 5) {
             // Spans tight (few hits, heavy pruning) to wide (most
             // candidates are hits, bounds rarely fire).
             for eps in [0.0, 0.002, 0.01, 0.05] {
-                let mut want: Vec<_> = all.iter().copied().filter(|&(_, d)| d <= eps).collect();
-                want.sort_by_key(|r| r.0);
+                let want = reference::threshold(&data, q, eps, measure);
                 for (config, store) in &stores {
                     let got = query::threshold_search(store, q, eps, measure).expect("threshold");
-                    assert_eq!(
-                        bits(&got.results),
-                        bits(&want),
-                        "threshold vs brute force: {config} measure={measure} eps={eps} query={}",
-                        q.id
-                    );
+                    let cell = format!("{config} measure={measure} eps={eps} query={}", q.id);
+                    assert_eq!(reference::diff(&got.results, &want), None, "{cell}");
                 }
             }
         }
@@ -91,20 +71,15 @@ fn topk_results_identical_with_and_without_bounds() {
     // a moving threshold, so bounds and kernel abandons fire against a
     // value that tightens mid-query. The ranked answer must not notice.
     let data = generator::tdrive_like(13, 250);
-    let queries = generator::sample_queries(&data, 3, 23);
     let stores = grid(&data);
     for measure in MEASURES {
-        for q in &queries {
-            let all = ranked(&data, q, measure);
+        for q in &generator::sample_queries(&data, 3, 23) {
             for k in [1, 5, 10, 20] {
+                let want = reference::top_k(&data, q, k, measure);
                 for (config, store) in &stores {
                     let got = query::top_k_search(store, q, k, measure).expect("topk");
-                    assert_eq!(
-                        bits(&got.results),
-                        bits(&all[..k]),
-                        "top-k vs brute force: {config} measure={measure} k={k} query={}",
-                        q.id
-                    );
+                    let cell = format!("{config} measure={measure} k={k} query={}", q.id);
+                    assert_eq!(reference::diff(&got.results, &want), None, "{cell}");
                 }
             }
         }
@@ -118,17 +93,11 @@ fn range_results_identical_with_and_without_bounds() {
     // refine context cannot silently change it.
     let data = generator::tdrive_like(19, 250);
     let window = Mbr::new(116.2, 39.8, 116.5, 40.0);
-    // A range hit carries distance 0.
-    let mut want: Vec<_> = data
-        .iter()
-        .filter(|t| t.points().iter().any(|p| window.contains_point(p)))
-        .map(|t| (t.id, 0.0))
-        .collect();
-    want.sort_by_key(|r| r.0);
+    let want = reference::range(&data, &window);
     assert!(!want.is_empty(), "the window holds no row");
     for (config, store) in grid(&data) {
         let got = query::range_search(&store, &window).expect("range");
-        assert_eq!(bits(&got.results), bits(&want), "range vs brute force: {config}");
+        assert_eq!(reference::diff(&got.results, &want), None, "{config}");
     }
 }
 
@@ -168,6 +137,8 @@ fn refine_attribution_accounts_for_every_candidate() {
     for measure in MEASURES {
         for q in &queries {
             let r = query::threshold_search(&store, q, eps, measure).expect("search");
+            let want = reference::threshold(&data, q, eps, measure);
+            assert_eq!(reference::diff(&r.results, &want), None, "{measure} query {}", q.id);
             let s = &r.stats.refine_prune;
             assert_eq!(
                 s.pruned_total() + s.abandoned + s.computed + s.corrupt,
@@ -223,13 +194,14 @@ fn corrupt_empty_row_is_skipped_not_a_panic() {
 
         let q = &data[0];
         for measure in MEASURES {
+            // The answers are the reference answers over the other rows.
             let r = query::threshold_search(&store, q, 0.01, measure).expect("threshold");
-            assert!(
-                r.results.iter().all(|&(tid, _)| tid != victim),
-                "corrupt row {victim} leaked into results (bounds={refine_bounds}, {measure})"
-            );
+            let want = reference::threshold(&data[1..], q, 0.01, measure);
+            let cell = format!("bounds={refine_bounds}, {measure}");
+            assert_eq!(reference::diff(&r.results, &want), None, "threshold, {cell}");
             let t = query::top_k_search(&store, q, 5, measure).expect("topk");
-            assert!(t.results.iter().all(|&(tid, _)| tid != victim));
+            let want = reference::top_k(&data[1..], q, 5, measure);
+            assert_eq!(reference::diff(&t.results, &want), None, "top-k, {cell}");
         }
     }
 }
