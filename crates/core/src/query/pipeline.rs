@@ -67,7 +67,6 @@ pub(crate) type Answer = (SearchResult, Option<String>);
 #[derive(Default)]
 pub(crate) struct Refined {
     pub(crate) hits: Vec<(TrajectoryId, f64)>,
-    pub(crate) worker_busy: Vec<Duration>,
     pub(crate) prune: RefinePrune,
 }
 
@@ -107,15 +106,15 @@ impl<'a> StagedQuery<'a> {
 
     /// Runs `body` as `stage`: wall timer and trace child are entered
     /// together, and the one measured duration feeds the histogram and the
-    /// span and is returned for the stats. Wall time only — what workers
-    /// spend busy on the stage's behalf is reported apart
-    /// (`refine_worker_busy`, the `local-filter` series).
+    /// span and is returned for the stats. Wall time only — the filter
+    /// time spent inside the scan threads is reported apart (the
+    /// `local-filter` series).
     fn stage<R>(&self, stage: Stage, body: impl FnOnce(&mut TraceSpan) -> R) -> (R, Duration) {
         let obs = self.store.query_obs();
         let started = Instant::now();
         let mut span = self.parent.child(STAGE_SERIES[stage as usize]);
         let out = body(&mut span);
-        // The span's closing resource reads (a procfs read for CPU) go
+        // The span's closing resource reads (the thread CPU clock) go
         // inside the wall time, not into the glue after it.
         span.close_marks();
         let wall = started.elapsed();
@@ -199,7 +198,6 @@ impl<'a> StagedQuery<'a> {
         });
         self.store.query_obs().count_refine_outcomes(&refined.prune);
         self.stats.refine_time = wall;
-        self.stats.refine_worker_busy = refined.worker_busy;
         self.stats.refine_prune = refined.prune;
         self.stats.results = refined.hits.len() as u64;
         refined.hits

@@ -35,10 +35,6 @@ pub struct QueryStats {
     /// Measured end-to-end wall-clock time, set by the query drivers.
     /// Zero when the stats were assembled by hand (tests, aggregation).
     pub total_time: Duration,
-    /// Busy wall-clock time of each refine worker (one entry per worker
-    /// that participated; a single entry for sequential execution). Summed
-    /// across rounds for top-k queries.
-    pub refine_worker_busy: Vec<Duration>,
     /// Refine-stage outcome attribution: which lower bound (or kernel
     /// abandon) disposed of each candidate. Summed across rounds for
     /// top-k queries.
@@ -125,9 +121,8 @@ impl QueryStats {
 
     /// Folds one top-k round — one batch of the frontier — into the
     /// query's running totals: stage times, scan volume, I/O and refine
-    /// attribution add up; per-worker busy time adds position-wise (rounds
-    /// with tiny candidate sets may use fewer workers). `results` and `total_time` belong to
-    /// the whole query and are left to the driver.
+    /// attribution add up. `results` and `total_time` belong to the whole
+    /// query and are left to the driver.
     pub fn absorb_round(&mut self, round: &QueryStats) {
         self.pruning_time += round.pruning_time;
         self.scan_time += round.scan_time;
@@ -137,12 +132,6 @@ impl QueryStats {
         self.candidates += round.candidates;
         self.io = self.io.plus(&round.io);
         self.refine_prune = self.refine_prune.plus(&round.refine_prune);
-        for (i, busy) in round.refine_worker_busy.iter().enumerate() {
-            match self.refine_worker_busy.get_mut(i) {
-                Some(total) => *total += *busy,
-                None => self.refine_worker_busy.push(*busy),
-            }
-        }
     }
 }
 
@@ -182,23 +171,21 @@ mod tests {
     #[test]
     fn absorbing_rounds_sums_everything_but_results_and_total() {
         let ms = Duration::from_millis;
-        let round = |busy: &[u64]| QueryStats {
+        let round = QueryStats {
             scan_time: ms(2),
             candidates: 6,
             results: 7,
             total_time: ms(8),
-            refine_worker_busy: busy.iter().map(|&b| ms(b)).collect(),
             refine_prune: RefinePrune { endpoint: 1, ..RefinePrune::default() },
             ..QueryStats::default()
         };
         let mut total = QueryStats::default();
-        total.absorb_round(&round(&[10]));
-        total.absorb_round(&round(&[1, 2]));
+        total.absorb_round(&round);
+        total.absorb_round(&round);
         assert_eq!(
             (total.scan_time, total.candidates, total.refine_prune.endpoint),
             (ms(4), 12, 2)
         );
-        assert_eq!(total.refine_worker_busy, vec![ms(11), ms(2)]);
         assert_eq!((total.results, total.total_time), (0, Duration::ZERO));
     }
 

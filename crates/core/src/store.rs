@@ -3,11 +3,11 @@
 use crate::config::TrassConfig;
 use crate::query::pipeline::{Answer, QueryKind, STAGE_SERIES};
 use crate::schema::{parse_rowkey, rowkey, shard_of, RowValue};
-use crate::stats::{QueryStats, RefinePrune, SearchResult};
+use crate::stats::{RefinePrune, SearchResult};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use trass_exec::ScopedPool;
 use trass_geo::{Mbr, Point};
 use trass_index::ranges::ValueRange;
@@ -30,15 +30,13 @@ const FLIGHT_RECORDER_CAPACITY: usize = 32;
 /// on each other.
 const WRITER_STRIPES: usize = 64;
 
-/// One retained slow query: what ran and its full accounting.
+/// One retained slow query: what ran, and its trace when it has one.
 #[derive(Debug, Clone)]
 pub struct SlowQueryRecord {
     /// Query kind: `"threshold"`, `"topk"`, or `"range"`.
     pub kind: &'static str,
     /// Human-readable query parameters and outcome.
     pub detail: String,
-    /// The query's full stats (timings, I/O, cardinalities).
-    pub stats: QueryStats,
     /// The query's span tree, when the query was traced (sampled or
     /// explained). Untraced queries retain `None` — tracing every
     /// potential slow query would defeat sampling.
@@ -93,8 +91,8 @@ pub struct Explained {
 pub struct TrajectoryStore {
     config: TrassConfig,
     index: XzStar,
-    /// The trajectory table (the telemetry endpoint's `/healthz` and
-    /// `/readyz` routes hold a weak handle to it).
+    /// The trajectory table (the telemetry endpoint's `/healthz` route
+    /// holds a weak handle to it).
     cluster: Arc<Cluster>,
     /// Secondary table: tid → current index value.
     id_index: Cluster,
@@ -123,8 +121,9 @@ pub struct TrajectoryStore {
     /// Monotonic id handed to traced queries; the root span carries it as
     /// the `trace_id` label so slow-log entries can name their trace.
     trace_seq: AtomicU64,
+    /// `trass_ingest_seconds`: one sample per written row, so its count
+    /// is the rows ingested.
     ingest_seconds: Arc<Histogram>,
-    ingest_rows: Arc<Counter>,
     query_obs: QueryObs,
 }
 
@@ -219,22 +218,6 @@ impl TrajectoryStore {
         let index = XzStar::new(config.max_resolution);
         let occupancy = RowsByValue::of(&cluster);
         let ingest_seconds = registry.timer("trass_ingest_seconds", &[]);
-        let ingest_rows = registry.counter("trass_ingest_rows", &[]);
-        // Deployment identity for dashboards: the value is always 1; the
-        // configuration travels in the labels.
-        let shards = config.shards.to_string();
-        registry
-            .gauge(
-                "trass_build_info",
-                &[
-                    ("version", env!("CARGO_PKG_VERSION")),
-                    ("shards", &shards),
-                    ("use_position_codes", bool_label(config.use_position_codes)),
-                    ("use_min_dist", bool_label(config.use_min_dist)),
-                    ("use_local_filter", bool_label(config.use_local_filter)),
-                ],
-            )
-            .set(1);
         let query_obs = QueryObs::new(&registry);
         Ok(TrajectoryStore {
             tracer: TraceSampler::every(config.trace_sample_every),
@@ -250,7 +233,6 @@ impl TrajectoryStore {
             registry,
             slow_queries: Arc::new(SlowLog::new(SLOW_LOG_CAPACITY)),
             ingest_seconds,
-            ingest_rows,
             query_obs,
         })
     }
@@ -308,7 +290,7 @@ impl TrajectoryStore {
             TelemetrySources {
                 registry: Arc::clone(&self.registry),
                 flight: Arc::clone(&self.flight),
-                slowlog: Arc::new(move |json| render_slowlog(&slow, json)),
+                slowlog: Arc::new(move || render_slowlog(&slow)),
                 health: Arc::new(move || {
                     render_health(match cluster.upgrade() {
                         Some(cluster) => cluster.health(),
@@ -396,7 +378,7 @@ impl TrajectoryStore {
             self.flight.push(Arc::clone(trace));
         }
         if let Some(detail) = detail {
-            self.record_query(kind, detail, &result.stats, trace.clone());
+            self.record_query(kind, detail, result.stats.total_time(), trace.clone());
         }
         Ok((result, trace))
     }
@@ -407,16 +389,14 @@ impl TrajectoryStore {
         &self,
         kind: QueryKind,
         detail: String,
-        stats: &QueryStats,
+        total: Duration,
         trace: Option<Arc<QueryTrace>>,
     ) {
         let obs = &self.query_obs;
         obs.by_kind[kind as usize].0.inc();
-        obs.query_seconds.record_duration(stats.total_time());
-        self.slow_queries.record(
-            stats.total_time().as_nanos() as u64,
-            SlowQueryRecord { kind: kind.name(), detail, stats: stats.clone(), trace },
-        );
+        obs.query_seconds.record_duration(total);
+        let record = SlowQueryRecord { kind: kind.name(), detail, trace };
+        self.slow_queries.record(total.as_nanos() as u64, record);
     }
 
     /// Global pruning for `query`: the traversal over this store's
@@ -491,7 +471,6 @@ impl TrajectoryStore {
         self.occupancy.raise(value, old_value == Some(value));
         self.cluster.put(rowkey(shard, value, traj.id), row.encode())?;
         self.id_index.put(self.id_key(traj.id), value.to_le_bytes().to_vec())?;
-        self.ingest_rows.inc();
         self.ingest_seconds.record_duration(t.elapsed());
         Ok(())
     }
@@ -607,7 +586,7 @@ impl Occupancy for RowsByValue {
 }
 
 /// Renders a [`TrajectoryStore::health`] verdict as the telemetry
-/// endpoint's `/healthz` and `/readyz` and the wire `Health` op report it:
+/// endpoint's `/healthz` and the wire `Health` op report it:
 /// `status: ok` or `status: unhealthy`, then the `kv-regions` line, which
 /// carries the reason when it fails. The flag is the verdict.
 pub fn render_health(verdict: Result<(), String>) -> (bool, String) {
@@ -618,57 +597,27 @@ pub fn render_health(verdict: Result<(), String>) -> (bool, String) {
 }
 
 /// Renders the slow-query log for the telemetry endpoint's `/slowlog`
-/// route: a plain-text report, or (`json = true`) a JSON array whose
-/// entries carry the id of their attached trace (`null` when the query
-/// ran untraced) for cross-referencing against `/traces`.
-fn render_slowlog(log: &SlowLog<SlowQueryRecord>, json: bool) -> String {
-    let entries = log.snapshot();
-    if json {
-        let mut out = String::from("[");
-        for (i, (nanos, rec)) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let trace_id = rec
-                .trace
-                .as_ref()
-                .and_then(|t| t.root.label("trace_id").map(str::to_string))
-                .unwrap_or_else(|| "null".to_string());
-            out.push_str(&format!(
+/// route: a JSON array, slowest first, whose entries carry the id of their
+/// attached trace (`null` when the query ran untraced) for
+/// cross-referencing against `/traces`.
+fn render_slowlog(log: &SlowLog<SlowQueryRecord>) -> String {
+    let entries: Vec<String> = log
+        .snapshot()
+        .iter()
+        .enumerate()
+        .map(|(i, (nanos, rec))| {
+            let trace_id = rec.trace.as_ref().and_then(|t| t.root.label("trace_id"));
+            format!(
                 "{{\"rank\":{},\"total_ms\":{:.3},\"kind\":\"{}\",\"detail\":{},\"trace_id\":{}}}",
                 i + 1,
                 *nanos as f64 / 1e6,
                 rec.kind,
                 trass_obs::json::string(&rec.detail),
-                trace_id,
-            ));
-        }
-        out.push_str("]\n");
-        return out;
-    }
-    if entries.is_empty() {
-        return "slow-query log: empty\n".to_string();
-    }
-    let mut out = format!("{} retained slow queries, slowest first\n\n", entries.len());
-    for (i, (nanos, rec)) in entries.iter().enumerate() {
-        out.push_str(&format!(
-            "{:>2}. {:>10.3} ms  {:<9} {}{}\n",
-            i + 1,
-            *nanos as f64 / 1e6,
-            rec.kind,
-            rec.detail,
-            if rec.trace.is_some() { "  [traced]" } else { "" },
-        ));
-    }
-    out
-}
-
-fn bool_label(v: bool) -> &'static str {
-    if v {
-        "true"
-    } else {
-        "false"
-    }
+                trace_id.unwrap_or("null"),
+            )
+        })
+        .collect();
+    format!("[{}]\n", entries.join(","))
 }
 
 impl std::fmt::Debug for TrajectoryStore {

@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 use trass_core::config::TrassConfig;
+use trass_core::stats::RefinePrune;
 use trass_core::store::{ExplainQuery, TrajectoryStore};
 use trass_core::{range_search, threshold_search, top_k_search, QueryStats};
 use trass_geo::Mbr;
@@ -229,4 +230,95 @@ fn kv_counters_advance_by_the_queries_io() {
     }
     assert!(io.blocks_read > 0 && io.cache_hits > 0, "{io:?}");
     assert_eq!(store.cluster().metrics_snapshot().since(&before), io);
+}
+
+/// `(trass_queries{kind}, trass_query_errors{kind})` of `kind` now.
+fn query_counts(store: &TrajectoryStore, kind: &str) -> (u64, u64) {
+    let labels = [("kind", kind)];
+    let registry = store.registry();
+    (
+        registry.counter("trass_queries", &labels).get(),
+        registry.counter("trass_query_errors", &labels).get(),
+    )
+}
+
+/// `trass_refine_outcomes{outcome}` now, in `RefinePrune` field order.
+fn refine_outcomes(store: &TrajectoryStore) -> [u64; 6] {
+    ["pruned-endpoint", "pruned-mbr-gap", "pruned-ref-gap", "abandoned", "computed", "corrupt"].map(
+        |outcome| store.registry().counter("trass_refine_outcomes", &[("outcome", outcome)]).get(),
+    )
+}
+
+/// With nothing else running, the query families advance by exactly what
+/// the queries report: `trass_refine_outcomes{outcome}` by the sum of
+/// their `refine_prune`, label by label; `trass_queries{kind}` by the
+/// queries of each kind; `trass_query_seconds` by one sample of each
+/// query's total time.
+#[test]
+fn query_counters_advance_by_the_queries_stats() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut config = TrassConfig::for_extent(Mbr::new(116.0, 39.6, 116.8, 40.2));
+    config.query_threads = 2;
+    let store = TrajectoryStore::open(config).unwrap();
+    let data = generator::tdrive_like(17, 240);
+    store.insert_all(&data).unwrap();
+    store.flush().unwrap();
+    let outcomes_before = refine_outcomes(&store);
+    let counts_before = ["threshold", "topk", "range"].map(|kind| query_counts(&store, kind).0);
+    let seconds = store.registry().timer("trass_query_seconds", &[]);
+    let (samples_before, nanos_before) = (seconds.count(), seconds.sum());
+    let (mut prune, mut nanos) = (RefinePrune::default(), 0u128);
+    let mut book = |stats: &QueryStats| {
+        prune = prune.plus(&stats.refine_prune);
+        nanos += stats.total_time().as_nanos();
+    };
+    for q in data.iter().step_by(40) {
+        for measure in [Measure::Frechet, Measure::Hausdorff, Measure::Dtw] {
+            book(&threshold_search(&store, q, 0.01, measure).unwrap().stats);
+            book(&top_k_search(&store, q, 5, measure).unwrap().stats);
+        }
+        book(&range_search(&store, &q.mbr()).unwrap().stats);
+    }
+    assert!(prune.computed > 0 && prune.pruned_total() > 0, "{prune:?}");
+    let want = [
+        prune.endpoint,
+        prune.mbr_gap,
+        prune.ref_gap,
+        prune.abandoned,
+        prune.computed,
+        prune.corrupt,
+    ];
+    let got = refine_outcomes(&store);
+    assert_eq!(std::array::from_fn(|i| got[i] - outcomes_before[i]), want);
+    let queries = data.iter().step_by(40).count() as u64;
+    let counts = ["threshold", "topk", "range"].map(|kind| query_counts(&store, kind).0);
+    assert_eq!(
+        std::array::from_fn(|i| counts[i] - counts_before[i]),
+        [3 * queries, 3 * queries, queries]
+    );
+    assert_eq!(seconds.count() - samples_before, 7 * queries);
+    assert_eq!(u128::from(seconds.sum() - nanos_before), nanos);
+}
+
+/// A query the store rejects counts under `trass_query_errors{kind}` and
+/// nowhere else: a threshold query at ε = NaN adds 1 to the threshold
+/// errors, 0 to `trass_queries` and no `trass_query_seconds` sample; the
+/// next valid one adds the reverse.
+#[test]
+fn a_rejected_query_counts_as_an_error_not_a_query() {
+    let store =
+        TrajectoryStore::open(TrassConfig::for_extent(Mbr::new(116.0, 39.6, 116.8, 40.2))).unwrap();
+    let data = generator::tdrive_like(19, 20);
+    store.insert_all(&data).unwrap();
+    let seconds = store.registry().timer("trass_query_seconds", &[]);
+    let (queries, errors) = query_counts(&store, "threshold");
+    assert!(threshold_search(&store, &data[0], f64::NAN, Measure::Frechet).is_err());
+    assert_eq!(query_counts(&store, "threshold"), (queries, errors + 1));
+    assert_eq!(seconds.count(), 0);
+    threshold_search(&store, &data[0], 0.01, Measure::Frechet).unwrap();
+    assert_eq!(query_counts(&store, "threshold"), (queries + 1, errors + 1));
+    assert_eq!(seconds.count(), 1);
+    for kind in ["topk", "range"] {
+        assert_eq!(query_counts(&store, kind), (0, 0), "{kind}");
+    }
 }

@@ -1,7 +1,8 @@
 //! End-to-end acceptance tests for the embedded telemetry endpoint:
 //! Prometheus exposition over a live query workload with its metric
-//! families pinned, the kv regions' health check behind `/healthz` and
-//! `/readyz`, and clean shutdown (the port must be rebindable).
+//! families pinned, the slow log's JSON naming its traces, the kv regions'
+//! health check behind `/healthz`, and clean shutdown (the port must be
+//! rebindable).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -10,6 +11,7 @@ use trass_core::config::TrassConfig;
 use trass_core::store::TrajectoryStore;
 use trass_core::{range_search, threshold_search, top_k_search};
 use trass_geo::Mbr;
+use trass_obs::json;
 use trass_traj::{generator, Measure};
 
 fn populated_store(n: usize) -> (TrajectoryStore, Vec<trass_traj::Trajectory>) {
@@ -43,11 +45,17 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String, String) {
     (status, head.to_string(), body.to_string())
 }
 
+/// The items of a JSON array document.
+fn array(doc: &str) -> Vec<json::Value> {
+    match json::parse(doc) {
+        Ok(json::Value::Array(items)) => items,
+        other => panic!("not a JSON array: {other:?}\n{doc}"),
+    }
+}
+
 /// Every `# TYPE` family on `/metrics` after a threshold, a top-k and a
 /// range query, in exposition order.
-const PINNED_FAMILIES: [&str; 28] = [
-    "trass_build_info",
-    "trass_ingest_rows",
+const PINNED_FAMILIES: [&str; 26] = [
     "trass_ingest_seconds",
     "trass_kv_blocks_read",
     "trass_kv_bytes_read",
@@ -119,18 +127,32 @@ fn metrics_expose_the_query_pipeline_over_a_live_workload() {
         .collect();
     assert_eq!(families, PINNED_FAMILIES, "{body}");
 
-    let (status, _, json) = http_get(addr, "/metrics.json");
-    assert_eq!(status, 200);
-    assert!(json.trim_start().starts_with('{'), "{json}");
-    assert!(json.contains("trass_query_seconds"), "{json}");
-
     // The companion debug surfaces answer on the same listener.
     assert_eq!(http_get(addr, "/").0, 200);
-    assert_eq!(http_get(addr, "/slowlog").0, 200);
-    let (status, _, slow) = http_get(addr, "/slowlog?format=json");
+    // `/slowlog` holds the six queries, slowest first, and each trace id
+    // it names is the `trace_id` of a tree on `/traces`.
+    let (status, _, slow) = http_get(addr, "/slowlog");
     assert_eq!(status, 200);
-    assert!(slow.contains("\"trace_id\""), "{slow}");
-    assert_eq!(http_get(addr, "/traces").0, 200);
+    let entries = array(&slow);
+    let kinds: Vec<&str> = entries.iter().filter_map(|e| e.get("kind")?.as_str()).collect();
+    let count = |kind: &str| kinds.iter().filter(|&&k| k == kind).count();
+    assert_eq!((count("threshold"), count("topk"), count("range")), (4, 1, 1), "{slow}");
+    let total_ms: Vec<f64> = entries.iter().filter_map(|e| e.get("total_ms")?.as_f64()).collect();
+    assert_eq!(total_ms.len(), 6, "{slow}");
+    assert!(total_ms.windows(2).all(|w| w[0] >= w[1]), "not slowest first: {slow}");
+    let (status, _, traces) = http_get(addr, "/traces");
+    assert_eq!(status, 200);
+    let traced: Vec<String> = array(&traces)
+        .iter()
+        .filter_map(|t| Some(t.get("labels")?.get("trace_id")?.as_str()?.to_string()))
+        .collect();
+    let named: Vec<String> = entries
+        .iter()
+        .filter_map(|e| e.get("trace_id")?.as_f64())
+        .map(|id| format!("{id}"))
+        .collect();
+    assert!(!named.is_empty(), "the first query is sampled: {slow}");
+    assert!(named.iter().all(|id| traced.contains(id)), "{named:?} vs {traced:?}");
     assert_eq!(http_get(addr, "/definitely-not-a-route").0, 404);
 
     telemetry.shutdown();
@@ -142,10 +164,9 @@ fn healthz_reports_the_regions_check() {
     let telemetry = store.serve_telemetry().unwrap();
     let addr = telemetry.local_addr();
 
-    // The regions' check passes and is named, the same under both paths.
+    // The regions' check passes and is named.
     let (status, _, body) = http_get(addr, "/healthz");
     assert_eq!((status, body.as_str()), (200, "status: ok\nok   probe kv-regions\n"));
-    assert_eq!(http_get(addr, "/readyz").2, body);
 
     // The endpoint does not keep a dropped store's regions alive.
     drop(store);

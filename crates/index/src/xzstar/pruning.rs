@@ -73,9 +73,9 @@ impl QueryContext {
     /// # Panics
     /// Panics if `points` is empty or `eps` is negative/NaN.
     pub fn new(_index: &XzStar, points: Vec<Point>, eps: f64) -> Self {
-        // trass-lint: allow(panic-surface) internal invariant on split positions; violation is a programming error worth failing loudly on
+        // trass-lint: allow(panic-surface) the documented precondition: a query has at least one point; an empty one is a caller bug
         assert!(!points.is_empty(), "empty query trajectory");
-        // trass-lint: allow(panic-surface) internal invariant on split positions; violation is a programming error worth failing loudly on
+        // trass-lint: allow(panic-surface) the documented precondition: ε is non-negative and not NaN (`>=` is false for NaN); a violation is a caller bug
         assert!(eps >= 0.0, "negative or NaN threshold");
         QueryContext { points, eps }
     }

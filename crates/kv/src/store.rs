@@ -882,42 +882,55 @@ mod tests {
         assert_eq!(warm.cache_hits, 0);
     }
 
+    /// Every flush and compaction family reads what the files on disk and a
+    /// full scan imply: two flushes of the bytes their two tables hold, then
+    /// one compaction that reads exactly the blocks and bytes a cold full
+    /// scan reads and writes the one table left.
     #[test]
     fn maintenance_paths_report_to_registry() {
+        let dir = std::env::temp_dir().join(format!("trass-store-maint-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         let registry = trass_obs::Registry::new_shared();
         let s = LsmStore::open(StoreOptions {
-            memtable_bytes: 1 << 14,
-            compaction_threshold: 4,
+            block_cache_bytes: 0,
             registry: Some(Arc::clone(&registry)),
             shard_label: Some("7".to_string()),
-            ..StoreOptions::in_memory()
+            ..StoreOptions::at_dir(&dir)
         })
         .unwrap();
-        for i in 0..200 {
-            let (k, v) = kv(i);
-            s.put(k, v).unwrap();
+        let table_bytes = || -> u64 {
+            let files = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path());
+            let tables = files.filter(|p| p.extension().is_some_and(|e| e == "sst"));
+            tables.map(|p| std::fs::metadata(p).unwrap().len()).sum()
+        };
+        for (from, to) in [(0, 200), (200, 400)] {
+            for i in from..to {
+                let (k, v) = kv(i);
+                s.put(k, v).unwrap();
+            }
+            s.flush().unwrap();
         }
-        s.flush().unwrap();
-        for i in 200..400 {
-            let (k, v) = kv(i);
-            s.put(k, v).unwrap();
-        }
-        s.flush().unwrap();
-        s.compact().unwrap();
         let labels = [("shard", "7")];
-        assert!(registry.timer("trass_kv_flush_seconds", &labels).count() >= 2);
-        assert!(registry.counter("trass_kv_flush_bytes", &labels).get() > 0);
-        assert_eq!(registry.counter("trass_kv_compactions", &labels).get(), 1);
-        assert_eq!(registry.timer("trass_kv_compaction_seconds", &labels).count(), 1);
-        assert!(registry.counter("trass_kv_compaction_bytes_written", &labels).get() > 0);
-        assert!(registry.counter("trass_kv_compaction_blocks_read", &labels).get() > 0);
-        assert_eq!(registry.counter("trass_kv_compaction_entries_scanned", &labels).get(), 400);
-        // Compaction I/O must not leak into the store's query metrics.
-        assert_eq!(s.metrics().snapshot().entries_scanned, 0);
-        // Query-side counters are the registry's series.
-        let _ = s.scan(KeyRange::all()).unwrap();
-        assert_eq!(registry.counter("trass_kv_entries_scanned", &labels).get(), 400);
-        assert_eq!(registry.counter("trass_kv_range_scans", &labels).get(), 1);
+        let counter = |name: &str| registry.counter(name, &labels).get();
+        let timed = |name: &str| registry.timer(name, &labels).count();
+        assert_eq!(s.n_tables(), 2);
+        assert_eq!((counter("trass_kv_flushes"), timed("trass_kv_flush_seconds")), (2, 2));
+        assert_eq!(counter("trass_kv_flush_bytes"), table_bytes());
+        // A cold full scan reads every block of both tables once.
+        let (rows, cold) = s.scan_ranges_filtered(&[KeyRange::all()], &KeepAll).unwrap();
+        assert_eq!((rows.len(), cold.entries_scanned, cold.range_scans), (400, 400, 1));
+        s.compact().unwrap();
+        assert_eq!((counter("trass_kv_compactions"), timed("trass_kv_compaction_seconds")), (1, 1));
+        assert_eq!(counter("trass_kv_compaction_bytes_written"), table_bytes());
+        assert_eq!(counter("trass_kv_compaction_blocks_read"), cold.blocks_read);
+        assert_eq!(counter("trass_kv_compaction_bytes_read"), cold.bytes_read);
+        assert_eq!(counter("trass_kv_compaction_entries_scanned"), 400);
+        // Compaction I/O does not leak into the store's query series: they
+        // hold the one scan above.
+        assert_eq!(s.metrics().snapshot(), cold);
+        assert_eq!(counter("trass_kv_entries_scanned"), 400);
+        drop(s);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,84 +1,15 @@
-//! Exporters: Prometheus text format and JSON.
+//! The registry's one rendering: the Prometheus text exposition format,
+//! served on `/metrics` and by the wire `Stats` op alike.
 //!
-//! Both render a point-in-time snapshot of a [`Registry`]. Output is
+//! It renders a point-in-time snapshot of a [`Registry`]. Output is
 //! deterministic (families and series sorted by name, then labels) so
 //! tests and diffs are stable.
 
 use crate::histogram::Histogram;
-use crate::json;
 use crate::registry::{Metric, Registry};
 use std::fmt::Write as _;
 
-/// A plain-data snapshot of one metric, for programmatic consumers (the
-/// experiment harness reads these instead of parsing the rendered text).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricSnapshot {
-    /// Metric family name.
-    pub name: String,
-    /// Sorted label pairs.
-    pub labels: Vec<(String, String)>,
-    /// The value.
-    pub value: MetricValue,
-}
-
-/// The value part of a [`MetricSnapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    /// Monotone counter.
-    Counter(u64),
-    /// Up/down gauge.
-    Gauge(i64),
-    /// Histogram summary (values pre-multiplied by the export scale).
-    Histogram {
-        /// Sample count.
-        count: u64,
-        /// Sum of samples, scaled.
-        sum: f64,
-        /// Median, scaled.
-        p50: f64,
-        /// 90th percentile, scaled.
-        p90: f64,
-        /// 99th percentile, scaled.
-        p99: f64,
-        /// 99.9th percentile, scaled.
-        p999: f64,
-        /// Smallest sample, scaled.
-        min: f64,
-        /// Largest sample, scaled.
-        max: f64,
-    },
-}
-
 impl Registry {
-    /// A structured snapshot of every registered metric, sorted by
-    /// `(name, labels)`.
-    pub fn snapshot(&self) -> Vec<MetricSnapshot> {
-        self.sorted_entries()
-            .into_iter()
-            .map(|((name, labels), metric)| {
-                let value = match metric {
-                    Metric::Counter(c) => MetricValue::Counter(c.get()),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => {
-                        let p = h.percentiles();
-                        let s = h.scale();
-                        MetricValue::Histogram {
-                            count: h.count(),
-                            sum: h.sum() as f64 * s,
-                            p50: p.p50 as f64 * s,
-                            p90: p.p90 as f64 * s,
-                            p99: p.p99 as f64 * s,
-                            p999: p.p999 as f64 * s,
-                            min: h.min() as f64 * s,
-                            max: h.max() as f64 * s,
-                        }
-                    }
-                };
-                MetricSnapshot { name, labels, value }
-            })
-            .collect()
-    }
-
     /// Renders every metric in the Prometheus text exposition format.
     ///
     /// Histograms emit cumulative `_bucket{le="..."}` series over their
@@ -109,60 +40,6 @@ impl Registry {
             }
         }
         out
-    }
-
-    /// Renders every metric as a JSON document:
-    /// `{"counters": [...], "gauges": [...], "histograms": [...]}`.
-    ///
-    /// Literals come from [`crate::json`], whose parser reads the document
-    /// back.
-    pub fn render_json(&self) -> String {
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut histograms = Vec::new();
-        for snap in self.snapshot() {
-            let mut obj = String::new();
-            let _ = write!(obj, "{{\"name\":{}", json::string(&snap.name));
-            let _ = write!(obj, ",\"labels\":{{");
-            for (i, (k, v)) in snap.labels.iter().enumerate() {
-                if i > 0 {
-                    obj.push(',');
-                }
-                let _ = write!(obj, "{}:{}", json::string(k), json::string(v));
-            }
-            obj.push('}');
-            match snap.value {
-                MetricValue::Counter(v) => {
-                    let _ = write!(obj, ",\"value\":{v}}}");
-                    counters.push(obj);
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = write!(obj, ",\"value\":{v}}}");
-                    gauges.push(obj);
-                }
-                MetricValue::Histogram { count, sum, p50, p90, p99, p999, min, max } => {
-                    let _ = write!(
-                        obj,
-                        ",\"count\":{count},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{},\
-                         \"p999\":{},\"min\":{},\"max\":{}}}",
-                        json::number(sum),
-                        json::number(p50),
-                        json::number(p90),
-                        json::number(p99),
-                        json::number(p999),
-                        json::number(min),
-                        json::number(max),
-                    );
-                    histograms.push(obj);
-                }
-            }
-        }
-        format!(
-            "{{\"counters\":[{}],\"gauges\":[{}],\"histograms\":[{}]}}",
-            counters.join(","),
-            gauges.join(","),
-            histograms.join(",")
-        )
     }
 }
 
@@ -308,40 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn json_parses_back_to_the_registry_contents() {
-        let r = Registry::new();
-        r.counter("c", &[("a", "x\"y\\z\n")]).inc();
-        r.gauge("g", &[]).set(-2);
-        r.timer("t_seconds", &[]).record(500);
-        let doc = json::parse(&r.render_json()).expect("exporter emits valid JSON");
-        let first = |family: &str| match doc.get(family) {
-            Some(json::Value::Array(items)) => items[0].clone(),
-            other => panic!("{family}: {other:?}"),
-        };
-        let counter = first("counters");
-        assert_eq!(counter.get("name").and_then(json::Value::as_str), Some("c"));
-        let label = counter.get("labels").and_then(|l| l.get("a"));
-        assert_eq!(label.and_then(json::Value::as_str), Some("x\"y\\z\n"));
-        assert_eq!(counter.get("value").and_then(json::Value::as_f64), Some(1.0));
-        assert_eq!(first("gauges").get("value").and_then(json::Value::as_f64), Some(-2.0));
-        assert_eq!(first("histograms").get("count").and_then(json::Value::as_f64), Some(1.0));
-    }
-
-    #[test]
-    fn snapshot_is_sorted_and_typed() {
-        let r = Registry::new();
-        r.counter("b", &[]).inc();
-        r.counter("a", &[]).inc();
-        let snaps = r.snapshot();
-        assert_eq!(snaps[0].name, "a");
-        assert_eq!(snaps[1].name, "b");
-        assert!(matches!(snaps[0].value, MetricValue::Counter(1)));
-    }
-
-    #[test]
     fn empty_registry_renders_empty() {
         let r = Registry::new();
         assert_eq!(r.render_prometheus(), "");
-        assert_eq!(r.render_json(), "{\"counters\":[],\"gauges\":[],\"histograms\":[]}");
     }
 }

@@ -3,10 +3,9 @@
 //! The paper's evaluation reports latency *distributions* — medians in
 //! Figs. 9–10, the p99 tail in Fig. 18 — and a production deployment needs
 //! the same percentiles live, per stage and per shard. This histogram
-//! supports both uses from one implementation: recording is a single
-//! relaxed `fetch_add` (safe to leave on in hot paths), merging is
-//! bucket-wise addition (aggregation across shards or query batches), and
-//! percentile queries walk the bucket array without locking writers.
+//! supports both uses from one implementation: recording is a few relaxed
+//! atomic updates (safe to leave on in hot paths), and percentile queries
+//! walk the bucket array without locking writers.
 //!
 //! # Bucketing scheme
 //!
@@ -112,17 +111,9 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Records `n` occurrences of `value`.
-    pub fn record_n(&self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[Self::index_of(value)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(value.saturating_mul(n), Ordering::Relaxed);
+        self.buckets[Self::index_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
     }
@@ -132,28 +123,12 @@ impl Histogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Adds every sample of `other` into `self`. Equivalent (up to bucket
-    /// resolution) to having recorded the concatenation of both sample
-    /// streams.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min.fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all recorded values (saturating).
+    /// Sum of all recorded values (wrapping past `u64::MAX`).
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
@@ -225,17 +200,6 @@ impl Histogram {
                 (n > 0).then(|| (Self::bucket_upper(i), n))
             })
             .collect()
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -320,29 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_concatenated_recording() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let both = Histogram::new();
-        for v in [0u64, 5, 100, 40_000, 1 << 40] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [3u64, 5, 999, 1 << 20] {
-            b.record(v);
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.sum(), both.sum());
-        assert_eq!(a.min(), both.min());
-        assert_eq!(a.max(), both.max());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(a.value_at_quantile(q), both.value_at_quantile(q));
-        }
-    }
-
-    #[test]
     fn empty_histogram_is_zeroes() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
@@ -351,30 +292,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.value_at_quantile(0.5), 0);
         assert!(h.nonzero_buckets().is_empty());
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let h = Histogram::new();
-        h.record(123);
-        h.record(1 << 33);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.value_at_quantile(0.99), 0);
-        assert!(h.nonzero_buckets().is_empty());
-    }
-
-    #[test]
-    fn record_n_weights_counts() {
-        let h = Histogram::new();
-        h.record_n(10, 99);
-        h.record_n(1_000_000, 1);
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.value_at_quantile(0.5), 10);
-        // The single large sample is the p100 but not the p99 (99 of 100
-        // samples are 10; target index ceil(0.99*100)=99 → still 10).
-        assert_eq!(h.value_at_quantile(0.99), 10);
-        assert_eq!(h.value_at_quantile(1.0), 1_000_000);
     }
 
     #[test]

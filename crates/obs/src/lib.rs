@@ -8,19 +8,20 @@
 //! level of the stack:
 //!
 //! * [`Histogram`] — a log-bucketed (HDR-style) concurrent histogram with
-//!   `record` / `merge` / percentile queries (p50/p90/p99/p999) under
-//!   relaxed atomics. The *same* implementation backs production metrics
-//!   and the benchmark harness's tail-latency numbers (Fig. 18), so the
-//!   two can never disagree.
-//! * [`Registry`] — named counters, gauges, and histograms with label
-//!   support (`shard`, `stage`, `measure`, …).
+//!   `record` and percentile queries (p50/p90/p99/p999) under relaxed
+//!   atomics. The *same* implementation backs production metrics and the
+//!   experiment harness's tail-latency numbers (Fig. 18), so the two can
+//!   never disagree.
+//! * [`Registry`] — named counters, gauges, and duration histograms with
+//!   label support (`shard`, `stage`, `measure`, …).
 //! * [`STAGE_HISTOGRAM`] — the per-stage wall-time family
 //!   (`trass_query_stage_seconds{stage="scan"}`). Its one writer is
 //!   `trass-core`'s staged query path, whose single call per stage feeds
 //!   the histogram, the stage's [`TraceSpan`] and the per-query stats
 //!   from one measured duration.
-//! * Exporters — Prometheus text format ([`Registry::render_prometheus`])
-//!   and JSON ([`Registry::render_json`] / [`Registry::snapshot`]).
+//! * [`export`] — the registry's one rendering, the Prometheus text
+//!   format ([`Registry::render_prometheus`]), behind `/metrics` and the
+//!   wire `Stats` op.
 //! * [`json`] — the workspace's one JSON writer and parser, behind every
 //!   JSON surface here and the experiment rows under `results/`.
 //! * [`sync`] — poison-tolerant `Mutex`/`RwLock`, the locking policy of
@@ -30,9 +31,9 @@
 //!   [`QueryTrace`]) with `EXPLAIN ANALYZE` and JSON renderers, plus a
 //!   [`FlightRecorder`] ring buffer of the last N completed traces.
 //! * [`http`] — an embedded, dependency-free telemetry endpoint
-//!   ([`Telemetry`] / [`HttpServer`]) serving `/metrics`,
-//!   `/metrics.json`, `/traces`, `/slowlog`, `/healthz`, and `/readyz`
-//!   over `std::net`; the health report is the caller's to render.
+//!   ([`Telemetry`]) serving `/metrics`, `/traces`,
+//!   `/slowlog` and `/healthz` over `std::net`, one rendering each; the
+//!   slow-log and health reports are the caller's to render.
 //! * [`listener`] — the one thread-per-connection accept/join loop
 //!   ([`Listener`]) under both the telemetry endpoint and `trass-server`.
 //! * [`alloc`] — the per-thread readings behind EXPLAIN's resource
@@ -40,7 +41,8 @@
 //!   per-thread CPU time, marked at span open and finish.
 //!
 //! Metric name conventions: `trass_query_*` (query pipeline),
-//! `trass_kv_*` (store internals), `trass_ingest_*` (write path);
+//! `trass_kv_*` (store internals), `trass_ingest_*` (write path),
+//! `trass_server_*` (wire front-end);
 //! duration histograms end in `_seconds` and record nanoseconds internally
 //! (scaled at export).
 
@@ -65,9 +67,8 @@ pub mod sync;
 pub mod trace;
 
 pub use alloc::{AllocSnapshot, CountingAlloc};
-pub use export::{MetricSnapshot, MetricValue};
 pub use histogram::{Histogram, Percentiles};
-pub use http::{HttpServer, Request, Response, Telemetry, TelemetrySources};
+pub use http::{Telemetry, TelemetrySources};
 pub use listener::{Listener, StopSignal};
 pub use registry::{Counter, Gauge, Registry};
 pub use slowlog::SlowLog;

@@ -116,24 +116,15 @@ impl Registry {
         }
     }
 
-    /// Gets or creates a histogram of raw `u64` values (export scale 1.0).
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        self.histogram_scaled(name, labels, 1.0)
-    }
-
     /// Gets or creates a duration histogram: values are recorded in
     /// nanoseconds and exported in seconds (scale `1e-9`). By convention
     /// its name ends in `_seconds`.
     pub fn timer(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        self.histogram_scaled(name, labels, 1e-9)
-    }
-
-    fn histogram_scaled(&self, name: &str, labels: &[(&str, &str)], scale: f64) -> Arc<Histogram> {
         let key = key_of(name, labels);
         let mut metrics = self.metrics.lock();
         match metrics
             .entry(key)
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::with_scale(scale))))
+            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::with_scale(1e-9))))
         {
             Metric::Histogram(h) => Arc::clone(h),
             other => panic!("metric {name} already registered as {}", kind_name(other)),

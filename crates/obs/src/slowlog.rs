@@ -72,29 +72,6 @@ impl<T: Clone> SlowLog<T> {
         out.sort_by_key(|e| std::cmp::Reverse(e.0));
         out
     }
-
-    /// Number of retained items.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum number of retained items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Clears the log.
-    pub fn clear(&self) {
-        let mut entries = self.entries.lock();
-        entries.clear();
-        self.full.store(false, Ordering::Release);
-        self.min_key.store(0, Ordering::Release);
-    }
 }
 
 impl<T> std::fmt::Debug for SlowLog<T> {
@@ -127,8 +104,7 @@ mod tests {
         let log = SlowLog::new(10);
         log.record(1, ());
         log.record(2, ());
-        assert_eq!(log.len(), 2);
-        assert!(!log.is_empty());
+        assert_eq!(log.snapshot().len(), 2);
     }
 
     #[test]
@@ -156,17 +132,5 @@ mod tests {
         log.record(21, 21); // evicts 20; min becomes 21
         let keys: Vec<u64> = log.snapshot().iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![40, 30, 25, 21]);
-    }
-
-    #[test]
-    fn clear_reopens_the_log() {
-        let log = SlowLog::new(2);
-        log.record(100, ());
-        log.record(200, ());
-        log.clear();
-        assert!(log.is_empty());
-        // After clear, small keys must be admitted again.
-        log.record(1, ());
-        assert_eq!(log.len(), 1);
     }
 }

@@ -126,19 +126,6 @@ impl SpanRecord {
     pub fn label(&self, name: &str) -> Option<&str> {
         self.labels.iter().find_map(|(k, v)| (k == name).then_some(v.as_str()))
     }
-
-    /// Depth-first search for the first descendant (or self) with `name`.
-    pub fn find(&self, name: &str) -> Option<&SpanRecord> {
-        if self.name == name {
-            return Some(self);
-        }
-        self.children.iter().find_map(|c| c.find(name))
-    }
-
-    /// Total number of spans in this subtree (including self).
-    pub fn span_count(&self) -> usize {
-        1 + self.children.iter().map(SpanRecord::span_count).sum::<usize>()
-    }
 }
 
 /// A completed span in flat (pre-assembly) form.
@@ -193,11 +180,6 @@ impl TraceCtx {
         TraceCtx(Some(Arc::new(TraceInner::new())))
     }
 
-    /// Whether spans opened under this context record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Opens the root span. Call once per trace; the root must be finished
     /// (or dropped) before [`TraceCtx::finish`].
     pub fn root(&self, name: &str) -> TraceSpan {
@@ -218,7 +200,7 @@ impl TraceCtx {
 
 impl fmt::Debug for TraceCtx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceCtx").field("enabled", &self.is_enabled()).finish()
+        f.debug_struct("TraceCtx").field("enabled", &self.0.is_some()).finish()
     }
 }
 
@@ -478,11 +460,6 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// Depth-first search for the first span with `name`.
-    pub fn find(&self, name: &str) -> Option<&SpanRecord> {
-        self.root.find(name)
-    }
-
     /// Renders the trace as an indented `EXPLAIN ANALYZE`-style tree:
     /// one line per span with its wall time, percentage of parent time,
     /// labels, and fields.
@@ -568,11 +545,6 @@ impl TraceSampler {
         // trass-lint: allow(panic-surface) the sampler early-returns when `every == 0` two lines above
         self.counter.fetch_add(1, Ordering::Relaxed) % self.every == 0
     }
-
-    /// The sampling period (0 = disabled).
-    pub fn period(&self) -> u64 {
-        self.every
-    }
 }
 
 /// A fixed-capacity ring buffer of the last N completed traces.
@@ -609,16 +581,6 @@ impl FlightRecorder {
     /// True when no trace has been recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Maximum number of retained traces.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Drops every retained trace.
-    pub fn clear(&self) {
-        self.traces.lock().clear();
     }
 }
 
@@ -689,6 +651,11 @@ mod tests {
     use super::*;
     use crate::json::Value;
 
+    /// The number of spans in `s`'s subtree, `s` included.
+    fn span_count(s: &SpanRecord) -> usize {
+        1 + s.children.iter().map(span_count).sum::<usize>()
+    }
+
     fn sleepless_trace() -> QueryTrace {
         let ctx = TraceCtx::enabled();
         let mut root = ctx.root("threshold");
@@ -721,19 +688,18 @@ mod tests {
         assert_eq!(t.root.children[0].name, "pruning");
         assert_eq!(t.root.children[1].name, "scan");
         assert_eq!(t.root.children[1].children.len(), 3);
-        assert_eq!(t.root.span_count(), 6);
+        assert_eq!(span_count(&t.root), 6);
         let shards: Vec<&str> = t.root.children[1]
             .children_named("region-scan")
             .map(|s| s.label("shard").unwrap())
             .collect();
         assert_eq!(shards, vec!["0", "1", "2"]);
-        assert_eq!(t.find("pruning").unwrap().field_u64("visited"), Some(42));
+        assert_eq!(t.root.children[0].field_u64("visited"), Some(42));
     }
 
     #[test]
     fn disabled_ctx_records_nothing() {
         let ctx = TraceCtx::disabled();
-        assert!(!ctx.is_enabled());
         let mut root = ctx.root("threshold");
         assert!(!root.is_enabled());
         root.set_field("eps", 1.0);
@@ -858,7 +824,7 @@ mod tests {
         let names = |s: &SpanRecord| s.children.iter().map(|c| c.name.clone()).collect::<Vec<_>>();
         assert_eq!(names(&root), ["s5", "s1", "s2"]);
         assert_eq!(names(&root.children[2]), ["s3"]);
-        assert_eq!(root.span_count(), 5);
+        assert_eq!(span_count(&root), 5);
         assert!(assemble(vec![flat(1, 0, 0)]).is_none(), "no root, no tree");
     }
 
@@ -885,8 +851,6 @@ mod tests {
         assert_eq!(fr.len(), 2);
         let names: Vec<String> = fr.snapshot().iter().map(|t| t.root.name.clone()).collect();
         assert_eq!(names, vec!["b", "c"]);
-        fr.clear();
-        assert!(fr.is_empty());
     }
 
     #[test]
@@ -919,7 +883,7 @@ mod tests {
                     for _ in 0..50 {
                         for t in fr.snapshot() {
                             assert_json_renders(&t);
-                            assert_eq!(t.root.span_count(), 2);
+                            assert_eq!(span_count(&t.root), 2);
                         }
                     }
                 });

@@ -69,66 +69,6 @@ fn registry_handles_are_shared_across_threads() {
 }
 
 #[test]
-fn concurrent_merge_preserves_totals() {
-    let target = Arc::new(Histogram::new());
-    let sources: Vec<Arc<Histogram>> = (0..THREADS)
-        .map(|t| {
-            let h = Histogram::new();
-            for i in 0..PER_THREAD {
-                h.record(i * (t as u64 + 1));
-            }
-            Arc::new(h)
-        })
-        .collect();
-    std::thread::scope(|s| {
-        for src in &sources {
-            let target = Arc::clone(&target);
-            let src = Arc::clone(src);
-            s.spawn(move || target.merge(&src));
-        }
-    });
-    assert_eq!(target.count(), THREADS as u64 * PER_THREAD);
-    let expected_sum: u64 = sources.iter().map(|h| h.sum()).sum();
-    assert_eq!(target.sum(), expected_sum);
-}
-
-#[test]
-fn concurrent_records_and_merges_conserve_counts() {
-    // Recorders and mergers run at the same time: the target must end up
-    // with exactly every sample from both populations, no matter how the
-    // bucket updates interleave.
-    let target = Arc::new(Histogram::new());
-    let sources: Vec<Arc<Histogram>> = (0..THREADS)
-        .map(|t| {
-            let h = Histogram::new();
-            for i in 0..PER_THREAD {
-                h.record(i.wrapping_mul(t as u64 + 7) % 500_000);
-            }
-            Arc::new(h)
-        })
-        .collect();
-    std::thread::scope(|s| {
-        for src in &sources {
-            let target = Arc::clone(&target);
-            let src = Arc::clone(src);
-            s.spawn(move || target.merge(&src));
-        }
-        for t in 0..THREADS {
-            let target = Arc::clone(&target);
-            s.spawn(move || {
-                for i in 0..PER_THREAD {
-                    target.record((i * 17 + t as u64) % 500_000);
-                }
-            });
-        }
-    });
-    let expected = 2 * THREADS as u64 * PER_THREAD;
-    assert_eq!(target.count(), expected);
-    let bucket_total: u64 = target.nonzero_buckets().iter().map(|&(_, n)| n).sum();
-    assert_eq!(bucket_total, expected);
-}
-
-#[test]
 fn slow_log_concurrent_records_and_snapshots() {
     // Writers offer distinct keys while snapshotters read continuously:
     // every snapshot must be internally consistent (sorted, bounded, no

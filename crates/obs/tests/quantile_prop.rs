@@ -1,5 +1,5 @@
-//! Property test: merging two histograms is indistinguishable from
-//! recording the concatenation of their sample streams.
+//! Property test: a histogram's quantiles stay within its bucket
+//! resolution of the exact order statistics of what it recorded.
 
 use trass_obs::Histogram;
 use trass_rng::{check, Rng};
@@ -12,30 +12,6 @@ fn record_all(h: &Histogram, samples: &[u64]) {
     for &v in samples {
         h.record(v);
     }
-}
-
-#[test]
-fn merge_equals_concatenated_recording() {
-    check(256, |rng| {
-        let a = samples(rng, 0, 199, u64::MAX);
-        let b = samples(rng, 0, 199, u64::MAX);
-        let ha = Histogram::new();
-        let hb = Histogram::new();
-        let hc = Histogram::new();
-        record_all(&ha, &a);
-        record_all(&hb, &b);
-        record_all(&hc, &a);
-        record_all(&hc, &b);
-        ha.merge(&hb);
-        assert_eq!(ha.count(), hc.count());
-        assert_eq!(ha.sum(), hc.sum());
-        assert_eq!(ha.min(), hc.min());
-        assert_eq!(ha.max(), hc.max());
-        assert_eq!(ha.nonzero_buckets(), hc.nonzero_buckets());
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(ha.value_at_quantile(q), hc.value_at_quantile(q));
-        }
-    });
 }
 
 #[test]

@@ -164,7 +164,7 @@ impl TrassClient {
         }
     }
 
-    /// Fetches the server's liveness text.
+    /// Fetches the store's health report (`/healthz`'s text).
     pub fn health(&mut self) -> Result<String, ClientError> {
         match self.call(&Request::Health)? {
             Response::Health(text) => Ok(text),
@@ -172,7 +172,8 @@ impl TrassClient {
         }
     }
 
-    /// Fetches the registry snapshot as JSON.
+    /// Fetches the registry in the Prometheus text format (`/metrics`'s
+    /// text).
     pub fn stats(&mut self) -> Result<String, ClientError> {
         match self.call(&Request::Stats)? {
             Response::Stats(text) => Ok(text),

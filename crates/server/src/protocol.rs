@@ -70,9 +70,9 @@ pub enum Op {
     Ingest,
     /// Run a query under EXPLAIN ANALYZE, returning the trace text too.
     Explain,
-    /// Liveness text (uptime, totals).
+    /// The store's health report, as `/healthz` serves it.
     Health,
-    /// Registry snapshot as JSON.
+    /// The registry in the Prometheus text format, as `/metrics` serves it.
     Stats,
     /// Ask the server to stop accepting and join its threads.
     Shutdown,
@@ -297,9 +297,9 @@ pub enum Request {
         /// The query to explain.
         inner: Box<Request>,
     },
-    /// Liveness text.
+    /// The store's health report.
     Health,
-    /// Registry snapshot as JSON.
+    /// The registry in the Prometheus text format.
     Stats,
     /// Graceful server shutdown.
     Shutdown,
@@ -336,9 +336,9 @@ pub enum Response {
         /// `QueryTrace::render_text()` output.
         trace: String,
     },
-    /// Liveness text.
+    /// The store's health report.
     Health(String),
-    /// Registry snapshot as JSON.
+    /// The registry in the Prometheus text format.
     Stats(String),
     /// Acknowledgement that the server is shutting down.
     ShuttingDown,

@@ -40,7 +40,6 @@ use crate::protocol::{
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 use trass_core::query;
@@ -108,11 +107,9 @@ struct OpMetrics {
 struct Shared {
     store: Arc<TrajectoryStore>,
     max_frame: u32,
-    started: Instant,
     connections_total: Arc<Counter>,
     active_connections: Arc<Gauge>,
     protocol_errors: Arc<Counter>,
-    requests_total: AtomicU64,
     per_op: HashMap<u8, OpMetrics>,
     /// Set when shutdown is requested (wire op or [`TrassServer::shutdown`]);
     /// [`TrassServer::wait`] blocks on it.
@@ -157,11 +154,9 @@ impl TrassServer {
         let shared = Arc::new(Shared {
             store,
             max_frame: opts.max_frame_bytes,
-            started: Instant::now(),
             connections_total: registry.counter("trass_server_connections_total", &[]),
             active_connections: registry.gauge("trass_server_active_connections", &[]),
             protocol_errors: registry.counter("trass_server_protocol_errors_total", &[]),
-            requests_total: AtomicU64::new(0),
             per_op,
             done: Mutex::new(false),
             done_cv: Condvar::new(),
@@ -314,7 +309,6 @@ fn handle_frame(
 ) -> Disposition {
     let response = match protocol::decode_request(op, payload) {
         Ok(request) => {
-            shared.requests_total.fetch_add(1, Ordering::Relaxed);
             let metrics = shared.per_op.get(&request.op().code());
             if let Some(m) = metrics {
                 m.requests.inc();
@@ -410,8 +404,8 @@ fn execute(shared: &Arc<Shared>, request: Request) -> Response {
             Err(e) => error_response(ErrorCode::Internal, e.to_string()),
         },
         Request::Explain { inner } => execute_explain(shared, *inner),
-        Request::Health => Response::Health(health_text(shared)),
-        Request::Stats => Response::Stats(shared.store.registry().render_json()),
+        Request::Health => Response::Health(render_health(shared.store.health()).1),
+        Request::Stats => Response::Stats(shared.store.registry().render_prometheus()),
         Request::Shutdown => Response::ShuttingDown,
     }
 }
@@ -447,15 +441,4 @@ fn execute_explain(shared: &Arc<Shared>, inner: Request) -> Response {
         Ok(e) => Response::Explained { results: e.result.results, trace: e.trace.render_text() },
         Err(e) => error_response(ErrorCode::Internal, e.to_string()),
     }
-}
-
-/// The store's health report, then the server's own counters.
-fn health_text(shared: &Shared) -> String {
-    format!(
-        "{}uptime_seconds: {}\nconnections_total: {}\nrequests_total: {}\n",
-        render_health(shared.store.health()).1,
-        shared.started.elapsed().as_secs(),
-        shared.connections_total.get(),
-        shared.requests_total.load(Ordering::Relaxed),
-    )
 }

@@ -229,20 +229,21 @@ fn health_fails_over_wire_and_http_when_the_data_directory_is_gone() {
         raw
     };
 
+    // The wire op and the route serve one report.
+    let body = |raw: &str| raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string());
     let wire = client.health().expect("health");
-    assert!(wire.starts_with("status: ok\nok   probe kv-regions\n"), "{wire}");
-    assert!(wire.contains("\nuptime_seconds: "), "{wire}");
-    assert!(healthz().starts_with("HTTP/1.1 200"));
+    assert_eq!(wire, "status: ok\nok   probe kv-regions\n");
+    let http = healthz();
+    assert!(http.starts_with("HTTP/1.1 200"), "{http}");
+    assert_eq!(body(&http), Some(wire));
 
     std::fs::remove_dir_all(&dir).expect("remove data dir");
     let wire = client.health().expect("health");
     assert!(wire.starts_with("status: unhealthy\n"), "{wire}");
     assert!(wire.contains("FAIL probe kv-regions: shard 0: data dir"), "{wire}");
-    assert!(wire.contains("\nrequests_total: "), "{wire}");
     let http = healthz();
     assert!(http.starts_with("HTTP/1.1 503"), "{http}");
-    assert!(http.contains("status: unhealthy\n"), "{http}");
-    assert!(http.contains("FAIL probe kv-regions: shard 0: data dir"), "{http}");
+    assert_eq!(body(&http), Some(wire));
 }
 
 #[test]
@@ -274,38 +275,65 @@ fn shutdown_is_idempotent_and_safe_without_clients() {
     server.wait(); // already done: returns immediately
 }
 
+/// Every `trass_server_*` series reads exactly what this test's own
+/// traffic implies, in the registry and in the wire `Stats` op's text: two
+/// connections, per-op requests and their latency samples, and two
+/// protocol errors (an unknown opcode and a truncated payload); then a
+/// third connection's version violation.
 #[test]
-fn server_metrics_are_registered_and_counted() {
+fn server_metrics_count_the_traffic() {
     let store = build_store(50);
     let server = start(&store);
-    let mut client = TrassClient::connect(server.local_addr()).expect("connect");
-
+    let registry = store.registry();
+    let mut a = TrassClient::connect(server.local_addr()).expect("connect");
+    let mut b = TrassClient::connect(server.local_addr()).expect("connect");
     let q = queries(1).remove(0);
-    client.threshold(QueryRef::Inline(q), EPS, Measure::Frechet).expect("threshold");
-    client.health().expect("health");
-    // One protocol error to move the error counter.
-    let _ = client.send_raw(&protocol::frame(0x7E, &[]).expect("frame")).expect("reply");
+    for _ in 0..2 {
+        a.threshold(QueryRef::Inline(q.clone()), EPS, Measure::Frechet).expect("threshold");
+    }
+    let m = q.mbr();
+    b.range([m.min_x, m.min_y, m.max_x, m.max_y]).expect("range");
+    a.health().expect("health");
+    let unknown = a.send_raw(&protocol::frame(0x7E, &[]).expect("frame")).expect("reply");
+    assert_eq!(unknown.status, ErrorCode::UnknownOp.code());
+    let truncated = protocol::frame(Op::Threshold.code(), &[0xFF, 0x01]).expect("frame");
+    assert_eq!(b.send_raw(&truncated).expect("reply").status, ErrorCode::Malformed.code());
 
-    let prom = store.registry().render_prometheus();
-    for series in [
-        "trass_server_connections_total",
-        "trass_server_active_connections",
-        "trass_server_requests_total",
-        "trass_server_request_seconds",
-        "trass_server_protocol_errors_total",
+    for (op, n) in [("threshold", 2), ("range", 1), ("health", 1), ("topk", 0), ("stats", 0)] {
+        let requests = registry.counter("trass_server_requests_total", &[("op", op)]).get();
+        let timed = registry.timer("trass_server_request_seconds", &[("op", op)]).count();
+        assert_eq!((requests, timed), (n, n), "op {op}");
+    }
+    assert_eq!(registry.counter("trass_server_protocol_errors_total", &[]).get(), 2);
+    assert_eq!(registry.counter("trass_server_connections_total", &[]).get(), 2);
+    let active = registry.gauge("trass_server_active_connections", &[]);
+    assert_eq!(active.get(), 2);
+
+    // The wire `Stats` op is the registry's exposition text; it counts
+    // itself before it renders.
+    let stats = a.stats().expect("stats");
+    for line in [
+        "trass_server_requests_total{op=\"threshold\"} 2",
+        "trass_server_requests_total{op=\"stats\"} 1",
+        "trass_server_protocol_errors_total 2",
+        "trass_server_connections_total 2",
+        "trass_server_active_connections 2",
     ] {
-        assert!(prom.contains(series), "{series} missing from prometheus export");
-    }
-    // Per-op series carry the op label and actually counted.
-    assert!(prom.contains("op=\"threshold\""), "per-op label missing");
-    for line in prom.lines() {
-        if line.starts_with("trass_server_protocol_errors_total") {
-            let v: f64 = line.rsplit(' ').next().and_then(|t| t.parse().ok()).unwrap_or(0.0);
-            assert!(v >= 1.0, "protocol error counter should have moved: {line}");
-        }
+        assert!(stats.lines().any(|l| l == line), "{line} not in:\n{stats}");
     }
 
-    // Wire stats is the same registry snapshot.
-    let stats = client.stats().expect("stats");
-    assert!(stats.contains("trass_server_requests_total"), "stats lacks server series");
+    // A version violation counts as a protocol error too, and the server
+    // closes that connection; a connection leaves the gauge once its
+    // thread sees it close.
+    let mut c = TrassClient::connect(server.local_addr()).expect("connect");
+    let bad_version = c.send_raw(&[0, 0, 0, 0, 9, Op::Health.code()]).expect("reply");
+    assert_eq!(bad_version.status, ErrorCode::UnsupportedVersion.code());
+    assert_eq!(registry.counter("trass_server_protocol_errors_total", &[]).get(), 3);
+    assert_eq!(registry.counter("trass_server_connections_total", &[]).get(), 3);
+    drop((b, c));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while active.get() != 1 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert_eq!(active.get(), 1);
 }

@@ -17,6 +17,12 @@
 //! their distance to the query and compute the exact distance only until
 //! the bound passes ε, or strictly passes the current k-th distance (a row
 //! whose bound equals the k-th distance can still win its tie on id).
+//! Top-k orders Fréchet rows by the O(1) endpoint pair and checks each
+//! row's full bound against the k-th distance only when it reaches the
+//! row, skipping the row when that bound strictly passes it. DTW and
+//! Hausdorff order by the full bound: Hausdorff has no O(1) one, and
+//! DTW's endpoint sum ranks rows too loosely, so the k-th distance
+//! tightens later and more kernels run.
 //! Threshold needs no order for that: it computes exactly the rows whose
 //! bound is at most ε, and it evaluates the bounds cheapest first (the
 //! endpoint pair, then the MBRs), stopping at the first that passes ε.
@@ -77,15 +83,23 @@ pub fn top_k(rows: &[Trajectory], query: &Trajectory, k: usize, measure: Measure
     if k == 0 {
         return Answer::new();
     }
+    let (q, q_mbr) = (query.points(), query.mbr());
     // The best rows so far, largest (distance, id) on top. A distance is
     // never negative or NaN, so its bits order as it does.
     let mut best: BinaryHeap<(u64, TrajectoryId)> = BinaryHeap::with_capacity(k + 1);
-    for (bound, t) in by_bound(rows, query, measure) {
+    for (order, t) in by_bound(rows, query, measure) {
         let kth = best.peek().filter(|_| best.len() == k).map(|&(d, _)| f64::from_bits(d));
-        if kth.is_some_and(|kth| bound > kth) {
-            break;
+        if let Some(kth) = kth {
+            if order > kth {
+                break;
+            }
+            // A row ordered by its endpoint pair alone: its full bound,
+            // checked against the k-th, can still pass it.
+            if lower_bound(measure, q, &q_mbr, t, kth) > kth {
+                continue;
+            }
         }
-        best.push((measure.distance(query.points(), t.points()).to_bits(), t.id));
+        best.push((measure.distance(q, t.points()).to_bits(), t.id));
         if best.len() > k {
             best.pop();
         }
@@ -122,14 +136,18 @@ pub fn diff(got: &[(TrajectoryId, f64)], want: &[(TrajectoryId, f64)]) -> Option
     })
 }
 
-/// Every row with its lower bound, smallest bound first.
+/// Every row with a lower bound, smallest bound first: the O(1) endpoint
+/// pair for Fréchet, the full bound for DTW and Hausdorff.
 fn by_bound<'a>(
     rows: &'a [Trajectory],
     query: &Trajectory,
     measure: Measure,
 ) -> Vec<(f64, &'a Trajectory)> {
     let (q, q_mbr) = (query.points(), query.mbr());
-    let bound = |t| lower_bound(measure, q, &q_mbr, t, f64::INFINITY);
+    let bound = |t: &Trajectory| match measure {
+        Measure::Frechet => endpoint_max(q, t.points()),
+        Measure::Dtw | Measure::Hausdorff => lower_bound(measure, q, &q_mbr, t, f64::INFINITY),
+    };
     let mut order: Vec<_> = rows.iter().map(|t| (bound(t), t)).collect();
     order.sort_by(|a, b| a.0.total_cmp(&b.0));
     order
